@@ -333,6 +333,8 @@ VALIDATE_DEFAULTS = {
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _merge_config(args, VALIDATE_DEFAULTS)
+    if config["samples"] < 1:
+        raise SopGateError(f"--samples must be at least 1, got {config['samples']}")
     rng = np.random.default_rng(config["seed"])
     reports = []
     worst = 0.0

@@ -286,11 +286,12 @@ def spectator_orthogonal_pair(
     overlap, so the full dot product vanishes and the ground-state passage of
     the all-zeros block stays exactly dark-state protected. Reduces to the
     two-qubit construction ((a, b), (-b, a)) as the spectator factors go to 0.
-    Requires c_odd^2 + c_even^2 <= 1.
+    Requires c_odd^2 + c_even^2 <= 1, up to ``UNIT_NORM_TOL`` of round-off
+    (c_odd = c_even = sqrt(0.5) squares to a sum just above 1).
     """
     if b * b + c_odd * c_odd > 1.0:
         raise NotNormalizedError(f"b^2 + c^2 = {b * b + c_odd * c_odd} exceeds 1")
-    if c_odd * c_odd + c_even * c_even > 1.0:
+    if c_odd * c_odd + c_even * c_even > 1.0 + UNIT_NORM_TOL:
         raise NotNormalizedError(
             "no orthogonal partner exists: c_odd^2 + c_even^2 exceeds 1"
         )
@@ -302,7 +303,7 @@ def spectator_orthogonal_pair(
     e_odd = StructuralVector((a, b, c_odd))
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)
-    alpha = math.sqrt(1.0 - beta * beta)
+    alpha = math.sqrt(max(0.0, 1.0 - beta * beta))
     e_even = StructuralVector(
         (
             r_even * (alpha * (-b_hat) + beta * a_hat),

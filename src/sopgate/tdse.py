@@ -5,6 +5,13 @@ explicit pulse envelopes and a fixed-step fourth-order Runge-Kutta scheme.
 For resonant driving the final propagator must depend on the pulse areas
 only, not on the envelope shapes, so any envelope with the right area has to
 land on the analytical result.
+
+Within one pulse the Hamiltonian is a time-dependent Rabi frequency times a
+constant coupling pattern, so each RK4 step is a degree-4 matrix polynomial
+in that pattern, with coefficients from the step's three stage Rabi values.
+The steps of a pulse are built as one array and multiplied in time order by
+a pairwise tree reduction: the same RK4 scheme as a step-by-step loop, with
+no per-step Python work.
 """
 
 import math
@@ -133,6 +140,65 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
     return max(MIN_STEPS_PER_PULSE, by_rate)
 
 
+# Pairs multiplied per matmul call in the tree reduction; bounds its buffer.
+_PAIR_CHUNK = 256
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """Ordered product ``steps[n - 1] @ ... @ steps[1] @ steps[0]`` by pairwise reduction.
+
+    Each level multiplies adjacent pairs, the later factor on the left, and
+    compacts the products to the front of ``steps`` (an unpaired last factor
+    moves along after them), chunk by chunk through a small buffer, so a
+    chunk never overwrites a factor a later chunk still reads. ``steps`` is
+    overwritten; the product is returned as a new array.
+    """
+    n = len(steps)
+    buf = np.empty((min(_PAIR_CHUNK, n // 2),) + steps.shape[1:], dtype=steps.dtype)
+    while n > 1:
+        half = n // 2
+        for lo in range(0, half, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, half)
+            np.matmul(
+                steps[2 * lo + 1 : 2 * hi : 2], steps[2 * lo : 2 * hi : 2], out=buf[: hi - lo]
+            )
+            steps[lo:hi] = buf[: hi - lo]
+        if n % 2:
+            steps[half] = steps[n - 1]
+        n = half + n % 2
+    return steps[0].copy()
+
+
+def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None) -> np.ndarray:
+    """RK4 propagator of one pulse: the ordered product of its step polynomials."""
+    dim = 1 + coupling.size
+    # X = -i P for the pattern P that couples ground and Rydberg levels by -coupling / 2
+    x_mat = np.zeros((dim, dim), dtype=complex)
+    x_mat[0, 1:] = 0.5j * coupling
+    x_mat[1:, 0] = 0.5j * coupling
+    # powers[p] = X^p, flattened, p = 0..4
+    powers = np.empty((5, dim * dim), dtype=complex)
+    power = np.eye(dim, dtype=complex)
+    for p in range(5):
+        powers[p] = power.ravel()
+        power = x_mat @ power
+    n_steps = _pulse_steps(env, dt)
+    h = env.duration / n_steps
+    # Rabi values at the half-step offsets 0, h/2, ..., n_steps * h;
+    # step i takes entries 2i, 2i + 1 and 2i + 2
+    stage_rabi = env.rabi_in_window(0.5 * h * np.arange(2 * n_steps + 1))
+    a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
+    coeffs = np.empty((n_steps, 5), dtype=complex)
+    coeffs[:, 0] = 1.0
+    coeffs[:, 1] = h / 6.0 * (a + 4.0 * b + c)
+    coeffs[:, 2] = h**2 / 6.0 * (a * b + b * b + b * c)
+    coeffs[:, 3] = h**3 / 12.0 * (a * b * b + b * b * c)
+    coeffs[:, 4] = h**4 / 24.0 * a * b * b * c
+    steps = np.empty((n_steps, dim, dim), dtype=complex)
+    np.matmul(coeffs, powers, out=steps.reshape(n_steps, dim * dim))
+    return _ordered_product(steps)
+
+
 def integrate_block(
     block: SubsystemBlock, envelopes, dt: float | None = None
 ) -> np.ndarray:
@@ -144,6 +210,18 @@ def integrate_block(
     ``i`` come from :meth:`PulseEnvelope.rabi_in_window` at the exact offsets
     ``h * i``, ``h * (i + 0.5)`` and ``h * (i + 1)`` from the pulse start, so
     the last stage of a pulse lands on its window edge, never past it.
+
+    Within a pulse H(t) = Omega(t) P with a constant coupling pattern P, so
+    with X = -i P and stage values a, b, c one RK4 step is exactly the matrix
+    polynomial
+
+        S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
+              + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
+
+    All steps of a pulse are built as one stack and multiplied in their
+    order, S_{n-1} ... S_1 S_0, by a pairwise tree reduction. This is the
+    RK4 scheme itself, not the closed-form propagator: X is never
+    diagonalized and the order of the factors is kept.
 
     Raises
     ------
@@ -158,26 +236,8 @@ def integrate_block(
     _check_non_overlapping(envelopes)
     dim = block.dimension
     u_tot = np.eye(dim, dtype=complex)
-    for k, env in enumerate(envelopes):
-        coupling = block.couplings[k]
-        h_pattern = np.zeros((dim, dim))
-        h_pattern[0, 1:] = -0.5 * coupling
-        h_pattern[1:, 0] = -0.5 * coupling
-        n_steps = _pulse_steps(env, dt)
-        h = env.duration / n_steps
-        # Rabi values at the half-step offsets 0, h/2, ..., n_steps * h;
-        # step i takes entries 2i, 2i + 1 and 2i + 2
-        stage_rabi = env.rabi_in_window(0.5 * h * np.arange(2 * n_steps + 1)).tolist()
-        u_pulse = np.eye(dim, dtype=complex)
-        for i in range(n_steps):
-            rabi_start, rabi_mid, rabi_end = stage_rabi[2 * i : 2 * i + 3]
-            k1 = -1j * rabi_start * (h_pattern @ u_pulse)
-            u_mid = u_pulse + 0.5 * h * k1
-            k2 = -1j * rabi_mid * (h_pattern @ u_mid)
-            k3 = -1j * rabi_mid * (h_pattern @ (u_pulse + 0.5 * h * k2))
-            k4 = -1j * rabi_end * (h_pattern @ (u_pulse + h * k3))
-            u_pulse = u_pulse + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u_tot = u_pulse @ u_tot
+    for coupling, env in zip(block.couplings, envelopes):
+        u_tot = _pulse_propagator(coupling, env, dt) @ u_tot
     drift = np.abs(u_tot.conj().T @ u_tot - np.eye(dim)).max()
     if drift > UNITARITY_DRIFT_LIMIT:
         raise StepTooLargeError(

@@ -116,6 +116,15 @@ class TestOptimizeCommand:
         # CSV carries 9 significant digits; the exact bound holds pre-rounding
         assert float(fields[3]) ** 2 >= 0.1 - 1e-8
 
+    def test_third_qubit_at_clamp_bound(self, tmp_path):
+        # the optimizer clamps both spectator factors to sqrt(0.5) here
+        out = tmp_path / "clamp"
+        code = main(["optimize", "--what", "third-qubit", "--areas=4,1.5", "--out", str(out)])
+        assert code == 0
+        header, row = read(out / "optimized_map_third_qubit.csv").strip().splitlines()
+        fidelity = float(row.split(",")[2])
+        assert 0.0 <= fidelity <= 1.0
+
     def test_small_optimized_grid(self, tmp_path):
         out = tmp_path / "grid"
         code = main(
@@ -158,6 +167,16 @@ class TestValidateCommand:
         report = json.loads(read(out / "validation_report.txt"))
         assert report["passed"] is True
         assert report["max_deviation"] < 1e-6
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, tmp_path, capsys, samples):
+        out = tmp_path / "val0"
+        code = main(["validate", "--samples", samples, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--samples" in err
+        assert not out.exists()
 
     def test_failure_exit_code(self, tmp_path):
         out = tmp_path / "val2"

@@ -185,6 +185,17 @@ class TestProtocols:
         with pytest.raises(NotNormalizedError):
             spectator_orthogonal_pair(0.1, 0.8, 0.8)
 
+    @pytest.mark.parametrize("b", [0.0, math.sqrt(0.1), -0.3, 0.5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spectator_pair_at_clamp_bound(self, b, sign):
+        # sqrt(0.5)^2 + sqrt(0.5)^2 rounds to 1.0000000000000002
+        c = math.sqrt(0.5)
+        assert c * c + c * c > 1.0
+        e_odd, e_even = spectator_orthogonal_pair(b, c, sign * c)
+        assert e_odd.components[1:] == (b, c)
+        assert e_even.components[2] == sign * c
+        assert e_odd.dot(e_even) == pytest.approx(0.0, abs=1e-15)
+
 
 class TestSerialization:
     @pytest.mark.parametrize(

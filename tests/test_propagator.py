@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from sopgate import (
     LengthMismatchError,
     NoDarkSubspaceError,
     NotNormalizedError,
+    Protocol,
+    Pulse,
+    StructuralVector,
     UnsupportedPulseCountError,
     build_jp_protocol,
     build_sop3_protocol,
@@ -163,6 +167,65 @@ class TestBlockDecompose:
         for block in block_decompose(p):
             norms = np.linalg.norm(block.couplings, axis=1)
             assert np.all(norms <= 1 + 1e-12)
+
+
+def full_register_propagator(protocol):
+    """Propagator of the whole register, built without block_decompose.
+
+    The basis is {0, 1, r}^n with every multiply-excited state projected out
+    (perfect blockade). Within one pulse H(t) = Omega(t) P_full with constant
+    P_full, and Hamiltonians at different times commute, so the pulse
+    propagator is exactly expm(-i * area * P_full).
+    """
+    n = protocol.n_qubits
+    states = ["".join(s) for s in itertools.product("01r", repeat=n) if s.count("r") <= 1]
+    index = {s: i for i, s in enumerate(states)}
+    u_tot = np.eye(len(states), dtype=complex)
+    for pulse in protocol.pulses:
+        p_full = np.zeros((len(states), len(states)))
+        for state in states:
+            if "r" in state:
+                continue
+            for q, (ch, v_q) in enumerate(zip(state, pulse.vector.components)):
+                if ch == "0":
+                    excited = index[state[:q] + "r" + state[q + 1 :]]
+                    p_full[excited, index[state]] = p_full[index[state], excited] = -0.5 * v_q
+        u_tot = expm(-1j * pulse.area * p_full) @ u_tot
+    return u_tot, index
+
+
+class TestFullRegister:
+    """Check the block decomposition against the undecomposed register.
+
+    Both the per-state amplitudes of :func:`sequence_amplitude` and the
+    blocks of :func:`block_decompose` must reproduce the full-register
+    return amplitudes.
+    """
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_return_amplitudes_match_blocks(self, n_qubits):
+        rng = np.random.default_rng(77 + n_qubits)
+        labels = ["".join(bits) for bits in itertools.product("01", repeat=n_qubits)]
+        for _ in range(10):
+            pulses = []
+            for _ in range(int(rng.integers(2, 6))):
+                v = rng.normal(size=n_qubits)
+                v /= np.linalg.norm(v)
+                pulses.append(
+                    Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v)))
+                )
+            protocol = Protocol(tuple(pulses), n_qubits)
+            u_full, index = full_register_propagator(protocol)
+            assert len(index) == {2: 8, 3: 20}[n_qubits]
+            computational = u_full[np.ix_([index[s] for s in labels], [index[s] for s in labels])]
+            expected = np.diag([sequence_amplitude(protocol, s) for s in labels])
+            np.testing.assert_allclose(computational, expected, rtol=0, atol=1e-9)
+            for block in block_decompose(protocol):
+                u_block = np.eye(block.dimension, dtype=complex)
+                for coupling, pulse in zip(block.couplings, protocol.pulses):
+                    u_block = star_propagator(coupling, pulse.theta) @ u_block
+                full_amp = u_full[index[block.initial_state], index[block.initial_state]]
+                assert abs(u_block[0, 0] - full_amp) < 1e-9
 
 
 class TestSequenceAmplitude:

@@ -21,19 +21,49 @@ from sopgate import (
 )
 from sopgate.propagator import block_decompose, star_propagator, u11v_esop, u11v_esop_exact
 from sopgate.model import build_esop_protocol, make_structural_vector
+from sopgate.tdse import _pulse_steps
 
 PI = math.pi
 
 
-def random_protocol(rng):
-    n_qubits = int(rng.integers(2, 4))
-    n_pulses = int(rng.integers(2, 6))
+def random_protocol(rng, n_qubits=None, n_pulses=None, max_area=8 * PI):
+    if n_qubits is None:
+        n_qubits = int(rng.integers(2, 4))
+    if n_pulses is None:
+        n_pulses = int(rng.integers(2, 6))
     pulses = []
     for _ in range(n_pulses):
         v = rng.normal(size=n_qubits)
         v /= np.linalg.norm(v)
-        pulses.append(Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v))))
+        pulses.append(Pulse(float(rng.uniform(-max_area, max_area)), StructuralVector(tuple(v))))
     return Protocol(tuple(pulses), n_qubits)
+
+
+def sequential_rk4(block, envelopes, dt=None):
+    """Reference integrator: classic RK4 advanced one step at a time.
+
+    Same step counts and stage offsets as :func:`integrate_block`, no
+    unitarity check.
+    """
+    dim = block.dimension
+    u_tot = np.eye(dim, dtype=complex)
+    for coupling, env in zip(block.couplings, envelopes):
+        h_pattern = np.zeros((dim, dim))
+        h_pattern[0, 1:] = -0.5 * coupling
+        h_pattern[1:, 0] = -0.5 * coupling
+        n_steps = _pulse_steps(env, dt)
+        h = env.duration / n_steps
+        stage_rabi = env.rabi_in_window(0.5 * h * np.arange(2 * n_steps + 1)).tolist()
+        u_pulse = np.eye(dim, dtype=complex)
+        for i in range(n_steps):
+            rabi_start, rabi_mid, rabi_end = stage_rabi[2 * i : 2 * i + 3]
+            k1 = -1j * rabi_start * (h_pattern @ u_pulse)
+            k2 = -1j * rabi_mid * (h_pattern @ (u_pulse + 0.5 * h * k1))
+            k3 = -1j * rabi_mid * (h_pattern @ (u_pulse + 0.5 * h * k2))
+            k4 = -1j * rabi_end * (h_pattern @ (u_pulse + h * k3))
+            u_pulse = u_pulse + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u_tot = u_pulse @ u_tot
+    return u_tot
 
 
 class TestEnvelopes:
@@ -93,6 +123,41 @@ class TestIntegrateBlock:
             results.append(u_num)
         for u_num in results[1:]:
             np.testing.assert_array_equal(u_num, results[0])
+
+    @pytest.mark.parametrize("shape", ["squared-sine", "gaussian"])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize(
+        "n_steps, max_area",
+        [(None, 8 * PI), (2, 0.004), (3, 0.004), (8, 0.08), (9, 0.08), (64, 1.0), (65, 1.0)],
+        ids=["default-steps", "2-steps", "3-steps", "8-steps", "9-steps", "64-steps", "65-steps"],
+    )
+    def test_matches_sequential_loop(self, shape, n_qubits, n_steps, max_area):
+        # n_steps None is the default resolution; otherwise dt is chosen so
+        # that every pulse takes exactly n_steps steps (odd and even counts,
+        # down to the 2-step floor), with areas small enough to pass the
+        # unitarity check at that resolution
+        dt = None if n_steps is None else 1.0 / (n_steps - 0.5)
+        rng = np.random.default_rng(1000 * n_qubits + (n_steps or 0))
+        protocol = random_protocol(rng, n_qubits=n_qubits, n_pulses=3, max_area=max_area)
+        envelopes = envelopes_for_protocol(protocol, shape=shape)
+        if n_steps is not None:
+            assert {_pulse_steps(env, dt) for env in envelopes} == {n_steps}
+        for block in block_decompose(protocol):
+            np.testing.assert_allclose(
+                integrate_block(block, envelopes, dt=dt),
+                sequential_rk4(block, envelopes, dt=dt),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_one_dimensional_block_is_identity(self):
+        protocol = build_sop3_protocol(0.3, 0.2)
+        block = [b for b in block_decompose(protocol) if b.initial_state == "111"][0]
+        assert block.dimension == 1
+        envelopes = envelopes_for_protocol(protocol, shape="gaussian")
+        u_num = integrate_block(block, envelopes)
+        np.testing.assert_array_equal(u_num, sequential_rk4(block, envelopes))
+        np.testing.assert_array_equal(u_num, np.eye(1))
 
     def test_output_unitary(self):
         protocol = build_sop_protocol(math.sqrt(0.1))
