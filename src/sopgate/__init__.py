@@ -8,11 +8,9 @@ integration check.
 """
 
 from .errors import (
-    AsymmetricAreasError,
     DimensionMismatchError,
     EmptyGridError,
     InfeasibleStartError,
-    InvalidPulseCountError,
     LengthMismatchError,
     NoDarkSubspaceError,
     NoMaximaFoundError,
@@ -44,13 +42,8 @@ from .model import (
     Pulse,
     StructuralVector,
     basis_labels,
-    build_esop_protocol,
-    build_jp_protocol,
-    build_sop3_protocol,
-    build_sop_protocol,
     cphase_signature,
     make_structural_vector,
-    orthogonal_complement_2d,
     spectator_orthogonal_pair,
 )
 from .optimize import (
@@ -71,6 +64,7 @@ from .tdse import (
 )
 from .propagator import (
     SubsystemBlock,
+    block_amplitudes,
     block_decompose,
     dark_state,
     diagonal_amplitudes,

@@ -18,11 +18,11 @@ configuration, 3 validation failure.
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -49,10 +49,21 @@ EXIT_VALIDATION = 3
 
 
 def _write_atomic(path: str, data: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    """Write to a unique temporary file next to ``path``, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(data)
+        # mkstemp creates the file private; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra: dict | None = None) -> None:
@@ -68,6 +79,11 @@ def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra
         meta.update(extra)
     _write_atomic(os.path.splitext(data_path)[0] + ".json", json.dumps(meta, indent=2) + "\n")
     print(f"wrote {data_path}")
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line per row with 9 significant digits per value."""
+    return "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -86,29 +102,53 @@ def _parse_area_pair(text: str) -> tuple[float, float]:
     return odd, even
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise SopGateError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SopGateError(f"config file {path} must hold a JSON object")
+    return data
+
+
+def _has_type(value, kind) -> bool:
+    # JSON ints are valid floats; booleans count only as booleans.
+    return type(value) in {float: (int, float)}.get(kind, (kind,))
+
+
+def _check_config_value(key: str, value, default, action: argparse.Action) -> None:
+    """Reject a config-file value of neither the flag's type nor the default's, or off its choices.
+
+    On/off flags parse to bool; where the default is a list, so must the value be.
+    """
+    flag_type = bool if action.nargs == 0 else action.type or str
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(_has_type(v, flag_type) for v in value)
+    else:
+        ok = value == default or (
+            (_has_type(value, flag_type) or _has_type(value, type(default)))
+            and (action.choices is None or value in action.choices)
+        )
+    if not ok:
+        raise SopGateError(f"config value {value!r} is not valid for {key!r}")
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags beat the config file, the config file beats defaults."""
-    file_config = {}
-    if args.config:
-        with open(args.config) as handle:
-            file_config = json.load(handle)
+    """Flags beat the checked config-file values, which beat defaults."""
+    file_config = _read_config(args.config) if args.config else {}
+    actions = {action.dest: action for action in args.parser._actions}
     config = dict(defaults)
-    config.update({k: v for k, v in file_config.items() if k in defaults})
+    for key, value in file_config.items():
+        if key in defaults:
+            _check_config_value(key, value, defaults[key], actions[key])
+            config[key] = value
     for key in defaults:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
     return config
-
-
-def _family_from_config(config: dict):
-    return sop_family(
-        b2=config["b2"],
-        c2=config["c2"],
-        n_qubits=config["qubits"],
-        m_pulses=config["pulses"],
-        orthogonal=not config["non_orthogonal"],
-    )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -153,7 +193,13 @@ def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
         config["qubits"] = 3 if config["c2"] > 0 else 2
     if m_required and config["pulses"] < 2:
         raise SopGateError("esop-map needs --pulses >= 2")
-    family = _family_from_config(config)
+    family = sop_family(
+        b2=config["b2"],
+        c2=config["c2"],
+        n_qubits=config["qubits"],
+        m_pulses=config["pulses"],
+        orthogonal=not config["non_orthogonal"],
+    )
     grid = _parse_grid(config["grid"])
     fmap = fidelity_map(family, grid, definition=config["fidelity"])
     try:
@@ -182,25 +228,25 @@ ROBUSTNESS_DEFAULTS = {
 
 def cmd_robustness(args: argparse.Namespace) -> int:
     config = _merge_config(args, ROBUSTNESS_DEFAULTS)
-    b2_list = [float(x) for x in str(config["b2"]).split(",")]
+    try:
+        b2_list = [float(x) for x in str(config["b2"]).split(",")]
+    except ValueError as exc:
+        raise SopGateError(f"b2 must be comma-separated numbers, got {config['b2']!r}") from exc
     area_odd, area_even = _parse_area_pair(config["areas"])
     deltas = np.arange(
         -config["delta_max"], config["delta_max"] + config["delta_step"] / 2, config["delta_step"]
     ) * math.pi
-    for b2 in b2_list:
-        family = sop_family(b2=b2)
+    families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
+    for b2, family in zip(b2_list, families):
         protocol = family.protocol(area_odd * math.pi, area_even * math.pi)
         curves = robustness_scan(protocol, deltas)
-        buf = io.StringIO()
-        buf.write("delta_a_over_pi,u11v,u11a,u11b\n")
-        for i in range(deltas.size):
-            buf.write(
-                f"{deltas[i] / math.pi:.9g},{curves.u11v[i]:.9g},"
-                f"{curves.u11a[i]:.9g},{curves.u11b[i]:.9g}\n"
-            )
+        text = _csv_text(
+            "delta_a_over_pi,u11v,u11a,u11b",
+            zip(deltas / math.pi, curves.u11v, curves.u11a, curves.u11b),
+        )
         run_config = dict(config)
         run_config["b2"] = b2
-        _write_artifact(config["out"], f"robustness_b2_{b2:g}.csv", buf.getvalue(), run_config)
+        _write_artifact(config["out"], f"robustness_b2_{b2:g}.csv", text, run_config)
     return EXIT_OK
 
 
@@ -220,14 +266,11 @@ def cmd_bscan(args: argparse.Namespace) -> int:
         pair = _parse_area_pair(pair_text)
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
-        buf = io.StringIO()
-        buf.write("b2,f_orthogonal,f_non_orthogonal\n")
-        for i in range(b2_grid.size):
-            buf.write(f"{b2_grid[i]:.9g},{f_orth[i]:.9g},{f_non[i]:.9g}\n")
+        text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
         run_config = dict(config)
         run_config["areas"] = pair_text
         stem = f"bscan_{pair[0]:g}_{pair[1]:g}.csv".replace("-", "m")
-        _write_artifact(config["out"], stem, buf.getvalue(), run_config)
+        _write_artifact(config["out"], stem, text, run_config)
     return EXIT_OK
 
 
@@ -273,12 +316,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if what == "areas":
         family = sop_family(b2=config["b2"], c2=config["c2"])
         grid = _parse_grid(config["grid"])
+        bounds = (grid.lo * math.pi, grid.hi * math.pi)
         result = optimize_areas(
             family,
-            (
-                (grid.lo * math.pi, grid.hi * math.pi),
-                (grid.lo * math.pi, grid.hi * math.pi),
-            ),
+            (bounds, bounds),
             seed=config["seed"],
             restarts=config["restarts"],
         )
@@ -290,8 +331,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         }
         _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
         return EXIT_OK
-    if what not in ("third-qubit", "all-factors"):
-        raise SopGateError(f"unknown optimization target {what!r}")
     if config["areas"]:
         points = [[x * math.pi for x in _parse_area_pair(config["areas"])]]
     else:
@@ -304,18 +343,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             results = list(pool.map(_optimize_point, tasks, chunksize=8))
     else:
         results = [_optimize_point(task) for task in tasks]
-    buf = io.StringIO()
-    param_names = ("c_odd", "c_even") if what == "third-qubit" else ("phi_odd", "phi_even")
-    buf.write(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names[0]},{param_names[1]}\n")
-    for (ao, ae), (fid, params) in zip(points, results):
-        buf.write(
-            f"{ao / math.pi:.9g},{ae / math.pi:.9g},{fid:.9g},{params[0]:.9g},{params[1]:.9g}\n"
-        )
+    param_names = "c_odd,c_even" if what == "third-qubit" else "phi_odd,phi_even"
+    rows = [(ao / math.pi, ae / math.pi, fid, *p) for (ao, ae), (fid, p) in zip(points, results)]
+    text = _csv_text(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names}", rows)
     best = max(r[0] for r in results)
     _write_artifact(
         config["out"],
         f"optimized_map_{what.replace('-', '_')}.csv",
-        buf.getvalue(),
+        text,
         config,
         extra={"max_fidelity": best},
     )
@@ -376,40 +411,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sopgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_map = sub.add_parser("map", help="fidelity map over pulse areas")
-    _add_common(p_map)
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, parser=p)
+        _add_common(p)
+        return p
+
+    p_map = command("map", "fidelity map over pulse areas", lambda a: cmd_map(a, m_required=False))
     _add_family(p_map)
     p_map.add_argument("--pulses", type=int, help="number of pulses in the sequence")
     p_map.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
-    p_map.set_defaults(func=lambda a: cmd_map(a, m_required=False))
 
-    p_esop = sub.add_parser("esop-map", help="fidelity map of an M-pulse alternating family")
-    _add_common(p_esop)
+    p_esop = command(
+        "esop-map",
+        "fidelity map of an M-pulse alternating family",
+        lambda a: cmd_map(a, m_required=True),
+    )
     _add_family(p_esop)
     p_esop.add_argument("--pulses", type=int, required=True, help="number of pulses (M >= 2)")
     p_esop.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
-    p_esop.set_defaults(func=lambda a: cmd_map(a, m_required=True))
 
-    p_rob = sub.add_parser("robustness", help="return amplitudes vs pulse-area error")
-    _add_common(p_rob)
+    p_rob = command("robustness", "return amplitudes vs pulse-area error", cmd_robustness)
     p_rob.add_argument("--b2", help="comma-separated list of squared overlap factors")
     p_rob.add_argument("--areas", help="base areas 'odd,even' in units of pi")
     p_rob.add_argument("--delta-max", type=float, help="scan half-width in units of pi")
     p_rob.add_argument("--delta-step", type=float, help="scan step in units of pi")
-    p_rob.set_defaults(func=cmd_robustness)
 
-    p_bscan = sub.add_parser("bscan", help="fidelity vs b^2 for fixed-area protocols")
-    _add_common(p_bscan)
+    p_bscan = command("bscan", "fidelity vs b^2 for fixed-area protocols", cmd_bscan)
     p_bscan.add_argument(
         "--areas", action="append", help="area pair 'odd,even' in units of pi (repeatable)"
     )
     p_bscan.add_argument("--b2-max", type=float, help="largest b^2 in the scan")
     p_bscan.add_argument("--b2-step", type=float, help="b^2 step")
     p_bscan.add_argument("--fidelity", choices=("trace-sq", "trace", "average"))
-    p_bscan.set_defaults(func=cmd_bscan)
 
-    p_opt = sub.add_parser("optimize", help="optimize factors per area point")
-    _add_common(p_opt)
+    p_opt = command("optimize", "optimize factors per area point", cmd_optimize)
     p_opt.add_argument("--what", choices=("areas", "third-qubit", "all-factors"))
     p_opt.add_argument("--b2", type=float)
     p_opt.add_argument("--c2", type=float)
@@ -418,14 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--grid", help="area grid lo:hi:step in units of pi")
     p_opt.add_argument("--areas", help="single area point 'odd,even' in units of pi")
     p_opt.add_argument("--restarts", type=int)
-    p_opt.set_defaults(func=cmd_optimize)
 
-    p_val = sub.add_parser("validate", help="time-domain check of the analytical propagators")
-    _add_common(p_val)
+    p_val = command("validate", "time-domain check of the analytical propagators", cmd_validate)
     p_val.add_argument("--samples", type=int, help="number of random protocols")
     p_val.add_argument("--tolerance", type=float)
     p_val.add_argument("--shape", choices=("squared-sine", "gaussian"))
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -434,10 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SopGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (SopGateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

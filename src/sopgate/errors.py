@@ -17,14 +17,6 @@ class NotNormalizedError(SopGateError):
     """A quantity that must be unit-normalized is not."""
 
 
-class AsymmetricAreasError(SopGateError):
-    """A symmetric three-pulse protocol was requested with A3 != A1."""
-
-
-class InvalidPulseCountError(SopGateError):
-    """Alternating multipulse protocols need at least two pulses."""
-
-
 class UnsupportedPulseCountError(SopGateError):
     """No closed-form expression is available for this pulse count."""
 

@@ -6,6 +6,12 @@ over the 2^n computational states and d = 2^n. Two alternates are available
 for sensitivity studies ("trace": |Tr|/d, "average": the standard
 average-gate-fidelity combination). Maps sweep the total odd and even pulse
 areas on a rectangular grid; their maxima form (possibly rotated) lattices.
+
+Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
+structural vector alternating over M pulses. :func:`sop_family` is the one
+place that turns squared geometrical factors into those vectors. Every
+return amplitude, for one protocol, a map grid or a robustness scan, comes
+from the kernel :func:`sopgate.propagator.block_amplitudes`.
 """
 
 import io
@@ -30,7 +36,12 @@ from .model import (
     cphase_signature,
     spectator_orthogonal_pair,
 )
-from .propagator import block_decompose, diagonal_amplitudes, star_propagator_batch
+from .propagator import (  # noqa: F401  star_propagator_batch: see its definition
+    block_amplitudes,
+    block_decompose,
+    diagonal_amplitudes,
+    star_propagator_batch,
+)
 
 FIDELITY_DEFINITIONS = ("trace-sq", "trace", "average")
 
@@ -67,87 +78,52 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ProtocolFamily:
-    """Alternating protocol family with fixed structural vectors.
+    """Alternating M-pulse protocol family with fixed structural vectors.
 
-    ``b`` is the field overlap of the two gate qubits, ``c`` the spectator
-    factor (3-qubit registers only). Odd pulses share one vector, even pulses
-    another. With ``orthogonal=True`` consecutive vectors are exactly
-    orthogonal (for 3 qubits the gate-qubit sub-vector of the even pulse is
-    tilted to cancel the c^2 overlap, keeping the all-zeros passage dark-state
-    protected); with ``orthogonal=False`` the even vector is the mirrored
-    (b, a) variant, i.e. plain single-site beams brought close without
-    structured light. Pulse areas are set per map point by splitting the
-    total odd area equally over the odd pulses and likewise for the even
-    ones.
+    Odd pulses (1, 3, 5, ...) carry ``vector_odd``, even pulses
+    ``vector_even``. Pulse areas are set per map point by splitting the total
+    odd area equally over the odd pulses and likewise for the even ones. With
+    single-site vectors (1, 0), (0, 1), M = 3 and total areas (2 pi, 2 pi)
+    this is the pi-2pi-pi protocol of Jaksch et al.; :func:`sop_family`
+    builds the families of the command line from squared geometrical factors.
     """
 
-    n_qubits: int = 2
-    b: float = 0.0
-    c: float = 0.0
+    vector_odd: StructuralVector
+    vector_even: StructuralVector
     m_pulses: int = 3
-    orthogonal: bool = True
 
     def __post_init__(self):
-        if self.n_qubits not in (2, 3):
-            raise DimensionMismatchError("protocol families are defined for 2 or 3 qubits")
-        if self.n_qubits == 2 and self.c != 0.0:
-            raise DimensionMismatchError("spectator factor c needs a 3-qubit register")
-        if self.b**2 + self.c**2 > 1.0:
-            raise NotNormalizedError("b^2 + c^2 exceeds 1")
-        if self.orthogonal and self.n_qubits == 3 and 2.0 * self.c**2 > 1.0:
-            raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
+        if self.vector_odd.dimension != self.vector_even.dimension:
+            raise DimensionMismatchError("odd and even vectors must share one dimension")
         if self.m_pulses < 1:
             raise EmptyGridError("family needs at least one pulse")
 
     @property
-    def vector_odd(self) -> StructuralVector:
-        a = math.sqrt(1.0 - self.b**2 - self.c**2)
-        if self.n_qubits == 2:
-            return StructuralVector((a, self.b))
-        return StructuralVector((a, self.b, self.c))
+    def n_qubits(self) -> int:
+        return self.vector_odd.dimension
 
-    @property
-    def vector_even(self) -> StructuralVector:
-        a = math.sqrt(1.0 - self.b**2 - self.c**2)
-        if self.n_qubits == 2:
-            sign = -1.0 if self.orthogonal else 1.0
-            return StructuralVector((sign * self.b, a))
-        if self.orthogonal:
-            return spectator_orthogonal_pair(self.b, self.c, self.c)[1]
-        return StructuralVector((self.b, a, self.c))
-
-    @property
-    def n_odd_pulses(self) -> int:
-        return (self.m_pulses + 1) // 2
-
-    @property
-    def n_even_pulses(self) -> int:
-        return self.m_pulses // 2
-
-    def pulse_vectors(self) -> list[StructuralVector]:
-        e_o, e_e = self.vector_odd, self.vector_even
-        return [e_o if k % 2 == 0 else e_e for k in range(self.m_pulses)]
-
-    def pulse_areas(self, area_odd: float, area_even: float) -> list[float]:
-        per_odd = area_odd / self.n_odd_pulses
-        per_even = area_even / self.n_even_pulses if self.n_even_pulses else 0.0
+    def pulse_areas(self, area_odd, area_even) -> list:
+        """Per-pulse areas at total areas ``area_odd``, ``area_even`` (scalars or arrays)."""
+        per_odd = area_odd / ((self.m_pulses + 1) // 2)
+        # With one pulse there is no even pulse and per_even goes unused.
+        per_even = area_even / max(self.m_pulses // 2, 1)
         return [per_odd if k % 2 == 0 else per_even for k in range(self.m_pulses)]
 
     def protocol(self, area_odd: float, area_even: float) -> Protocol:
         """Concrete protocol at total areas (radians) split per family rules."""
+        vectors = (self.vector_odd, self.vector_even)
         pulses = tuple(
-            Pulse(area, vec)
-            for area, vec in zip(self.pulse_areas(area_odd, area_even), self.pulse_vectors())
+            Pulse(area, vectors[k % 2])
+            for k, area in enumerate(self.pulse_areas(area_odd, area_even))
         )
         return Protocol(pulses=pulses, n_qubits=self.n_qubits)
 
     def meta(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
-            "b2": self.b * abs(self.b),
-            "c2": self.c * abs(self.c),
+            "vector_odd": list(self.vector_odd.components),
+            "vector_even": list(self.vector_even.components),
             "m_pulses": self.m_pulses,
-            "orthogonal": self.orthogonal,
         }
 
 
@@ -158,16 +134,40 @@ def sop_family(
     m_pulses: int = 3,
     orthogonal: bool = True,
 ) -> ProtocolFamily:
-    """Family factory from squared factors, as exposed on the command line."""
+    """Family from squared geometrical factors, as exposed on the command line.
+
+    ``b2`` is the squared field overlap of the gate qubits, ``c2`` the
+    squared spectator factor (3-qubit registers only). The odd vector is
+    (a, b) or (a, b, c) with a = sqrt(1 - b^2 - c^2). With
+    ``orthogonal=True`` the even vector is exactly orthogonal to it: (-b, a)
+    for 2 qubits; for 3 qubits the gate-qubit sub-vector is tilted to cancel
+    the c^2 overlap (see :func:`spectator_orthogonal_pair`), keeping the
+    all-zeros passage dark-state protected. With ``orthogonal=False`` the
+    even vector is the mirrored (b, a) or (b, a, c), i.e. plain single-site
+    beams brought close without structured light.
+    """
+    for name, value in (("b2", b2), ("c2", c2)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise NotNormalizedError(f"{name} must be a finite number >= 0, got {value!r}")
     if n_qubits is None:
         n_qubits = 3 if c2 > 0 else 2
-    return ProtocolFamily(
-        n_qubits=n_qubits,
-        b=math.sqrt(b2),
-        c=math.sqrt(c2),
-        m_pulses=m_pulses,
-        orthogonal=orthogonal,
-    )
+    if n_qubits not in (2, 3):
+        raise DimensionMismatchError("protocol families are defined for 2 or 3 qubits")
+    b, c = math.sqrt(b2), math.sqrt(c2)
+    if n_qubits == 2 and c != 0.0:
+        raise DimensionMismatchError("spectator factor c needs a 3-qubit register")
+    if b**2 + c**2 > 1.0:
+        raise NotNormalizedError("b^2 + c^2 exceeds 1")
+    a = math.sqrt(1.0 - b**2 - c**2)
+    if n_qubits == 2:
+        even = (-b, a) if orthogonal else (b, a)
+        return ProtocolFamily(StructuralVector((a, b)), StructuralVector(even), m_pulses)
+    if not orthogonal:
+        return ProtocolFamily(StructuralVector((a, b, c)), StructuralVector((b, a, c)), m_pulses)
+    if 2.0 * c**2 > 1.0:
+        raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
+    e_even = spectator_orthogonal_pair(b, c, c)[1]
+    return ProtocolFamily(StructuralVector((a, b, c)), e_even, m_pulses)
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,6 @@ def gate_fidelity(
     protocol: Protocol, target: GateSignature, definition: str = "trace-sq"
 ) -> float:
     """Fidelity of a protocol against a diagonal +-1 target signature."""
-    if len(target.phases) != 2**protocol.n_qubits:
-        raise SignatureMismatchError(
-            f"signature of length {len(target.phases)} for {protocol.n_qubits} qubits"
-        )
     return float(fidelity_from_amplitudes(diagonal_amplitudes(protocol), target, definition))
 
 
@@ -238,28 +234,17 @@ def family_diagonal_grid(
 ) -> np.ndarray:
     """Return amplitudes of every basis state over an area grid.
 
-    Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex.
-    The per-state block compositions are evaluated with batched matrix
-    products; evaluation is embarrassingly parallel and deterministic.
+    Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex:
+    one :func:`block_amplitudes` call per basis state, broadcast over the
+    grid. Evaluation is deterministic.
     """
     area_o, area_e = np.meshgrid(area_odd_grid, area_even_grid, indexing="ij")
-    thetas = [0.5 * a for a in _family_pulse_area_grids(family, area_o, area_e)]
-    reference = family.protocol(1.0, 1.0)
-    blocks = block_decompose(reference)
+    thetas = [0.5 * a for a in family.pulse_areas(area_o, area_e)]
+    blocks = block_decompose(family.protocol(1.0, 1.0))
     diag = np.empty((len(blocks),) + area_o.shape, dtype=complex)
     for j, block in enumerate(blocks):
-        u_tot = None
-        for k in range(family.m_pulses):
-            u_k = star_propagator_batch(block.couplings[k], thetas[k])
-            u_tot = u_k if u_tot is None else u_k @ u_tot
-        diag[j] = u_tot[..., 0, 0]
+        diag[j] = block_amplitudes(block.couplings, thetas)
     return diag
-
-
-def _family_pulse_area_grids(family, area_o, area_e):
-    per_odd = area_o / family.n_odd_pulses
-    per_even = area_e / family.n_even_pulses if family.n_even_pulses else np.zeros_like(area_e)
-    return [per_odd if k % 2 == 0 else per_even for k in range(family.m_pulses)]
 
 
 def fidelity_map(
@@ -392,20 +377,15 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     if protocol.n_qubits != 2:
         raise DimensionMismatchError("robustness scan is defined for 2-qubit protocols")
     delta = np.atleast_1d(np.asarray(delta_grid, dtype=float))
-    blocks = block_decompose(protocol)
-    by_state = {b.initial_state: b for b in blocks}
-    curves = {}
-    for label in ("00", "01", "10"):
-        block = by_state[label]
-        u_tot = None
-        for k, pulse in enumerate(protocol.pulses):
-            bump = delta if k % 2 == 0 else 2.0 * delta
-            u_k = star_propagator_batch(block.couplings[k], 0.5 * (pulse.area + bump))
-            u_tot = u_k if u_tot is None else u_k @ u_tot
-        curves[label] = u_tot[..., 0, 0].real
-    return RobustnessCurves(
-        delta_area=delta, u11v=curves["00"], u11a=curves["01"], u11b=curves["10"]
+    thetas = [
+        0.5 * (pulse.area + (delta if k % 2 == 0 else 2.0 * delta))
+        for k, pulse in enumerate(protocol.pulses)
+    ]
+    # The blocks come in basis order: 00, 01, 10, then the inert 11.
+    u11v, u11a, u11b = (
+        block_amplitudes(block.couplings, thetas).real for block in block_decompose(protocol)[:3]
     )
+    return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)
 
 
 def b_scan(
@@ -428,7 +408,7 @@ def b_scan(
     area_even = area_pair_pi[1] * math.pi
     out = np.empty(b2_values.shape, dtype=float)
     for i, b2 in enumerate(b2_values):
-        family = ProtocolFamily(b=math.sqrt(b2), orthogonal=orthogonal)
+        family = sop_family(b2=b2, orthogonal=orthogonal)
         out[i] = gate_fidelity(family.protocol(area_odd, area_even), target, definition)
     return out
 
@@ -444,11 +424,6 @@ def map_csv_text(fmap: FidelityMap) -> str:
         for j, ae in enumerate(even_pi):
             buf.write(f"{ao:.9g},{ae:.9g},{row[j]:.9g}\n")
     return buf.getvalue()
-
-
-def write_map_csv(fmap: FidelityMap, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(map_csv_text(fmap))
 
 
 def lattice_report_dict(report: LatticeReport) -> dict:

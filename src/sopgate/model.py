@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AsymmetricAreasError,
     DimensionMismatchError,
-    InvalidPulseCountError,
     NotNormalizedError,
     SignatureMismatchError,
     ZeroVectorError,
@@ -110,18 +108,6 @@ def make_structural_vector(components) -> StructuralVector:
     return StructuralVector(tuple(float(c) for c in arr))
 
 
-def orthogonal_complement_2d(e: StructuralVector) -> StructuralVector:
-    """Rotate a two-component unit vector by +90 degrees: (a, b) -> (-b, a).
-
-    This is the convention used for the even pulses of orthogonal protocols,
-    so that the state excited by an odd pulse is dark under the next pulse.
-    """
-    if e.dimension != 2:
-        raise DimensionMismatchError("orthogonal complement defined for 2 components")
-    a, b = e.components
-    return StructuralVector((-b, a))
-
-
 @dataclass(frozen=True)
 class Pulse:
     """One resonant pulse: signed area (radians) and its structural vector."""
@@ -157,16 +143,6 @@ class Protocol:
     @property
     def areas(self) -> tuple[float, ...]:
         return tuple(p.area for p in self.pulses)
-
-    @property
-    def area_odd(self) -> float:
-        """Total area of pulses 1, 3, 5, ... (0-based indices 0, 2, 4, ...)."""
-        return math.fsum(p.area for p in self.pulses[0::2])
-
-    @property
-    def area_even(self) -> float:
-        """Total area of pulses 2, 4, ... (0-based indices 1, 3, ...)."""
-        return math.fsum(p.area for p in self.pulses[1::2])
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,51 +206,6 @@ def cphase_signature(n_qubits: int) -> GateSignature:
     return GateSignature(phases)
 
 
-def build_jp_protocol(n_qubits: int = 2, areas: tuple[float, float, float] | None = None) -> Protocol:
-    """Three-pulse sequence addressing single qubits: pi on a, 2*pi on b, pi on a.
-
-    ``areas`` overrides the (pi, 2*pi, pi) default; the odd pulses always act
-    on the first qubit only, the even pulse on the second qubit only.
-    """
-    if n_qubits != 2:
-        raise DimensionMismatchError("single-qubit-addressing protocol is defined for 2 qubits")
-    if areas is None:
-        areas = (math.pi, 2.0 * math.pi, math.pi)
-    e_first = StructuralVector((1.0, 0.0))
-    e_second = StructuralVector((0.0, 1.0))
-    pulses = (
-        Pulse(areas[0], e_first),
-        Pulse(areas[1], e_second),
-        Pulse(areas[2], e_first),
-    )
-    return Protocol(pulses=pulses, n_qubits=2)
-
-
-def build_sop_protocol(b: float, areas: tuple[float, float, float] | None = None) -> Protocol:
-    """Symmetric orthogonal three-pulse protocol with field overlap ``b``.
-
-    Odd pulses carry e1 = e3 = (sqrt(1 - b^2), b); the even pulse carries the
-    orthogonal complement (-b, sqrt(1 - b^2)). At b = 0 this reduces
-    element-wise to :func:`build_jp_protocol`.
-
-    Raises
-    ------
-    AsymmetricAreasError
-        If areas[2] != areas[0]; the symmetric protocol requires A3 = A1.
-    """
-    if b * b > 1.0:
-        raise NotNormalizedError(f"b^2 = {b * b} exceeds 1")
-    if areas is None:
-        areas = (math.pi, 2.0 * math.pi, math.pi)
-    if areas[2] != areas[0]:
-        raise AsymmetricAreasError(f"A3 = {areas[2]} must equal A1 = {areas[0]}")
-    a = math.sqrt(1.0 - b * b)
-    e_odd = StructuralVector((a, b))
-    e_even = orthogonal_complement_2d(e_odd)
-    pulses = (Pulse(areas[0], e_odd), Pulse(areas[1], e_even), Pulse(areas[2], e_odd))
-    return Protocol(pulses=pulses, n_qubits=2)
-
-
 def spectator_orthogonal_pair(
     b: float, c_odd: float, c_even: float
 ) -> tuple[StructuralVector, StructuralVector]:
@@ -312,45 +243,3 @@ def spectator_orthogonal_pair(
         )
     )
     return e_odd, e_even
-
-
-def build_sop3_protocol(
-    b: float, c: float, areas: tuple[float, float, float] | None = None
-) -> Protocol:
-    """Symmetric orthogonal protocol on three qubits with spectator factor ``c``.
-
-    All structural vectors are unit and mutually orthogonal between adjacent
-    pulses (see :func:`spectator_orthogonal_pair`); every pulse carries the
-    same spectator component c.
-    """
-    if areas is None:
-        areas = (math.pi, 2.0 * math.pi, math.pi)
-    if areas[2] != areas[0]:
-        raise AsymmetricAreasError(f"A3 = {areas[2]} must equal A1 = {areas[0]}")
-    e_odd, e_even = spectator_orthogonal_pair(b, c, c)
-    pulses = (Pulse(areas[0], e_odd), Pulse(areas[1], e_even), Pulse(areas[2], e_odd))
-    return Protocol(pulses=pulses, n_qubits=3)
-
-
-def build_esop_protocol(
-    m_pulses: int,
-    e_odd: StructuralVector,
-    areas: tuple[float, float],
-) -> Protocol:
-    """Alternating M-pulse extension: equal odd pulses, equal orthogonal even pulses.
-
-    ``areas`` gives the per-pulse area of every odd pulse and of every even
-    pulse, respectively, so A_{k+2} = A_k and e_{k+2} = e_k hold by
-    construction.
-    """
-    if m_pulses < 2:
-        raise InvalidPulseCountError(f"alternating protocol needs >= 2 pulses, got {m_pulses}")
-    if e_odd.dimension != 2:
-        raise DimensionMismatchError("alternating protocol construction takes a 2-component vector")
-    e_even = orthogonal_complement_2d(e_odd)
-    area_odd_single, area_even_single = areas
-    pulses = tuple(
-        Pulse(area_odd_single, e_odd) if k % 2 == 0 else Pulse(area_even_single, e_even)
-        for k in range(m_pulses)
-    )
-    return Protocol(pulses=pulses, n_qubits=2)

@@ -9,7 +9,7 @@ deterministic for a given seed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,6 @@ from .fidelity import ProtocolFamily, gate_fidelity
 from .model import (
     GateSignature,
     Protocol,
-    Pulse,
     StructuralVector,
     cphase_signature,
     spectator_orthogonal_pair,
@@ -84,6 +83,8 @@ def nelder_mead_constrained(
     upper = np.asarray(problem.upper, dtype=float)
     if lower.shape != upper.shape or np.any(lower > upper):
         raise InfeasibleStartError("empty parameter box")
+    if restarts < 1:
+        raise InfeasibleStartError(f"restarts must be at least 1, got {restarts}")
     project = problem.project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
@@ -145,13 +146,7 @@ def optimize_areas(
     )
     result = nelder_mead_constrained(problem, seed=seed, restarts=restarts, max_evals=max_evals)
     protocol = family.protocol(result.best_parameters[0], result.best_parameters[1])
-    return OptimizationResult(
-        best_parameters=result.best_parameters,
-        best_fidelity=result.best_fidelity,
-        evaluations=result.evaluations,
-        restarts_used=result.restarts_used,
-        best_protocol=protocol,
-    )
+    return replace(result, best_protocol=protocol)
 
 
 def refine_map_maximum(
@@ -171,16 +166,6 @@ def refine_map_maximum(
     return optimize_areas(
         family, bounds, target=target, definition=definition, seed=seed, restarts=restarts
     )
-
-
-def _symmetric_protocol(e_odd: StructuralVector, e_even: StructuralVector, areas) -> Protocol:
-    area_odd, area_even = areas
-    pulses = (
-        Pulse(0.5 * area_odd, e_odd),
-        Pulse(area_even, e_even),
-        Pulse(0.5 * area_odd, e_odd),
-    )
-    return Protocol(pulses=pulses, n_qubits=e_odd.dimension)
 
 
 def optimize_third_qubit(
@@ -214,9 +199,11 @@ def optimize_third_qubit(
         signs = np.where(x < 0, -1.0, 1.0)
         return signs * np.clip(np.abs(x), c_lo, c_hi)
 
+    def family(x: np.ndarray) -> ProtocolFamily:
+        return ProtocolFamily(*spectator_orthogonal_pair(b, x[0], x[1]))
+
     def objective(x: np.ndarray) -> float:
-        e_odd, e_even = spectator_orthogonal_pair(b, x[0], x[1])
-        return gate_fidelity(_symmetric_protocol(e_odd, e_even, areas), target, definition)
+        return gate_fidelity(family(x).protocol(*areas), target, definition)
 
     problem = OptimizationProblem(
         parameter_names=("c_odd", "c_even"),
@@ -226,16 +213,7 @@ def optimize_third_qubit(
         project=project,
     )
     result = nelder_mead_constrained(problem, seed=seed, restarts=restarts, max_evals=max_evals)
-    e_odd, e_even = spectator_orthogonal_pair(
-        b, result.best_parameters[0], result.best_parameters[1]
-    )
-    return OptimizationResult(
-        best_parameters=result.best_parameters,
-        best_fidelity=result.best_fidelity,
-        evaluations=result.evaluations,
-        restarts_used=result.restarts_used,
-        best_protocol=_symmetric_protocol(e_odd, e_even, areas),
-    )
+    return replace(result, best_protocol=family(result.best_parameters).protocol(*areas))
 
 
 def optimize_all_factors(
@@ -277,19 +255,14 @@ def optimize_all_factors(
         frac = np.mod(base, 0.5 * math.pi)
         return base - frac + np.clip(frac, phi_lo, phi_hi)
 
-    def vectors(x: np.ndarray) -> tuple[StructuralVector, StructuralVector]:
-        e = []
-        for phi in x:
-            e.append(
-                StructuralVector(
-                    (radius * math.cos(phi), radius * math.sin(phi), c_fixed)
-                )
-            )
-        return e[0], e[1]
+    def family(x: np.ndarray) -> ProtocolFamily:
+        e_odd, e_even = (
+            StructuralVector((radius * math.cos(phi), radius * math.sin(phi), c_fixed)) for phi in x
+        )
+        return ProtocolFamily(e_odd, e_even)
 
     def objective(x: np.ndarray) -> float:
-        e_odd, e_even = vectors(x)
-        return gate_fidelity(_symmetric_protocol(e_odd, e_even, areas), target, definition)
+        return gate_fidelity(family(x).protocol(*areas), target, definition)
 
     problem = OptimizationProblem(
         parameter_names=("phi_odd", "phi_even"),
@@ -299,11 +272,4 @@ def optimize_all_factors(
         project=project,
     )
     result = nelder_mead_constrained(problem, seed=seed, restarts=restarts, max_evals=max_evals)
-    e_odd, e_even = vectors(result.best_parameters)
-    return OptimizationResult(
-        best_parameters=result.best_parameters,
-        best_fidelity=result.best_fidelity,
-        evaluations=result.evaluations,
-        restarts_used=result.restarts_used,
-        best_protocol=_symmetric_protocol(e_odd, e_even, areas),
-    )
+    return replace(result, best_protocol=family(result.best_parameters).protocol(*areas))

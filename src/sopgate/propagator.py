@@ -7,6 +7,14 @@ a Rabi rotation between the ground state and a single bright superposition of
 the Rydberg levels; everything orthogonal to the bright state is dark and
 frozen. Propagators are returned as plain complex ndarrays over the block
 basis {ground, r_1, ..., r_n}.
+
+One formula, :func:`star_propagator`, gives a pulse's propagator and
+broadcasts over arrays of mixing angles. One kernel, :func:`block_amplitudes`,
+multiplies a block's propagators in pulse order and returns the ground-state
+return amplitude; single protocols, fidelity maps, robustness scans and
+:func:`u11v_esop_exact` all go through it. The closed forms
+(``u11v_threepulse``, ``u11v_sop``, ``u11v_esop``, ``u11alpha``,
+``rotate_areas``, ``dark_state``) serve as test oracles.
 """
 
 import math
@@ -31,7 +39,7 @@ def _coupling_array(coupling) -> np.ndarray:
     return np.atleast_1d(np.asarray(coupling, dtype=float))
 
 
-def star_propagator(coupling, theta: float) -> np.ndarray:
+def star_propagator(coupling, theta) -> np.ndarray:
     """Propagator of one ground state coupled to n Rydberg levels by one pulse.
 
     With coupling vector v (norm s) and mixing angle ``theta`` (half the pulse
@@ -49,55 +57,54 @@ def star_propagator(coupling, theta: float) -> np.ndarray:
     coupling : array_like or StructuralVector
         Real coupling factors of the |0> qubits in the block; need not be
         normalized.
-    theta : float
-        Mixing angle in radians.
+    theta : float or array_like
+        Mixing angle(s) in radians; the propagator broadcasts over them.
 
     Returns
     -------
     numpy.ndarray
-        Unitary complex matrix of shape (1 + n, 1 + n).
+        Unitary complex matrices of shape ``theta.shape + (1 + n, 1 + n)``;
+        a scalar ``theta`` gives one (1 + n, 1 + n) matrix.
     """
     v = _coupling_array(coupling)
+    theta = np.asarray(theta, dtype=float)
     dim = v.size + 1
-    u_mat = np.eye(dim, dtype=complex)
-    s = float(np.linalg.norm(v))
+    # What np.linalg.norm computes for a 1-D real vector, without its overhead.
+    s = math.sqrt(float(v @ v))
     if s == 0.0:
-        return u_mat
+        return np.eye(dim, dtype=complex) + np.zeros(theta.shape + (1, 1))
     unit = v / s
-    phase = s * theta
-    cos_p = math.cos(phase)
-    sin_p = math.sin(phase)
-    u_mat[0, 0] = cos_p
-    u_mat[0, 1:] = 1j * unit * sin_p
-    u_mat[1:, 0] = 1j * unit * sin_p
-    u_mat[1:, 1:] += np.outer(unit, unit) * (cos_p - 1.0)
-    return u_mat
-
-
-def star_propagator_batch(coupling, thetas) -> np.ndarray:
-    """Vectorized :func:`star_propagator` over an array of mixing angles.
-
-    Returns an array of shape ``thetas.shape + (1 + n, 1 + n)``.
-    """
-    v = _coupling_array(coupling)
-    thetas = np.asarray(thetas, dtype=float)
-    dim = v.size + 1
-    out = np.zeros(thetas.shape + (dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    s = float(np.linalg.norm(v))
-    if s == 0.0:
-        out[..., idx, idx] = 1.0
-        return out
-    unit = v / s
-    phase = s * thetas
+    phase = (s * theta)[..., None, None]
     cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
-    out[..., 0, 0] = cos_p
-    out[..., 0, 1:] = 1j * unit * sin_p[..., None]
-    out[..., 1:, 0] = 1j * unit * sin_p[..., None]
-    rr = np.outer(unit, unit)
-    out[..., 1:, 1:] = np.eye(dim - 1) + rr * (cos_p - 1.0)[..., None, None]
+    out = np.empty(theta.shape + (dim, dim), dtype=complex)
+    out[..., :1, :1] = cos_p
+    out[..., :1, 1:] = 1j * unit * np.sin(phase)
+    out[..., 1:, 0] = out[..., 0, 1:]
+    out[..., 1:, 1:] = np.eye(dim - 1) + unit[:, None] * unit * (cos_p - 1.0)
     return out
+
+
+# The batched form was once a separate formula; the name stays importable
+# (here and in ``sopgate.fidelity``) for the span shims of bench/spans.py.
+star_propagator_batch = star_propagator
+
+
+def block_amplitudes(couplings, thetas) -> np.ndarray:
+    """Ground-state return amplitude of one blockade block after a pulse sequence.
+
+    ``couplings[k]`` is the block's coupling in pulse k and ``thetas[k]`` that
+    pulse's mixing angle, a scalar or an array; the angles of all pulses must
+    broadcast to one shape. The star propagators are multiplied in pulse
+    order, U = U_M ... U_2 U_1, and U[0, 0] is returned with the broadcast
+    shape of the angles (0-d for scalar angles).
+    """
+    u_tot = None
+    for coupling, theta in zip(couplings, thetas, strict=True):
+        u_k = star_propagator(coupling, theta)
+        u_tot = u_k if u_tot is None else u_k @ u_tot
+    if u_tot is None:  # no pulses: the identity
+        return np.array(1.0 + 0.0j)
+    return u_tot[..., 0, 0]
 
 
 def dark_state(coupling) -> np.ndarray:
@@ -153,6 +160,11 @@ def _zero_positions(label: str, n_qubits: int) -> tuple[int, ...]:
     return tuple(i for i, ch in enumerate(label) if ch == "0")
 
 
+def _pulse_couplings(protocol: Protocol) -> np.ndarray:
+    vectors = np.array([p.vector.components for p in protocol.pulses], dtype=float)
+    return vectors.reshape(protocol.n_pulses, protocol.n_qubits)
+
+
 def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     """Split a protocol's register into independent blocks, one per basis state.
 
@@ -160,7 +172,7 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     the singly-excited states reachable by one |0> -> |r> flip. States with
     every qubit in |1> give trivial one-dimensional blocks.
     """
-    vectors = np.array([p.vector.components for p in protocol.pulses], dtype=float)
+    vectors = _pulse_couplings(protocol)
     blocks = []
     for label in basis_labels(protocol.n_qubits):
         zq = _zero_positions(label, protocol.n_qubits)
@@ -177,18 +189,14 @@ def sequence_amplitude(protocol: Protocol, basis_state: str) -> complex:
     the ground-ground element of the product.
     """
     zq = _zero_positions(basis_state, protocol.n_qubits)
-    u_mat = np.eye(1 + len(zq), dtype=complex)
-    for pulse in protocol.pulses:
-        v = np.asarray(pulse.vector.components, dtype=float)[list(zq)]
-        u_mat = star_propagator(v, pulse.theta) @ u_mat
-    return complex(u_mat[0, 0])
+    thetas = [p.theta for p in protocol.pulses]
+    return complex(block_amplitudes(_pulse_couplings(protocol)[:, zq], thetas))
 
 
 def diagonal_amplitudes(protocol: Protocol) -> np.ndarray:
     """Return amplitudes of all computational states, in basis_labels order."""
-    return np.array(
-        [sequence_amplitude(protocol, label) for label in basis_labels(protocol.n_qubits)]
-    )
+    thetas = [p.theta for p in protocol.pulses]
+    return np.array([block_amplitudes(b.couplings, thetas) for b in block_decompose(protocol)])
 
 
 def u11v_threepulse(e1, e2, e3, th1: float, th2: float, th3: float) -> float:
@@ -297,16 +305,10 @@ def u11v_esop_exact(m_pulses: int, theta_odd, theta_even):
     """
     if m_pulses < 1:
         raise UnsupportedPulseCountError("need at least one pulse")
-    theta_odd, theta_even = np.broadcast_arrays(
-        np.asarray(theta_odd, dtype=float), np.asarray(theta_even, dtype=float)
-    )
-    u_odd = star_propagator_batch((1.0, 0.0), theta_odd)
-    u_tot = u_odd.copy()
-    if m_pulses > 1:
-        u_even = star_propagator_batch((0.0, 1.0), theta_even)
-        for k in range(1, m_pulses):
-            u_tot = (u_odd if k % 2 == 0 else u_even) @ u_tot
-    result = u_tot[..., 0, 0].real
+    thetas = np.broadcast_arrays(theta_odd, theta_even)
+    couplings = ((1.0, 0.0), (0.0, 1.0))
+    order = [k % 2 for k in range(m_pulses)]
+    result = block_amplitudes([couplings[i] for i in order], [thetas[i] for i in order]).real
     if result.ndim == 0:
         return float(result)
     return result

@@ -15,10 +15,8 @@ from sopgate import (
     GridSpec,
     Protocol,
     Pulse,
-    ProtocolFamily,
     StructuralVector,
     b_scan,
-    build_jp_protocol,
     cphase_signature,
     fidelity_map,
     gate_fidelity,
@@ -48,7 +46,8 @@ def maps():
 
 
 def test_01_independent_qubit_exactness(maps):
-    fid = gate_fidelity(build_jp_protocol(), TARGET_2Q)
+    # the pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0
+    fid = gate_fidelity(sop_family(b2=0.0).protocol(2 * PI, 2 * PI), TARGET_2Q)
     fmap = maps[0.0]
     lattice_dev = 0.0
     for odd in (-6, -2, 2, 6):
@@ -61,7 +60,7 @@ def test_01_independent_qubit_exactness(maps):
 
 
 def test_02_fidelity_definition_calibration():
-    family = ProtocolFamily(b=math.sqrt(0.5))
+    family = sop_family(b2=0.5)
     fid = gate_fidelity(family.protocol(0.0, 2.42 * PI), TARGET_2Q)
     ok = abs(fid - 0.80) <= 0.02
     report("2 calibration b2=0.5 A_T=2.42pi", ok, f"F={fid:.4f} vs 0.80 +/- 0.02")
@@ -133,7 +132,7 @@ def test_06_quartic_robustness():
     deltas = np.logspace(-3, -1, 15)
     slopes = {}
     for b in (0.0, 0.3, 0.7):
-        family = ProtocolFamily(b=b)
+        family = sop_family(b2=b * b)
         residuals = [
             abs(sequence_amplitude(family.protocol(2 * PI + 4 * d, 2 * PI + 4 * d), "00").real + 1)
             for d in deltas
@@ -147,7 +146,7 @@ def test_07_overlap_independence_of_ground_amplitude():
     theta1, theta2 = 0.8, 1.9
     values = [
         sequence_amplitude(
-            ProtocolFamily(b=math.sqrt(b2)).protocol(4 * theta1, 2 * theta2), "00"
+            sop_family(b2=b2).protocol(4 * theta1, 2 * theta2), "00"
         ).real
         for b2 in np.linspace(0.0, 0.5, 11)
     ]

@@ -3,11 +3,18 @@ import json
 
 import pytest
 
-from sopgate.cli import main
+from sopgate.cli import _write_atomic, main
 
 
 def read(path):
     return path.read_text()
+
+
+def assert_config_error(capsys, argv):
+    """The command exits 2 with exactly one ``error:`` line on stderr."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestMapCommand:
@@ -42,6 +49,42 @@ class TestMapCommand:
     def test_bad_grid_is_config_error(self, tmp_path):
         assert main(["map", "--grid", "nonsense", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--b2", "-0.1", "--grid=-1:1:0.5"],
+            ["map", "--b2", "nan", "--grid=-1:1:0.5"],
+            ["map", "--b2", "inf", "--grid=-1:1:0.5"],
+            ["map", "--qubits", "3", "--c2", "-0.1", "--grid=-1:1:0.5"],
+            ["robustness", "--b2", "-0.1"],
+            ["robustness", "--b2", "0,nan"],
+            ["robustness", "--b2", "0.1,x"],
+        ],
+    )
+    def test_bad_squared_factor_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_temp_name_cannot_collide(self, tmp_path):
+        # a leftover at the old fixed temporary name does not block the write
+        out = tmp_path / "run"
+        (out / "fidelity_map.csv.tmp").mkdir(parents=True)
+        assert main(["map", "--grid=-1:1:0.5", "--out", str(out)]) == 0
+        assert (out / "fidelity_map.csv").is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fidelity_map.csv",
+            "fidelity_map.csv.tmp",
+            "fidelity_map.json",
+        ]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        with pytest.raises(OSError):
+            _write_atomic(str(target), "data\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
     def test_config_file_with_flag_precedence(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"b2": 0.5, "grid": "-1:1:0.5"}))
@@ -53,7 +96,62 @@ class TestMapCommand:
         assert meta["config"]["grid"] == "-1:1:0.5"  # file beats default
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("text", ["[1, 2]", "b2 = 0.1", ""])
+    def test_not_a_json_object(self, tmp_path, capsys, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert_config_error(capsys, ["map", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("validate", {"samples": "2"}),
+            ("validate", {"seed": "x"}),
+            ("validate", {"samples": 2.5}),
+            ("validate", {"tolerance": True}),
+            ("map", {"fidelity": "bogus"}),
+            ("map", {"qubits": 4}),
+            ("map", {"non_orthogonal": "yes"}),
+            ("robustness", {"b2": [0.1]}),
+            ("bscan", {"areas": "2,2"}),
+            ("bscan", {"areas": [2]}),
+            ("optimize", {"restarts": None}),
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, values):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert_config_error(capsys, [command, "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("b2", [0.1, 0, "0,0.1"])
+    def test_robustness_b2_number_or_list_text(self, tmp_path, b2):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"b2": b2, "delta_step": 0.25, "unknown": [1]}))
+        assert main(["robustness", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+    def test_defaults_and_typed_values_accepted(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"qubits": None, "pulses": 2, "threshold": 1, "non_orthogonal": True})
+        )
+        out = tmp_path / "out"
+        assert main(["map", "--config", str(config), "--grid=-1:1:0.5", "--out", str(out)]) == 0
+        meta = json.loads(read(out / "fidelity_map.json"))
+        assert meta["config"]["qubits"] == 2
+        assert meta["config"]["non_orthogonal"] is True
+
+
 class TestEsopMapCommand:
+    def test_rejects_single_pulse(self, tmp_path, capsys):
+        out = tmp_path / "e1"
+        assert_config_error(capsys, ["esop-map", "--pulses", "1", "--out", str(out)])
+        assert not out.exists()
+
     def test_pulse_count_required(self, tmp_path):
         out = tmp_path / "e"
         code = main(
@@ -124,6 +222,13 @@ class TestOptimizeCommand:
         header, row = read(out / "optimized_map_third_qubit.csv").strip().splitlines()
         fidelity = float(row.split(",")[2])
         assert 0.0 <= fidelity <= 1.0
+
+    def test_restarts_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r0"
+        assert_config_error(
+            capsys, ["optimize", "--restarts", "0", "--areas=2,2", "--out", str(out)]
+        )
+        assert not out.exists()
 
     def test_small_optimized_grid(self, tmp_path):
         out = tmp_path / "grid"

@@ -7,11 +7,9 @@ from sopgate import (
     EmptyGridError,
     GridSpec,
     NoMaximaFoundError,
-    ProtocolFamily,
     SignatureMismatchError,
     b_scan,
-    build_jp_protocol,
-    build_sop_protocol,
+    basis_labels,
     cphase_signature,
     fidelity_from_amplitudes,
     fidelity_map,
@@ -21,11 +19,16 @@ from sopgate import (
     robustness_scan,
     sop_family,
 )
-from sopgate.fidelity import lattice_report_dict, map_csv_text
+from sopgate.fidelity import family_diagonal_grid, lattice_report_dict, map_csv_text
 from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi
 TARGET_2Q = cphase_signature(2)
+
+
+def jp_protocol():
+    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
+    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +38,11 @@ def map_b2_01():
 
 class TestGateFidelity:
     def test_jp_is_exact(self):
-        assert gate_fidelity(build_jp_protocol(), TARGET_2Q) == pytest.approx(1.0, abs=1e-15)
+        assert gate_fidelity(jp_protocol(), TARGET_2Q) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_even_pulse_calibration(self):
         # frozen from the closed forms: F = ((cos(1.21 pi) + 2 cos(sqrt(0.5)*1.21 pi) + 1)/4)^2
-        family = ProtocolFamily(b=math.sqrt(0.5))
+        family = sop_family(b2=0.5)
         fid = gate_fidelity(family.protocol(0.0, 2.42 * PI), TARGET_2Q)
         assert fid == pytest.approx(0.8045476980875096, abs=1e-12)
         # odd-pulses-only variant has the same total area and fidelity
@@ -54,10 +57,10 @@ class TestGateFidelity:
 
     def test_signature_length_checked(self):
         with pytest.raises(SignatureMismatchError):
-            gate_fidelity(build_jp_protocol(), cphase_signature(3))
+            gate_fidelity(jp_protocol(), cphase_signature(3))
 
     def test_global_sign_flip_invariance(self):
-        p = build_sop_protocol(math.sqrt(0.3), (1.3 * PI, 0.8 * PI, 1.3 * PI))
+        p = sop_family(b2=0.3).protocol(2.6 * PI, 0.8 * PI)
         flipped = type(p)(
             pulses=tuple(type(q)(q.area, q.vector.negated()) for q in p.pulses),
             n_qubits=p.n_qubits,
@@ -67,7 +70,7 @@ class TestGateFidelity:
         )
 
     def test_alternate_definitions_ordering(self):
-        p = build_sop_protocol(math.sqrt(0.2), (1.1 * PI, 0.6 * PI, 1.1 * PI))
+        p = sop_family(b2=0.2).protocol(2.2 * PI, 0.6 * PI)
         diag = diagonal_amplitudes(p)
         trace_sq = fidelity_from_amplitudes(diag, TARGET_2Q, "trace-sq")
         trace = fidelity_from_amplitudes(diag, TARGET_2Q, "trace")
@@ -130,8 +133,24 @@ class TestFidelityMap:
         assert np.all(np.abs(np.array(counts) - mean) <= 0.2 * mean)
 
     def test_meta_recorded(self, map_b2_01):
-        assert map_b2_01.meta["family"]["b2"] == pytest.approx(0.1)
+        family = map_b2_01.meta["family"]
+        assert family["n_qubits"] == 2 and family["m_pulses"] == 3
+        a, b = math.sqrt(0.9), math.sqrt(0.1)
+        assert family["vector_odd"] == pytest.approx([a, b], abs=1e-15)
+        assert family["vector_even"] == pytest.approx([-b, a], abs=1e-15)
         assert map_b2_01.meta["fidelity_definition"] == "trace-sq"
+
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_grid_matches_pointwise_amplitudes_bitwise(self, m_pulses, b2, c2):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 4)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, 3)
+        diag = family_diagonal_grid(family, odd, even)
+        assert diag.shape == (len(basis_labels(family.n_qubits)), 4, 3)
+        for i, j in np.ndindex(4, 3):
+            point = diagonal_amplitudes(family.protocol(odd[i], even[j]))
+            np.testing.assert_array_equal(diag[:, i, j], point)
 
 
 class TestLatticeAnalysis:
@@ -166,10 +185,25 @@ class TestLatticeAnalysis:
 
 class TestRobustnessScan:
     def test_all_inverted_at_zero_error(self):
-        curves = robustness_scan(build_jp_protocol(), np.array([0.0]))
+        curves = robustness_scan(jp_protocol(), np.array([0.0]))
         assert curves.u11v[0] == pytest.approx(-1.0, abs=1e-15)
         assert curves.u11a[0] == pytest.approx(-1.0, abs=1e-15)
         assert curves.u11b[0] == pytest.approx(-1.0, abs=1e-15)
+
+    def test_curves_match_pointwise_amplitudes_bitwise(self):
+        protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
+        deltas = np.linspace(-0.4 * PI, 0.4 * PI, 7)
+        curves = robustness_scan(protocol, deltas)
+        for i, delta in enumerate(deltas):
+            bumped = type(protocol)(
+                pulses=tuple(
+                    type(p)(p.area + (delta if k % 2 == 0 else 2.0 * delta), p.vector)
+                    for k, p in enumerate(protocol.pulses)
+                ),
+                n_qubits=2,
+            )
+            amps = diagonal_amplitudes(bumped)
+            assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
 
     @pytest.mark.parametrize("b2", [0.0, 0.1, 0.5])
     def test_ground_state_curve_is_quartically_flat(self, b2):

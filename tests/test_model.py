@@ -7,27 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sopgate import (
-    AsymmetricAreasError,
     DimensionMismatchError,
+    EmptyGridError,
     GateSignature,
     NotNormalizedError,
     Protocol,
+    ProtocolFamily,
     Pulse,
     SignatureMismatchError,
+    SopGateError,
     StructuralVector,
     ZeroVectorError,
     basis_labels,
-    build_esop_protocol,
-    build_jp_protocol,
-    build_sop3_protocol,
-    build_sop_protocol,
     cphase_signature,
     make_structural_vector,
-    orthogonal_complement_2d,
+    sop_family,
     spectator_orthogonal_pair,
 )
 
 PI = math.pi
+# The pi-2pi-pi protocol of Jaksch et al. with single-site beams: the
+# symmetric orthogonal family at b^2 = 0.
+JP_FAMILY = ProtocolFamily(StructuralVector((1.0, 0.0)), StructuralVector((0.0, 1.0)))
+
+
+def jp_protocol():
+    return JP_FAMILY.protocol(2 * PI, 2 * PI)
 
 
 class TestStructuralVector:
@@ -67,75 +72,69 @@ class TestStructuralVector:
         twice = make_structural_vector(once.components)
         assert once.components == twice.components
 
-    @given(st.floats(min_value=-1, max_value=1), st.floats(min_value=-1, max_value=1))
+    @given(st.floats(min_value=0, max_value=1))
     @settings(max_examples=100, deadline=None)
-    def test_orthogonal_complement_dot_zero(self, x, y):
-        if abs(x) < 1e-6 and abs(y) < 1e-6:
-            return
-        sv = make_structural_vector((x, y))
-        orth = orthogonal_complement_2d(sv)
+    def test_orthogonal_complement_dot_zero(self, b2):
+        family = sop_family(b2=b2)
         # (a, b) . (-b, a) cancels exactly in floating point
-        assert sv.dot(orth) == 0.0
+        assert family.vector_odd.dot(family.vector_even) == 0.0
 
     def test_orthogonal_complement_convention(self):
-        assert orthogonal_complement_2d(StructuralVector((1.0, 0.0))).components == (0.0, 1.0)
-        a, b = math.sqrt(0.9), math.sqrt(0.1)
-        orth = orthogonal_complement_2d(StructuralVector((a, b)))
-        assert orth.components == (-b, a)
-
-    def test_orthogonal_complement_needs_2d(self):
-        with pytest.raises(DimensionMismatchError):
-            orthogonal_complement_2d(make_structural_vector((1.0, 0.0, 0.0)))
+        assert sop_family(b2=0.0).vector_even.components == (0.0, 1.0)
+        b = math.sqrt(0.1)
+        a = math.sqrt(1.0 - b * b)
+        assert sop_family(b2=0.1).vector_odd.components == (a, b)
+        assert sop_family(b2=0.1).vector_even.components == (-b, a)
 
 
 class TestProtocols:
     def test_jp_default(self):
-        p = build_jp_protocol()
+        p = jp_protocol()
         assert p.n_qubits == 2
         assert p.areas == (PI, 2 * PI, PI)
         assert p.pulses[0].vector.components == (1.0, 0.0)
         assert p.pulses[1].vector.components == (0.0, 1.0)
         assert p.pulses[2].vector.components == (1.0, 0.0)
+        # the symmetric orthogonal family at b^2 = 0 has the same layout
+        assert sop_family(b2=0.0).protocol(2 * PI, 2 * PI) == p
 
     def test_jp_custom_areas(self):
-        p = build_jp_protocol(areas=(3 * PI, 2 * PI, 3 * PI))
-        assert p.area_odd == pytest.approx(6 * PI)
-        assert p.area_even == pytest.approx(2 * PI)
+        p = JP_FAMILY.protocol(6 * PI, 2 * PI)
+        assert p.areas == (3 * PI, 2 * PI, 3 * PI)
         assert p.pulses[0].vector.components == (1.0, 0.0)
 
     def test_theta_is_half_area(self):
-        p = build_jp_protocol()
+        p = jp_protocol()
         assert [pl.theta for pl in p.pulses] == [PI / 2, PI, PI / 2]
 
     def test_sop_reduces_to_jp_at_b0(self):
-        sop = build_sop_protocol(0.0)
-        jp = build_jp_protocol()
+        sop = sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
+        jp = jp_protocol()
         for ps, pj in zip(sop.pulses, jp.pulses):
             assert ps.area == pj.area
             assert ps.vector.components == pj.vector.components
 
     def test_sop_vectors(self):
         b = math.sqrt(0.1)
-        p = build_sop_protocol(b)
+        p = sop_family(b2=0.1).protocol(2 * PI, 2 * PI)
         a = math.sqrt(0.9)
         assert p.pulses[0].vector.components == pytest.approx((a, b), abs=1e-15)
         assert p.pulses[1].vector.components == pytest.approx((-b, a), abs=1e-15)
         assert p.pulses[2].vector == p.pulses[0].vector
+        assert p.areas == (PI, 2 * PI, PI)
 
     def test_sop_half_overlap_rotation_angle(self):
-        p = build_sop_protocol(math.sqrt(0.5))
+        p = sop_family(b2=0.5).protocol(2 * PI, 2 * PI)
         a, b = p.pulses[0].vector.components
         assert math.atan2(b, a) == pytest.approx(PI / 4, abs=1e-12)
 
-    def test_sop_rejects_asymmetric_areas(self):
-        with pytest.raises(AsymmetricAreasError):
-            build_sop_protocol(0.2, (PI, 2 * PI, 1.5 * PI))
-
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_esop_alternation(self, m):
-        e_odd = make_structural_vector((math.sqrt(0.9), math.sqrt(0.1)))
-        p = build_esop_protocol(m, e_odd, (1.1 * PI, 0.7 * PI))
+        family = sop_family(b2=0.1, m_pulses=m)
+        p = family.protocol(1.1 * PI * ((m + 1) // 2), 0.7 * PI * (m // 2))
         assert p.n_pulses == m
+        assert p.pulses[0].area == pytest.approx(1.1 * PI, abs=1e-15)
+        assert p.pulses[1].area == pytest.approx(0.7 * PI, abs=1e-15)
         for k in range(m - 1):
             assert abs(p.pulses[k].vector.dot(p.pulses[k + 1].vector)) < 1e-12
         for k in range(m - 2):
@@ -143,23 +142,68 @@ class TestProtocols:
             assert p.pulses[k].area == p.pulses[k + 2].area
 
     def test_esop_m3_matches_sop_structure(self):
-        b = math.sqrt(0.1)
-        e_odd = make_structural_vector((math.sqrt(0.9), b))
-        esop = build_esop_protocol(3, e_odd, (PI, 2 * PI))
-        sop = build_sop_protocol(b)
-        for pe, ps in zip(esop.pulses, sop.pulses):
+        a, b = math.sqrt(0.9), math.sqrt(0.1)
+        esop = ProtocolFamily(StructuralVector((a, b)), StructuralVector((-b, a)), m_pulses=3)
+        sop = sop_family(b2=0.1)
+        esop_pulses = esop.protocol(2 * PI, 2 * PI).pulses
+        for pe, ps in zip(esop_pulses, sop.protocol(2 * PI, 2 * PI).pulses):
+            assert pe.area == ps.area
             assert pe.vector.components == pytest.approx(ps.vector.components, abs=1e-15)
 
     def test_esop_two_pulses(self):
-        p = build_esop_protocol(2, StructuralVector((1.0, 0.0)), (PI, 2 * PI))
+        p = sop_family(b2=0.0, m_pulses=2).protocol(PI, 2 * PI)
         assert p.areas == (PI, 2 * PI)
         assert p.pulses[1].vector.components == (0.0, 1.0)
 
-    def test_esop_rejects_single_pulse(self):
-        from sopgate import InvalidPulseCountError
+    def test_single_pulse_family(self):
+        p = sop_family(b2=0.1, m_pulses=1).protocol(1.5 * PI, 7.0)
+        assert p.areas == (1.5 * PI,)
+        assert p.pulses[0].vector == sop_family(b2=0.1).vector_odd
 
-        with pytest.raises(InvalidPulseCountError):
-            build_esop_protocol(1, StructuralVector((1.0, 0.0)), (PI, PI))
+    def test_family_needs_a_pulse(self):
+        with pytest.raises(EmptyGridError):
+            sop_family(m_pulses=0)
+
+    def test_family_vectors_share_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            ProtocolFamily(StructuralVector((1.0, 0.0)), StructuralVector((0.0, 1.0, 0.0)))
+        family = sop_family(b2=0.1, c2=0.1)
+        assert family.n_qubits == 3
+        assert family.protocol(PI, PI).n_qubits == 3
+
+    def test_non_orthogonal_family_mirrors(self):
+        b = math.sqrt(0.2)
+        a = math.sqrt(1.0 - b * b)
+        family = sop_family(b2=0.2, orthogonal=False)
+        assert family.vector_odd.components == (a, b)
+        assert family.vector_even.components == (b, a)
+        family3 = sop_family(b2=0.2, c2=0.1, orthogonal=False)
+        a3, b3, c3 = family3.vector_odd.components
+        assert family3.vector_even.components == (b3, a3, c3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"b2": -0.1},
+            {"b2": math.nan},
+            {"b2": math.inf},
+            {"c2": -0.1, "n_qubits": 3},
+            {"c2": math.nan, "n_qubits": 3},
+            {"b2": 0.6, "c2": 0.5},
+        ],
+    )
+    def test_sop_family_rejects_bad_squares(self, kwargs):
+        with pytest.raises(NotNormalizedError) as info:
+            sop_family(**kwargs)
+        assert isinstance(info.value, SopGateError)
+
+    def test_sop_family_register_checks(self):
+        with pytest.raises(DimensionMismatchError):
+            sop_family(b2=0.1, c2=0.1, n_qubits=2)
+        with pytest.raises(DimensionMismatchError):
+            sop_family(n_qubits=4)
+        with pytest.raises(NotNormalizedError):
+            sop_family(b2=0.1, c2=0.6, n_qubits=3)
 
     def test_protocol_vector_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -167,12 +211,16 @@ class TestProtocols:
 
     def test_sop3_unit_and_orthogonal(self):
         b = c = math.sqrt(0.1)
-        p = build_sop3_protocol(b, c)
+        p = sop_family(b2=0.1, c2=0.1).protocol(2 * PI, 2 * PI)
         e1, e2 = p.pulses[0].vector, p.pulses[1].vector
         assert e1.components == pytest.approx((math.sqrt(0.8), b, c), abs=1e-15)
         assert abs(e1.dot(e2)) < 1e-12
         assert e2.components[2] == pytest.approx(c, abs=1e-15)
         assert p.pulses[2].vector == e1
+        # the even vector is the spectator-orthogonal partner of the odd one
+        pair = spectator_orthogonal_pair(b, c, c)
+        assert e1.components == pytest.approx(pair[0].components, abs=1e-15)
+        assert e2 == pair[1]
 
     def test_spectator_pair_reduces_to_planar_convention(self):
         b = math.sqrt(0.3)
@@ -201,9 +249,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "protocol",
         [
-            build_jp_protocol(),
-            build_sop_protocol(math.sqrt(0.2), (-6.1 * PI / 2, 0.9 * PI, -6.1 * PI / 2)),
-            build_sop3_protocol(math.sqrt(0.1), math.sqrt(0.1)),
+            jp_protocol(),
+            sop_family(b2=0.2).protocol(-6.1 * PI, 0.9 * PI),
+            sop_family(b2=0.1, c2=0.1).protocol(2 * PI, 2 * PI),
         ],
     )
     def test_json_round_trip(self, protocol):
@@ -215,7 +263,7 @@ class TestSerialization:
                 assert c1 == pytest.approx(c0, rel=1e-15, abs=1e-15)
 
     def test_json_schema(self):
-        data = json.loads(build_jp_protocol().to_json())
+        data = json.loads(jp_protocol().to_json())
         assert set(data) == {"n_qubits", "pulses"}
         assert data["n_qubits"] == 2
         assert data["pulses"][0] == {"area_over_pi": 1.0, "vector": [1.0, 0.0]}

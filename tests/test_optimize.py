@@ -58,6 +58,11 @@ class TestNelderMead:
         with pytest.raises(InfeasibleStartError):
             nelder_mead_constrained(problem, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(InfeasibleStartError):
+            nelder_mead_constrained(sphere_problem(), restarts=restarts)
+
     def test_evaluation_budget_respected(self):
         result = nelder_mead_constrained(sphere_problem(), seed=3, restarts=2, max_evals=50)
         assert result.evaluations <= 2 * 55  # scipy may finish the final shrink
@@ -104,6 +109,13 @@ class TestOptimizeThirdQubit:
             assert math.fsum(c * c for c in pulse.vector.components) == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    def test_symmetric_area_split(self):
+        # the third pulse repeats the first; together they carry the odd area
+        areas = (2.4 * PI, 1.1 * PI)
+        result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=3, restarts=2)
+        assert result.best_protocol.areas == (0.5 * areas[0], areas[1], 0.5 * areas[0])
+        assert gate_fidelity(result.best_protocol, cphase_signature(3)) == result.best_fidelity
 
     def test_clamped_spectator_reproduces_fixed_map_value(self):
         # evaluating the optimization manifold at c = sqrt(0.1) must equal the

@@ -16,19 +16,18 @@ from sopgate import (
     Pulse,
     StructuralVector,
     UnsupportedPulseCountError,
-    build_jp_protocol,
-    build_sop3_protocol,
-    build_sop_protocol,
+    basis_labels,
     make_structural_vector,
+    sop_family,
 )
 from sopgate.propagator import (
+    block_amplitudes,
     block_decompose,
     dark_state,
     diagonal_amplitudes,
     rotate_areas,
     sequence_amplitude,
     star_propagator,
-    star_propagator_batch,
     u11alpha,
     u11v_esop,
     u11v_esop_exact,
@@ -39,6 +38,15 @@ from sopgate.propagator import (
 PI = math.pi
 A_01 = math.sqrt(0.9)
 B_01 = math.sqrt(0.1)
+
+
+def jp_protocol():
+    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
+    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
+
+
+def sop_protocol(b2, area_odd=2 * PI, area_even=2 * PI, c2=0.0):
+    return sop_family(b2=b2, c2=c2).protocol(area_odd, area_even)
 
 
 def expm_reference(coupling, theta):
@@ -99,10 +107,15 @@ class TestStarPropagator:
                 assert u[0, 1] == expected_off
 
     def test_batch_matches_scalar(self):
-        thetas = np.linspace(-2 * PI, 2 * PI, 7)
-        batch = star_propagator_batch((0.6, 0.8), thetas)
-        for i, theta in enumerate(thetas):
-            np.testing.assert_array_equal(batch[i], star_propagator((0.6, 0.8), theta))
+        thetas = np.linspace(-2 * PI, 2 * PI, 12).reshape(3, 4)
+        for coupling in ((0.6, 0.8), (0.3, -0.2, 0.5), (0.0, 0.0), ()):
+            batch = star_propagator(coupling, thetas)
+            dim = len(coupling) + 1
+            assert batch.shape == (3, 4, dim, dim)
+            for i, j in np.ndindex(thetas.shape):
+                np.testing.assert_array_equal(
+                    batch[i, j], star_propagator(coupling, float(thetas[i, j]))
+                )
 
 
 class TestDarkState:
@@ -143,7 +156,7 @@ class TestDarkState:
 
 class TestBlockDecompose:
     def test_two_qubit_blocks(self):
-        p = build_sop_protocol(B_01)
+        p = sop_protocol(0.1)
         blocks = {b.initial_state: b for b in block_decompose(p)}
         assert blocks["00"].zero_qubits == (0, 1)
         np.testing.assert_allclose(blocks["00"].couplings[0], (A_01, B_01), atol=1e-15)
@@ -153,7 +166,7 @@ class TestBlockDecompose:
         assert blocks["11"].dimension == 1
 
     def test_three_qubit_mixed_block(self):
-        p = build_sop3_protocol(B_01, B_01)
+        p = sop_protocol(0.1, c2=0.1)
         blocks = {b.initial_state: b for b in block_decompose(p)}
         block = blocks["010"]
         assert block.zero_qubits == (0, 2)
@@ -163,7 +176,7 @@ class TestBlockDecompose:
         assert np.all(norms < 1.0)
 
     def test_coupling_norm_bounded(self):
-        p = build_sop3_protocol(math.sqrt(0.3), math.sqrt(0.2))
+        p = sop_protocol(0.3, c2=0.2)
         for block in block_decompose(p):
             norms = np.linalg.norm(block.couplings, axis=1)
             assert np.all(norms <= 1 + 1e-12)
@@ -228,13 +241,83 @@ class TestFullRegister:
                 assert abs(u_block[0, 0] - full_amp) < 1e-9
 
 
+def random_protocol(rng, n_qubits, n_pulses):
+    pulses = []
+    for _ in range(n_pulses):
+        v = rng.normal(size=n_qubits)
+        v /= np.linalg.norm(v)
+        pulses.append(Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v))))
+    return Protocol(tuple(pulses), n_qubits)
+
+
+def scalar_composition(protocol, label):
+    """Reference: the per-state loop the kernel replaced.
+
+    One star propagator per pulse, each multiplied onto the product so far,
+    starting from the identity.
+    """
+    zq = [i for i, ch in enumerate(label) if ch == "0"]
+    u_mat = np.eye(1 + len(zq), dtype=complex)
+    for pulse in protocol.pulses:
+        v = np.asarray(pulse.vector.components, dtype=float)[zq]
+        u_mat = star_propagator(v, pulse.theta) @ u_mat
+    return complex(u_mat[0, 0])
+
+
+class TestBlockAmplitudes:
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 4, 5])
+    def test_matches_scalar_composition_bitwise(self, n_qubits, n_pulses):
+        rng = np.random.default_rng(100 * n_qubits + n_pulses)
+        labels = basis_labels(n_qubits)
+        for _ in range(30):
+            protocol = random_protocol(rng, n_qubits, n_pulses)
+            expected = [scalar_composition(protocol, label) for label in labels]
+            np.testing.assert_array_equal(diagonal_amplitudes(protocol), expected)
+            for label, amp in zip(labels, expected):
+                assert sequence_amplitude(protocol, label) == amp
+
+    def test_broadcasts_over_angle_arrays(self):
+        rng = np.random.default_rng(5)
+        couplings = rng.normal(size=(3, 2))
+        grid = rng.uniform(-3 * PI, 3 * PI, size=(2, 4, 5))
+        thetas = [grid[0], 0.7, grid[1]]
+        amps = block_amplitudes(couplings, thetas)
+        assert amps.shape == (4, 5)
+        for i, j in np.ndindex(amps.shape):
+            point = [float(grid[0, i, j]), 0.7, float(grid[1, i, j])]
+            assert amps[i, j] == block_amplitudes(couplings, point)
+
+    def test_one_star_propagator_per_pulse(self, monkeypatch):
+        import sopgate.propagator
+
+        calls = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            calls.append(theta)
+            return original(coupling, theta)
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        block_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
+        assert calls == [0.1, 0.2, 0.3]
+
+    def test_empty_sequence_is_identity(self):
+        assert block_amplitudes(np.zeros((0, 2)), []) == 1.0
+        np.testing.assert_array_equal(diagonal_amplitudes(Protocol((), 2)), [1, 1, 1, 1])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            block_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
+
+
 class TestSequenceAmplitude:
     def test_jp_flips_ground_state(self):
-        p = build_jp_protocol()
+        p = jp_protocol()
         assert sequence_amplitude(p, "00") == pytest.approx(-1.0, abs=1e-15)
 
     def test_all_ones_is_inert(self):
-        for p in (build_jp_protocol(), build_sop3_protocol(0.2, 0.3)):
+        for p in (jp_protocol(), sop_protocol(0.04, c2=0.09)):
             label = "1" * p.n_qubits
             assert sequence_amplitude(p, label) == 1.0 + 0.0j
 
@@ -242,14 +325,14 @@ class TestSequenceAmplitude:
         # theta1 = theta2 = (a+b)*pi/2, the smallest rotated optimum; the
         # expected value is frozen from the closed form evaluated directly
         theta = (A_01 + B_01) * PI / 2
-        p = build_sop_protocol(B_01, (2 * theta, 2 * theta, 2 * theta))
+        p = sop_protocol(0.1, 4 * theta, 2 * theta)
         amp = sequence_amplitude(p, "00")
         assert amp.imag == pytest.approx(0.0, abs=1e-14)
         assert amp.real == pytest.approx(-0.9026545669182094, abs=1e-12)
         assert amp.real == pytest.approx(u11v_sop(theta, theta), abs=1e-12)
 
     def test_diagonal_amplitudes_order(self):
-        p = build_jp_protocol()
+        p = jp_protocol()
         diag = diagonal_amplitudes(p)
         np.testing.assert_allclose(diag, [-1, -1, -1, 1], atol=1e-14)
 
@@ -321,20 +404,20 @@ class TestClosedForms:
         th1, th2 = 0.8, 1.9
         values = []
         for b2 in np.linspace(0.0, 0.5, 11):
-            p = build_sop_protocol(math.sqrt(b2), (2 * th1, 2 * th2, 2 * th1))
+            p = sop_protocol(b2, 4 * th1, 2 * th2)
             values.append(sequence_amplitude(p, "00").real)
         assert np.ptp(values) < 1e-12
 
 
 class TestU11Alpha:
     def test_independent_qubits(self):
-        p = build_jp_protocol()
+        p = jp_protocol()
         assert u11alpha(p, (1.0, 0.0, 1.0)) == pytest.approx(-1.0, abs=1e-15)
         assert u11alpha(p, (0.0, 1.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_sop_subsystem_value(self):
         # cos((a - b) * pi), frozen from direct evaluation
-        p = build_sop_protocol(B_01)
+        p = sop_protocol(0.1)
         value = u11alpha(p, (A_01, -B_01, A_01))
         assert value == pytest.approx(math.cos((A_01 - B_01) * PI), abs=1e-14)
         assert value == pytest.approx(-0.40421582074717644, abs=1e-12)
@@ -342,13 +425,13 @@ class TestU11Alpha:
     def test_rotated_areas_recover_inversion(self):
         area_odd = 2 * PI * (A_01 + B_01)
         area_even = 2 * PI * (A_01 - B_01)
-        p = build_sop_protocol(B_01, (area_odd / 2, area_even, area_odd / 2))
+        p = sop_protocol(0.1, area_odd, area_even)
         assert u11alpha(p, (A_01, -B_01, A_01)) == pytest.approx(-1.0, abs=1e-12)
         assert u11alpha(p, (B_01, A_01, B_01)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            u11alpha(build_jp_protocol(), (1.0, 0.0))
+            u11alpha(jp_protocol(), (1.0, 0.0))
 
 
 class TestRotateAreas:

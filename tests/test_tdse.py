@@ -11,19 +11,21 @@ from sopgate import (
     SopGateError,
     StepTooLargeError,
     StructuralVector,
-    build_jp_protocol,
-    build_sop3_protocol,
-    build_sop_protocol,
     envelopes_for_protocol,
     integrate_block,
     sequence_amplitude,
+    sop_family,
     validate_protocol,
 )
 from sopgate.propagator import block_decompose, star_propagator, u11v_esop, u11v_esop_exact
-from sopgate.model import build_esop_protocol, make_structural_vector
 from sopgate.tdse import _pulse_steps
 
 PI = math.pi
+
+
+def jp_protocol():
+    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
+    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
 
 
 def random_protocol(rng, n_qubits=None, n_pulses=None, max_area=8 * PI):
@@ -85,12 +87,12 @@ class TestEnvelopes:
             PulseEnvelope.from_area("boxcar", 0.0, 1.0, PI)
 
     def test_protocol_envelopes_do_not_overlap(self):
-        envelopes = envelopes_for_protocol(build_jp_protocol())
+        envelopes = envelopes_for_protocol(jp_protocol())
         for prev, nxt in zip(envelopes, envelopes[1:]):
             assert nxt.start_time >= prev.end_time
 
     def test_overlap_rejected(self):
-        block = block_decompose(build_jp_protocol())[1]
+        block = block_decompose(jp_protocol())[1]
         envs = [
             PulseEnvelope.from_area("squared-sine", 0.0, 1.0, PI),
             PulseEnvelope.from_area("squared-sine", 0.5, 1.0, 2 * PI),
@@ -102,7 +104,7 @@ class TestEnvelopes:
 
 class TestIntegrateBlock:
     def test_pi_pulse_matches_analytic(self):
-        block = block_decompose(build_jp_protocol())[1]  # |01>: coupling (1, 0, 1) per pulse
+        block = block_decompose(jp_protocol())[1]  # |01>: coupling (1, 0, 1) per pulse
         single = type(block)(initial_state="01", zero_qubits=(0,), couplings=np.array([[1.0]]))
         env = [PulseEnvelope.from_area("squared-sine", 0.0, 1.0, PI)]
         u_num = integrate_block(single, env)
@@ -111,7 +113,7 @@ class TestIntegrateBlock:
     def test_truncated_gaussian_keeps_window_edge(self):
         # At these starts an accumulated t += h lands past end_time on the
         # last stage, where rabi() is zero; the 4-sigma edge value is not.
-        block = block_decompose(build_jp_protocol())[1]
+        block = block_decompose(jp_protocol())[1]
         single = type(block)(initial_state="01", zero_qubits=(0,), couplings=np.array([[1.0]]))
         area = 3.3 * PI
         results = []
@@ -151,7 +153,7 @@ class TestIntegrateBlock:
             )
 
     def test_one_dimensional_block_is_identity(self):
-        protocol = build_sop3_protocol(0.3, 0.2)
+        protocol = sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI)
         block = [b for b in block_decompose(protocol) if b.initial_state == "111"][0]
         assert block.dimension == 1
         envelopes = envelopes_for_protocol(protocol, shape="gaussian")
@@ -160,19 +162,19 @@ class TestIntegrateBlock:
         np.testing.assert_array_equal(u_num, np.eye(1))
 
     def test_output_unitary(self):
-        protocol = build_sop_protocol(math.sqrt(0.1))
+        protocol = sop_family(b2=0.1).protocol(2 * PI, 2 * PI)
         block = block_decompose(protocol)[0]
         u_num = integrate_block(block, envelopes_for_protocol(protocol))
         np.testing.assert_allclose(u_num.conj().T @ u_num, np.eye(3), atol=1e-8)
 
     def test_step_too_large(self):
-        protocol = build_sop_protocol(0.0, (8 * PI, 16 * PI, 8 * PI))
+        protocol = sop_family(b2=0.0).protocol(16 * PI, 16 * PI)
         block = block_decompose(protocol)[0]
         with pytest.raises(StepTooLargeError):
             integrate_block(block, envelopes_for_protocol(protocol), dt=1.0 / 12)
 
     def test_fourth_order_convergence(self):
-        protocol = build_sop_protocol(math.sqrt(0.2), (2.2 * PI, 1.1 * PI, 2.2 * PI))
+        protocol = sop_family(b2=0.2).protocol(4.4 * PI, 1.1 * PI)
         block = block_decompose(protocol)[0]
         envelopes = envelopes_for_protocol(protocol)
         exact = sequence_amplitude(protocol, "00")
@@ -185,16 +187,16 @@ class TestIntegrateBlock:
 
 class TestValidateProtocol:
     def test_symmetric_orthogonal_protocol(self):
-        report = validate_protocol(build_sop_protocol(math.sqrt(0.1)))
+        report = validate_protocol(sop_family(b2=0.1).protocol(2 * PI, 2 * PI))
         assert report.passed
         assert report.max_deviation < 1e-6
 
     def test_all_ones_state_exact(self):
-        report = validate_protocol(build_sop3_protocol(0.3, 0.2))
+        report = validate_protocol(sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI))
         assert report.deviations["111"] == 0.0
 
     def test_envelope_shape_independence(self):
-        protocol = build_sop_protocol(math.sqrt(0.1), (1.3 * PI, 0.7 * PI, 1.3 * PI))
+        protocol = sop_family(b2=0.1).protocol(2.6 * PI, 0.7 * PI)
         blocks = block_decompose(protocol)
         env_sin = envelopes_for_protocol(protocol, shape="squared-sine")
         env_gau = envelopes_for_protocol(protocol, shape="gaussian")
@@ -210,7 +212,7 @@ class TestValidateProtocol:
             assert report.passed, report.deviations
 
     def test_report_fields(self):
-        report = validate_protocol(build_jp_protocol(), tolerance=1e-6)
+        report = validate_protocol(jp_protocol(), tolerance=1e-6)
         data = report.to_json_dict()
         assert set(data) == {
             "max_deviation",
@@ -227,8 +229,9 @@ class TestEsopGroundTruth:
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_time_domain_follows_matrix_product_not_printed_form(self, m):
-        e_odd = make_structural_vector((math.sqrt(0.9), math.sqrt(0.1)))
-        protocol = build_esop_protocol(m, e_odd, (0.9 * PI, 1.3 * PI))
+        # per-pulse areas 0.9 pi (odd) and 1.3 pi (even)
+        family = sop_family(b2=0.1, m_pulses=m)
+        protocol = family.protocol(0.9 * PI * ((m + 1) // 2), 1.3 * PI * (m // 2))
         theta_odd, theta_even = 0.45 * PI, 0.65 * PI
         block = [b for b in block_decompose(protocol) if b.initial_state == "00"][0]
         numeric = integrate_block(block, envelopes_for_protocol(protocol))[0, 0]
