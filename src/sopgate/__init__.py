@@ -10,6 +10,7 @@ integration check.
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
+    GridTooLargeError,
     InfeasibleStartError,
     LengthMismatchError,
     NoDarkSubspaceError,

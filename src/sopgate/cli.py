@@ -32,6 +32,8 @@ from .errors import SopGateError
 from .fidelity import (
     GridSpec,
     b_scan,
+    check_grid_points,
+    check_squared_factors,
     fidelity_map,
     lattice_analysis,
     lattice_report_dict,
@@ -312,6 +314,7 @@ def _optimize_point(task):
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _merge_config(args, OPTIMIZE_DEFAULTS)
+    check_squared_factors(b2=config["b2"], c2=config["c2"])
     what = config["what"]
     if what == "areas":
         family = sop_family(b2=config["b2"], c2=config["c2"])
@@ -335,6 +338,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         points = [[x * math.pi for x in _parse_area_pair(config["areas"])]]
     else:
         grid = _parse_grid(config["grid"])
+        check_grid_points(grid.n_points**2)
         axis = grid.values_radians()
         points = [(ao, ae) for ao in axis for ae in axis]
     tasks = [(what, ao, ae, config) for ao, ae in points]
@@ -467,7 +471,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SopGateError, FileNotFoundError) as exc:
+    except (SopGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -37,6 +37,10 @@ class EmptyGridError(SopGateError):
     """A sweep grid contains no points."""
 
 
+class GridTooLargeError(SopGateError):
+    """A sweep grid holds more points than the package allows."""
+
+
 class NoMaximaFoundError(SopGateError):
     """No local maxima above threshold in a fidelity map."""
 

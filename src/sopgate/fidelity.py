@@ -14,7 +14,6 @@ return amplitude, for one protocol, a map grid or a robustness scan, comes
 from the kernel :func:`sopgate.propagator.block_amplitudes`.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
+    GridTooLargeError,
     NoMaximaFoundError,
     NotNormalizedError,
     SignatureMismatchError,
@@ -52,18 +52,42 @@ DEFAULT_GRID = (-8.0, 8.0, 0.05)
 #: Default acceptance level for map maxima.
 DEFAULT_MAXIMA_THRESHOLD = 0.7
 
+#: Most points one grid axis or one map may hold, about ten times the
+#: 641 x 641 wide map; larger grids are refused before anything is allocated.
+MAX_GRID_POINTS = 2**22
+
+
+def check_grid_points(n_points: int) -> None:
+    """Refuse a grid of more than :data:`MAX_GRID_POINTS` points."""
+    if n_points > MAX_GRID_POINTS:
+        raise GridTooLargeError(
+            f"grid of {n_points} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+
+
+def check_squared_factors(**factors: float) -> None:
+    """Refuse squared geometrical factors that are negative or not finite."""
+    for name, value in factors.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise NotNormalizedError(f"{name} must be a finite number >= 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive 1-D sweep range in units of pi."""
+    """Inclusive 1-D sweep range in units of pi, at most :data:`MAX_GRID_POINTS` long."""
 
     lo: float
     hi: float
     step: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.hi < self.lo:
+        if not (
+            0 < self.step < math.inf
+            and math.isfinite(self.lo)
+            and 0 <= (self.hi - self.lo) / self.step < math.inf
+        ):
             raise EmptyGridError(f"invalid grid {self.lo}:{self.hi}:{self.step}")
+        check_grid_points(self.n_points)
 
     @property
     def n_points(self) -> int:
@@ -146,9 +170,7 @@ def sop_family(
     even vector is the mirrored (b, a) or (b, a, c), i.e. plain single-site
     beams brought close without structured light.
     """
-    for name, value in (("b2", b2), ("c2", c2)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise NotNormalizedError(f"{name} must be a finite number >= 0, got {value!r}")
+    check_squared_factors(b2=b2, c2=c2)
     if n_qubits is None:
         n_qubits = 3 if c2 > 0 else 2
     if n_qubits not in (2, 3):
@@ -235,13 +257,17 @@ def family_diagonal_grid(
     """Return amplitudes of every basis state over an area grid.
 
     Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex:
-    one :func:`block_amplitudes` call per basis state, broadcast over the
-    grid. Evaluation is deterministic.
+    one :func:`block_amplitudes` call per basis state. Odd pulses depend only
+    on the odd area and even pulses only on the even one, so the angles go
+    in on the axes, shaped (n_odd, 1) and (1, n_even): each star propagator
+    is built once per axis value, and only the pulse products broadcast to
+    the full grid. Every amplitude equals the pointwise one bit for bit.
     """
-    area_o, area_e = np.meshgrid(area_odd_grid, area_even_grid, indexing="ij")
+    area_o = np.asarray(area_odd_grid)[:, None]
+    area_e = np.asarray(area_even_grid)[None, :]
     thetas = [0.5 * a for a in family.pulse_areas(area_o, area_e)]
     blocks = block_decompose(family.protocol(1.0, 1.0))
-    diag = np.empty((len(blocks),) + area_o.shape, dtype=complex)
+    diag = np.empty((len(blocks), area_o.size, area_e.size), dtype=complex)
     for j, block in enumerate(blocks):
         diag[j] = block_amplitudes(block.couplings, thetas)
     return diag
@@ -265,9 +291,15 @@ def fidelity_map(
         and ``grid_odd`` to the package default [-8, 8] step 0.05.
     target : GateSignature, optional
         Defaults to the controlled-phase signature on the gate qubits.
+
+    Raises
+    ------
+    GridTooLargeError
+        If the map would hold more than :data:`MAX_GRID_POINTS` points.
     """
     grid_odd = grid_odd or GridSpec(*DEFAULT_GRID)
     grid_even = grid_even or grid_odd
+    check_grid_points(grid_odd.n_points * grid_even.n_points)
     if target is None:
         target = cphase_signature(family.n_qubits)
     axis_odd = grid_odd.values_radians()
@@ -414,16 +446,20 @@ def b_scan(
 
 
 def map_csv_text(fmap: FidelityMap) -> str:
-    """Render a map as CSV: areas in units of pi, 9 significant digits, row-major."""
-    buf = io.StringIO()
-    buf.write("a_odd_over_pi,a_even_over_pi,fidelity\n")
-    odd_pi = fmap.axis_odd / math.pi
-    even_pi = fmap.axis_even / math.pi
-    for i, ao in enumerate(odd_pi):
-        row = fmap.values[i]
-        for j, ae in enumerate(even_pi):
-            buf.write(f"{ao:.9g},{ae:.9g},{row[j]:.9g}\n")
-    return buf.getvalue()
+    """Render a map as CSV: areas in units of pi, 9 significant digits, row-major.
+
+    Each axis value is formatted once. An odd row is one ``%`` template that
+    repeats the row's odd area before every even-area tail
+    ``",<even>,%.9g\\n"``; ``%.9g`` and ``f"{x:.9g}"`` use the same float
+    formatter, so the text equals one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per
+    grid point.
+    """
+    odd = [f"{x:.9g}" for x in (fmap.axis_odd / math.pi).tolist()]
+    # The leading "" puts the odd area before the first tail, and yields an
+    # empty row when the even axis is empty.
+    tails = [""] + [f",{x:.9g},%.9g\n" for x in (fmap.axis_even / math.pi).tolist()]
+    rows = [ao.join(tails) % tuple(row) for ao, row in zip(odd, fmap.values.tolist())]
+    return "".join(["a_odd_over_pi,a_even_over_pi,fidelity\n"] + rows)
 
 
 def lattice_report_dict(report: LatticeReport) -> dict:

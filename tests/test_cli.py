@@ -66,6 +66,31 @@ class TestMapCommand:
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--grid=0:1e9:0.001"],  # one axis over the cap
+            ["map", "--grid=0:2100:1"],  # each axis under it, the map over it
+            ["map", "--grid=0:inf:1"],
+            ["optimize", "--grid=0:2100:1"],
+        ],
+    )
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "big"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_config_path_is_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert_config_error(capsys, ["map", "--config", str(tmp_path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_out_path_is_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert_config_error(capsys, ["map", "--grid=-1:1:0.5", "--out", str(out)])
+        assert read(out) == "keep\n"
+
     def test_temp_name_cannot_collide(self, tmp_path):
         # a leftover at the old fixed temporary name does not block the write
         out = tmp_path / "run"
@@ -228,6 +253,18 @@ class TestOptimizeCommand:
         assert_config_error(
             capsys, ["optimize", "--restarts", "0", "--areas=2,2", "--out", str(out)]
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--what", "third-qubit", "--b2", "-0.1"],
+            ["--what", "all-factors", "--c2", "-0.1"],
+        ],
+    )
+    def test_bad_squared_factor_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert_config_error(capsys, ["optimize", *argv, "--areas=2,2", "--out", str(out)])
         assert not out.exists()
 
     def test_small_optimized_grid(self, tmp_path):

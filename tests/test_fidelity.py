@@ -1,11 +1,15 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+import sopgate.propagator
 from sopgate import (
     EmptyGridError,
+    FidelityMap,
     GridSpec,
+    GridTooLargeError,
     NoMaximaFoundError,
     SignatureMismatchError,
     b_scan,
@@ -19,7 +23,12 @@ from sopgate import (
     robustness_scan,
     sop_family,
 )
-from sopgate.fidelity import family_diagonal_grid, lattice_report_dict, map_csv_text
+from sopgate.fidelity import (
+    MAX_GRID_POINTS,
+    family_diagonal_grid,
+    lattice_report_dict,
+    map_csv_text,
+)
 from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi
@@ -29,6 +38,19 @@ TARGET_2Q = cphase_signature(2)
 def jp_protocol():
     """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
     return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
+
+
+def per_cell_map_csv_text(fmap):
+    """Reference CSV rendering: one formatted line per grid point."""
+    buf = io.StringIO()
+    buf.write("a_odd_over_pi,a_even_over_pi,fidelity\n")
+    odd_pi = fmap.axis_odd / math.pi
+    even_pi = fmap.axis_even / math.pi
+    for i, ao in enumerate(odd_pi):
+        row = fmap.values[i]
+        for j, ae in enumerate(even_pi):
+            buf.write(f"{ao:.9g},{ae:.9g},{row[j]:.9g}\n")
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +111,17 @@ class TestFidelityMap:
             GridSpec(1, 0, 0.1)
         with pytest.raises(EmptyGridError):
             GridSpec(0, 1, -0.1)
+        for bad in [(0, 1, 0), (0, math.inf, 1), (math.nan, 1, 1), (0, 1, math.nan), (0, 1, math.inf)]:
+            with pytest.raises(EmptyGridError):
+                GridSpec(*bad)
+        assert GridSpec(0, MAX_GRID_POINTS - 1, 1).n_points == MAX_GRID_POINTS
+        with pytest.raises(GridTooLargeError):
+            GridSpec(0, MAX_GRID_POINTS, 1)
+        with pytest.raises(GridTooLargeError):
+            GridSpec(0, 1e9, 0.001)
+        # each axis under the cap, the map over it
+        with pytest.raises(GridTooLargeError):
+            fidelity_map(sop_family(b2=0.0), GridSpec(0, 2100, 1))
 
     def test_independent_qubit_lattice_is_exact(self):
         fmap = fidelity_map(sop_family(b2=0.0))
@@ -151,6 +184,25 @@ class TestFidelityMap:
         for i, j in np.ndindex(4, 3):
             point = diagonal_amplitudes(family.protocol(odd[i], even[j]))
             np.testing.assert_array_equal(diag[:, i, j], point)
+
+
+    @pytest.mark.parametrize("n_odd, n_even", [(7, 3), (2, 9)])
+    def test_propagators_built_on_axes(self, monkeypatch, n_odd, n_even):
+        sizes = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            sizes.append(np.size(theta))
+            return original(coupling, theta)
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        family = sop_family(b2=0.1, c2=0.1, m_pulses=4)
+        odd = np.linspace(-PI, 3 * PI, n_odd)
+        even = np.linspace(-2 * PI, PI, n_even)
+        diag = family_diagonal_grid(family, odd, even)
+        assert diag.shape == (8, n_odd, n_even)
+        assert len(sizes) == 8 * 4  # one star propagator per block and pulse
+        assert max(sizes) <= max(n_odd, n_even)
 
 
 class TestLatticeAnalysis:
@@ -266,3 +318,41 @@ class TestCsvOutput:
         rows = [line.split(",")[:2] for line in map_csv_text(fmap).strip().split("\n")[1:]]
         odd_sequence = [float(r[0]) for r in rows]
         assert odd_sequence == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "family, grid_odd, grid_even",
+        [
+            (sop_family(b2=0.1), GridSpec(-2, 2, 0.1), None),
+            (sop_family(b2=0.1, c2=0.1), GridSpec(-2, 2, 0.1), None),
+            (sop_family(b2=0.25, m_pulses=5), GridSpec(-2, 2, 0.1), None),
+            (sop_family(b2=0.1), GridSpec(1.5, 1.5, 1), GridSpec(-3, 3, 0.25)),
+            (sop_family(b2=0.1), GridSpec(-3, 3, 0.25), GridSpec(1.5, 1.5, 1)),
+            (sop_family(b2=0.1), GridSpec(-1, 1, 1), GridSpec(-3, 3, 1)),
+        ],
+    )
+    def test_matches_per_cell_rendering(self, family, grid_odd, grid_even):
+        fmap = fidelity_map(family, grid_odd, grid_even)
+        shape = (grid_odd.n_points, (grid_even or grid_odd).n_points)
+        assert fmap.values.shape == shape
+        text = map_csv_text(fmap)
+        assert text.count("\n") == 1 + shape[0] * shape[1]
+        assert text == per_cell_map_csv_text(fmap)
+
+    def test_special_values_match_per_cell_rendering(self):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300]
+        # values that round up or down at the 9th significant digit
+        rounding = [0.9999999995, 0.99999999949, 1.0000000005, 0.12345678949, 9.9999999951e-5]
+        values = np.array(specials + rounding + [123456789.5]).reshape(3, 4)
+        axis_odd = np.array([-0.0, 5e-324, 2.0000000005 * PI])
+        axis_even = np.array([math.nan, math.inf, -1e-300, 0.99999999949 * PI])
+        fmap = FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
+        text = map_csv_text(fmap)
+        assert text == per_cell_map_csv_text(fmap)
+        assert text.splitlines()[1:5] == [
+            "-0,nan,nan",
+            "-0,inf,inf",
+            "-0,-3.18309886e-301,-inf",
+            "-0,0.999999999,-0",
+        ]
+        empty = FidelityMap(axis_odd=axis_odd, axis_even=axis_even[:0], values=values[:, :0])
+        assert map_csv_text(empty) == per_cell_map_csv_text(empty)
