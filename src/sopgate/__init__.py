@@ -4,7 +4,9 @@ Library + CLI for designing and evaluating two- and three-qubit C-PHASE gate
 protocols driven by spatio-temporally structured pulses: exact blockade-block
 propagators, pulse-area fidelity maps and their lattice geometry, constrained
 optimization of the geometrical factors, and an independent time-domain
-integration check.
+integration check. Every return amplitude comes from one kernel,
+:func:`block_amplitudes`; the closed-form amplitudes of the paper are test
+oracles and live with the tests.
 """
 
 from .errors import (
@@ -12,14 +14,11 @@ from .errors import (
     EmptyGridError,
     GridTooLargeError,
     InfeasibleStartError,
-    LengthMismatchError,
-    NoDarkSubspaceError,
     NoMaximaFoundError,
     NotNormalizedError,
     SignatureMismatchError,
     SopGateError,
     StepTooLargeError,
-    UnsupportedPulseCountError,
     ZeroVectorError,
 )
 from .fidelity import (
@@ -48,13 +47,11 @@ from .model import (
     spectator_orthogonal_pair,
 )
 from .optimize import (
-    OptimizationProblem,
     OptimizationResult,
     nelder_mead_constrained,
     optimize_all_factors,
     optimize_areas,
     optimize_third_qubit,
-    refine_map_maximum,
 )
 from .tdse import (
     PulseEnvelope,
@@ -63,20 +60,6 @@ from .tdse import (
     integrate_block,
     validate_protocol,
 )
-from .propagator import (
-    SubsystemBlock,
-    block_amplitudes,
-    block_decompose,
-    dark_state,
-    diagonal_amplitudes,
-    rotate_areas,
-    sequence_amplitude,
-    star_propagator,
-    u11alpha,
-    u11v_esop,
-    u11v_esop_exact,
-    u11v_sop,
-    u11v_threepulse,
-)
+from .propagator import block_amplitudes, sequence_amplitude, star_propagator
 
 __version__ = "0.1.0"

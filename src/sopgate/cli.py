@@ -11,9 +11,10 @@ validate    time-domain check of the analytical propagators
 
 Areas are read and written in units of pi; angles are reported in degrees.
 Every artifact comes with a JSON sidecar embedding the full configuration and
-the SHA-256 of the data file. Files are written via a temporary name and
-renamed, so partial outputs are never left behind. Exit codes: 0 ok, 2 bad
-configuration, 3 validation failure.
+the SHA-256 of the data file. Each command checks its whole configuration,
+then creates the output directory, and only then computes. Files are written
+via a temporary name and renamed, so partial outputs are never left behind.
+Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
 """
 
 import argparse
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import SopGateError
 from .fidelity import (
+    FIDELITY_DEFINITIONS,
     GridSpec,
     b_scan,
     check_grid_points,
@@ -41,9 +43,15 @@ from .fidelity import (
     robustness_scan,
     sop_family,
 )
-from .model import Protocol, Pulse, StructuralVector, cphase_signature
-from .optimize import optimize_areas, optimize_all_factors, optimize_third_qubit
-from .tdse import validate_protocol
+from .model import Protocol, Pulse, StructuralVector
+from .optimize import (
+    gate_factor_arc,
+    optimize_all_factors,
+    optimize_areas,
+    optimize_third_qubit,
+    spectator_bounds,
+)
+from .tdse import ENVELOPE_SHAPES, validate_protocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +77,6 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra: dict | None = None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, stem)
     _write_atomic(data_path, data_text)
     meta = {
@@ -94,6 +101,23 @@ def _parse_grid(text: str) -> GridSpec:
     except ValueError as exc:
         raise SopGateError(f"grid must be lo:hi:step, got {text!r}") from exc
     return GridSpec(lo, hi, step)
+
+
+def _scan_axis(config: dict, name: str, symmetric: bool) -> np.ndarray:
+    """``np.arange`` from 0 (-max if ``symmetric``) to max + step / 2, checked before allocating.
+
+    Max and step are the ``<name>_max`` and ``<name>_step`` config values.
+    """
+    top, step = config[f"{name}_max"], config[f"{name}_step"]
+    if not (math.isfinite(step) and step > 0 and math.isfinite(top) and top >= 0):
+        flag = f"--{name.replace('_', '-')}"
+        raise SopGateError(
+            f"{flag}-step must be finite and > 0 and {flag}-max finite and >= 0, "
+            f"got step {step!r}, max {top!r}"
+        )
+    start, stop = -top if symmetric else 0.0, top + step / 2
+    check_grid_points((stop - start) / step)
+    return np.arange(start, stop, step)
 
 
 def _parse_area_pair(text: str) -> tuple[float, float]:
@@ -165,9 +189,7 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c2", type=float, help="squared spectator factor (3-qubit runs)")
     parser.add_argument("--qubits", type=int, choices=(2, 3), help="register size")
     parser.add_argument("--grid", help="area sweep lo:hi:step in units of pi")
-    parser.add_argument(
-        "--fidelity", choices=("trace-sq", "trace", "average"), help="fidelity definition"
-    )
+    parser.add_argument("--fidelity", choices=FIDELITY_DEFINITIONS, help="fidelity definition")
     parser.add_argument(
         "--non-orthogonal",
         action="store_const",
@@ -191,8 +213,6 @@ MAP_DEFAULTS = {
 
 def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
     config = _merge_config(args, MAP_DEFAULTS)
-    if config["qubits"] is None:
-        config["qubits"] = 3 if config["c2"] > 0 else 2
     if m_required and config["pulses"] < 2:
         raise SopGateError("esop-map needs --pulses >= 2")
     family = sop_family(
@@ -202,7 +222,10 @@ def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
         m_pulses=config["pulses"],
         orthogonal=not config["non_orthogonal"],
     )
+    config["qubits"] = family.n_qubits
     grid = _parse_grid(config["grid"])
+    check_grid_points(grid.n_points**2)
+    os.makedirs(config["out"], exist_ok=True)
     fmap = fidelity_map(family, grid, definition=config["fidelity"])
     try:
         report = lattice_report_dict(lattice_analysis(fmap, config["threshold"]))
@@ -235,10 +258,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SopGateError(f"b2 must be comma-separated numbers, got {config['b2']!r}") from exc
     area_odd, area_even = _parse_area_pair(config["areas"])
-    deltas = np.arange(
-        -config["delta_max"], config["delta_max"] + config["delta_step"] / 2, config["delta_step"]
-    ) * math.pi
+    deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
+    os.makedirs(config["out"], exist_ok=True)
     for b2, family in zip(b2_list, families):
         protocol = family.protocol(area_odd * math.pi, area_even * math.pi)
         curves = robustness_scan(protocol, deltas)
@@ -263,9 +285,14 @@ BSCAN_DEFAULTS = {
 
 def cmd_bscan(args: argparse.Namespace) -> int:
     config = _merge_config(args, BSCAN_DEFAULTS)
-    b2_grid = np.arange(0.0, config["b2_max"] + config["b2_step"] / 2, config["b2_step"])
-    for pair_text in config["areas"]:
-        pair = _parse_area_pair(pair_text)
+    pairs = [_parse_area_pair(pair_text) for pair_text in config["areas"]]
+    if config["b2_max"] > 1.0:
+        raise SopGateError(f"--b2-max must be at most 1, got {config['b2_max']!r}")
+    b2_grid = _scan_axis(config, "b2", symmetric=False)
+    if b2_grid[-1] > 1.0:
+        raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
+    os.makedirs(config["out"], exist_ok=True)
+    for pair_text, pair in zip(config["areas"], pairs):
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
         text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
@@ -293,38 +320,27 @@ OPTIMIZE_DEFAULTS = {
 
 def _optimize_point(task):
     what, area_odd, area_even, config = task
+    areas, common = (area_odd, area_even), {"seed": config["seed"], "restarts": config["restarts"]}
     if what == "third-qubit":
-        result = optimize_third_qubit(
-            (area_odd, area_even),
-            b=math.sqrt(config["b2"]),
-            min_c2=config["min_c2"],
-            seed=config["seed"],
-            restarts=config["restarts"],
-        )
+        result = optimize_third_qubit(areas, math.sqrt(config["b2"]), config["min_c2"], **common)
     else:
-        result = optimize_all_factors(
-            (area_odd, area_even),
-            c_fixed=math.sqrt(config["c2"]),
-            min_sq=config["min_sq"],
-            seed=config["seed"],
-            restarts=config["restarts"],
-        )
+        result = optimize_all_factors(areas, math.sqrt(config["c2"]), config["min_sq"], **common)
     return result.best_fidelity, result.best_parameters.tolist()
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _merge_config(args, OPTIMIZE_DEFAULTS)
     check_squared_factors(b2=config["b2"], c2=config["c2"])
+    if config["restarts"] < 1:
+        raise SopGateError(f"--restarts must be at least 1, got {config['restarts']}")
     what = config["what"]
     if what == "areas":
         family = sop_family(b2=config["b2"], c2=config["c2"])
         grid = _parse_grid(config["grid"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
+        os.makedirs(config["out"], exist_ok=True)
         result = optimize_areas(
-            family,
-            (bounds, bounds),
-            seed=config["seed"],
-            restarts=config["restarts"],
+            family, (bounds, bounds), seed=config["seed"], restarts=config["restarts"]
         )
         payload = {
             "best_fidelity": result.best_fidelity,
@@ -334,6 +350,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         }
         _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
         return EXIT_OK
+    # The optimizers check these bounds too; checked here, they fail before --out exists.
+    if what == "third-qubit":
+        spectator_bounds(math.sqrt(config["b2"]), config["min_c2"])
+    else:
+        gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
     if config["areas"]:
         points = [[x * math.pi for x in _parse_area_pair(config["areas"])]]
     else:
@@ -341,6 +362,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         check_grid_points(grid.n_points**2)
         axis = grid.values_radians()
         points = [(ao, ae) for ao in axis for ae in axis]
+    os.makedirs(config["out"], exist_ok=True)
     tasks = [(what, ao, ae, config) for ao, ae in points]
     if config["threads"] > 1:
         with ProcessPoolExecutor(max_workers=config["threads"]) as pool:
@@ -374,6 +396,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = _merge_config(args, VALIDATE_DEFAULTS)
     if config["samples"] < 1:
         raise SopGateError(f"--samples must be at least 1, got {config['samples']}")
+    if not (math.isfinite(config["tolerance"]) and config["tolerance"] > 0):
+        raise SopGateError(f"--tolerance must be finite and > 0, got {config['tolerance']!r}")
+    os.makedirs(config["out"], exist_ok=True)
     rng = np.random.default_rng(config["seed"])
     reports = []
     worst = 0.0
@@ -421,19 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         return p
 
-    p_map = command("map", "fidelity map over pulse areas", lambda a: cmd_map(a, m_required=False))
-    _add_family(p_map)
-    p_map.add_argument("--pulses", type=int, help="number of pulses in the sequence")
-    p_map.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
-
-    p_esop = command(
-        "esop-map",
-        "fidelity map of an M-pulse alternating family",
-        lambda a: cmd_map(a, m_required=True),
-    )
-    _add_family(p_esop)
-    p_esop.add_argument("--pulses", type=int, required=True, help="number of pulses (M >= 2)")
-    p_esop.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
+    for name, help_text, pulses_help, m_required in (
+        ("map", "fidelity map over pulse areas", "number of pulses in the sequence", False),
+        (
+            "esop-map",
+            "fidelity map of an M-pulse alternating family",
+            "number of pulses (M >= 2)",
+            True,
+        ),
+    ):
+        p_map = command(name, help_text, lambda a, m=m_required: cmd_map(a, m_required=m))
+        _add_family(p_map)
+        p_map.add_argument("--pulses", type=int, required=m_required, help=pulses_help)
+        p_map.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
 
     p_rob = command("robustness", "return amplitudes vs pulse-area error", cmd_robustness)
     p_rob.add_argument("--b2", help="comma-separated list of squared overlap factors")
@@ -447,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bscan.add_argument("--b2-max", type=float, help="largest b^2 in the scan")
     p_bscan.add_argument("--b2-step", type=float, help="b^2 step")
-    p_bscan.add_argument("--fidelity", choices=("trace-sq", "trace", "average"))
+    p_bscan.add_argument("--fidelity", choices=FIDELITY_DEFINITIONS)
 
     p_opt = command("optimize", "optimize factors per area point", cmd_optimize)
     p_opt.add_argument("--what", choices=("areas", "third-qubit", "all-factors"))
@@ -462,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = command("validate", "time-domain check of the analytical propagators", cmd_validate)
     p_val.add_argument("--samples", type=int, help="number of random protocols")
     p_val.add_argument("--tolerance", type=float)
-    p_val.add_argument("--shape", choices=("squared-sine", "gaussian"))
+    p_val.add_argument("--shape", choices=ENVELOPE_SHAPES)
     return parser
 
 

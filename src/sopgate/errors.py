@@ -17,18 +17,6 @@ class NotNormalizedError(SopGateError):
     """A quantity that must be unit-normalized is not."""
 
 
-class UnsupportedPulseCountError(SopGateError):
-    """No closed-form expression is available for this pulse count."""
-
-
-class NoDarkSubspaceError(SopGateError):
-    """A dark subspace exists only for couplings of dimension >= 2."""
-
-
-class LengthMismatchError(SopGateError):
-    """A per-pulse argument does not have one entry per pulse."""
-
-
 class SignatureMismatchError(SopGateError):
     """Gate signature length does not match the register's basis size."""
 

@@ -32,7 +32,6 @@ from .model import (
     Protocol,
     Pulse,
     StructuralVector,
-    basis_labels,
     cphase_signature,
     spectator_orthogonal_pair,
 )
@@ -57,11 +56,11 @@ DEFAULT_MAXIMA_THRESHOLD = 0.7
 MAX_GRID_POINTS = 2**22
 
 
-def check_grid_points(n_points: int) -> None:
+def check_grid_points(n_points: float) -> None:
     """Refuse a grid of more than :data:`MAX_GRID_POINTS` points."""
     if n_points > MAX_GRID_POINTS:
         raise GridTooLargeError(
-            f"grid of {n_points} points exceeds the limit of {MAX_GRID_POINTS}"
+            f"grid of {n_points:.0f} points exceeds the limit of {MAX_GRID_POINTS}"
         )
 
 
@@ -227,7 +226,7 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
 
     ``diag`` has the basis-state axis first and may carry trailing grid axes.
     """
-    phases = target.as_array()
+    phases = np.asarray(target.phases, dtype=float)
     d = phases.size
     diag = np.asarray(diag)
     if diag.shape[0] != d:
@@ -277,31 +276,19 @@ def fidelity_map(
     family: ProtocolFamily,
     grid_odd: GridSpec | None = None,
     grid_even: GridSpec | None = None,
-    target: GateSignature | None = None,
     definition: str = "trace-sq",
 ) -> FidelityMap:
-    """Evaluate the gate fidelity of a protocol family over an area grid.
+    """Fidelity of a protocol family against the C-PHASE signature over an area grid.
 
-    Parameters
-    ----------
-    family : ProtocolFamily
-        Fixes the structural vectors and the area-splitting rule.
-    grid_odd, grid_even : GridSpec, optional
-        Sweep ranges in units of pi; ``grid_even`` defaults to ``grid_odd``
-        and ``grid_odd`` to the package default [-8, 8] step 0.05.
-    target : GateSignature, optional
-        Defaults to the controlled-phase signature on the gate qubits.
-
-    Raises
-    ------
-    GridTooLargeError
-        If the map would hold more than :data:`MAX_GRID_POINTS` points.
+    The grids are in units of pi; ``grid_even`` defaults to ``grid_odd`` and
+    that to :data:`DEFAULT_GRID`. ``definition`` is one of
+    :data:`FIDELITY_DEFINITIONS`. A map of more than :data:`MAX_GRID_POINTS`
+    points raises :class:`GridTooLargeError` before anything is allocated.
     """
     grid_odd = grid_odd or GridSpec(*DEFAULT_GRID)
     grid_even = grid_even or grid_odd
     check_grid_points(grid_odd.n_points * grid_even.n_points)
-    if target is None:
-        target = cphase_signature(family.n_qubits)
+    target = cphase_signature(family.n_qubits)
     axis_odd = grid_odd.values_radians()
     axis_even = grid_even.values_radians()
     diag = family_diagonal_grid(family, axis_odd, axis_even)
@@ -424,18 +411,16 @@ def b_scan(
     area_pair_pi: tuple[float, float],
     b2_grid,
     orthogonal: bool = True,
-    target: GateSignature | None = None,
     definition: str = "trace-sq",
 ) -> np.ndarray:
-    """Fidelity of a fixed-area three-pulse protocol versus the overlap b^2.
+    """Two-qubit C-PHASE fidelity of a fixed-area three-pulse protocol versus the overlap b^2.
 
     ``area_pair_pi`` is (A_odd, A_even) in units of pi. With
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light.
     """
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
-    if target is None:
-        target = cphase_signature(2)
+    target = cphase_signature(2)
     area_odd = area_pair_pi[0] * math.pi
     area_even = area_pair_pi[1] * math.pi
     out = np.empty(b2_values.shape, dtype=float)

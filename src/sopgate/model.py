@@ -76,14 +76,6 @@ class StructuralVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=float)
 
-    def dot(self, other: "StructuralVector") -> float:
-        if other.dimension != self.dimension:
-            raise DimensionMismatchError("dot product of vectors of unequal dimension")
-        return math.fsum(a * b for a, b in zip(self.components, other.components))
-
-    def negated(self) -> "StructuralVector":
-        return StructuralVector(tuple(-c for c in self.components))
-
 
 def make_structural_vector(components) -> StructuralVector:
     """Scale ``components`` to unit Euclidean norm, preserving signs.
@@ -185,13 +177,6 @@ class GateSignature:
             raise SignatureMismatchError(f"signature length {n} is not a power of two >= 2")
         if any(p not in (-1, 1) for p in self.phases):
             raise SignatureMismatchError("signature entries must be +1 or -1")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.phases).bit_length() - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.phases, dtype=float)
 
 
 def cphase_signature(n_qubits: int) -> GateSignature:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import SopGateError, StepTooLargeError
 from .model import Protocol, basis_labels
@@ -37,6 +36,21 @@ STEPS_PER_RADIAN = 64
 MIN_STEPS_PER_PULSE = 400
 
 UNITARITY_DRIFT_LIMIT = 1e-6
+
+#: Length of every pulse and the idle gap after it, in arbitrary time units
+#: (resonant dynamics depend on the pulse areas only).
+PULSE_DURATION = 1.0
+PULSE_GAP = 0.25
+
+
+def _unit_peak_area(shape: str, duration: float) -> float:
+    """Time integral of a ``shape`` envelope of unit peak Rabi frequency."""
+    if shape == "squared-sine":
+        return duration / 2.0
+    if shape == "gaussian":
+        sigma = duration / (2.0 * GAUSSIAN_CUT)
+        return sigma * math.sqrt(2.0 * math.pi) * math.erf(GAUSSIAN_CUT / math.sqrt(2.0))
+    raise SopGateError(f"unknown envelope shape {shape!r}")
 
 
 @dataclass(frozen=True)
@@ -65,23 +79,14 @@ class PulseEnvelope:
     @property
     def area(self) -> float:
         """Time integral of the Rabi frequency (analytic per shape)."""
-        if self.shape == "squared-sine":
-            return self.peak_rabi * self.duration / 2.0
-        sigma = self.duration / (2.0 * GAUSSIAN_CUT)
-        return self.peak_rabi * sigma * math.sqrt(2.0 * math.pi) * erf(GAUSSIAN_CUT / math.sqrt(2.0))
+        return self.peak_rabi * _unit_peak_area(self.shape, self.duration)
 
     @classmethod
     def from_area(
         cls, shape: str, start_time: float, duration: float, area: float
     ) -> "PulseEnvelope":
         """Choose the peak Rabi frequency so the time integral equals ``area``."""
-        if shape == "squared-sine":
-            peak = 2.0 * area / duration
-        elif shape == "gaussian":
-            sigma = duration / (2.0 * GAUSSIAN_CUT)
-            peak = area / (sigma * math.sqrt(2.0 * math.pi) * erf(GAUSSIAN_CUT / math.sqrt(2.0)))
-        else:
-            raise SopGateError(f"unknown envelope shape {shape!r}")
+        peak = area / _unit_peak_area(shape, duration)
         return cls(shape=shape, start_time=start_time, duration=duration, peak_rabi=peak)
 
     def rabi_in_window(self, tau):
@@ -110,18 +115,13 @@ class PulseEnvelope:
         return np.where(inside, self.rabi_in_window(tau), 0.0)
 
 
-def envelopes_for_protocol(
-    protocol: Protocol,
-    shape: str = "squared-sine",
-    pulse_duration: float = 1.0,
-    gap: float = 0.25,
-) -> list[PulseEnvelope]:
+def envelopes_for_protocol(protocol: Protocol, shape: str = "squared-sine") -> list[PulseEnvelope]:
     """Non-overlapping envelopes realizing a protocol's pulse areas in order."""
     envelopes = []
     t0 = 0.0
     for pulse in protocol.pulses:
-        envelopes.append(PulseEnvelope.from_area(shape, t0, pulse_duration, pulse.area))
-        t0 += pulse_duration + gap
+        envelopes.append(PulseEnvelope.from_area(shape, t0, PULSE_DURATION, pulse.area))
+        t0 += PULSE_DURATION + PULSE_GAP
     return envelopes
 
 
@@ -267,21 +267,18 @@ class ValidationReport:
 
 
 def validate_protocol(
-    protocol: Protocol,
-    tolerance: float = 1e-6,
-    shape: str = "squared-sine",
-    pulse_duration: float = 1.0,
-    dt: float | None = None,
+    protocol: Protocol, tolerance: float = 1e-6, shape: str = "squared-sine"
 ) -> ValidationReport:
     """Compare analytical and integrated return amplitudes for every basis state.
 
-    Deviations above ``tolerance`` are flagged in the report, not fatal.
+    Integration uses the default step of :func:`integrate_block`. Deviations
+    above ``tolerance`` are flagged in the report, not fatal.
     """
-    envelopes = envelopes_for_protocol(protocol, shape=shape, pulse_duration=pulse_duration)
+    envelopes = envelopes_for_protocol(protocol, shape=shape)
     deviations = {}
     for block in block_decompose(protocol):
         analytic = sequence_amplitude(protocol, block.initial_state)
-        numeric = integrate_block(block, envelopes, dt=dt)[0, 0]
+        numeric = integrate_block(block, envelopes)[0, 0]
         deviations[block.initial_state] = float(abs(analytic - numeric))
     max_dev = max(deviations.values())
     return ValidationReport(
@@ -291,8 +288,8 @@ def validate_protocol(
         passed=max_dev < tolerance,
         settings={
             "shape": shape,
-            "pulse_duration": pulse_duration,
-            "dt": dt,
+            "pulse_duration": PULSE_DURATION,
+            "dt": None,
             "states": list(basis_labels(protocol.n_qubits)),
         },
     )

@@ -23,7 +23,7 @@ from sopgate import (
     lattice_analysis,
     map_maxima,
     optimize_all_factors,
-    refine_map_maximum,
+    optimize_areas,
     sequence_amplitude,
     sop_family,
     validate_protocol,
@@ -72,9 +72,8 @@ def test_03_minimal_area_optimum_b2_01(maps):
     region = (np.abs(area_o) + np.abs(area_e) <= 5 * PI) & (area_o > 0) & (area_e > 0)
     masked = np.where(region, fmap.values, -1.0)
     i, j = np.unravel_index(np.argmax(masked), masked.shape)
-    refined = refine_map_maximum(
-        sop_family(b2=0.1), (fmap.axis_odd[i], fmap.axis_even[j]), halfwidth=0.3 * PI, seed=0
-    )
+    bounds = [(c - 0.3 * PI, c + 0.3 * PI) for c in (fmap.axis_odd[i], fmap.axis_even[j])]
+    refined = optimize_areas(sop_family(b2=0.1), bounds, seed=0, restarts=4)
     area_odd, area_even = refined.best_parameters
     total = (abs(area_odd) + abs(area_even)) / PI
     ok = (
@@ -92,9 +91,8 @@ def test_03_minimal_area_optimum_b2_01(maps):
 
 
 def test_04_high_area_optimum_b2_02(maps):
-    refined = refine_map_maximum(
-        sop_family(b2=0.2), (-6.15 * PI, 0.9 * PI), halfwidth=0.3 * PI, seed=0
-    )
+    bounds = [(c - 0.3 * PI, c + 0.3 * PI) for c in (-6.15 * PI, 0.9 * PI)]
+    refined = optimize_areas(sop_family(b2=0.2), bounds, seed=0, restarts=4)
     area_odd, area_even = refined.best_parameters / PI
     ok = (
         abs(refined.best_fidelity - 0.99) <= 0.01

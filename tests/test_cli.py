@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import sopgate.cli
 from sopgate.cli import _write_atomic, main
 
 
@@ -119,6 +120,69 @@ class TestMapCommand:
         meta = json.loads(read(out / "fidelity_map.json"))
         assert meta["config"]["b2"] == 0.1  # flag wins
         assert meta["config"]["grid"] == "-1:1:0.5"  # file beats default
+
+
+class TestOutputDirectoryFirst:
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["map", "--grid=-16:16:0.05"], "fidelity_map"),
+            (["esop-map", "--pulses", "4"], "fidelity_map"),
+            (["robustness"], "robustness_scan"),
+            (["bscan"], "b_scan"),
+            (["optimize", "--areas=2,2"], "optimize_third_qubit"),
+            (["optimize", "--what", "areas"], "optimize_areas"),
+            (["validate"], "validate_protocol"),
+        ],
+    )
+    def test_out_path_is_file_before_any_work(self, tmp_path, capsys, monkeypatch, argv, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(sopgate.cli, work, refuse)
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert read(out) == "keep\n"
+
+
+class TestScanAxes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bscan", "--b2-step", "0"],
+            ["bscan", "--b2-step", "nan"],
+            ["bscan", "--b2-step", "-0.1"],
+            ["bscan", "--b2-step", "inf"],
+            ["bscan", "--b2-step", "1e-10"],  # 5e9 points, over the grid cap
+            ["bscan", "--b2-max", "nan"],
+            ["bscan", "--b2-max", "-0.1"],
+            ["bscan", "--b2-max", "1.5"],
+            ["bscan", "--b2-max", "1", "--b2-step", "0.6"],  # last point 1.2
+            ["bscan", "--areas", "2,2", "--areas", "x"],
+            ["robustness", "--delta-step", "0"],
+            ["robustness", "--delta-step", "-0.01"],
+            ["robustness", "--delta-step", "1e-9"],  # 1e9 points, over the grid cap
+            ["robustness", "--delta-max", "nan"],
+            ["robustness", "--delta-max", "-1"],
+            ["robustness", "--delta-max", "inf"],
+            ["robustness", "--delta-max", "1.7e308", "--delta-step", "1e308"],  # span overflows
+            ["validate", "--tolerance", "inf"],
+            ["validate", "--tolerance", "nan"],
+            ["validate", "--tolerance", "0"],
+            ["validate", "--tolerance=-1e-6"],
+        ],
+    )
+    def test_bad_axis_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_axis_values_unchanged(self, tmp_path):
+        out = tmp_path / "ok"
+        assert main(["bscan", "--b2-max", "1", "--b2-step", "0.25", "--out", str(out)]) == 0
+        rows = read(out / "bscan_2_2.csv").strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.25", "0.5", "0.75", "1"]
 
 
 class TestConfigFile:
@@ -265,6 +329,20 @@ class TestOptimizeCommand:
     def test_bad_squared_factor_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
         assert_config_error(capsys, ["optimize", *argv, "--areas=2,2", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--what", "third-qubit", "--min-c2", "0.7"],
+            ["--what", "third-qubit", "--b2", "0.95", "--min-c2", "0.1"],
+            ["--what", "all-factors", "--min-sq", "0.6"],
+            ["--what", "all-factors", "--c2", "1"],
+        ],
+    )
+    def test_infeasible_bound_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert_config_error(capsys, ["optimize", *argv, "--grid=-2:2:2", "--out", str(out)])
         assert not out.exists()
 
     def test_small_optimized_grid(self, tmp_path):

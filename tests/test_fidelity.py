@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sopgate.propagator
+from oracles import negated
 from sopgate import (
     EmptyGridError,
     FidelityMap,
@@ -84,7 +85,7 @@ class TestGateFidelity:
     def test_global_sign_flip_invariance(self):
         p = sop_family(b2=0.3).protocol(2.6 * PI, 0.8 * PI)
         flipped = type(p)(
-            pulses=tuple(type(q)(q.area, q.vector.negated()) for q in p.pulses),
+            pulses=tuple(type(q)(q.area, negated(q.vector)) for q in p.pulses),
             n_qubits=p.n_qubits,
         )
         assert gate_fidelity(flipped, TARGET_2Q) == pytest.approx(

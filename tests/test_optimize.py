@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dot
 from sopgate import (
     InfeasibleStartError,
-    OptimizationProblem,
     cphase_signature,
     gate_fidelity,
     nelder_mead_constrained,
     optimize_all_factors,
     optimize_areas,
     optimize_third_qubit,
-    refine_map_maximum,
     sop_family,
 )
 
@@ -22,49 +21,43 @@ C_01 = math.sqrt(0.1)
 
 
 def sphere_problem():
-    return OptimizationProblem(
-        parameter_names=("x1", "x2"),
+    """Keyword arguments of :func:`nelder_mead_constrained` for a sphere over a box."""
+    return dict(
+        objective=lambda x: 1.0 - float(x @ x),
         lower=np.array([0.1, 0.1]),
         upper=np.array([1.0, 1.0]),
-        objective=lambda x: 1.0 - float(x @ x),
     )
 
 
 class TestNelderMead:
     def test_bound_corner_optimum(self):
-        result = nelder_mead_constrained(sphere_problem(), seed=1, restarts=4)
+        result = nelder_mead_constrained(**sphere_problem(), seed=1, restarts=4)
         np.testing.assert_allclose(result.best_parameters, [0.1, 0.1], atol=1e-5)
         assert result.best_fidelity == pytest.approx(0.98, abs=1e-6)
 
     def test_reported_fidelity_reproducible_bit_for_bit(self):
         problem = sphere_problem()
-        result = nelder_mead_constrained(problem, seed=1, restarts=4)
-        assert problem.objective(result.best_parameters) == result.best_fidelity
+        result = nelder_mead_constrained(**problem, seed=1, restarts=4)
+        assert problem["objective"](result.best_parameters) == result.best_fidelity
 
     def test_deterministic_given_seed(self):
-        a = nelder_mead_constrained(sphere_problem(), seed=42, restarts=6)
-        b = nelder_mead_constrained(sphere_problem(), seed=42, restarts=6)
+        a = nelder_mead_constrained(**sphere_problem(), seed=42, restarts=6)
+        b = nelder_mead_constrained(**sphere_problem(), seed=42, restarts=6)
         np.testing.assert_array_equal(a.best_parameters, b.best_parameters)
         assert a.best_fidelity == b.best_fidelity
         assert a.evaluations == b.evaluations
 
     def test_empty_box_rejected(self):
-        problem = OptimizationProblem(
-            parameter_names=("x",),
-            lower=np.array([1.0]),
-            upper=np.array([0.0]),
-            objective=lambda x: 0.0,
-        )
         with pytest.raises(InfeasibleStartError):
-            nelder_mead_constrained(problem, seed=0)
+            nelder_mead_constrained(lambda x: 0.0, np.array([1.0]), np.array([0.0]), seed=0)
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_below_one_rejected(self, restarts):
         with pytest.raises(InfeasibleStartError):
-            nelder_mead_constrained(sphere_problem(), restarts=restarts)
+            nelder_mead_constrained(**sphere_problem(), restarts=restarts)
 
     def test_evaluation_budget_respected(self):
-        result = nelder_mead_constrained(sphere_problem(), seed=3, restarts=2, max_evals=50)
+        result = nelder_mead_constrained(**sphere_problem(), seed=3, restarts=2, max_evals=50)
         assert result.evaluations <= 2 * 55  # scipy may finish the final shrink
 
 
@@ -80,14 +73,16 @@ class TestOptimizeAreas:
     def test_high_overlap_regression_optimum(self):
         # displaced high-area optimum of the b^2 = 0.2 family
         family = sop_family(b2=0.2)
-        result = refine_map_maximum(family, (-6.15 * PI, 0.9 * PI), halfwidth=0.3 * PI, seed=4)
+        bounds = [(c - 0.3 * PI, c + 0.3 * PI) for c in (-6.15 * PI, 0.9 * PI)]
+        result = optimize_areas(family, bounds, seed=4, restarts=4)
         assert result.best_fidelity >= 0.98
         assert result.best_parameters[0] / PI == pytest.approx(-6.1, abs=0.2)
         assert result.best_parameters[1] / PI == pytest.approx(0.9, abs=0.2)
 
     def test_protocol_attached(self):
         family = sop_family(b2=0.1)
-        result = refine_map_maximum(family, (2.45 * PI, 1.35 * PI), seed=5, restarts=2)
+        bounds = [(c - 0.25 * PI, c + 0.25 * PI) for c in (2.45 * PI, 1.35 * PI)]
+        result = optimize_areas(family, bounds, seed=5, restarts=2)
         assert result.best_protocol is not None
         assert gate_fidelity(result.best_protocol, cphase_signature(2)) == result.best_fidelity
 
@@ -104,7 +99,7 @@ class TestOptimizeThirdQubit:
         pulses = result.best_protocol.pulses
         assert pulses[2].vector == pulses[0].vector
         assert pulses[2].area == pulses[0].area
-        assert abs(pulses[0].vector.dot(pulses[1].vector)) < 1e-12
+        assert abs(dot(pulses[0].vector, pulses[1].vector)) < 1e-12
         for pulse in pulses:
             assert math.fsum(c * c for c in pulse.vector.components) == pytest.approx(
                 1.0, abs=1e-12

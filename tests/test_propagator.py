@@ -7,15 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from sopgate import (
-    DimensionMismatchError,
+from oracles import (
     LengthMismatchError,
     NoDarkSubspaceError,
+    UnsupportedPulseCountError,
+    dark_state,
+    rotate_areas,
+    u11alpha,
+    u11v_esop,
+    u11v_esop_exact,
+    u11v_sop,
+    u11v_threepulse,
+)
+from sopgate import (
+    DimensionMismatchError,
     NotNormalizedError,
     Protocol,
     Pulse,
     StructuralVector,
-    UnsupportedPulseCountError,
     basis_labels,
     make_structural_vector,
     sop_family,
@@ -23,16 +32,9 @@ from sopgate import (
 from sopgate.propagator import (
     block_amplitudes,
     block_decompose,
-    dark_state,
     diagonal_amplitudes,
-    rotate_areas,
     sequence_amplitude,
     star_propagator,
-    u11alpha,
-    u11v_esop,
-    u11v_esop_exact,
-    u11v_sop,
-    u11v_threepulse,
 )
 
 PI = math.pi

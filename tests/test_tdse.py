@@ -17,7 +17,8 @@ from sopgate import (
     sop_family,
     validate_protocol,
 )
-from sopgate.propagator import block_decompose, star_propagator, u11v_esop, u11v_esop_exact
+from oracles import u11v_esop, u11v_esop_exact
+from sopgate.propagator import block_decompose, star_propagator
 from sopgate.tdse import _pulse_steps
 
 PI = math.pi
