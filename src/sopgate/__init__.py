@@ -4,9 +4,9 @@ Library + CLI for designing and evaluating two- and three-qubit C-PHASE gate
 protocols driven by spatio-temporally structured pulses: exact blockade-block
 propagators, pulse-area fidelity maps and their lattice geometry, constrained
 optimization of the geometrical factors, and an independent time-domain
-integration check. Every return amplitude comes from one kernel,
-:func:`block_amplitudes`; the closed-form amplitudes of the paper are test
-oracles and live with the tests.
+integration check. Every return amplitude comes from one propagator
+formula, :func:`star_propagator`, and one product kernel; the closed-form
+amplitudes of the paper are test oracles and live with the tests.
 """
 
 from .errors import (

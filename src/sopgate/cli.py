@@ -12,9 +12,15 @@ validate    time-domain check of the analytical propagators
 Areas are read and written in units of pi; angles are reported in degrees.
 Every artifact comes with a JSON sidecar embedding the full configuration and
 the SHA-256 of the data file. Each command checks its whole configuration,
-then creates the output directory, and only then computes. Files are written
-via a temporary name and renamed, so partial outputs are never left behind.
-Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
+including its size (grid points, optimize points times restarts, validate
+samples), then creates the output directory, and only then computes. Files
+are written via a temporary name and renamed, so partial outputs are never
+left behind. Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
+
+``optimize`` solves every point of its area grid, with all restarts, in one
+lockstep Nelder-Mead run in one process (see :mod:`sopgate.optimize`).
+``--threads`` is still accepted, and checked to be at least 1, but starts no
+workers.
 """
 
 import argparse
@@ -24,7 +30,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .fidelity import (
 )
 from .model import Protocol, Pulse, StructuralVector
 from .optimize import (
+    check_simplices,
     gate_factor_arc,
     optimize_all_factors,
     optimize_areas,
@@ -56,6 +62,10 @@ from .tdse import ENVELOPE_SHAPES, validate_protocol
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
+
+#: Most random protocols one ``validate`` run checks: a few minutes of work
+#: and a report of some megabytes.
+MAX_SAMPLES = 10_000
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -174,6 +184,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
+    threads = config.get("threads", args.threads)
+    if threads is not None and threads < 1:
+        raise SopGateError(f"--threads must be at least 1, got {threads}")
     return config
 
 
@@ -181,7 +194,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     parser.add_argument("--out", help="output directory (default: current directory)")
     parser.add_argument("--seed", type=int, help="random seed for stochastic steps")
-    parser.add_argument("--threads", type=int, help="worker processes for grid optimization")
+    parser.add_argument(
+        "--threads", type=int, help="accepted for compatibility, must be >= 1; has no effect"
+    )
 
 
 def _add_family(parser: argparse.ArgumentParser) -> None:
@@ -318,16 +333,6 @@ OPTIMIZE_DEFAULTS = {
 }
 
 
-def _optimize_point(task):
-    what, area_odd, area_even, config = task
-    areas, common = (area_odd, area_even), {"seed": config["seed"], "restarts": config["restarts"]}
-    if what == "third-qubit":
-        result = optimize_third_qubit(areas, math.sqrt(config["b2"]), config["min_c2"], **common)
-    else:
-        result = optimize_all_factors(areas, math.sqrt(config["c2"]), config["min_sq"], **common)
-    return result.best_fidelity, result.best_parameters.tolist()
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _merge_config(args, OPTIMIZE_DEFAULTS)
     check_squared_factors(b2=config["b2"], c2=config["c2"])
@@ -338,6 +343,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         family = sop_family(b2=config["b2"], c2=config["c2"])
         grid = _parse_grid(config["grid"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
+        check_simplices(config["restarts"])
         os.makedirs(config["out"], exist_ok=True)
         result = optimize_areas(
             family, (bounds, bounds), seed=config["seed"], restarts=config["restarts"]
@@ -356,29 +362,36 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
     if config["areas"]:
-        points = [[x * math.pi for x in _parse_area_pair(config["areas"])]]
+        # One pair: the optimizer returns scalars and the best protocol.
+        areas = np.array([x * math.pi for x in _parse_area_pair(config["areas"])])
+        points = areas[None]
     else:
         grid = _parse_grid(config["grid"])
         check_grid_points(grid.n_points**2)
         axis = grid.values_radians()
-        points = [(ao, ae) for ao in axis for ae in axis]
+        points = areas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    check_simplices(len(points) * config["restarts"])
     os.makedirs(config["out"], exist_ok=True)
-    tasks = [(what, ao, ae, config) for ao, ae in points]
-    if config["threads"] > 1:
-        with ProcessPoolExecutor(max_workers=config["threads"]) as pool:
-            results = list(pool.map(_optimize_point, tasks, chunksize=8))
+    common = {"seed": config["seed"], "restarts": config["restarts"]}
+    # Every point and restart in one lockstep run.
+    if what == "third-qubit":
+        result = optimize_third_qubit(areas, math.sqrt(config["b2"]), config["min_c2"], **common)
     else:
-        results = [_optimize_point(task) for task in tasks]
+        result = optimize_all_factors(areas, math.sqrt(config["c2"]), config["min_sq"], **common)
+    fidelities = np.reshape(result.best_fidelity, -1).tolist()
+    parameters = np.reshape(result.best_parameters, (-1, 2)).tolist()
     param_names = "c_odd,c_even" if what == "third-qubit" else "phi_odd,phi_even"
-    rows = [(ao / math.pi, ae / math.pi, fid, *p) for (ao, ae), (fid, p) in zip(points, results)]
+    rows = [
+        (ao / math.pi, ae / math.pi, fid, *p)
+        for (ao, ae), fid, p in zip(points.tolist(), fidelities, parameters)
+    ]
     text = _csv_text(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names}", rows)
-    best = max(r[0] for r in results)
     _write_artifact(
         config["out"],
         f"optimized_map_{what.replace('-', '_')}.csv",
         text,
         config,
-        extra={"max_fidelity": best},
+        extra={"max_fidelity": max(fidelities)},
     )
     return EXIT_OK
 
@@ -394,8 +407,8 @@ VALIDATE_DEFAULTS = {
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _merge_config(args, VALIDATE_DEFAULTS)
-    if config["samples"] < 1:
-        raise SopGateError(f"--samples must be at least 1, got {config['samples']}")
+    if not 1 <= config["samples"] <= MAX_SAMPLES:
+        raise SopGateError(f"--samples must be in [1, {MAX_SAMPLES}], got {config['samples']}")
     if not (math.isfinite(config["tolerance"]) and config["tolerance"] > 0):
         raise SopGateError(f"--tolerance must be finite and > 0, got {config['tolerance']!r}")
     os.makedirs(config["out"], exist_ok=True)

@@ -10,8 +10,12 @@ areas on a rectangular grid; their maxima form (possibly rotated) lattices.
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. :func:`sop_family` is the one
 place that turns squared geometrical factors into those vectors. Every
-return amplitude, for one protocol, a map grid or a robustness scan, comes
-from the kernel :func:`sopgate.propagator.block_amplitudes`.
+return amplitude, for one protocol, a b scan, a map grid or a robustness
+scan, comes from the star propagators of :mod:`sopgate.propagator`,
+multiplied by one kernel. Fidelities of rows of protocols (basis axis last:
+single protocols, b scans, optimizer candidates) come from
+:func:`fidelity_from_rows`, those of map grids (basis axis first) from
+:func:`fidelity_from_amplitudes`.
 """
 
 import math
@@ -39,6 +43,7 @@ from .propagator import (  # noqa: F401  star_propagator_batch: see its definiti
     block_amplitudes,
     block_decompose,
     diagonal_amplitudes,
+    register_amplitudes,
     star_propagator_batch,
 )
 
@@ -99,6 +104,17 @@ class GridSpec:
         return self.values_pi() * math.pi
 
 
+def pulse_areas(area_odd, area_even, m_pulses: int = 3) -> list:
+    """Areas of the M alternating pulses: the odd and even totals split equally.
+
+    ``area_odd`` and ``area_even`` are scalars or arrays, in radians.
+    """
+    per_odd = area_odd / ((m_pulses + 1) // 2)
+    # With one pulse there is no even pulse and per_even goes unused.
+    per_even = area_even / max(m_pulses // 2, 1)
+    return [per_odd if k % 2 == 0 else per_even for k in range(m_pulses)]
+
+
 @dataclass(frozen=True)
 class ProtocolFamily:
     """Alternating M-pulse protocol family with fixed structural vectors.
@@ -127,10 +143,7 @@ class ProtocolFamily:
 
     def pulse_areas(self, area_odd, area_even) -> list:
         """Per-pulse areas at total areas ``area_odd``, ``area_even`` (scalars or arrays)."""
-        per_odd = area_odd / ((self.m_pulses + 1) // 2)
-        # With one pulse there is no even pulse and per_even goes unused.
-        per_even = area_even / max(self.m_pulses // 2, 1)
-        return [per_odd if k % 2 == 0 else per_even for k in range(self.m_pulses)]
+        return pulse_areas(area_odd, area_even, self.m_pulses)
 
     def protocol(self, area_odd: float, area_even: float) -> Protocol:
         """Concrete protocol at total areas (radians) split per family rules."""
@@ -243,11 +256,47 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     raise ValueError(f"unknown fidelity definition {definition!r}")
 
 
+def _squared(x) -> np.ndarray:
+    """``x ** 2`` per element by libm ``pow``, as ``np.float64 ** 2`` computes it.
+
+    ``array ** 2`` computes ``x * x`` instead, which differs in the last bit
+    for about 0.1 % of values. The fidelities of single protocols, and with
+    them the optimizer's ties and its output files, have always used ``pow``.
+    """
+    x = np.asarray(x)
+    return np.array([math.pow(v, 2.0) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):
+    """Combine return amplitudes, basis-state axis last, into fidelities in [0, 1].
+
+    ``rows`` has shape (..., 2^n), one protocol per row; the result has shape
+    ``rows.shape[:-1]``. Each row's overlap with the target is one
+    ``np.vecdot``, so a row's fidelity does not depend on the others.
+    """
+    phases = np.asarray(target.phases, dtype=float)
+    d = phases.size
+    rows = np.asarray(rows)
+    if rows.shape[-1] != d:
+        raise SignatureMismatchError(f"{rows.shape[-1]} amplitudes for a {d}-entry signature")
+    overlap = np.vecdot(phases, rows)
+    if definition == "trace-sq":
+        return _squared(np.abs(overlap / d))
+    if definition == "trace":
+        return np.abs(overlap) / d
+    if definition == "average":
+        return (_squared(np.abs(overlap)) + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
+    raise ValueError(f"unknown fidelity definition {definition!r}")
+
+
 def gate_fidelity(
     protocol: Protocol, target: GateSignature, definition: str = "trace-sq"
 ) -> float:
-    """Fidelity of a protocol against a diagonal +-1 target signature."""
-    return float(fidelity_from_amplitudes(diagonal_amplitudes(protocol), target, definition))
+    """Fidelity of a protocol against a diagonal +-1 target signature.
+
+    The one-row case of :func:`fidelity_from_rows`.
+    """
+    return float(fidelity_from_rows(diagonal_amplitudes(protocol), target, definition))
 
 
 def family_diagonal_grid(
@@ -420,14 +469,13 @@ def b_scan(
     modelling approaching atoms without structured light.
     """
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
-    target = cphase_signature(2)
-    area_odd = area_pair_pi[0] * math.pi
-    area_even = area_pair_pi[1] * math.pi
-    out = np.empty(b2_values.shape, dtype=float)
-    for i, b2 in enumerate(b2_values):
-        family = sop_family(b2=b2, orthogonal=orthogonal)
-        out[i] = gate_fidelity(family.protocol(area_odd, area_even), target, definition)
-    return out
+    families = [sop_family(b2=b2, orthogonal=orthogonal) for b2 in b2_values.tolist()]
+    # The odd and even pulse vectors per b^2 point; the pulses run odd, even, odd.
+    odd = np.array([family.vector_odd.components for family in families]).reshape(-1, 2)
+    even = np.array([family.vector_even.components for family in families]).reshape(-1, 2)
+    area_odd, area_even = pulse_areas(area_pair_pi[0] * math.pi, area_pair_pi[1] * math.pi)[:2]
+    amplitudes = register_amplitudes([odd, even], [0.5 * area_odd, 0.5 * area_even], (0, 1, 0))
+    return fidelity_from_rows(amplitudes, cphase_signature(2), definition)
 
 
 def map_csv_text(fmap: FidelityMap) -> str:

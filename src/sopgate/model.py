@@ -211,20 +211,30 @@ def spectator_orthogonal_pair(
         raise NotNormalizedError(
             "no orthogonal partner exists: c_odd^2 + c_even^2 exceeds 1"
         )
-    r_odd = math.sqrt(1.0 - c_odd * c_odd)
-    r_even = math.sqrt(1.0 - c_even * c_even)
-    if r_odd < 1e-12 or r_even < 1e-12:
+    if min(math.sqrt(1.0 - c_odd * c_odd), math.sqrt(1.0 - c_even * c_even)) < 1e-12:
         raise NotNormalizedError("spectator factor of magnitude 1 leaves no gate-qubit coupling")
-    a = math.sqrt(1.0 - b * b - c_odd * c_odd)
-    e_odd = StructuralVector((a, b, c_odd))
+    e_odd, e_even = spectator_orthogonal_rows(b, c_odd, c_even)
+    return StructuralVector(tuple(e_odd.tolist())), StructuralVector(tuple(e_even.tolist()))
+
+
+def spectator_orthogonal_rows(b, c_odd, c_even) -> tuple[np.ndarray, np.ndarray]:
+    """The two vectors of :func:`spectator_orthogonal_pair` as arrays of shape (..., 3).
+
+    Broadcasts over its arguments and checks none of them; where the pair
+    exists, each row holds its components bit for bit.
+    """
+    b, c_odd, c_even = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
+    )
+    r_odd = np.sqrt(1.0 - c_odd * c_odd)
+    r_even = np.sqrt(1.0 - c_even * c_even)
+    a = np.sqrt(1.0 - b * b - c_odd * c_odd)
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)
-    alpha = math.sqrt(max(0.0, 1.0 - beta * beta))
-    e_even = StructuralVector(
-        (
-            r_even * (alpha * (-b_hat) + beta * a_hat),
-            r_even * (alpha * a_hat + beta * b_hat),
-            c_even,
-        )
+    alpha = np.sqrt(np.maximum(0.0, 1.0 - beta * beta))
+    e_even = (
+        r_even * (alpha * (-b_hat) + beta * a_hat),
+        r_even * (alpha * a_hat + beta * b_hat),
+        c_even,
     )
-    return e_odd, e_even
+    return np.stack([a, b, c_odd], axis=-1), np.stack(e_even, axis=-1)

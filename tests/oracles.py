@@ -12,6 +12,10 @@ Each reproduces one expression (c_k = cos th_k, s_k = sin th_k):
 * ``dark_state``: the complement of a coupling, (-b, a)/|v| for v = (a, b);
 * ``dot``, ``negated``: e.f and -e for structural vectors.
 
+``nelder_mead_sequential`` is the optimizer as it ran before the lockstep:
+one scipy Nelder-Mead run per restart on a scalar objective, the oracle the
+lockstep replay must equal bit for bit.
+
 The SOP at b = 0 with areas (pi, 2 pi, pi) is the pi-2pi-pi protocol of
 Jaksch et al., PRL 85, 2208 (2000).
 """
@@ -20,8 +24,22 @@ import math
 
 import numpy as np
 
-from sopgate.errors import DimensionMismatchError, NotNormalizedError, SopGateError, ZeroVectorError
+from sopgate.errors import (
+    DimensionMismatchError,
+    InfeasibleStartError,
+    NotNormalizedError,
+    SopGateError,
+    ZeroVectorError,
+)
 from sopgate.model import Protocol, StructuralVector
+from sopgate.optimize import (
+    DEFAULT_MAX_EVALS,
+    DEFAULT_RESTARTS,
+    FATOL,
+    XATOL,
+    OptimizationResult,
+    _latin_hypercube,
+)
 from sopgate.propagator import _coupling_array, block_amplitudes
 
 
@@ -188,3 +206,63 @@ def u11v_esop_exact(m_pulses: int, theta_odd, theta_even):
     if result.ndim == 0:
         return float(result)
     return result
+
+
+def nelder_mead_sequential(
+    objective,
+    lower,
+    upper,
+    project=None,
+    seed: int = 0,
+    restarts: int = DEFAULT_RESTARTS,
+    max_evals: int = DEFAULT_MAX_EVALS,
+) -> OptimizationResult:
+    """Multistart maximization of a scalar ``objective``, one scipy run per restart.
+
+    Same problem statement as :func:`sopgate.optimize.nelder_mead_constrained`
+    for one problem: proposals are clipped to the box and projected, the
+    starts are the same Latin-hypercube samples, and the best value is the
+    first evaluation that attains the maximum (strict ``>``).
+    """
+    from scipy.optimize import minimize
+
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != upper.shape or np.any(lower > upper):
+        raise InfeasibleStartError("empty parameter box")
+    if restarts < 1:
+        raise InfeasibleStartError(f"restarts must be at least 1, got {restarts}")
+    project = project or (lambda x: x)
+
+    def feasible(x: np.ndarray) -> np.ndarray:
+        return project(np.clip(x, lower, upper))
+
+    evaluations = 0
+    best_val = -np.inf
+    best_x = None
+
+    def negated(x: np.ndarray) -> float:
+        nonlocal evaluations, best_val, best_x
+        xp = feasible(np.asarray(x, dtype=float))
+        val = objective(xp)
+        evaluations += 1
+        if val > best_val:
+            best_val = val
+            best_x = xp.copy()
+        return -val
+
+    rng = np.random.default_rng(seed)
+    starts = _latin_hypercube(rng, restarts, lower, upper)
+    for x0 in starts:
+        minimize(
+            negated,
+            feasible(x0),
+            method="Nelder-Mead",
+            options={"xatol": XATOL, "fatol": FATOL, "maxfev": max_evals, "disp": False},
+        )
+    assert best_x is not None
+    return OptimizationResult(
+        best_parameters=best_x,
+        best_fidelity=objective(best_x),
+        evaluations=evaluations,
+    )

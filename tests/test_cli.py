@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import sopgate.cli
-from sopgate.cli import _write_atomic, main
+from sopgate.cli import MAX_SAMPLES, _write_atomic, main
+from sopgate.optimize import MAX_SIMPLICES
 
 
 def read(path):
@@ -16,6 +20,14 @@ def assert_config_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it would cost the CLI's start-up.
+    code = "import sys, sopgate.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMapCommand:
@@ -345,6 +357,26 @@ class TestOptimizeCommand:
         assert_config_error(capsys, ["optimize", *argv, "--grid=-2:2:2", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["optimize", "--areas=2,2"], ["map", "--grid=-1:1:1"]])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "t"
+        assert_config_error(capsys, command + ["--threads", threads, "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--areas=2,2", "--restarts", str(MAX_SIMPLICES + 1)],
+            ["--grid=-8:8:0.5", "--restarts", str(MAX_SIMPLICES // (33 * 33) + 1)],
+            ["--what", "areas", "--restarts", str(MAX_SIMPLICES + 1)],
+        ],
+    )
+    def test_too_many_point_restarts_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "big"
+        assert_config_error(capsys, ["optimize", *argv, "--out", str(out)])
+        assert not out.exists()
+
     def test_small_optimized_grid(self, tmp_path):
         out = tmp_path / "grid"
         code = main(
@@ -396,6 +428,11 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "--samples" in err
+        assert not out.exists()
+
+    def test_samples_above_limit_rejected(self, tmp_path, capsys):
+        out = tmp_path / "val_big"
+        assert_config_error(capsys, ["validate", "--samples", str(MAX_SAMPLES + 1), "--out", str(out)])
         assert not out.exists()
 
     def test_failure_exit_code(self, tmp_path):

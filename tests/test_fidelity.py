@@ -25,12 +25,14 @@ from sopgate import (
     sop_family,
 )
 from sopgate.fidelity import (
+    FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
     family_diagonal_grid,
+    fidelity_from_rows,
     lattice_report_dict,
     map_csv_text,
 )
-from sopgate.propagator import diagonal_amplitudes
+from sopgate.propagator import diagonal_amplitudes, register_amplitudes
 
 PI = math.pi
 TARGET_2Q = cphase_signature(2)
@@ -100,6 +102,24 @@ class TestGateFidelity:
         average = fidelity_from_amplitudes(diag, TARGET_2Q, "average")
         assert trace == pytest.approx(math.sqrt(trace_sq), abs=1e-12)
         assert 0.0 <= trace_sq <= average <= 1.0
+
+
+class TestFidelityFromRows:
+    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
+    def test_each_row_is_its_gate_fidelity(self, definition):
+        family = sop_family(b2=0.1, c2=0.1)
+        target = cphase_signature(3)
+        areas = np.random.default_rng(2).uniform(-8 * PI, 8 * PI, size=(20, 2))
+        thetas = [0.5 * a for a in family.pulse_areas(areas[:, 0], areas[:, 1])]
+        vectors = [p.vector.components for p in family.protocol(1.0, 1.0).pulses]
+        rows = fidelity_from_rows(register_amplitudes(vectors, thetas), target, definition)
+        assert rows.shape == (20,)
+        for (area_odd, area_even), value in zip(areas, rows):
+            assert value == gate_fidelity(family.protocol(area_odd, area_even), target, definition)
+
+    def test_signature_length_checked(self):
+        with pytest.raises(SignatureMismatchError):
+            fidelity_from_rows(np.ones((3, 4)), cphase_signature(3))
 
 
 class TestFidelityMap:
@@ -293,6 +313,14 @@ class TestBScan:
         near_zero = b2_grid <= 0.05
         assert np.all(f_26[near_zero] < f_22[near_zero])
         assert f_26.max() > 0.99
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_equals_pointwise_gate_fidelity(self, orthogonal):
+        b2_grid = np.arange(0.0, 0.5001, 0.05)
+        scan = b_scan((2.5, -1.5), b2_grid, orthogonal=orthogonal, definition="average")
+        for value, b2 in zip(scan, b2_grid):
+            protocol = sop_family(b2=b2, orthogonal=orthogonal).protocol(2.5 * PI, -1.5 * PI)
+            assert value == gate_fidelity(protocol, TARGET_2Q, "average")
 
     def test_second_pulse_free_protocol(self):
         # (14, 0): no even pulse at all, still high fidelities at some b

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dot
+from oracles import dot, nelder_mead_sequential
 from sopgate import (
+    GridTooLargeError,
     InfeasibleStartError,
+    ProtocolFamily,
+    StructuralVector,
     cphase_signature,
     gate_fidelity,
     nelder_mead_constrained,
@@ -13,17 +16,23 @@ from sopgate import (
     optimize_areas,
     optimize_third_qubit,
     sop_family,
+    spectator_orthogonal_pair,
 )
+from sopgate.fidelity import fidelity_from_rows, pulse_areas
+from sopgate.model import spectator_orthogonal_rows
+from sopgate.optimize import MAX_SIMPLICES, gate_factor_arc, spectator_bounds
+from sopgate.propagator import register_amplitudes
 
 PI = math.pi
 B_01 = math.sqrt(0.1)
 C_01 = math.sqrt(0.1)
+TARGET_3Q = cphase_signature(3)
 
 
 def sphere_problem():
     """Keyword arguments of :func:`nelder_mead_constrained` for a sphere over a box."""
     return dict(
-        objective=lambda x: 1.0 - float(x @ x),
+        objective=lambda x, problem: 1.0 - np.vecdot(x, x),
         lower=np.array([0.1, 0.1]),
         upper=np.array([1.0, 1.0]),
     )
@@ -38,7 +47,8 @@ class TestNelderMead:
     def test_reported_fidelity_reproducible_bit_for_bit(self):
         problem = sphere_problem()
         result = nelder_mead_constrained(**problem, seed=1, restarts=4)
-        assert problem["objective"](result.best_parameters) == result.best_fidelity
+        value = problem["objective"](result.best_parameters[None], np.zeros(1, dtype=int))
+        assert value[0] == result.best_fidelity
 
     def test_deterministic_given_seed(self):
         a = nelder_mead_constrained(**sphere_problem(), seed=42, restarts=6)
@@ -59,6 +69,165 @@ class TestNelderMead:
     def test_evaluation_budget_respected(self):
         result = nelder_mead_constrained(**sphere_problem(), seed=3, restarts=2, max_evals=50)
         assert result.evaluations <= 2 * 55  # scipy may finish the final shrink
+
+    def test_too_many_simplices_refused_before_any_evaluation(self):
+        def refuse(x, problem):
+            raise AssertionError("evaluated before the size check")
+
+        with pytest.raises(GridTooLargeError):
+            nelder_mead_constrained(refuse, [0.0], [1.0], restarts=MAX_SIMPLICES + 1)
+        with pytest.raises(GridTooLargeError):
+            nelder_mead_constrained(refuse, [0.0], [1.0], restarts=2, shape=(MAX_SIMPLICES // 2 + 1,))
+
+
+def assert_same_result(got, want):
+    """Lockstep and sequential results agree bit for bit."""
+    np.testing.assert_array_equal(got.best_parameters, want.best_parameters)
+    assert got.best_fidelity == want.best_fidelity
+    assert got.evaluations == want.evaluations
+
+
+def third_qubit_problem(b, min_c2):
+    """(lower, upper, project) of :func:`optimize_third_qubit`."""
+    c_lo, c_hi = spectator_bounds(b, min_c2)
+
+    def project(x):
+        return np.where(x < 0, -1.0, 1.0) * np.clip(np.abs(x), c_lo, c_hi)
+
+    return [-c_hi, -c_hi], [c_hi, c_hi], project
+
+
+def all_factors_problem(c_fixed, min_sq):
+    """(lower, upper, project) of :func:`optimize_all_factors`."""
+    _, phi_lo, phi_hi = gate_factor_arc(c_fixed, min_sq)
+
+    def project(x):
+        base = np.mod(x, 2.0 * PI)
+        frac = np.mod(base, 0.5 * PI)
+        return base - frac + np.clip(frac, phi_lo, phi_hi)
+
+    return [0.0, 0.0], [2.0 * PI] * 2, project
+
+
+def third_qubit_fidelity(b, areas):
+    """The scalar objective of one point, built from protocol objects."""
+
+    def objective(x):
+        family = ProtocolFamily(*spectator_orthogonal_pair(b, x[0], x[1]))
+        return gate_fidelity(family.protocol(*areas), TARGET_3Q)
+
+    return objective
+
+
+def all_factors_fidelity(c_fixed, areas):
+    radius = math.sqrt(1.0 - c_fixed * c_fixed)
+
+    def objective(x):
+        e_odd, e_even = (
+            StructuralVector((radius * math.cos(phi), radius * math.sin(phi), c_fixed)) for phi in x
+        )
+        return gate_fidelity(ProtocolFamily(e_odd, e_even).protocol(*areas), TARGET_3Q)
+
+    return objective
+
+
+def grid_points(seed, n=40):
+    """``n`` area pairs drawn from the default optimize grid -8:8:0.5 (radians)."""
+    axis = PI * (-8.0 + 0.5 * np.arange(33))
+    return np.random.default_rng(seed).choice(axis, size=(n, 2))
+
+
+class TestLockstepEqualsSequential:
+    """The lockstep replay against one scipy run per restart and point (``oracles.py``)."""
+
+    @pytest.mark.parametrize(
+        "seed, restarts, max_evals",
+        [(1, 4, 2000), (42, 6, 2000), (3, 2, 50), (5, 3, 7), (0, 2, 2), (7, 1, 1)],
+    )
+    def test_sphere(self, seed, restarts, max_evals):
+        problem = sphere_problem()
+        got = nelder_mead_constrained(**problem, seed=seed, restarts=restarts, max_evals=max_evals)
+        want = nelder_mead_sequential(
+            lambda x: 1.0 - float(x @ x),
+            problem["lower"],
+            problem["upper"],
+            seed=seed,
+            restarts=restarts,
+            max_evals=max_evals,
+        )
+        assert_same_result(got, want)
+
+    def test_batch_of_problems_keeps_its_shape(self):
+        centers = np.random.default_rng(8).uniform(-1.0, 2.0, size=(2, 3, 2)).reshape(-1, 2)
+
+        def objective(x, problem):
+            d = x - centers[problem]
+            return 1.0 - np.vecdot(d, d)
+
+        got = nelder_mead_constrained(objective, [0.1, 0.1], [1.0, 1.0], seed=2, restarts=3, shape=(2, 3))
+        assert got.best_parameters.shape == (2, 3, 2)
+        assert got.best_fidelity.shape == got.evaluations.shape == (2, 3)
+        for index, center in enumerate(centers):
+            want = nelder_mead_sequential(
+                lambda x: 1.0 - float((x - center) @ (x - center)), [0.1, 0.1], [1.0, 1.0], seed=2, restarts=3
+            )
+            i, j = divmod(index, 3)
+            np.testing.assert_array_equal(got.best_parameters[i, j], want.best_parameters)
+            assert got.best_fidelity[i, j] == want.best_fidelity
+            assert got.evaluations[i, j] == want.evaluations
+
+    def test_third_qubit_grid_points(self):
+        areas = grid_points(seed=11)
+        got = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=4, restarts=2)
+        lower, upper, project = third_qubit_problem(B_01, 0.1)
+        for k, point in enumerate(areas):
+            want = nelder_mead_sequential(
+                third_qubit_fidelity(B_01, point), lower, upper, project, seed=4, restarts=2
+            )
+            np.testing.assert_array_equal(got.best_parameters[k], want.best_parameters)
+            assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
+
+    def test_all_factors_grid_points(self):
+        areas = grid_points(seed=12)
+        got = optimize_all_factors(areas, c_fixed=C_01, min_sq=0.1, seed=5, restarts=2)
+        lower, upper, project = all_factors_problem(C_01, 0.1)
+        for k, point in enumerate(areas):
+            want = nelder_mead_sequential(
+                all_factors_fidelity(C_01, point), lower, upper, project, seed=5, restarts=2
+            )
+            np.testing.assert_array_equal(got.best_parameters[k], want.best_parameters)
+            assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
+
+    def test_exhausted_budget_on_grid_points(self):
+        # Every restart stops on max_evals, not on convergence.
+        areas = grid_points(seed=13, n=8)
+        lower, upper, project = third_qubit_problem(B_01, 0.1)
+
+        def objective(x, problem):
+            odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+            thetas = [0.5 * a for a in pulse_areas(areas[problem, 0], areas[problem, 1])]
+            return fidelity_from_rows(register_amplitudes([odd, even, odd], thetas), TARGET_3Q)
+
+        got = nelder_mead_constrained(
+            objective, lower, upper, project, seed=6, restarts=3, max_evals=23, shape=(len(areas),)
+        )
+        assert np.all(got.evaluations == 3 * 23)
+        for k, point in enumerate(areas):
+            want = nelder_mead_sequential(
+                third_qubit_fidelity(B_01, point), lower, upper, project, seed=6, restarts=3, max_evals=23
+            )
+            np.testing.assert_array_equal(got.best_parameters[k], want.best_parameters)
+            assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
+
+    def test_single_point_is_its_grid_row(self):
+        areas = grid_points(seed=14, n=3)
+        grid = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=1, restarts=3)
+        for k, point in enumerate(areas):
+            single = optimize_third_qubit(tuple(point), b=B_01, min_c2=0.1, seed=1, restarts=3)
+            assert isinstance(single.best_fidelity, float) and isinstance(single.evaluations, int)
+            np.testing.assert_array_equal(single.best_parameters, grid.best_parameters[k])
+            assert (single.best_fidelity, single.evaluations) == (grid.best_fidelity[k], grid.evaluations[k])
+            assert gate_fidelity(single.best_protocol, TARGET_3Q) == single.best_fidelity
 
 
 class TestOptimizeAreas:

@@ -33,6 +33,7 @@ from sopgate.propagator import (
     block_amplitudes,
     block_decompose,
     diagonal_amplitudes,
+    register_amplitudes,
     sequence_amplitude,
     star_propagator,
 )
@@ -79,6 +80,17 @@ class TestStarPropagator:
 
     def test_zero_coupling_is_identity(self):
         np.testing.assert_array_equal(star_propagator((0.0, 0.0), 2.0), np.eye(3))
+
+    def test_broadcast_over_couplings_equals_rows(self):
+        rng = np.random.default_rng(3)
+        couplings = rng.normal(size=(5, 4, 3))
+        couplings[1, 2] = 0.0  # a zero row gives the identity
+        thetas = rng.uniform(-8 * PI, 8 * PI, size=(5, 1))
+        batch = star_propagator(couplings, thetas)
+        assert batch.shape == (5, 4, 4, 4)
+        for i, j in itertools.product(range(5), range(4)):
+            np.testing.assert_array_equal(batch[i, j], star_propagator(couplings[i, j], thetas[i, 0]))
+        np.testing.assert_array_equal(batch[1, 2], np.eye(4))
 
     def test_matches_matrix_exponential(self):
         # oracle: direct exponentiation of the star Hamiltonian
@@ -303,6 +315,17 @@ class TestBlockAmplitudes:
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         block_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
         assert calls == [0.1, 0.2, 0.3]
+
+    def test_register_amplitudes_equal_blocks_row_by_row(self):
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(4, 6, 3))  # pulse, row, qubit
+        thetas = [rng.uniform(-8 * PI, 8 * PI, size=6) for _ in range(4)]
+        amps = register_amplitudes(vectors, thetas)
+        assert amps.shape == (6, 8)
+        for row in range(6):
+            for j, label in enumerate(basis_labels(3)):
+                zq = [i for i, ch in enumerate(label) if ch == "0"]
+                assert amps[row, j] == block_amplitudes(vectors[:, row, zq], [t[row] for t in thetas])
 
     def test_empty_sequence_is_identity(self):
         assert block_amplitudes(np.zeros((0, 2)), []) == 1.0
