@@ -60,6 +60,6 @@ from .tdse import (
     integrate_block,
     validate_protocol,
 )
-from .propagator import block_amplitudes, sequence_amplitude, star_propagator
+from .propagator import sequence_amplitude, star_propagator
 
 __version__ = "0.1.0"

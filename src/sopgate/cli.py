@@ -67,6 +67,10 @@ EXIT_VALIDATION = 3
 #: and a report of some megabytes.
 MAX_SAMPLES = 10_000
 
+#: Most pulses of a ``map`` or ``esop-map`` family: about ten seconds of work
+#: on the default grid, where the paper's sequences have at most five.
+MAX_PULSES = 64
+
 
 def _write_atomic(path: str, data: str) -> None:
     """Write to a unique temporary file next to ``path``, then rename it over ``path``."""
@@ -128,6 +132,14 @@ def _scan_axis(config: dict, name: str, symmetric: bool) -> np.ndarray:
     start, stop = -top if symmetric else 0.0, top + step / 2
     check_grid_points((stop - start) / step)
     return np.arange(start, stop, step)
+
+
+def _refuse_shared_names(outputs) -> None:
+    """Refuse different inputs that would write one file; ``outputs`` holds (input, name) pairs."""
+    owners = {}
+    for value, name in outputs:
+        if owners.setdefault(name, value) != value:
+            raise SopGateError(f"{owners[name]!r} and {value!r} would both write {name}")
 
 
 def _parse_area_pair(text: str) -> tuple[float, float]:
@@ -230,6 +242,8 @@ def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
     config = _merge_config(args, MAP_DEFAULTS)
     if m_required and config["pulses"] < 2:
         raise SopGateError("esop-map needs --pulses >= 2")
+    if config["pulses"] > MAX_PULSES:
+        raise SopGateError(f"--pulses must be at most {MAX_PULSES}, got {config['pulses']}")
     family = sop_family(
         b2=config["b2"],
         c2=config["c2"],
@@ -275,8 +289,10 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     area_odd, area_even = _parse_area_pair(config["areas"])
     deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
+    stems = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
+    _refuse_shared_names(zip(b2_list, stems))
     os.makedirs(config["out"], exist_ok=True)
-    for b2, family in zip(b2_list, families):
+    for b2, family, stem in zip(b2_list, families, stems):
         protocol = family.protocol(area_odd * math.pi, area_even * math.pi)
         curves = robustness_scan(protocol, deltas)
         text = _csv_text(
@@ -285,7 +301,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         )
         run_config = dict(config)
         run_config["b2"] = b2
-        _write_artifact(config["out"], f"robustness_b2_{b2:g}.csv", text, run_config)
+        _write_artifact(config["out"], stem, text, run_config)
     return EXIT_OK
 
 
@@ -306,14 +322,15 @@ def cmd_bscan(args: argparse.Namespace) -> int:
     b2_grid = _scan_axis(config, "b2", symmetric=False)
     if b2_grid[-1] > 1.0:
         raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
+    stems = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
+    _refuse_shared_names(zip(pairs, stems))
     os.makedirs(config["out"], exist_ok=True)
-    for pair_text, pair in zip(config["areas"], pairs):
+    for pair_text, pair, stem in zip(config["areas"], pairs, stems):
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
         text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
         run_config = dict(config)
         run_config["areas"] = pair_text
-        stem = f"bscan_{pair[0]:g}_{pair[1]:g}.csv".replace("-", "m")
         _write_artifact(config["out"], stem, text, run_config)
     return EXIT_OK
 

@@ -11,11 +11,11 @@ Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. :func:`sop_family` is the one
 place that turns squared geometrical factors into those vectors. Every
 return amplitude, for one protocol, a b scan, a map grid or a robustness
-scan, comes from the star propagators of :mod:`sopgate.propagator`,
-multiplied by one kernel. Fidelities of rows of protocols (basis axis last:
-single protocols, b scans, optimizer candidates) come from
-:func:`fidelity_from_rows`, those of map grids (basis axis first) from
-:func:`fidelity_from_amplitudes`.
+scan, comes from one :func:`~sopgate.propagator.register_amplitudes` call.
+Fidelities of rows of protocols (basis axis last: single protocols, b scans,
+optimizer candidates) come from :func:`fidelity_from_rows`, those of map
+grids (basis axis first) from :func:`fidelity_from_amplitudes`; each
+formula's order of summation defines the published bits of its outputs.
 """
 
 import math
@@ -39,8 +39,7 @@ from .model import (
     cphase_signature,
     spectator_orthogonal_pair,
 )
-from .propagator import (  # noqa: F401  star_propagator_batch: see its definition
-    block_amplitudes,
+from .propagator import (  # noqa: F401  block_decompose, star_propagator_batch: bench shims
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -104,15 +103,14 @@ class GridSpec:
         return self.values_pi() * math.pi
 
 
-def pulse_areas(area_odd, area_even, m_pulses: int = 3) -> list:
-    """Areas of the M alternating pulses: the odd and even totals split equally.
+def pulse_areas(area_odd, area_even, m_pulses: int = 3) -> tuple:
+    """Areas of each odd and of each even pulse of M alternating pulses.
 
-    ``area_odd`` and ``area_even`` are scalars or arrays, in radians.
+    The odd and even totals ``area_odd`` and ``area_even``, scalars or arrays
+    in radians, are split equally over the odd and the even pulses.
     """
-    per_odd = area_odd / ((m_pulses + 1) // 2)
-    # With one pulse there is no even pulse and per_even goes unused.
-    per_even = area_even / max(m_pulses // 2, 1)
-    return [per_odd if k % 2 == 0 else per_even for k in range(m_pulses)]
+    # With one pulse there is no even pulse and its area goes unused.
+    return area_odd / ((m_pulses + 1) // 2), area_even / max(m_pulses // 2, 1)
 
 
 @dataclass(frozen=True)
@@ -141,17 +139,20 @@ class ProtocolFamily:
     def n_qubits(self) -> int:
         return self.vector_odd.dimension
 
-    def pulse_areas(self, area_odd, area_even) -> list:
-        """Per-pulse areas at total areas ``area_odd``, ``area_even`` (scalars or arrays)."""
-        return pulse_areas(area_odd, area_even, self.m_pulses)
+    def amplitudes(self, area_odd, area_even) -> np.ndarray:
+        """Return amplitudes at total areas ``area_odd``, ``area_even`` (radians, broadcasting).
+
+        One :func:`register_amplitudes` call on the odd and even vectors, alternating.
+        """
+        thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, self.m_pulses)]
+        vectors = [self.vector_odd.components, self.vector_even.components]
+        return register_amplitudes(vectors, thetas, [k % 2 for k in range(self.m_pulses)])
 
     def protocol(self, area_odd: float, area_even: float) -> Protocol:
         """Concrete protocol at total areas (radians) split per family rules."""
+        areas = pulse_areas(area_odd, area_even, self.m_pulses)
         vectors = (self.vector_odd, self.vector_even)
-        pulses = tuple(
-            Pulse(area, vectors[k % 2])
-            for k, area in enumerate(self.pulse_areas(area_odd, area_even))
-        )
+        pulses = tuple(Pulse(areas[k % 2], vectors[k % 2]) for k in range(self.m_pulses))
         return Protocol(pulses=pulses, n_qubits=self.n_qubits)
 
     def meta(self) -> dict:
@@ -256,36 +257,29 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     raise ValueError(f"unknown fidelity definition {definition!r}")
 
 
-def _squared(x) -> np.ndarray:
-    """``x ** 2`` per element by libm ``pow``, as ``np.float64 ** 2`` computes it.
-
-    ``array ** 2`` computes ``x * x`` instead, which differs in the last bit
-    for about 0.1 % of values. The fidelities of single protocols, and with
-    them the optimizer's ties and its output files, have always used ``pow``.
-    """
-    x = np.asarray(x)
-    return np.array([math.pow(v, 2.0) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):
     """Combine return amplitudes, basis-state axis last, into fidelities in [0, 1].
 
     ``rows`` has shape (..., 2^n), one protocol per row; the result has shape
     ``rows.shape[:-1]``. Each row's overlap with the target is one
-    ``np.vecdot``, so a row's fidelity does not depend on the others.
+    ``np.vecdot`` over a contiguous row, so it depends neither on the other
+    rows nor on their memory layout. Overlaps are squared by libm ``pow``
+    (``np.float_power``), as the optimizer's ties and files always were;
+    ``x * x`` differs in the last bit for about 0.1 % of values.
     """
     phases = np.asarray(target.phases, dtype=float)
     d = phases.size
-    rows = np.asarray(rows)
+    rows = np.ascontiguousarray(rows)
     if rows.shape[-1] != d:
         raise SignatureMismatchError(f"{rows.shape[-1]} amplitudes for a {d}-entry signature")
     overlap = np.vecdot(phases, rows)
     if definition == "trace-sq":
-        return _squared(np.abs(overlap / d))
+        return np.float_power(np.abs(overlap / d), 2.0)
     if definition == "trace":
         return np.abs(overlap) / d
     if definition == "average":
-        return (_squared(np.abs(overlap)) + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
+        squares = np.float_power(np.abs(overlap), 2.0)
+        return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
     raise ValueError(f"unknown fidelity definition {definition!r}")
 
 
@@ -304,21 +298,15 @@ def family_diagonal_grid(
 ) -> np.ndarray:
     """Return amplitudes of every basis state over an area grid.
 
-    Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex:
-    one :func:`block_amplitudes` call per basis state. Odd pulses depend only
-    on the odd area and even pulses only on the even one, so the angles go
-    in on the axes, shaped (n_odd, 1) and (1, n_even): each star propagator
-    is built once per axis value, and only the pulse products broadcast to
-    the full grid. Every amplitude equals the pointwise one bit for bit.
+    Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex
+    and contiguous: one :meth:`ProtocolFamily.amplitudes` call with the areas
+    on the axes, shaped (n_odd, 1) and (1, n_even), so each star propagator
+    is built once per axis value. Every amplitude equals the pointwise one
+    bit for bit.
     """
     area_o = np.asarray(area_odd_grid)[:, None]
     area_e = np.asarray(area_even_grid)[None, :]
-    thetas = [0.5 * a for a in family.pulse_areas(area_o, area_e)]
-    blocks = block_decompose(family.protocol(1.0, 1.0))
-    diag = np.empty((len(blocks), area_o.size, area_e.size), dtype=complex)
-    for j, block in enumerate(blocks):
-        diag[j] = block_amplitudes(block.couplings, thetas)
-    return diag
+    return np.moveaxis(family.amplitudes(area_o, area_e), -1, 0)
 
 
 def fidelity_map(
@@ -445,14 +433,13 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     if protocol.n_qubits != 2:
         raise DimensionMismatchError("robustness scan is defined for 2-qubit protocols")
     delta = np.atleast_1d(np.asarray(delta_grid, dtype=float))
+    vectors = [pulse.vector.components for pulse in protocol.pulses]
     thetas = [
         0.5 * (pulse.area + (delta if k % 2 == 0 else 2.0 * delta))
         for k, pulse in enumerate(protocol.pulses)
     ]
-    # The blocks come in basis order: 00, 01, 10, then the inert 11.
-    u11v, u11a, u11b = (
-        block_amplitudes(block.couplings, thetas).real for block in block_decompose(protocol)[:3]
-    )
+    # Basis order: 00, 01, 10, then the inert 11.
+    u11v, u11a, u11b = register_amplitudes(vectors, thetas)[:, :3].real.T
     return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)
 
 
@@ -473,7 +460,7 @@ def b_scan(
     # The odd and even pulse vectors per b^2 point; the pulses run odd, even, odd.
     odd = np.array([family.vector_odd.components for family in families]).reshape(-1, 2)
     even = np.array([family.vector_even.components for family in families]).reshape(-1, 2)
-    area_odd, area_even = pulse_areas(area_pair_pi[0] * math.pi, area_pair_pi[1] * math.pi)[:2]
+    area_odd, area_even = pulse_areas(area_pair_pi[0] * math.pi, area_pair_pi[1] * math.pi)
     amplitudes = register_amplitudes([odd, even], [0.5 * area_odd, 0.5 * area_even], (0, 1, 0))
     return fidelity_from_rows(amplitudes, cphase_signature(2), definition)
 

@@ -306,11 +306,9 @@ def optimize_areas(
     ``bounds`` is ((odd_lo, odd_hi), (even_lo, even_hi)).
     """
     target = cphase_signature(family.n_qubits)
-    vectors = [p.vector.components for p in family.protocol(1.0, 1.0).pulses]
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        thetas = [0.5 * a for a in family.pulse_areas(x[:, 0], x[:, 1])]
-        return fidelity_from_rows(register_amplitudes(vectors, thetas), target)
+        return fidelity_from_rows(family.amplitudes(x[:, 0], x[:, 1]), target)
 
     lower, upper = zip(*bounds)
     result = nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
@@ -332,7 +330,7 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, family, seed,
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         # The distinct pulses, odd and even, in the order odd, even, odd.
-        area_odd, area_even = pulse_areas(pairs[problem, 0], pairs[problem, 1])[:2]
+        area_odd, area_even = pulse_areas(pairs[problem, 0], pairs[problem, 1])
         thetas = [0.5 * area_odd, 0.5 * area_even]
         return fidelity_from_rows(register_amplitudes(vectors(x), thetas, (0, 1, 0)), target)
 

@@ -9,30 +9,24 @@ frozen. Propagators are returned as plain complex ndarrays over the block
 basis {ground, r_1, ..., r_n}.
 
 One formula, :func:`star_propagator`, gives a pulse's propagator and
-broadcasts over arrays of couplings and mixing angles. A block's propagators
-are multiplied in pulse order and its ground-state return amplitude read off
-in one place, ``_ground_return``. :func:`block_amplitudes` does this for one
-block, with each pulse's propagators built on its own axes (fidelity maps,
-robustness scans, the time-domain check); :func:`register_amplitudes` does it
-for every block of a register at once, stacking the blocks of one dimension
-(single protocols, b scans, optimizer candidates). The closed-form
-amplitudes they are checked against live with the tests, in
-``tests/oracles.py``.
+broadcasts over arrays of couplings and mixing angles. One kernel,
+:func:`register_amplitudes`, multiplies them in pulse order and reads off
+each block's ground-state return amplitude, for every block of a register
+at once. Fidelity maps, robustness scans, b scans, optimizer candidates and
+single protocols (:func:`diagonal_amplitudes`, :func:`sequence_amplitude`)
+all take their amplitudes from it; :func:`block_decompose` lists the blocks
+for the time-domain check. The closed-form amplitudes the kernel is checked
+against live with the tests, in ``tests/oracles.py``.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .model import Protocol, StructuralVector, basis_labels
-
-
-def _coupling_array(coupling) -> np.ndarray:
-    if isinstance(coupling, StructuralVector):
-        return coupling.as_array()
-    return np.atleast_1d(np.asarray(coupling, dtype=float))
+from .model import Protocol, basis_labels
 
 
 def star_propagator(coupling, theta) -> np.ndarray:
@@ -46,14 +40,14 @@ def star_propagator(coupling, theta) -> np.ndarray:
     * U[0, 1 + i]     = i (v_i / s) sin(s*theta)   (symmetric)
     * U[1 + i, 1 + j] = delta_ij + (v_i v_j / s^2)(cos(s*theta) - 1)
 
-    ``coupling`` (array_like of shape (..., n), or a StructuralVector) holds
-    the real, not necessarily normalized, factors of the block's |0> qubits,
-    one coupling per row; a zero or empty coupling gives the identity. The
-    result broadcasts over the coupling rows and ``theta``: its shape is
+    ``coupling`` (array_like of shape (..., n)) holds the real, not
+    necessarily normalized, factors of the block's |0> qubits, one coupling
+    per row; a zero or empty coupling gives the identity. The result
+    broadcasts over the coupling rows and ``theta``: its shape is
     ``broadcast(coupling.shape[:-1], theta.shape) + (1 + n, 1 + n)``, and
     each matrix equals the one of its row and angle alone bit for bit.
     """
-    v = _coupling_array(coupling)
+    v = np.atleast_1d(np.asarray(coupling, dtype=float))
     theta = np.asarray(theta, dtype=float)
     dim = v.shape[-1] + 1
     # Per row, np.vecdot computes what ``v @ v`` does for a 1-D vector.
@@ -77,33 +71,6 @@ def star_propagator(coupling, theta) -> np.ndarray:
 # The batched form was once a separate formula; the name stays importable
 # (here and in ``sopgate.fidelity``) for the span shims of bench/spans.py.
 star_propagator_batch = star_propagator
-
-
-def _ground_return(propagators) -> np.ndarray:
-    """U[0, 0] of U = U_M ... U_2 U_1, the per-pulse propagators multiplied in pulse order."""
-    if len(propagators) == 0:  # no pulses: the identity
-        return np.array(1.0 + 0.0j)
-    u_tot = propagators[0]
-    for u_k in propagators[1:]:
-        u_tot = u_k @ u_tot
-    return u_tot[..., 0, 0]
-
-
-def block_amplitudes(couplings, thetas) -> np.ndarray:
-    """Ground-state return amplitude of one blockade block after a pulse sequence.
-
-    ``couplings[k]`` is the block's coupling in pulse k, one vector or an
-    array of them with shape (..., n), and ``thetas[k]`` that pulse's mixing
-    angle, a scalar or an array; the coupling rows and angles of all pulses
-    must broadcast to one shape. Each pulse's star propagators are built on
-    its own shapes, so angles that vary along different axes, like the odd
-    and even areas of a map, cost one propagator per axis value. The
-    propagators are multiplied in pulse order, U = U_M ... U_2 U_1, and
-    U[0, 0] is returned with the broadcast shape (0-d for one coupling and
-    scalar angles).
-    """
-    pulses = zip(couplings, thetas, strict=True)
-    return _ground_return([star_propagator(coupling, theta) for coupling, theta in pulses])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +120,9 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     return blocks
 
 
-def sequence_amplitude(protocol: Protocol, basis_state: str) -> complex:
-    """Amplitude for ``basis_state`` to return to itself after the full sequence.
-
-    Composes the per-pulse propagators inside the state's block and returns
-    the ground-ground element of the product.
-    """
-    zq = _zero_positions(basis_state, protocol.n_qubits)
-    thetas = [p.theta for p in protocol.pulses]
-    return complex(block_amplitudes(_pulse_couplings(protocol)[:, zq], thetas))
+#: Bytes of the largest pulse product :func:`register_amplitudes` forms at once:
+#: larger temporaries take fresh pages on every product (10 % of a 3-qubit map).
+_PRODUCT_BYTES = 2**24
 
 
 def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
@@ -172,27 +133,56 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     angles of all pulses broadcast to one batch shape. ``order`` lists the
     pulses in time order as indices into ``vectors`` and ``thetas``, which
     then hold each distinct pulse once; by default the pulses are
-    ``vectors[0], vectors[1], ...``. The blocks of one dimension, the basis
-    states with equally many |0> qubits, are stacked, and one
-    :func:`star_propagator` call builds their propagators for every distinct
-    pulse at once. The result has shape batch + (2^n,), in
-    :func:`basis_labels` order, and every amplitude equals the one of its
-    block and row alone (:func:`block_amplitudes`) bit for bit.
+    ``vectors[0], vectors[1], ...``.
+
+    The blocks of one dimension, the basis states with equally many |0>
+    qubits, are stacked, and each distinct pulse's propagators are built on
+    its own angle shape: angles on separate axes, like a map's odd and even
+    areas, cost one propagator per axis value. Pulses with angles of one
+    shape share a :func:`star_propagator` call. The propagators are
+    multiplied in pulse order, U = U_M ... U_2 U_1, and U[0, 0] is read off.
+    The result has shape batch + (2^n,), in :func:`basis_labels` order; with
+    pulses it is a view of a contiguous basis-first array. Each amplitude
+    equals the one of its block and row alone bit for bit.
     """
     vectors = np.asarray(vectors, dtype=float)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
-    batch = np.broadcast_shapes(vectors.shape[1:-1], *(np.shape(theta) for theta in thetas))
-    out = np.ones(batch + (2**n_qubits,), dtype=complex)
-    if n_pulses == 0:
-        return out
-    # Axes (pulse, *batch, block, qubit) and (pulse, *batch, block).
-    vectors = np.stack([np.broadcast_to(v, batch + (n_qubits,)) for v in vectors])
-    thetas = np.stack([np.broadcast_to(theta, batch) for theta in thetas])[..., None]
+    thetas = [np.asarray(theta, dtype=float) for theta in thetas]
+    if len(thetas) != n_pulses:
+        raise DimensionMismatchError(f"{n_pulses} pulse vectors but {len(thetas)} angles")
+    batch = np.broadcast_shapes(vectors.shape[1:-1], *(theta.shape for theta in thetas))
     order = range(n_pulses) if order is None else order
-    for states, qubits in _blocks_by_dimension(n_qubits):
-        propagators = star_propagator(vectors[..., qubits], thetas)
-        out[..., states] = _ground_return([propagators[k] for k in order])
-    return out
+    if len(order) == 0:  # no pulses: the identity
+        return np.ones(batch + (2**n_qubits,), dtype=complex)
+    # Rows are written largest blocks first, each taking memory only then.
+    out = np.empty((2**n_qubits,) + batch, dtype=complex)
+    # Vectors (pulse, *batch, qubit) and angles (pulse, block, *batch), batch
+    # axes padded to the batch's length; pulses with one angle shape are stacked.
+    padding = (1,) * (len(batch) + 2 - vectors.ndim)
+    vectors = vectors.reshape((n_pulses,) + padding + vectors.shape[1:])
+    by_shape = {}
+    for k, theta in enumerate(thetas):
+        by_shape.setdefault((1,) * (len(batch) - theta.ndim) + theta.shape, []).append(k)
+    stacks = [
+        (pulses, vectors[pulses], np.stack([thetas[k].reshape((1,) + shape) for k in pulses]))
+        for shape, pulses in by_shape.items()
+    ]
+    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
+    block_first = (0, len(batch) + 1, *range(1, len(batch) + 1), len(batch) + 2)
+    for states, qubits in reversed(_blocks_by_dimension(n_qubits)):
+        propagators = {}
+        for pulses, pulse_vectors, pulse_thetas in stacks:
+            couplings = pulse_vectors[..., qubits].transpose(block_first)
+            propagators.update(zip(pulses, star_propagator(couplings, pulse_thetas)))
+        dim = qubits.shape[1] + 1
+        step = max(1, _PRODUCT_BYTES // (16 * dim * dim * math.prod(batch)))
+        for lo in range(0, len(states), step):
+            u_tot = propagators[order[0]][lo : lo + step]
+            for k in order[1:]:
+                u_tot = propagators[k][lo : lo + step] @ u_tot
+            out[states[lo : lo + step]] = u_tot[..., 0, 0]
+    out[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
+    return out.transpose((*range(1, out.ndim), 0))
 
 
 @functools.cache
@@ -215,3 +205,9 @@ def _blocks_by_dimension(n_qubits: int) -> tuple[tuple[list[int], np.ndarray], .
 def diagonal_amplitudes(protocol: Protocol) -> np.ndarray:
     """Return amplitudes of all computational states, in basis_labels order."""
     return register_amplitudes(_pulse_couplings(protocol), [p.theta for p in protocol.pulses])
+
+
+def sequence_amplitude(protocol: Protocol, basis_state: str) -> complex:
+    """Amplitude for ``basis_state`` to return to itself: its :func:`diagonal_amplitudes` entry."""
+    _zero_positions(basis_state, protocol.n_qubits)
+    return complex(diagonal_amplitudes(protocol)[basis_labels(protocol.n_qubits).index(basis_state)])

@@ -40,7 +40,7 @@ from sopgate.optimize import (
     OptimizationResult,
     _latin_hypercube,
 )
-from sopgate.propagator import _coupling_array, block_amplitudes
+from sopgate.propagator import star_propagator
 
 
 class UnsupportedPulseCountError(SopGateError):
@@ -53,6 +53,13 @@ class NoDarkSubspaceError(SopGateError):
 
 class LengthMismatchError(SopGateError):
     """A per-pulse argument does not have one entry per pulse."""
+
+
+def _coupling_array(coupling) -> np.ndarray:
+    """A coupling, StructuralVector or array_like, as a 1-D float array."""
+    if isinstance(coupling, StructuralVector):
+        return coupling.as_array()
+    return np.atleast_1d(np.asarray(coupling, dtype=float))
 
 
 def dot(u: StructuralVector, v: StructuralVector) -> float:
@@ -201,8 +208,10 @@ def u11v_esop_exact(m_pulses: int, theta_odd, theta_even):
         raise UnsupportedPulseCountError("need at least one pulse")
     thetas = np.broadcast_arrays(theta_odd, theta_even)
     couplings = ((1.0, 0.0), (0.0, 1.0))
-    order = [k % 2 for k in range(m_pulses)]
-    result = block_amplitudes([couplings[i] for i in order], [thetas[i] for i in order]).real
+    u_tot = np.eye(3, dtype=complex)
+    for k in range(m_pulses):
+        u_tot = star_propagator(couplings[k % 2], thetas[k % 2]) @ u_tot
+    result = u_tot[..., 0, 0].real
     if result.ndim == 0:
         return float(result)
     return result

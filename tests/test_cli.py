@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sopgate.cli
-from sopgate.cli import MAX_SAMPLES, _write_atomic, main
+from sopgate.cli import MAX_PULSES, MAX_SAMPLES, _write_atomic, main
 from sopgate.optimize import MAX_SIMPLICES
 
 
@@ -253,6 +253,13 @@ class TestEsopMapCommand:
         assert_config_error(capsys, ["esop-map", "--pulses", "1", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["map", "esop-map"])
+    @pytest.mark.parametrize("pulses", [MAX_PULSES + 1, 10**9])
+    def test_pulse_count_capped(self, tmp_path, capsys, command, pulses):
+        out = tmp_path / "many"
+        assert_config_error(capsys, [command, "--pulses", str(pulses), "--out", str(out)])
+        assert not out.exists()
+
     def test_pulse_count_required(self, tmp_path):
         out = tmp_path / "e"
         code = main(
@@ -275,8 +282,26 @@ class TestRobustnessCommand:
             assert float(middle[0]) == pytest.approx(0.0)
             assert float(middle[1]) == pytest.approx(-1.0, abs=1e-9)
 
+    def test_overlaps_sharing_a_file_name_refused(self, tmp_path, capsys):
+        out = tmp_path / "rob"
+        assert_config_error(capsys, ["robustness", "--b2", "0.1,0.1000001", "--out", str(out)])
+        assert not out.exists()
+
+    def test_repeated_overlap_writes_its_one_file(self, tmp_path):
+        out = tmp_path / "rob"
+        argv = ["robustness", "--b2", "0.1,0.1", "--delta-step", "0.25", "--out", str(out)]
+        assert main(argv) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["robustness_b2_0.1.csv", "robustness_b2_0.1.json"]
+
 
 class TestBscanCommand:
+    def test_area_pairs_sharing_a_file_name_refused(self, tmp_path, capsys):
+        out = tmp_path / "bs"
+        argv = ["bscan", "--areas=2,2", "--areas=2.0000001,2", "--out", str(out)]
+        assert_config_error(capsys, argv)
+        assert not out.exists()
+
     def test_orthogonal_and_mirrored_columns(self, tmp_path):
         out = tmp_path / "bs"
         code = main(

@@ -32,7 +32,7 @@ from sopgate.fidelity import (
     lattice_report_dict,
     map_csv_text,
 )
-from sopgate.propagator import diagonal_amplitudes, register_amplitudes
+from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi
 TARGET_2Q = cphase_signature(2)
@@ -110,9 +110,7 @@ class TestFidelityFromRows:
         family = sop_family(b2=0.1, c2=0.1)
         target = cphase_signature(3)
         areas = np.random.default_rng(2).uniform(-8 * PI, 8 * PI, size=(20, 2))
-        thetas = [0.5 * a for a in family.pulse_areas(areas[:, 0], areas[:, 1])]
-        vectors = [p.vector.components for p in family.protocol(1.0, 1.0).pulses]
-        rows = fidelity_from_rows(register_amplitudes(vectors, thetas), target, definition)
+        rows = fidelity_from_rows(family.amplitudes(areas[:, 0], areas[:, 1]), target, definition)
         assert rows.shape == (20,)
         for (area_odd, area_even), value in zip(areas, rows):
             assert value == gate_fidelity(family.protocol(area_odd, area_even), target, definition)
@@ -120,6 +118,25 @@ class TestFidelityFromRows:
     def test_signature_length_checked(self):
         with pytest.raises(SignatureMismatchError):
             fidelity_from_rows(np.ones((3, 4)), cphase_signature(3))
+
+    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
+    def test_row_layout_leaves_bits_unchanged(self, definition):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))
+        strided = np.asfortranarray(rows)
+        got = fidelity_from_rows(strided, cphase_signature(3), definition)
+        assert got.tobytes() == fidelity_from_rows(rows, cphase_signature(3), definition).tobytes()
+
+    def test_float_power_squares_as_math_pow(self):
+        rng = np.random.default_rng(9)
+        edges = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-160, 1e154, 0.5, 2.0]
+        edges += [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 - 2**-30, 1.0 + 2**-30]
+        values = np.concatenate(
+            [edges, rng.uniform(0.0, 1.0, 20000), rng.uniform(0.999, 1.0, 20000),
+             np.exp(rng.uniform(-370.0, 354.0, 20000))]
+        )
+        expected = np.array([math.pow(v, 2.0) for v in values.tolist()])
+        assert np.float_power(values, 2.0).tobytes() == expected.tobytes()
 
 
 class TestFidelityMap:
@@ -222,8 +239,8 @@ class TestFidelityMap:
         even = np.linspace(-2 * PI, PI, n_even)
         diag = family_diagonal_grid(family, odd, even)
         assert diag.shape == (8, n_odd, n_even)
-        assert len(sizes) == 8 * 4  # one star propagator per block and pulse
-        assert max(sizes) <= max(n_odd, n_even)
+        # One call per block dimension (1, 2, 3) and distinct pulse, each on its axis.
+        assert sorted(sizes) == sorted([n_odd, n_even] * 3)
 
 
 class TestLatticeAnalysis:

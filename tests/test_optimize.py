@@ -206,7 +206,7 @@ class TestLockstepEqualsSequential:
         def objective(x, problem):
             odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
             thetas = [0.5 * a for a in pulse_areas(areas[problem, 0], areas[problem, 1])]
-            return fidelity_from_rows(register_amplitudes([odd, even, odd], thetas), TARGET_3Q)
+            return fidelity_from_rows(register_amplitudes([odd, even], thetas, (0, 1, 0)), TARGET_3Q)
 
         got = nelder_mead_constrained(
             objective, lower, upper, project, seed=6, restarts=3, max_evals=23, shape=(len(areas),)

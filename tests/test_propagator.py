@@ -30,7 +30,6 @@ from sopgate import (
     sop_family,
 )
 from sopgate.propagator import (
-    block_amplitudes,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -296,44 +295,50 @@ class TestBlockAmplitudes:
         couplings = rng.normal(size=(3, 2))
         grid = rng.uniform(-3 * PI, 3 * PI, size=(2, 4, 5))
         thetas = [grid[0], 0.7, grid[1]]
-        amps = block_amplitudes(couplings, thetas)
-        assert amps.shape == (4, 5)
-        for i, j in np.ndindex(amps.shape):
+        amps = register_amplitudes(couplings, thetas)
+        assert amps.shape == (4, 5, 4)
+        for i, j in np.ndindex(4, 5):
             point = [float(grid[0, i, j]), 0.7, float(grid[1, i, j])]
-            assert amps[i, j] == block_amplitudes(couplings, point)
+            np.testing.assert_array_equal(amps[i, j], register_amplitudes(couplings, point))
 
-    def test_one_star_propagator_per_pulse(self, monkeypatch):
+    def test_one_star_propagator_per_block_dimension(self, monkeypatch):
         import sopgate.propagator
 
         calls = []
         original = sopgate.propagator.star_propagator
 
         def counted(coupling, theta):
-            calls.append(theta)
+            calls.append(np.ravel(theta).tolist())
             return original(coupling, theta)
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        block_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
-        assert calls == [0.1, 0.2, 0.3]
+        register_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
+        # Pulses with angles of one shape share a call: one for block 00, one for 01 and 10.
+        assert calls == [[0.1, 0.2, 0.3]] * 2
 
     def test_register_amplitudes_equal_blocks_row_by_row(self):
         rng = np.random.default_rng(4)
         vectors = rng.normal(size=(4, 6, 3))  # pulse, row, qubit
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
         thetas = [rng.uniform(-8 * PI, 8 * PI, size=6) for _ in range(4)]
         amps = register_amplitudes(vectors, thetas)
         assert amps.shape == (6, 8)
         for row in range(6):
-            for j, label in enumerate(basis_labels(3)):
-                zq = [i for i, ch in enumerate(label) if ch == "0"]
-                assert amps[row, j] == block_amplitudes(vectors[:, row, zq], [t[row] for t in thetas])
+            # Area 2 theta halves back to theta exactly.
+            pulses = tuple(
+                Pulse(2.0 * t[row], StructuralVector(tuple(v[row]))) for v, t in zip(vectors, thetas)
+            )
+            protocol = Protocol(pulses, 3)
+            expected = [scalar_composition(protocol, label) for label in basis_labels(3)]
+            np.testing.assert_array_equal(amps[row], expected)
 
     def test_empty_sequence_is_identity(self):
-        assert block_amplitudes(np.zeros((0, 2)), []) == 1.0
+        np.testing.assert_array_equal(register_amplitudes(np.zeros((0, 2)), []), [1, 1, 1, 1])
         np.testing.assert_array_equal(diagonal_amplitudes(Protocol((), 2)), [1, 1, 1, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            block_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
+            register_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
 
 
 class TestSequenceAmplitude:
