@@ -147,6 +147,8 @@ def _parse_area_pair(text: str) -> tuple[float, float]:
         odd, even = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise SopGateError(f"area pair must be 'odd,even' in units of pi, got {text!r}") from exc
+    if not (math.isfinite(odd) and math.isfinite(even)):
+        raise SopGateError(f"area pair must be finite, got {text!r}")
     return odd, even
 
 
@@ -205,7 +207,6 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     parser.add_argument("--out", help="output directory (default: current directory)")
-    parser.add_argument("--seed", type=int, help="random seed for stochastic steps")
     parser.add_argument(
         "--threads", type=int, help="accepted for compatibility, must be >= 1; has no effect"
     )
@@ -379,14 +380,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
     if config["areas"]:
-        # One pair: the optimizer returns scalars and the best protocol.
-        areas = np.array([x * math.pi for x in _parse_area_pair(config["areas"])])
-        points = areas[None]
+        # One pair, batch shape (): the optimizer returns scalars.
+        areas = np.array(_parse_area_pair(config["areas"])) * math.pi
     else:
         grid = _parse_grid(config["grid"])
         check_grid_points(grid.n_points**2)
         axis = grid.values_radians()
-        points = areas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        areas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    points = areas.reshape(-1, 2)
     check_simplices(len(points) * config["restarts"])
     os.makedirs(config["out"], exist_ok=True)
     common = {"seed": config["seed"], "restarts": config["restarts"]}
@@ -513,9 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--grid", help="area grid lo:hi:step in units of pi")
     p_opt.add_argument("--areas", help="single area point 'odd,even' in units of pi")
     p_opt.add_argument("--restarts", type=int)
+    p_opt.add_argument("--seed", type=int, help="seed of the random restart points")
 
     p_val = command("validate", "time-domain check of the analytical propagators", cmd_validate)
     p_val.add_argument("--samples", type=int, help="number of random protocols")
+    p_val.add_argument("--seed", type=int, help="seed of the random protocols")
     p_val.add_argument("--tolerance", type=float)
     p_val.add_argument("--shape", choices=ENVELOPE_SHAPES)
     return parser

@@ -29,7 +29,7 @@ from .fidelity import (  # noqa: F401  gate_fidelity: see ``__getattr__`` below
     gate_fidelity,
     pulse_areas,
 )
-from .model import (
+from .model import (  # noqa: F401  spectator_orthogonal_pair: bench shims
     Protocol,
     StructuralVector,
     cphase_signature,
@@ -316,13 +316,14 @@ def optimize_areas(
     return replace(result, best_protocol=protocol)
 
 
-def _optimize_pulse_vectors(areas, vectors, lower, upper, project, family, seed, restarts):
+def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restarts):
     """Best symmetric three-pulse protocol at each area pair of ``areas``, shape (..., 2).
 
     ``vectors(x)`` gives the odd and even pulse vectors, shape (R, 3), of
-    parameter rows ``x``; ``family(x)`` builds the :class:`ProtocolFamily` of
-    one parameter vector. One area pair gives a scalar result with its
-    protocol; more give arrays of the batch shape ``areas.shape[:-1]``.
+    parameter rows ``x``: the objective's rows, and for one area pair also
+    the rows of its best protocol, so that the protocol's fidelity is the
+    reported one by construction. One area pair gives a scalar result with
+    its protocol; more give arrays of the batch shape ``areas.shape[:-1]``.
     """
     areas = np.asarray(areas, dtype=float)
     pairs = areas.reshape(-1, 2)
@@ -339,7 +340,10 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, family, seed,
     )
     if areas.ndim > 1:
         return result
-    return replace(result, best_protocol=family(result.best_parameters).protocol(*areas.tolist()))
+    e_odd, e_even = (
+        StructuralVector(tuple(rows[0].tolist())) for rows in vectors(result.best_parameters[None])
+    )
+    return replace(result, best_protocol=ProtocolFamily(e_odd, e_even).protocol(*areas.tolist()))
 
 
 def spectator_bounds(b: float, min_c2: float) -> tuple[float, float]:
@@ -356,7 +360,7 @@ def gate_factor_arc(c_fixed: float, min_sq: float) -> tuple[float, float, float]
     r2 = 1.0 - c_fixed * c_fixed
     if r2 <= 0.0:
         raise NotNormalizedError("c_fixed leaves no weight for the gate qubits")
-    if min_sq < 0.0 or 2.0 * min_sq > r2:
+    if not 0.0 <= min_sq <= r2 / 2:
         raise InfeasibleStartError(
             f"min_sq = {min_sq} infeasible: both factors need min_sq <= (1 - c^2)/2 = {r2 / 2}"
         )
@@ -391,11 +395,8 @@ def optimize_third_qubit(
     def vectors(x: np.ndarray):
         return spectator_orthogonal_rows(b, x[:, 0], x[:, 1])
 
-    def family(x: np.ndarray) -> ProtocolFamily:
-        return ProtocolFamily(*spectator_orthogonal_pair(b, x[0], x[1]))
-
     return _optimize_pulse_vectors(
-        areas, vectors, [-c_hi, -c_hi], [c_hi, c_hi], project, family, seed, restarts
+        areas, vectors, [-c_hi, -c_hi], [c_hi, c_hi], project, seed, restarts
     )
 
 
@@ -430,12 +431,6 @@ def optimize_all_factors(
         rows = np.stack([radius * np.cos(x), radius * np.sin(x), c], axis=-1)
         return rows[:, 0], rows[:, 1]
 
-    def family(x: np.ndarray) -> ProtocolFamily:
-        e_odd, e_even = (
-            StructuralVector((radius * math.cos(phi), radius * math.sin(phi), c_fixed)) for phi in x
-        )
-        return ProtocolFamily(e_odd, e_even)
-
     return _optimize_pulse_vectors(
-        areas, vectors, [0.0, 0.0], [2.0 * math.pi] * 2, project, family, seed, restarts
+        areas, vectors, [0.0, 0.0], [2.0 * math.pi] * 2, project, seed, restarts
     )

@@ -183,6 +183,12 @@ class TestScanAxes:
             ["validate", "--tolerance", "nan"],
             ["validate", "--tolerance", "0"],
             ["validate", "--tolerance=-1e-6"],
+            ["robustness", "--areas=nan,2", "--delta-max", "0.1"],
+            ["robustness", "--areas=2,-inf"],
+            ["bscan", "--areas=inf,2"],
+            ["bscan", "--areas=2,2", "--areas=2,nan"],
+            ["optimize", "--areas=nan,2"],
+            ["optimize", "--what", "all-factors", "--areas=2,inf"],
         ],
     )
     def test_bad_axis_is_config_error(self, tmp_path, capsys, argv):
@@ -375,6 +381,7 @@ class TestOptimizeCommand:
             ["--what", "third-qubit", "--b2", "0.95", "--min-c2", "0.1"],
             ["--what", "all-factors", "--min-sq", "0.6"],
             ["--what", "all-factors", "--c2", "1"],
+            ["--what", "all-factors", "--min-sq", "nan"],
         ],
     )
     def test_infeasible_bound_is_config_error(self, tmp_path, capsys, argv):
@@ -402,6 +409,17 @@ class TestOptimizeCommand:
         assert_config_error(capsys, ["optimize", *argv, "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
+    def test_single_point_is_its_grid_row(self, tmp_path, what):
+        common = ["optimize", "--what", what, "--restarts", "2", "--seed", "3"]
+        assert main(common + ["--grid=-2:2:2", "--out", str(tmp_path / "grid")]) == 0
+        assert main(common + ["--areas=2,-2", "--out", str(tmp_path / "point")]) == 0
+        name = f"optimized_map_{what.replace('-', '_')}.csv"
+        header, row = read(tmp_path / "point" / name).splitlines()
+        grid_rows = read(tmp_path / "grid" / name).splitlines()
+        assert grid_rows[0] == header
+        assert [r for r in grid_rows[1:] if r.startswith("2,-2,")] == [row]
+
     def test_small_optimized_grid(self, tmp_path):
         out = tmp_path / "grid"
         code = main(
@@ -421,6 +439,18 @@ class TestOptimizeCommand:
         assert code == 0
         rows = read(out / "optimized_map_all_factors.csv").strip().splitlines()
         assert len(rows) == 1 + 9
+
+
+@pytest.mark.parametrize(
+    "command", [["map"], ["esop-map", "--pulses", "4"], ["robustness"], ["bscan"]]
+)
+def test_seed_refused_where_nothing_is_drawn(tmp_path, capsys, command):
+    out = tmp_path / "seeded"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestValidateCommand:

@@ -219,11 +219,19 @@ class TestLockstepEqualsSequential:
             np.testing.assert_array_equal(got.best_parameters[k], want.best_parameters)
             assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
 
-    def test_single_point_is_its_grid_row(self):
+    @pytest.mark.parametrize(
+        "optimize, factors",
+        [
+            (optimize_third_qubit, dict(b=B_01, min_c2=0.1)),
+            (optimize_all_factors, dict(c_fixed=C_01, min_sq=0.1)),
+        ],
+        ids=["third-qubit", "all-factors"],
+    )
+    def test_single_point_is_its_grid_row(self, optimize, factors):
         areas = grid_points(seed=14, n=3)
-        grid = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=1, restarts=3)
+        grid = optimize(areas, **factors, seed=1, restarts=3)
         for k, point in enumerate(areas):
-            single = optimize_third_qubit(tuple(point), b=B_01, min_c2=0.1, seed=1, restarts=3)
+            single = optimize(tuple(point), **factors, seed=1, restarts=3)
             assert isinstance(single.best_fidelity, float) and isinstance(single.evaluations, int)
             np.testing.assert_array_equal(single.best_parameters, grid.best_parameters[k])
             assert (single.best_fidelity, single.evaluations) == (grid.best_fidelity[k], grid.evaluations[k])
@@ -348,6 +356,10 @@ class TestOptimizeAllFactors:
             optimize_all_factors((PI, PI), c_fixed=C_01, min_sq=0.5)
         with pytest.raises(InfeasibleStartError):
             optimize_all_factors((PI, PI), c_fixed=0.0, min_sq=1.0)
+
+    def test_nan_min_sq_refused(self):
+        with pytest.raises(InfeasibleStartError):
+            gate_factor_arc(C_01, math.nan)
 
     def test_deterministic(self):
         a = optimize_all_factors((2 * PI, -2 * PI), c_fixed=C_01, seed=9, restarts=4)

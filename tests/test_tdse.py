@@ -18,8 +18,9 @@ from sopgate import (
     validate_protocol,
 )
 from oracles import u11v_esop, u11v_esop_exact
+import sopgate.propagator
 from sopgate.propagator import block_decompose, star_propagator
-from sopgate.tdse import _pulse_steps
+from sopgate.tdse import _ordered_product, _pulse_steps
 
 PI = math.pi
 
@@ -101,6 +102,17 @@ class TestEnvelopes:
         ]
         with pytest.raises(SopGateError):
             integrate_block(block, envs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
+def test_ordered_product_is_left_to_right_product(n):
+    rng = np.random.default_rng(n)
+    # Unitary factors, so that the product stays of order one.
+    steps = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
+    want = np.eye(4, dtype=complex)
+    for step in steps:
+        want = step @ want
+    np.testing.assert_allclose(_ordered_product(steps), want, rtol=0, atol=1e-13)
 
 
 class TestIntegrateBlock:
@@ -211,6 +223,19 @@ class TestValidateProtocol:
         for _ in range(5):
             report = validate_protocol(random_protocol(rng))
             assert report.passed, report.deviations
+
+    def test_one_kernel_call_per_protocol(self, monkeypatch):
+        calls = []
+        kernel = sopgate.propagator.register_amplitudes
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sopgate.propagator, "register_amplitudes", counted)
+        report = validate_protocol(sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI))
+        assert len(report.deviations) == 8
+        assert len(calls) == 1
 
     def test_report_fields(self):
         report = validate_protocol(jp_protocol(), tolerance=1e-6)
