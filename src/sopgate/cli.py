@@ -36,6 +36,8 @@ import numpy as np
 from . import __version__
 from .errors import SopGateError
 from .fidelity import (
+    DEFAULT_GRID,
+    DEFAULT_MAXIMA_THRESHOLD,
     FIDELITY_DEFINITIONS,
     GridSpec,
     b_scan,
@@ -50,6 +52,7 @@ from .fidelity import (
 )
 from .model import Protocol, Pulse, StructuralVector
 from .optimize import (
+    DEFAULT_RESTARTS,
     check_simplices,
     gate_factor_arc,
     optimize_all_factors,
@@ -231,9 +234,9 @@ MAP_DEFAULTS = {
     "c2": 0.0,
     "qubits": None,
     "pulses": 3,
-    "grid": "-8:8:0.05",
+    "grid": ":".join(f"{x:g}" for x in DEFAULT_GRID),
     "fidelity": "trace-sq",
-    "threshold": 0.7,
+    "threshold": DEFAULT_MAXIMA_THRESHOLD,
     "non_orthogonal": False,
     "out": ".",
 }
@@ -245,6 +248,8 @@ def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
         raise SopGateError("esop-map needs --pulses >= 2")
     if config["pulses"] > MAX_PULSES:
         raise SopGateError(f"--pulses must be at most {MAX_PULSES}, got {config['pulses']}")
+    if not math.isfinite(config["threshold"]):
+        raise SopGateError(f"--threshold must be finite, got {config['threshold']!r}")
     family = sop_family(
         b2=config["b2"],
         c2=config["c2"],
@@ -344,7 +349,7 @@ OPTIMIZE_DEFAULTS = {
     "min_sq": 0.1,
     "grid": "-8:8:0.5",
     "areas": None,
-    "restarts": 16,
+    "restarts": DEFAULT_RESTARTS,
     "seed": 0,
     "threads": 1,
     "out": ".",
@@ -356,8 +361,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     check_squared_factors(b2=config["b2"], c2=config["c2"])
     if config["restarts"] < 1:
         raise SopGateError(f"--restarts must be at least 1, got {config['restarts']}")
+    # No mode can use a bound outside [0, 0.5]; each is checked even where it goes unused.
+    for flag, value in (("--min-c2", config["min_c2"]), ("--min-sq", config["min_sq"])):
+        if not 0.0 <= value <= 0.5:
+            raise SopGateError(f"{flag} must be in [0, 0.5], got {value!r}")
     what = config["what"]
     if what == "areas":
+        if config["areas"] is not None:
+            raise SopGateError("--what areas searches the --grid box and takes no --areas")
         family = sop_family(b2=config["b2"], c2=config["c2"])
         grid = _parse_grid(config["grid"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
@@ -367,10 +378,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             family, (bounds, bounds), seed=config["seed"], restarts=config["restarts"]
         )
         payload = {
-            "best_fidelity": result.best_fidelity,
-            "best_area_odd_over_pi": result.best_parameters[0] / math.pi,
-            "best_area_even_over_pi": result.best_parameters[1] / math.pi,
-            "evaluations": result.evaluations,
+            "best_fidelity": float(result.best_fidelity),
+            "best_area_odd_over_pi": float(result.best_parameters[0] / math.pi),
+            "best_area_even_over_pi": float(result.best_parameters[1] / math.pi),
+            "evaluations": int(result.evaluations),
         }
         _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
         return EXIT_OK
@@ -380,7 +391,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
     if config["areas"]:
-        # One pair, batch shape (): the optimizer returns scalars.
+        # One pair: batch shape (), 0-d results.
         areas = np.array(_parse_area_pair(config["areas"])) * math.pi
     else:
         grid = _parse_grid(config["grid"])

@@ -9,7 +9,8 @@ areas on a rectangular grid; their maxima form (possibly rotated) lattices.
 
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. :func:`sop_family` is the one
-place that turns squared geometrical factors into those vectors. Every
+place that turns squared geometrical factors into those vectors, and
+:func:`alternating_amplitudes` the one that lays out their pulses. Every
 return amplitude, for one protocol, a b scan, a map grid or a robustness
 scan, comes from one :func:`~sopgate.propagator.register_amplitudes` call.
 Fidelities of rows of protocols (basis axis last: single protocols, b scans,
@@ -19,7 +20,7 @@ formula's order of summation defines the published bits of its outputs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +114,15 @@ def pulse_areas(area_odd, area_even, m_pulses: int = 3) -> tuple:
     return area_odd / ((m_pulses + 1) // 2), area_even / max(m_pulses // 2, 1)
 
 
+def alternating_amplitudes(vector_odd, vector_even, area_odd, area_even, m_pulses: int = 3):
+    """Return amplitudes of M pulses alternating odd, even, odd, ..., basis axis last.
+
+    Vectors (..., n_qubits) and total areas (radians, split by :func:`pulse_areas`) broadcast.
+    """
+    thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, m_pulses)]
+    return register_amplitudes([vector_odd, vector_even], thetas, [k % 2 for k in range(m_pulses)])
+
+
 @dataclass(frozen=True)
 class ProtocolFamily:
     """Alternating M-pulse protocol family with fixed structural vectors.
@@ -140,13 +150,9 @@ class ProtocolFamily:
         return self.vector_odd.dimension
 
     def amplitudes(self, area_odd, area_even) -> np.ndarray:
-        """Return amplitudes at total areas ``area_odd``, ``area_even`` (radians, broadcasting).
-
-        One :func:`register_amplitudes` call on the odd and even vectors, alternating.
-        """
-        thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, self.m_pulses)]
-        vectors = [self.vector_odd.components, self.vector_even.components]
-        return register_amplitudes(vectors, thetas, [k % 2 for k in range(self.m_pulses)])
+        """Return amplitudes at total areas (radians, broadcasting): :func:`alternating_amplitudes`."""
+        vectors = (self.vector_odd.components, self.vector_even.components)
+        return alternating_amplitudes(*vectors, area_odd, area_even, self.m_pulses)
 
     def protocol(self, area_odd: float, area_even: float) -> Protocol:
         """Concrete protocol at total areas (radians) split per family rules."""
@@ -154,14 +160,6 @@ class ProtocolFamily:
         vectors = (self.vector_odd, self.vector_even)
         pulses = tuple(Pulse(areas[k % 2], vectors[k % 2]) for k in range(self.m_pulses))
         return Protocol(pulses=pulses, n_qubits=self.n_qubits)
-
-    def meta(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "vector_odd": list(self.vector_odd.components),
-            "vector_even": list(self.vector_even.components),
-            "m_pulses": self.m_pulses,
-        }
 
 
 def sop_family(
@@ -216,7 +214,6 @@ class FidelityMap:
     axis_odd: np.ndarray
     axis_even: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -330,14 +327,7 @@ def fidelity_map(
     axis_even = grid_even.values_radians()
     diag = family_diagonal_grid(family, axis_odd, axis_even)
     values = fidelity_from_amplitudes(diag, target, definition)
-    meta = {
-        "family": family.meta(),
-        "grid_odd": [grid_odd.lo, grid_odd.hi, grid_odd.step],
-        "grid_even": [grid_even.lo, grid_even.hi, grid_even.step],
-        "fidelity_definition": definition,
-        "signature": list(target.phases),
-    }
-    return FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values, meta=meta)
+    return FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
 
 
 def _strict_local_maxima_mask(values: np.ndarray) -> np.ndarray:
@@ -457,11 +447,11 @@ def b_scan(
     """
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
     families = [sop_family(b2=b2, orthogonal=orthogonal) for b2 in b2_values.tolist()]
-    # The odd and even pulse vectors per b^2 point; the pulses run odd, even, odd.
+    # The odd and even pulse vectors, one row per b^2 point.
     odd = np.array([family.vector_odd.components for family in families]).reshape(-1, 2)
     even = np.array([family.vector_even.components for family in families]).reshape(-1, 2)
-    area_odd, area_even = pulse_areas(area_pair_pi[0] * math.pi, area_pair_pi[1] * math.pi)
-    amplitudes = register_amplitudes([odd, even], [0.5 * area_odd, 0.5 * area_even], (0, 1, 0))
+    area_odd, area_even = (area * math.pi for area in area_pair_pi)
+    amplitudes = alternating_amplitudes(odd, even, area_odd, area_even)
     return fidelity_from_rows(amplitudes, cphase_signature(2), definition)
 
 

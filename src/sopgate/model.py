@@ -12,7 +12,6 @@ CSV, JSON reports) convert to units of pi.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -135,30 +134,6 @@ class Protocol:
     @property
     def areas(self) -> tuple[float, ...]:
         return tuple(p.area for p in self.pulses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "pulses": [
-                {"area_over_pi": p.area / math.pi, "vector": list(p.vector.components)}
-                for p in self.pulses
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Protocol":
-        pulses = tuple(
-            Pulse(entry["area_over_pi"] * math.pi, make_structural_vector(entry["vector"]))
-            for entry in data["pulses"]
-        )
-        return cls(pulses=pulses, n_qubits=int(data["n_qubits"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Protocol":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ and all simplices advance together, one stage per step. A step gathers the
 candidates of all simplices into one batch objective call. Each simplex makes
 exactly the moves, evaluations and ties of its own sequential run, so the
 results equal those of one scipy run per restart and problem bit for bit.
+Every result holds arrays of the batch shape of its problems, 0-d for one.
+The factor optimizers evaluate candidates through the protocol families'
+builder, :func:`~sopgate.fidelity.alternating_amplitudes`.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,18 +28,15 @@ import numpy as np
 from .errors import GridTooLargeError, InfeasibleStartError, NotNormalizedError
 from .fidelity import (  # noqa: F401  gate_fidelity: see ``__getattr__`` below
     ProtocolFamily,
+    alternating_amplitudes,
     fidelity_from_rows,
     gate_fidelity,
-    pulse_areas,
 )
 from .model import (  # noqa: F401  spectator_orthogonal_pair: bench shims
-    Protocol,
-    StructuralVector,
     cphase_signature,
     spectator_orthogonal_pair,
     spectator_orthogonal_rows,
 )
-from .propagator import register_amplitudes
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_EVALS = 2000
@@ -86,17 +86,15 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best point of an optimization, or of each problem of a batch of them.
+    """Best point of each problem of a batch of shape ``shape``, () for one problem.
 
-    For one problem ``best_fidelity`` is a float and ``evaluations`` an int;
-    for a batch of shape ``shape`` they are arrays of that shape, and
-    ``best_parameters`` has shape ``shape + (dim,)``.
+    ``best_fidelity`` and ``evaluations`` are arrays of shape ``shape``, 0-d
+    for one problem, and ``best_parameters`` has shape ``shape + (dim,)``.
     """
 
     best_parameters: np.ndarray
-    best_fidelity: float | np.ndarray
-    evaluations: int | np.ndarray
-    best_protocol: Protocol | None = None
+    best_fidelity: np.ndarray
+    evaluations: np.ndarray
 
 
 def _latin_hypercube(rng: np.random.Generator, n: int, lower, upper) -> np.ndarray:
@@ -288,8 +286,6 @@ def nelder_mead_constrained(
     best = final_x.reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
     fidelity = evaluate(best, np.arange(n_problems))
     evaluations = final_calls.reshape(n_problems, restarts).sum(axis=1)
-    if shape == ():
-        return OptimizationResult(best[0], float(fidelity[0]), int(evaluations[0]))
     return OptimizationResult(
         best.reshape(shape + (dim,)), fidelity.reshape(shape), evaluations.reshape(shape)
     )
@@ -311,39 +307,25 @@ def optimize_areas(
         return fidelity_from_rows(family.amplitudes(x[:, 0], x[:, 1]), target)
 
     lower, upper = zip(*bounds)
-    result = nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
-    protocol = family.protocol(result.best_parameters[0], result.best_parameters[1])
-    return replace(result, best_protocol=protocol)
+    return nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
 
 
 def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restarts):
     """Best symmetric three-pulse protocol at each area pair of ``areas``, shape (..., 2).
 
-    ``vectors(x)`` gives the odd and even pulse vectors, shape (R, 3), of
-    parameter rows ``x``: the objective's rows, and for one area pair also
-    the rows of its best protocol, so that the protocol's fidelity is the
-    reported one by construction. One area pair gives a scalar result with
-    its protocol; more give arrays of the batch shape ``areas.shape[:-1]``.
+    ``vectors(x)`` gives the odd and even pulse vectors, shape (R, 3), of parameter rows ``x``.
     """
     areas = np.asarray(areas, dtype=float)
     pairs = areas.reshape(-1, 2)
     target = cphase_signature(3)
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        # The distinct pulses, odd and even, in the order odd, even, odd.
-        area_odd, area_even = pulse_areas(pairs[problem, 0], pairs[problem, 1])
-        thetas = [0.5 * area_odd, 0.5 * area_even]
-        return fidelity_from_rows(register_amplitudes(vectors(x), thetas, (0, 1, 0)), target)
+        amplitudes = alternating_amplitudes(*vectors(x), pairs[problem, 0], pairs[problem, 1])
+        return fidelity_from_rows(amplitudes, target)
 
-    result = nelder_mead_constrained(
+    return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]
     )
-    if areas.ndim > 1:
-        return result
-    e_odd, e_even = (
-        StructuralVector(tuple(rows[0].tolist())) for rows in vectors(result.best_parameters[None])
-    )
-    return replace(result, best_protocol=ProtocolFamily(e_odd, e_even).protocol(*areas.tolist()))
 
 
 def spectator_bounds(b: float, min_c2: float) -> tuple[float, float]:

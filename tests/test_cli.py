@@ -7,7 +7,14 @@ import sys
 import pytest
 
 import sopgate.cli
-from sopgate.cli import MAX_PULSES, MAX_SAMPLES, _write_atomic, main
+from sopgate.cli import (
+    MAP_DEFAULTS,
+    MAX_PULSES,
+    MAX_SAMPLES,
+    OPTIMIZE_DEFAULTS,
+    _write_atomic,
+    main,
+)
 from sopgate.optimize import MAX_SIMPLICES
 
 
@@ -252,6 +259,10 @@ class TestConfigFile:
         assert meta["config"]["qubits"] == 2
         assert meta["config"]["non_orthogonal"] is True
 
+    def test_library_defaults_keep_their_sidecar_values(self):
+        assert (MAP_DEFAULTS["grid"], MAP_DEFAULTS["threshold"]) == ("-8:8:0.05", 0.7)
+        assert OPTIMIZE_DEFAULTS["restarts"] == 16
+
 
 class TestEsopMapCommand:
     def test_rejects_single_pulse(self, tmp_path, capsys):
@@ -264,6 +275,14 @@ class TestEsopMapCommand:
     def test_pulse_count_capped(self, tmp_path, capsys, command, pulses):
         out = tmp_path / "many"
         assert_config_error(capsys, [command, "--pulses", str(pulses), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["map"], ["esop-map", "--pulses", "4"]])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_refused(self, tmp_path, capsys, command, threshold):
+        out = tmp_path / "thr"
+        argv = command + [f"--threshold={threshold}", "--grid=-1:1:0.5", "--out", str(out)]
+        assert_config_error(capsys, argv)
         assert not out.exists()
 
     def test_pulse_count_required(self, tmp_path):
@@ -408,6 +427,39 @@ class TestOptimizeCommand:
         out = tmp_path / "big"
         assert_config_error(capsys, ["optimize", *argv, "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--what", "areas", "--areas=2,2"],
+            ["--what", "areas", "--areas=nan,2"],
+            ["--what", "areas", "--min-sq", "nan", "--min-c2", "nan"],
+            ["--what", "areas", "--min-c2", "0.6"],
+            ["--what", "areas", "--min-sq=-0.1"],
+            ["--what", "third-qubit", "--min-sq", "nan"],
+            ["--what", "third-qubit", "--min-sq", "0.51"],
+            ["--what", "all-factors", "--min-c2", "nan"],
+            ["--what", "all-factors", "--min-c2", "inf"],
+        ],
+    )
+    def test_setting_a_mode_ignores_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert_config_error(
+            capsys, ["optimize", *argv, "--grid=1:3:1", "--restarts", "1", "--out", str(out)]
+        )
+        assert not out.exists()
+
+    def test_areas_payload(self, tmp_path):
+        out = tmp_path / "areas"
+        argv = ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(read(out / "optimize_areas.txt"))
+        assert set(payload) == {
+            "best_fidelity", "best_area_odd_over_pi", "best_area_even_over_pi", "evaluations"
+        }
+        assert 0.0 <= payload["best_fidelity"] <= 1.0
+        assert 1.0 <= payload["best_area_odd_over_pi"] <= 3.0
+        assert type(payload["evaluations"]) is int and payload["evaluations"] >= 1
 
     @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
     def test_single_point_is_its_grid_row(self, tmp_path, what):

@@ -12,7 +12,9 @@ from sopgate import (
     GridSpec,
     GridTooLargeError,
     NoMaximaFoundError,
+    ProtocolFamily,
     SignatureMismatchError,
+    StructuralVector,
     b_scan,
     basis_labels,
     cphase_signature,
@@ -27,6 +29,7 @@ from sopgate import (
 from sopgate.fidelity import (
     FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
+    alternating_amplitudes,
     family_diagonal_grid,
     fidelity_from_rows,
     lattice_report_dict,
@@ -203,14 +206,6 @@ class TestFidelityMap:
         mean = np.mean(counts)
         assert np.all(np.abs(np.array(counts) - mean) <= 0.2 * mean)
 
-    def test_meta_recorded(self, map_b2_01):
-        family = map_b2_01.meta["family"]
-        assert family["n_qubits"] == 2 and family["m_pulses"] == 3
-        a, b = math.sqrt(0.9), math.sqrt(0.1)
-        assert family["vector_odd"] == pytest.approx([a, b], abs=1e-15)
-        assert family["vector_even"] == pytest.approx([-b, a], abs=1e-15)
-        assert map_b2_01.meta["fidelity_definition"] == "trace-sq"
-
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
     def test_grid_matches_pointwise_amplitudes_bitwise(self, m_pulses, b2, c2):
@@ -241,6 +236,24 @@ class TestFidelityMap:
         assert diag.shape == (8, n_odd, n_even)
         # One call per block dimension (1, 2, 3) and distinct pulse, each on its axis.
         assert sorted(sizes) == sorted([n_odd, n_even] * 3)
+
+
+class TestAlternatingAmplitudes:
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_rows_are_their_family_amplitudes_bitwise(self, m_pulses, n_qubits):
+        rng = np.random.default_rng(10 * m_pulses + n_qubits)
+        rows = rng.normal(size=(2, 6, n_qubits))
+        odd, even = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+        area_odd, area_even = rng.uniform(-8 * PI, 8 * PI, size=(2, 6))
+        per_row = alternating_amplitudes(odd, even, area_odd, area_even, m_pulses)
+        shared = alternating_amplitudes(odd, even, 2.5 * PI, -1.5 * PI, m_pulses)
+        assert per_row.shape == shared.shape == (6, 2**n_qubits)
+        for r in range(6):
+            vectors = (StructuralVector(tuple(v[r].tolist())) for v in (odd, even))
+            family = ProtocolFamily(*vectors, m_pulses)
+            np.testing.assert_array_equal(per_row[r], family.amplitudes(area_odd[r], area_even[r]))
+            np.testing.assert_array_equal(shared[r], family.amplitudes(2.5 * PI, -1.5 * PI))
 
 
 class TestLatticeAnalysis:

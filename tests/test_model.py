@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -244,30 +243,6 @@ class TestProtocols:
         assert e_odd.components[1:] == (b, c)
         assert e_even.components[2] == sign * c
         assert dot(e_odd, e_even) == pytest.approx(0.0, abs=1e-15)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "protocol",
-        [
-            jp_protocol(),
-            sop_family(b2=0.2).protocol(-6.1 * PI, 0.9 * PI),
-            sop_family(b2=0.1, c2=0.1).protocol(2 * PI, 2 * PI),
-        ],
-    )
-    def test_json_round_trip(self, protocol):
-        restored = Protocol.from_json(protocol.to_json())
-        assert restored.n_qubits == protocol.n_qubits
-        for p0, p1 in zip(protocol.pulses, restored.pulses):
-            assert p1.area == pytest.approx(p0.area, rel=1e-15, abs=0.0)
-            for c0, c1 in zip(p0.vector.components, p1.vector.components):
-                assert c1 == pytest.approx(c0, rel=1e-15, abs=1e-15)
-
-    def test_json_schema(self):
-        data = json.loads(jp_protocol().to_json())
-        assert set(data) == {"n_qubits", "pulses"}
-        assert data["n_qubits"] == 2
-        assert data["pulses"][0] == {"area_over_pi": 1.0, "vector": [1.0, 0.0]}
 
 
 class TestSignatures:

@@ -18,10 +18,9 @@ from sopgate import (
     sop_family,
     spectator_orthogonal_pair,
 )
-from sopgate.fidelity import fidelity_from_rows, pulse_areas
+from sopgate.fidelity import alternating_amplitudes, fidelity_from_rows
 from sopgate.model import spectator_orthogonal_rows
 from sopgate.optimize import MAX_SIMPLICES, gate_factor_arc, spectator_bounds
-from sopgate.propagator import register_amplitudes
 
 PI = math.pi
 B_01 = math.sqrt(0.1)
@@ -109,26 +108,27 @@ def all_factors_problem(c_fixed, min_sq):
     return [0.0, 0.0], [2.0 * PI] * 2, project
 
 
+def third_qubit_family(b, x):
+    """The family of third-qubit parameters x = (c_odd, c_even), from protocol objects."""
+    return ProtocolFamily(*spectator_orthogonal_pair(b, x[0], x[1]))
+
+
+def all_factors_family(c_fixed, x):
+    """The family of all-factors parameters x = (phi_odd, phi_even), from protocol objects."""
+    radius = gate_factor_arc(c_fixed, 0.0)[0]
+    e_odd, e_even = (
+        StructuralVector((radius * np.cos(phi), radius * np.sin(phi), c_fixed)) for phi in x
+    )
+    return ProtocolFamily(e_odd, e_even)
+
+
 def third_qubit_fidelity(b, areas):
     """The scalar objective of one point, built from protocol objects."""
-
-    def objective(x):
-        family = ProtocolFamily(*spectator_orthogonal_pair(b, x[0], x[1]))
-        return gate_fidelity(family.protocol(*areas), TARGET_3Q)
-
-    return objective
+    return lambda x: gate_fidelity(third_qubit_family(b, x).protocol(*areas), TARGET_3Q)
 
 
 def all_factors_fidelity(c_fixed, areas):
-    radius = math.sqrt(1.0 - c_fixed * c_fixed)
-
-    def objective(x):
-        e_odd, e_even = (
-            StructuralVector((radius * math.cos(phi), radius * math.sin(phi), c_fixed)) for phi in x
-        )
-        return gate_fidelity(ProtocolFamily(e_odd, e_even).protocol(*areas), TARGET_3Q)
-
-    return objective
+    return lambda x: gate_fidelity(all_factors_family(c_fixed, x).protocol(*areas), TARGET_3Q)
 
 
 def grid_points(seed, n=40):
@@ -205,8 +205,8 @@ class TestLockstepEqualsSequential:
 
         def objective(x, problem):
             odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
-            thetas = [0.5 * a for a in pulse_areas(areas[problem, 0], areas[problem, 1])]
-            return fidelity_from_rows(register_amplitudes([odd, even], thetas, (0, 1, 0)), TARGET_3Q)
+            amplitudes = alternating_amplitudes(odd, even, areas[problem, 0], areas[problem, 1])
+            return fidelity_from_rows(amplitudes, TARGET_3Q)
 
         got = nelder_mead_constrained(
             objective, lower, upper, project, seed=6, restarts=3, max_evals=23, shape=(len(areas),)
@@ -220,22 +220,23 @@ class TestLockstepEqualsSequential:
             assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
 
     @pytest.mark.parametrize(
-        "optimize, factors",
+        "optimize, factors, family",
         [
-            (optimize_third_qubit, dict(b=B_01, min_c2=0.1)),
-            (optimize_all_factors, dict(c_fixed=C_01, min_sq=0.1)),
+            (optimize_third_qubit, dict(b=B_01, min_c2=0.1), lambda x: third_qubit_family(B_01, x)),
+            (optimize_all_factors, dict(c_fixed=C_01, min_sq=0.1), lambda x: all_factors_family(C_01, x)),
         ],
         ids=["third-qubit", "all-factors"],
     )
-    def test_single_point_is_its_grid_row(self, optimize, factors):
+    def test_single_point_is_its_grid_row(self, optimize, factors, family):
         areas = grid_points(seed=14, n=3)
         grid = optimize(areas, **factors, seed=1, restarts=3)
         for k, point in enumerate(areas):
             single = optimize(tuple(point), **factors, seed=1, restarts=3)
-            assert isinstance(single.best_fidelity, float) and isinstance(single.evaluations, int)
+            assert np.ndim(single.best_fidelity) == 0 and np.ndim(single.evaluations) == 0
             np.testing.assert_array_equal(single.best_parameters, grid.best_parameters[k])
             assert (single.best_fidelity, single.evaluations) == (grid.best_fidelity[k], grid.evaluations[k])
-            assert gate_fidelity(single.best_protocol, TARGET_3Q) == single.best_fidelity
+            protocol = family(single.best_parameters).protocol(*point)
+            assert gate_fidelity(protocol, TARGET_3Q) == single.best_fidelity
 
 
 class TestOptimizeAreas:
@@ -257,11 +258,12 @@ class TestOptimizeAreas:
         assert result.best_parameters[1] / PI == pytest.approx(0.9, abs=0.2)
 
     def test_protocol_attached(self):
+        # the family's protocol at the best areas has the reported fidelity
         family = sop_family(b2=0.1)
         bounds = [(c - 0.25 * PI, c + 0.25 * PI) for c in (2.45 * PI, 1.35 * PI)]
         result = optimize_areas(family, bounds, seed=5, restarts=2)
-        assert result.best_protocol is not None
-        assert gate_fidelity(result.best_protocol, cphase_signature(2)) == result.best_fidelity
+        protocol = family.protocol(*result.best_parameters)
+        assert gate_fidelity(protocol, cphase_signature(2)) == result.best_fidelity
 
 
 class TestOptimizeThirdQubit:
@@ -272,8 +274,9 @@ class TestOptimizeThirdQubit:
             assert c * c <= 0.5 + 1e-15
 
     def test_ties_hold_exactly(self):
-        result = optimize_third_qubit((2.4 * PI, 1.1 * PI), b=B_01, min_c2=0.1, seed=3, restarts=4)
-        pulses = result.best_protocol.pulses
+        areas = (2.4 * PI, 1.1 * PI)
+        result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=3, restarts=4)
+        pulses = third_qubit_family(B_01, result.best_parameters).protocol(*areas).pulses
         assert pulses[2].vector == pulses[0].vector
         assert pulses[2].area == pulses[0].area
         assert abs(dot(pulses[0].vector, pulses[1].vector)) < 1e-12
@@ -286,8 +289,9 @@ class TestOptimizeThirdQubit:
         # the third pulse repeats the first; together they carry the odd area
         areas = (2.4 * PI, 1.1 * PI)
         result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=3, restarts=2)
-        assert result.best_protocol.areas == (0.5 * areas[0], areas[1], 0.5 * areas[0])
-        assert gate_fidelity(result.best_protocol, cphase_signature(3)) == result.best_fidelity
+        protocol = third_qubit_family(B_01, result.best_parameters).protocol(*areas)
+        assert protocol.areas == (0.5 * areas[0], areas[1], 0.5 * areas[0])
+        assert gate_fidelity(protocol, cphase_signature(3)) == result.best_fidelity
 
     def test_clamped_spectator_reproduces_fixed_map_value(self):
         # evaluating the optimization manifold at c = sqrt(0.1) must equal the
@@ -327,20 +331,18 @@ class TestOptimizeThirdQubit:
 
 class TestOptimizeAllFactors:
     def test_bounds_hold_exactly(self):
-        result = optimize_all_factors(
-            (2.5 * PI, -1.5 * PI), c_fixed=C_01, min_sq=0.1, seed=5, restarts=8
-        )
-        for pulse in result.best_protocol.pulses:
+        areas = (2.5 * PI, -1.5 * PI)
+        result = optimize_all_factors(areas, c_fixed=C_01, min_sq=0.1, seed=5, restarts=8)
+        for pulse in all_factors_family(C_01, result.best_parameters).protocol(*areas).pulses:
             a, b, c = pulse.vector.components
             assert a * a >= 0.1 - 1e-12
             assert b * b >= 0.1 - 1e-12
             assert c == C_01
 
     def test_symmetry_tie_holds(self):
-        result = optimize_all_factors(
-            (2.5 * PI, -1.5 * PI), c_fixed=C_01, min_sq=0.1, seed=5, restarts=4
-        )
-        pulses = result.best_protocol.pulses
+        areas = (2.5 * PI, -1.5 * PI)
+        result = optimize_all_factors(areas, c_fixed=C_01, min_sq=0.1, seed=5, restarts=4)
+        pulses = all_factors_family(C_01, result.best_parameters).protocol(*areas).pulses
         assert pulses[2].vector == pulses[0].vector
 
     @pytest.mark.parametrize("areas", [(1.15 * PI, -2.45 * PI), (2.4 * PI, 1.1 * PI)])
