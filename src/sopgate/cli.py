@@ -188,23 +188,29 @@ def _check_config_value(key: str, value, default, action: argparse.Action) -> No
         raise SopGateError(f"config value {value!r} is not valid for {key!r}")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags beat the checked config-file values, which beat defaults."""
+def _merge_config(args: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
+    """Flags beat the checked config-file values, which beat defaults.
+
+    Returns the config and the keys given by flag or config file.
+    """
     file_config = _read_config(args.config) if args.config else {}
     actions = {action.dest: action for action in args.parser._actions}
     config = dict(defaults)
+    given = set()
     for key, value in file_config.items():
         if key in defaults:
             _check_config_value(key, value, defaults[key], actions[key])
             config[key] = value
+            given.add(key)
     for key in defaults:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
+            given.add(key)
     threads = config.get("threads", args.threads)
     if threads is not None and threads < 1:
         raise SopGateError(f"--threads must be at least 1, got {threads}")
-    return config
+    return config, given
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -243,7 +249,7 @@ MAP_DEFAULTS = {
 
 
 def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
-    config = _merge_config(args, MAP_DEFAULTS)
+    config, _ = _merge_config(args, MAP_DEFAULTS)
     if m_required and config["pulses"] < 2:
         raise SopGateError("esop-map needs --pulses >= 2")
     if config["pulses"] > MAX_PULSES:
@@ -287,7 +293,7 @@ ROBUSTNESS_DEFAULTS = {
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
-    config = _merge_config(args, ROBUSTNESS_DEFAULTS)
+    config, _ = _merge_config(args, ROBUSTNESS_DEFAULTS)
     try:
         b2_list = [float(x) for x in str(config["b2"]).split(",")]
     except ValueError as exc:
@@ -321,7 +327,7 @@ BSCAN_DEFAULTS = {
 
 
 def cmd_bscan(args: argparse.Namespace) -> int:
-    config = _merge_config(args, BSCAN_DEFAULTS)
+    config, _ = _merge_config(args, BSCAN_DEFAULTS)
     pairs = [_parse_area_pair(pair_text) for pair_text in config["areas"]]
     if config["b2_max"] > 1.0:
         raise SopGateError(f"--b2-max must be at most 1, got {config['b2_max']!r}")
@@ -357,7 +363,11 @@ OPTIMIZE_DEFAULTS = {
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _merge_config(args, OPTIMIZE_DEFAULTS)
+    config, given = _merge_config(args, OPTIMIZE_DEFAULTS)
+    what = config["what"]
+    unread = {"third-qubit": "c2", "all-factors": "b2"}.get(what)
+    if unread in given:
+        raise SopGateError(f"--what {what} does not read --{unread}")
     check_squared_factors(b2=config["b2"], c2=config["c2"])
     if config["restarts"] < 1:
         raise SopGateError(f"--restarts must be at least 1, got {config['restarts']}")
@@ -365,12 +375,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     for flag, value in (("--min-c2", config["min_c2"]), ("--min-sq", config["min_sq"])):
         if not 0.0 <= value <= 0.5:
             raise SopGateError(f"{flag} must be in [0, 0.5], got {value!r}")
-    what = config["what"]
+    # Checked in every mode, also where --areas leaves it unused.
+    grid = _parse_grid(config["grid"])
     if what == "areas":
         if config["areas"] is not None:
             raise SopGateError("--what areas searches the --grid box and takes no --areas")
         family = sop_family(b2=config["b2"], c2=config["c2"])
-        grid = _parse_grid(config["grid"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
         check_simplices(config["restarts"])
         os.makedirs(config["out"], exist_ok=True)
@@ -394,7 +404,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         # One pair: batch shape (), 0-d results.
         areas = np.array(_parse_area_pair(config["areas"])) * math.pi
     else:
-        grid = _parse_grid(config["grid"])
         check_grid_points(grid.n_points**2)
         axis = grid.values_radians()
         areas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
@@ -435,7 +444,7 @@ VALIDATE_DEFAULTS = {
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _merge_config(args, VALIDATE_DEFAULTS)
+    config, _ = _merge_config(args, VALIDATE_DEFAULTS)
     if not 1 <= config["samples"] <= MAX_SAMPLES:
         raise SopGateError(f"--samples must be in [1, {MAX_SAMPLES}], got {config['samples']}")
     if not (math.isfinite(config["tolerance"]) and config["tolerance"] > 0):

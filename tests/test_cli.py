@@ -449,6 +449,42 @@ class TestOptimizeCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
+    def test_grid_checked_next_to_areas(self, tmp_path, capsys, what):
+        out = tmp_path / "bad"
+        argv = ["optimize", "--what", what, "--areas=2,2", "--grid=nonsense", "--restarts", "1"]
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--what", "third-qubit", "--c2", "0.9"], ["--what", "all-factors", "--b2", "0.99"]]
+    )
+    def test_unread_factor_flag_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        argv = ["optimize", *argv, "--areas=2,2", "--restarts", "1"]
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values", [{"c2": 0.1}, {"what": "third-qubit", "c2": 0.9}, {"what": "all-factors", "b2": 0.1}]
+    )
+    def test_unread_factor_in_config_file_refused(self, tmp_path, capsys, values):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "bad"
+        argv = ["optimize", "--config", str(config), "--areas=2,2", "--restarts", "1"]
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what, factor", [("third-qubit", "b2"), ("all-factors", "c2")])
+    def test_read_factor_accepted_and_defaults_recorded(self, tmp_path, what, factor):
+        out = tmp_path / "ok"
+        argv = ["optimize", "--what", what, f"--{factor}", "0.2", "--areas=2,2", "--restarts", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        config = json.loads(read(out / f"optimized_map_{what.replace('-', '_')}.json"))["config"]
+        given = {"what": what, factor: 0.2, "areas": "2,2", "restarts": 1, "out": str(out)}
+        assert config == {**OPTIMIZE_DEFAULTS, **given}
+
     def test_areas_payload(self, tmp_path):
         out = tmp_path / "areas"
         argv = ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"]

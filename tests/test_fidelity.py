@@ -238,6 +238,61 @@ class TestFidelityMap:
         assert sorted(sizes) == sorted([n_odd, n_even] * 3)
 
 
+class TestMapKernelFoldAndChunks:
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (3, 641)])
+    def test_non_square_grid_matches_pointwise_bitwise(self, m_pulses, b2, c2, n_odd, n_even):
+        # The even axis is folded into one gemm per odd row and block.
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
+        even = np.linspace(-7.9 * PI, 7.7 * PI, n_even)
+        diag = family_diagonal_grid(family, odd, even)
+        assert diag.shape == (2**family.n_qubits, n_odd, n_even)
+        for i, j in np.ndindex(n_odd, n_even):
+            np.testing.assert_array_equal(diag[:, i, j], family.amplitudes(odd[i], even[j]))
+
+    @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_row_chunks_keep_every_bit(self, monkeypatch, m_pulses, b2, c2):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 20)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
+        default = family_diagonal_grid(family, odd, even)
+        dim = family.n_qubits + 1  # the largest block
+        rows_seen = []
+        original = sopgate.propagator._product
+
+        def recorded(left, right):
+            product = original(left, right)
+            if product.shape[-1] == dim:
+                rows_seen.append(product.shape[1])
+            return product
+
+        monkeypatch.setattr(sopgate.propagator, "_product", recorded)
+        for rows in (1, 2, 7):
+            budget = rows * 16 * dim**2 * len(even)
+            monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", budget)
+            rows_seen.clear()
+            np.testing.assert_array_equal(family_diagonal_grid(family, odd, even), default)
+            assert max(rows_seen) == rows
+
+    def test_wide_three_qubit_map_stays_in_budget(self, monkeypatch):
+        sizes = []
+        original = sopgate.propagator._product
+
+        def recorded(left, right):
+            product = original(left, right)
+            sizes.append(product.nbytes)
+            return product
+
+        monkeypatch.setattr(sopgate.propagator, "_product", recorded)
+        axis = GridSpec(-16, 16, 0.05).values_radians()
+        assert len(axis) == 641
+        family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis)
+        assert 0 < max(sizes) <= sopgate.propagator._PRODUCT_BYTES
+
+
 class TestAlternatingAmplitudes:
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n_qubits", [2, 3])

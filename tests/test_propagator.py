@@ -30,6 +30,7 @@ from sopgate import (
     sop_family,
 )
 from sopgate.propagator import (
+    _product,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -339,6 +340,24 @@ class TestBlockAmplitudes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             register_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
+
+
+class TestFoldedProduct:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 641])
+    def test_equals_broadcast_matmul_bitwise(self, dim, n):
+        # A right factor broadcast along the last batch axis is folded into
+        # the left factor's rows; every d x d block must keep its bits.
+        rng = np.random.default_rng(10 * dim + n)
+
+        def complex_stack(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        left = complex_stack(3, 1, n, dim, dim)  # block, odd row, even point
+        right = complex_stack(3, 4, 1, dim, dim)
+        product = _product(left, right)
+        assert product.shape == (3, 4, n, dim, dim)
+        np.testing.assert_array_equal(product, left @ right)
 
 
 class TestSequenceAmplitude:
