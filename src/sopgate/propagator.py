@@ -15,12 +15,19 @@ each block's ground-state return amplitude, for every block of a register
 at once. Fidelity maps, robustness scans, b scans, optimizer candidates and
 single protocols (:func:`diagonal_amplitudes`, :func:`sequence_amplitude`)
 all take their amplitudes from it; :func:`block_decompose` lists the blocks
-for the time-domain check. In a map, the first product P_even(j) P_odd(i) is
-one gemm per odd row with the even points stacked along its rows, and
-products are formed in chunks of block states and grid rows that stay under
-a fixed memory budget; every amplitude keeps the bits of its own d×d gemm.
-The closed-form amplitudes the kernel is checked against live with the
-tests, in ``tests/oracles.py``.
+for the time-domain check.
+
+Only the ground-state return amplitude U[0, 0] is read, so the kernel
+carries ground columns rather than d×d products. Star propagators are
+exactly symmetric, so the first two columns of the running product travel
+as two rows x and each pulse steps them as x <- x U_k; two rows, because a
+one-row product goes to gemv and changes bits. All rows that share a
+propagator form one gemm: in a map, n_odd + n_even gemms per pulse and
+block state instead of n_odd·n_even. Rows are carried in chunks of block
+states and grid rows that stay under a fixed memory budget. For blocks of
+up to 4 levels (registers of up to 3 qubits) every amplitude keeps the bits
+of its own chain of d×d gemms. The closed-form amplitudes the kernel is
+checked against live with the tests, in ``tests/oracles.py``.
 """
 
 import functools
@@ -50,11 +57,15 @@ def star_propagator(coupling, theta) -> np.ndarray:
     broadcasts over the coupling rows and ``theta``: its shape is
     ``broadcast(coupling.shape[:-1], theta.shape) + (1 + n, 1 + n)``, and
     each matrix equals the one of its row and angle alone bit for bit.
+    Every matrix is exactly symmetric, U == U.T bit for bit;
+    :func:`register_amplitudes` relies on this to carry columns as rows.
     """
-    v = np.atleast_1d(np.asarray(coupling, dtype=float))
+    # Per row, np.vecdot computes what ``v @ v`` does for a 1-D vector when
+    # the rows are contiguous; over strided rows of 4 or more entries it sums
+    # in another order.
+    v = np.ascontiguousarray(coupling, dtype=float)
     theta = np.asarray(theta, dtype=float)
     dim = v.shape[-1] + 1
-    # Per row, np.vecdot computes what ``v @ v`` does for a 1-D vector.
     s = np.sqrt(np.vecdot(v, v))
     zero = s == 0.0
     unit = v / np.where(zero, 1.0, s)[..., None]
@@ -124,10 +135,11 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     return blocks
 
 
-#: Bytes of the largest pulse product :func:`register_amplitudes` forms at once:
-#: larger temporaries take fresh pages on every product (10 % of a 3-qubit map).
-#: A 641×641 3-qubit map would otherwise form 105 MB products for one state.
-_PRODUCT_BYTES = 2**24
+#: Bytes of the largest ground-row array :func:`register_amplitudes` forms at
+#: once; a 641×641 3-qubit map would otherwise carry 53 MB of rows for one
+#: state. With 16 MiB instead, the benchmark's map-sweep peak memory rose
+#: from 109 to 142 MB and its round time by a quarter (2-core Xeon host).
+_PRODUCT_BYTES = 2**22
 
 
 def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
@@ -144,16 +156,26 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     qubits, are stacked, and each distinct pulse's propagators are built on
     its own angle shape: angles on separate axes, like a map's odd and even
     areas, cost one propagator per axis value. Pulses with angles of one
-    shape share a :func:`star_propagator` call. The propagators are
-    multiplied in pulse order, U = U_M ... U_2 U_1, and U[0, 0] is read off.
-    Where the running product is broadcast along the last batch axis and the
-    next pulse is not, as after a map's first odd pulse, that axis is folded
-    into the rows of one gemm (:func:`_product`). Products are formed in
+    shape share a :func:`star_propagator` call.
+
+    Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
+    is carried. Every star propagator is exactly symmetric, so the first
+    two columns of U, carried as rows x (starting from U_1[:2]), step as
+    x <- x U_k. Two rows, never one: numpy sends a one-row product to gemv,
+    which changes bits. Rows that share a propagator, along the batch axes
+    where it is broadcast, are stacked into one gemm (:func:`_row_product`):
+    in a map, each odd pulse takes the 2·n_even rows of its odd row and each
+    even pulse the 2·n_odd rows of its even column. Rows are carried in
     chunks of block states of at most ``_PRODUCT_BYTES``; when one state's
-    product is larger, in chunks of rows of the first batch axis (a map's
-    odd rows). The result has shape batch + (2^n,), in :func:`basis_labels`
-    order; with pulses it is a view of a contiguous basis-first array. Each
-    amplitude equals the one of its block and row alone bit for bit.
+    rows are larger, in chunks of rows of the first batch axis (a map's odd
+    rows). The result has shape batch + (2^n,), in :func:`basis_labels`
+    order; with pulses it is a view of a contiguous basis-first array.
+
+    For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
+    amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
+    for bit (OpenBLAS 0.3.31). For d ≥ 5 the row order differs from it in
+    the last bit for some amplitudes; every amplitude still equals the one
+    of its block and batch row alone bit for bit.
     """
     vectors = np.asarray(vectors, dtype=float)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
@@ -184,20 +206,20 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
         for pulses, pulse_vectors, pulse_thetas in stacks:
             couplings = pulse_vectors[..., qubits].transpose(block_first)
             propagators.update(zip(pulses, star_propagator(couplings, pulse_thetas)))
-        # Chunks of states; when one state's product is over the budget, one
+        # Chunks of states; when one state's rows are over the budget, one
         # state and chunks of rows of the first batch axis.
         dim = qubits.shape[1] + 1
         n_rows = batch[0] if batch else 1
-        rows = max(1, _PRODUCT_BYTES // (16 * dim * dim * math.prod(batch[1:])))
+        rows = max(1, _PRODUCT_BYTES // (16 * 2 * dim * math.prod(batch[1:])))
         step = max(1, rows // n_rows)
         for lo in range(0, len(states), step):
             for row in range(0, n_rows, rows):
                 # State and row slices; a register without batch axes has no rows.
                 index = (slice(lo, lo + step), slice(row, row + rows))[: out.ndim]
-                u_tot = _chunk(propagators[order[0]], index)
+                x = _chunk(propagators[order[0]], index)[..., :2, :]
                 for k in order[1:]:
-                    u_tot = _product(_chunk(propagators[k], index), u_tot)
-                out[(states[lo : lo + step], *index[1:])] = u_tot[..., 0, 0]
+                    x = _row_product(x, _chunk(propagators[k], index))
+                out[(states[lo : lo + step], *index[1:])] = x[..., 0, 0]
     out[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
     return out.transpose((*range(1, out.ndim), 0))
 
@@ -207,22 +229,25 @@ def _chunk(propagators: np.ndarray, index: tuple[slice, ...]) -> np.ndarray:
     return propagators[index if propagators.shape[1] > 1 else index[:1]]
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ right`` over (..., n, d, d) stacks, bit for bit.
+def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
+    """``rows @ propagators`` of (state, *batch, 2, d) rows and (state, *batch, d, d) propagators.
 
-    When ``right`` is broadcast along the last batch axis (length 1) and
-    ``left`` is not, that axis is folded into the rows of ``left``: one
-    (n·d)×d by d×d gemm per leading index instead of n d×d gemms. Each d×d
-    block of a row-stacked gemm equals its own product bit for bit (checked
-    with OpenBLAS 0.3.31 for d = 2, 3, 4 and n up to 641); widening the
-    right factor's columns, transposing to Bᵀ·Aᵀ or a row-vector gemv
-    each changed bits for d = 2 and 3, so only this fold is made.
+    The rows along the batch axes where ``propagators`` is broadcast and
+    ``rows`` is not share one propagator; they are stacked into the rows of
+    one m×d by d×d gemm per propagator. Batches that share nothing, like
+    the optimizer's, take one plain 2×d by d×d gemm per row.
     """
-    n, dim = left.shape[-3], left.shape[-1]
-    if left.ndim < 4 or right.shape[-3] != 1 or n == 1:
-        return left @ right
-    folded = left.reshape(left.shape[:-3] + (n * dim, dim)) @ right[..., 0, :, :]
-    return folded.reshape(folded.shape[:-2] + (n, dim, dim))
+    shared = [ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]]
+    if not shared:
+        return rows @ propagators
+    # The shared axes move next to the row axis and merge into it.
+    own = [ax for ax in range(rows.ndim - 2) if ax not in shared]
+    axes = [*own, *shared, rows.ndim - 2, rows.ndim - 1]
+    stacked = rows.transpose(axes)
+    merged = stacked.reshape(stacked.shape[: len(own)] + (-1, rows.shape[-1]))
+    product = merged @ propagators.squeeze(tuple(shared))
+    product = product.reshape(product.shape[:-2] + stacked.shape[len(own) :])
+    return product.transpose(np.argsort(axes))
 
 
 @functools.cache

@@ -238,12 +238,12 @@ class TestFidelityMap:
         assert sorted(sizes) == sorted([n_odd, n_even] * 3)
 
 
-class TestMapKernelFoldAndChunks:
+class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
     @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (3, 641)])
     def test_non_square_grid_matches_pointwise_bitwise(self, m_pulses, b2, c2, n_odd, n_even):
-        # The even axis is folded into one gemm per odd row and block.
+        # Odd pulses take the rows of one odd row, even pulses those of one even column.
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
         even = np.linspace(-7.9 * PI, 7.7 * PI, n_even)
@@ -261,17 +261,18 @@ class TestMapKernelFoldAndChunks:
         default = family_diagonal_grid(family, odd, even)
         dim = family.n_qubits + 1  # the largest block
         rows_seen = []
-        original = sopgate.propagator._product
+        original = sopgate.propagator._row_product
 
-        def recorded(left, right):
-            product = original(left, right)
+        def recorded(rows, propagators):
+            product = original(rows, propagators)
             if product.shape[-1] == dim:
                 rows_seen.append(product.shape[1])
             return product
 
-        monkeypatch.setattr(sopgate.propagator, "_product", recorded)
+        monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         for rows in (1, 2, 7):
-            budget = rows * 16 * dim**2 * len(even)
+            # Two ground rows of dim entries per grid point.
+            budget = rows * 16 * 2 * dim * len(even)
             monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", budget)
             rows_seen.clear()
             np.testing.assert_array_equal(family_diagonal_grid(family, odd, even), default)
@@ -279,14 +280,14 @@ class TestMapKernelFoldAndChunks:
 
     def test_wide_three_qubit_map_stays_in_budget(self, monkeypatch):
         sizes = []
-        original = sopgate.propagator._product
+        original = sopgate.propagator._row_product
 
-        def recorded(left, right):
-            product = original(left, right)
-            sizes.append(product.nbytes)
+        def recorded(rows, propagators):
+            product = original(rows, propagators)
+            sizes.extend((rows.nbytes, product.nbytes))
             return product
 
-        monkeypatch.setattr(sopgate.propagator, "_product", recorded)
+        monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         axis = GridSpec(-16, 16, 0.05).values_radians()
         assert len(axis) == 641
         family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis)

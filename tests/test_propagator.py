@@ -29,8 +29,8 @@ from sopgate import (
     make_structural_vector,
     sop_family,
 )
+from sopgate.fidelity import family_diagonal_grid, pulse_areas
 from sopgate.propagator import (
-    _product,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -119,6 +119,20 @@ class TestStarPropagator:
                 assert u[0, 0] == math.cos(angle)
                 expected_off = 1j * math.copysign(1.0, alpha) * math.sin(angle)
                 assert u[0, 1] == expected_off
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_exactly_symmetric(self, n):
+        # register_amplitudes carries ground columns as rows: U == U^T bit for bit.
+        rng = np.random.default_rng(20 + n)
+        couplings = rng.normal(size=(6, 1, n))
+        couplings[2] = 0.0
+        thetas = rng.uniform(-8 * PI, 8 * PI, size=(1, 5))
+        for u in (
+            star_propagator(couplings, thetas),
+            star_propagator(couplings[0, 0], 0.4),
+            star_propagator(np.zeros(n), 1.3),
+        ):
+            np.testing.assert_array_equal(u, np.swapaxes(u, -1, -2))
 
     def test_batch_matches_scalar(self):
         thetas = np.linspace(-2 * PI, 2 * PI, 12).reshape(3, 4)
@@ -265,17 +279,22 @@ def random_protocol(rng, n_qubits, n_pulses):
 
 
 def scalar_composition(protocol, label):
-    """Reference: the per-state loop the kernel replaced.
+    """Reference: the per-state loop the kernel replaced, :func:`matrix_chain` of one protocol."""
+    vectors = [pulse.vector.components for pulse in protocol.pulses]
+    return complex(matrix_chain(vectors, [pulse.theta for pulse in protocol.pulses], label))
+
+
+def matrix_chain(vectors, thetas, label):
+    """U[0, 0] of the d×d chain U = P_M ⋯ P_1 of the block of ``label``, over broadcast angles.
 
     One star propagator per pulse, each multiplied onto the product so far,
     starting from the identity.
     """
     zq = [i for i, ch in enumerate(label) if ch == "0"]
     u_mat = np.eye(1 + len(zq), dtype=complex)
-    for pulse in protocol.pulses:
-        v = np.asarray(pulse.vector.components, dtype=float)[zq]
-        u_mat = star_propagator(v, pulse.theta) @ u_mat
-    return complex(u_mat[0, 0])
+    for vector, theta in zip(vectors, thetas):
+        u_mat = star_propagator(np.asarray(vector, dtype=float)[zq], theta) @ u_mat
+    return u_mat[..., 0, 0]
 
 
 class TestBlockAmplitudes:
@@ -342,22 +361,49 @@ class TestBlockAmplitudes:
             register_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
 
 
-class TestFoldedProduct:
+class TestGroundRows:
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 641])
-    def test_equals_broadcast_matmul_bitwise(self, dim, n):
-        # A right factor broadcast along the last batch axis is folded into
-        # the left factor's rows; every d x d block must keep its bits.
-        rng = np.random.default_rng(10 * dim + n)
+    @pytest.mark.parametrize("m", [2, 3, 642, 1282])
+    def test_stacked_rows_step_as_product_columns_bitwise(self, dim, m):
+        # m running products U share one propagator P; their ground columns,
+        # stacked as the rows of one gemm, must step as column 0 of P @ U.
+        rng = np.random.default_rng(10 * dim + m)
+        u = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
+        p = star_propagator(rng.normal(size=dim - 1), rng.uniform(-8 * PI, 8 * PI))
+        rows = np.ascontiguousarray(u[:, :, 0])
+        np.testing.assert_array_equal(rows @ p, (p @ u)[:, :, 0])
 
-        def complex_stack(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    @pytest.mark.parametrize("n_odd, n_even", [(1, 1), (1, 7), (7, 1), (3, 641)])
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("b2, c2", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)])
+    def test_map_equals_matrix_chain_bitwise(self, n_odd, n_even, m_pulses, b2, c2):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
+        even = np.linspace(-7.9 * PI, 7.7 * PI, n_even)
+        diag = family_diagonal_grid(family, odd, even)
+        areas = pulse_areas(odd[:, None], even[None, :], m_pulses)
+        vectors = [(family.vector_odd, family.vector_even)[k % 2].components for k in range(m_pulses)]
+        thetas = [0.5 * areas[k % 2] for k in range(m_pulses)]
+        protocol = family.protocol(odd[0], even[0])
+        for label, amps in zip(basis_labels(family.n_qubits), diag):
+            chain = np.broadcast_to(matrix_chain(vectors, thetas, label), amps.shape)
+            np.testing.assert_array_equal(amps, chain)
+            assert amps[0, 0] == scalar_composition(protocol, label)
 
-        left = complex_stack(3, 1, n, dim, dim)  # block, odd row, even point
-        right = complex_stack(3, 4, 1, dim, dim)
-        product = _product(left, right)
-        assert product.shape == (3, 4, n, dim, dim)
-        np.testing.assert_array_equal(product, left @ right)
+    @pytest.mark.parametrize("m_pulses", [2, 3, 5])
+    def test_four_qubit_grid_equals_its_points_bitwise(self, m_pulses):
+        # Blocks of dimension 5 can differ from the d x d product order in the
+        # last bit, but a grid still equals its single points.
+        rng = np.random.default_rng(m_pulses)
+        odd_vector, even_vector = rng.normal(size=(2, 4))
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 9)
+        even = np.linspace(-7.9 * PI, 7.7 * PI, 11)
+        vectors, order = [odd_vector, even_vector], [k % 2 for k in range(m_pulses)]
+        grid = register_amplitudes(vectors, [odd[:, None], even[None, :]], order)
+        assert grid.shape == (9, 11, 16)
+        for i, j in np.ndindex(9, 11):
+            point = register_amplitudes(vectors, [odd[i], even[j]], order)
+            np.testing.assert_array_equal(grid[i, j], point)
 
 
 class TestSequenceAmplitude:
