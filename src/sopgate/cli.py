@@ -75,13 +75,13 @@ MAX_SAMPLES = 10_000
 MAX_PULSES = 64
 
 
-def _write_atomic(path: str, data: str) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
     """Write to a unique temporary file next to ``path``, then rename it over ``path``."""
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         # mkstemp creates the file private; give it the mode open() would.
         umask = os.umask(0)
@@ -94,16 +94,18 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra: dict | None = None) -> None:
+    """Write the data file as UTF-8 and its JSON sidecar with the SHA-256 of those bytes."""
     data_path = os.path.join(out_dir, stem)
-    _write_atomic(data_path, data_text)
+    data = data_text.encode()
+    _write_atomic(data_path, data)
     meta = {
         "tool": f"sopgate {__version__}",
         "config": config,
-        "content_sha256": hashlib.sha256(data_text.encode()).hexdigest(),
+        "content_sha256": hashlib.sha256(data).hexdigest(),
     }
     if extra:
         meta.update(extra)
-    _write_atomic(os.path.splitext(data_path)[0] + ".json", json.dumps(meta, indent=2) + "\n")
+    _write_atomic(os.path.splitext(data_path)[0] + ".json", (json.dumps(meta, indent=2) + "\n").encode())
     print(f"wrote {data_path}")
 
 

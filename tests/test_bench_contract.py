@@ -10,8 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sopgate.cli
+import sopgate.fidelity
 from sopgate.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -67,3 +70,14 @@ def test_script_imports_resolve(script):
             for alias in node.names:
                 if alias.name.startswith("sopgate"):
                     importlib.import_module(alias.name)
+
+
+def test_map_renderer_is_shared_and_counted_in_bytes():
+    # spans.py patches map_csv_text in sopgate.cli and counts len(result) as bytes.
+    assert sopgate.cli.map_csv_text is sopgate.fidelity.map_csv_text
+    fmap = sopgate.fidelity.FidelityMap(
+        axis_odd=np.array([-np.pi, 0.0]), axis_even=np.array([0.5]), values=np.array([[0.25], [np.nan]])
+    )
+    text = sopgate.cli.map_csv_text(fmap)
+    assert type(text) is str
+    assert len(text) == len(text.encode("utf-8"))

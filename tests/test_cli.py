@@ -127,7 +127,7 @@ class TestMapCommand:
         target = tmp_path / "target"
         target.mkdir()
         with pytest.raises(OSError):
-            _write_atomic(str(target), "data\n")
+            _write_atomic(str(target), b"data\n")
         assert [p.name for p in tmp_path.iterdir()] == ["target"]
 
     def test_config_file_with_flag_precedence(self, tmp_path):
@@ -139,6 +139,30 @@ class TestMapCommand:
         meta = json.loads(read(out / "fidelity_map.json"))
         assert meta["config"]["b2"] == 0.1  # flag wins
         assert meta["config"]["grid"] == "-1:1:0.5"  # file beats default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--grid=-1:1:0.5"],
+        ["esop-map", "--pulses", "4", "--grid=-1:1:0.5"],
+        ["robustness", "--b2", "0,0.1", "--delta-step", "0.25"],
+        ["bscan", "--areas=2,2", "--b2-step", "0.25"],
+        ["optimize", "--areas=2,2", "--restarts", "1"],
+        ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"],
+        ["validate", "--samples", "1"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_sidecar_hashes_the_written_bytes(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    sidecars = sorted(out.glob("*.json"))
+    assert sidecars
+    for sidecar in sidecars:
+        (data,) = [p for p in out.iterdir() if p.stem == sidecar.stem and p != sidecar]
+        meta = json.loads(sidecar.read_bytes())
+        assert meta["content_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 class TestOutputDirectoryFirst:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sopgate.propagator
 from oracles import negated
@@ -27,6 +29,7 @@ from sopgate import (
     sop_family,
 )
 from sopgate.fidelity import (
+    _CSV_BLOCK_CELLS,
     FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
     alternating_amplitudes,
@@ -471,3 +474,68 @@ class TestCsvOutput:
         ]
         empty = FidelityMap(axis_odd=axis_odd, axis_even=axis_even[:0], values=values[:, :0])
         assert map_csv_text(empty) == per_cell_map_csv_text(empty)
+
+    @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
+    def test_b2_zero_maps_match_per_cell_rendering(self, m_pulses):
+        # These maps hold exact binary ties, F >= 1 and |F| < 1e-15 cells.
+        fmap = fidelity_map(sop_family(b2=0.0, m_pulses=m_pulses), GridSpec(-2, 2, 0.05))
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap)
+
+    def test_partial_last_block_matches_per_cell_rendering(self):
+        n_even = 7
+        block = _CSV_BLOCK_CELLS // n_even
+        n_odd = 2 * block + 5
+        values = 10.0 ** np.random.default_rng(5).uniform(-6, 0.01, (n_odd, n_even))
+        fmap = FidelityMap(
+            axis_odd=np.linspace(-PI, PI, n_odd), axis_even=np.arange(n_even) * 0.3, values=values
+        )
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap)
+
+
+def one_row_map(values):
+    values = np.asarray(values, dtype=float)
+    return FidelityMap(axis_odd=np.zeros(1), axis_even=np.zeros(values.size), values=values[None, :])
+
+
+def halfway_values():
+    """9th-digit halfway values in each decade of [1e-4, 1), with both float neighbours."""
+    digits = np.array([100000000, 123456789, 352539062, 500000000, 999999998, 999999999]) + 0.5
+    halfway = np.concatenate([digits / 10.0 ** (9 + zeros) for zeros in range(4)])
+    return np.concatenate([halfway, np.nextafter(halfway, 0), np.nextafter(halfway, 1)])
+
+
+ADVERSARIAL_FIDELITIES = [
+    # exact binary ties at the 9th digit (361/1024 rounds down, 527/1024 up), decade edges
+    0.3525390625,
+    0.5146484375,
+    *[1e-4, 9.9999999995e-5, 0.9999999995, 0.99999999949, 0.1, 0.01, 0.001],
+    *np.nextafter([1e-4, 1e-3, 1e-2, 0.1, 1.0], 0).tolist(),
+    *[0.0, -0.0, 1.0, 1.0000000000000002, 5e-324, 1e-17],
+    *[-0.5, -1e-4, -0.3525390625, math.nan, math.inf, -math.inf],
+]
+
+
+class TestFidelityText:
+    """The fidelity column against ``f"{F:.9g}"``, byte for byte."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=1e-4, max_value=1, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_floats(self, values):
+        fmap = one_row_map(values)
+        assert map_csv_text(fmap).encode() == per_cell_map_csv_text(fmap).encode()
+
+    @pytest.mark.parametrize(
+        "values", [halfway_values(), ADVERSARIAL_FIDELITIES], ids=["halfway", "adversarial"]
+    )
+    def test_adversarial_values(self, values):
+        fmap = one_row_map(values)
+        assert map_csv_text(fmap).encode() == per_cell_map_csv_text(fmap).encode()
