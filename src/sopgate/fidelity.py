@@ -66,7 +66,7 @@ def check_grid_points(n_points: float) -> None:
     """Refuse a grid of more than :data:`MAX_GRID_POINTS` points."""
     if n_points > MAX_GRID_POINTS:
         raise GridTooLargeError(
-            f"grid of {n_points:.0f} points exceeds the limit of {MAX_GRID_POINTS}"
+            f"grid of {n_points:.3g} points exceeds the limit of {MAX_GRID_POINTS}"
         )
 
 

@@ -19,15 +19,17 @@ for the time-domain check.
 
 Only the ground-state return amplitude U[0, 0] is read, so the kernel
 carries ground columns rather than d×d products. Star propagators are
-exactly symmetric, so the first two columns of the running product travel
-as two rows x and each pulse steps them as x <- x U_k; two rows, because a
-one-row product goes to gemv and changes bits. All rows that share a
+exactly symmetric, so the leading columns of the running product travel as
+rows x and each pulse steps them as x <- x U_k. All rows that share a
 propagator form one gemm: in a map, n_odd + n_even gemms per pulse and
-block state instead of n_odd·n_even. Rows are carried in chunks of block
-states and grid rows that stay under a fixed memory budget. For blocks of
-up to 4 levels (registers of up to 3 qubits) every amplitude keeps the bits
-of its own chain of d×d gemms. The closed-form amplitudes the kernel is
-checked against live with the tests, in ``tests/oracles.py``.
+block state instead of n_odd·n_even. Where every such gemm stacks two or
+more points, as in a map with at least two points on each axis, one row
+per point is carried; elsewhere two, because a one-row product goes to
+gemv and changes bits. Rows are carried in chunks of block states and grid
+rows that stay under a fixed memory budget. For blocks of up to 4 levels
+(registers of up to 3 qubits) every amplitude keeps the bits of its own
+chain of d×d gemms. The closed-form amplitudes the kernel is checked
+against live with the tests, in ``tests/oracles.py``.
 """
 
 import functools
@@ -137,8 +139,8 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 
 #: Bytes of the largest ground-row array :func:`register_amplitudes` forms at
 #: once; a 641×641 3-qubit map would otherwise carry 53 MB of rows for one
-#: state. With 16 MiB instead, the benchmark's map-sweep peak memory rose
-#: from 109 to 142 MB and its round time by a quarter (2-core Xeon host).
+#: state. Chunks are sized for two rows per point, so the budget also bounds
+#: chunks that carry one.
 _PRODUCT_BYTES = 2**22
 
 
@@ -159,17 +161,23 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     shape share a :func:`star_propagator` call.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
-    is carried. Every star propagator is exactly symmetric, so the first
-    two columns of U, carried as rows x (starting from U_1[:2]), step as
-    x <- x U_k. Two rows, never one: numpy sends a one-row product to gemv,
-    which changes bits. Rows that share a propagator, along the batch axes
+    is carried. Every star propagator is exactly symmetric, so the leading
+    columns of U, carried as rows x (starting from U_1[:1] or U_1[:2]),
+    step as x <- x U_k. Rows that share a propagator, along the batch axes
     where it is broadcast, are stacked into one gemm (:func:`_row_product`):
-    in a map, each odd pulse takes the 2·n_even rows of its odd row and each
-    even pulse the 2·n_odd rows of its even column. Rows are carried in
-    chunks of block states of at most ``_PRODUCT_BYTES``; when one state's
-    rows are larger, in chunks of rows of the first batch axis (a map's odd
-    rows). The result has shape batch + (2^n,), in :func:`basis_labels`
-    order; with pulses it is a view of a contiguous basis-first array.
+    in a map, each odd pulse takes the rows of the n_even points of its odd
+    row and each even pulse those of the n_odd points of its even column.
+    One row per point when every pulse after the first stacks at least two
+    points this way, read off the chunk's propagator shapes
+    (:func:`_carried_rows`); two otherwise, since numpy sends a one-row
+    product to gemv, which changes bits. Batches that share no propagator
+    (the optimizer's candidates, b and robustness scans, single protocols),
+    maps of one odd row or one even column, and a chunk of one odd row
+    carry two. Rows are carried in chunks of block states of at most
+    ``_PRODUCT_BYTES``; when one state's rows are larger, in chunks of rows
+    of the first batch axis (a map's odd rows). The result has shape
+    batch + (2^n,), in :func:`basis_labels` order; with pulses it is a view
+    of a contiguous basis-first array.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -216,9 +224,10 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
             for row in range(0, n_rows, rows):
                 # State and row slices; a register without batch axes has no rows.
                 index = (slice(lo, lo + step), slice(row, row + rows))[: out.ndim]
-                x = _chunk(propagators[order[0]], index)[..., :2, :]
-                for k in order[1:]:
-                    x = _row_product(x, _chunk(propagators[k], index))
+                chunk = [_chunk(propagators[k], index) for k in order]
+                x = chunk[0][..., : _carried_rows(chunk), :]
+                for propagator in chunk[1:]:
+                    x = _row_product(x, propagator)
                 out[(states[lo : lo + step], *index[1:])] = x[..., 0, 0]
     out[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
     return out.transpose((*range(1, out.ndim), 0))
@@ -229,13 +238,30 @@ def _chunk(propagators: np.ndarray, index: tuple[slice, ...]) -> np.ndarray:
     return propagators[index if propagators.shape[1] > 1 else index[:1]]
 
 
+def _carried_rows(chunk: list[np.ndarray]) -> int:
+    """Ground rows to carry through ``chunk``, (state, *batch, d, d) propagators in pulse order.
+
+    One when :func:`_row_product` stacks the rows of at least two points
+    into the gemm of every later pulse: a broadcast axis of that pulse's
+    propagator along which the product so far is not broadcast. Two
+    otherwise, so that no product is a one-row gemv.
+    """
+    shape = chunk[0].shape[:-2]
+    for propagator in chunk[1:]:
+        if not any(n == 1 < m for n, m in zip(propagator.shape[1:-2], shape[1:])):
+            return 2
+        shape = np.broadcast_shapes(shape, propagator.shape[:-2])
+    return 1
+
+
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
-    """``rows @ propagators`` of (state, *batch, 2, d) rows and (state, *batch, d, d) propagators.
+    """``rows @ propagators`` of (state, *batch, r, d) rows and (state, *batch, d, d) propagators.
 
     The rows along the batch axes where ``propagators`` is broadcast and
     ``rows`` is not share one propagator; they are stacked into the rows of
     one m×d by d×d gemm per propagator. Batches that share nothing, like
-    the optimizer's, take one plain 2×d by d×d gemm per row.
+    the optimizer's, carry two rows and take one plain 2×d by d×d gemm per
+    row.
     """
     shared = [ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]]
     if not shared:

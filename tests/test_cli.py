@@ -100,6 +100,14 @@ class TestMapCommand:
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert not out.exists()
 
+    def test_oversized_grid_message_is_short(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        assert main(["map", "--grid=-1:1:1e-300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: grid of 2e+300 points exceeds the limit of 4194304"]
+        assert len(err[0]) < 100
+        assert not out.exists()
+
     def test_config_path_is_directory(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert_config_error(capsys, ["map", "--config", str(tmp_path), "--out", str(out)])

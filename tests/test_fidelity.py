@@ -25,6 +25,7 @@ from sopgate import (
     gate_fidelity,
     lattice_analysis,
     map_maxima,
+    optimize_third_qubit,
     robustness_scan,
     sop_family,
 )
@@ -244,7 +245,7 @@ class TestFidelityMap:
 class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
-    @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (3, 641)])
+    @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (2, 9), (9, 2), (3, 641)])
     def test_non_square_grid_matches_pointwise_bitwise(self, m_pulses, b2, c2, n_odd, n_even):
         # Odd pulses take the rows of one odd row, even pulses those of one even column.
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
@@ -281,6 +282,30 @@ class TestMapKernelRowsAndChunks:
             np.testing.assert_array_equal(family_diagonal_grid(family, odd, even), default)
             assert max(rows_seen) == rows
 
+    @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_last_chunk_of_one_odd_row_keeps_every_bit(self, monkeypatch, m_pulses, b2, c2):
+        # The largest block's 15 odd rows go in chunks of 7, 7 and 1: one
+        # ground row carried per point, then two for the lone odd row.
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 15)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
+        dim = family.n_qubits + 1
+        chunks = []
+        original = sopgate.propagator._row_product
+
+        def recorded(rows, propagators):
+            if rows.shape[-1] == dim:
+                chunks.append((rows.shape[1], rows.shape[-2]))
+            return original(rows, propagators)
+
+        monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
+        monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", 7 * 16 * 2 * dim * len(even))
+        diag = family_diagonal_grid(family, odd, even)
+        assert sorted(set(chunks)) == [(1, 2), (7, 1)]
+        for i, j in np.ndindex(len(odd), len(even)):
+            np.testing.assert_array_equal(diag[:, i, j], family.amplitudes(odd[i], even[j]))
+
     def test_wide_three_qubit_map_stays_in_budget(self, monkeypatch):
         sizes = []
         original = sopgate.propagator._row_product
@@ -295,6 +320,58 @@ class TestMapKernelRowsAndChunks:
         assert len(axis) == 641
         family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis)
         assert 0 < max(sizes) <= sopgate.propagator._PRODUCT_BYTES
+
+
+class TestCarriedRows:
+    """One ground row per point where every gemm stacks several points, two elsewhere.
+
+    Two rows where one would do cost the kernel half its speed but no bit.
+    """
+
+    @pytest.fixture
+    def carried(self, monkeypatch):
+        seen = set()
+        original = sopgate.propagator._row_product
+
+        def recorded(rows, propagators):
+            seen.add(rows.shape[-2])
+            return original(rows, propagators)
+
+        monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
+        return seen
+
+    @pytest.mark.parametrize("n_odd, n_even", [(2, 2), (2, 9), (9, 2), (321, 321)])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_map_carries_one_row(self, carried, n_odd, n_even, b2, c2):
+        family = sop_family(b2=b2, c2=c2, m_pulses=4)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, n_even)
+        family_diagonal_grid(family, odd, even)
+        assert carried == {1}
+
+    @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (1, 1)])
+    def test_single_row_or_column_map_carries_two(self, carried, n_odd, n_even):
+        family = sop_family(b2=0.1, c2=0.1, m_pulses=4)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, n_even)
+        family_diagonal_grid(family, odd, even)
+        assert carried == {2}
+
+    def test_b_scan_carries_two(self, carried):
+        b_scan((2, -1.5), np.linspace(0.0, 0.5, 11))
+        assert carried == {2}
+
+    def test_robustness_scan_carries_two(self, carried):
+        robustness_scan(sop_family(b2=0.1).protocol(2 * PI, 2 * PI), np.linspace(-0.1, 0.1, 11))
+        assert carried == {2}
+
+    def test_optimizer_batch_carries_two(self, carried):
+        optimize_third_qubit((2.4 * PI, 1.1 * PI), b=math.sqrt(0.1), seed=3, restarts=2)
+        assert carried == {2}
+
+    def test_single_protocol_carries_two(self, carried):
+        diagonal_amplitudes(sop_family(b2=0.1, c2=0.1).protocol(2 * PI, 2 * PI))
+        assert carried == {2}
 
 
 class TestAlternatingAmplitudes:
