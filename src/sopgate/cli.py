@@ -17,6 +17,14 @@ samples), then creates the output directory, and only then computes. Files
 are written via a temporary name and renamed, so partial outputs are never
 left behind. Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
 
+Each option is declared once, as a row of :data:`OPTIONS`: its type, choices,
+single-value check, help text and the ``optimize --what`` modes that read it.
+The parsers and the checks of flag and config-file values are built from
+those rows; each command's ``*_DEFAULTS`` dict names the options it reads and
+their defaults, in the key order of the sidecar ``config``. A setting given by
+flag or config file that the chosen ``--what`` mode does not read is refused.
+Checks that read several values or parse text stay in the commands.
+
 ``optimize`` solves every point of its area grid, with all restarts, in one
 lockstep Nelder-Mead run in one process (see :mod:`sopgate.optimize`).
 ``--threads`` is still accepted, and checked to be at least 1, but starts no
@@ -30,6 +38,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +51,6 @@ from .fidelity import (
     GridSpec,
     b_scan,
     check_grid_points,
-    check_squared_factors,
     fidelity_map,
     lattice_analysis,
     lattice_report_dict,
@@ -128,12 +136,6 @@ def _scan_axis(config: dict, name: str, symmetric: bool) -> np.ndarray:
     Max and step are the ``<name>_max`` and ``<name>_step`` config values.
     """
     top, step = config[f"{name}_max"], config[f"{name}_step"]
-    if not (math.isfinite(step) and step > 0 and math.isfinite(top) and top >= 0):
-        flag = f"--{name.replace('_', '-')}"
-        raise SopGateError(
-            f"{flag}-step must be finite and > 0 and {flag}-max finite and >= 0, "
-            f"got step {step!r}, max {top!r}"
-        )
     start, stop = -top if symmetric else 0.0, top + step / 2
     check_grid_points((stop - start) / step)
     return np.arange(start, stop, step)
@@ -168,73 +170,119 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def _has_type(value, kind) -> bool:
-    # JSON ints are valid floats; booleans count only as booleans.
-    return type(value) in {float: (int, float)}.get(kind, (kind,))
+@dataclass(frozen=True)
+class _Option:
+    """One command-line option, stated once for every command that takes it.
 
-
-def _check_config_value(key: str, value, default, action: argparse.Action) -> None:
-    """Reject a config-file value of neither the flag's type nor the default's, or off its choices.
-
-    On/off flags parse to bool; where the default is a list, so must the value be.
+    A flag is parsed to ``type`` (``bool``: an on/off flag; a tuple of types:
+    text), and a config-file value must have it, where a JSON int counts as a
+    float and a boolean only as a bool. ``repeat`` collects a repeated flag
+    into a list. ``check`` is a (test, rule) pair that every value given by
+    flag or config file must pass. ``modes`` names the ``optimize --what``
+    modes that read the option; under any other mode, giving it is refused.
     """
-    flag_type = bool if action.nargs == 0 else action.type or str
-    if isinstance(default, list):
-        ok = isinstance(value, list) and all(_has_type(v, flag_type) for v in value)
-    else:
-        ok = value == default or (
-            (_has_type(value, flag_type) or _has_type(value, type(default)))
-            and (action.choices is None or value in action.choices)
-        )
-    if not ok:
+
+    type: type | tuple[type, ...]
+    help: str
+    choices: tuple | None = None
+    check: tuple | None = None
+    modes: tuple[str, ...] | None = None  # None: every mode reads it
+    repeat: bool = False
+    required_by: tuple[str, ...] = ()  # the commands whose parser requires the flag
+
+
+def _within(lo: float, hi: float) -> tuple:
+    return (lambda value: lo <= value <= hi), f"in [{lo:g}, {hi:g}]"
+
+
+_FINITE = math.isfinite, "finite"
+_POSITIVE = (lambda value: 0 < value < math.inf), "finite and > 0"
+_NON_NEGATIVE = (lambda value: 0 <= value < math.inf), "finite and >= 0"
+_AT_LEAST_ONE = (lambda value: value >= 1), "at least 1"
+_AREAS, _THIRD, _ALL = "areas", "third-qubit", "all-factors"
+
+#: Every option, keyed by its config key; a ``"<command> <key>"`` row serves
+#: the one command whose option of that name differs. Each command's
+#: ``*_DEFAULTS`` dict says which options it reads; every command also takes
+#: ``--config`` and ``--threads``.
+OPTIONS = {
+    "config": _Option(str, "JSON config file (flags take precedence)"),
+    "out": _Option(str, "output directory (default: current directory)"),
+    "threads": _Option(int, "accepted for compatibility; has no effect", check=_AT_LEAST_ONE),
+    "what": _Option(str, "what to optimize", choices=(_AREAS, _THIRD, _ALL)),
+    "b2": _Option(float, "squared gate-qubit overlap", check=_NON_NEGATIVE, modes=(_THIRD, _AREAS)),
+    "robustness b2": _Option((float, str), "comma-separated squared overlap factors"),
+    "c2": _Option(float, "squared spectator factor", check=_NON_NEGATIVE, modes=(_ALL, _AREAS)),
+    "qubits": _Option(int, "register size", choices=(2, 3)),
+    "pulses": _Option(
+        int, "pulses in the sequence", check=_within(1, MAX_PULSES), required_by=("esop-map",)
+    ),
+    "grid": _Option(str, "area grid lo:hi:step in units of pi"),
+    "fidelity": _Option(str, "fidelity definition", choices=FIDELITY_DEFINITIONS),
+    "threshold": _Option(float, "least fidelity of a reported maximum", check=_FINITE),
+    "non_orthogonal": _Option(bool, "use the mirrored (b, a) even vector, not the orthogonal one"),
+    "areas": _Option(str, "area pair 'odd,even' in units of pi", modes=(_THIRD, _ALL)),
+    "bscan areas": _Option(str, "area pair 'odd,even' in units of pi (repeatable)", repeat=True),
+    "delta_max": _Option(float, "scan half-width in units of pi", check=_NON_NEGATIVE),
+    "delta_step": _Option(float, "scan step in units of pi", check=_POSITIVE),
+    "b2_max": _Option(float, "largest b^2 in the scan", check=_within(0, 1)),
+    "b2_step": _Option(float, "b^2 step", check=_POSITIVE),
+    "min_c2": _Option(float, "lower bound on c^2", check=_within(0, 0.5), modes=(_THIRD,)),
+    "min_sq": _Option(float, "lower bound on each factor^2", check=_within(0, 0.5), modes=(_ALL,)),
+    "restarts": _Option(int, "Nelder-Mead restarts per area point", check=_AT_LEAST_ONE),
+    "seed": _Option(int, "seed of the random draws"),
+    "samples": _Option(int, "number of random protocols", check=_within(1, MAX_SAMPLES)),
+    "tolerance": _Option(float, "largest deviation that passes", check=_POSITIVE),
+    "shape": _Option(str, "pulse envelope", choices=ENVELOPE_SHAPES),
+}
+
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
+
+
+def _option(command: str, key: str) -> _Option:
+    return OPTIONS.get(f"{command} {key}") or OPTIONS[key]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _check_value(option: _Option, key: str, value, default) -> None:
+    """Refuse a value of the wrong type, off its choices or failing its check."""
+    if value is None and default is None:
+        return  # null leaves an option that defaults to null unset
+    types = option.type if isinstance(option.type, tuple) else (option.type,)
+    items = value if option.repeat else [value]
+    if not (
+        type(items) is list
+        and all(any(type(item) in _JSON_TYPES[t] for t in types) for item in items)
+        and (option.choices is None or all(item in option.choices for item in items))
+    ):
         raise SopGateError(f"config value {value!r} is not valid for {key!r}")
+    if option.check and not option.check[0](value):
+        raise SopGateError(f"{_flag(key)} must be {option.check[1]}, got {value!r}")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
-    """Flags beat the checked config-file values, which beat defaults.
+def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """Flags beat config-file values, which beat defaults; every given value is checked.
 
-    Returns the config and the keys given by flag or config file.
+    Config-file keys the command does not read are ignored. A value given
+    for an option the chosen ``--what`` mode does not read is refused.
     """
     file_config = _read_config(args.config) if args.config else {}
-    actions = {action.dest: action for action in args.parser._actions}
+    given = [(k, v) for k, v in file_config.items() if k in defaults]
+    given += [(k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None]  # set flags
     config = dict(defaults)
-    given = set()
-    for key, value in file_config.items():
+    for key, value in given:
+        _check_value(_option(args.command, key), key, value, defaults.get(key))
         if key in defaults:
-            _check_config_value(key, value, defaults[key], actions[key])
             config[key] = value
-            given.add(key)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            config[key] = value
-            given.add(key)
-    threads = config.get("threads", args.threads)
-    if threads is not None and threads < 1:
-        raise SopGateError(f"--threads must be at least 1, got {threads}")
-    return config, given
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    parser.add_argument("--out", help="output directory (default: current directory)")
-    parser.add_argument(
-        "--threads", type=int, help="accepted for compatibility, must be >= 1; has no effect"
-    )
-
-
-def _add_family(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b2", type=float, help="squared overlap factor of the gate qubits")
-    parser.add_argument("--c2", type=float, help="squared spectator factor (3-qubit runs)")
-    parser.add_argument("--qubits", type=int, choices=(2, 3), help="register size")
-    parser.add_argument("--grid", help="area sweep lo:hi:step in units of pi")
-    parser.add_argument("--fidelity", choices=FIDELITY_DEFINITIONS, help="fidelity definition")
-    parser.add_argument(
-        "--non-orthogonal",
-        action="store_const",
-        const=True,
-        help="use the mirrored (b, a) even vector instead of the orthogonal one",
-    )
+    mode = config.get("what")
+    for key, value in given:
+        modes = _option(args.command, key).modes
+        if mode and modes and mode not in modes and value is not None:
+            raise SopGateError(f"--what {mode} does not read {_flag(key)}")
+    return config
 
 
 MAP_DEFAULTS = {
@@ -250,14 +298,11 @@ MAP_DEFAULTS = {
 }
 
 
-def cmd_map(args: argparse.Namespace, m_required: bool = False) -> int:
-    config, _ = _merge_config(args, MAP_DEFAULTS)
+def cmd_map(args: argparse.Namespace) -> int:
+    config = _merge_config(args, MAP_DEFAULTS)
+    m_required = args.command == "esop-map"
     if m_required and config["pulses"] < 2:
         raise SopGateError("esop-map needs --pulses >= 2")
-    if config["pulses"] > MAX_PULSES:
-        raise SopGateError(f"--pulses must be at most {MAX_PULSES}, got {config['pulses']}")
-    if not math.isfinite(config["threshold"]):
-        raise SopGateError(f"--threshold must be finite, got {config['threshold']!r}")
     family = sop_family(
         b2=config["b2"],
         c2=config["c2"],
@@ -295,7 +340,7 @@ ROBUSTNESS_DEFAULTS = {
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
-    config, _ = _merge_config(args, ROBUSTNESS_DEFAULTS)
+    config = _merge_config(args, ROBUSTNESS_DEFAULTS)
     try:
         b2_list = [float(x) for x in str(config["b2"]).split(",")]
     except ValueError as exc:
@@ -329,10 +374,8 @@ BSCAN_DEFAULTS = {
 
 
 def cmd_bscan(args: argparse.Namespace) -> int:
-    config, _ = _merge_config(args, BSCAN_DEFAULTS)
+    config = _merge_config(args, BSCAN_DEFAULTS)
     pairs = [_parse_area_pair(pair_text) for pair_text in config["areas"]]
-    if config["b2_max"] > 1.0:
-        raise SopGateError(f"--b2-max must be at most 1, got {config['b2_max']!r}")
     b2_grid = _scan_axis(config, "b2", symmetric=False)
     if b2_grid[-1] > 1.0:
         raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
@@ -365,23 +408,11 @@ OPTIMIZE_DEFAULTS = {
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    config, given = _merge_config(args, OPTIMIZE_DEFAULTS)
+    config = _merge_config(args, OPTIMIZE_DEFAULTS)
     what = config["what"]
-    unread = {"third-qubit": "c2", "all-factors": "b2"}.get(what)
-    if unread in given:
-        raise SopGateError(f"--what {what} does not read --{unread}")
-    check_squared_factors(b2=config["b2"], c2=config["c2"])
-    if config["restarts"] < 1:
-        raise SopGateError(f"--restarts must be at least 1, got {config['restarts']}")
-    # No mode can use a bound outside [0, 0.5]; each is checked even where it goes unused.
-    for flag, value in (("--min-c2", config["min_c2"]), ("--min-sq", config["min_sq"])):
-        if not 0.0 <= value <= 0.5:
-            raise SopGateError(f"{flag} must be in [0, 0.5], got {value!r}")
     # Checked in every mode, also where --areas leaves it unused.
     grid = _parse_grid(config["grid"])
-    if what == "areas":
-        if config["areas"] is not None:
-            raise SopGateError("--what areas searches the --grid box and takes no --areas")
+    if what == _AREAS:
         family = sop_family(b2=config["b2"], c2=config["c2"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
         check_simplices(config["restarts"])
@@ -398,7 +429,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
         return EXIT_OK
     # The optimizers check these bounds too; checked here, they fail before --out exists.
-    if what == "third-qubit":
+    if what == _THIRD:
         spectator_bounds(math.sqrt(config["b2"]), config["min_c2"])
     else:
         gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
@@ -414,13 +445,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     os.makedirs(config["out"], exist_ok=True)
     common = {"seed": config["seed"], "restarts": config["restarts"]}
     # Every point and restart in one lockstep run.
-    if what == "third-qubit":
+    if what == _THIRD:
         result = optimize_third_qubit(areas, math.sqrt(config["b2"]), config["min_c2"], **common)
     else:
         result = optimize_all_factors(areas, math.sqrt(config["c2"]), config["min_sq"], **common)
     fidelities = np.reshape(result.best_fidelity, -1).tolist()
     parameters = np.reshape(result.best_parameters, (-1, 2)).tolist()
-    param_names = "c_odd,c_even" if what == "third-qubit" else "phi_odd,phi_even"
+    param_names = "c_odd,c_even" if what == _THIRD else "phi_odd,phi_even"
     rows = [
         (ao / math.pi, ae / math.pi, fid, *p)
         for (ao, ae), fid, p in zip(points.tolist(), fidelities, parameters)
@@ -446,11 +477,7 @@ VALIDATE_DEFAULTS = {
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config, _ = _merge_config(args, VALIDATE_DEFAULTS)
-    if not 1 <= config["samples"] <= MAX_SAMPLES:
-        raise SopGateError(f"--samples must be in [1, {MAX_SAMPLES}], got {config['samples']}")
-    if not (math.isfinite(config["tolerance"]) and config["tolerance"] > 0):
-        raise SopGateError(f"--tolerance must be finite and > 0, got {config['tolerance']!r}")
+    config = _merge_config(args, VALIDATE_DEFAULTS)
     os.makedirs(config["out"], exist_ok=True)
     rng = np.random.default_rng(config["seed"])
     reports = []
@@ -492,57 +519,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sopgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text, func):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, parser=p)
-        _add_common(p)
-        return p
-
-    for name, help_text, pulses_help, m_required in (
-        ("map", "fidelity map over pulse areas", "number of pulses in the sequence", False),
-        (
-            "esop-map",
-            "fidelity map of an M-pulse alternating family",
-            "number of pulses (M >= 2)",
-            True,
-        ),
+    for name, help_text, func, defaults in (
+        ("map", "fidelity map over pulse areas", cmd_map, MAP_DEFAULTS),
+        ("esop-map", "fidelity map of an M-pulse alternating family", cmd_map, MAP_DEFAULTS),
+        ("robustness", "amplitudes vs pulse-area error", cmd_robustness, ROBUSTNESS_DEFAULTS),
+        ("bscan", "fidelity vs b^2 for fixed-area protocols", cmd_bscan, BSCAN_DEFAULTS),
+        ("optimize", "optimize factors per area point", cmd_optimize, OPTIMIZE_DEFAULTS),
+        ("validate", "time-domain check of the propagators", cmd_validate, VALIDATE_DEFAULTS),
     ):
-        p_map = command(name, help_text, lambda a, m=m_required: cmd_map(a, m_required=m))
-        _add_family(p_map)
-        p_map.add_argument("--pulses", type=int, required=m_required, help=pulses_help)
-        p_map.add_argument("--threshold", type=float, help="minimum fidelity for reported maxima")
-
-    p_rob = command("robustness", "return amplitudes vs pulse-area error", cmd_robustness)
-    p_rob.add_argument("--b2", help="comma-separated list of squared overlap factors")
-    p_rob.add_argument("--areas", help="base areas 'odd,even' in units of pi")
-    p_rob.add_argument("--delta-max", type=float, help="scan half-width in units of pi")
-    p_rob.add_argument("--delta-step", type=float, help="scan step in units of pi")
-
-    p_bscan = command("bscan", "fidelity vs b^2 for fixed-area protocols", cmd_bscan)
-    p_bscan.add_argument(
-        "--areas", action="append", help="area pair 'odd,even' in units of pi (repeatable)"
-    )
-    p_bscan.add_argument("--b2-max", type=float, help="largest b^2 in the scan")
-    p_bscan.add_argument("--b2-step", type=float, help="b^2 step")
-    p_bscan.add_argument("--fidelity", choices=FIDELITY_DEFINITIONS)
-
-    p_opt = command("optimize", "optimize factors per area point", cmd_optimize)
-    p_opt.add_argument("--what", choices=("areas", "third-qubit", "all-factors"))
-    p_opt.add_argument("--b2", type=float)
-    p_opt.add_argument("--c2", type=float)
-    p_opt.add_argument("--min-c2", type=float, help="lower bound on the spectator factor squared")
-    p_opt.add_argument("--min-sq", type=float, help="lower bound on every optimized factor squared")
-    p_opt.add_argument("--grid", help="area grid lo:hi:step in units of pi")
-    p_opt.add_argument("--areas", help="single area point 'odd,even' in units of pi")
-    p_opt.add_argument("--restarts", type=int)
-    p_opt.add_argument("--seed", type=int, help="seed of the random restart points")
-
-    p_val = command("validate", "time-domain check of the analytical propagators", cmd_validate)
-    p_val.add_argument("--samples", type=int, help="number of random protocols")
-    p_val.add_argument("--seed", type=int, help="seed of the random protocols")
-    p_val.add_argument("--tolerance", type=float)
-    p_val.add_argument("--shape", choices=ENVELOPE_SHAPES)
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        for key in dict.fromkeys(["config", *defaults, "threads"]):
+            option = _option(name, key)
+            if option.type is bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:
+                kwargs = {
+                    "action": "append" if option.repeat else "store",
+                    "type": option.type if option.type in (int, float) else None,
+                    "choices": option.choices,
+                    "required": name in option.required_by,
+                }
+            rule = f" ({option.check[1]})" if option.check else ""
+            command.add_argument(_flag(key), help=option.help + rule, **kwargs)
     return parser
 
 

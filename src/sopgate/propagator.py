@@ -218,8 +218,9 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
         # state and chunks of rows of the first batch axis.
         dim = qubits.shape[1] + 1
         n_rows = batch[0] if batch else 1
-        rows = max(1, _PRODUCT_BYTES // (16 * 2 * dim * math.prod(batch[1:])))
-        step = max(1, rows // n_rows)
+        # An empty batch axis sizes chunks as an axis of one would; its chunks are empty.
+        rows = max(1, _PRODUCT_BYTES // (16 * 2 * dim * max(1, math.prod(batch[1:]))))
+        step = max(1, rows // max(1, n_rows))
         for lo in range(0, len(states), step):
             for row in range(0, n_rows, rows):
                 # State and row slices; a register without batch axes has no rows.

@@ -274,6 +274,28 @@ class TestConfigFile:
         assert_config_error(capsys, [command, "--config", str(config), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["map", "--grid=-1:1:1"], {"pulses": 3.0}),
+            (["esop-map", "--pulses", "4", "--grid=-1:1:1"], {"pulses": 3.0}),
+            (["optimize", "--areas=2,2"], {"restarts": 16.0}),
+            (["optimize", "--areas=2,2", "--restarts", "1"], {"seed": 0.0}),
+            (["validate"], {"samples": 100.0}),
+            (["validate", "--samples", "1"], {"seed": 0.0}),
+            (["map", "--grid=-1:1:1"], {"b2": False}),
+            (["map", "--grid=-1:1:1"], {"non_orthogonal": 0}),
+        ],
+    )
+    def test_value_needs_the_declared_type(self, tmp_path, capsys, argv, values):
+        # A JSON int counts as a float, but no float counts as an int and a
+        # boolean counts only for an on/off option.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert_config_error(capsys, argv + ["--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("b2", [0.1, 0, "0,0.1"])
     def test_robustness_b2_number_or_list_text(self, tmp_path, b2):
         config = tmp_path / "run.json"
@@ -507,6 +529,33 @@ class TestOptimizeCommand:
         argv = ["optimize", "--config", str(config), "--areas=2,2", "--restarts", "1"]
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "what, bound",
+        [("third-qubit", "min_sq"), ("areas", "min_sq"), ("all-factors", "min_c2"), ("areas", "min_c2")],
+    )
+    @pytest.mark.parametrize("by_file", [False, True])
+    def test_bound_a_mode_does_not_read_refused(self, tmp_path, capsys, what, bound, by_file):
+        argv = ["optimize", "--what", what, "--grid=1:3:1", "--restarts", "1"]
+        if what != "areas":
+            argv.append("--areas=2,2")
+        if by_file:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({bound: 0.2}))
+            argv += ["--config", str(config)]
+        else:
+            argv += [f"--{bound.replace('_', '-')}", "0.2"]
+        out = tmp_path / "bad"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_null_areas_leaves_the_point_unset(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"what": "areas", "areas": None}))
+        out = tmp_path / "ok"
+        argv = ["optimize", "--config", str(config), "--grid=1:3:1", "--restarts", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(read(out / "optimize_areas.json"))["config"]["areas"] is None
 
     @pytest.mark.parametrize("what, factor", [("third-qubit", "b2"), ("all-factors", "c2")])
     def test_read_factor_accepted_and_defaults_recorded(self, tmp_path, what, factor):

@@ -321,6 +321,17 @@ class TestMapKernelRowsAndChunks:
         family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis)
         assert 0 < max(sizes) <= sopgate.propagator._PRODUCT_BYTES
 
+    @pytest.mark.parametrize("n_odd, n_even", [(0, 3), (3, 0)])
+    def test_empty_axis_gives_empty_grid(self, n_odd, n_even):
+        diag = family_diagonal_grid(sop_family(b2=0.1), np.zeros(n_odd), np.ones(n_even))
+        assert diag.shape == (4, n_odd, n_even)
+
+    def test_empty_scans_give_empty_curves(self):
+        assert b_scan((2, 1), []).shape == (0,)
+        curves = robustness_scan(sop_family(b2=0.1).protocol(2 * PI, 2 * PI), [])
+        for curve in (curves.delta_area, curves.u11v, curves.u11a, curves.u11b):
+            assert curve.shape == (0,)
+
 
 class TestCarriedRows:
     """One ground row per point where every gemm stacks several points, two elsewhere.
