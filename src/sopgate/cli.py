@@ -154,8 +154,8 @@ def _parse_area_pair(text: str) -> tuple[float, float]:
         odd, even = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise SopGateError(f"area pair must be 'odd,even' in units of pi, got {text!r}") from exc
-    if not (math.isfinite(odd) and math.isfinite(even)):
-        raise SopGateError(f"area pair must be finite, got {text!r}")
+    if not (math.isfinite(odd * math.pi) and math.isfinite(even * math.pi)):
+        raise SopGateError(f"area pair must be finite in radians, got {text!r}")
     return odd, even
 
 
@@ -199,6 +199,7 @@ _FINITE = math.isfinite, "finite"
 _POSITIVE = (lambda value: 0 < value < math.inf), "finite and > 0"
 _NON_NEGATIVE = (lambda value: 0 <= value < math.inf), "finite and >= 0"
 _AT_LEAST_ONE = (lambda value: value >= 1), "at least 1"
+_NON_EMPTY = (lambda value: len(value) > 0), "non-empty"
 _AREAS, _THIRD, _ALL = "areas", "third-qubit", "all-factors"
 
 #: Every option, keyed by its config key; a ``"<command> <key>"`` row serves
@@ -222,7 +223,9 @@ OPTIONS = {
     "threshold": _Option(float, "least fidelity of a reported maximum", check=_FINITE),
     "non_orthogonal": _Option(bool, "use the mirrored (b, a) even vector, not the orthogonal one"),
     "areas": _Option(str, "area pair 'odd,even' in units of pi", modes=(_THIRD, _ALL)),
-    "bscan areas": _Option(str, "area pair 'odd,even' in units of pi (repeatable)", repeat=True),
+    "bscan areas": _Option(
+        str, "area pair 'odd,even' in units of pi (repeatable)", check=_NON_EMPTY, repeat=True
+    ),
     "delta_max": _Option(float, "scan half-width in units of pi", check=_NON_NEGATIVE),
     "delta_step": _Option(float, "scan step in units of pi", check=_POSITIVE),
     "b2_max": _Option(float, "largest b^2 in the scan", check=_within(0, 1)),
@@ -230,7 +233,7 @@ OPTIONS = {
     "min_c2": _Option(float, "lower bound on c^2", check=_within(0, 0.5), modes=(_THIRD,)),
     "min_sq": _Option(float, "lower bound on each factor^2", check=_within(0, 0.5), modes=(_ALL,)),
     "restarts": _Option(int, "Nelder-Mead restarts per area point", check=_AT_LEAST_ONE),
-    "seed": _Option(int, "seed of the random draws"),
+    "seed": _Option(int, "seed of the random draws", check=_NON_NEGATIVE),
     "samples": _Option(int, "number of random protocols", check=_within(1, MAX_SAMPLES)),
     "tolerance": _Option(float, "largest deviation that passes", check=_POSITIVE),
     "shape": _Option(str, "pulse envelope", choices=ENVELOPE_SHAPES),
@@ -348,11 +351,16 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     area_odd, area_even = _parse_area_pair(config["areas"])
     deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
+    protocols = [family.protocol(area_odd * math.pi, area_even * math.pi) for family in families]
+    # robustness_scan shifts odd pulses by delta and even pulses by 2 delta.
+    ends = (float(deltas[0]), float(deltas[-1]))
+    for k, pulse in enumerate(protocols[0].pulses):
+        if not all(math.isfinite(pulse.area + (1 + k % 2) * delta) for delta in ends):
+            raise SopGateError(f"--delta-max takes pulse {k + 1} past a finite area in radians")
     stems = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
     _refuse_shared_names(zip(b2_list, stems))
     os.makedirs(config["out"], exist_ok=True)
-    for b2, family, stem in zip(b2_list, families, stems):
-        protocol = family.protocol(area_odd * math.pi, area_even * math.pi)
+    for b2, protocol, stem in zip(b2_list, protocols, stems):
         curves = robustness_scan(protocol, deltas)
         text = _csv_text(
             "delta_a_over_pi,u11v,u11a,u11b",

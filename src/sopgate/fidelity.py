@@ -93,6 +93,9 @@ class GridSpec:
         ):
             raise EmptyGridError(f"invalid grid {self.lo}:{self.hi}:{self.step}")
         check_grid_points(self.n_points)
+        ends = (self.lo, self.lo + self.step * (self.n_points - 1))  # as values_pi spells them
+        if not all(math.isfinite(end * math.pi) for end in ends):
+            raise EmptyGridError(f"grid {self.lo}:{self.hi}:{self.step} is not finite in radians")
 
     @property
     def n_points(self) -> int:

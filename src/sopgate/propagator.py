@@ -19,14 +19,13 @@ for the time-domain check.
 
 Only the ground-state return amplitude U[0, 0] is read, so the kernel
 carries ground columns rather than d×d products. Star propagators are
-exactly symmetric, so the leading columns of the running product travel as
-rows x and each pulse steps them as x <- x U_k. All rows that share a
-propagator form one gemm: in a map, n_odd + n_even gemms per pulse and
-block state instead of n_odd·n_even. Where every such gemm stacks two or
-more points, as in a map with at least two points on each axis, one row
-per point is carried; elsewhere two, because a one-row product goes to
-gemv and changes bits. Rows are carried in chunks of block states and grid
-rows that stay under a fixed memory budget. For blocks of up to 4 levels
+exactly symmetric, so the ground column of the running product travels as
+one row x per point and each pulse steps it as x <- x U_k. All rows that
+share a propagator form one gemm: in a map, n_odd + n_even gemms per pulse
+and block state instead of n_odd·n_even. A gemm that would hold a single
+row gets a copy of it, because numpy sends a one-row product to gemv, which
+changes bits. Rows are carried in chunks of block states and grid rows
+that stay under a fixed memory budget. For blocks of up to 4 levels
 (registers of up to 3 qubits) every amplitude keeps the bits of its own
 chain of d×d gemms. The closed-form amplitudes the kernel is checked
 against live with the tests, in ``tests/oracles.py``.
@@ -140,7 +139,7 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 #: Bytes of the largest ground-row array :func:`register_amplitudes` forms at
 #: once; a 641×641 3-qubit map would otherwise carry 53 MB of rows for one
 #: state. Chunks are sized for two rows per point, so the budget also bounds
-#: chunks that carry one.
+#: the products where :func:`_row_product` copies a lone row.
 _PRODUCT_BYTES = 2**22
 
 
@@ -161,19 +160,17 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     shape share a :func:`star_propagator` call.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
-    is carried. Every star propagator is exactly symmetric, so the leading
-    columns of U, carried as rows x (starting from U_1[:1] or U_1[:2]),
-    step as x <- x U_k. Rows that share a propagator, along the batch axes
-    where it is broadcast, are stacked into one gemm (:func:`_row_product`):
-    in a map, each odd pulse takes the rows of the n_even points of its odd
-    row and each even pulse those of the n_odd points of its even column.
-    One row per point when every pulse after the first stacks at least two
-    points this way, read off the chunk's propagator shapes
-    (:func:`_carried_rows`); two otherwise, since numpy sends a one-row
-    product to gemv, which changes bits. Batches that share no propagator
-    (the optimizer's candidates, b and robustness scans, single protocols),
-    maps of one odd row or one even column, and a chunk of one odd row
-    carry two. Rows are carried in chunks of block states of at most
+    is carried. Every star propagator is exactly symmetric, so that column,
+    carried as a row x per point starting from U_1[:1], steps as
+    x <- x U_k. Rows that share a propagator, along the batch axes where it
+    is broadcast, are stacked into one gemm (:func:`_row_product`): in a
+    map, each odd pulse takes the rows of the n_even points of its odd row
+    and each even pulse those of the n_odd points of its even column. A
+    product whose gemms would hold one row carries a copy of that row from
+    then on, since numpy sends a one-row product to gemv, which changes
+    bits; so batches that share no propagator (the optimizer's candidates,
+    b and robustness scans, single protocols) carry two rows after their
+    first product. Rows are carried in chunks of block states of at most
     ``_PRODUCT_BYTES``; when one state's rows are larger, in chunks of rows
     of the first batch axis (a map's odd rows). The result has shape
     batch + (2^n,), in :func:`basis_labels` order; with pulses it is a view
@@ -226,7 +223,7 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
                 # State and row slices; a register without batch axes has no rows.
                 index = (slice(lo, lo + step), slice(row, row + rows))[: out.ndim]
                 chunk = [_chunk(propagators[k], index) for k in order]
-                x = chunk[0][..., : _carried_rows(chunk), :]
+                x = chunk[0][..., :1, :]
                 for propagator in chunk[1:]:
                     x = _row_product(x, propagator)
                 out[(states[lo : lo + step], *index[1:])] = x[..., 0, 0]
@@ -239,33 +236,20 @@ def _chunk(propagators: np.ndarray, index: tuple[slice, ...]) -> np.ndarray:
     return propagators[index if propagators.shape[1] > 1 else index[:1]]
 
 
-def _carried_rows(chunk: list[np.ndarray]) -> int:
-    """Ground rows to carry through ``chunk``, (state, *batch, d, d) propagators in pulse order.
-
-    One when :func:`_row_product` stacks the rows of at least two points
-    into the gemm of every later pulse: a broadcast axis of that pulse's
-    propagator along which the product so far is not broadcast. Two
-    otherwise, so that no product is a one-row gemv.
-    """
-    shape = chunk[0].shape[:-2]
-    for propagator in chunk[1:]:
-        if not any(n == 1 < m for n, m in zip(propagator.shape[1:-2], shape[1:])):
-            return 2
-        shape = np.broadcast_shapes(shape, propagator.shape[:-2])
-    return 1
-
-
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     """``rows @ propagators`` of (state, *batch, r, d) rows and (state, *batch, d, d) propagators.
 
     The rows along the batch axes where ``propagators`` is broadcast and
     ``rows`` is not share one propagator; they are stacked into the rows of
-    one m×d by d×d gemm per propagator. Batches that share nothing, like
-    the optimizer's, carry two rows and take one plain 2×d by d×d gemm per
-    row.
+    one m×d by d×d gemm per propagator. Where nothing is shared, as in the
+    optimizer's batches, each point takes a plain r×d by d×d gemm, and a
+    lone row goes in twice, so that the product returns two.
     """
     shared = [ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]]
     if not shared:
+        if rows.shape[-2] == 1:
+            # A one-row matmul goes to gemv, whose bits differ from gemm's.
+            rows = np.repeat(rows, 2, axis=-2)
         return rows @ propagators
     # The shared axes move next to the row axis and merge into it.
     own = [ax for ax in range(rows.ndim - 2) if ax not in shared]

@@ -42,10 +42,9 @@ MIN_STEPS_PER_PULSE = 400
 
 UNITARITY_DRIFT_LIMIT = 1e-6
 
-#: Length of every pulse and the idle gap after it, in arbitrary time units
-#: (resonant dynamics depend on the pulse areas only).
+#: Length of every pulse, in arbitrary time units (resonant dynamics depend
+#: on the pulse areas only).
 PULSE_DURATION = 1.0
-PULSE_GAP = 0.25
 
 
 def _unit_peak_area(shape: str, duration: float) -> float:
@@ -60,14 +59,15 @@ def _unit_peak_area(shape: str, duration: float) -> float:
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Temporal profile of one pulse, normalized to a prescribed area.
+    """Temporal profile of one pulse: a shape, a duration and a peak Rabi frequency.
 
     ``peak_rabi`` carries the sign of the area; time units are arbitrary
-    since only the accumulated area enters the resonant dynamics.
+    since only the accumulated area enters the resonant dynamics. Time is
+    the offset from the pulse start, so a list of envelopes is a sequence of
+    pulses, one after the other.
     """
 
     shape: str
-    start_time: float
     duration: float
     peak_rabi: float
 
@@ -78,28 +78,21 @@ class PulseEnvelope:
             raise SopGateError("envelope duration must be positive")
 
     @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-    @property
     def area(self) -> float:
         """Time integral of the Rabi frequency (analytic per shape)."""
         return self.peak_rabi * _unit_peak_area(self.shape, self.duration)
 
     @classmethod
-    def from_area(
-        cls, shape: str, start_time: float, duration: float, area: float
-    ) -> "PulseEnvelope":
+    def from_area(cls, shape: str, duration: float, area: float) -> "PulseEnvelope":
         """Choose the peak Rabi frequency so the time integral equals ``area``."""
         peak = area / _unit_peak_area(shape, duration)
-        return cls(shape=shape, start_time=start_time, duration=duration, peak_rabi=peak)
+        return cls(shape=shape, duration=duration, peak_rabi=peak)
 
-    def rabi_in_window(self, tau):
+    def rabi(self, tau):
         """Rabi frequency at offset ``tau`` from the pulse start, clamped into the window.
 
-        Integrators use this with exact step offsets so that float round-off
-        near the window edges cannot drop the (nonzero) boundary value of a
-        truncated envelope.
+        Clamping keeps the (nonzero) edge value of a truncated envelope at an
+        offset that float round-off puts just past the window.
         """
         tau = np.clip(np.asarray(tau, dtype=float), 0.0, self.duration)
         if self.shape == "squared-sine":
@@ -107,35 +100,10 @@ class PulseEnvelope:
         sigma = self.duration / (2.0 * GAUSSIAN_CUT)
         return self.peak_rabi * np.exp(-((tau - 0.5 * self.duration) ** 2) / (2.0 * sigma**2))
 
-    def rabi(self, t):
-        """Instantaneous Rabi frequency; zero outside the pulse window.
-
-        Integrators should not call this: round-off in an absolute time near
-        ``end_time`` can fall outside the window and drop the boundary value.
-        They use :meth:`rabi_in_window` at exact step offsets instead.
-        """
-        t = np.asarray(t, dtype=float)
-        tau = t - self.start_time
-        inside = (tau >= 0.0) & (tau <= self.duration)
-        return np.where(inside, self.rabi_in_window(tau), 0.0)
-
 
 def envelopes_for_protocol(protocol: Protocol, shape: str = "squared-sine") -> list[PulseEnvelope]:
-    """Non-overlapping envelopes realizing a protocol's pulse areas in order."""
-    envelopes = []
-    t0 = 0.0
-    for pulse in protocol.pulses:
-        envelopes.append(PulseEnvelope.from_area(shape, t0, PULSE_DURATION, pulse.area))
-        t0 += PULSE_DURATION + PULSE_GAP
-    return envelopes
-
-
-def _check_non_overlapping(envelopes) -> None:
-    for prev, nxt in zip(envelopes, envelopes[1:]):
-        if nxt.start_time < prev.end_time:
-            raise SopGateError(
-                f"envelopes overlap: pulse starting at {nxt.start_time} begins before {prev.end_time}"
-            )
+    """Envelopes realizing a protocol's pulse areas, in pulse order."""
+    return [PulseEnvelope.from_area(shape, PULSE_DURATION, pulse.area) for pulse in protocol.pulses]
 
 
 def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
@@ -175,7 +143,7 @@ def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None
     h = env.duration / n_steps
     # Rabi values at the half-step offsets 0, h/2, ..., n_steps * h;
     # step i takes entries 2i, 2i + 1 and 2i + 2
-    stage_rabi = env.rabi_in_window(0.5 * h * np.arange(2 * n_steps + 1))
+    stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
     coeffs = np.empty((n_steps, 5), dtype=complex)
     coeffs[:, 0] = 1.0
@@ -193,12 +161,12 @@ def integrate_block(
 ) -> np.ndarray:
     """Propagator of one blockade block under explicit pulse envelopes.
 
-    Integrates U' = -i H(t) U across every envelope with classic RK4 at fixed
-    step (``dt`` overrides the default resolution). Gaps between pulses cost
-    nothing: the Hamiltonian vanishes there. The stage Rabi values of step
-    ``i`` come from :meth:`PulseEnvelope.rabi_in_window` at the exact offsets
-    ``h * i``, ``h * (i + 0.5)`` and ``h * (i + 1)`` from the pulse start, so
-    the last stage of a pulse lands on its window edge, never past it.
+    Integrates U' = -i H(t) U through the envelopes, one per pulse and in
+    pulse order, with classic RK4 at fixed step (``dt`` overrides the default
+    resolution). The stage Rabi values of step ``i`` come from
+    :meth:`PulseEnvelope.rabi` at the offsets ``h * i``, ``h * (i + 0.5)``
+    and ``h * (i + 1)``, so the last stage of a pulse lands on its window
+    edge, never past it.
 
     Within a pulse H(t) = Omega(t) P with a constant coupling pattern P, so
     with X = -i P and stage values a, b, c one RK4 step is exactly the matrix
@@ -222,7 +190,6 @@ def integrate_block(
         raise SopGateError(
             f"{len(envelopes)} envelopes for {block.couplings.shape[0]} pulses"
         )
-    _check_non_overlapping(envelopes)
     dim = block.dimension
     u_tot = np.eye(dim, dtype=complex)
     for coupling, env in zip(block.couplings, envelopes):

@@ -8,6 +8,7 @@ without failing any other test, or leaves a trace counter silently at 0.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,20 @@ def test_traced_map_counts_its_layers(spans, tmp_path):
         assert metrics[f"fidelity.{name}.calls"] == 1, name
     assert metrics["propagator.star_propagator.calls"] > 0
     assert metrics["model.StructuralVector.constructions"] > 0
+
+
+def test_traced_validate_counts_rabi_calls(spans, tmp_path):
+    # The integrator reads each pulse's stage Rabi values with one call per block.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["validate", "--samples", "1", "--seed", "6", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    (run,) = json.loads((tmp_path / "validation_report.txt").read_text())["runs"]
+    assert metrics["tdse.integrate_block.calls"] == 2 ** run["n_qubits"]
+    assert metrics["tdse.PulseEnvelope.rabi.calls"] == 2 ** run["n_qubits"] * run["n_pulses"]
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("*.py")))

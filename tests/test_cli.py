@@ -235,6 +235,24 @@ class TestScanAxes:
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["robustness", "--areas=1e308,0", "--delta-max", "0.01"],
+            ["bscan", "--areas=1e308,1", "--b2-max", "0.01"],
+            ["optimize", "--areas=1e308,1", "--restarts", "1"],
+            ["map", "--grid=1e308:1e308:1"],
+            ["optimize", "--what", "areas", "--grid=1e308:1e308:1", "--restarts", "1"],
+            # finite areas and deltas whose shifted even-pulse area overflows
+            ["robustness", "--areas=5e307,0", "--delta-max", "5e307", "--delta-step", "5e307"],
+        ],
+    )
+    def test_area_overflowing_in_radians_is_config_error(self, tmp_path, capsys, argv):
+        # Each value is finite in units of pi, but not once multiplied by pi.
+        out = tmp_path / "bad"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
     def test_axis_values_unchanged(self, tmp_path):
         out = tmp_path / "ok"
         assert main(["bscan", "--b2-max", "1", "--b2-step", "0.25", "--out", str(out)]) == 0
@@ -265,6 +283,7 @@ class TestConfigFile:
             ("bscan", {"areas": "2,2"}),
             ("bscan", {"areas": [2]}),
             ("optimize", {"restarts": None}),
+            ("bscan", {"areas": []}),  # the flag form cannot give an empty list
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, values):
@@ -272,6 +291,23 @@ class TestConfigFile:
         config.write_text(json.dumps(values))
         out = tmp_path / "out"
         assert_config_error(capsys, [command, "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            (["validate", "--samples", "1"], -1),
+            (["optimize", "--areas=2,2", "--restarts", "1"], -5),
+        ],
+        ids=["validate", "optimize"],
+    )
+    def test_negative_seed_refused(self, tmp_path, capsys, argv, seed, form):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": seed}))
+        given = ["--seed", str(seed)] if form == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert_config_error(capsys, argv + given + ["--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize(

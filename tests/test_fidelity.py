@@ -286,7 +286,8 @@ class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
     def test_last_chunk_of_one_odd_row_keeps_every_bit(self, monkeypatch, m_pulses, b2, c2):
         # The largest block's 15 odd rows go in chunks of 7, 7 and 1: one
-        # ground row carried per point, then two for the lone odd row.
+        # ground row per point, then two for the lone odd row, whose first
+        # product shares no propagator.
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 15)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
@@ -295,9 +296,10 @@ class TestMapKernelRowsAndChunks:
         original = sopgate.propagator._row_product
 
         def recorded(rows, propagators):
-            if rows.shape[-1] == dim:
-                chunks.append((rows.shape[1], rows.shape[-2]))
-            return original(rows, propagators)
+            product = original(rows, propagators)
+            if product.shape[-1] == dim:
+                chunks.append((product.shape[1], product.shape[-2]))
+            return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", 7 * 16 * 2 * dim * len(even))
@@ -334,7 +336,7 @@ class TestMapKernelRowsAndChunks:
 
 
 class TestCarriedRows:
-    """One ground row per point where every gemm stacks several points, two elsewhere.
+    """One ground row per point, copied to two from the first product whose gemm holds one row.
 
     Two rows where one would do cost the kernel half its speed but no bit.
     """
@@ -345,8 +347,9 @@ class TestCarriedRows:
         original = sopgate.propagator._row_product
 
         def recorded(rows, propagators):
-            seen.add(rows.shape[-2])
-            return original(rows, propagators)
+            product = original(rows, propagators)
+            seen.add(product.shape[-2])
+            return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         return seen
@@ -360,13 +363,19 @@ class TestCarriedRows:
         family_diagonal_grid(family, odd, even)
         assert carried == {1}
 
-    @pytest.mark.parametrize("n_odd, n_even", [(1, 7), (7, 1), (1, 1)])
-    def test_single_row_or_column_map_carries_two(self, carried, n_odd, n_even):
+    @pytest.mark.parametrize(
+        "n_odd, n_even, rows",
+        [(1, 7, {2}), (7, 1, {1, 2}), (1, 1, {2})],
+        ids=["1-7", "7-1", "1-1"],
+    )
+    def test_single_row_or_column_map_carries_two(self, carried, n_odd, n_even, rows):
+        # A 7×1 map stacks its 7 points in the first (even) product, then
+        # no odd product shares a propagator.
         family = sop_family(b2=0.1, c2=0.1, m_pulses=4)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
         even = np.linspace(-2.9 * PI, 7.7 * PI, n_even)
         family_diagonal_grid(family, odd, even)
-        assert carried == {2}
+        assert carried == rows
 
     def test_b_scan_carries_two(self, carried):
         b_scan((2, -1.5), np.linspace(0.0, 0.5, 11))
