@@ -11,9 +11,10 @@ validate    time-domain check of the analytical propagators
 
 Areas are read and written in units of pi; angles are reported in degrees.
 Every artifact comes with a JSON sidecar embedding the full configuration and
-the SHA-256 of the data file. Each command checks its whole configuration,
-including its size (grid points, optimize points times restarts, validate
-samples), then creates the output directory, and only then computes. Files
+the SHA-256 of the data file. Refuse before allocating: the commands check
+their options, and the library checks the rest, including the size of a grid
+or of an optimizer run, before it allocates anything. Create ``--out`` and
+files only once every result exists: a refused command writes nothing. Files
 are written via a temporary name and renamed, so partial outputs are never
 left behind. Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
 
@@ -59,15 +60,7 @@ from .fidelity import (
     sop_family,
 )
 from .model import Protocol, Pulse, StructuralVector
-from .optimize import (
-    DEFAULT_RESTARTS,
-    check_simplices,
-    gate_factor_arc,
-    optimize_all_factors,
-    optimize_areas,
-    optimize_third_qubit,
-    spectator_bounds,
-)
+from .optimize import DEFAULT_RESTARTS, optimize_all_factors, optimize_areas, optimize_third_qubit
 from .tdse import ENVELOPE_SHAPES, validate_protocol
 
 EXIT_OK = 0
@@ -102,7 +95,11 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra: dict | None = None) -> None:
-    """Write the data file as UTF-8 and its JSON sidecar with the SHA-256 of those bytes."""
+    """Write the data file as UTF-8 and its JSON sidecar with the SHA-256 of those bytes.
+
+    ``out_dir`` is created here, so a command calls this only once every result exists.
+    """
+    os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, stem)
     data = data_text.encode()
     _write_atomic(data_path, data)
@@ -180,6 +177,7 @@ class _Option:
     into a list. ``check`` is a (test, rule) pair that every value given by
     flag or config file must pass. ``modes`` names the ``optimize --what``
     modes that read the option; under any other mode, giving it is refused.
+    A ``required`` flag must be given on the command line.
     """
 
     type: type | tuple[type, ...]
@@ -188,7 +186,7 @@ class _Option:
     check: tuple | None = None
     modes: tuple[str, ...] | None = None  # None: every mode reads it
     repeat: bool = False
-    required_by: tuple[str, ...] = ()  # the commands whose parser requires the flag
+    required: bool = False
 
 
 def _within(lo: float, hi: float) -> tuple:
@@ -215,8 +213,9 @@ OPTIONS = {
     "robustness b2": _Option((float, str), "comma-separated squared overlap factors"),
     "c2": _Option(float, "squared spectator factor", check=_NON_NEGATIVE, modes=(_ALL, _AREAS)),
     "qubits": _Option(int, "register size", choices=(2, 3)),
-    "pulses": _Option(
-        int, "pulses in the sequence", check=_within(1, MAX_PULSES), required_by=("esop-map",)
+    "pulses": _Option(int, "pulses in the sequence", check=_within(1, MAX_PULSES)),
+    "esop-map pulses": _Option(
+        int, "pulses in the sequence", check=_within(2, MAX_PULSES), required=True
     ),
     "grid": _Option(str, "area grid lo:hi:step in units of pi"),
     "fidelity": _Option(str, "fidelity definition", choices=FIDELITY_DEFINITIONS),
@@ -285,6 +284,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         modes = _option(args.command, key).modes
         if mode and modes and mode not in modes and value is not None:
             raise SopGateError(f"--what {mode} does not read {_flag(key)}")
+    if os.path.exists(config["out"]) and not os.path.isdir(config["out"]):
+        raise SopGateError(f"--out {config['out']} exists and is not a directory")
     return config
 
 
@@ -303,9 +304,6 @@ MAP_DEFAULTS = {
 
 def cmd_map(args: argparse.Namespace) -> int:
     config = _merge_config(args, MAP_DEFAULTS)
-    m_required = args.command == "esop-map"
-    if m_required and config["pulses"] < 2:
-        raise SopGateError("esop-map needs --pulses >= 2")
     family = sop_family(
         b2=config["b2"],
         c2=config["c2"],
@@ -315,14 +313,12 @@ def cmd_map(args: argparse.Namespace) -> int:
     )
     config["qubits"] = family.n_qubits
     grid = _parse_grid(config["grid"])
-    check_grid_points(grid.n_points**2)
-    os.makedirs(config["out"], exist_ok=True)
     fmap = fidelity_map(family, grid, definition=config["fidelity"])
     try:
         report = lattice_report_dict(lattice_analysis(fmap, config["threshold"]))
     except SopGateError as exc:
         report = {"error": str(exc)}
-    stem = "esop_map" if m_required else "fidelity_map"
+    stem = "esop_map" if args.command == "esop-map" else "fidelity_map"
     _write_artifact(
         config["out"],
         f"{stem}.csv",
@@ -352,23 +348,15 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
     protocols = [family.protocol(area_odd * math.pi, area_even * math.pi) for family in families]
-    # robustness_scan shifts odd pulses by delta and even pulses by 2 delta.
-    ends = (float(deltas[0]), float(deltas[-1]))
-    for k, pulse in enumerate(protocols[0].pulses):
-        if not all(math.isfinite(pulse.area + (1 + k % 2) * delta) for delta in ends):
-            raise SopGateError(f"--delta-max takes pulse {k + 1} past a finite area in radians")
     stems = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
     _refuse_shared_names(zip(b2_list, stems))
-    os.makedirs(config["out"], exist_ok=True)
-    for b2, protocol, stem in zip(b2_list, protocols, stems):
+    texts = []
+    for protocol in protocols:
         curves = robustness_scan(protocol, deltas)
-        text = _csv_text(
-            "delta_a_over_pi,u11v,u11a,u11b",
-            zip(deltas / math.pi, curves.u11v, curves.u11a, curves.u11b),
-        )
-        run_config = dict(config)
-        run_config["b2"] = b2
-        _write_artifact(config["out"], stem, text, run_config)
+        rows = zip(deltas / math.pi, curves.u11v, curves.u11a, curves.u11b)
+        texts.append(_csv_text("delta_a_over_pi,u11v,u11a,u11b", rows))
+    for b2, stem, text in zip(b2_list, stems, texts):
+        _write_artifact(config["out"], stem, text, {**config, "b2": b2})
     return EXIT_OK
 
 
@@ -389,14 +377,13 @@ def cmd_bscan(args: argparse.Namespace) -> int:
         raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
     stems = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
     _refuse_shared_names(zip(pairs, stems))
-    os.makedirs(config["out"], exist_ok=True)
-    for pair_text, pair, stem in zip(config["areas"], pairs, stems):
+    texts = []
+    for pair in pairs:
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
-        text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
-        run_config = dict(config)
-        run_config["areas"] = pair_text
-        _write_artifact(config["out"], stem, text, run_config)
+        texts.append(_csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non)))
+    for pair_text, stem, text in zip(config["areas"], stems, texts):
+        _write_artifact(config["out"], stem, text, {**config, "areas": pair_text})
     return EXIT_OK
 
 
@@ -423,8 +410,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if what == _AREAS:
         family = sop_family(b2=config["b2"], c2=config["c2"])
         bounds = (grid.lo * math.pi, grid.hi * math.pi)
-        check_simplices(config["restarts"])
-        os.makedirs(config["out"], exist_ok=True)
         result = optimize_areas(
             family, (bounds, bounds), seed=config["seed"], restarts=config["restarts"]
         )
@@ -436,11 +421,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         }
         _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
         return EXIT_OK
-    # The optimizers check these bounds too; checked here, they fail before --out exists.
-    if what == _THIRD:
-        spectator_bounds(math.sqrt(config["b2"]), config["min_c2"])
-    else:
-        gate_factor_arc(math.sqrt(config["c2"]), config["min_sq"])
     if config["areas"]:
         # One pair: batch shape (), 0-d results.
         areas = np.array(_parse_area_pair(config["areas"])) * math.pi
@@ -449,8 +429,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         axis = grid.values_radians()
         areas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     points = areas.reshape(-1, 2)
-    check_simplices(len(points) * config["restarts"])
-    os.makedirs(config["out"], exist_ok=True)
     common = {"seed": config["seed"], "restarts": config["restarts"]}
     # Every point and restart in one lockstep run.
     if what == _THIRD:
@@ -486,7 +464,6 @@ VALIDATE_DEFAULTS = {
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _merge_config(args, VALIDATE_DEFAULTS)
-    os.makedirs(config["out"], exist_ok=True)
     rng = np.random.default_rng(config["seed"])
     reports = []
     worst = 0.0
@@ -546,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "action": "append" if option.repeat else "store",
                     "type": option.type if option.type in (int, float) else None,
                     "choices": option.choices,
-                    "required": name in option.required_by,
+                    "required": option.required,
                 }
             rule = f" ({option.check[1]})" if option.check else ""
             command.add_argument(_flag(key), help=option.help + rule, **kwargs)

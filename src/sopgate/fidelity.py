@@ -422,16 +422,21 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     """Scan area errors: every odd pulse gets +delta, every even pulse +2*delta.
 
     Returns the real return amplitudes of |00>, |01> and |10> as functions of
-    the per-odd-pulse area error (radians).
+    the per-odd-pulse area error (radians). An error that takes a shifted
+    area past a finite float raises :class:`EmptyGridError`, without a warning.
     """
     if protocol.n_qubits != 2:
         raise DimensionMismatchError("robustness scan is defined for 2-qubit protocols")
     delta = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     vectors = [pulse.vector.components for pulse in protocol.pulses]
-    thetas = [
-        0.5 * (pulse.area + (delta if k % 2 == 0 else 2.0 * delta))
-        for k, pulse in enumerate(protocol.pulses)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = [
+            0.5 * (pulse.area + (delta if k % 2 == 0 else 2.0 * delta))
+            for k, pulse in enumerate(protocol.pulses)
+        ]
+    for k, theta in enumerate(thetas):
+        if not np.isfinite(theta).all():
+            raise EmptyGridError(f"the area error takes pulse {k + 1} past a finite area in radians")
     # Basis order: 00, 01, 10, then the inert 11.
     u11v, u11a, u11b = register_amplitudes(vectors, thetas)[:, :3].real.T
     return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)

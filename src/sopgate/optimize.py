@@ -106,14 +106,6 @@ def _latin_hypercube(rng: np.random.Generator, n: int, lower, upper) -> np.ndarr
     return out
 
 
-def check_simplices(n_simplices: int) -> None:
-    """Refuse a lockstep run of more than :data:`MAX_SIMPLICES` (problem, restart) pairs."""
-    if n_simplices > MAX_SIMPLICES:
-        raise GridTooLargeError(
-            f"{n_simplices} (point, restart) pairs exceed the limit of {MAX_SIMPLICES}"
-        )
-
-
 def _sort_vertices(sim: np.ndarray, fsim: np.ndarray, mask: np.ndarray) -> None:
     """Order the vertices of the masked simplices by value, with scipy's ``np.argsort``."""
     rows = np.flatnonzero(mask)
@@ -158,7 +150,9 @@ def nelder_mead_constrained(
     if max_evals < 1:
         raise InfeasibleStartError(f"max_evals must be at least 1, got {max_evals}")
     n_problems = math.prod(shape)
-    check_simplices(n_problems * restarts)
+    n = n_problems * restarts
+    if n > MAX_SIMPLICES:
+        raise GridTooLargeError(f"{n} (point, restart) pairs exceed the limit of {MAX_SIMPLICES}")
     project = project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
@@ -174,7 +168,6 @@ def nelder_mead_constrained(
     # Simplex i is restart i % restarts of problem i // restarts. The working
     # arrays hold the simplices still running, ``ids`` their numbers; the
     # results of finished ones go to the ``final_*`` arrays.
-    n = n_problems * restarts
     final_val = np.full(n, -np.inf)
     final_x = np.zeros((n, dim))
     final_calls = np.zeros(n, dtype=int)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -15,6 +16,7 @@ from sopgate.cli import (
     _write_atomic,
     main,
 )
+from sopgate.errors import SopGateError
 from sopgate.optimize import MAX_SIMPLICES
 
 
@@ -23,8 +25,10 @@ def read(path):
 
 
 def assert_config_error(capsys, argv):
-    """The command exits 2 with exactly one ``error:`` line on stderr."""
-    assert main(argv) == 2
+    """The command exits 2 with exactly one ``error:`` line on stderr, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
 
@@ -173,19 +177,20 @@ def test_sidecar_hashes_the_written_bytes(tmp_path, argv):
         assert meta["content_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
+#: A command line and the library function in ``sopgate.cli`` that does its work.
+COMMAND_WORK = [
+    (["map", "--grid=-16:16:0.05"], "fidelity_map"),
+    (["esop-map", "--pulses", "4"], "fidelity_map"),
+    (["robustness"], "robustness_scan"),
+    (["bscan"], "b_scan"),
+    (["optimize", "--areas=2,2"], "optimize_third_qubit"),
+    (["optimize", "--what", "areas"], "optimize_areas"),
+    (["validate"], "validate_protocol"),
+]
+
+
 class TestOutputDirectoryFirst:
-    @pytest.mark.parametrize(
-        "argv, work",
-        [
-            (["map", "--grid=-16:16:0.05"], "fidelity_map"),
-            (["esop-map", "--pulses", "4"], "fidelity_map"),
-            (["robustness"], "robustness_scan"),
-            (["bscan"], "b_scan"),
-            (["optimize", "--areas=2,2"], "optimize_third_qubit"),
-            (["optimize", "--what", "areas"], "optimize_areas"),
-            (["validate"], "validate_protocol"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, work", COMMAND_WORK)
     def test_out_path_is_file_before_any_work(self, tmp_path, capsys, monkeypatch, argv, work):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{work} ran before --out was checked")
@@ -195,6 +200,22 @@ class TestOutputDirectoryFirst:
         out.write_text("keep\n")
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert read(out) == "keep\n"
+
+    @pytest.mark.parametrize("argv, work", COMMAND_WORK)
+    def test_refused_work_creates_no_out(self, tmp_path, capsys, monkeypatch, argv, work):
+        def refuse(*args, **kwargs):
+            raise SopGateError(f"{work} refused its input")
+
+        monkeypatch.setattr(sopgate.cli, work, refuse)
+        out = tmp_path / "out"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_out_parent_is_file_fails_at_write(self, tmp_path, capsys):
+        parent = tmp_path / "a_file"
+        parent.write_text("keep\n")
+        assert_config_error(capsys, ["map", "--grid=-1:1:0.5", "--out", str(parent / "out")])
+        assert read(parent) == "keep\n"
 
 
 class TestScanAxes:

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +464,20 @@ class TestRobustnessScan:
             )
             amps = diagonal_amplitudes(bumped)
             assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
+
+    @pytest.mark.parametrize(
+        "areas, deltas, pulse",
+        [
+            ((0.0, 0.0), [0.0, 1e308], 2),  # the even pulse's 2 * delta overflows
+            ((-1.6e308, 0.0), [-1e308, 0.0], 1),  # -8e307 - 1e308 overflows
+        ],
+    )
+    def test_shifted_area_past_a_finite_float_refused(self, areas, deltas, pulse):
+        protocol = sop_family(b2=0.1).protocol(*areas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyGridError, match=f"pulse {pulse} past a finite area"):
+                robustness_scan(protocol, deltas)
 
     @pytest.mark.parametrize("b2", [0.0, 0.1, 0.5])
     def test_ground_state_curve_is_quartically_flat(self, b2):
