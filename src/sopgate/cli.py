@@ -497,8 +497,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose refusals print one ``error: <message>`` line and exit 2.
+
+    Subparsers take the class of their parent, so this covers every command.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sopgate",
         description="Design and evaluate structured-light C-PHASE gate protocols.",
     )

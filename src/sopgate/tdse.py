@@ -12,6 +12,12 @@ in that pattern, with coefficients from the step's three stage Rabi values.
 The steps of a pulse are built as one array and multiplied in time order by
 a pairwise tree reduction: the same RK4 scheme as a step-by-step loop, with
 no per-step Python work.
+
+The steps are stored entries first, as a ``(d, d, n_steps)`` array with
+step i at ``[:, :, i]``, and each level of the tree multiplies its pairs
+entry-wise: a loop over k of d elementwise products across all pairs. The
+matrices are 1x1 to 4x4, so a stacked ``@`` would make one BLAS call per
+pair, and that call costs more than the pair's arithmetic.
 """
 
 import math
@@ -74,6 +80,11 @@ class PulseEnvelope:
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
             raise SopGateError(f"unknown envelope shape {self.shape!r}")
+        if not (math.isfinite(self.duration) and math.isfinite(self.peak_rabi)):
+            raise SopGateError(
+                f"envelope duration {self.duration} and peak Rabi frequency "
+                f"{self.peak_rabi} must be finite"
+            )
         if self.duration <= 0:
             raise SopGateError("envelope duration must be positive")
 
@@ -113,17 +124,30 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
     return max(MIN_STEPS_PER_PULSE, by_rate)
 
 
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Ordered product ``steps[n - 1] @ ... @ steps[1] @ steps[0]`` by pairwise reduction.
+def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products ``a[:, :, j] @ b[:, :, j]`` of two ``(d, d, n)`` stacks, as a k-loop.
 
-    Each level multiplies adjacent pairs, the later factor on the left; an
-    unpaired last factor moves along to the next level.
+    Row k of every right factor scales column k of the matching left factor,
+    all n pairs at once, so a tiny matrix never goes to BLAS on its own.
     """
-    while len(steps) > 1:
-        n = len(steps)
-        pairs = steps[1::2] @ steps[0 : n - 1 : 2]
-        steps = np.concatenate((pairs, steps[n - 1 :])) if n % 2 else pairs
-    return steps[0]
+    out = a[:, :1] * b[None, 0]
+    for k in range(1, a.shape[0]):
+        out += a[:, k : k + 1] * b[None, k]
+    return out
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """Ordered product ``S_{n-1} @ ... @ S_1 @ S_0`` of ``S_i = steps[:, :, i]``.
+
+    Pairwise reduction on the last axis: each level multiplies adjacent
+    pairs, the later factor on the left; an unpaired last factor moves along
+    to the next level.
+    """
+    while steps.shape[-1] > 1:
+        n = steps.shape[-1]
+        pairs = _entry_product(steps[..., 1::2], steps[..., 0 : n - 1 : 2])
+        steps = np.concatenate((pairs, steps[..., n - 1 :]), axis=-1) if n % 2 else pairs
+    return steps[..., 0]
 
 
 def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None) -> np.ndarray:
@@ -145,14 +169,14 @@ def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None
     # step i takes entries 2i, 2i + 1 and 2i + 2
     stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
-    coeffs = np.empty((n_steps, 5), dtype=complex)
-    coeffs[:, 0] = 1.0
-    coeffs[:, 1] = h / 6.0 * (a + 4.0 * b + c)
-    coeffs[:, 2] = h**2 / 6.0 * (a * b + b * b + b * c)
-    coeffs[:, 3] = h**3 / 12.0 * (a * b * b + b * b * c)
-    coeffs[:, 4] = h**4 / 24.0 * a * b * b * c
-    steps = np.empty((n_steps, dim, dim), dtype=complex)
-    np.matmul(coeffs, powers, out=steps.reshape(n_steps, dim * dim))
+    coeffs = np.empty((5, n_steps), dtype=complex)
+    coeffs[0] = 1.0
+    coeffs[1] = h / 6.0 * (a + 4.0 * b + c)
+    coeffs[2] = h**2 / 6.0 * (a * b + b * b + b * c)
+    coeffs[3] = h**3 / 12.0 * (a * b * b + b * b * c)
+    coeffs[4] = h**4 / 24.0 * a * b * b * c
+    # entries first: steps[:, :, i] is step i
+    steps = (powers.T @ coeffs).reshape(dim, dim, n_steps)
     return _ordered_product(steps)
 
 
@@ -175,10 +199,13 @@ def integrate_block(
         S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
 
-    All steps of a pulse are built as one stack and multiplied in their
-    order, S_{n-1} ... S_1 S_0, by a pairwise tree reduction. This is the
-    RK4 scheme itself, not the closed-form propagator: X is never
-    diagonalized and the order of the factors is kept.
+    All steps of a pulse are built as one ``(d, d, n_steps)`` array, entries
+    first with S_i at ``[:, :, i]``, and multiplied in their order,
+    S_{n-1} ... S_1 S_0, by a pairwise tree reduction whose pairs are
+    multiplied entry-wise across the whole level; one BLAS call per
+    d x d pair would cost more than its arithmetic. This is the RK4 scheme
+    itself, not the closed-form propagator: X is never diagonalized and the
+    order of the factors is kept.
 
     Raises
     ------

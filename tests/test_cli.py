@@ -675,7 +675,8 @@ def test_seed_refused_where_nothing_is_drawn(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--seed", "1", "--out", str(out)])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
     assert not out.exists()
 
 

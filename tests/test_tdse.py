@@ -83,16 +83,32 @@ class TestEnvelopes:
         with pytest.raises(SopGateError):
             PulseEnvelope.from_area("boxcar", 1.0, PI)
 
+    @pytest.mark.parametrize(
+        "shape, duration, peak_rabi",
+        [
+            ("gaussian", math.nan, 1.0),
+            ("squared-sine", math.inf, 1.0),
+            ("squared-sine", 1.0, math.inf),
+            ("gaussian", 1.0, -math.inf),
+            ("squared-sine", 1.0, math.nan),
+        ],
+    )
+    def test_non_finite_refused(self, shape, duration, peak_rabi):
+        with pytest.raises(SopGateError, match="must be finite"):
+            PulseEnvelope(shape, duration, peak_rabi)
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
-def test_ordered_product_is_left_to_right_product(n):
+def test_ordered_product_is_left_to_right_product(n, d):
     rng = np.random.default_rng(n)
     # Unitary factors, so that the product stays of order one.
-    steps = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
-    want = np.eye(4, dtype=complex)
+    steps = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    want = np.eye(d, dtype=complex)
     for step in steps:
         want = step @ want
-    np.testing.assert_allclose(_ordered_product(steps), want, rtol=0, atol=1e-13)
+    got = _ordered_product(np.ascontiguousarray(steps.transpose(1, 2, 0)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestIntegrateBlock:
