@@ -198,18 +198,16 @@ def spectator_orthogonal_rows(b, c_odd, c_even) -> tuple[np.ndarray, np.ndarray]
     Broadcasts over its arguments and checks none of them; where the pair
     exists, each row holds its components bit for bit.
     """
-    b, c_odd, c_even = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
-    )
+    b, c_odd, c_even = (np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
     r_odd = np.sqrt(1.0 - c_odd * c_odd)
     r_even = np.sqrt(1.0 - c_even * c_even)
     a = np.sqrt(1.0 - b * b - c_odd * c_odd)
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)
     alpha = np.sqrt(np.maximum(0.0, 1.0 - beta * beta))
-    e_even = (
-        r_even * (alpha * (-b_hat) + beta * a_hat),
-        r_even * (alpha * a_hat + beta * b_hat),
-        c_even,
-    )
-    return np.stack([a, b, c_odd], axis=-1), np.stack(e_even, axis=-1)
+    rows = np.empty((2,) + np.broadcast(b, c_odd, c_even).shape + (3,))
+    rows[0, ..., 0], rows[0, ..., 1], rows[0, ..., 2] = a, b, c_odd
+    rows[1, ..., 0] = r_even * (alpha * (-b_hat) + beta * a_hat)
+    rows[1, ..., 1] = r_even * (alpha * a_hat + beta * b_hat)
+    rows[1, ..., 2] = c_even
+    return rows[0], rows[1]

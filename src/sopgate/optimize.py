@@ -14,6 +14,11 @@ and all simplices advance together, one stage per step. A step gathers the
 candidates of all simplices into one batch objective call. Each simplex makes
 exactly the moves, evaluations and ties of its own sequential run, so the
 results equal those of one scipy run per restart and problem bit for bit.
+A simplex's whole state is one array, one row per point (its coordinates,
+then its negated value): the dim + 1 vertices, the stage's candidate, the
+reflected point and the best point so far. So a sort, a replacement of the
+worst vertex, a shrink and a retirement are each one gather or one
+assignment, and the next stage is read from a table by stage and comparisons.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
 The factor optimizers evaluate candidates through the protocol families'
 builder, :func:`~sopgate.fidelity.alternating_amplitudes`.
@@ -63,14 +68,39 @@ NONZDELT, ZDELT = 0.05, 0.00025
 # reflect, then expand or contract (outside or inside), then maybe shrink.
 _INIT, _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _DONE = range(7)
 
-#: Candidate of each one-point stage: c_bar * centroid + c_worst * worst
-#: vertex, with scipy's coefficients (x - y and x + (-y) round alike).
-_MOVES = {
-    _REFLECT: (1 + RHO, -RHO),
-    _EXPAND: (1 + RHO * CHI, -RHO * CHI),
-    _OUTSIDE: (1 + PSI * RHO, -PSI * RHO),
-    _INSIDE: (1 - PSI, PSI),
-}
+#: Candidate of each one-point stage: c_bar * centroid + c_worst * worst vertex, with
+#: scipy's coefficients (x - y and x + (-y) round alike); other stages' go unused.
+_MOVES = np.zeros((_DONE + 1, 2))
+_MOVES[_REFLECT], _MOVES[_EXPAND] = (1 + RHO, -RHO), (1 + RHO * CHI, -RHO * CHI)
+_MOVES[_OUTSIDE], _MOVES[_INSIDE] = (1 + PSI * RHO, -PSI * RHO), (1 - PSI, PSI)
+
+
+def _stage_table() -> tuple[np.ndarray, np.ndarray]:
+    """Next stage, and what replaces the worst vertex, per stage and comparison code.
+
+    The code's bits compare the negated value f of a one-point stage's candidate with
+    the simplex's: 1 f < best, 2 f < second worst, 4 f < worst, 8 f < f(reflected
+    point), 16 f <= f(reflected point). In the second table, 1 puts the candidate
+    in the worst vertex's place and 2 the reflected point.
+    """
+    below_best, below_second, below_worst, below_xr, upto_xr = (
+        (np.arange(32) >> bit) & 1 == 1 for bit in range(5)
+    )
+    after = np.full((_DONE + 1, 32), _REFLECT)
+    after[_REFLECT] = np.select(
+        [below_best, below_second, below_worst], [_EXPAND, _REFLECT, _OUTSIDE], _INSIDE
+    )
+    after[_OUTSIDE] = np.where(upto_xr, _REFLECT, _SHRINK)
+    after[_INSIDE] = np.where(below_worst, _REFLECT, _SHRINK)
+    after[_DONE] = _DONE
+    worst = np.zeros((_DONE + 1, 32), dtype=int)
+    worst[_REFLECT] = ~below_best & below_second
+    worst[_EXPAND] = np.where(below_xr, 1, 2)
+    worst[_OUTSIDE], worst[_INSIDE] = upto_xr, below_worst
+    return after, worst
+
+
+_AFTER, _WORST = _stage_table()
 
 
 def __getattr__(name: str):
@@ -97,7 +127,7 @@ class OptimizationResult:
     evaluations: np.ndarray
 
 
-def _latin_hypercube(rng: np.random.Generator, n: int, lower, upper) -> np.ndarray:
+def _latin_hypercube(rng: "np.random.Generator", n: int, lower, upper) -> np.ndarray:
     dim = len(lower)
     out = np.empty((n, dim))
     for j in range(dim):
@@ -106,13 +136,12 @@ def _latin_hypercube(rng: np.random.Generator, n: int, lower, upper) -> np.ndarr
     return out
 
 
-def _sort_vertices(sim: np.ndarray, fsim: np.ndarray, mask: np.ndarray) -> None:
-    """Order the vertices of the masked simplices by value, with scipy's ``np.argsort``."""
-    rows = np.flatnonzero(mask)
+def _sort_vertices(state: np.ndarray, rows: np.ndarray) -> None:
+    """Order the vertices of the simplices ``rows`` by value, with scipy's ``np.argsort``."""
     if rows.size:
-        order = np.argsort(fsim[rows], axis=1)
-        fsim[rows] = fsim[rows[:, None], order]
-        sim[rows] = sim[rows[:, None], order]
+        dim = state.shape[-1] - 1
+        order = np.argsort(state[rows, : dim + 1, dim], axis=1)
+        state[rows, : dim + 1] = state[rows[:, None], order]
 
 
 def nelder_mead_constrained(
@@ -159,124 +188,96 @@ def nelder_mead_constrained(
         return project(np.clip(x, lower, upper))
 
     def evaluate(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        if len(x) <= EVAL_CHUNK_ROWS:
+            return objective(x, problem)
         chunks = [slice(i, i + EVAL_CHUNK_ROWS) for i in range(0, len(x), EVAL_CHUNK_ROWS)]
-        parts = [objective(x[chunk], problem[chunk]) for chunk in chunks]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return np.concatenate([objective(x[chunk], problem[chunk]) for chunk in chunks])
 
     dim = lower.size
     starts = feasible(_latin_hypercube(np.random.default_rng(seed), restarts, lower, upper))
-    # Simplex i is restart i % restarts of problem i // restarts. The working
-    # arrays hold the simplices still running, ``ids`` their numbers; the
-    # results of finished ones go to the ``final_*`` arrays.
-    final_val = np.full(n, -np.inf)
-    final_x = np.zeros((n, dim))
-    final_calls = np.zeros(n, dtype=int)
-    ids = np.arange(n)
-    sim = np.repeat(np.tile(starts, (n_problems, 1))[:, None, :], dim + 1, axis=1)
+    # Simplex i is restart i % restarts of problem i // restarts. Its whole
+    # state is one array of points, each its dim coordinates followed by its
+    # negated value (scipy minimizes), +inf until evaluated: the dim + 1
+    # vertices, then the stage's candidate, the reflected point and the best
+    # evaluated point so far. The working arrays hold the simplices still
+    # running, ``ids`` their numbers; the best points of finished ones go to
+    # ``final``.
+    cand, xr, top = range(dim + 1, dim + 4)
+    state = np.full((n, dim + 4, dim + 1), np.inf)
+    state[:, : dim + 1, :dim] = np.tile(starts, (n_problems, 1))[:, None, :]
     for k in range(dim):
-        y = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + NONZDELT) * y, ZDELT)
-    fsim = np.full((n, dim + 1), np.inf)  # negated values, as scipy minimizes
+        y = state[:, k + 1, k]
+        state[:, k + 1, k] = np.where(y != 0, (1 + NONZDELT) * y, ZDELT)
+    state[:, top, :dim] = 0.0
+    final = state[:, top].copy()
+    final_calls = np.zeros(n, dtype=int)
+    ids = every = np.arange(n)
     stage = np.full(n, _INIT)
-    fcalls = np.zeros(n, dtype=int)
-    xbar = np.zeros((n, dim))
-    xr = np.zeros((n, dim))
-    fxr = np.zeros(n)
-    best_val = np.full(n, -np.inf)
-    best_x = np.zeros((n, dim))
-    coef_bar = np.zeros(_DONE + 1)
-    coef_worst = np.zeros(_DONE + 1)
-    for move, (c_bar, c_worst) in _MOVES.items():
-        coef_bar[move], coef_worst[move] = c_bar, c_worst
-    # Vertex slots a stage evaluates: first slot and count.
-    first = np.zeros(_DONE + 1, dtype=int)
-    count = np.ones(_DONE + 1, dtype=int)
-    count[_INIT], first[_SHRINK], count[_SHRINK], count[_DONE] = dim + 1, 1, dim, 0
+    left = np.full(n, max_evals)  # evaluations left
+    # Per stage, the rank of each point among those it evaluates, or
+    # max_evals for a point it skips; a simplex evaluates the ranks below ``left``.
     slots = np.arange(dim + 1)
+    rank = np.full((_DONE + 1, dim + 2), max_evals)
+    rank[_INIT, :-1], rank[_REFLECT:_SHRINK, cand], rank[_SHRINK, 1:-1] = slots, 0, slots[:-1]
+    # What replaces the worst vertex (_WORST): itself, the candidate or the reflected point.
+    replacement = np.array([dim, cand, xr])
+    compared, bits = np.array([0, dim - 1, dim, xr]), np.array([1, 2, 4, 8])
+    tolerance = np.array([XATOL] * dim + [FATOL])
 
+    initial = True
     while True:
-        ready = np.flatnonzero(stage == _REFLECT)
-        x_spread = np.abs(sim[ready, 1:] - sim[ready, :1]).max(axis=(1, 2))
-        f_spread = np.abs(fsim[ready, :1] - fsim[ready, 1:]).max(axis=1)
-        stage[ready[(x_spread <= XATOL) & (f_spread <= FATOL)]] = _DONE
+        ready = np.nonzero(stage == _REFLECT)[0]
+        vertices = state[ready, : dim + 1]
+        spread = np.abs(vertices[:, 1:] - vertices[:, :1])
+        stage[ready[(spread <= tolerance).all(axis=(1, 2))]] = _DONE
         running = stage != _DONE
-        if not running.any() or running.sum() < 0.75 * running.size:
+        n_running = np.count_nonzero(running)
+        if n_running <= 0.75 * running.size:
             # Retire the finished simplices once a quarter of them is done.
             done = ~running
-            final_val[ids[done]], final_x[ids[done]], final_calls[ids[done]] = (
-                best_val[done], best_x[done], fcalls[done]
-            )
-            if not running.any():
+            final[ids[done]], final_calls[ids[done]] = state[done, top], max_evals - left[done]
+            if not n_running:
                 break
-            ids, sim, fsim, stage, fcalls, xbar, xr, fxr, best_val, best_x = (
-                a[running] for a in (ids, sim, fsim, stage, fcalls, xbar, xr, fxr, best_val, best_x)
-            )
-        old = stage.copy()
-        reflect = old == _REFLECT
-        xbar[reflect] = np.add.reduce(sim[reflect, :-1], 1) / dim
-        worst = sim[:, -1]
-        proposal = sim.copy()
-        move = (old >= _REFLECT) & (old <= _INSIDE)
-        c_bar, c_worst = coef_bar[old[move], None], coef_worst[old[move], None]
-        proposal[move, 0] = c_bar * xbar[move] + c_worst * worst[move]
-        shrinking = old == _SHRINK
-        best_vertex = sim[shrinking, :1]
-        proposal[shrinking, 1:] = best_vertex + SIGMA * (sim[shrinking, 1:] - best_vertex)
-        budget = np.minimum(count[old], max_evals - fcalls)
-        take = (slots >= first[old, None]) & (slots < (first[old] + budget)[:, None])
-        x = feasible(proposal[take])
-        vals = evaluate(x, np.broadcast_to(ids[:, None] // restarts, take.shape)[take])
-        fcalls += budget
+            ids, state, stage, left = ids[running], state[running], stage[running], left[running]
+            every = np.arange(n_running)
+        # The centroid stays put from a reflection to its expansion or contraction.
+        xbar = np.add.reduce(state[:, :dim, :dim], 1) / dim
+        c = _MOVES[stage]
+        state[:, cand, :dim] = c[:, :1] * xbar + c[:, 1:] * state[:, dim, :dim]
+        shrinking = stage == _SHRINK
+        if shrinking.any():
+            best_vertex = state[shrinking, :1, :dim]
+            shrunk = best_vertex + SIGMA * (state[shrinking, 1 : dim + 1, :dim] - best_vertex)
+            state[shrinking, 1 : dim + 1, :dim] = shrunk
+        take = rank[stage] < left[:, None]
+        rows, slot = np.nonzero(take)
+        x = feasible(state[rows, slot, :dim])
+        state[rows, slot, dim] = f = -evaluate(x, ids[rows] // restarts)
+        left -= take.sum(axis=1)
 
-        value = np.full(take.shape, -np.inf)
-        value[take] = vals
-        points = np.zeros(proposal.shape)
-        points[take] = x
         # The first of a simplex's evaluations that beats its best so far.
-        j = np.argmax(value, axis=1)
-        better = value[np.arange(len(j)), j] > best_val
-        best_val[better] = value[better, j[better]]
-        best_x[better] = points[better, j[better]]
+        scored = np.full(state.shape, np.inf)
+        scored[rows, slot, :dim], scored[rows, slot, dim] = x, f
+        first = scored[every, scored[..., dim].argmin(axis=1)]
+        better = first[:, dim] < state[:, top, dim]
+        state[better, top] = first[better]
 
-        f = -value  # untaken initial vertices stay at +inf, as in scipy
-        fnew = f[:, 0]
-        new = proposal[:, 0]
-        init = old == _INIT
-        fsim[init] = f[init]
-        _sort_vertices(sim, fsim, init)
-        _sort_vertices(sim, fsim, init)  # scipy sorts the initial simplex twice
-        # Reflection: expand, accept, or contract outside or inside.
-        xr[reflect], fxr[reflect] = new[reflect], fnew[reflect]
-        expand = reflect & (fnew < fsim[:, 0])
-        accept = reflect & ~expand & (fnew < fsim[:, -2])
-        outside = reflect & ~expand & ~accept & (fnew < fsim[:, -1])
-        inside = reflect & ~expand & ~accept & ~outside
-        expanded = old == _EXPAND
-        keep_xe = expanded & (fnew < fxr)
-        contracted = ((old == _OUTSIDE) & (fnew <= fxr)) | ((old == _INSIDE) & (fnew < fsim[:, -1]))
-        shrink = ((old == _OUTSIDE) | (old == _INSIDE)) & ~contracted
-
-        replace_worst = accept | keep_xe | contracted
-        sim[replace_worst, -1] = new[replace_worst]
-        fsim[replace_worst, -1] = fnew[replace_worst]
-        keep_xr = expanded & ~keep_xe
-        sim[keep_xr, -1] = xr[keep_xr]
-        fsim[keep_xr, -1] = fxr[keep_xr]
-        sim[shrinking, 1:] = proposal[shrinking, 1:]
-        fsim[shrinking, 1:] = f[shrinking, 1:]
-        iterated = accept | expanded | contracted | shrinking
-        _sort_vertices(sim, fsim, iterated)
-
-        stage[init | iterated] = _REFLECT
-        stage[expand] = _EXPAND
-        stage[outside] = _OUTSIDE
-        stage[inside] = _INSIDE
-        stage[shrink] = _SHRINK
-        stage[fcalls >= max_evals] = _DONE
+        # A one-point stage's candidate decides what follows (_stage_table).
+        fnew = state[:, cand, dim, None]
+        code = (fnew < state[:, compared, dim]) @ bits + 16 * (fnew[:, 0] <= state[:, xr, dim])
+        after = _AFTER[stage, code]
+        reflect = stage == _REFLECT
+        state[reflect, xr] = state[reflect, cand]
+        state[:, dim] = state[every, replacement[_WORST[stage, code]]]
+        if initial:  # every simplex evaluated its initial vertices; scipy sorts them twice
+            _sort_vertices(state, every)
+            initial = False
+        _sort_vertices(state, np.nonzero(after == _REFLECT)[0])
+        stage = np.where(left > 0, after, _DONE)
 
     # Per problem, the first restart that attains the best value.
-    k = np.argmax(final_val.reshape(n_problems, restarts), axis=1)
-    best = final_x.reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
+    k = np.argmin(final[:, dim].reshape(n_problems, restarts), axis=1)
+    best = final[:, :dim].reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
     fidelity = evaluate(best, np.arange(n_problems))
     evaluations = final_calls.reshape(n_problems, restarts).sum(axis=1)
     return OptimizationResult(
@@ -402,8 +403,8 @@ def optimize_all_factors(
         return base - frac + np.clip(frac, phi_lo, phi_hi)
 
     def vectors(x: np.ndarray):
-        c = np.full(x.shape, c_fixed)
-        rows = np.stack([radius * np.cos(x), radius * np.sin(x), c], axis=-1)
+        rows = np.empty(x.shape + (3,))
+        rows[..., 0], rows[..., 1], rows[..., 2] = radius * np.cos(x), radius * np.sin(x), c_fixed
         return rows[:, 0], rows[:, 1]
 
     return _optimize_pulse_vectors(

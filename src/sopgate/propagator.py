@@ -60,6 +60,8 @@ def star_propagator(coupling, theta) -> np.ndarray:
     each matrix equals the one of its row and angle alone bit for bit.
     Every matrix is exactly symmetric, U == U.T bit for bit;
     :func:`register_amplitudes` relies on this to carry columns as rows.
+    Zero couplings appended to a row of up to 15 keep its (1 + n)×(1 + n)
+    corner bit for bit, so :func:`register_amplitudes` can build all block dimensions at once.
     """
     # Per row, np.vecdot computes what ``v @ v`` does for a 1-D vector when
     # the rows are contiguous; over strided rows of 4 or more entries it sums
@@ -142,6 +144,10 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 #: the products where :func:`_row_product` copies a lone row.
 _PRODUCT_BYTES = 2**22
 
+#: Most matrices :func:`register_amplitudes` builds for every block dimension in one
+#: call; past about 900, padding a 3-qubit build costs more than the calls it saves.
+_ONE_BUILD = 1024
+
 
 def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     """Return amplitudes of every basis state of a register, basis axis last.
@@ -153,11 +159,13 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     then hold each distinct pulse once; by default the pulses are
     ``vectors[0], vectors[1], ...``.
 
-    The blocks of one dimension, the basis states with equally many |0>
-    qubits, are stacked, and each distinct pulse's propagators are built on
-    its own angle shape: angles on separate axes, like a map's odd and even
-    areas, cost one propagator per axis value. Pulses with angles of one
-    shape share a :func:`star_propagator` call.
+    Each distinct pulse's propagators are built on its own angle shape:
+    angles on separate axes, like a map's odd and even areas, cost one
+    propagator per axis value. Pulses with angles of one shape share one
+    :func:`star_propagator` call, which covers every block dimension: each
+    block's couplings are padded with zeros to n_qubits, and a block of
+    dimension d reads the leading d×d corner of its propagators. A stack of
+    more than ``_ONE_BUILD`` matrices takes one call per block dimension.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
     is carried. Every star propagator is exactly symmetric, so that column,
@@ -197,23 +205,27 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     # axes padded to the batch's length; pulses with one angle shape are stacked.
     padding = (1,) * (len(batch) + 2 - vectors.ndim)
     vectors = vectors.reshape((n_pulses,) + padding + vectors.shape[1:])
+    # A zero column after the qubits pads the couplings of smaller blocks, whose
+    # propagators are then the leading corners of the register's largest ones.
+    vectors = np.concatenate([vectors, np.zeros(vectors.shape[:-1] + (1,))], axis=-1)
+    gather, groups = _blocks_by_dimension(n_qubits)
+    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
+    block_first = (0, len(batch) + 1, *range(1, len(batch) + 1), len(batch) + 2)
     by_shape = {}
     for k, theta in enumerate(thetas):
         by_shape.setdefault((1,) * (len(batch) - theta.ndim) + theta.shape, []).append(k)
-    stacks = [
-        (pulses, vectors[pulses], np.stack([thetas[k].reshape((1,) + shape) for k in pulses]))
-        for shape, pulses in by_shape.items()
-    ]
-    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
-    block_first = (0, len(batch) + 1, *range(1, len(batch) + 1), len(batch) + 2)
-    for states, qubits in reversed(_blocks_by_dimension(n_qubits)):
-        propagators = {}
-        for pulses, pulse_vectors, pulse_thetas in stacks:
-            couplings = pulse_vectors[..., qubits].transpose(block_first)
-            propagators.update(zip(pulses, star_propagator(couplings, pulse_thetas)))
+    corners = {}  # (pulse, block dimension) -> propagators of those blocks
+    for shape, pulses in by_shape.items():
+        couplings = vectors[pulses][..., gather].transpose(block_first)
+        angles = np.array([thetas[k].reshape((1,) + shape) for k in pulses])
+        whole = math.prod(np.broadcast_shapes(couplings.shape[:-1], angles.shape)) <= _ONE_BUILD
+        built = star_propagator(couplings, angles) if whole else None
+        for _, blocks, dim in groups:
+            part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
+            corners.update(((k, dim), p[..., :dim, :dim]) for k, p in zip(pulses, part))
+    for states, blocks, dim in reversed(groups):
         # Chunks of states; when one state's rows are over the budget, one
         # state and chunks of rows of the first batch axis.
-        dim = qubits.shape[1] + 1
         n_rows = batch[0] if batch else 1
         # An empty batch axis sizes chunks as an axis of one would; its chunks are empty.
         rows = max(1, _PRODUCT_BYTES // (16 * 2 * dim * max(1, math.prod(batch[1:]))))
@@ -222,7 +234,7 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
             for row in range(0, n_rows, rows):
                 # State and row slices; a register without batch axes has no rows.
                 index = (slice(lo, lo + step), slice(row, row + rows))[: out.ndim]
-                chunk = [_chunk(propagators[k], index) for k in order]
+                chunk = [_chunk(corners[k, dim], index) for k in order]
                 x = chunk[0][..., :1, :]
                 for propagator in chunk[1:]:
                     x = _row_product(x, propagator)
@@ -262,20 +274,23 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _blocks_by_dimension(n_qubits: int) -> tuple[tuple[list[int], np.ndarray], ...]:
-    """Basis-state indices and |0> qubits, shape (states, n_zero), per block dimension.
+def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[list[int], slice, int], ...]]:
+    """Coupling index, shape (blocks, n_qubits), and per block dimension d: states, blocks, d.
 
+    An index row holds a block's |0> qubits, then ``n_qubits`` (the appended zero column).
     A block without |0> qubits is dark to every pulse, its amplitude 1; it is
-    left out. The cached arrays are read-only.
+    left out. The cached index is read-only.
     """
     zeros = [_zero_positions(label, n_qubits) for label in basis_labels(n_qubits)]
-    groups = []
+    index, groups = [], []
     for n_zero in sorted({len(zq) for zq in zeros} - {0}):
         states = [j for j, zq in enumerate(zeros) if len(zq) == n_zero]
-        qubits = np.array([zeros[j] for j in states])
-        qubits.flags.writeable = False
-        groups.append((states, qubits))
-    return tuple(groups)
+        blocks = slice(len(index), len(index) + len(states))
+        index += [zeros[j] + (n_qubits,) * (n_qubits - n_zero) for j in states]
+        groups.append((states, blocks, n_zero + 1))
+    index = np.array(index, dtype=np.intp).reshape(len(index), n_qubits)
+    index.flags.writeable = False
+    return index, tuple(groups)
 
 
 def diagonal_amplitudes(protocol: Protocol) -> np.ndarray:

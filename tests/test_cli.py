@@ -41,6 +41,14 @@ def test_cli_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_start_leaves_numpy_random_unloaded():
+    # Only optimize and validate draw random numbers; the others skip its import.
+    code = "import sys, sopgate.cli; sopgate.cli.build_parser(); sys.exit('numpy.random' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestMapCommand:
     def test_writes_csv_and_report(self, tmp_path):
         out = tmp_path / "run"

@@ -38,6 +38,11 @@ def sphere_problem():
 
 
 class TestNelderMead:
+    def test_empty_batch_of_problems(self):
+        result = nelder_mead_constrained(**sphere_problem(), restarts=2, shape=(0, 3))
+        assert result.best_parameters.shape == (0, 3, 2)
+        assert result.best_fidelity.shape == result.evaluations.shape == (0, 3)
+
     def test_bound_corner_optimum(self):
         result = nelder_mead_constrained(**sphere_problem(), seed=1, restarts=4)
         np.testing.assert_allclose(result.best_parameters, [0.1, 0.1], atol=1e-5)
@@ -142,7 +147,7 @@ class TestLockstepEqualsSequential:
 
     @pytest.mark.parametrize(
         "seed, restarts, max_evals",
-        [(1, 4, 2000), (42, 6, 2000), (3, 2, 50), (5, 3, 7), (0, 2, 2), (7, 1, 1)],
+        [(1, 4, 2000), (42, 6, 2000), (3, 2, 50), (5, 3, 7), (0, 2, 2), (7, 1, 1), (0, 2, 23)],
     )
     def test_sphere(self, seed, restarts, max_evals):
         problem = sphere_problem()

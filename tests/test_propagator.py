@@ -321,7 +321,7 @@ class TestBlockAmplitudes:
             point = [float(grid[0, i, j]), 0.7, float(grid[1, i, j])]
             np.testing.assert_array_equal(amps[i, j], register_amplitudes(couplings, point))
 
-    def test_one_star_propagator_per_block_dimension(self, monkeypatch):
+    def test_one_star_propagator_per_angle_shape(self, monkeypatch):
         import sopgate.propagator
 
         calls = []
@@ -333,8 +333,31 @@ class TestBlockAmplitudes:
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         register_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
-        # Pulses with angles of one shape share a call: one for block 00, one for 01 and 10.
-        assert calls == [[0.1, 0.2, 0.3]] * 2
+        # Pulses with angles of one shape share one call, which covers blocks 00, 01 and 10.
+        assert calls == [[0.1, 0.2, 0.3]]
+
+    def test_large_stack_built_per_block_dimension(self, monkeypatch):
+        import sopgate.propagator
+
+        widths = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            widths.append(np.shape(coupling)[-1])
+            return original(coupling, theta)
+
+        rng = np.random.default_rng(6)
+        vectors = rng.normal(size=(2, 80, 3))
+        thetas = [rng.uniform(-8 * PI, 8 * PI, size=80) for _ in range(2)]
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        amps = register_amplitudes(vectors, thetas, [0, 1, 0])
+        # 2 pulses x 7 blocks x 80 rows is over _ONE_BUILD: one call per block dimension.
+        assert widths == [1, 2, 3]
+        for row in (0, 41, 79):
+            widths.clear()
+            alone = register_amplitudes(vectors[:, row], [t[row] for t in thetas], [0, 1, 0])
+            assert widths == [3]
+            np.testing.assert_array_equal(amps[row], alone)
 
     def test_register_amplitudes_equal_blocks_row_by_row(self):
         rng = np.random.default_rng(4)
