@@ -18,6 +18,10 @@ files only once every result exists: a refused command writes nothing. Files
 are written via a temporary name and renamed, so partial outputs are never
 left behind. Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
 
+:func:`main` builds the parser of the invoked command only, the first
+argument; help, ``--version`` and an unknown command get the parser of every
+command, so each help text and refusal reads as with the full parser.
+
 Each option is declared once, as a row of :data:`OPTIONS`: its type, choices,
 single-value check, help text and the ``optimize --what`` modes that read it.
 The parsers and the checks of flag and config-file values are built from
@@ -507,23 +511,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Every command, in the order of the help text: (name, help, function, defaults).
+COMMANDS = (
+    ("map", "fidelity map over pulse areas", cmd_map, MAP_DEFAULTS),
+    ("esop-map", "fidelity map of an M-pulse alternating family", cmd_map, MAP_DEFAULTS),
+    ("robustness", "amplitudes vs pulse-area error", cmd_robustness, ROBUSTNESS_DEFAULTS),
+    ("bscan", "fidelity vs b^2 for fixed-area protocols", cmd_bscan, BSCAN_DEFAULTS),
+    ("optimize", "optimize factors per area point", cmd_optimize, OPTIMIZE_DEFAULTS),
+    ("validate", "time-domain check of the propagators", cmd_validate, VALIDATE_DEFAULTS),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``sopgate`` parser, with the options of ``command`` only if it names one.
+
+    Any other ``command`` (None, an option, an unknown name) builds every
+    command, so that the top-level help and the refusal of an unknown
+    command list them all.
+    """
     parser = _Parser(
         prog="sopgate",
         description="Design and evaluate structured-light C-PHASE gate protocols.",
     )
     parser.add_argument("--version", action="version", version=f"sopgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, defaults in (
-        ("map", "fidelity map over pulse areas", cmd_map, MAP_DEFAULTS),
-        ("esop-map", "fidelity map of an M-pulse alternating family", cmd_map, MAP_DEFAULTS),
-        ("robustness", "amplitudes vs pulse-area error", cmd_robustness, ROBUSTNESS_DEFAULTS),
-        ("bscan", "fidelity vs b^2 for fixed-area protocols", cmd_bscan, BSCAN_DEFAULTS),
-        ("optimize", "optimize factors per area point", cmd_optimize, OPTIMIZE_DEFAULTS),
-        ("validate", "time-domain check of the propagators", cmd_validate, VALIDATE_DEFAULTS),
-    ):
-        command = sub.add_parser(name, help=help_text)
-        command.set_defaults(func=func)
+    for name, help_text, func, defaults in [c for c in COMMANDS if c[0] == command] or COMMANDS:
+        cmd_parser = sub.add_parser(name, help=help_text)
+        cmd_parser.set_defaults(func=func)
         for key in dict.fromkeys(["config", *defaults, "threads"]):
             option = _option(name, key)
             if option.type is bool:
@@ -536,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "required": option.required,
                 }
             rule = f" ({option.check[1]})" if option.check else ""
-            command.add_argument(_flag(key), help=option.help + rule, **kwargs)
+            cmd_parser.add_argument(_flag(key), help=option.help + rule, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (SopGateError, OSError) as exc:

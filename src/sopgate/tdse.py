@@ -13,11 +13,20 @@ The steps of a pulse are built as one array and multiplied in time order by
 a pairwise tree reduction: the same RK4 scheme as a step-by-step loop, with
 no per-step Python work.
 
-The steps are stored entries first, as a ``(d, d, n_steps)`` array with
-step i at ``[:, :, i]``, and each level of the tree multiplies its pairs
-entry-wise: a loop over k of d elementwise products across all pairs. The
-matrices are 1x1 to 4x4, so a stacked ``@`` would make one BLAS call per
-pair, and that call costs more than the pair's arithmetic.
+The steps are stored entries first, as a ``(d, d, blocks, n_steps)`` array
+with step i of block j at ``[:, :, j, i]`` (built in runs of at most
+:data:`_STEP_RUN` steps, with the same bits), and each level of the tree
+multiplies its pairs entry-wise: a loop over k of d elementwise products
+across all pairs of all blocks. The matrices are 1x1 to 4x4, so a stacked
+``@`` would make one BLAS call per pair, and that call costs more than the
+pair's arithmetic.
+
+The step coefficients depend on the envelope only: they are computed once
+per pulse and shared by every block. :func:`validate_protocol` stacks the
+blocks of one dimension and runs one tree per pulse and block size;
+:func:`integrate_block` is the same integration of a stack of one block.
+The factors multiply in the same order either way, so both give the same
+bits.
 """
 
 import math
@@ -125,10 +134,10 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
 
 
 def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products ``a[:, :, j] @ b[:, :, j]`` of two ``(d, d, n)`` stacks, as a k-loop.
+    """Products ``a[:, :, ...] @ b[:, :, ...]`` of two ``(d, d, ...)`` stacks, as a k-loop.
 
     Row k of every right factor scales column k of the matching left factor,
-    all n pairs at once, so a tiny matrix never goes to BLAS on its own.
+    all pairs at once, so a tiny matrix never goes to BLAS on its own.
     """
     out = a[:, :1] * b[None, 0]
     for k in range(1, a.shape[0]):
@@ -137,11 +146,12 @@ def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Ordered product ``S_{n-1} @ ... @ S_1 @ S_0`` of ``S_i = steps[:, :, i]``.
+    """Ordered product ``S_{n-1} @ ... @ S_1 @ S_0`` of ``S_i = steps[:, :, ..., i]``.
 
     Pairwise reduction on the last axis: each level multiplies adjacent
     pairs, the later factor on the left; an unpaired last factor moves along
-    to the next level.
+    to the next level. Axes between the matrix axes and the step axis are
+    independent stacks.
     """
     while steps.shape[-1] > 1:
         n = steps.shape[-1]
@@ -150,19 +160,12 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0]
 
 
-def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None) -> np.ndarray:
-    """RK4 propagator of one pulse: the ordered product of its step polynomials."""
-    dim = 1 + coupling.size
-    # X = -i P for the pattern P that couples ground and Rydberg levels by -coupling / 2
-    x_mat = np.zeros((dim, dim), dtype=complex)
-    x_mat[0, 1:] = 0.5j * coupling
-    x_mat[1:, 0] = 0.5j * coupling
-    # powers[p] = X^p, flattened, p = 0..4
-    powers = np.empty((5, dim * dim), dtype=complex)
-    power = np.eye(dim, dtype=complex)
-    for p in range(5):
-        powers[p] = power.ravel()
-        power = x_mat @ power
+def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
+    """Coefficients of X^0 ... X^4 in every RK4 step of one pulse, shape ``(5, n_steps)``.
+
+    They depend on the envelope only, so every block driven by the pulse
+    shares them.
+    """
     n_steps = _pulse_steps(env, dt)
     h = env.duration / n_steps
     # Rabi values at the half-step offsets 0, h/2, ..., n_steps * h;
@@ -175,9 +178,73 @@ def _pulse_propagator(coupling: np.ndarray, env: PulseEnvelope, dt: float | None
     coeffs[2] = h**2 / 6.0 * (a * b + b * b + b * c)
     coeffs[3] = h**3 / 12.0 * (a * b * b + b * b * c)
     coeffs[4] = h**4 / 24.0 * a * b * b * c
-    # entries first: steps[:, :, i] is step i
-    steps = (powers.T @ coeffs).reshape(dim, dim, n_steps)
-    return _ordered_product(steps)
+    return coeffs
+
+
+#: Most steps of a pulse built as one array, a power of two. Each whole run
+#: of this many steps reduces to the factor that the first log2(_STEP_RUN)
+#: levels of the pulse's tree form from it, and a last, shorter run to the
+#: factor those levels carry on; reducing the runs' products finishes the
+#: same tree with the same bits, while a stack's step array stays under 2 MB
+#: (three 3x3 blocks).
+_STEP_RUN = 4096
+
+
+def _pulse_propagators(couplings: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """RK4 propagators of one pulse for a stack of blocks of one dimension, ``(blocks, d, d)``.
+
+    ``couplings`` holds the pulse's couplings of each block, shape
+    ``(blocks, d - 1)``, and ``coeffs`` its :func:`_step_coefficients`.
+    """
+    n_blocks, dim = couplings.shape[0], 1 + couplings.shape[1]
+    # X = -i P for the pattern P that couples ground and Rydberg levels by -coupling / 2
+    x_mat = np.zeros((n_blocks, dim, dim), dtype=complex)
+    x_mat[:, 0, 1:] = 0.5j * couplings
+    x_mat[:, 1:, 0] = 0.5j * couplings
+    # powers[p] = X^p of every block, entries first as (d, d, blocks), p = 0..4
+    powers = np.empty((5, dim, dim, n_blocks), dtype=complex)
+    power = np.repeat(np.eye(dim, dtype=complex)[None], n_blocks, axis=0)
+    for p in range(5):
+        powers[p] = power.transpose(1, 2, 0)
+        power = x_mat @ power
+    powers = powers.reshape(5, -1).T
+    # steps[:, :, j, i] is step i of block j
+    runs = [
+        _ordered_product((powers @ coeffs[:, i : i + _STEP_RUN]).reshape(dim, dim, n_blocks, -1))
+        for i in range(0, coeffs.shape[1], _STEP_RUN)
+    ]
+    # one contiguous d x d matrix per block, so that each later @ is the one-block @
+    return np.ascontiguousarray(_ordered_product(np.stack(runs, axis=-1)).transpose(2, 0, 1))
+
+
+def _integrate(stacks, envelopes, dt: float | None) -> list[np.ndarray]:
+    """RK4 propagators of stacks of blocks, one ``(blocks, d, d)`` array per stack.
+
+    Each stack holds the couplings of blocks of one dimension, shape
+    ``(blocks, n_pulses, d - 1)``. Pulse by pulse, the step coefficients
+    are computed once for every stack, and each stack's pulse propagators
+    multiply onto its running product, one ``@`` per block.
+
+    Raises
+    ------
+    StepTooLargeError
+        If the unitarity drift of any block's result exceeds 1e-6.
+    """
+    u_tots = [
+        np.repeat(np.eye(1 + c.shape[2], dtype=complex)[None], c.shape[0], axis=0) for c in stacks
+    ]
+    for p, env in enumerate(envelopes):
+        coeffs = _step_coefficients(env, dt)
+        for s, couplings in enumerate(stacks):
+            u_tots[s] = _pulse_propagators(couplings[:, p], coeffs) @ u_tots[s]
+    drift = max(
+        np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max() for u in u_tots
+    )
+    if drift > UNITARITY_DRIFT_LIMIT:
+        raise StepTooLargeError(
+            f"unitarity drift {drift:.2e} exceeds {UNITARITY_DRIFT_LIMIT:.0e}; reduce dt"
+        )
+    return u_tots
 
 
 def integrate_block(
@@ -199,13 +266,15 @@ def integrate_block(
         S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
 
-    All steps of a pulse are built as one ``(d, d, n_steps)`` array, entries
-    first with S_i at ``[:, :, i]``, and multiplied in their order,
-    S_{n-1} ... S_1 S_0, by a pairwise tree reduction whose pairs are
-    multiplied entry-wise across the whole level; one BLAS call per
-    d x d pair would cost more than its arithmetic. This is the RK4 scheme
-    itself, not the closed-form propagator: X is never diagonalized and the
-    order of the factors is kept.
+    The steps of a pulse are built entries first, S_i at ``[:, :, 0, i]``
+    of a ``(d, d, 1, n_steps)`` array (in runs of :data:`_STEP_RUN` steps),
+    and multiplied in their order, S_{n-1} ... S_1 S_0, by a pairwise tree
+    reduction whose pairs are multiplied entry-wise across the whole level;
+    one BLAS call per d x d pair would cost more than its arithmetic. This
+    is the RK4 scheme itself, not the closed-form propagator: X is never
+    diagonalized and the order of the factors is kept. It is the one-block
+    case of the stacked integration :func:`validate_protocol` runs, with the
+    same bits.
 
     Raises
     ------
@@ -217,16 +286,7 @@ def integrate_block(
         raise SopGateError(
             f"{len(envelopes)} envelopes for {block.couplings.shape[0]} pulses"
         )
-    dim = block.dimension
-    u_tot = np.eye(dim, dtype=complex)
-    for coupling, env in zip(block.couplings, envelopes):
-        u_tot = _pulse_propagator(coupling, env, dt) @ u_tot
-    drift = np.abs(u_tot.conj().T @ u_tot - np.eye(dim)).max()
-    if drift > UNITARITY_DRIFT_LIMIT:
-        raise StepTooLargeError(
-            f"unitarity drift {drift:.2e} exceeds {UNITARITY_DRIFT_LIMIT:.0e}; reduce dt"
-        )
-    return u_tot
+    return _integrate([block.couplings[None]], envelopes, dt)[0][0]
 
 
 @dataclass(frozen=True)
@@ -255,15 +315,29 @@ def validate_protocol(
     """Compare analytical and integrated return amplitudes for every basis state.
 
     The analytical amplitudes of all blocks come from one
-    :func:`diagonal_amplitudes` call, in :func:`block_decompose` order; each
-    block is integrated with the default step of :func:`integrate_block`.
-    Deviations above ``tolerance`` are flagged in the report, not fatal.
+    :func:`diagonal_amplitudes` call, in :func:`block_decompose` order. The
+    blocks are integrated as :func:`integrate_block` does at its default
+    step, with the same bits, but stacked: each pulse's step coefficients
+    are computed once for every block, and the blocks of one dimension share
+    one ``(d, d, blocks, n_steps)`` step array and one product tree per
+    pulse, with the factors in the same order. Deviations above
+    ``tolerance`` are flagged in the report, not fatal.
     """
     envelopes = envelopes_for_protocol(protocol, shape=shape)
-    deviations = {}
-    for block, analytic in zip(block_decompose(protocol), diagonal_amplitudes(protocol)):
-        numeric = integrate_block(block, envelopes)[0, 0]
-        deviations[block.initial_state] = float(abs(analytic - numeric))
+    blocks = block_decompose(protocol)
+    analytic = diagonal_amplitudes(protocol)
+    by_dimension = {}
+    for index, block in enumerate(blocks):
+        by_dimension.setdefault(block.dimension, []).append(index)
+    groups = by_dimension.values()
+    stacks = [np.stack([blocks[i].couplings for i in indices]) for indices in groups]
+    numeric = [0j] * len(blocks)
+    for indices, u_stack in zip(groups, _integrate(stacks, envelopes, None)):
+        for i, u_block in zip(indices, u_stack):
+            numeric[i] = u_block[0, 0]
+    deviations = {
+        block.initial_state: float(abs(a - u)) for block, a, u in zip(blocks, analytic, numeric)
+    }
     max_dev = max(deviations.values())
     return ValidationReport(
         deviations=deviations,

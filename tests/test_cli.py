@@ -14,6 +14,7 @@ from sopgate.cli import (
     MAX_SAMPLES,
     OPTIMIZE_DEFAULTS,
     _write_atomic,
+    build_parser,
     main,
 )
 from sopgate.errors import SopGateError
@@ -731,3 +732,56 @@ class TestValidateCommand:
             ["validate", "--samples", "2", "--seed", "7", "--tolerance", "1e-15", "--out", str(out)]
         )
         assert code == 3
+
+
+def every_option_argv(command, defaults):
+    """An argv of ``command`` that sets every option row the command reads."""
+    argv = [command]
+    for key in dict.fromkeys(["config", *defaults, "threads"]):
+        option, flag = sopgate.cli._option(command, key), sopgate.cli._flag(key)
+        if option.type is bool:
+            argv.append(flag)
+        elif option.choices:
+            argv += [flag, str(option.choices[-1])]
+        else:
+            argv += [flag, {int: "7", float: "0.25"}.get(option.type, "text")]
+        if option.repeat:
+            argv += [flag, "more"]
+    return argv
+
+
+class TestPerCommandParser:
+    """``main`` builds only the invoked command's parser; it must parse as the full one."""
+
+    @pytest.mark.parametrize("command, defaults", [(c[0], c[3]) for c in sopgate.cli.COMMANDS])
+    def test_parses_as_the_full_parser(self, command, defaults):
+        argv = every_option_argv(command, defaults)
+        args = build_parser(command).parse_args(argv)
+        assert args == build_parser().parse_args(argv)
+        assert all(value is not None for value in vars(args).values())
+        assert {k for k in vars(args) if k in sopgate.cli.OPTIONS} == {"config", "threads", *defaults}
+
+    @pytest.mark.parametrize("command", [c[0] for c in sopgate.cli.COMMANDS])
+    def test_help_text_unchanged(self, command, capsys):
+        texts = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "-h"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: sopgate {command} ")
+
+    @pytest.mark.parametrize("argv, want", [(["-h"], "{map,esop-map,"), (["--version"], "sopgate ")])
+    def test_top_level_help_and_version(self, argv, want, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert want in capsys.readouterr().out
+
+    def test_unknown_command_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'validate'" in err[0]

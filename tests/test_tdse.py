@@ -19,8 +19,9 @@ from sopgate import (
 )
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
-from sopgate.propagator import block_decompose, star_propagator
-from sopgate.tdse import _ordered_product, _pulse_steps
+from sopgate.propagator import block_decompose, diagonal_amplitudes, star_propagator
+import sopgate.tdse
+from sopgate.tdse import _ordered_product, _pulse_propagators, _pulse_steps, _step_coefficients
 
 PI = math.pi
 
@@ -109,6 +110,19 @@ def test_ordered_product_is_left_to_right_product(n, d):
         want = step @ want
     got = _ordered_product(np.ascontiguousarray(steps.transpose(1, 2, 0)))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("run", [2, 8])
+@pytest.mark.parametrize("n_steps", [8, 9, 17, 31, 400])
+def test_step_runs_keep_the_tree_bits(monkeypatch, n_steps, run):
+    # Steps built in runs of a power of two give the whole tree's product bit for bit.
+    rng = np.random.default_rng(n_steps)
+    couplings = rng.normal(size=(3, 2))
+    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
+    assert coeffs.shape[1] == n_steps <= sopgate.tdse._STEP_RUN
+    whole = _pulse_propagators(couplings, coeffs)
+    monkeypatch.setattr(sopgate.tdse, "_STEP_RUN", run)
+    np.testing.assert_array_equal(_pulse_propagators(couplings, coeffs), whole)
 
 
 class TestIntegrateBlock:
@@ -228,6 +242,26 @@ class TestValidateProtocol:
         report = validate_protocol(sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI))
         assert len(report.deviations) == 8
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", ["squared-sine", "gaussian"])
+    def test_stacked_blocks_equal_one_block_integration(self, shape):
+        # Random 2- and 3-qubit protocols with 2 to 5 pulses, and the
+        # pi-2pi-pi protocol, whose |01> and |10> blocks are dark to one pulse
+        rng = np.random.default_rng(20)
+        protocols = [jp_protocol()] + [
+            random_protocol(rng, n_qubits=n_qubits, n_pulses=n_pulses)
+            for n_qubits in (2, 3)
+            for n_pulses in (2, 3, 4, 5)
+        ]
+        for protocol in protocols:
+            envelopes = envelopes_for_protocol(protocol, shape=shape)
+            blocks = block_decompose(protocol)
+            want = {
+                block.initial_state: float(abs(analytic - integrate_block(block, envelopes)[0, 0]))
+                for block, analytic in zip(blocks, diagonal_amplitudes(protocol))
+            }
+            assert validate_protocol(protocol, shape=shape).deviations == want
+        assert want["1" * protocol.n_qubits] == 0.0
 
     def test_report_fields(self):
         report = validate_protocol(jp_protocol(), tolerance=1e-6)
