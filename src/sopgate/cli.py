@@ -13,10 +13,16 @@ Areas are read and written in units of pi; angles are reported in degrees.
 Every artifact comes with a JSON sidecar embedding the full configuration and
 the SHA-256 of the data file. Refuse before allocating: the commands check
 their options, and the library checks the rest, including the size of a grid
-or of an optimizer run, before it allocates anything. Create ``--out`` and
-files only once every result exists: a refused command writes nothing. Files
-are written via a temporary name and renamed, so partial outputs are never
-left behind. Exit codes: 0 ok, 2 bad configuration, 3 validation failure.
+or of an optimizer run, before it allocates anything. A ``cmd_*`` function
+touches no disk: it returns ``(exit code, artifacts)``, each artifact a
+``(config, file name, data bytes, sidecar extra)``, and only :func:`main`
+writes, once the command has returned. So a refused command writes nothing,
+and ``validate`` prints its summary before its ``wrote`` line. :func:`main`
+refuses (exit 2, nothing written) a data or sidecar path that is an existing
+directory. Files are written via a temporary name and renamed, so none is
+left half written; a write that fails midway (a full disk, a denied
+permission) keeps the files written before it. Exit codes: 0 ok, 2 bad
+configuration, 3 validation failure.
 
 :func:`main` builds the parser of the invoked command only, the first
 argument; help, ``--version`` and an unknown command get the parser of every
@@ -98,29 +104,38 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _write_artifact(out_dir: str, stem: str, data_text: str, config: dict, extra: dict | None = None) -> None:
-    """Write the data file as UTF-8 and its JSON sidecar with the SHA-256 of those bytes.
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode()
 
-    ``out_dir`` is created here, so a command calls this only once every result exists.
+
+def _artifact_paths(config: dict, name: str) -> tuple[str, str]:
+    """The data file ``name`` under ``--out`` and its JSON sidecar."""
+    data_path = os.path.join(config["out"], name)
+    return data_path, os.path.splitext(data_path)[0] + ".json"
+
+
+def _write_artifact(config: dict, name: str, data: bytes, extra: dict) -> None:
+    """Write ``data`` to ``name`` under ``--out`` and a JSON sidecar with its SHA-256.
+
+    ``--out`` is created here; only :func:`main` calls this, once every result exists.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    data_path = os.path.join(out_dir, stem)
-    data = data_text.encode()
+    os.makedirs(config["out"], exist_ok=True)
+    data_path, sidecar_path = _artifact_paths(config, name)
     _write_atomic(data_path, data)
     meta = {
         "tool": f"sopgate {__version__}",
         "config": config,
         "content_sha256": hashlib.sha256(data).hexdigest(),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    _write_atomic(os.path.splitext(data_path)[0] + ".json", (json.dumps(meta, indent=2) + "\n").encode())
+    _write_atomic(sidecar_path, _json_bytes(meta))
     print(f"wrote {data_path}")
 
 
-def _csv_text(header: str, rows) -> str:
+def _csv_text(header: str, rows) -> bytes:
     """The header line, then one line per row with 9 significant digits per value."""
-    return "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
+    text = "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
+    return text.encode()
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -306,7 +321,7 @@ MAP_DEFAULTS = {
 }
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, MAP_DEFAULTS)
     family = sop_family(
         b2=config["b2"],
@@ -323,14 +338,8 @@ def cmd_map(args: argparse.Namespace) -> int:
     except SopGateError as exc:
         report = {"error": str(exc)}
     stem = "esop_map" if args.command == "esop-map" else "fidelity_map"
-    _write_artifact(
-        config["out"],
-        f"{stem}.csv",
-        map_csv_text(fmap),
-        config,
-        extra={"lattice": report, "max_fidelity": float(fmap.values.max())},
-    )
-    return EXIT_OK
+    extra = {"lattice": report, "max_fidelity": float(fmap.values.max())}
+    return EXIT_OK, [(config, f"{stem}.csv", map_csv_text(fmap), extra)]
 
 
 ROBUSTNESS_DEFAULTS = {
@@ -342,7 +351,7 @@ ROBUSTNESS_DEFAULTS = {
 }
 
 
-def cmd_robustness(args: argparse.Namespace) -> int:
+def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, ROBUSTNESS_DEFAULTS)
     try:
         b2_list = [float(x) for x in str(config["b2"]).split(",")]
@@ -352,16 +361,15 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
     protocols = [family.protocol(area_odd * math.pi, area_even * math.pi) for family in families]
-    stems = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
-    _refuse_shared_names(zip(b2_list, stems))
-    texts = []
-    for protocol in protocols:
+    names = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
+    _refuse_shared_names(zip(b2_list, names))
+    artifacts = []
+    for b2, name, protocol in zip(b2_list, names, protocols):
         curves = robustness_scan(protocol, deltas)
         rows = zip(deltas / math.pi, curves.u11v, curves.u11a, curves.u11b)
-        texts.append(_csv_text("delta_a_over_pi,u11v,u11a,u11b", rows))
-    for b2, stem, text in zip(b2_list, stems, texts):
-        _write_artifact(config["out"], stem, text, {**config, "b2": b2})
-    return EXIT_OK
+        text = _csv_text("delta_a_over_pi,u11v,u11a,u11b", rows)
+        artifacts.append(({**config, "b2": b2}, name, text, {}))
+    return EXIT_OK, artifacts
 
 
 BSCAN_DEFAULTS = {
@@ -373,22 +381,21 @@ BSCAN_DEFAULTS = {
 }
 
 
-def cmd_bscan(args: argparse.Namespace) -> int:
+def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, BSCAN_DEFAULTS)
     pairs = [_parse_area_pair(pair_text) for pair_text in config["areas"]]
     b2_grid = _scan_axis(config, "b2", symmetric=False)
     if b2_grid[-1] > 1.0:
         raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
-    stems = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
-    _refuse_shared_names(zip(pairs, stems))
-    texts = []
-    for pair in pairs:
+    names = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
+    _refuse_shared_names(zip(pairs, names))
+    artifacts = []
+    for pair_text, pair, name in zip(config["areas"], pairs, names):
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
-        texts.append(_csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non)))
-    for pair_text, stem, text in zip(config["areas"], stems, texts):
-        _write_artifact(config["out"], stem, text, {**config, "areas": pair_text})
-    return EXIT_OK
+        text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
+        artifacts.append(({**config, "areas": pair_text}, name, text, {}))
+    return EXIT_OK, artifacts
 
 
 OPTIMIZE_DEFAULTS = {
@@ -406,7 +413,7 @@ OPTIMIZE_DEFAULTS = {
 }
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, OPTIMIZE_DEFAULTS)
     what = config["what"]
     # Checked in every mode, also where --areas leaves it unused.
@@ -423,8 +430,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "best_area_even_over_pi": float(result.best_parameters[1] / math.pi),
             "evaluations": int(result.evaluations),
         }
-        _write_artifact(config["out"], "optimize_areas.txt", json.dumps(payload, indent=2) + "\n", config)
-        return EXIT_OK
+        return EXIT_OK, [(config, "optimize_areas.txt", _json_bytes(payload), {})]
     if config["areas"]:
         # One pair: batch shape (), 0-d results.
         areas = np.array(_parse_area_pair(config["areas"])) * math.pi
@@ -447,14 +453,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         for (ao, ae), fid, p in zip(points.tolist(), fidelities, parameters)
     ]
     text = _csv_text(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names}", rows)
-    _write_artifact(
-        config["out"],
-        f"optimized_map_{what.replace('-', '_')}.csv",
-        text,
-        config,
-        extra={"max_fidelity": max(fidelities)},
-    )
-    return EXIT_OK
+    name = f"optimized_map_{what.replace('-', '_')}.csv"
+    return EXIT_OK, [(config, name, text, {"max_fidelity": max(fidelities)})]
 
 
 VALIDATE_DEFAULTS = {
@@ -466,7 +466,7 @@ VALIDATE_DEFAULTS = {
 }
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, VALIDATE_DEFAULTS)
     rng = np.random.default_rng(config["seed"])
     reports = []
@@ -485,20 +485,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         report = validate_protocol(protocol, tolerance=config["tolerance"], shape=config["shape"])
         worst = max(worst, report.max_deviation)
         reports.append(
-            {
-                "index": index,
-                "n_qubits": n_qubits,
-                "n_pulses": n_pulses,
-                **report.to_json_dict(),
-            }
+            {"index": index, "n_qubits": n_qubits, "n_pulses": n_pulses, **report.to_json_dict()}
         )
     passed = worst < config["tolerance"]
-    payload = json.dumps(
-        {"passed": passed, "max_deviation": worst, "runs": reports}, indent=2
-    ) + "\n"
-    _write_artifact(config["out"], "validation_report.txt", payload, config)
+    payload = _json_bytes({"passed": passed, "max_deviation": worst, "runs": reports})
     print(f"validation {'passed' if passed else 'FAILED'}: max deviation {worst:.3e}")
-    return EXIT_OK if passed else EXIT_VALIDATION
+    code = EXIT_OK if passed else EXIT_VALIDATION
+    return code, [(config, "validation_report.txt", payload, {})]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -558,7 +551,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        code, artifacts = args.func(args)
+        for path in (p for config, name, _, _ in artifacts for p in _artifact_paths(config, name)):
+            if os.path.isdir(path):
+                raise SopGateError(f"{path} is a directory")
+        for artifact in artifacts:
+            _write_artifact(*artifact)
+        return code
     except (SopGateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

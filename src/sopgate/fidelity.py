@@ -518,10 +518,10 @@ def _fidelity_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def map_csv_text(fmap: FidelityMap) -> str:
-    """Render a map as CSV: areas in units of pi, 9 significant digits, row-major.
+def map_csv_text(fmap: FidelityMap) -> bytes:
+    """Render a map as ASCII CSV bytes: areas in units of pi, 9 significant digits, row-major.
 
-    The text equals one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point.
+    The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point, encoded.
     Each axis value is formatted once. An odd row is one ``%`` template that
     repeats the row's odd area before every even-area tail
     ``",<even>,%s\\n"``, filled from the fidelity texts of a block of odd
@@ -553,7 +553,7 @@ def map_csv_text(fmap: FidelityMap) -> str:
     for start in range(0, len(odd), block):
         cells = _fidelity_cells(values[start : start + block]).tolist()
         rows += [ao.join(tails) % tuple(row) for ao, row in zip(odd[start : start + block], cells)]
-    return b"".join(rows).decode("ascii")
+    return b"".join(rows)
 
 
 def lattice_report_dict(report: LatticeReport) -> dict:

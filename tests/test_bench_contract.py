@@ -87,12 +87,19 @@ def test_script_imports_resolve(script):
                     importlib.import_module(alias.name)
 
 
-def test_map_renderer_is_shared_and_counted_in_bytes():
+def test_map_renderer_is_shared_and_counted_in_bytes(spans, tmp_path):
     # spans.py patches map_csv_text in sopgate.cli and counts len(result) as bytes.
     assert sopgate.cli.map_csv_text is sopgate.fidelity.map_csv_text
     fmap = sopgate.fidelity.FidelityMap(
         axis_odd=np.array([-np.pi, 0.0]), axis_even=np.array([0.5]), values=np.array([[0.25], [np.nan]])
     )
     text = sopgate.cli.map_csv_text(fmap)
-    assert type(text) is str
-    assert len(text) == len(text.encode("utf-8"))
+    assert type(text) is bytes
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["map", "--grid=-1:1:0.5", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    size = (tmp_path / "fidelity_map.csv").stat().st_size
+    assert tracer.metrics()["fidelity.map_csv_text.bytes"] == size

@@ -227,6 +227,64 @@ class TestOutputDirectoryFirst:
         assert read(parent) == "keep\n"
 
 
+class TestOneWritePath:
+    """A command returns its artifacts as bytes and touches no disk; only ``main`` writes."""
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_WORK], ids=" ".join)
+    def test_command_returns_the_bytes_main_writes(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = argv + ["--out", str(out)]
+        args = build_parser(argv[0]).parse_args(argv)
+        code, artifacts = args.func(args)
+        assert code == 0 and artifacts
+        assert not out.exists()
+        assert main(argv) == code
+        names = set()
+        for _, name, data, _ in artifacts:
+            assert type(data) is bytes
+            assert (out / name).read_bytes() == data
+            names |= {name, os.path.splitext(name)[0] + ".json"}
+        assert {p.name for p in out.iterdir()} == names
+
+    @pytest.mark.parametrize(
+        "argv, work, refused_call",
+        [
+            (["robustness", "--b2", "0,0.1", "--delta-step", "0.25"], "robustness_scan", 2),
+            (["bscan", "--areas=2,2", "--areas=2,6", "--b2-step", "0.25"], "b_scan", 3),
+        ],
+    )
+    def test_refused_last_result_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, work, refused_call
+    ):
+        original, calls = getattr(sopgate.cli, work), []
+
+        def refuse_late(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == refused_call:
+                raise SopGateError(f"{work} refused its input")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sopgate.cli, work, refuse_late)
+        out = tmp_path / "out"
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert len(calls) == refused_call
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, taken",
+        [
+            (["map", "--grid=-1:1:0.5"], "fidelity_map.json"),
+            (["robustness", "--b2", "0,0.1", "--delta-step", "0.25"], "robustness_b2_0.1.csv"),
+        ],
+    )
+    def test_target_path_is_directory(self, tmp_path, capsys, argv, taken):
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert_config_error(capsys, argv + ["--out", str(out)])
+        assert [p.name for p in out.iterdir()] == [taken]
+        assert not any((out / taken).iterdir())
+
+
 class TestScanAxes:
     @pytest.mark.parametrize(
         "argv",
@@ -726,12 +784,19 @@ class TestValidateCommand:
         assert_config_error(capsys, ["validate", "--samples", str(MAX_SAMPLES + 1), "--out", str(out)])
         assert not out.exists()
 
-    def test_failure_exit_code(self, tmp_path):
+    def test_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "val2"
         code = main(
             ["validate", "--samples", "2", "--seed", "7", "--tolerance", "1e-15", "--out", str(out)]
         )
         assert code == 3
+        data = (out / "validation_report.txt").read_bytes()
+        assert json.loads(data)["passed"] is False
+        meta = json.loads(read(out / "validation_report.json"))
+        assert meta["content_sha256"] == hashlib.sha256(data).hexdigest()
+        # the summary line comes before the wrote line
+        summary, wrote = capsys.readouterr().out.splitlines()
+        assert summary.startswith("validation FAILED") and wrote.startswith("wrote ")
 
 
 def every_option_argv(command, defaults):

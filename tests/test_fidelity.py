@@ -534,18 +534,18 @@ class TestCsvOutput:
     def test_header_and_formatting(self):
         fmap = fidelity_map(sop_family(b2=0.0), GridSpec(-1, 1, 1))
         text = map_csv_text(fmap)
-        lines = text.strip().split("\n")
-        assert lines[0] == "a_odd_over_pi,a_even_over_pi,fidelity"
+        lines = text.strip().split(b"\n")
+        assert lines[0] == b"a_odd_over_pi,a_even_over_pi,fidelity"
         assert len(lines) == 1 + 9
-        first = lines[1].split(",")
-        assert first[0] == "-1" and first[1] == "-1"
+        first = lines[1].split(b",")
+        assert first[0] == b"-1" and first[1] == b"-1"
         # nine significant digits
         value = float(first[2])
-        assert f"{value:.9g}" == first[2]
+        assert f"{value:.9g}".encode() == first[2]
 
     def test_row_major_order(self):
         fmap = fidelity_map(sop_family(b2=0.0), GridSpec(0, 1, 0.5))
-        rows = [line.split(",")[:2] for line in map_csv_text(fmap).strip().split("\n")[1:]]
+        rows = [line.split(b",")[:2] for line in map_csv_text(fmap).strip().split(b"\n")[1:]]
         odd_sequence = [float(r[0]) for r in rows]
         assert odd_sequence == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
 
@@ -565,8 +565,8 @@ class TestCsvOutput:
         shape = (grid_odd.n_points, (grid_even or grid_odd).n_points)
         assert fmap.values.shape == shape
         text = map_csv_text(fmap)
-        assert text.count("\n") == 1 + shape[0] * shape[1]
-        assert text == per_cell_map_csv_text(fmap)
+        assert text.count(b"\n") == 1 + shape[0] * shape[1]
+        assert text == per_cell_map_csv_text(fmap).encode()
 
     def test_special_values_match_per_cell_rendering(self):
         specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300]
@@ -577,21 +577,21 @@ class TestCsvOutput:
         axis_even = np.array([math.nan, math.inf, -1e-300, 0.99999999949 * PI])
         fmap = FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
         text = map_csv_text(fmap)
-        assert text == per_cell_map_csv_text(fmap)
+        assert text == per_cell_map_csv_text(fmap).encode()
         assert text.splitlines()[1:5] == [
-            "-0,nan,nan",
-            "-0,inf,inf",
-            "-0,-3.18309886e-301,-inf",
-            "-0,0.999999999,-0",
+            b"-0,nan,nan",
+            b"-0,inf,inf",
+            b"-0,-3.18309886e-301,-inf",
+            b"-0,0.999999999,-0",
         ]
         empty = FidelityMap(axis_odd=axis_odd, axis_even=axis_even[:0], values=values[:, :0])
-        assert map_csv_text(empty) == per_cell_map_csv_text(empty)
+        assert map_csv_text(empty) == per_cell_map_csv_text(empty).encode()
 
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
     def test_b2_zero_maps_match_per_cell_rendering(self, m_pulses):
         # These maps hold exact binary ties, F >= 1 and |F| < 1e-15 cells.
         fmap = fidelity_map(sop_family(b2=0.0, m_pulses=m_pulses), GridSpec(-2, 2, 0.05))
-        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap)
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
     def test_partial_last_block_matches_per_cell_rendering(self):
         n_even = 7
@@ -601,7 +601,7 @@ class TestCsvOutput:
         fmap = FidelityMap(
             axis_odd=np.linspace(-PI, PI, n_odd), axis_even=np.arange(n_even) * 0.3, values=values
         )
-        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap)
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
 
 def one_row_map(values):
@@ -643,11 +643,11 @@ class TestFidelityText:
     @settings(max_examples=300, deadline=None)
     def test_finite_floats(self, values):
         fmap = one_row_map(values)
-        assert map_csv_text(fmap).encode() == per_cell_map_csv_text(fmap).encode()
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
     @pytest.mark.parametrize(
         "values", [halfway_values(), ADVERSARIAL_FIDELITIES], ids=["halfway", "adversarial"]
     )
     def test_adversarial_values(self, values):
         fmap = one_row_map(values)
-        assert map_csv_text(fmap).encode() == per_cell_map_csv_text(fmap).encode()
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
