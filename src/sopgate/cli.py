@@ -354,7 +354,8 @@ ROBUSTNESS_DEFAULTS = {
 def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, ROBUSTNESS_DEFAULTS)
     try:
-        b2_list = [float(x) for x in str(config["b2"]).split(",")]
+        # a repeated overlap is scanned and written once
+        b2_list = list(dict.fromkeys(float(x) for x in str(config["b2"]).split(",")))
     except ValueError as exc:
         raise SopGateError(f"b2 must be comma-separated numbers, got {config['b2']!r}") from exc
     area_odd, area_even = _parse_area_pair(config["areas"])

@@ -7,26 +7,18 @@ only, not on the envelope shapes, so any envelope with the right area has to
 land on the analytical result.
 
 Within one pulse the Hamiltonian is a time-dependent Rabi frequency times a
-constant coupling pattern, so each RK4 step is a degree-4 matrix polynomial
-in that pattern, with coefficients from the step's three stage Rabi values.
-The steps of a pulse are built as one array and multiplied in time order by
-a pairwise tree reduction: the same RK4 scheme as a step-by-step loop, with
-no per-step Python work.
-
-The steps are stored entries first, as a ``(d, d, blocks, n_steps)`` array
-with step i of block j at ``[:, :, j, i]`` (built in runs of at most
-:data:`_STEP_RUN` steps, with the same bits), and each level of the tree
-multiplies its pairs entry-wise: a loop over k of d elementwise products
-across all pairs of all blocks. The matrices are 1x1 to 4x4, so a stacked
-``@`` would make one BLAS call per pair, and that call costs more than the
-pair's arithmetic.
+constant real symmetric coupling pattern P, so each RK4 step is a degree-4
+polynomial in X = -i P, with coefficients from the step's three stage Rabi
+values. The steps of a pulse therefore commute, and their product is taken
+as scalars in the LAPACK ``eigh`` basis of P: one ``eigh`` per block and
+pulse, one product of step factors per eigenvalue. This is still the RK4
+scheme, with its amplification factor in place of the exponential, and it
+shares no code with :func:`~sopgate.propagator.star_propagator`.
 
 The step coefficients depend on the envelope only: they are computed once
 per pulse and shared by every block. :func:`validate_protocol` stacks the
-blocks of one dimension and runs one tree per pulse and block size;
-:func:`integrate_block` is the same integration of a stack of one block.
-The factors multiply in the same order either way, so both give the same
-bits.
+blocks of one dimension; :func:`integrate_block` is the same integration of
+a stack of one block, with the same bits.
 """
 
 import math
@@ -133,33 +125,6 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
     return max(MIN_STEPS_PER_PULSE, by_rate)
 
 
-def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products ``a[:, :, ...] @ b[:, :, ...]`` of two ``(d, d, ...)`` stacks, as a k-loop.
-
-    Row k of every right factor scales column k of the matching left factor,
-    all pairs at once, so a tiny matrix never goes to BLAS on its own.
-    """
-    out = a[:, :1] * b[None, 0]
-    for k in range(1, a.shape[0]):
-        out += a[:, k : k + 1] * b[None, k]
-    return out
-
-
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Ordered product ``S_{n-1} @ ... @ S_1 @ S_0`` of ``S_i = steps[:, :, ..., i]``.
-
-    Pairwise reduction on the last axis: each level multiplies adjacent
-    pairs, the later factor on the left; an unpaired last factor moves along
-    to the next level. Axes between the matrix axes and the step axis are
-    independent stacks.
-    """
-    while steps.shape[-1] > 1:
-        n = steps.shape[-1]
-        pairs = _entry_product(steps[..., 1::2], steps[..., 0 : n - 1 : 2])
-        steps = np.concatenate((pairs, steps[..., n - 1 :]), axis=-1) if n % 2 else pairs
-    return steps[..., 0]
-
-
 def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     """Coefficients of X^0 ... X^4 in every RK4 step of one pulse, shape ``(5, n_steps)``.
 
@@ -172,7 +137,7 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     # step i takes entries 2i, 2i + 1 and 2i + 2
     stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
-    coeffs = np.empty((5, n_steps), dtype=complex)
+    coeffs = np.empty((5, n_steps))
     coeffs[0] = 1.0
     coeffs[1] = h / 6.0 * (a + 4.0 * b + c)
     coeffs[2] = h**2 / 6.0 * (a * b + b * b + b * c)
@@ -181,40 +146,31 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     return coeffs
 
 
-#: Most steps of a pulse built as one array, a power of two. Each whole run
-#: of this many steps reduces to the factor that the first log2(_STEP_RUN)
-#: levels of the pulse's tree form from it, and a last, shorter run to the
-#: factor those levels carry on; reducing the runs' products finishes the
-#: same tree with the same bits, while a stack's step array stays under 2 MB
-#: (three 3x3 blocks).
-_STEP_RUN = 4096
-
-
 def _pulse_propagators(couplings: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """RK4 propagators of one pulse for a stack of blocks of one dimension, ``(blocks, d, d)``.
 
     ``couplings`` holds the pulse's couplings of each block, shape
     ``(blocks, d - 1)``, and ``coeffs`` its :func:`_step_coefficients`.
+    Every step is a polynomial p_i in X = -i P, so the steps commute and
+    their product is diagonal in the eigenbasis V of the real symmetric
+    pattern P: at an eigenvalue mu of P each step is the scalar p_i(-i mu),
+    whose real and imaginary parts 1 - c2 mu^2 + c4 mu^4 and
+    -c1 mu + c3 mu^3 are formed in real arithmetic.
     """
     n_blocks, dim = couplings.shape[0], 1 + couplings.shape[1]
-    # X = -i P for the pattern P that couples ground and Rydberg levels by -coupling / 2
-    x_mat = np.zeros((n_blocks, dim, dim), dtype=complex)
-    x_mat[:, 0, 1:] = 0.5j * couplings
-    x_mat[:, 1:, 0] = 0.5j * couplings
-    # powers[p] = X^p of every block, entries first as (d, d, blocks), p = 0..4
-    powers = np.empty((5, dim, dim, n_blocks), dtype=complex)
-    power = np.repeat(np.eye(dim, dtype=complex)[None], n_blocks, axis=0)
-    for p in range(5):
-        powers[p] = power.transpose(1, 2, 0)
-        power = x_mat @ power
-    powers = powers.reshape(5, -1).T
-    # steps[:, :, j, i] is step i of block j
-    runs = [
-        _ordered_product((powers @ coeffs[:, i : i + _STEP_RUN]).reshape(dim, dim, n_blocks, -1))
-        for i in range(0, coeffs.shape[1], _STEP_RUN)
-    ]
+    # P couples the ground level to each Rydberg level by -coupling / 2
+    pattern = np.zeros((n_blocks, dim, dim))
+    pattern[:, 0, 1:] = -0.5 * couplings
+    pattern[:, 1:, 0] = -0.5 * couplings
+    mu, basis = np.linalg.eigh(pattern)
+    mu2 = mu * mu
+    c = coeffs[:, :, None, None]
+    steps = np.empty((coeffs.shape[1], n_blocks, dim), dtype=complex)
+    steps.real = 1.0 - c[2] * mu2 + c[4] * (mu2 * mu2)
+    steps.imag = (c[3] * mu2 - c[1]) * mu
+    factors = np.prod(steps, axis=0)
     # one contiguous d x d matrix per block, so that each later @ is the one-block @
-    return np.ascontiguousarray(_ordered_product(np.stack(runs, axis=-1)).transpose(2, 0, 1))
+    return np.ascontiguousarray((basis * factors[:, None, :]) @ basis.swapaxes(1, 2))
 
 
 def _integrate(stacks, envelopes, dt: float | None) -> list[np.ndarray]:
@@ -266,13 +222,10 @@ def integrate_block(
         S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
 
-    The steps of a pulse are built entries first, S_i at ``[:, :, 0, i]``
-    of a ``(d, d, 1, n_steps)`` array (in runs of :data:`_STEP_RUN` steps),
-    and multiplied in their order, S_{n-1} ... S_1 S_0, by a pairwise tree
-    reduction whose pairs are multiplied entry-wise across the whole level;
-    one BLAS call per d x d pair would cost more than its arithmetic. This
-    is the RK4 scheme itself, not the closed-form propagator: X is never
-    diagonalized and the order of the factors is kept. It is the one-block
+    These steps commute, so their product S_{n-1} ... S_1 S_0 is taken in
+    the LAPACK ``eigh`` basis of P, where each step is a scalar. The result is
+    still the RK4 scheme, not the closed-form propagator (it shares no code
+    with :func:`~sopgate.propagator.star_propagator`), and it is the one-block
     case of the stacked integration :func:`validate_protocol` runs, with the
     same bits.
 
@@ -318,9 +271,10 @@ def validate_protocol(
     :func:`diagonal_amplitudes` call, in :func:`block_decompose` order. The
     blocks are integrated as :func:`integrate_block` does at its default
     step, with the same bits, but stacked: each pulse's step coefficients
-    are computed once for every block, and the blocks of one dimension share
-    one ``(d, d, blocks, n_steps)`` step array and one product tree per
-    pulse, with the factors in the same order. Deviations above
+    are computed once for every block, and the blocks of one dimension take
+    their ``eigh`` and step products together. The integration shares no
+    code with :func:`~sopgate.propagator.star_propagator`, so a wrong
+    analytic kernel shows as a deviation. Deviations above
     ``tolerance`` are flagged in the report, not fatal.
     """
     envelopes = envelopes_for_protocol(protocol, shape=shape)

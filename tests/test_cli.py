@@ -497,6 +497,21 @@ class TestRobustnessCommand:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["robustness_b2_0.1.csv", "robustness_b2_0.1.json"]
 
+    def test_repeated_overlap_is_scanned_once(self, tmp_path, capsys, monkeypatch):
+        original, calls = sopgate.cli.robustness_scan, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sopgate.cli, "robustness_scan", counted)
+        out = tmp_path / "rob"
+        argv = ["robustness", "--b2", "0.1,0.1", "--delta-step", "0.25", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {out / 'robustness_b2_0.1.csv'}"]
+
 
 class TestBscanCommand:
     def test_area_pairs_sharing_a_file_name_refused(self, tmp_path, capsys):

@@ -20,8 +20,7 @@ from sopgate import (
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, star_propagator
-import sopgate.tdse
-from sopgate.tdse import _ordered_product, _pulse_propagators, _pulse_steps, _step_coefficients
+from sopgate.tdse import _pulse_steps
 
 PI = math.pi
 
@@ -99,32 +98,6 @@ class TestEnvelopes:
             PulseEnvelope(shape, duration, peak_rabi)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
-def test_ordered_product_is_left_to_right_product(n, d):
-    rng = np.random.default_rng(n)
-    # Unitary factors, so that the product stays of order one.
-    steps = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
-    want = np.eye(d, dtype=complex)
-    for step in steps:
-        want = step @ want
-    got = _ordered_product(np.ascontiguousarray(steps.transpose(1, 2, 0)))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("run", [2, 8])
-@pytest.mark.parametrize("n_steps", [8, 9, 17, 31, 400])
-def test_step_runs_keep_the_tree_bits(monkeypatch, n_steps, run):
-    # Steps built in runs of a power of two give the whole tree's product bit for bit.
-    rng = np.random.default_rng(n_steps)
-    couplings = rng.normal(size=(3, 2))
-    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
-    assert coeffs.shape[1] == n_steps <= sopgate.tdse._STEP_RUN
-    whole = _pulse_propagators(couplings, coeffs)
-    monkeypatch.setattr(sopgate.tdse, "_STEP_RUN", run)
-    np.testing.assert_array_equal(_pulse_propagators(couplings, coeffs), whole)
-
-
 class TestIntegrateBlock:
     def test_pi_pulse_matches_analytic(self):
         block = block_decompose(jp_protocol())[1]  # |01>: coupling (1, 0, 1) per pulse
@@ -156,7 +129,8 @@ class TestIntegrateBlock:
         # n_steps None is the default resolution; otherwise dt is chosen so
         # that every pulse takes exactly n_steps steps (odd and even counts,
         # down to the 2-step floor), with areas small enough to pass the
-        # unitarity check at that resolution
+        # unitarity check at that resolution. The default-steps gaussian
+        # case with 2 qubits has a pulse of 4857 steps, a long step product
         dt = None if n_steps is None else 1.0 / (n_steps - 0.5)
         rng = np.random.default_rng(1000 * n_qubits + (n_steps or 0))
         protocol = random_protocol(rng, n_qubits=n_qubits, n_pulses=3, max_area=max_area)
@@ -242,6 +216,19 @@ class TestValidateProtocol:
         report = validate_protocol(sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI))
         assert len(report.deviations) == 8
         assert len(calls) == 1
+
+    def test_wrong_analytic_kernel_fails(self, monkeypatch):
+        # The integration shares no code with star_propagator, so a kernel
+        # whose pulse angles are off by 1e-3 is caught
+        kernel = sopgate.propagator.star_propagator
+
+        def stretched(coupling, theta):
+            return kernel(coupling, np.asarray(theta) * (1 + 1e-3))
+
+        protocol = sop_family(b2=0.1).protocol(2 * PI, 2 * PI)
+        assert validate_protocol(protocol).passed
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", stretched)
+        assert not validate_protocol(protocol).passed
 
     @pytest.mark.parametrize("shape", ["squared-sine", "gaussian"])
     def test_stacked_blocks_equal_one_block_integration(self, shape):
