@@ -20,7 +20,7 @@ from sopgate import (
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, star_propagator
-from sopgate.tdse import _pulse_steps
+from sopgate.tdse import _pulse_propagators, _pulse_steps, _step_coefficients
 
 PI = math.pi
 
@@ -96,6 +96,42 @@ class TestEnvelopes:
     def test_non_finite_refused(self, shape, duration, peak_rabi):
         with pytest.raises(SopGateError, match="must be finite"):
             PulseEnvelope(shape, duration, peak_rabi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
+def test_ordered_product_is_left_to_right_product(n, d):
+    # The eigenbasis product of a pulse's first n RK4 steps equals the
+    # left-to-right product of the explicit step matrices, for a stack of
+    # three blocks of dimension d
+    rng = np.random.default_rng(n)
+    couplings = rng.normal(size=(3, d - 1))
+    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 2 * PI), 1 / 512.5)
+    coeffs = coeffs[:, :n]
+    got = _pulse_propagators(couplings, coeffs)
+    for b in range(3):
+        x = np.zeros((d, d), dtype=complex)
+        x[0, 1:] = x[1:, 0] = 0.5j * couplings[b]  # X = -i P
+        want = np.eye(d, dtype=complex)
+        for c in coeffs.T:
+            step = sum(c[k] * np.linalg.matrix_power(x, k) for k in range(5))
+            want = step @ want
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("run", [2, 8])
+@pytest.mark.parametrize("n_steps", [8, 9, 17, 31, 400])
+def test_pulse_runs_multiply_to_the_whole_pulse(n_steps, run):
+    # A pulse cut into consecutive runs of steps: the runs' propagators,
+    # multiplied in time order, give the whole pulse's propagator
+    rng = np.random.default_rng(n_steps)
+    couplings = rng.normal(size=(3, 2))
+    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
+    assert coeffs.shape[1] == n_steps
+    product = np.repeat(np.eye(3, dtype=complex)[None], 3, axis=0)
+    for start in range(0, n_steps, run):
+        product = _pulse_propagators(couplings, coeffs[:, start : start + run]) @ product
+    np.testing.assert_allclose(product, _pulse_propagators(couplings, coeffs), rtol=0, atol=1e-13)
 
 
 class TestIntegrateBlock:
