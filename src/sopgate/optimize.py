@@ -42,6 +42,7 @@ from .model import (  # noqa: F401  spectator_orthogonal_pair: bench shims
     spectator_orthogonal_pair,
     spectator_orthogonal_rows,
 )
+from .propagator import EVAL_CHUNK_ROWS
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_EVALS = 2000
@@ -55,9 +56,6 @@ FATOL = 1e-10
 #: 60 times the default optimize grid of 33 x 33 points with 16 restarts.
 #: Larger runs are refused before anything is allocated.
 MAX_SIMPLICES = 2**20
-
-#: Most objective rows evaluated in one call; bounds the kernel's temporaries.
-EVAL_CHUNK_ROWS = 16384
 
 # scipy's non-adaptive coefficients (reflection, expansion, contraction,
 # shrink) and the steps of its initial simplex around the start.

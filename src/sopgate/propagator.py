@@ -15,7 +15,7 @@ each block's ground-state return amplitude, for every block of a register
 at once. Fidelity maps, robustness scans, b scans, optimizer candidates and
 single protocols (:func:`diagonal_amplitudes`, :func:`sequence_amplitude`)
 all take their amplitudes from it; :func:`block_decompose` lists the blocks
-for the time-domain check.
+that :func:`~sopgate.tdse.integrate_block` takes.
 
 Only the ground-state return amplitude U[0, 0] is read, so the kernel
 carries ground columns rather than d×d products. Star propagators are
@@ -143,6 +143,10 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 #: state. Chunks are sized for two rows per point, so the budget also bounds
 #: the products where :func:`_row_product` copies a lone row.
 _PRODUCT_BYTES = 2**22
+
+#: Most batch rows the optimizer and robustness scans pass to one
+#: :func:`register_amplitudes` call, which builds all their propagators at once.
+EVAL_CHUNK_ROWS = 16384
 
 #: Most matrices :func:`register_amplitudes` builds for every block dimension in one
 #: call; past about 900, padding a 3-qubit build costs more than the calls it saves.

@@ -10,15 +10,15 @@ Within one pulse the Hamiltonian is a time-dependent Rabi frequency times a
 constant real symmetric coupling pattern P, so each RK4 step is a degree-4
 polynomial in X = -i P, with coefficients from the step's three stage Rabi
 values. The steps of a pulse therefore commute, and their product is taken
-as scalars in the LAPACK ``eigh`` basis of P: one ``eigh`` per block and
-pulse, one product of step factors per eigenvalue. This is still the RK4
-scheme, with its amplification factor in place of the exponential, and it
-shares no code with :func:`~sopgate.propagator.star_propagator`.
+as scalars in the LAPACK ``eigh`` basis of P: one ``eigh`` per pulse, one
+product of step factors per eigenvalue. This is still the RK4 scheme, with
+its amplification factor in place of the exponential, and it shares no code
+with :func:`~sopgate.propagator.star_propagator`.
 
-The step coefficients depend on the envelope only: they are computed once
-per pulse and shared by every block. :func:`validate_protocol` stacks the
-blocks of one dimension; :func:`integrate_block` is the same integration of
-a stack of one block, with the same bits.
+:func:`validate_protocol` integrates the whole perfectly blockaded register
+at once, with patterns built from the pulse vectors alone, so it shares no
+block decomposition with the analytic kernel; :func:`integrate_block` is the
+same integration of one block's star pattern.
 """
 
 import math
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SopGateError, StepTooLargeError
 from .model import Protocol, basis_labels
-from .propagator import (  # noqa: F401  sequence_amplitude: bench shims
+from .propagator import (  # noqa: F401  block_decompose, sequence_amplitude: bench shims
     SubsystemBlock,
     block_decompose,
     diagonal_amplitudes,
@@ -128,8 +128,7 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
 def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     """Coefficients of X^0 ... X^4 in every RK4 step of one pulse, shape ``(5, n_steps)``.
 
-    They depend on the envelope only, so every block driven by the pulse
-    shares them.
+    They depend on the envelope only, not on the coupling pattern.
     """
     n_steps = _pulse_steps(env, dt)
     h = env.duration / n_steps
@@ -146,66 +145,67 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     return coeffs
 
 
-def _pulse_propagators(couplings: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """RK4 propagators of one pulse for a stack of blocks of one dimension, ``(blocks, d, d)``.
+def _pulse_propagators(patterns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """RK4 propagators of one pulse for real symmetric patterns P, shape ``(..., d, d)``.
 
-    ``couplings`` holds the pulse's couplings of each block, shape
-    ``(blocks, d - 1)``, and ``coeffs`` its :func:`_step_coefficients`.
-    Every step is a polynomial p_i in X = -i P, so the steps commute and
-    their product is diagonal in the eigenbasis V of the real symmetric
-    pattern P: at an eigenvalue mu of P each step is the scalar p_i(-i mu),
-    whose real and imaginary parts 1 - c2 mu^2 + c4 mu^4 and
-    -c1 mu + c3 mu^3 are formed in real arithmetic.
+    ``coeffs`` holds the pulse's :func:`_step_coefficients`. Every step is a
+    polynomial p_i in X = -i P, so the steps commute and their product is
+    diagonal in the eigenbasis V of P: at an eigenvalue mu of P each step is
+    the scalar p_i(-i mu), whose real and imaginary parts
+    (1 - c2 mu^2) + c4 mu^4 and (c3 mu^2 - c1) mu are formed in place.
     """
-    n_blocks, dim = couplings.shape[0], 1 + couplings.shape[1]
-    # P couples the ground level to each Rydberg level by -coupling / 2
-    pattern = np.zeros((n_blocks, dim, dim))
-    pattern[:, 0, 1:] = -0.5 * couplings
-    pattern[:, 1:, 0] = -0.5 * couplings
-    mu, basis = np.linalg.eigh(pattern)
+    mu, basis = np.linalg.eigh(patterns)
     mu2 = mu * mu
-    c = coeffs[:, :, None, None]
-    steps = np.empty((coeffs.shape[1], n_blocks, dim), dtype=complex)
-    steps.real = 1.0 - c[2] * mu2 + c[4] * (mu2 * mu2)
-    steps.imag = (c[3] * mu2 - c[1]) * mu
+    c = coeffs.reshape(coeffs.shape + (1,) * mu.ndim)
+    steps = np.empty(c.shape[1:2] + mu.shape, dtype=complex)
+    real, imag = steps.real, steps.imag
+    np.multiply(c[2], mu2, out=real)
+    np.subtract(1.0, real, out=real)
+    real += np.multiply(c[4], mu2 * mu2, out=imag)
+    np.multiply(c[3], mu2, out=imag)
+    imag -= c[1]
+    imag *= mu
     factors = np.prod(steps, axis=0)
-    # one contiguous d x d matrix per block, so that each later @ is the one-block @
-    return np.ascontiguousarray((basis * factors[:, None, :]) @ basis.swapaxes(1, 2))
+    return (basis * factors[..., None, :]) @ basis.swapaxes(-1, -2)
 
 
-def _integrate(stacks, envelopes, dt: float | None) -> list[np.ndarray]:
-    """RK4 propagators of stacks of blocks, one ``(blocks, d, d)`` array per stack.
-
-    Each stack holds the couplings of blocks of one dimension, shape
-    ``(blocks, n_pulses, d - 1)``. Pulse by pulse, the step coefficients
-    are computed once for every stack, and each stack's pulse propagators
-    multiply onto its running product, one ``@`` per block.
+def _integrate(patterns: np.ndarray, envelopes, dt: float | None) -> np.ndarray:
+    """RK4 propagator of pulses in sequence, one real symmetric pattern each, ``(n_pulses, d, d)``.
 
     Raises
     ------
     StepTooLargeError
-        If the unitarity drift of any block's result exceeds 1e-6.
+        If the unitarity drift of the result exceeds 1e-6.
     """
-    u_tots = [
-        np.repeat(np.eye(1 + c.shape[2], dtype=complex)[None], c.shape[0], axis=0) for c in stacks
-    ]
-    for p, env in enumerate(envelopes):
-        coeffs = _step_coefficients(env, dt)
-        for s, couplings in enumerate(stacks):
-            u_tots[s] = _pulse_propagators(couplings[:, p], coeffs) @ u_tots[s]
-    drift = max(
-        np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max() for u in u_tots
-    )
+    u_tot = np.eye(patterns.shape[-1], dtype=complex)
+    for pattern, env in zip(patterns, envelopes):
+        u_tot = _pulse_propagators(pattern, _step_coefficients(env, dt)) @ u_tot
+    drift = np.abs(u_tot.conj().T @ u_tot - np.eye(len(u_tot))).max()
     if drift > UNITARITY_DRIFT_LIMIT:
         raise StepTooLargeError(
             f"unitarity drift {drift:.2e} exceeds {UNITARITY_DRIFT_LIMIT:.0e}; reduce dt"
         )
-    return u_tots
+    return u_tot
 
 
-def integrate_block(
-    block: SubsystemBlock, envelopes, dt: float | None = None
-) -> np.ndarray:
+def _register_patterns(protocol: Protocol) -> np.ndarray:
+    """Coupling patterns of the whole blockaded register, one per pulse, ``(n_pulses, D, D)``.
+
+    The register holds the 2^n computational states in :func:`basis_labels`
+    order, then one singly-excited state r per (state s, |0> qubit q) pair,
+    in that order: D = 8 for 2 qubits, 20 for 3. A pulse with vector v sets
+    P[s, r] = P[r, s] = -v_q / 2, from the labels, not from any blocks.
+    """
+    labels = basis_labels(protocol.n_qubits)
+    pairs = [(s, q) for s, label in enumerate(labels) for q, bit in enumerate(label) if bit == "0"]
+    dim = len(labels) + len(pairs)
+    patterns = np.zeros((protocol.n_pulses, dim, dim))
+    for r, (s, q) in enumerate(pairs, start=len(labels)):
+        patterns[:, s, r] = patterns[:, r, s] = [-0.5 * p.vector.components[q] for p in protocol.pulses]
+    return patterns
+
+
+def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -> np.ndarray:
     """Propagator of one blockade block under explicit pulse envelopes.
 
     Integrates U' = -i H(t) U through the envelopes, one per pulse and in
@@ -215,9 +215,9 @@ def integrate_block(
     and ``h * (i + 1)``, so the last stage of a pulse lands on its window
     edge, never past it.
 
-    Within a pulse H(t) = Omega(t) P with a constant coupling pattern P, so
-    with X = -i P and stage values a, b, c one RK4 step is exactly the matrix
-    polynomial
+    Within a pulse H(t) = Omega(t) P, with the block's star pattern P
+    coupling the ground level to each Rydberg level by -coupling / 2. With
+    X = -i P and stage values a, b, c one RK4 step is exactly the matrix polynomial
 
         S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
@@ -226,8 +226,7 @@ def integrate_block(
     the LAPACK ``eigh`` basis of P, where each step is a scalar. The result is
     still the RK4 scheme, not the closed-form propagator (it shares no code
     with :func:`~sopgate.propagator.star_propagator`), and it is the one-block
-    case of the stacked integration :func:`validate_protocol` runs, with the
-    same bits.
+    case of the register integration :func:`validate_protocol` runs.
 
     Raises
     ------
@@ -235,11 +234,12 @@ def integrate_block(
         If the accumulated unitarity drift of the result exceeds 1e-6.
     """
     envelopes = list(envelopes)
-    if len(envelopes) != block.couplings.shape[0]:
-        raise SopGateError(
-            f"{len(envelopes)} envelopes for {block.couplings.shape[0]} pulses"
-        )
-    return _integrate([block.couplings[None]], envelopes, dt)[0][0]
+    n_pulses, n_zero = block.couplings.shape
+    if len(envelopes) != n_pulses:
+        raise SopGateError(f"{len(envelopes)} envelopes for {n_pulses} pulses")
+    patterns = np.zeros((n_pulses, 1 + n_zero, 1 + n_zero))
+    patterns[:, 0, 1:] = patterns[:, 1:, 0] = -0.5 * block.couplings
+    return _integrate(patterns, envelopes, dt)
 
 
 @dataclass(frozen=True)
@@ -267,31 +267,23 @@ def validate_protocol(
 ) -> ValidationReport:
     """Compare analytical and integrated return amplitudes for every basis state.
 
-    The analytical amplitudes of all blocks come from one
-    :func:`diagonal_amplitudes` call, in :func:`block_decompose` order. The
-    blocks are integrated as :func:`integrate_block` does at its default
-    step, with the same bits, but stacked: each pulse's step coefficients
-    are computed once for every block, and the blocks of one dimension take
-    their ``eigh`` and step products together. The integration shares no
-    code with :func:`~sopgate.propagator.star_propagator`, so a wrong
-    analytic kernel shows as a deviation. Deviations above
-    ``tolerance`` are flagged in the report, not fatal.
+    The analytical amplitudes come from one :func:`diagonal_amplitudes`
+    call. The numerical ones are the first 2^n diagonal entries of one
+    propagator of the whole blockaded register (:func:`_register_patterns`),
+    integrated as :func:`integrate_block` integrates a block, at the
+    default step. The check shares neither the block decomposition nor
+    :func:`~sopgate.propagator.star_propagator` with the analytic kernel,
+    so a wrong decomposition or a wrong propagator shows as a deviation.
+    The all-|1> state is dark to every pulse, but ``eigh`` may mix it with
+    other dark states, so its deviation is round-off (of order 1e-16), not
+    0 by construction. Deviations above ``tolerance`` are flagged in the
+    report, not fatal.
     """
     envelopes = envelopes_for_protocol(protocol, shape=shape)
-    blocks = block_decompose(protocol)
+    labels = basis_labels(protocol.n_qubits)
     analytic = diagonal_amplitudes(protocol)
-    by_dimension = {}
-    for index, block in enumerate(blocks):
-        by_dimension.setdefault(block.dimension, []).append(index)
-    groups = by_dimension.values()
-    stacks = [np.stack([blocks[i].couplings for i in indices]) for indices in groups]
-    numeric = [0j] * len(blocks)
-    for indices, u_stack in zip(groups, _integrate(stacks, envelopes, None)):
-        for i, u_block in zip(indices, u_stack):
-            numeric[i] = u_block[0, 0]
-    deviations = {
-        block.initial_state: float(abs(a - u)) for block, a, u in zip(blocks, analytic, numeric)
-    }
+    numeric = np.diagonal(_integrate(_register_patterns(protocol), envelopes, None))
+    deviations = {label: float(abs(a - u)) for label, a, u in zip(labels, analytic, numeric)}
     max_dev = max(deviations.values())
     return ValidationReport(
         deviations=deviations,
@@ -302,6 +294,6 @@ def validate_protocol(
             "shape": shape,
             "pulse_duration": PULSE_DURATION,
             "dt": None,
-            "states": list(basis_labels(protocol.n_qubits)),
+            "states": list(labels),
         },
     )

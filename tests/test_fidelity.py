@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sopgate.fidelity
 import sopgate.propagator
 from oracles import negated
 from sopgate import (
@@ -464,6 +465,26 @@ class TestRobustnessScan:
             )
             amps = diagonal_amplitudes(bumped)
             assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
+
+    def test_chunked_scan_equals_whole_scan(self, monkeypatch):
+        # Errors evaluated at most EVAL_CHUNK_ROWS at a time keep every byte
+        # of the scan in one kernel call
+        protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
+        deltas = np.linspace(-0.4 * PI, 0.4 * PI, 201)
+        whole = robustness_scan(protocol, deltas)
+        calls = []
+        kernel = sopgate.fidelity.register_amplitudes
+
+        def counted(vectors, thetas):
+            calls.append(len(thetas[0]))
+            return kernel(vectors, thetas)
+
+        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", counted)
+        monkeypatch.setattr(sopgate.fidelity, "EVAL_CHUNK_ROWS", 7)
+        chunked = robustness_scan(protocol, deltas)
+        assert calls == [7] * 28 + [5]
+        for name in ("delta_area", "u11v", "u11a", "u11b"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
 
     @pytest.mark.parametrize(
         "areas, deltas, pulse",

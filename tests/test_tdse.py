@@ -20,7 +20,7 @@ from sopgate import (
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, star_propagator
-from sopgate.tdse import _pulse_propagators, _pulse_steps, _step_coefficients
+from sopgate.tdse import _pulse_propagators, _pulse_steps, _register_patterns, _step_coefficients
 
 PI = math.pi
 
@@ -98,40 +98,57 @@ class TestEnvelopes:
             PulseEnvelope(shape, duration, peak_rabi)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def star_patterns(couplings):
+    """Star patterns of a stack of blocks: ground to each Rydberg level by -coupling / 2."""
+    dim = 1 + couplings.shape[1]
+    patterns = np.zeros((len(couplings), dim, dim))
+    patterns[:, 0, 1:] = patterns[:, 1:, 0] = -0.5 * couplings
+    return patterns
+
+
+def register_pattern(rng):
+    """The 8 x 8 pattern of one pulse on a 2-qubit register, shape (1, 8, 8).
+
+    It is not star-shaped, and its eigenvalues are degenerate: the dark
+    all-|1> state and the dark state of the |00> block share 0.
+    """
+    return _register_patterns(random_protocol(rng, n_qubits=2, n_pulses=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, "2q-register"])
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
 def test_ordered_product_is_left_to_right_product(n, d):
     # The eigenbasis product of a pulse's first n RK4 steps equals the
     # left-to-right product of the explicit step matrices, for a stack of
-    # three blocks of dimension d
+    # three star patterns of dimension d, or for a register's pattern
     rng = np.random.default_rng(n)
-    couplings = rng.normal(size=(3, d - 1))
+    patterns = register_pattern(rng) if d == "2q-register" else star_patterns(rng.normal(size=(3, d - 1)))
     coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 2 * PI), 1 / 512.5)
     coeffs = coeffs[:, :n]
-    got = _pulse_propagators(couplings, coeffs)
-    for b in range(3):
-        x = np.zeros((d, d), dtype=complex)
-        x[0, 1:] = x[1:, 0] = 0.5j * couplings[b]  # X = -i P
-        want = np.eye(d, dtype=complex)
+    got = _pulse_propagators(patterns, coeffs)
+    for pattern, got_one in zip(patterns, got):
+        x = -1j * pattern
+        want = np.eye(len(x), dtype=complex)
         for c in coeffs.T:
             step = sum(c[k] * np.linalg.matrix_power(x, k) for k in range(5))
             want = step @ want
-        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got_one, want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("run", [2, 8])
 @pytest.mark.parametrize("n_steps", [8, 9, 17, 31, 400])
 def test_pulse_runs_multiply_to_the_whole_pulse(n_steps, run):
     # A pulse cut into consecutive runs of steps: the runs' propagators,
-    # multiplied in time order, give the whole pulse's propagator
+    # multiplied in time order, give the whole pulse's propagator, for a
+    # stack of three 3 x 3 star patterns and for a register's pattern
     rng = np.random.default_rng(n_steps)
-    couplings = rng.normal(size=(3, 2))
     coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
     assert coeffs.shape[1] == n_steps
-    product = np.repeat(np.eye(3, dtype=complex)[None], 3, axis=0)
-    for start in range(0, n_steps, run):
-        product = _pulse_propagators(couplings, coeffs[:, start : start + run]) @ product
-    np.testing.assert_allclose(product, _pulse_propagators(couplings, coeffs), rtol=0, atol=1e-13)
+    for patterns in (star_patterns(rng.normal(size=(3, 2))), register_pattern(rng)):
+        product = np.eye(patterns.shape[-1], dtype=complex)
+        for start in range(0, n_steps, run):
+            product = _pulse_propagators(patterns, coeffs[:, start : start + run]) @ product
+        np.testing.assert_allclose(product, _pulse_propagators(patterns, coeffs), rtol=0, atol=1e-13)
 
 
 class TestIntegrateBlock:
@@ -266,10 +283,29 @@ class TestValidateProtocol:
         monkeypatch.setattr(sopgate.propagator, "star_propagator", stretched)
         assert not validate_protocol(protocol).passed
 
+    def test_wrong_block_decomposition_fails(self, monkeypatch):
+        # The register is built from the basis labels, not from the blocks
+        # of the analytic kernel, so a kernel whose blocks read every label
+        # reversed is caught
+        zero_positions = sopgate.propagator._zero_positions
+        sopgate.propagator._blocks_by_dimension.cache_clear()
+        monkeypatch.setattr(
+            sopgate.propagator, "_zero_positions", lambda label, n: zero_positions(label[::-1], n)
+        )
+        try:
+            rng = np.random.default_rng(23)
+            for _ in range(10):
+                assert not validate_protocol(random_protocol(rng, n_qubits=3, n_pulses=3)).passed
+        finally:
+            monkeypatch.undo()
+            sopgate.propagator._blocks_by_dimension.cache_clear()
+
     @pytest.mark.parametrize("shape", ["squared-sine", "gaussian"])
     def test_stacked_blocks_equal_one_block_integration(self, shape):
-        # Random 2- and 3-qubit protocols with 2 to 5 pulses, and the
-        # pi-2pi-pi protocol, whose |01> and |10> blocks are dark to one pulse
+        # The register's deviations equal those of the blocks integrated one
+        # by one, within round-off, for random 2- and 3-qubit protocols with
+        # 2 to 5 pulses, and the pi-2pi-pi protocol, whose |01> and |10>
+        # blocks are dark to one pulse
         rng = np.random.default_rng(20)
         protocols = [jp_protocol()] + [
             random_protocol(rng, n_qubits=n_qubits, n_pulses=n_pulses)
@@ -283,7 +319,9 @@ class TestValidateProtocol:
                 block.initial_state: float(abs(analytic - integrate_block(block, envelopes)[0, 0]))
                 for block, analytic in zip(blocks, diagonal_amplitudes(protocol))
             }
-            assert validate_protocol(protocol, shape=shape).deviations == want
+            got = validate_protocol(protocol, shape=shape).deviations
+            assert list(got) == list(want)
+            np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-13)
         assert want["1" * protocol.n_qubits] == 0.0
 
     def test_report_fields(self):
