@@ -42,7 +42,6 @@ from .model import (
     spectator_orthogonal_pair,
 )
 from .propagator import (  # noqa: F401  block_decompose, star_propagator_batch: bench shims
-    EVAL_CHUNK_ROWS,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -425,7 +424,6 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     Returns the real return amplitudes of |00>, |01> and |10> as functions of
     the per-odd-pulse area error (radians). An error that takes a shifted
     area past a finite float raises :class:`EmptyGridError`, without a warning.
-    Errors go to the kernel in chunks of ``EVAL_CHUNK_ROWS``, with the same bits.
     """
     if protocol.n_qubits != 2:
         raise DimensionMismatchError("robustness scan is defined for 2-qubit protocols")
@@ -440,10 +438,7 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
         if not np.isfinite(theta).all():
             raise EmptyGridError(f"the area error takes pulse {k + 1} past a finite area in radians")
     # Basis order: 00, 01, 10, then the inert 11.
-    u11v, u11a, u11b = np.concatenate([
-        register_amplitudes(vectors, [t[lo : lo + EVAL_CHUNK_ROWS] for t in thetas])[:, :3].real
-        for lo in range(0, max(1, len(delta)), EVAL_CHUNK_ROWS)
-    ]).T
+    u11v, u11a, u11b = register_amplitudes(vectors, thetas)[:, :3].real.T.copy()
     return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)
 
 

@@ -42,7 +42,6 @@ from .model import (  # noqa: F401  spectator_orthogonal_pair: bench shims
     spectator_orthogonal_pair,
     spectator_orthogonal_rows,
 )
-from .propagator import EVAL_CHUNK_ROWS
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_EVALS = 2000
@@ -185,12 +184,6 @@ def nelder_mead_constrained(
     def feasible(x: np.ndarray) -> np.ndarray:
         return project(np.clip(x, lower, upper))
 
-    def evaluate(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        if len(x) <= EVAL_CHUNK_ROWS:
-            return objective(x, problem)
-        chunks = [slice(i, i + EVAL_CHUNK_ROWS) for i in range(0, len(x), EVAL_CHUNK_ROWS)]
-        return np.concatenate([objective(x[chunk], problem[chunk]) for chunk in chunks])
-
     dim = lower.size
     starts = feasible(_latin_hypercube(np.random.default_rng(seed), restarts, lower, upper))
     # Simplex i is restart i % restarts of problem i // restarts. Its whole
@@ -250,7 +243,7 @@ def nelder_mead_constrained(
         take = rank[stage] < left[:, None]
         rows, slot = np.nonzero(take)
         x = feasible(state[rows, slot, :dim])
-        state[rows, slot, dim] = f = -evaluate(x, ids[rows] // restarts)
+        state[rows, slot, dim] = f = -objective(x, ids[rows] // restarts)
         left -= take.sum(axis=1)
 
         # The first of a simplex's evaluations that beats its best so far.
@@ -276,7 +269,7 @@ def nelder_mead_constrained(
     # Per problem, the first restart that attains the best value.
     k = np.argmin(final[:, dim].reshape(n_problems, restarts), axis=1)
     best = final[:, :dim].reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
-    fidelity = evaluate(best, np.arange(n_problems))
+    fidelity = objective(best, np.arange(n_problems))
     evaluations = final_calls.reshape(n_problems, restarts).sum(axis=1)
     return OptimizationResult(
         best.reshape(shape + (dim,)), fidelity.reshape(shape), evaluations.reshape(shape)

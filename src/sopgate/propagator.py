@@ -24,8 +24,8 @@ one row x per point and each pulse steps it as x <- x U_k. All rows that
 share a propagator form one gemm: in a map, n_odd + n_even gemms per pulse
 and block state instead of n_odd·n_even. A gemm that would hold a single
 row gets a copy of it, because numpy sends a one-row product to gemv, which
-changes bits. Rows are carried in chunks of block states and grid rows
-that stay under a fixed memory budget. For blocks of up to 4 levels
+changes bits. The kernel alone bounds its memory, for a batch of any
+size; :func:`register_amplitudes` states how. For blocks of up to 4 levels
 (registers of up to 3 qubits) every amplitude keeps the bits of its own
 chain of d×d gemms. The closed-form amplitudes the kernel is checked
 against live with the tests, in ``tests/oracles.py``.
@@ -144,9 +144,9 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 #: the products where :func:`_row_product` copies a lone row.
 _PRODUCT_BYTES = 2**22
 
-#: Most batch rows the optimizer and robustness scans pass to one
-#: :func:`register_amplitudes` call, which builds all their propagators at once.
-EVAL_CHUNK_ROWS = 16384
+#: Most rows of the first batch axis whose propagators :func:`register_amplitudes`
+#: builds at once.
+_BUILD_ROWS = 16384
 
 #: Most matrices :func:`register_amplitudes` builds for every block dimension in one
 #: call; past about 900, padding a 3-qubit build costs more than the calls it saves.
@@ -182,7 +182,10 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     then on, since numpy sends a one-row product to gemv, which changes
     bits; so batches that share no propagator (the optimizer's candidates,
     b and robustness scans, single protocols) carry two rows after their
-    first product. Rows are carried in chunks of block states of at most
+    first product. Memory is bounded here, for a batch of any size: a
+    first batch axis longer than ``_BUILD_ROWS`` runs in chunks, each
+    building only its own propagators (vectors and angles broadcast along
+    it go whole), and rows are carried in chunks of block states of at most
     ``_PRODUCT_BYTES``; when one state's rows are larger, in chunks of rows
     of the first batch axis (a map's odd rows). The result has shape
     batch + (2^n,), in :func:`basis_labels` order; with pulses it is a view
@@ -205,6 +208,15 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
         return np.ones(batch + (2**n_qubits,), dtype=complex)
     # Rows are written largest blocks first, each taking memory only then.
     out = np.empty((2**n_qubits,) + batch, dtype=complex)
+    if batch and batch[0] > _BUILD_ROWS:
+        # Chunks of the first batch axis; vectors and angles broadcast along it go whole.
+        whole = vectors.ndim < len(batch) + 2 or vectors.shape[1] == 1
+        for lo in range(0, batch[0], _BUILD_ROWS):
+            rows = slice(lo, lo + _BUILD_ROWS)
+            angles = [t[rows] if t.ndim == len(batch) and len(t) > 1 else t for t in thetas]
+            part = register_amplitudes(vectors if whole else vectors[:, rows], angles, order)
+            out[:, rows] = np.moveaxis(part, -1, 0)
+        return np.moveaxis(out, 0, -1)
     # Vectors (pulse, *batch, qubit) and angles (pulse, block, *batch), batch
     # axes padded to the batch's length; pulses with one angle shape are stacked.
     padding = (1,) * (len(batch) + 2 - vectors.ndim)

@@ -467,20 +467,21 @@ class TestRobustnessScan:
             assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
 
     def test_chunked_scan_equals_whole_scan(self, monkeypatch):
-        # Errors evaluated at most EVAL_CHUNK_ROWS at a time keep every byte
-        # of the scan in one kernel call
+        # The kernel's chunks of at most _BUILD_ROWS errors keep every byte
+        # of the unchunked scan
         protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
         deltas = np.linspace(-0.4 * PI, 0.4 * PI, 201)
         whole = robustness_scan(protocol, deltas)
         calls = []
-        kernel = sopgate.fidelity.register_amplitudes
+        kernel = sopgate.propagator.register_amplitudes
 
-        def counted(vectors, thetas):
+        def counted(vectors, thetas, order=None):
             calls.append(len(thetas[0]))
-            return kernel(vectors, thetas)
+            return kernel(vectors, thetas, order)
 
-        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", counted)
-        monkeypatch.setattr(sopgate.fidelity, "EVAL_CHUNK_ROWS", 7)
+        # The scan's one call reaches the original; its chunks call the module's name.
+        monkeypatch.setattr(sopgate.propagator, "register_amplitudes", counted)
+        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 7)
         chunked = robustness_scan(protocol, deltas)
         assert calls == [7] * 28 + [5]
         for name in ("delta_area", "u11v", "u11a", "u11b"):

@@ -29,7 +29,7 @@ from sopgate import (
     make_structural_vector,
     sop_family,
 )
-from sopgate.fidelity import family_diagonal_grid, pulse_areas
+from sopgate.fidelity import alternating_amplitudes, family_diagonal_grid, pulse_areas
 from sopgate.propagator import (
     block_decompose,
     diagonal_amplitudes,
@@ -382,6 +382,57 @@ class TestBlockAmplitudes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             register_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
+
+
+def _batch_shapes():
+    """Inputs (vectors, thetas, order) of the kernel's batch shapes, 30 or 20 rows long."""
+    rng = np.random.default_rng(24)
+    angles = rng.uniform(-8 * PI, 8 * PI, size=(4, 30))
+    return {
+        # Optimizer candidates: vector rows with per-row angles.
+        "candidates": (rng.normal(size=(2, 30, 3)), [angles[0], angles[1]], [0, 1, 0]),
+        # A b scan: vector rows, scalar angles.
+        "b-scan": (rng.normal(size=(2, 30, 2)), [1.1 * PI, 0.6 * PI], [0, 1, 0]),
+        # A robustness scan: shared vectors, angle rows.
+        "robustness": (rng.normal(size=(4, 2)), list(angles), None),
+        # A map: 20 odd rows, the even axis broadcast along them.
+        "map": (rng.normal(size=(2, 3)), [angles[0, :20, None], angles[1, None, :9]], [0, 1, 0, 1, 0]),
+    }
+
+
+class TestBuildChunks:
+    @pytest.mark.parametrize("kind", ["candidates", "b-scan", "robustness", "map"])
+    def test_chunked_batch_equals_whole_batch_bytewise(self, kind, monkeypatch):
+        import sopgate.propagator
+
+        vectors, thetas, order = _batch_shapes()[kind]
+        whole = register_amplitudes(vectors, thetas, order)
+        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 7)
+        chunked = register_amplitudes(vectors, thetas, order)
+        assert chunked.shape == whole.shape
+        assert chunked.tobytes() == whole.tobytes()
+        # Both are views of a contiguous basis-first array.
+        assert np.moveaxis(chunked, -1, 0).flags.c_contiguous
+        assert np.moveaxis(whole, -1, 0).flags.c_contiguous
+
+    def test_star_propagator_never_sees_more_rows_than_the_bound(self, monkeypatch):
+        import sopgate.propagator
+
+        rows = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            # Built stacks are (pulse, block, *batch): the first batch axis is axis 2.
+            rows.append(np.broadcast_shapes(np.shape(coupling)[:-1], np.shape(theta))[2])
+            return original(coupling, theta)
+
+        rng = np.random.default_rng(64)
+        odd, even = rng.normal(size=(2, 1000, 3))
+        areas = rng.uniform(-8 * PI, 8 * PI, size=(2, 1000))
+        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 64)
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        assert alternating_amplitudes(odd, even, *areas).shape == (1000, 8)
+        assert rows and max(rows) <= 64
 
 
 class TestGroundRows:
