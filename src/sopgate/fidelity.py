@@ -8,15 +8,21 @@ average-gate-fidelity combination). Maps sweep the total odd and even pulse
 areas on a rectangular grid; their maxima form (possibly rotated) lattices.
 
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
-structural vector alternating over M pulses. :func:`sop_family` is the one
-place that turns squared geometrical factors into those vectors, and
-:func:`alternating_amplitudes` the one that lays out their pulses. Every
-return amplitude, for one protocol, a b scan, a map grid or a robustness
-scan, comes from one :func:`~sopgate.propagator.register_amplitudes` call.
+structural vector alternating over M pulses. :func:`sop_family` turns squared
+geometrical factors into those vectors (:func:`b_scan` builds the same 2-qubit
+vectors as arrays), and :func:`alternating_amplitudes` is the one place that
+lays out their pulses. Every return amplitude, for one protocol, a b scan, a
+map grid or a robustness scan, comes from one
+:func:`~sopgate.propagator.register_amplitudes` call.
 Fidelities of rows of protocols (basis axis last: single protocols, b scans,
 optimizer candidates) come from :func:`fidelity_from_rows`, those of map
 grids (basis axis first) from :func:`fidelity_from_amplitudes`; each
 formula's order of summation defines the published bits of its outputs.
+
+:func:`fidelity_map` reduces amplitudes to fidelities in blocks of odd rows of
+about 8 MiB of amplitudes (one block for a default-grid 2-qubit map), each
+but the last a multiple of 4 odd rows: OpenBLAS ``zgemv`` sums the last
+N mod 4 cells of a call in another order, which changes 3-qubit bits.
 """
 
 import functools
@@ -56,6 +62,9 @@ DEFAULT_GRID = (-8.0, 8.0, 0.05)
 
 #: Default acceptance level for map maxima.
 DEFAULT_MAXIMA_THRESHOLD = 0.7
+
+#: Bytes of complex amplitudes one block of odd rows of :func:`fidelity_map` may hold.
+_MAP_BLOCK_BYTES = 2**23
 
 #: Most points one grid axis or one map may hold, about ten times the
 #: 641 x 641 wide map; larger grids are refused before anything is allocated.
@@ -322,6 +331,14 @@ def fidelity_map(
     that to :data:`DEFAULT_GRID`. ``definition`` is one of
     :data:`FIDELITY_DEFINITIONS`. A map of more than :data:`MAX_GRID_POINTS`
     points raises :class:`GridTooLargeError` before anything is allocated.
+
+    Each block of odd rows is one :func:`family_diagonal_grid` and one
+    :func:`fidelity_from_amplitudes` call, of at most ``_MAP_BLOCK_BYTES`` of
+    amplitudes but at least 4 odd rows. Every block but the last holds a
+    multiple of 4 odd rows, as OpenBLAS ``zgemv`` sums the last N mod 4 cells
+    of a call in another order (this changes bits of 8-state registers). With
+    one BLAS thread and SkylakeX kernels the values are the one-block map's
+    bit for bit; threaded ``zgemv`` or Haswell ``zgemm`` may move a cell by an ulp.
     """
     grid_odd = grid_odd or GridSpec(*DEFAULT_GRID)
     grid_even = grid_even or grid_odd
@@ -329,8 +346,13 @@ def fidelity_map(
     target = cphase_signature(family.n_qubits)
     axis_odd = grid_odd.values_radians()
     axis_even = grid_even.values_radians()
-    diag = family_diagonal_grid(family, axis_odd, axis_even)
-    values = fidelity_from_amplitudes(diag, target, definition)
+    row_bytes = 16 * len(target.phases) * len(axis_even)  # complex128 amplitudes
+    rows = max(1, _MAP_BLOCK_BYTES // row_bytes // 4) * 4
+    values = np.empty((len(axis_odd), len(axis_even)))
+    for lo in range(0, len(axis_odd), rows):
+        block = slice(lo, lo + rows)
+        diag = family_diagonal_grid(family, axis_odd[block], axis_even)
+        values[block] = fidelity_from_amplitudes(diag, target, definition)
     return FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
 
 
@@ -452,13 +474,24 @@ def b_scan(
 
     ``area_pair_pi`` is (A_odd, A_even) in units of pi. With
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
-    modelling approaching atoms without structured light.
+    modelling approaching atoms without structured light. The vectors are
+    those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
+    a b^2 that family refuses raises :class:`NotNormalizedError`.
     """
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
-    families = [sop_family(b2=b2, orthogonal=orthogonal) for b2 in b2_values.tolist()]
+    with np.errstate(invalid="ignore"):
+        b = np.sqrt(b2_values)
+    # Squared by libm pow, as sop_family's b**2.
+    b_sq = np.float_power(b, 2.0)
+    refused = ~(np.isfinite(b2_values) & (b2_values >= 0.0)) | (b_sq > 1.0)
+    if refused.any():
+        value = float(b2_values[refused][0])
+        check_squared_factors(b2=value)
+        raise NotNormalizedError(f"b^2 = {value!r} exceeds 1")
+    a = np.sqrt(1.0 - b_sq)
     # The odd and even pulse vectors, one row per b^2 point.
-    odd = np.array([family.vector_odd.components for family in families]).reshape(-1, 2)
-    even = np.array([family.vector_even.components for family in families]).reshape(-1, 2)
+    odd = np.stack([a, b], axis=-1)
+    even = np.stack([-b if orthogonal else b, a], axis=-1)
     area_odd, area_even = (area * math.pi for area in area_pair_pi)
     amplitudes = alternating_amplitudes(odd, even, area_odd, area_even)
     return fidelity_from_rows(amplitudes, cphase_signature(2), definition)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from sopgate import (
     GridSpec,
     GridTooLargeError,
     NoMaximaFoundError,
+    NotNormalizedError,
     ProtocolFamily,
     SignatureMismatchError,
     StructuralVector,
@@ -337,6 +339,72 @@ class TestMapKernelRowsAndChunks:
             assert curve.shape == (0,)
 
 
+class TestMapBlocks:
+    """``fidelity_map`` reduces blocks of odd rows, each equal to the one-block map."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Odd rows of each ``family_diagonal_grid`` call of a map."""
+        seen = []
+        original = sopgate.fidelity.family_diagonal_grid
+
+        def recorded(family, area_odd, area_even):
+            seen.append(len(area_odd))
+            return original(family, area_odd, area_even)
+
+        monkeypatch.setattr(sopgate.fidelity, "family_diagonal_grid", recorded)
+        return seen
+
+    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
+    @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    @pytest.mark.parametrize(
+        "grid_odd, grid_even",
+        [
+            (GridSpec(-5.3, 5.7, 0.5), GridSpec(-2.9, 3.1, 0.5)),  # 23 x 13
+            (GridSpec(-4.1, 3.9, 0.5), GridSpec(-7.9, 7.1, 0.5)),  # 17 x 31
+            (GridSpec(-5.0, 5.0, 0.5), GridSpec(-5.0, 5.0, 0.5)),  # 21 x 21
+        ],
+    )
+    def test_blocks_keep_every_bit(
+        self, monkeypatch, blocks, definition, m_pulses, b2, c2, grid_odd, grid_even
+    ):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        whole = fidelity_map(family, grid_odd, grid_even, definition).values
+        assert blocks == [grid_odd.n_points]
+        row_bytes = 16 * 2**family.n_qubits * grid_even.n_points
+        counts = set()
+        # A budget under 4 odd rows still gets blocks of 4.
+        for rows, block_rows in ((1, 4), (2, 4), (3, 4), (4, 4), (7, 4), (8, 8), (12, 12)):
+            monkeypatch.setattr(sopgate.fidelity, "_MAP_BLOCK_BYTES", rows * row_bytes)
+            blocks.clear()
+            values = fidelity_map(family, grid_odd, grid_even, definition).values
+            np.testing.assert_array_equal(values, whole)
+            assert blocks[:-1] == [block_rows] * (len(blocks) - 1)
+            assert 0 < blocks[-1] <= block_rows
+            assert sum(blocks) == grid_odd.n_points
+            counts.add(len(blocks))
+        assert any(count % 2 for count in counts) and any(count % 2 == 0 for count in counts)
+
+    @pytest.mark.parametrize("b2, c2, n_blocks", [(0.1, 0.0, 1), (0.1, 0.1, 2)])
+    def test_default_grid_blocks(self, blocks, b2, c2, n_blocks):
+        fidelity_map(sop_family(b2=b2, c2=c2))
+        assert len(blocks) == n_blocks
+        assert all(rows % 4 == 0 for rows in blocks[:-1])
+
+    def test_wide_three_qubit_map_memory(self):
+        grid = GridSpec(-16, 16, 0.05)
+        family = sop_family(b2=0.1, c2=0.1)
+        tracemalloc.start()
+        try:
+            fidelity_map(family, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole map's amplitudes alone would take 8 * 641**2 * 16 B = 52.6 MB.
+        assert peak < 32e6
+
+
 class TestCarriedRows:
     """One ground row per point, copied to two from the first product whose gemm holds one row.
 
@@ -539,11 +607,20 @@ class TestBScan:
 
     @pytest.mark.parametrize("orthogonal", [True, False])
     def test_equals_pointwise_gate_fidelity(self, orthogonal):
-        b2_grid = np.arange(0.0, 0.5001, 0.05)
+        # b^2 = 1 + 2**-52 squares back to 1 and is a valid family.
+        edges = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0, 1 + 2**-52]
+        b2_grid = [*np.arange(0.0, 0.5001, 0.05).tolist(), *edges]
         scan = b_scan((2.5, -1.5), b2_grid, orthogonal=orthogonal, definition="average")
         for value, b2 in zip(scan, b2_grid):
             protocol = sop_family(b2=b2, orthogonal=orthogonal).protocol(2.5 * PI, -1.5 * PI)
             assert value == gate_fidelity(protocol, TARGET_2Q, "average")
+
+    @pytest.mark.parametrize("b2", [-0.1, -5e-324, 1.1, 1 + 2**-51, math.inf, -math.inf, math.nan])
+    def test_refused_overlap(self, b2):
+        with pytest.raises(NotNormalizedError):
+            sop_family(b2=b2)
+        with pytest.raises(NotNormalizedError):
+            b_scan((2, 2), [0.1, b2, 0.2])
 
     def test_second_pulse_free_protocol(self):
         # (14, 0): no even pulse at all, still high fidelities at some b
