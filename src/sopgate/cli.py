@@ -10,6 +10,9 @@ optimize    factor-optimized fidelity maps or single-point optimizations
 validate    time-domain check of the analytical propagators
 
 Areas are read and written in units of pi; angles are reported in degrees.
+One renderer spells every CSV: scans pass their header and value columns
+to :func:`sopgate.fidelity.csv_text`, and maps go through its map form,
+:func:`~sopgate.fidelity.map_csv_text`.
 Every artifact comes with a JSON sidecar embedding the full configuration and
 the SHA-256 of the data file. Refuse before allocating: the commands check
 their options, and the library checks the rest, including the size of a grid
@@ -62,6 +65,7 @@ from .fidelity import (
     GridSpec,
     b_scan,
     check_grid_points,
+    csv_text,
     fidelity_map,
     lattice_analysis,
     lattice_report_dict,
@@ -130,12 +134,6 @@ def _write_artifact(config: dict, name: str, data: bytes, extra: dict) -> None:
     }
     _write_atomic(sidecar_path, _json_bytes(meta))
     print(f"wrote {data_path}")
-
-
-def _csv_text(header: str, rows) -> bytes:
-    """The header line, then one line per row with 9 significant digits per value."""
-    text = "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
-    return text.encode()
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -367,8 +365,8 @@ def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
     artifacts = []
     for b2, name, protocol in zip(b2_list, names, protocols):
         curves = robustness_scan(protocol, deltas)
-        rows = zip(deltas / math.pi, curves.u11v, curves.u11a, curves.u11b)
-        text = _csv_text("delta_a_over_pi,u11v,u11a,u11b", rows)
+        columns = [deltas / math.pi, curves.u11v, curves.u11a, curves.u11b]
+        text = csv_text("delta_a_over_pi,u11v,u11a,u11b", columns)
         artifacts.append(({**config, "b2": b2}, name, text, {}))
     return EXIT_OK, artifacts
 
@@ -394,7 +392,7 @@ def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     for pair_text, pair, name in zip(config["areas"], pairs, names):
         f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
-        text = _csv_text("b2,f_orthogonal,f_non_orthogonal", zip(b2_grid, f_orth, f_non))
+        text = csv_text("b2,f_orthogonal,f_non_orthogonal", [b2_grid, f_orth, f_non])
         artifacts.append(({**config, "areas": pair_text}, name, text, {}))
     return EXIT_OK, artifacts
 
@@ -446,16 +444,13 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, list]:
         result = optimize_third_qubit(areas, math.sqrt(config["b2"]), config["min_c2"], **common)
     else:
         result = optimize_all_factors(areas, math.sqrt(config["c2"]), config["min_sq"], **common)
-    fidelities = np.reshape(result.best_fidelity, -1).tolist()
-    parameters = np.reshape(result.best_parameters, (-1, 2)).tolist()
+    fidelities = np.reshape(result.best_fidelity, -1)
+    parameters = np.reshape(result.best_parameters, (-1, 2))
     param_names = "c_odd,c_even" if what == _THIRD else "phi_odd,phi_even"
-    rows = [
-        (ao / math.pi, ae / math.pi, fid, *p)
-        for (ao, ae), fid, p in zip(points.tolist(), fidelities, parameters)
-    ]
-    text = _csv_text(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names}", rows)
+    columns = [*(points / math.pi).T, fidelities, *parameters.T]
+    text = csv_text(f"a_odd_over_pi,a_even_over_pi,fidelity,{param_names}", columns)
     name = f"optimized_map_{what.replace('-', '_')}.csv"
-    return EXIT_OK, [(config, name, text, {"max_fidelity": max(fidelities)})]
+    return EXIT_OK, [(config, name, text, {"max_fidelity": max(fidelities.tolist())})]
 
 
 VALIDATE_DEFAULTS = {

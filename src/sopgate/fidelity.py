@@ -23,6 +23,11 @@ formula's order of summation defines the published bits of its outputs.
 about 8 MiB of amplitudes (one block for a default-grid 2-qubit map), each
 but the last a multiple of 4 odd rows: OpenBLAS ``zgemv`` sums the last
 N mod 4 cells of a call in another order, which changes 3-qubit bits.
+
+One renderer spells every CSV of the package, maps and scans alike:
+:func:`spell_cells` writes float64 values as ``%.9g`` text, at once for
+1e-4 <= |x| < 1, and :func:`csv_text` assembles the lines block by block in
+one byte buffer. :func:`map_csv_text` is its map form.
 """
 
 import functools
@@ -497,13 +502,16 @@ def b_scan(
     return fidelity_from_rows(amplitudes, cphase_signature(2), definition)
 
 
-#: Decade edges of the fidelities numpy spells, and per decade the power of
-#: ten that lifts [1e-4, 1e-3), ..., [0.1, 1) to nine integer digits.
+#: Decade edges of the magnitudes :func:`spell_cells` spells at once, and per
+#: decade the power of ten that lifts [1e-4, 1e-3), ..., [0.1, 1) to nine
+#: integer digits.
 _DECADE_EDGES = np.array([1e-3, 1e-2, 1e-1])
 _NINE_DIGIT_SCALE = np.array([1e12, 1e11, 1e10, 1e9])
 
-#: Cells per block of odd rows that :func:`map_csv_text` spells at once.
-_CSV_BLOCK_CELLS = 2**14
+#: Most lines one block of :func:`csv_text` holds. A block's buffers stay near
+#: a megabyte, small beside a long CSV; blocks of 2**16 lines raise the traced
+#: peak of rendering a 200 001-row scan from 2.03 to 2.43 times its length.
+_CSV_BLOCK_LINES = 2**14
 
 
 @functools.cache
@@ -512,24 +520,42 @@ def _digit_words() -> np.ndarray:
 
     Entry k < 10**4 spells k with leading zeros; entry 10**4 + k spells it
     with its trailing zeros replaced by NUL bytes, which numpy drops from the
-    end of a bytes string. Built on first use, so importing costs nothing.
+    end of a bytes string. Built on first use, so importing costs nothing,
+    and from one- and two-byte integers, so that the one-row CSV of an
+    optimized point does not raise its memory peak.
     """
-    k = np.arange(10_000)
-    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=-1)
+    k = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=-1).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
     spelled = np.concatenate([digits + 48, np.where(trailing, 0, digits + 48)])
-    return spelled.astype(np.uint8).view("<u4")[:, 0]
+    return spelled.view("<u4")[:, 0]
 
 
-def _fidelity_cells(values: np.ndarray) -> np.ndarray:
-    """``b"%.9g" % F`` of every float64 value, as a bytes array of the same shape.
+def spell_cells(values) -> np.ndarray:
+    """``b"%.9g" % x`` of every float64 value, as a bytes array (``S16``) of the same shape.
 
-    Cells with 1e-4 <= F < 1 are spelled "0." followed by the 12 digits of
-    D * 10**(3 - z), trailing zeros dropped (see :func:`map_csv_text`); all
-    others are formatted one by one.
+    For 1e-4 <= |x| < 1, ``%.9g`` writes "-" when x < 0, then "0.",
+    z = -1 - floor(log10 |x|) zeros and the nine digits of
+    D = round(|x| * 10**(9 + z)), ties to even, without trailing zeros. The
+    power 10**(9 + z) is exact in float64 and the product is below
+    10**9 < 2**30, so its float value is within half an ulp, under 6e-8, of
+    the exact one; D is its floor, plus one when the fraction exceeds 0.5.
+    Whenever that fraction is more than 1e-6 from 0.5, the exact product
+    rounds to the same integer, so D is correctly rounded. The decade tests
+    compare exactly: the doubles 1e-4, ..., 0.1 each lie just above their
+    power of ten, so no double falls between the two. These cells are
+    spelled at once, as the 12 digits of D * 10**(3 - z).
+
+    Every other value goes to ``b"%.9g" % x``, the float formatter that
+    ``f"{x:.9g}"`` uses: |x| outside [1e-4, 1), including 0, nan and inf; a
+    fraction within 1e-6 of 0.5, which holds every exact decimal tie; and a
+    D outside [10**8, 10**9), where rounding carried into the next decade.
+    About 1-3 % of the cells of a map take this route.
     """
-    fast = (values >= 1e-4) & (values < 1)
-    f = np.where(fast, values, 0.5)
+    values = np.asarray(values, dtype=np.float64)
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1)
+    f = np.where(fast, magnitude, 0.5)
     decade = np.searchsorted(_DECADE_EDGES, f, side="right")  # 3 - z
     scaled = f * _NINE_DIGIT_SCALE[decade]
     whole = np.floor(scaled)
@@ -545,48 +571,65 @@ def _fidelity_cells(values: np.ndarray) -> np.ndarray:
     text = np.zeros(values.shape + (16,), np.uint8)
     text[..., :2] = np.frombuffer(b"0.", np.uint8)
     text[..., 2:14] = _digit_words()[np.stack(groups, axis=-1)].view(np.uint8)
+    negative = fast & (values < 0)
+    if negative.any():
+        text[negative, 1:] = text[negative, :-1]
+        text[negative, 0] = ord("-")
     cells = text.view("S16")[..., 0]
     slow = ~fast
     cells[slow] = [b"%.9g" % x for x in values[slow].tolist()]
     return cells
 
 
+def csv_text(header: str, columns) -> bytes:
+    """Render ASCII CSV bytes: the header line, then one line per element of the columns.
+
+    ``columns`` broadcast to one shape of at least one axis, whose elements
+    are the lines, in row-major order. A bytes column (dtype ``S<w>``) is
+    written as it is; any other is spelled by :func:`spell_cells`, so a
+    float's cell is ``f"{x:.9g}"``. Lines are rendered in blocks of rows of
+    the first axis, of at most ``_CSV_BLOCK_LINES`` lines but at least one
+    row: each column's NUL-padded text, and the "," or "\\n" after it, fill
+    one ``uint8`` buffer, from which one boolean mask drops the padding. The
+    joined result holds the text once more than the blocks, so rendering
+    peaks at about twice the CSV's length.
+    """
+    columns = [np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    spelled = [column.dtype.kind != "S" for column in columns]
+    widths = [16 if spell else column.itemsize for column, spell in zip(columns, spelled)]
+    rows = max(1, _CSV_BLOCK_LINES // max(1, math.prod(shape[1:])))
+    blocks = [header.encode() + b"\n"]
+    for lo in range(0, shape[0], rows):
+        block = (min(rows, shape[0] - lo),) + shape[1:]
+        lines = np.empty(block + (sum(widths) + len(widths),), np.uint8)
+        at = 0
+        for column, spell, width in zip(columns, spelled, widths):
+            part = np.broadcast_to(column, shape)[lo : lo + rows]
+            text = spell_cells(part) if spell else part
+            lines[..., at : at + width].view(f"S{width}")[..., 0] = text
+            lines[..., at + width] = ord(",")
+            at += width + 1
+        lines[..., -1] = ord("\n")
+        blocks.append(lines[lines != 0].tobytes())
+    return b"".join(blocks)
+
+
 def map_csv_text(fmap: FidelityMap) -> bytes:
     """Render a map as ASCII CSV bytes: areas in units of pi, 9 significant digits, row-major.
 
-    The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point, encoded.
-    Each axis value is formatted once. An odd row is one ``%`` template that
-    repeats the row's odd area before every even-area tail
-    ``",<even>,%s\\n"``, filled from the fidelity texts of a block of odd
-    rows that numpy spells at once.
-
-    For 1e-4 <= F < 1, ``%.9g`` writes "0.", z = -1 - floor(log10 F) zeros
-    and the nine digits of D = round(F * 10**(9 + z)), ties to even, without
-    trailing zeros. The power 10**(9 + z) is exact in float64 and the product
-    is below 10**9 < 2**30, so its float value is within half an ulp, under
-    6e-8, of the exact one; D is its floor, plus one when the fraction
-    exceeds 0.5. Whenever that fraction is more than 1e-6 from 0.5, the exact
-    product rounds to the same integer, so D is correctly rounded. The
-    decade tests compare exactly: the doubles 1e-4, ..., 0.1 each lie just
-    above their power of ten, so no double falls between the two.
-
-    Every other cell goes to ``b"%.9g" % F``, the float formatter that
-    ``f"{F:.9g}"`` uses: F outside [1e-4, 1), including 0, negatives, nan
-    and inf; a fraction within 1e-6 of 0.5, which holds every exact decimal
-    tie; and a D outside [10**8, 10**9), where rounding carried into the
-    next decade. About 1-3 % of the cells of a map take this route.
+    The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point,
+    encoded: one :func:`csv_text` call. Each axis value is spelled once, cut
+    to its axis's longest text, and broadcast over the map; the fidelities
+    are spelled one block of odd rows at a time.
     """
-    odd = [b"%.9g" % x for x in (fmap.axis_odd / math.pi).tolist()]
-    # The leading "" puts the odd area before the first tail, and yields an
-    # empty row when the even axis is empty.
-    tails = [b""] + [b",%.9g,%%s\n" % x for x in (fmap.axis_even / math.pi).tolist()]
-    values = np.asarray(fmap.values, dtype=np.float64)
-    block = max(1, _CSV_BLOCK_CELLS // max(1, values.shape[1]))
-    rows = [b"a_odd_over_pi,a_even_over_pi,fidelity\n"]
-    for start in range(0, len(odd), block):
-        cells = _fidelity_cells(values[start : start + block]).tolist()
-        rows += [ao.join(tails) % tuple(row) for ao, row in zip(odd[start : start + block], cells)]
-    return b"".join(rows)
+
+    def axis_text(axis):
+        text = spell_cells(axis / math.pi)
+        return text.astype(f"S{max(1, np.char.str_len(text).max(initial=0))}")
+
+    columns = [axis_text(fmap.axis_odd)[:, None], axis_text(fmap.axis_even), fmap.values]
+    return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)
 
 
 def lattice_report_dict(report: LatticeReport) -> dict:

@@ -16,6 +16,9 @@ Each reproduces one expression (c_k = cos th_k, s_k = sin th_k):
 one scipy Nelder-Mead run per restart on a scalar objective, the oracle the
 lockstep replay must equal bit for bit.
 
+``per_row_csv_text`` is the scan CSV rendering that the vectorized speller
+replaced: one ``f"{x:.9g}"`` per value, joined per row.
+
 The SOP at b = 0 with areas (pi, 2 pi, pi) is the pi-2pi-pi protocol of
 Jaksch et al., PRL 85, 2208 (2000).
 """
@@ -275,3 +278,9 @@ def nelder_mead_sequential(
         best_fidelity=objective(best_x),
         evaluations=evaluations,
     )
+
+
+def per_row_csv_text(header: str, rows) -> bytes:
+    """The header line, then one line per row with 9 significant digits per value."""
+    text = "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
+    return text.encode()

@@ -5,9 +5,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import sopgate.cli
+from oracles import per_row_csv_text
 from sopgate.cli import (
     MAP_DEFAULTS,
     MAX_PULSES,
@@ -18,6 +20,7 @@ from sopgate.cli import (
     main,
 )
 from sopgate.errors import SopGateError
+from sopgate.fidelity import csv_text
 from sopgate.optimize import MAX_SIMPLICES
 
 
@@ -529,6 +532,39 @@ class TestBscanCommand:
         text = read(out / "bscan_2_2.csv")
         assert text.splitlines()[0] == "b2,f_orthogonal,f_non_orthogonal"
         assert (out / "bscan_2_6.csv").exists()
+
+
+class TestScanCsvColumns:
+    """Every scan CSV equals the per-row ``f"{x:.9g}"`` rendering of the columns it was given."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["robustness", "--delta-max", "0"],  # one row
+            ["robustness", "--areas=-3.5,1", "--b2", "0,0.45", "--delta-step", "0.01"],
+            ["bscan", "--areas=-3.5,1", "--areas=2,2", "--b2-step", "0.01"],
+            ["optimize", "--areas=-3.5,2", "--restarts", "2"],
+            ["optimize", "--what", "all-factors", "--grid=-1:1:1", "--restarts", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_matches_per_row_rendering(self, tmp_path, monkeypatch, argv):
+        rendered = []
+
+        def recorded(header, columns):
+            text = csv_text(header, columns)
+            rendered.append((header, columns, text))
+            return text
+
+        monkeypatch.setattr(sopgate.cli, "csv_text", recorded)
+        args = build_parser(argv[0]).parse_args(argv + ["--out", str(tmp_path)])
+        code, artifacts = args.func(args)
+        assert code == 0 and [data for _, _, data, _ in artifacts] == [r[2] for r in rendered]
+        for header, columns, text in rendered:
+            (n_rows,) = {len(column) for column in columns}
+            assert text.count(b"\n") == 1 + n_rows
+            rows = zip(*(np.asarray(column).tolist() for column in columns))
+            assert text == per_row_csv_text(header, rows)
 
 
 class TestOptimizeCommand:

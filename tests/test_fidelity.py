@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sopgate.fidelity
 import sopgate.propagator
-from oracles import negated
+from oracles import negated, per_row_csv_text
 from sopgate import (
     EmptyGridError,
     FidelityMap,
@@ -34,14 +34,16 @@ from sopgate import (
     sop_family,
 )
 from sopgate.fidelity import (
-    _CSV_BLOCK_CELLS,
+    _CSV_BLOCK_LINES,
     FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
     alternating_amplitudes,
+    csv_text,
     family_diagonal_grid,
     fidelity_from_rows,
     lattice_report_dict,
     map_csv_text,
+    spell_cells,
 )
 from sopgate.propagator import diagonal_amplitudes
 
@@ -694,13 +696,24 @@ class TestCsvOutput:
 
     def test_partial_last_block_matches_per_cell_rendering(self):
         n_even = 7
-        block = _CSV_BLOCK_CELLS // n_even
+        block = _CSV_BLOCK_LINES // n_even
         n_odd = 2 * block + 5
         values = 10.0 ** np.random.default_rng(5).uniform(-6, 0.01, (n_odd, n_even))
         fmap = FidelityMap(
             axis_odd=np.linspace(-PI, PI, n_odd), axis_even=np.arange(n_even) * 0.3, values=values
         )
         assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
+
+    def test_wide_map_memory(self):
+        fmap = fidelity_map(sop_family(b2=0.1), GridSpec(-16, 16, 0.05))
+        tracemalloc.start()
+        try:
+            size = len(map_csv_text(fmap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The blocks plus their join: bytes returned whole hold the text twice.
+        assert peak <= 2.2 * size
 
 
 def one_row_map(values):
@@ -750,3 +763,106 @@ class TestFidelityText:
     def test_adversarial_values(self, values):
         fmap = one_row_map(values)
         assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
+
+
+#: The edges of the vectorized decades and ties, and their neighbours.
+SPELLING_EDGES = [
+    *[1e-4, 0.1, 0.99999999995, 9.9999999995e-5, 0.999999999, 1.0, 5e-324, 2.2250738585072014e-308],
+    *np.nextafter([1e-4, 1e-3, 1e-2, 0.1, 1.0], 0).tolist(),
+    *[0.0, math.nan, math.inf, 1.7976931348623157e308, 123456789.5],
+]
+
+
+def assert_spelled(values):
+    values = np.asarray(values, dtype=np.float64)
+    cells = spell_cells(values)
+    assert cells.dtype == np.dtype("S16") and cells.shape == values.shape
+    assert cells.ravel().tolist() == [b"%.9g" % x for x in values.ravel().tolist()]
+
+
+class TestSpellCells:
+    """The signed speller against ``b"%.9g" % x``, byte for byte."""
+
+    @given(st.lists(st.floats(), max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        assert_spelled(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        # nan payloads and signs, subnormals and every exponent alike
+        assert_spelled(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=1e-4, max_value=1, exclude_max=True), st.booleans()),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_vectorized_magnitudes_of_both_signs(self, pairs):
+        assert_spelled([-x if negative else x for x, negative in pairs])
+
+    @pytest.mark.parametrize(
+        "values",
+        [SPELLING_EDGES, halfway_values(), ADVERSARIAL_FIDELITIES],
+        ids=["edges", "halfway", "adversarial"],
+    )
+    def test_edges_of_both_signs(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert_spelled(np.concatenate([values, -values]))
+
+    def test_shape_kept(self):
+        values = np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4)
+        assert_spelled(values)
+        assert_spelled(values[:, :0])
+
+
+class TestCsvText:
+    """Scan CSVs against the per-row ``f"{x:.9g}"`` rendering they replaced."""
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n_columns: st.lists(
+                st.lists(st.floats(), min_size=n_columns, max_size=n_columns), max_size=40
+            ).map(lambda rows: (n_columns, rows))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_rendering(self, shaped):
+        n_columns, rows = shaped
+        columns = np.array(rows, dtype=np.float64).reshape(-1, n_columns).T
+        assert csv_text("h", list(columns)) == per_row_csv_text("h", rows)
+
+    def test_rows_over_several_blocks(self):
+        n_rows = 2 * _CSV_BLOCK_LINES + 5
+        rng = np.random.default_rng(3)
+        columns = [np.linspace(-1, 1, n_rows), rng.uniform(-1, 1, n_rows), rng.normal(size=n_rows)]
+        text = csv_text("x,y,z", columns)
+        assert text == per_row_csv_text("x,y,z", zip(*columns))
+
+    def test_bytes_columns_broadcast(self):
+        columns = [np.array([b"-1", b"0.5"])[:, None], np.array([b"a", b"bc", b"d"]), np.eye(2, 3)]
+        assert csv_text("p,q,r", columns) == (
+            b"p,q,r\n-1,a,1\n-1,bc,0\n-1,d,0\n0.5,a,0\n0.5,bc,1\n0.5,d,0\n"
+        )
+
+    def test_no_rows(self):
+        assert csv_text("a,b", [np.zeros(0), np.zeros(0)]) == b"a,b\n"
+
+    def test_long_robustness_scan_memory(self):
+        # 200 001 rows, as `robustness --delta-max 0.5 --delta-step 5e-6`
+        deltas = np.arange(-0.5, 0.5 + 2.5e-6, 5e-6) * PI
+        curves = robustness_scan(jp_protocol(), deltas)
+        columns = [deltas / PI, curves.u11v, curves.u11a, curves.u11b]
+        tracemalloc.start()
+        try:
+            size = len(csv_text("delta_a_over_pi,u11v,u11a,u11b", columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(deltas) == 200_001
+        # The blocks plus their join; the per-row rendering peaked at 3.2 times.
+        assert peak <= 2.2 * size
