@@ -19,10 +19,12 @@ optimizer candidates) come from :func:`fidelity_from_rows`, those of map
 grids (basis axis first) from :func:`fidelity_from_amplitudes`; each
 formula's order of summation defines the published bits of its outputs.
 
-:func:`fidelity_map` reduces amplitudes to fidelities in blocks of odd rows of
-about 8 MiB of amplitudes (one block for a default-grid 2-qubit map), each
-but the last a multiple of 4 odd rows: OpenBLAS ``zgemv`` sums the last
-N mod 4 cells of a call in another order, which changes 3-qubit bits.
+Large batches keep only what their callers need: each passes a ``reduce``
+that the kernel applies chunk by chunk, and the kernel alone sizes the
+chunks. :func:`fidelity_map` reduces to fidelities by
+:func:`fidelity_from_amplitudes`, b scans and optimizer batches by
+:func:`fidelity_from_rows` (:func:`chunk_fidelities`), and robustness scans
+to their three real curves.
 
 One renderer spells every CSV of the package, maps and scans alike:
 :func:`spell_cells` writes float64 values as ``%.9g`` text, at once for
@@ -68,9 +70,6 @@ DEFAULT_GRID = (-8.0, 8.0, 0.05)
 #: Default acceptance level for map maxima.
 DEFAULT_MAXIMA_THRESHOLD = 0.7
 
-#: Bytes of complex amplitudes one block of odd rows of :func:`fidelity_map` may hold.
-_MAP_BLOCK_BYTES = 2**23
-
 #: Most points one grid axis or one map may hold, about ten times the
 #: 641 x 641 wide map; larger grids are refused before anything is allocated.
 MAX_GRID_POINTS = 2**22
@@ -82,6 +81,12 @@ def check_grid_points(n_points: float) -> None:
         raise GridTooLargeError(
             f"grid of {n_points:.3g} points exceeds the limit of {MAX_GRID_POINTS}"
         )
+
+
+def check_definition(definition: str) -> None:
+    """Refuse a fidelity definition not in :data:`FIDELITY_DEFINITIONS`."""
+    if definition not in FIDELITY_DEFINITIONS:
+        raise ValueError(f"unknown fidelity definition {definition!r}")
 
 
 def check_squared_factors(**factors: float) -> None:
@@ -132,13 +137,15 @@ def pulse_areas(area_odd, area_even, m_pulses: int = 3) -> tuple:
     return area_odd / ((m_pulses + 1) // 2), area_even / max(m_pulses // 2, 1)
 
 
-def alternating_amplitudes(vector_odd, vector_even, area_odd, area_even, m_pulses: int = 3):
+def alternating_amplitudes(vector_odd, vector_even, area_odd, area_even, m_pulses=3, reduce=None):
     """Return amplitudes of M pulses alternating odd, even, odd, ..., basis axis last.
 
-    Vectors (..., n_qubits) and total areas (radians, split by :func:`pulse_areas`) broadcast.
+    Vectors (..., n_qubits) and total areas (radians, split by :func:`pulse_areas`)
+    broadcast. With ``reduce``, return the reduction of
+    :func:`~sopgate.propagator.register_amplitudes` instead.
     """
     thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, m_pulses)]
-    return register_amplitudes([vector_odd, vector_even], thetas, [k % 2 for k in range(m_pulses)])
+    return register_amplitudes([vector_odd, vector_even], thetas, [k % 2 for k in range(m_pulses)], reduce)
 
 
 @dataclass(frozen=True)
@@ -259,17 +266,14 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     d = phases.size
     diag = np.asarray(diag)
     if diag.shape[0] != d:
-        raise SignatureMismatchError(
-            f"{diag.shape[0]} amplitudes for a {d}-entry signature"
-        )
+        raise SignatureMismatchError(f"{diag.shape[0]} amplitudes for a {d}-entry signature")
+    check_definition(definition)
     overlap = np.tensordot(phases, diag, axes=(0, 0))
     if definition == "trace-sq":
         return np.abs(overlap / d) ** 2
     if definition == "trace":
         return np.abs(overlap) / d
-    if definition == "average":
-        return (np.abs(overlap) ** 2 + np.sum(np.abs(diag) ** 2, axis=0)) / (d * d + d)
-    raise ValueError(f"unknown fidelity definition {definition!r}")
+    return (np.abs(overlap) ** 2 + np.sum(np.abs(diag) ** 2, axis=0)) / (d * d + d)
 
 
 def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):
@@ -287,15 +291,19 @@ def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"
     rows = np.ascontiguousarray(rows)
     if rows.shape[-1] != d:
         raise SignatureMismatchError(f"{rows.shape[-1]} amplitudes for a {d}-entry signature")
+    check_definition(definition)
     overlap = np.vecdot(phases, rows)
     if definition == "trace-sq":
         return np.float_power(np.abs(overlap / d), 2.0)
     if definition == "trace":
         return np.abs(overlap) / d
-    if definition == "average":
-        squares = np.float_power(np.abs(overlap), 2.0)
-        return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
-    raise ValueError(f"unknown fidelity definition {definition!r}")
+    squares = np.float_power(np.abs(overlap), 2.0)
+    return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
+
+
+def chunk_fidelities(target: GateSignature, definition: str = "trace-sq"):
+    """The kernel's ``reduce`` to :func:`fidelity_from_rows` of each protocol of a chunk."""
+    return lambda chunk: fidelity_from_rows(chunk.transpose(*range(1, chunk.ndim), 0), target, definition)
 
 
 def gate_fidelity(
@@ -309,19 +317,23 @@ def gate_fidelity(
 
 
 def family_diagonal_grid(
-    family: ProtocolFamily, area_odd_grid: np.ndarray, area_even_grid: np.ndarray
+    family: ProtocolFamily, area_odd_grid: np.ndarray, area_even_grid: np.ndarray, reduce=None
 ) -> np.ndarray:
-    """Return amplitudes of every basis state over an area grid.
+    """Return amplitudes of every basis state over an area grid, or their reduction.
 
-    Output shape is (2^n, len(area_odd_grid), len(area_even_grid)), complex
-    and contiguous: one :meth:`ProtocolFamily.amplitudes` call with the areas
-    on the axes, shaped (n_odd, 1) and (1, n_even), so each star propagator
-    is built once per axis value. Every amplitude equals the pointwise one
-    bit for bit.
+    One :func:`alternating_amplitudes` call with the areas on the axes,
+    shaped (n_odd, 1) and (1, n_even), so each star propagator is built once
+    per axis value. Without ``reduce`` the output is complex, shape
+    (2^n, len(area_odd_grid), len(area_even_grid)), and every amplitude
+    equals the pointwise one bit for bit. With ``reduce``, the output joins
+    ``reduce`` of the basis-first amplitudes of each chunk of odd rows along
+    the odd axis (:func:`~sopgate.propagator.register_amplitudes`).
     """
     area_o = np.asarray(area_odd_grid)[:, None]
     area_e = np.asarray(area_even_grid)[None, :]
-    return np.moveaxis(family.amplitudes(area_o, area_e), -1, 0)
+    vectors = (family.vector_odd.components, family.vector_even.components)
+    grid = alternating_amplitudes(*vectors, area_o, area_e, family.m_pulses, reduce)
+    return grid if reduce else np.moveaxis(grid, -1, 0)
 
 
 def fidelity_map(
@@ -335,30 +347,21 @@ def fidelity_map(
     The grids are in units of pi; ``grid_even`` defaults to ``grid_odd`` and
     that to :data:`DEFAULT_GRID`. ``definition`` is one of
     :data:`FIDELITY_DEFINITIONS`. A map of more than :data:`MAX_GRID_POINTS`
-    points raises :class:`GridTooLargeError` before anything is allocated.
+    points raises :class:`GridTooLargeError`, and an unknown definition
+    :class:`ValueError`, before anything is computed.
 
-    Each block of odd rows is one :func:`family_diagonal_grid` and one
-    :func:`fidelity_from_amplitudes` call, of at most ``_MAP_BLOCK_BYTES`` of
-    amplitudes but at least 4 odd rows. Every block but the last holds a
-    multiple of 4 odd rows, as OpenBLAS ``zgemv`` sums the last N mod 4 cells
-    of a call in another order (this changes bits of 8-state registers). With
-    one BLAS thread and SkylakeX kernels the values are the one-block map's
-    bit for bit; threaded ``zgemv`` or Haswell ``zgemm`` may move a cell by an ulp.
+    The map is one :func:`family_diagonal_grid` call that reduces each chunk
+    of the kernel to fidelities by :func:`fidelity_from_amplitudes`.
     """
     grid_odd = grid_odd or GridSpec(*DEFAULT_GRID)
     grid_even = grid_even or grid_odd
     check_grid_points(grid_odd.n_points * grid_even.n_points)
+    check_definition(definition)
     target = cphase_signature(family.n_qubits)
     axis_odd = grid_odd.values_radians()
     axis_even = grid_even.values_radians()
-    row_bytes = 16 * len(target.phases) * len(axis_even)  # complex128 amplitudes
-    rows = max(1, _MAP_BLOCK_BYTES // row_bytes // 4) * 4
-    values = np.empty((len(axis_odd), len(axis_even)))
-    for lo in range(0, len(axis_odd), rows):
-        block = slice(lo, lo + rows)
-        diag = family_diagonal_grid(family, axis_odd[block], axis_even)
-        values[block] = fidelity_from_amplitudes(diag, target, definition)
-    return FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
+    fidelities = functools.partial(fidelity_from_amplitudes, target=target, definition=definition)
+    return FidelityMap(axis_odd, axis_even, family_diagonal_grid(family, axis_odd, axis_even, fidelities))
 
 
 def _strict_local_maxima_mask(values: np.ndarray) -> np.ndarray:
@@ -465,7 +468,7 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
         if not np.isfinite(theta).all():
             raise EmptyGridError(f"the area error takes pulse {k + 1} past a finite area in radians")
     # Basis order: 00, 01, 10, then the inert 11.
-    u11v, u11a, u11b = register_amplitudes(vectors, thetas)[:, :3].real.T.copy()
+    u11v, u11a, u11b = register_amplitudes(vectors, thetas, reduce=lambda a: a[:3].real.T).T
     return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)
 
 
@@ -481,8 +484,10 @@ def b_scan(
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light. The vectors are
     those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
-    a b^2 that family refuses raises :class:`NotNormalizedError`.
+    a b^2 that family refuses raises :class:`NotNormalizedError`, and an
+    unknown ``definition`` :class:`ValueError`, before anything is computed.
     """
+    check_definition(definition)
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
     with np.errstate(invalid="ignore"):
         b = np.sqrt(b2_values)
@@ -497,9 +502,8 @@ def b_scan(
     # The odd and even pulse vectors, one row per b^2 point.
     odd = np.stack([a, b], axis=-1)
     even = np.stack([-b if orthogonal else b, a], axis=-1)
-    area_odd, area_even = (area * math.pi for area in area_pair_pi)
-    amplitudes = alternating_amplitudes(odd, even, area_odd, area_even)
-    return fidelity_from_rows(amplitudes, cphase_signature(2), definition)
+    areas = (area * math.pi for area in area_pair_pi)
+    return alternating_amplitudes(odd, even, *areas, reduce=chunk_fidelities(cphase_signature(2), definition))
 
 
 #: Decade edges of the magnitudes :func:`spell_cells` spells at once, and per

@@ -34,6 +34,7 @@ from .errors import GridTooLargeError, InfeasibleStartError, NotNormalizedError
 from .fidelity import (  # noqa: F401  gate_fidelity: see ``__getattr__`` below
     ProtocolFamily,
     alternating_amplitudes,
+    chunk_fidelities,
     fidelity_from_rows,
     gate_fidelity,
 )
@@ -302,11 +303,10 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     """
     areas = np.asarray(areas, dtype=float)
     pairs = areas.reshape(-1, 2)
-    target = cphase_signature(3)
+    fidelities = chunk_fidelities(cphase_signature(3))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        amplitudes = alternating_amplitudes(*vectors(x), pairs[problem, 0], pairs[problem, 1])
-        return fidelity_from_rows(amplitudes, target)
+        return alternating_amplitudes(*vectors(x), *pairs[problem].T, reduce=fidelities)
 
     return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]

@@ -25,10 +25,13 @@ share a propagator form one gemm: in a map, n_odd + n_even gemms per pulse
 and block state instead of n_odd·n_even. A gemm that would hold a single
 row gets a copy of it, because numpy sends a one-row product to gemv, which
 changes bits. The kernel alone bounds its memory, for a batch of any
-size; :func:`register_amplitudes` states how. For blocks of up to 4 levels
-(registers of up to 3 qubits) every amplitude keeps the bits of its own
-chain of d×d gemms. The closed-form amplitudes the kernel is checked
-against live with the tests, in ``tests/oracles.py``.
+size: one loop walks the first batch axis in chunks of one byte budget,
+``_CHUNK_BYTES``, and hands each chunk's amplitudes to the caller's
+``reduce``, so that a map, a scan or an optimizer batch keeps only its
+reduced rows; :func:`register_amplitudes` states the rules of the chunks.
+For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
+keeps the bits of its own chain of d×d gemms. The closed-form amplitudes
+the kernel is checked against live with the tests, in ``tests/oracles.py``.
 """
 
 import functools
@@ -138,23 +141,17 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     return blocks
 
 
-#: Bytes of the largest ground-row array :func:`register_amplitudes` forms at
-#: once; a 641×641 3-qubit map would otherwise carry 53 MB of rows for one
-#: state. Chunks are sized for two rows per point, so the budget also bounds
-#: the products where :func:`_row_product` copies a lone row.
-_PRODUCT_BYTES = 2**22
-
-#: Most rows of the first batch axis whose propagators :func:`register_amplitudes`
-#: builds at once.
-_BUILD_ROWS = 16384
+#: Bytes of one chunk of :func:`register_amplitudes`: its amplitudes, its
+#: carried ground rows and the propagators it builds.
+_CHUNK_BYTES = 2**23
 
 #: Most matrices :func:`register_amplitudes` builds for every block dimension in one
 #: call; past about 900, padding a 3-qubit build costs more than the calls it saves.
 _ONE_BUILD = 1024
 
 
-def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
-    """Return amplitudes of every basis state of a register, basis axis last.
+def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
+    """Return amplitudes of every basis state of a register, basis axis last, or their reduction.
 
     ``vectors[k]`` holds the structural vectors of pulse k, shape
     (..., n_qubits), and ``thetas[k]`` its mixing angles; the vector rows and
@@ -163,9 +160,29 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     then hold each distinct pulse once; by default the pulses are
     ``vectors[0], vectors[1], ...``.
 
-    Each distinct pulse's propagators are built on its own angle shape:
-    angles on separate axes, like a map's odd and even areas, cost one
-    propagator per axis value. Pulses with angles of one shape share one
+    One loop walks the first batch axis in about equal chunks, each of at
+    most ``_CHUNK_BYTES`` of amplitudes, carried ground rows and built
+    propagators, but at least 4 rows. Every chunk but the last holds a
+    multiple of 4 rows: OpenBLAS ``zgemv`` sums the last N mod 4 cells of a
+    call in another order, so a reduction by BLAS gives the one-chunk bits
+    only on such chunks (with one BLAS thread and SkylakeX kernels; threaded
+    ``zgemv`` or Haswell ``zgemm`` may move a cell by an ulp). A register
+    without batch axes is one chunk of one row. Within a chunk, the block
+    states of one dimension are carried together as far as the budget holds
+    their rows: one at a time in a full chunk, all at once in a small batch.
+
+    ``reduce`` maps a chunk's basis-first amplitudes, shape
+    (2^n, rows, *batch[1:]) in :func:`basis_labels` order, to an array of
+    its rows along the first axis, and the result joins those rows of every
+    chunk; no more amplitudes than one chunk's are kept at once. Without
+    ``reduce`` the result is the amplitudes themselves, contiguous, shape
+    batch + (2^n,).
+
+    Each distinct pulse's propagators are built on its own angle shape, per
+    chunk, or once when it is broadcast along the first batch axis (a map's
+    even pulses, a scan's shared vectors): angles on separate axes, like a
+    map's odd and even areas, cost one propagator per axis value. Pulses
+    are built in index order, and pulses with angles of one shape share one
     :func:`star_propagator` call, which covers every block dimension: each
     block's couplings are padded with zeros to n_qubits, and a block of
     dimension d reads the leading d×d corner of its propagators. A stack of
@@ -177,19 +194,12 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
     x <- x U_k. Rows that share a propagator, along the batch axes where it
     is broadcast, are stacked into one gemm (:func:`_row_product`): in a
     map, each odd pulse takes the rows of the n_even points of its odd row
-    and each even pulse those of the n_odd points of its even column. A
+    and each even pulse those of the chunk's points of its even column. A
     product whose gemms would hold one row carries a copy of that row from
     then on, since numpy sends a one-row product to gemv, which changes
     bits; so batches that share no propagator (the optimizer's candidates,
     b and robustness scans, single protocols) carry two rows after their
-    first product. Memory is bounded here, for a batch of any size: a
-    first batch axis longer than ``_BUILD_ROWS`` runs in chunks, each
-    building only its own propagators (vectors and angles broadcast along
-    it go whole), and rows are carried in chunks of block states of at most
-    ``_PRODUCT_BYTES``; when one state's rows are larger, in chunks of rows
-    of the first batch axis (a map's odd rows). The result has shape
-    batch + (2^n,), in :func:`basis_labels` order; with pulses it is a view
-    of a contiguous basis-first array.
+    first product.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -204,64 +214,74 @@ def register_amplitudes(vectors, thetas, order=None) -> np.ndarray:
         raise DimensionMismatchError(f"{n_pulses} pulse vectors but {len(thetas)} angles")
     batch = np.broadcast_shapes(vectors.shape[1:-1], *(theta.shape for theta in thetas))
     order = range(n_pulses) if order is None else order
+    reduce = reduce or (lambda amplitudes: amplitudes.transpose(*range(1, amplitudes.ndim), 0))
     if len(order) == 0:  # no pulses: the identity
-        return np.ones(batch + (2**n_qubits,), dtype=complex)
-    # Rows are written largest blocks first, each taking memory only then.
-    out = np.empty((2**n_qubits,) + batch, dtype=complex)
-    if batch and batch[0] > _BUILD_ROWS:
-        # Chunks of the first batch axis; vectors and angles broadcast along it go whole.
-        whole = vectors.ndim < len(batch) + 2 or vectors.shape[1] == 1
-        for lo in range(0, batch[0], _BUILD_ROWS):
-            rows = slice(lo, lo + _BUILD_ROWS)
-            angles = [t[rows] if t.ndim == len(batch) and len(t) > 1 else t for t in thetas]
-            part = register_amplitudes(vectors if whole else vectors[:, rows], angles, order)
-            out[:, rows] = np.moveaxis(part, -1, 0)
-        return np.moveaxis(out, 0, -1)
-    # Vectors (pulse, *batch, qubit) and angles (pulse, block, *batch), batch
-    # axes padded to the batch's length; pulses with one angle shape are stacked.
+        return reduce(np.ones((2**n_qubits,) + batch, dtype=complex))
+    scalar, batch = not batch, batch or (1,)
+    # Vectors (pulse, *batch, qubit) and angles (1, *batch), batch axes padded
+    # to the batch's length, so that the first batch axis is axis 1 of both.
     padding = (1,) * (len(batch) + 2 - vectors.ndim)
     vectors = vectors.reshape((n_pulses,) + padding + vectors.shape[1:])
-    # A zero column after the qubits pads the couplings of smaller blocks, whose
-    # propagators are then the leading corners of the register's largest ones.
-    vectors = np.concatenate([vectors, np.zeros(vectors.shape[:-1] + (1,))], axis=-1)
+    thetas = [theta.reshape((1,) * (len(batch) + 1 - theta.ndim) + theta.shape) for theta in thetas]
     gather, groups = _blocks_by_dimension(n_qubits)
-    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
-    block_first = (0, len(batch) + 1, *range(1, len(batch) + 1), len(batch) + 2)
-    by_shape = {}
-    for k, theta in enumerate(thetas):
-        by_shape.setdefault((1,) * (len(batch) - theta.ndim) + theta.shape, []).append(k)
+    # Complex entries per row of the first batch axis: per point, its amplitudes
+    # and one state's carried ground rows (at most two, in a product and its
+    # operand); per point of a pulse that varies along the axis, its
+    # propagators, counted as 2^n matrices of the largest block.
+    varying = [theta for theta in thetas if vectors.shape[1] > 1 or theta.shape[1] > 1]
+    matrices = sum(np.broadcast(vectors[0, :1, ..., 0], theta[0, :1]).size for theta in varying)
+    entries = math.prod(batch[1:]) * (2**n_qubits + 4 * (n_qubits + 1))
+    entries += matrices * 2**n_qubits * (n_qubits + 1) ** 2
+    out = None
     corners = {}  # (pulse, block dimension) -> propagators of those blocks
-    for shape, pulses in by_shape.items():
-        couplings = vectors[pulses][..., gather].transpose(block_first)
-        angles = np.array([thetas[k].reshape((1,) + shape) for k in pulses])
-        whole = math.prod(np.broadcast_shapes(couplings.shape[:-1], angles.shape)) <= _ONE_BUILD
-        built = star_propagator(couplings, angles) if whole else None
-        for _, blocks, dim in groups:
-            part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
-            corners.update(((k, dim), p[..., :dim, :dim]) for k, p in zip(pulses, part))
-    for states, blocks, dim in reversed(groups):
-        # Chunks of states; when one state's rows are over the budget, one
-        # state and chunks of rows of the first batch axis.
-        n_rows = batch[0] if batch else 1
-        # An empty batch axis sizes chunks as an axis of one would; its chunks are empty.
-        rows = max(1, _PRODUCT_BYTES // (16 * 2 * dim * max(1, math.prod(batch[1:]))))
-        step = max(1, rows // max(1, n_rows))
-        for lo in range(0, len(states), step):
-            for row in range(0, n_rows, rows):
-                # State and row slices; a register without batch axes has no rows.
-                index = (slice(lo, lo + step), slice(row, row + rows))[: out.ndim]
-                chunk = [_chunk(corners[k, dim], index) for k in order]
-                x = chunk[0][..., :1, :]
-                for propagator in chunk[1:]:
-                    x = _row_product(x, propagator)
-                out[(states[lo : lo + step], *index[1:])] = x[..., 0, 0]
-    out[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
-    return out.transpose((*range(1, out.ndim), 0))
+    for rows in _chunks(batch[0], 16 * entries):
+        # Pulses with angles of one shape, in index order, are built together.
+        for shape in dict.fromkeys(theta.shape for theta in thetas):
+            pulses = [k for k, theta in enumerate(thetas) if theta.shape == shape]
+            if rows.start and vectors.shape[1] == shape[1] == 1:
+                continue  # broadcast along the first batch axis: built with the first chunk
+            # A zero column after the qubits pads the couplings of smaller blocks, whose
+            # propagators are then the leading corners of the register's largest ones.
+            v = _rows(vectors, rows)[pulses]
+            v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+            # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
+            couplings = v[..., gather].transpose(0, -2, *range(1, v.ndim - 1), -1)
+            angles = np.concatenate([_rows(thetas[k], rows) for k in pulses])[:, None]
+            whole = np.broadcast(couplings[..., 0], angles).size <= _ONE_BUILD
+            built = star_propagator(couplings, angles) if whole else None
+            for _, blocks, dim in groups:
+                part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
+                corners.update(((k, dim), p[..., :dim, :dim]) for k, p in zip(pulses, part))
+        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
+        amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
+        # Steps of states whose carried rows the budget holds: one state in a full chunk.
+        step = max(1, _CHUNK_BYTES // (16 * entries * max(1, rows.stop - rows.start)))
+        for states, _, dim in groups:
+            for lo in range(0, len(states), step):
+                chunk = [corners[k, dim][lo : lo + step] for k in order]
+                x = functools.reduce(_row_product, chunk[1:], chunk[0][..., :1, :])
+                amplitudes[states[lo : lo + step]] = x[..., 0, 0]
+        reduced = reduce(amplitudes)
+        out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
+        out[rows] = reduced
+    return out[0] if scalar else out
 
 
-def _chunk(propagators: np.ndarray, index: tuple[slice, ...]) -> np.ndarray:
-    """``propagators[index]`` of a (state, *batch, d, d) stack; a broadcast row axis stays whole."""
-    return propagators[index if propagators.shape[1] > 1 else index[:1]]
+def _chunks(n_rows: int, row_bytes: int) -> list[slice]:
+    """About equal chunks of ``n_rows`` rows of ``row_bytes`` each, as slices.
+
+    A chunk holds at most ``_CHUNK_BYTES``, but at least 4 rows, and every
+    chunk but the last a multiple of 4 rows; no rows make one empty chunk.
+    """
+    quads = -(-n_rows // 4)
+    n_chunks = max(1, -(-quads // max(1, _CHUNK_BYTES // (4 * row_bytes))))
+    edges = [min(n_rows, 4 * (quads * i // n_chunks)) for i in range(n_chunks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _rows(array: np.ndarray, rows: slice) -> np.ndarray:
+    """``array[:, rows]``, the chunk's rows of axis 1; an axis of length one is broadcast and stays whole."""
+    return array if array.shape[1] == 1 else array[:, rows]
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
@@ -283,7 +303,8 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     own = [ax for ax in range(rows.ndim - 2) if ax not in shared]
     axes = [*own, *shared, rows.ndim - 2, rows.ndim - 1]
     stacked = rows.transpose(axes)
-    merged = stacked.reshape(stacked.shape[: len(own)] + (-1, rows.shape[-1]))
+    m = math.prod(stacked.shape[len(own) : -1])  # explicit, as an empty chunk's is ambiguous
+    merged = stacked.reshape(stacked.shape[: len(own)] + (m, rows.shape[-1]))
     product = merged @ propagators.squeeze(tuple(shared))
     product = product.reshape(product.shape[:-2] + stacked.shape[len(own) :])
     return product.transpose(np.argsort(axes))

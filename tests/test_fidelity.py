@@ -56,6 +56,16 @@ def jp_protocol():
     return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
 
 
+def map_row_bytes(n_qubits, n_even):
+    """Bytes the kernel counts per odd row of a map (``_CHUNK_BYTES``).
+
+    Per point, 2^n amplitudes and two carried ground rows of the largest
+    block, in a product and its operand; per odd row, the odd pulse's 2^n
+    propagators of the largest block.
+    """
+    return 16 * (n_even * (2**n_qubits + 4 * (n_qubits + 1)) + 2**n_qubits * (n_qubits + 1) ** 2)
+
+
 def per_cell_map_csv_text(fmap):
     """Reference CSV rendering: one formatted line per grid point."""
     buf = io.StringIO()
@@ -247,6 +257,18 @@ class TestFidelityMap:
         # One call per distinct pulse, each on its axis, covering every block dimension.
         assert sizes == [n_odd, n_even]
 
+    @pytest.mark.parametrize("scan", ["map", "bscan"])
+    def test_unknown_definition_refused_before_the_kernel(self, monkeypatch, scan):
+        # Checked after the kernel, a bogus definition would cost a whole b scan or a map's first chunk.
+        calls = []
+        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="unknown fidelity definition 'bogus'"):
+            if scan == "map":
+                fidelity_map(sop_family(b2=0.1, c2=0.1), GridSpec(-16, 16, 0.05), definition="bogus")
+            else:
+                b_scan((2, 2), np.linspace(0.0, 0.5, 500_001), definition="bogus")
+        assert calls == []
+
 
 class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
@@ -280,10 +302,9 @@ class TestMapKernelRowsAndChunks:
             return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
-        for rows in (1, 2, 7):
-            # Two ground rows of dim entries per grid point.
-            budget = rows * 16 * 2 * dim * len(even)
-            monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", budget)
+        for rows in (4, 8, 12):
+            budget = rows * map_row_bytes(family.n_qubits, len(even))
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
             rows_seen.clear()
             np.testing.assert_array_equal(family_diagonal_grid(family, odd, even), default)
             assert max(rows_seen) == rows
@@ -291,11 +312,11 @@ class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
     def test_last_chunk_of_one_odd_row_keeps_every_bit(self, monkeypatch, m_pulses, b2, c2):
-        # The largest block's 15 odd rows go in chunks of 7, 7 and 1: one
-        # ground row per point, then two for the lone odd row, whose first
-        # product shares no propagator.
+        # 13 odd rows go in chunks of 4, 4, 4 and 1: one ground row per
+        # point, then two for the lone odd row, whose first product shares
+        # no propagator.
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
-        odd = np.linspace(-5.3 * PI, 6.1 * PI, 15)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 13)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
         dim = family.n_qubits + 1
         chunks = []
@@ -308,26 +329,31 @@ class TestMapKernelRowsAndChunks:
             return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
-        monkeypatch.setattr(sopgate.propagator, "_PRODUCT_BYTES", 7 * 16 * 2 * dim * len(even))
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
         diag = family_diagonal_grid(family, odd, even)
-        assert sorted(set(chunks)) == [(1, 2), (7, 1)]
+        assert sorted(set(chunks)) == [(1, 2), (4, 1)]
         for i, j in np.ndindex(len(odd), len(even)):
             np.testing.assert_array_equal(diag[:, i, j], family.amplitudes(odd[i], even[j]))
 
     def test_wide_three_qubit_map_stays_in_budget(self, monkeypatch):
-        sizes = []
+        carried, amplitudes = [], []
         original = sopgate.propagator._row_product
 
         def recorded(rows, propagators):
             product = original(rows, propagators)
-            sizes.extend((rows.nbytes, product.nbytes))
+            carried.append(rows.nbytes + product.nbytes)
             return product
+
+        def reduce(chunk):
+            amplitudes.append(chunk.nbytes)
+            return chunk[0]
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         axis = GridSpec(-16, 16, 0.05).values_radians()
         assert len(axis) == 641
-        family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis)
-        assert 0 < max(sizes) <= sopgate.propagator._PRODUCT_BYTES
+        family_diagonal_grid(sop_family(b2=0.1, c2=0.1), axis, axis, reduce)
+        assert len(amplitudes) > 1
+        assert max(amplitudes) + max(carried) <= sopgate.propagator._CHUNK_BYTES
 
     @pytest.mark.parametrize("n_odd, n_even", [(0, 3), (3, 0)])
     def test_empty_axis_gives_empty_grid(self, n_odd, n_even):
@@ -342,19 +368,19 @@ class TestMapKernelRowsAndChunks:
 
 
 class TestMapBlocks:
-    """``fidelity_map`` reduces blocks of odd rows, each equal to the one-block map."""
+    """``fidelity_map`` reduces chunks of odd rows, each equal to the one-chunk map."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Odd rows of each ``family_diagonal_grid`` call of a map."""
+        """Odd rows of each chunk a map reduces, one :func:`fidelity_from_amplitudes` call each."""
         seen = []
-        original = sopgate.fidelity.family_diagonal_grid
+        original = sopgate.fidelity.fidelity_from_amplitudes
 
-        def recorded(family, area_odd, area_even):
-            seen.append(len(area_odd))
-            return original(family, area_odd, area_even)
+        def recorded(diag, target, definition="trace-sq"):
+            seen.append(diag.shape[1])
+            return original(diag, target, definition)
 
-        monkeypatch.setattr(sopgate.fidelity, "family_diagonal_grid", recorded)
+        monkeypatch.setattr(sopgate.fidelity, "fidelity_from_amplitudes", recorded)
         return seen
 
     @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
@@ -374,25 +400,27 @@ class TestMapBlocks:
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
         whole = fidelity_map(family, grid_odd, grid_even, definition).values
         assert blocks == [grid_odd.n_points]
-        row_bytes = 16 * 2**family.n_qubits * grid_even.n_points
+        row_bytes = map_row_bytes(family.n_qubits, grid_even.n_points)
         counts = set()
-        # A budget under 4 odd rows still gets blocks of 4.
+        # A budget under 4 odd rows still gets chunks of 4.
         for rows, block_rows in ((1, 4), (2, 4), (3, 4), (4, 4), (7, 4), (8, 8), (12, 12)):
-            monkeypatch.setattr(sopgate.fidelity, "_MAP_BLOCK_BYTES", rows * row_bytes)
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", rows * row_bytes)
             blocks.clear()
             values = fidelity_map(family, grid_odd, grid_even, definition).values
             np.testing.assert_array_equal(values, whole)
-            assert blocks[:-1] == [block_rows] * (len(blocks) - 1)
-            assert 0 < blocks[-1] <= block_rows
+            assert all(n % 4 == 0 for n in blocks[:-1])
+            assert 0 < min(blocks) and max(blocks) <= block_rows
             assert sum(blocks) == grid_odd.n_points
             counts.add(len(blocks))
         assert any(count % 2 for count in counts) and any(count % 2 == 0 for count in counts)
 
-    @pytest.mark.parametrize("b2, c2, n_blocks", [(0.1, 0.0, 1), (0.1, 0.1, 2)])
+    @pytest.mark.parametrize("b2, c2, n_blocks", [(0.1, 0.0, 4), (0.1, 0.1, 6)])
     def test_default_grid_blocks(self, blocks, b2, c2, n_blocks):
         fidelity_map(sop_family(b2=b2, c2=c2))
         assert len(blocks) == n_blocks
         assert all(rows % 4 == 0 for rows in blocks[:-1])
+        # About equal chunks: none a quad of rows longer than another.
+        assert max(blocks) - min(blocks) <= 4
 
     def test_wide_three_qubit_map_memory(self):
         grid = GridSpec(-16, 16, 0.05)
@@ -403,8 +431,9 @@ class TestMapBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The whole map's amplitudes alone would take 8 * 641**2 * 16 B = 52.6 MB.
-        assert peak < 32e6
+        # The whole map's amplitudes alone would take 8 * 641**2 * 16 B = 52.6 MB;
+        # its fidelities take 3.3 MB.
+        assert peak < 12e6
 
 
 class TestCarriedRows:
@@ -537,25 +566,38 @@ class TestRobustnessScan:
             assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
 
     def test_chunked_scan_equals_whole_scan(self, monkeypatch):
-        # The kernel's chunks of at most _BUILD_ROWS errors keep every byte
-        # of the unchunked scan
+        # The kernel's chunks of 4 errors keep every byte of the one-chunk scan.
         protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
         deltas = np.linspace(-0.4 * PI, 0.4 * PI, 201)
         whole = robustness_scan(protocol, deltas)
         calls = []
-        kernel = sopgate.propagator.register_amplitudes
+        kernel = sopgate.fidelity.register_amplitudes
 
-        def counted(vectors, thetas, order=None):
-            calls.append(len(thetas[0]))
-            return kernel(vectors, thetas, order)
+        def counted(vectors, thetas, order=None, reduce=None):
+            def recorded(amplitudes):
+                calls.append(amplitudes.shape[1])
+                return reduce(amplitudes)
 
-        # The scan's one call reaches the original; its chunks call the module's name.
-        monkeypatch.setattr(sopgate.propagator, "register_amplitudes", counted)
-        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 7)
+            return kernel(vectors, thetas, order, recorded)
+
+        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", counted)
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
         chunked = robustness_scan(protocol, deltas)
-        assert calls == [7] * 28 + [5]
+        assert calls == [4] * 50 + [1]
         for name in ("delta_area", "u11v", "u11a", "u11b"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_long_scan_memory(self):
+        # 200 001 errors: their three curves take 4.8 MB, their amplitudes 12.8 MB.
+        protocol = sop_family(b2=0.1).protocol(2 * PI, 2 * PI)
+        deltas = np.linspace(-0.5, 0.5, 200_001)
+        tracemalloc.start()
+        try:
+            robustness_scan(protocol, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     @pytest.mark.parametrize(
         "areas, deltas, pulse",
@@ -629,6 +671,17 @@ class TestBScan:
         b2_grid = np.arange(0.01, 0.501, 0.01)
         f = b_scan((14, 0), b2_grid)
         assert f.max() > 0.95
+
+    def test_long_scan_memory(self):
+        # 100 001 points: their fidelities take 0.8 MB, their amplitudes 6.4 MB.
+        b2_grid = np.linspace(0.0, 0.5, 100_001)
+        tracemalloc.start()
+        try:
+            b_scan((2, 2), b2_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26e6
 
 
 class TestCsvOutput:

@@ -407,18 +407,29 @@ class TestBuildChunks:
 
         vectors, thetas, order = _batch_shapes()[kind]
         whole = register_amplitudes(vectors, thetas, order)
-        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 7)
+        # A budget under 4 rows still gets chunks of 4 rows.
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
         chunked = register_amplitudes(vectors, thetas, order)
         assert chunked.shape == whole.shape
         assert chunked.tobytes() == whole.tobytes()
-        # Both are views of a contiguous basis-first array.
-        assert np.moveaxis(chunked, -1, 0).flags.c_contiguous
-        assert np.moveaxis(whole, -1, 0).flags.c_contiguous
+        # Both are contiguous, basis axis last.
+        assert chunked.flags.c_contiguous and whole.flags.c_contiguous
+        # Each chunk's basis-first amplitudes reduce to its rows of the result.
+        chunks = []
+
+        def ground_state(amplitudes):
+            chunks.append(amplitudes.shape[1])
+            return amplitudes[0]
+
+        reduced = register_amplitudes(vectors, thetas, order, ground_state)
+        n_rows = len(whole)
+        assert chunks == [4] * (n_rows // 4) + [n_rows % 4] * (n_rows % 4 > 0)
+        assert reduced.tobytes() == whole[..., 0].tobytes()
 
     def test_star_propagator_never_sees_more_rows_than_the_bound(self, monkeypatch):
         import sopgate.propagator
 
-        rows = []
+        rows, chunks = [], []
         original = sopgate.propagator.star_propagator
 
         def counted(coupling, theta):
@@ -426,13 +437,18 @@ class TestBuildChunks:
             rows.append(np.broadcast_shapes(np.shape(coupling)[:-1], np.shape(theta))[2])
             return original(coupling, theta)
 
+        def recorded(amplitudes):
+            chunks.append(amplitudes.shape[1])
+            return amplitudes[0]
+
         rng = np.random.default_rng(64)
         odd, even = rng.normal(size=(2, 1000, 3))
         areas = rng.uniform(-8 * PI, 8 * PI, size=(2, 1000))
-        monkeypatch.setattr(sopgate.propagator, "_BUILD_ROWS", 64)
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 2**18)
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        assert alternating_amplitudes(odd, even, *areas).shape == (1000, 8)
-        assert rows and max(rows) <= 64
+        assert alternating_amplitudes(odd, even, *areas, reduce=recorded).shape == (1000,)
+        assert len(chunks) > 1 and sum(chunks) == 1000
+        assert rows and max(rows) <= max(chunks)
 
 
 class TestGroundRows:
