@@ -14,17 +14,17 @@ vectors as arrays), and :func:`alternating_amplitudes` is the one place that
 lays out their pulses. Every return amplitude, for one protocol, a b scan, a
 map grid or a robustness scan, comes from one
 :func:`~sopgate.propagator.register_amplitudes` call.
-Fidelities of rows of protocols (basis axis last: single protocols, b scans,
-optimizer candidates) come from :func:`fidelity_from_rows`, those of map
-grids (basis axis first) from :func:`fidelity_from_amplitudes`; each
-formula's order of summation defines the published bits of its outputs.
+Amplitudes have one layout everywhere, the basis axis last. Fidelities of
+rows of protocols (single protocols, b scans, optimizer candidates) come
+from :func:`fidelity_from_rows`, those of map grids from
+:func:`fidelity_from_amplitudes`; each formula's order of summation defines
+the published bits of its outputs.
 
 Large batches keep only what their callers need: each passes a ``reduce``
 that the kernel applies chunk by chunk, and the kernel alone sizes the
 chunks. :func:`fidelity_map` reduces to fidelities by
 :func:`fidelity_from_amplitudes`, b scans and optimizer batches by
-:func:`fidelity_from_rows` (:func:`chunk_fidelities`), and robustness scans
-to their three real curves.
+:func:`fidelity_from_rows`, and robustness scans to their three real curves.
 
 One renderer spells every CSV of the package, maps and scans alike:
 :func:`spell_cells` writes float64 values as ``%.9g`` text, at once for
@@ -55,6 +55,7 @@ from .model import (
     spectator_orthogonal_pair,
 )
 from .propagator import (  # noqa: F401  block_decompose, star_propagator_batch: bench shims
+    _pulse_couplings,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -174,11 +175,6 @@ class ProtocolFamily:
     def n_qubits(self) -> int:
         return self.vector_odd.dimension
 
-    def amplitudes(self, area_odd, area_even) -> np.ndarray:
-        """Return amplitudes at total areas (radians, broadcasting): :func:`alternating_amplitudes`."""
-        vectors = (self.vector_odd.components, self.vector_even.components)
-        return alternating_amplitudes(*vectors, area_odd, area_even, self.m_pulses)
-
     def protocol(self, area_odd: float, area_even: float) -> Protocol:
         """Concrete protocol at total areas (radians) split per family rules."""
         areas = pulse_areas(area_odd, area_even, self.m_pulses)
@@ -260,20 +256,23 @@ class LatticeReport:
 def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "trace-sq"):
     """Combine diagonal return amplitudes into a fidelity in [0, 1].
 
-    ``diag`` has the basis-state axis first and may carry trailing grid axes.
+    ``diag`` has the basis-state axis last and may carry leading grid axes.
+    The overlap is one ``np.tensordot`` over that axis: on a chunk of
+    :func:`~sopgate.propagator.register_amplitudes`, a view of the kernel's
+    basis-first scratch array, it reads that array as it lies.
     """
     phases = np.asarray(target.phases, dtype=float)
     d = phases.size
     diag = np.asarray(diag)
-    if diag.shape[0] != d:
-        raise SignatureMismatchError(f"{diag.shape[0]} amplitudes for a {d}-entry signature")
+    if diag.shape[-1] != d:
+        raise SignatureMismatchError(f"{diag.shape[-1]} amplitudes for a {d}-entry signature")
     check_definition(definition)
-    overlap = np.tensordot(phases, diag, axes=(0, 0))
+    overlap = np.tensordot(phases, diag, axes=(0, -1))
     if definition == "trace-sq":
         return np.abs(overlap / d) ** 2
     if definition == "trace":
         return np.abs(overlap) / d
-    return (np.abs(overlap) ** 2 + np.sum(np.abs(diag) ** 2, axis=0)) / (d * d + d)
+    return (np.abs(overlap) ** 2 + np.sum(np.abs(diag) ** 2, axis=-1)) / (d * d + d)
 
 
 def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):
@@ -301,11 +300,6 @@ def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"
     return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
 
 
-def chunk_fidelities(target: GateSignature, definition: str = "trace-sq"):
-    """The kernel's ``reduce`` to :func:`fidelity_from_rows` of each protocol of a chunk."""
-    return lambda chunk: fidelity_from_rows(chunk.transpose(*range(1, chunk.ndim), 0), target, definition)
-
-
 def gate_fidelity(
     protocol: Protocol, target: GateSignature, definition: str = "trace-sq"
 ) -> float:
@@ -324,16 +318,15 @@ def family_diagonal_grid(
     One :func:`alternating_amplitudes` call with the areas on the axes,
     shaped (n_odd, 1) and (1, n_even), so each star propagator is built once
     per axis value. Without ``reduce`` the output is complex, shape
-    (2^n, len(area_odd_grid), len(area_even_grid)), and every amplitude
+    (len(area_odd_grid), len(area_even_grid), 2^n), and every amplitude
     equals the pointwise one bit for bit. With ``reduce``, the output joins
-    ``reduce`` of the basis-first amplitudes of each chunk of odd rows along
-    the odd axis (:func:`~sopgate.propagator.register_amplitudes`).
+    ``reduce`` of the amplitudes of each chunk of odd rows along the odd
+    axis (:func:`~sopgate.propagator.register_amplitudes`).
     """
     area_o = np.asarray(area_odd_grid)[:, None]
     area_e = np.asarray(area_even_grid)[None, :]
     vectors = (family.vector_odd.components, family.vector_even.components)
-    grid = alternating_amplitudes(*vectors, area_o, area_e, family.m_pulses, reduce)
-    return grid if reduce else np.moveaxis(grid, -1, 0)
+    return alternating_amplitudes(*vectors, area_o, area_e, family.m_pulses, reduce)
 
 
 def fidelity_map(
@@ -458,7 +451,7 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     if protocol.n_qubits != 2:
         raise DimensionMismatchError("robustness scan is defined for 2-qubit protocols")
     delta = np.atleast_1d(np.asarray(delta_grid, dtype=float))
-    vectors = [pulse.vector.components for pulse in protocol.pulses]
+    vectors = _pulse_couplings(protocol)  # (pulse, qubit), also without pulses
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = [
             0.5 * (pulse.area + (delta if k % 2 == 0 else 2.0 * delta))
@@ -467,9 +460,10 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     for k, theta in enumerate(thetas):
         if not np.isfinite(theta).all():
             raise EmptyGridError(f"the area error takes pulse {k + 1} past a finite area in radians")
-    # Basis order: 00, 01, 10, then the inert 11.
-    u11v, u11a, u11b = register_amplitudes(vectors, thetas, reduce=lambda a: a[:3].real.T).T
-    return RobustnessCurves(delta_area=delta, u11v=u11v, u11a=u11a, u11b=u11b)
+    # Basis order: 00, 01, 10, then the inert 11. Without pulses the identity has no delta axis.
+    curves = register_amplitudes(vectors, thetas, reduce=lambda a: a[..., :3].real)
+    curves = np.broadcast_to(curves, delta.shape + (3,))
+    return RobustnessCurves(delta, curves[:, 0], curves[:, 1], curves[:, 2])
 
 
 def b_scan(
@@ -484,10 +478,14 @@ def b_scan(
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light. The vectors are
     those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
-    a b^2 that family refuses raises :class:`NotNormalizedError`, and an
-    unknown ``definition`` :class:`ValueError`, before anything is computed.
+    a b^2 that family refuses raises :class:`NotNormalizedError`, an area
+    pair not finite in radians :class:`EmptyGridError`, and an unknown
+    ``definition`` :class:`ValueError`, before anything is computed.
     """
     check_definition(definition)
+    areas = [float(area) * math.pi for area in area_pair_pi]
+    if not all(math.isfinite(area) for area in areas):
+        raise EmptyGridError(f"area pair {tuple(area_pair_pi)} is not finite in radians")
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
     with np.errstate(invalid="ignore"):
         b = np.sqrt(b2_values)
@@ -502,8 +500,8 @@ def b_scan(
     # The odd and even pulse vectors, one row per b^2 point.
     odd = np.stack([a, b], axis=-1)
     even = np.stack([-b if orthogonal else b, a], axis=-1)
-    areas = (area * math.pi for area in area_pair_pi)
-    return alternating_amplitudes(odd, even, *areas, reduce=chunk_fidelities(cphase_signature(2), definition))
+    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(2), definition=definition)
+    return alternating_amplitudes(odd, even, *areas, reduce=fidelities)
 
 
 #: Decade edges of the magnitudes :func:`spell_cells` spells at once, and per

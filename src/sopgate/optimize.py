@@ -20,21 +20,23 @@ reflected point and the best point so far. So a sort, a replacement of the
 worst vertex, a shrink and a retirement are each one gather or one
 assignment, and the next stage is read from a table by stage and comparisons.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
-The factor optimizers evaluate candidates through the protocol families'
-builder, :func:`~sopgate.fidelity.alternating_amplitudes`.
+Every optimizer evaluates candidates through
+:func:`~sopgate.fidelity.alternating_amplitudes`, the one layout of the
+families' pulses, which reduces each chunk of the kernel to fidelities by
+:func:`~sopgate.fidelity.fidelity_from_rows`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooLargeError, InfeasibleStartError, NotNormalizedError
+from .errors import EmptyGridError, GridTooLargeError, InfeasibleStartError, NotNormalizedError
 from .fidelity import (  # noqa: F401  gate_fidelity: see ``__getattr__`` below
     ProtocolFamily,
     alternating_amplitudes,
-    chunk_fidelities,
     fidelity_from_rows,
     gate_fidelity,
 )
@@ -167,11 +169,12 @@ def nelder_mead_constrained(
     best value of a problem is the first evaluation, in restart order, that
     attains its maximum. The reported fidelity is the objective re-evaluated
     at the best parameters, so it is reproducible bit-for-bit from the result.
+    A box that is empty or not finite raises :class:`InfeasibleStartError`.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or np.any(lower > upper):
-        raise InfeasibleStartError("empty parameter box")
+    if lower.shape != upper.shape or np.any(lower > upper) or not np.isfinite([lower, upper]).all():
+        raise InfeasibleStartError("parameter box is empty or not finite")
     if restarts < 1:
         raise InfeasibleStartError(f"restarts must be at least 1, got {restarts}")
     if max_evals < 1:
@@ -287,10 +290,11 @@ def optimize_areas(
 
     ``bounds`` is ((odd_lo, odd_hi), (even_lo, even_hi)).
     """
-    target = cphase_signature(family.n_qubits)
+    vectors = (family.vector_odd.components, family.vector_even.components)
+    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(family.n_qubits))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        return fidelity_from_rows(family.amplitudes(x[:, 0], x[:, 1]), target)
+        return alternating_amplitudes(*vectors, x[:, 0], x[:, 1], family.m_pulses, fidelities)
 
     lower, upper = zip(*bounds)
     return nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
@@ -300,10 +304,13 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     """Best symmetric three-pulse protocol at each area pair of ``areas``, shape (..., 2).
 
     ``vectors(x)`` gives the odd and even pulse vectors, shape (R, 3), of parameter rows ``x``.
+    Areas not finite raise :class:`EmptyGridError` before the search starts.
     """
     areas = np.asarray(areas, dtype=float)
+    if not np.isfinite(areas).all():
+        raise EmptyGridError("area pairs must be finite in radians")
     pairs = areas.reshape(-1, 2)
-    fidelities = chunk_fidelities(cphase_signature(3))
+    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(3))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         return alternating_amplitudes(*vectors(x), *pairs[problem].T, reduce=fidelities)

@@ -29,6 +29,8 @@ size: one loop walks the first batch axis in chunks of one byte budget,
 ``_CHUNK_BYTES``, and hands each chunk's amplitudes to the caller's
 ``reduce``, so that a map, a scan or an optimizer batch keeps only its
 reduced rows; :func:`register_amplitudes` states the rules of the chunks.
+Amplitudes have one layout, the basis axis last in :func:`basis_labels`
+order: batch + (2^n,), in every chunk a ``reduce`` sees and in every result.
 For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
 keeps the bits of its own chain of d×d gemms. The closed-form amplitudes
 the kernel is checked against live with the tests, in ``tests/oracles.py``.
@@ -171,12 +173,13 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     states of one dimension are carried together as far as the budget holds
     their rows: one at a time in a full chunk, all at once in a small batch.
 
-    ``reduce`` maps a chunk's basis-first amplitudes, shape
-    (2^n, rows, *batch[1:]) in :func:`basis_labels` order, to an array of
+    ``reduce`` maps a chunk's amplitudes, shape (rows, *batch[1:], 2^n)
+    with the basis axis last in :func:`basis_labels` order, to an array of
     its rows along the first axis, and the result joins those rows of every
-    chunk; no more amplitudes than one chunk's are kept at once. Without
-    ``reduce`` the result is the amplitudes themselves, contiguous, shape
-    batch + (2^n,).
+    chunk; no more amplitudes than one chunk's are kept at once. The chunk
+    is a view of the kernel's basis-first scratch array, so ``np.tensordot``
+    over its last axis reads that array as it lies. Without ``reduce`` the
+    result is the amplitudes themselves, contiguous, shape batch + (2^n,).
 
     Each distinct pulse's propagators are built on its own angle shape, per
     chunk, or once when it is broadcast along the first batch axis (a map's
@@ -214,9 +217,9 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
         raise DimensionMismatchError(f"{n_pulses} pulse vectors but {len(thetas)} angles")
     batch = np.broadcast_shapes(vectors.shape[1:-1], *(theta.shape for theta in thetas))
     order = range(n_pulses) if order is None else order
-    reduce = reduce or (lambda amplitudes: amplitudes.transpose(*range(1, amplitudes.ndim), 0))
+    reduce = reduce or (lambda amplitudes: amplitudes)
     if len(order) == 0:  # no pulses: the identity
-        return reduce(np.ones((2**n_qubits,) + batch, dtype=complex))
+        return reduce(np.ones(batch + (2**n_qubits,), dtype=complex))
     scalar, batch = not batch, batch or (1,)
     # Vectors (pulse, *batch, qubit) and angles (1, *batch), batch axes padded
     # to the batch's length, so that the first batch axis is axis 1 of both.
@@ -227,11 +230,13 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); per point of a pulse that varies along the axis, its
-    # propagators, counted as 2^n matrices of the largest block.
+    # propagators, one d×d matrix per block of dimension d, as the builds of
+    # large stacks hold them (the padded builds of at most _ONE_BUILD matrices
+    # stay small beside the budget).
     varying = [theta for theta in thetas if vectors.shape[1] > 1 or theta.shape[1] > 1]
     matrices = sum(np.broadcast(vectors[0, :1, ..., 0], theta[0, :1]).size for theta in varying)
     entries = math.prod(batch[1:]) * (2**n_qubits + 4 * (n_qubits + 1))
-    entries += matrices * 2**n_qubits * (n_qubits + 1) ** 2
+    entries += matrices * sum(len(states) * dim**2 for states, _, dim in groups)
     out = None
     corners = {}  # (pulse, block dimension) -> propagators of those blocks
     for rows in _chunks(batch[0], 16 * entries):
@@ -252,6 +257,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
             for _, blocks, dim in groups:
                 part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
                 corners.update(((k, dim), p[..., :dim, :dim]) for k, p in zip(pulses, part))
+        # Scratch, basis axis first, so that each state's amplitudes are written at once.
         amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
         amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
         # Steps of states whose carried rows the budget holds: one state in a full chunk.
@@ -261,7 +267,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
                 chunk = [corners[k, dim][lo : lo + step] for k in order]
                 x = functools.reduce(_row_product, chunk[1:], chunk[0][..., :1, :])
                 amplitudes[states[lo : lo + step]] = x[..., 0, 0]
-        reduced = reduce(amplitudes)
+        reduced = reduce(np.moveaxis(amplitudes, 0, -1))  # the one layout: basis axis last
         out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
         out[rows] = reduced
     return out[0] if scalar else out

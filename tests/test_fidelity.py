@@ -18,6 +18,7 @@ from sopgate import (
     GridTooLargeError,
     NoMaximaFoundError,
     NotNormalizedError,
+    Protocol,
     ProtocolFamily,
     SignatureMismatchError,
     StructuralVector,
@@ -60,10 +61,17 @@ def map_row_bytes(n_qubits, n_even):
     """Bytes the kernel counts per odd row of a map (``_CHUNK_BYTES``).
 
     Per point, 2^n amplitudes and two carried ground rows of the largest
-    block, in a product and its operand; per odd row, the odd pulse's 2^n
-    propagators of the largest block.
+    block, in a product and its operand; per odd row, the odd pulse's
+    propagators, one d×d matrix per block of dimension d = k + 1 with k |0> qubits.
     """
-    return 16 * (n_even * (2**n_qubits + 4 * (n_qubits + 1)) + 2**n_qubits * (n_qubits + 1) ** 2)
+    propagators = sum(math.comb(n_qubits, k) * (k + 1) ** 2 for k in range(1, n_qubits + 1))
+    return 16 * (n_even * (2**n_qubits + 4 * (n_qubits + 1)) + propagators)
+
+
+def family_amplitudes(family, area_odd, area_even):
+    """A family's amplitudes at total areas (radians, broadcasting), basis axis last."""
+    vectors = (family.vector_odd.components, family.vector_even.components)
+    return alternating_amplitudes(*vectors, area_odd, area_even, family.m_pulses)
 
 
 def per_cell_map_csv_text(fmap):
@@ -133,7 +141,7 @@ class TestFidelityFromRows:
         family = sop_family(b2=0.1, c2=0.1)
         target = cphase_signature(3)
         areas = np.random.default_rng(2).uniform(-8 * PI, 8 * PI, size=(20, 2))
-        rows = fidelity_from_rows(family.amplitudes(areas[:, 0], areas[:, 1]), target, definition)
+        rows = fidelity_from_rows(family_amplitudes(family, areas[:, 0], areas[:, 1]), target, definition)
         assert rows.shape == (20,)
         for (area_odd, area_even), value in zip(areas, rows):
             assert value == gate_fidelity(family.protocol(area_odd, area_even), target, definition)
@@ -149,6 +157,20 @@ class TestFidelityFromRows:
         strided = np.asfortranarray(rows)
         got = fidelity_from_rows(strided, cphase_signature(3), definition)
         assert got.tobytes() == fidelity_from_rows(rows, cphase_signature(3), definition).tobytes()
+        # A kernel chunk is a basis-last view of a basis-first scratch array, which
+        # the map formula reads as it lies: the same bytes as summing the scratch
+        # array over its first axis.
+        for n_qubits, shape in ((2, (37, 13)), (3, (37, 13)), (3, (500,))):
+            target, d = cphase_signature(n_qubits), 2**n_qubits
+            scratch = rng.normal(size=(d,) + shape) + 1j * rng.normal(size=(d,) + shape)
+            overlap = np.tensordot(target.phases, scratch, axes=(0, 0))
+            expected = {
+                "trace-sq": np.abs(overlap / d) ** 2,
+                "trace": np.abs(overlap) / d,
+                "average": (np.abs(overlap) ** 2 + np.sum(np.abs(scratch) ** 2, axis=0)) / (d * d + d),
+            }[definition]
+            got = fidelity_from_amplitudes(np.moveaxis(scratch, 0, -1), target, definition)
+            assert got.tobytes() == expected.tobytes()
 
     def test_float_power_squares_as_math_pow(self):
         rng = np.random.default_rng(9)
@@ -233,10 +255,10 @@ class TestFidelityMap:
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 4)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 3)
         diag = family_diagonal_grid(family, odd, even)
-        assert diag.shape == (len(basis_labels(family.n_qubits)), 4, 3)
+        assert diag.shape == (4, 3, len(basis_labels(family.n_qubits)))
         for i, j in np.ndindex(4, 3):
             point = diagonal_amplitudes(family.protocol(odd[i], even[j]))
-            np.testing.assert_array_equal(diag[:, i, j], point)
+            np.testing.assert_array_equal(diag[i, j], point)
 
 
     @pytest.mark.parametrize("n_odd, n_even", [(7, 3), (2, 9)])
@@ -253,7 +275,7 @@ class TestFidelityMap:
         odd = np.linspace(-PI, 3 * PI, n_odd)
         even = np.linspace(-2 * PI, PI, n_even)
         diag = family_diagonal_grid(family, odd, even)
-        assert diag.shape == (8, n_odd, n_even)
+        assert diag.shape == (n_odd, n_even, 8)
         # One call per distinct pulse, each on its axis, covering every block dimension.
         assert sizes == [n_odd, n_even]
 
@@ -280,9 +302,9 @@ class TestMapKernelRowsAndChunks:
         odd = np.linspace(-5.3 * PI, 6.1 * PI, n_odd)
         even = np.linspace(-7.9 * PI, 7.7 * PI, n_even)
         diag = family_diagonal_grid(family, odd, even)
-        assert diag.shape == (2**family.n_qubits, n_odd, n_even)
+        assert diag.shape == (n_odd, n_even, 2**family.n_qubits)
         for i, j in np.ndindex(n_odd, n_even):
-            np.testing.assert_array_equal(diag[:, i, j], family.amplitudes(odd[i], even[j]))
+            np.testing.assert_array_equal(diag[i, j], family_amplitudes(family, odd[i], even[j]))
 
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
@@ -333,7 +355,7 @@ class TestMapKernelRowsAndChunks:
         diag = family_diagonal_grid(family, odd, even)
         assert sorted(set(chunks)) == [(1, 2), (4, 1)]
         for i, j in np.ndindex(len(odd), len(even)):
-            np.testing.assert_array_equal(diag[:, i, j], family.amplitudes(odd[i], even[j]))
+            np.testing.assert_array_equal(diag[i, j], family_amplitudes(family, odd[i], even[j]))
 
     def test_wide_three_qubit_map_stays_in_budget(self, monkeypatch):
         carried, amplitudes = [], []
@@ -346,7 +368,7 @@ class TestMapKernelRowsAndChunks:
 
         def reduce(chunk):
             amplitudes.append(chunk.nbytes)
-            return chunk[0]
+            return chunk[..., 0]
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
         axis = GridSpec(-16, 16, 0.05).values_radians()
@@ -358,7 +380,7 @@ class TestMapKernelRowsAndChunks:
     @pytest.mark.parametrize("n_odd, n_even", [(0, 3), (3, 0)])
     def test_empty_axis_gives_empty_grid(self, n_odd, n_even):
         diag = family_diagonal_grid(sop_family(b2=0.1), np.zeros(n_odd), np.ones(n_even))
-        assert diag.shape == (4, n_odd, n_even)
+        assert diag.shape == (n_odd, n_even, 4)
 
     def test_empty_scans_give_empty_curves(self):
         assert b_scan((2, 1), []).shape == (0,)
@@ -377,7 +399,7 @@ class TestMapBlocks:
         original = sopgate.fidelity.fidelity_from_amplitudes
 
         def recorded(diag, target, definition="trace-sq"):
-            seen.append(diag.shape[1])
+            seen.append(diag.shape[0])
             return original(diag, target, definition)
 
         monkeypatch.setattr(sopgate.fidelity, "fidelity_from_amplitudes", recorded)
@@ -509,8 +531,8 @@ class TestAlternatingAmplitudes:
         for r in range(6):
             vectors = (StructuralVector(tuple(v[r].tolist())) for v in (odd, even))
             family = ProtocolFamily(*vectors, m_pulses)
-            np.testing.assert_array_equal(per_row[r], family.amplitudes(area_odd[r], area_even[r]))
-            np.testing.assert_array_equal(shared[r], family.amplitudes(2.5 * PI, -1.5 * PI))
+            np.testing.assert_array_equal(per_row[r], family_amplitudes(family, area_odd[r], area_even[r]))
+            np.testing.assert_array_equal(shared[r], family_amplitudes(family, 2.5 * PI, -1.5 * PI))
 
 
 class TestLatticeAnalysis:
@@ -565,6 +587,12 @@ class TestRobustnessScan:
             amps = diagonal_amplitudes(bumped)
             assert (curves.u11v[i], curves.u11a[i], curves.u11b[i]) == tuple(amps[:3].real)
 
+    def test_protocol_without_pulses_gives_curves_of_ones(self):
+        curves = robustness_scan(Protocol((), 2), np.linspace(-0.1, 0.1, 5))
+        assert curves.delta_area.shape == (5,)
+        for curve in (curves.u11v, curves.u11a, curves.u11b):
+            assert curve.tobytes() == np.ones(5).tobytes()
+
     def test_chunked_scan_equals_whole_scan(self, monkeypatch):
         # The kernel's chunks of 4 errors keep every byte of the one-chunk scan.
         protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
@@ -575,7 +603,7 @@ class TestRobustnessScan:
 
         def counted(vectors, thetas, order=None, reduce=None):
             def recorded(amplitudes):
-                calls.append(amplitudes.shape[1])
+                calls.append(amplitudes.shape[0])
                 return reduce(amplitudes)
 
             return kernel(vectors, thetas, order, recorded)
@@ -665,6 +693,16 @@ class TestBScan:
             sop_family(b2=b2)
         with pytest.raises(NotNormalizedError):
             b_scan((2, 2), [0.1, b2, 0.2])
+
+    @pytest.mark.parametrize("areas", [(1e308, 2), (2, -math.inf), (math.nan, 2)])
+    def test_areas_not_finite_in_radians_refused_before_the_kernel(self, monkeypatch, areas):
+        calls = []
+        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", lambda *a, **k: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyGridError, match="not finite in radians"):
+                b_scan(areas, [0.1])
+        assert calls == []
 
     def test_second_pulse_free_protocol(self):
         # (14, 0): no even pulse at all, still high fidelities at some b

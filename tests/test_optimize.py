@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import sopgate.optimize
 from oracles import dot, nelder_mead_sequential
 from sopgate import (
+    EmptyGridError,
     GridTooLargeError,
     InfeasibleStartError,
     ProtocolFamily,
@@ -64,6 +66,18 @@ class TestNelderMead:
     def test_empty_box_rejected(self):
         with pytest.raises(InfeasibleStartError):
             nelder_mead_constrained(lambda x: 0.0, np.array([1.0]), np.array([0.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "lower, upper", [([math.nan, 0.0], [1.0, 1.0]), ([0.0, -math.inf], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf])]
+    )
+    def test_box_not_finite_refused_before_any_evaluation(self, lower, upper):
+        def refuse(x, problem):
+            raise AssertionError("evaluated before the box check")
+
+        with pytest.raises(InfeasibleStartError, match="not finite"):
+            nelder_mead_constrained(refuse, lower, upper)
+        with pytest.raises(InfeasibleStartError, match="not finite"):
+            optimize_areas(sop_family(b2=0.1), tuple(zip(lower, upper)))
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_restarts_below_one_rejected(self, restarts):
@@ -363,6 +377,18 @@ class TestOptimizeAllFactors:
             optimize_all_factors((PI, PI), c_fixed=C_01, min_sq=0.5)
         with pytest.raises(InfeasibleStartError):
             optimize_all_factors((PI, PI), c_fixed=0.0, min_sq=1.0)
+
+    @pytest.mark.parametrize("target", ["third-qubit", "all-factors"])
+    @pytest.mark.parametrize("areas", [(math.inf, 1.0), (1.0, math.nan), [(2.0, 2.0), (-math.inf, 1.0)]])
+    def test_areas_not_finite_refused_before_the_search(self, monkeypatch, target, areas):
+        calls = []
+        monkeypatch.setattr(sopgate.optimize, "nelder_mead_constrained", lambda *a, **k: calls.append(a))
+        with pytest.raises(EmptyGridError, match="finite in radians"):
+            if target == "third-qubit":
+                optimize_third_qubit(areas, b=B_01)
+            else:
+                optimize_all_factors(areas, c_fixed=C_01)
+        assert calls == []
 
     def test_nan_min_sq_refused(self):
         with pytest.raises(InfeasibleStartError):

@@ -414,12 +414,12 @@ class TestBuildChunks:
         assert chunked.tobytes() == whole.tobytes()
         # Both are contiguous, basis axis last.
         assert chunked.flags.c_contiguous and whole.flags.c_contiguous
-        # Each chunk's basis-first amplitudes reduce to its rows of the result.
+        # Each chunk's amplitudes, basis axis last, reduce to its rows of the result.
         chunks = []
 
         def ground_state(amplitudes):
-            chunks.append(amplitudes.shape[1])
-            return amplitudes[0]
+            chunks.append(amplitudes.shape[0])
+            return amplitudes[..., 0]
 
         reduced = register_amplitudes(vectors, thetas, order, ground_state)
         n_rows = len(whole)
@@ -438,8 +438,8 @@ class TestBuildChunks:
             return original(coupling, theta)
 
         def recorded(amplitudes):
-            chunks.append(amplitudes.shape[1])
-            return amplitudes[0]
+            chunks.append(amplitudes.shape[0])
+            return amplitudes[..., 0]
 
         rng = np.random.default_rng(64)
         odd, even = rng.normal(size=(2, 1000, 3))
@@ -449,6 +449,34 @@ class TestBuildChunks:
         assert alternating_amplitudes(odd, even, *areas, reduce=recorded).shape == (1000,)
         assert len(chunks) > 1 and sum(chunks) == 1000
         assert rows and max(rows) <= max(chunks)
+
+    def test_optimizer_batch_fills_the_budget_with_built_propagators(self, monkeypatch):
+        import sopgate.propagator
+
+        # A 3-qubit candidate row holds 8 amplitudes, 16 carried entries and
+        # two varying pulses' propagators: 3 blocks of 2×2, 3 of 3×3 and one 4×4.
+        row_bytes = 16 * (8 + 16 + 2 * (3 * 4 + 3 * 9 + 16))
+        rows_per_chunk = 4 * (sopgate.propagator._CHUNK_BYTES // (4 * row_bytes))
+        built, per_chunk = [], []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            propagators = original(coupling, theta)
+            built.append(propagators.nbytes)
+            return propagators
+
+        def recorded(amplitudes):
+            per_chunk.append(sum(built))
+            built.clear()
+            return amplitudes[..., 0]
+
+        rng = np.random.default_rng(75)
+        odd, even = rng.normal(size=(2, 2 * rows_per_chunk, 3))
+        areas = rng.uniform(-8 * PI, 8 * PI, size=(2, 2 * rows_per_chunk))
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        alternating_amplitudes(odd, even, *areas, reduce=recorded)
+        assert len(per_chunk) == 2
+        assert min(per_chunk) >= 0.75 * sopgate.propagator._CHUNK_BYTES
 
 
 class TestGroundRows:
@@ -475,7 +503,8 @@ class TestGroundRows:
         vectors = [(family.vector_odd, family.vector_even)[k % 2].components for k in range(m_pulses)]
         thetas = [0.5 * areas[k % 2] for k in range(m_pulses)]
         protocol = family.protocol(odd[0], even[0])
-        for label, amps in zip(basis_labels(family.n_qubits), diag):
+        for s, label in enumerate(basis_labels(family.n_qubits)):
+            amps = diag[..., s]
             chain = np.broadcast_to(matrix_chain(vectors, thetas, label), amps.shape)
             np.testing.assert_array_equal(amps, chain)
             assert amps[0, 0] == scalar_composition(protocol, label)
