@@ -19,6 +19,8 @@ then its negated value): the dim + 1 vertices, the stage's candidate, the
 reflected point and the best point so far. So a sort, a replacement of the
 worst vertex, a shrink and a retirement are each one gather or one
 assignment, and the next stage is read from a table by stage and comparisons.
+A step costs one objective call and about 70 numpy operations, views included,
+on the running simplices; some 15 more when a simplex starts or shrinks.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
 Every optimizer evaluates candidates through
 :func:`~sopgate.fidelity.alternating_amplitudes`, the one layout of the
@@ -136,14 +138,6 @@ def _latin_hypercube(rng: "np.random.Generator", n: int, lower, upper) -> np.nda
     return out
 
 
-def _sort_vertices(state: np.ndarray, rows: np.ndarray) -> None:
-    """Order the vertices of the simplices ``rows`` by value, with scipy's ``np.argsort``."""
-    if rows.size:
-        dim = state.shape[-1] - 1
-        order = np.argsort(state[rows, : dim + 1, dim], axis=1)
-        state[rows, : dim + 1] = state[rows[:, None], order]
-
-
 def nelder_mead_constrained(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lower,
@@ -186,7 +180,7 @@ def nelder_mead_constrained(
     project = project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
-        return project(np.clip(x, lower, upper))
+        return project(x.clip(lower, upper))
 
     dim = lower.size
     starts = feasible(_latin_hypercube(np.random.default_rng(seed), restarts, lower, upper))
@@ -215,16 +209,12 @@ def nelder_mead_constrained(
     rank = np.full((_DONE + 1, dim + 2), max_evals)
     rank[_INIT, :-1], rank[_REFLECT:_SHRINK, cand], rank[_SHRINK, 1:-1] = slots, 0, slots[:-1]
     # What replaces the worst vertex (_WORST): itself, the candidate or the reflected point.
-    replacement = np.array([dim, cand, xr])
+    worst_slot = np.array([dim, cand, xr])[_WORST]
     compared, bits = np.array([0, dim - 1, dim, xr]), np.array([1, 2, 4, 8])
     tolerance = np.array([XATOL] * dim + [FATOL])
 
     initial = True
     while True:
-        ready = np.nonzero(stage == _REFLECT)[0]
-        vertices = state[ready, : dim + 1]
-        spread = np.abs(vertices[:, 1:] - vertices[:, :1])
-        stage[ready[(spread <= tolerance).all(axis=(1, 2))]] = _DONE
         running = stage != _DONE
         n_running = np.count_nonzero(running)
         if n_running <= 0.75 * running.size:
@@ -234,41 +224,52 @@ def nelder_mead_constrained(
             if not n_running:
                 break
             ids, state, stage, left = ids[running], state[running], stage[running], left[running]
-            every = np.arange(n_running)
+            every, running = np.arange(n_running), running[running]
         # The centroid stays put from a reflection to its expansion or contraction.
         xbar = np.add.reduce(state[:, :dim, :dim], 1) / dim
         c = _MOVES[stage]
         state[:, cand, :dim] = c[:, :1] * xbar + c[:, 1:] * state[:, dim, :dim]
         shrinking = stage == _SHRINK
-        if shrinking.any():
-            best_vertex = state[shrinking, :1, :dim]
-            shrunk = best_vertex + SIGMA * (state[shrinking, 1 : dim + 1, :dim] - best_vertex)
-            state[shrinking, 1 : dim + 1, :dim] = shrunk
-        take = rank[stage] < left[:, None]
-        rows, slot = np.nonzero(take)
+        several = np.count_nonzero(shrinking) or initial  # some simplex evaluates several points
+        if several:
+            best_vertex = state[:, :1, :dim]
+            shrunk = best_vertex + SIGMA * (state[:, 1 : dim + 1, :dim] - best_vertex)
+            np.copyto(state[:, 1 : dim + 1, :dim], shrunk, where=shrinking[:, None, None])
+            take = rank[stage] < left[:, None]
+            (rows, slot), evaluated = take.nonzero(), np.add.reduce(take, 1)
+        else:  # a running simplex evaluates its candidate
+            (rows,), slot, evaluated = running.nonzero(), cand, running
         x = feasible(state[rows, slot, :dim])
         state[rows, slot, dim] = f = -objective(x, ids[rows] // restarts)
-        left -= take.sum(axis=1)
+        left -= evaluated
 
         # The first of a simplex's evaluations that beats its best so far.
-        scored = np.full(state.shape, np.inf)
-        scored[rows, slot, :dim], scored[rows, slot, dim] = x, f
-        first = scored[every, scored[..., dim].argmin(axis=1)]
-        better = first[:, dim] < state[:, top, dim]
-        state[better, top] = first[better]
+        if several:
+            scored = np.full(state.shape, np.inf)
+            scored[rows, slot, :dim], scored[rows, slot, dim] = x, f
+            first = scored[every, scored[..., dim].argmin(axis=1)]
+            better = first[:, dim] < state[:, top, dim]
+            state[better, top] = first[better]
+        else:
+            better = f < state[rows, top, dim]
+            state[rows[better], top, :dim], state[rows[better], top, dim] = x[better], f[better]
 
         # A one-point stage's candidate decides what follows (_stage_table).
         fnew = state[:, cand, dim, None]
         code = (fnew < state[:, compared, dim]) @ bits + 16 * (fnew[:, 0] <= state[:, xr, dim])
         after = _AFTER[stage, code]
-        reflect = stage == _REFLECT
-        state[reflect, xr] = state[reflect, cand]
-        state[:, dim] = state[every, replacement[_WORST[stage, code]]]
+        np.copyto(state[:, xr], state[:, cand], where=(stage == _REFLECT)[:, None])
+        state[:, dim] = state[every, worst_slot[stage, code]]
+        # Simplices about to reflect order their vertices by value with scipy's np.argsort.
         if initial:  # every simplex evaluated its initial vertices; scipy sorts them twice
-            _sort_vertices(state, every)
+            state[:, : dim + 1] = state[every[:, None], state[:, : dim + 1, dim].argsort(axis=1)]
             initial = False
-        _sort_vertices(state, np.nonzero(after == _REFLECT)[0])
-        stage = np.where(left > 0, after, _DONE)
+        sorting = after == _REFLECT
+        order = np.where(sorting[:, None], state[:, : dim + 1, dim].argsort(axis=1), slots)
+        state[:, : dim + 1] = state[every[:, None], order]
+        # A simplex about to reflect stops once its vertices lie within the tolerances.
+        spread = np.abs(state[:, 1 : dim + 1] - state[:, :1]) <= tolerance
+        stage = np.where((left > 0) & ~(sorting & spread.all(axis=(1, 2))), after, _DONE)
 
     # Per problem, the first restart that attains the best value.
     k = np.argmin(final[:, dim].reshape(n_problems, restarts), axis=1)
@@ -364,7 +365,7 @@ def optimize_third_qubit(
 
     def project(x: np.ndarray) -> np.ndarray:
         signs = np.where(x < 0, -1.0, 1.0)
-        return signs * np.clip(np.abs(x), c_lo, c_hi)
+        return signs * np.abs(x).clip(c_lo, c_hi)
 
     def vectors(x: np.ndarray):
         return spectator_orthogonal_rows(b, x[:, 0], x[:, 1])
@@ -398,7 +399,7 @@ def optimize_all_factors(
         # Feasible directions satisfy (phi mod pi/2) in [phi_lo, phi_hi].
         base = np.mod(x, 2.0 * math.pi)
         frac = np.mod(base, 0.5 * math.pi)
-        return base - frac + np.clip(frac, phi_lo, phi_hi)
+        return base - frac + frac.clip(phi_lo, phi_hi)
 
     def vectors(x: np.ndarray):
         rows = np.empty(x.shape + (3,))

@@ -22,13 +22,13 @@ carries ground columns rather than d×d products. Star propagators are
 exactly symmetric, so the ground column of the running product travels as
 one row x per point and each pulse steps it as x <- x U_k. All rows that
 share a propagator form one gemm: in a map, n_odd + n_even gemms per pulse
-and block state instead of n_odd·n_even. A gemm that would hold a single
-row gets a copy of it, because numpy sends a one-row product to gemv, which
-changes bits. The kernel alone bounds its memory, for a batch of any
-size: one loop walks the first batch axis in chunks of one byte budget,
-``_CHUNK_BYTES``, and hands each chunk's amplitudes to the caller's
-``reduce``, so that a map, a scan or an optimizer batch keeps only its
-reduced rows; :func:`register_amplitudes` states the rules of the chunks.
+and block state instead of n_odd·n_even. No gemm holds a single row, as
+numpy sends a one-row product to gemv, which changes bits. The kernel alone
+bounds its memory, for a batch of any size: one loop walks the first batch
+axis in chunks of one byte budget, ``_CHUNK_BYTES``, and hands each chunk's
+amplitudes to the caller's ``reduce``, so that a map, a scan or an optimizer
+batch keeps only its reduced rows; :func:`register_amplitudes` states the
+rules of the chunks and what one call costs.
 Amplitudes have one layout, the basis axis last in :func:`basis_labels`
 order: batch + (2^n,), in every chunk a ``reduce`` sees and in every result.
 For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
@@ -72,22 +72,23 @@ def star_propagator(coupling, theta) -> np.ndarray:
     # the rows are contiguous; over strided rows of 4 or more entries it sums
     # in another order.
     v = np.ascontiguousarray(coupling, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     dim = v.shape[-1] + 1
     s = np.sqrt(np.vecdot(v, v))
     zero = s == 0.0
-    unit = v / np.where(zero, 1.0, s)[..., None]
-    phase = (s * theta)[..., None, None]
+    phase = s * np.asarray(theta, dtype=float)
+    # Entries first, (dim, dim, *batch), so that every elementwise loop runs along the batch.
+    unit = np.divide(v.transpose((v.ndim - 1, *range(v.ndim - 1))), np.where(zero, 1.0, s), order="C")
+    unit = unit.reshape(unit.shape[:1] + (1,) * (phase.ndim - s.ndim) + s.shape)
     cos_p = np.cos(phase)
-    out = np.empty(phase.shape[:-2] + (dim, dim), dtype=complex)
-    out[..., :1, :1] = cos_p
-    out[..., :1, 1:] = 1j * unit[..., None, :] * np.sin(phase)
-    out[..., 1:, 0] = out[..., 0, 1:]
-    rydberg = unit[..., :, None] * unit[..., None, :] * (cos_p - 1.0)
-    rydberg += np.eye(dim - 1)
-    out[..., 1:, 1:] = rydberg
-    if zero.any():
-        out[np.broadcast_to(zero, out.shape[:-2])] = np.eye(dim)
+    out = np.empty(phase.shape + (dim, dim), dtype=complex)
+    entries = out.transpose((phase.ndim, phase.ndim + 1, *range(phase.ndim)))
+    entries[0, 0] = cos_p
+    entries[0, 1:] = entries[1:, 0] = 1j * unit * np.sin(phase)
+    rydberg = unit[:, None] * unit[None, :] * (cos_p - 1.0)
+    rydberg += np.eye(dim - 1).reshape((dim - 1, dim - 1) + (1,) * phase.ndim)
+    entries[1:, 1:] = rydberg
+    if np.count_nonzero(zero):
+        out[np.broadcast_to(zero, phase.shape)] = np.eye(dim)
     return out
 
 
@@ -197,12 +198,18 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     x <- x U_k. Rows that share a propagator, along the batch axes where it
     is broadcast, are stacked into one gemm (:func:`_row_product`): in a
     map, each odd pulse takes the rows of the n_even points of its odd row
-    and each even pulse those of the chunk's points of its even column. A
-    product whose gemms would hold one row carries a copy of that row from
-    then on, since numpy sends a one-row product to gemv, which changes
-    bits; so batches that share no propagator (the optimizer's candidates,
-    b and robustness scans, single protocols) carry two rows after their
-    first product.
+    and each even pulse those of the chunk's points of its even column.
+    Since numpy sends a one-row product to gemv, which changes bits, a gemm
+    never holds one row: a chain whose first product shares no propagator
+    starts from U_1[:2], whose second row only fills the gemm, and a later
+    one-row product takes a copy of its row. So batches that share no
+    propagator (the optimizer's candidates, b and robustness scans, single
+    protocols) carry two rows throughout.
+
+    Per chunk, a call costs one :func:`star_propagator` call per angle shape
+    (per block dimension past ``_ONE_BUILD``) and one batched ``@`` per later
+    pulse, block dimension and step of states; a batch that fits one chunk
+    skips the chunk planning.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -223,10 +230,10 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     scalar, batch = not batch, batch or (1,)
     # Vectors (pulse, *batch, qubit) and angles (1, *batch), batch axes padded
     # to the batch's length, so that the first batch axis is axis 1 of both.
-    padding = (1,) * (len(batch) + 2 - vectors.ndim)
-    vectors = vectors.reshape((n_pulses,) + padding + vectors.shape[1:])
+    if vectors.ndim < len(batch) + 2:
+        vectors = vectors.reshape((n_pulses,) + (1,) * (len(batch) + 2 - vectors.ndim) + vectors.shape[1:])
     thetas = [theta.reshape((1,) * (len(batch) + 1 - theta.ndim) + theta.shape) for theta in thetas]
-    gather, groups = _blocks_by_dimension(n_qubits)
+    gather, groups, block_entries = _blocks_by_dimension(n_qubits)
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); per point of a pulse that varies along the axis, its
@@ -234,40 +241,48 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     # large stacks hold them (the padded builds of at most _ONE_BUILD matrices
     # stay small beside the budget).
     varying = [theta for theta in thetas if vectors.shape[1] > 1 or theta.shape[1] > 1]
-    matrices = sum(np.broadcast(vectors[0, :1, ..., 0], theta[0, :1]).size for theta in varying)
-    entries = math.prod(batch[1:]) * (2**n_qubits + 4 * (n_qubits + 1))
-    entries += matrices * sum(len(states) * dim**2 for states, _, dim in groups)
+    matrices = sum(math.prod(map(max, vectors.shape[2:-1], theta.shape[2:])) for theta in varying)
+    entries = math.prod(batch[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + matrices * block_entries
+    builds = {}  # angle shape -> its pulses, in index order, built in one call
+    for k, theta in enumerate(thetas):
+        builds.setdefault(theta.shape, []).append(k)
+    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
+    axes = (0, vectors.ndim - 1, *range(1, vectors.ndim - 1), vectors.ndim)
+    corners = [[None] * len(groups) for _ in thetas]  # per pulse and block dimension: propagators
     out = None
-    corners = {}  # (pulse, block dimension) -> propagators of those blocks
     for rows in _chunks(batch[0], 16 * entries):
-        # Pulses with angles of one shape, in index order, are built together.
-        for shape in dict.fromkeys(theta.shape for theta in thetas):
-            pulses = [k for k, theta in enumerate(thetas) if theta.shape == shape]
+        for shape, pulses in builds.items():
             if rows.start and vectors.shape[1] == shape[1] == 1:
                 continue  # broadcast along the first batch axis: built with the first chunk
+            # The chunk's rows; an axis of length one is broadcast and stays whole.
+            v = vectors if vectors.shape[1] == 1 else vectors[:, rows]
+            angles = np.concatenate([thetas[k] if shape[1] == 1 else thetas[k][:, rows] for k in pulses])[:, None]
             # A zero column after the qubits pads the couplings of smaller blocks, whose
             # propagators are then the leading corners of the register's largest ones.
-            v = _rows(vectors, rows)[pulses]
+            v = v if len(pulses) == n_pulses else v[pulses]
             v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-            # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
-            couplings = v[..., gather].transpose(0, -2, *range(1, v.ndim - 1), -1)
-            angles = np.concatenate([_rows(thetas[k], rows) for k in pulses])[:, None]
+            couplings = v[..., gather].transpose(axes)
             whole = np.broadcast(couplings[..., 0], angles).size <= _ONE_BUILD
             built = star_propagator(couplings, angles) if whole else None
-            for _, blocks, dim in groups:
+            for g, (_, blocks, dim) in enumerate(groups):
                 part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
-                corners.update(((k, dim), p[..., :dim, :dim]) for k, p in zip(pulses, part))
+                for k, p in zip(pulses, part[..., :dim, :dim]):
+                    corners[k][g] = p
         # Scratch, basis axis first, so that each state's amplitudes are written at once.
         amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
         amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
         # Steps of states whose carried rows the budget holds: one state in a full chunk.
         step = max(1, _CHUNK_BYTES // (16 * entries * max(1, rows.stop - rows.start)))
-        for states, _, dim in groups:
+        for g, (states, _, dim) in enumerate(groups):
             for lo in range(0, len(states), step):
-                chunk = [corners[k, dim][lo : lo + step] for k in order]
-                x = functools.reduce(_row_product, chunk[1:], chunk[0][..., :1, :])
+                chain = [corners[k][g][lo : lo + step] for k in order]
+                # A first product that shares no propagator takes two rows of the first
+                # one, as numpy sends a one-row product to gemv, whose bits differ from gemm's.
+                x = chain[0][..., : 1 + (len(chain) > 1 and chain[0].shape == chain[1].shape), :]
+                for propagators in chain[1:]:
+                    x = _row_product(x, propagators)
                 amplitudes[states[lo : lo + step]] = x[..., 0, 0]
-        reduced = reduce(np.moveaxis(amplitudes, 0, -1))  # the one layout: basis axis last
+        reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
         out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
         out[rows] = reduced
     return out[0] if scalar else out
@@ -280,14 +295,11 @@ def _chunks(n_rows: int, row_bytes: int) -> list[slice]:
     chunk but the last a multiple of 4 rows; no rows make one empty chunk.
     """
     quads = -(-n_rows // 4)
-    n_chunks = max(1, -(-quads // max(1, _CHUNK_BYTES // (4 * row_bytes))))
+    if 4 * quads * row_bytes <= _CHUNK_BYTES:
+        return [slice(0, n_rows)]
+    n_chunks = -(-quads // max(1, _CHUNK_BYTES // (4 * row_bytes)))
     edges = [min(n_rows, 4 * (quads * i // n_chunks)) for i in range(n_chunks + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _rows(array: np.ndarray, rows: slice) -> np.ndarray:
-    """``array[:, rows]``, the chunk's rows of axis 1; an axis of length one is broadcast and stays whole."""
-    return array if array.shape[1] == 1 else array[:, rows]
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
@@ -299,11 +311,13 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     optimizer's batches, each point takes a plain r×d by d×d gemm, and a
     lone row goes in twice, so that the product returns two.
     """
-    shared = [ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]]
+    shared = rows.shape[:-2] != propagators.shape[:-2] and [
+        ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]
+    ]
     if not shared:
         if rows.shape[-2] == 1:
             # A one-row matmul goes to gemv, whose bits differ from gemm's.
-            rows = np.repeat(rows, 2, axis=-2)
+            rows = rows.repeat(2, axis=-2)
         return rows @ propagators
     # The shared axes move next to the row axis and merge into it.
     own = [ax for ax in range(rows.ndim - 2) if ax not in shared]
@@ -317,23 +331,25 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[list[int], slice, int], ...]]:
-    """Coupling index, shape (blocks, n_qubits), and per block dimension d: states, blocks, d.
+def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice, int], ...], int]:
+    """Coupling index, shape (blocks, n_qubits); per block dimension d: states, blocks, d; entries.
 
     An index row holds a block's |0> qubits, then ``n_qubits`` (the appended zero column).
     A block without |0> qubits is dark to every pulse, its amplitude 1; it is
-    left out. The cached index is read-only.
+    left out. ``entries`` counts one d×d matrix per block, Σ_d states(d)·d².
+    The cached arrays are read-only.
     """
     zeros = [_zero_positions(label, n_qubits) for label in basis_labels(n_qubits)]
     index, groups = [], []
     for n_zero in sorted({len(zq) for zq in zeros} - {0}):
-        states = [j for j, zq in enumerate(zeros) if len(zq) == n_zero]
+        states = np.array([j for j, zq in enumerate(zeros) if len(zq) == n_zero])
+        states.flags.writeable = False
         blocks = slice(len(index), len(index) + len(states))
         index += [zeros[j] + (n_qubits,) * (n_qubits - n_zero) for j in states]
         groups.append((states, blocks, n_zero + 1))
     index = np.array(index, dtype=np.intp).reshape(len(index), n_qubits)
     index.flags.writeable = False
-    return index, tuple(groups)
+    return index, tuple(groups), sum(len(states) * dim**2 for states, _, dim in groups)
 
 
 def diagonal_amplitudes(protocol: Protocol) -> np.ndarray:

@@ -217,6 +217,19 @@ class TestLockstepEqualsSequential:
             np.testing.assert_array_equal(got.best_parameters[k], want.best_parameters)
             assert (got.best_fidelity[k], got.evaluations[k]) == (want.best_fidelity, want.evaluations)
 
+    @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
+    def test_benchmark_job_shape(self, what):
+        # One grid point with 16 restarts, as the benchmark's point jobs run it:
+        # batches of about 13 candidate rows against one-row evaluations.
+        (point,) = grid_points(seed=14, n=1)
+        if what == "third-qubit":
+            got = optimize_third_qubit(point, b=B_01, min_c2=0.1, restarts=16)
+            problem, fidelity = third_qubit_problem(B_01, 0.1), third_qubit_fidelity(B_01, point)
+        else:
+            got = optimize_all_factors(point, c_fixed=C_01, min_sq=0.1, restarts=16)
+            problem, fidelity = all_factors_problem(C_01, 0.1), all_factors_fidelity(C_01, point)
+        assert_same_result(got, nelder_mead_sequential(fidelity, *problem, restarts=16))
+
     def test_exhausted_budget_on_grid_points(self):
         # Every restart stops on max_evals, not on convergence.
         areas = grid_points(seed=13, n=8)

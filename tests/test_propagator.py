@@ -26,10 +26,11 @@ from sopgate import (
     Pulse,
     StructuralVector,
     basis_labels,
+    cphase_signature,
     make_structural_vector,
     sop_family,
 )
-from sopgate.fidelity import alternating_amplitudes, family_diagonal_grid, pulse_areas
+from sopgate.fidelity import alternating_amplitudes, family_diagonal_grid, fidelity_from_rows, pulse_areas
 from sopgate.propagator import (
     block_decompose,
     diagonal_amplitudes,
@@ -382,6 +383,30 @@ class TestBlockAmplitudes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             register_amplitudes([(0.6, 0.8), (0.8, 0.6)], [0.1])
+
+
+class TestSmallBatches:
+    """Batches of 1 to 40 rows, the optimizer's sizes, equal their rows called one at a time."""
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
+    def test_rows_equal_one_row_calls_bitwise(self, n_qubits, m_pulses):
+        rng = np.random.default_rng(10 * n_qubits + m_pulses)
+        target = cphase_signature(n_qubits)
+
+        def fidelities(amplitudes):
+            return fidelity_from_rows(amplitudes, target)
+
+        for n_rows in range(1, 41):
+            odd, even = rng.normal(size=(2, n_rows, n_qubits))
+            areas = rng.uniform(-8 * PI, 8 * PI, size=(2, n_rows))
+            batch = alternating_amplitudes(odd, even, *areas, m_pulses)
+            reduced = alternating_amplitudes(odd, even, *areas, m_pulses, fidelities)
+            assert batch.shape == (n_rows, 2**n_qubits) and reduced.shape == (n_rows,)
+            for row in range(n_rows):
+                alone = (odd[row], even[row], areas[0, row], areas[1, row], m_pulses)
+                assert batch[row].tobytes() == alternating_amplitudes(*alone).tobytes()
+                assert reduced[row].tobytes() == alternating_amplitudes(*alone, fidelities).tobytes()
 
 
 def _batch_shapes():
