@@ -16,7 +16,7 @@ map grid or a robustness scan, comes from one
 :func:`~sopgate.propagator.register_amplitudes` call.
 Amplitudes have one layout everywhere, the basis axis last. Fidelities of
 rows of protocols (single protocols, b scans, optimizer candidates) come
-from :func:`fidelity_from_rows`, those of map grids from
+from :func:`fidelity_from_rows`, those of map grids from the BLAS-free
 :func:`fidelity_from_amplitudes`; each formula's order of summation defines
 the published bits of its outputs.
 
@@ -257,9 +257,11 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     """Combine diagonal return amplitudes into a fidelity in [0, 1].
 
     ``diag`` has the basis-state axis last and may carry leading grid axes.
-    The overlap is one ``np.tensordot`` over that axis: on a chunk of
-    :func:`~sopgate.propagator.register_amplitudes`, a view of the kernel's
-    basis-first scratch array, it reads that array as it lies.
+    Elementwise numpy adds fix the order: the signed amplitudes in basis
+    order within each block of four basis states, then the blocks in order;
+    squares by ``np.square``; ``average`` adds the |a_k|^2 in basis order.
+    So a cell's bits depend on its amplitudes alone, not on the memory
+    layout, the BLAS thread count, the kernel's chunks or the batch rank.
     """
     phases = np.asarray(target.phases, dtype=float)
     d = phases.size
@@ -267,12 +269,23 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     if diag.shape[-1] != d:
         raise SignatureMismatchError(f"{diag.shape[-1]} amplitudes for a {d}-entry signature")
     check_definition(definition)
-    overlap = np.tensordot(phases, diag, axes=(0, -1))
+    states = np.moveaxis(diag, -1, 0)  # states[k]: every cell's amplitude of basis state k
+    blocks = []
+    for lo in range(0, d, 4):
+        block = phases[lo] * states[lo]  # a new array: the steps below leave ``diag`` alone
+        for phase, amplitudes in zip(phases[lo + 1 : lo + 4], states[lo + 1 : lo + 4]):
+            if phase > 0:
+                block += amplitudes
+            else:
+                block -= amplitudes  # the bits of adding -amplitudes, without the copy
+        blocks.append(block)
+    overlap = functools.reduce(np.add, blocks)
     if definition == "trace-sq":
-        return np.abs(overlap / d) ** 2
+        return np.square(np.abs(overlap / d))
     if definition == "trace":
         return np.abs(overlap) / d
-    return (np.abs(overlap) ** 2 + np.sum(np.abs(diag) ** 2, axis=-1)) / (d * d + d)
+    squares = functools.reduce(np.add, (np.square(np.abs(amplitudes)) for amplitudes in states))
+    return (np.square(np.abs(overlap)) + squares) / (d * d + d)
 
 
 def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):

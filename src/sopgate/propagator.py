@@ -163,23 +163,21 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     then hold each distinct pulse once; by default the pulses are
     ``vectors[0], vectors[1], ...``.
 
-    One loop walks the first batch axis in about equal chunks, each of at
-    most ``_CHUNK_BYTES`` of amplitudes, carried ground rows and built
-    propagators, but at least 4 rows. Every chunk but the last holds a
-    multiple of 4 rows: OpenBLAS ``zgemv`` sums the last N mod 4 cells of a
-    call in another order, so a reduction by BLAS gives the one-chunk bits
-    only on such chunks (with one BLAS thread and SkylakeX kernels; threaded
-    ``zgemv`` or Haswell ``zgemm`` may move a cell by an ulp). A register
-    without batch axes is one chunk of one row. Within a chunk, the block
-    states of one dimension are carried together as far as the budget holds
-    their rows: one at a time in a full chunk, all at once in a small batch.
+    One loop walks the first batch axis in about equal chunks, their row
+    counts at most one apart, each of at most ``_CHUNK_BYTES`` of
+    amplitudes, carried ground rows and built propagators, unless a single
+    row takes more; no rows make one empty chunk. A register without batch
+    axes is one chunk of one row. Within a chunk, the block states of one
+    dimension are carried together as far as the budget holds their rows:
+    one at a time in a full chunk, all at once in a small batch.
 
     ``reduce`` maps a chunk's amplitudes, shape (rows, *batch[1:], 2^n)
     with the basis axis last in :func:`basis_labels` order, to an array of
     its rows along the first axis, and the result joins those rows of every
     chunk; no more amplitudes than one chunk's are kept at once. The chunk
-    is a view of the kernel's basis-first scratch array, so ``np.tensordot``
-    over its last axis reads that array as it lies. Without ``reduce`` the
+    is a view of the kernel's basis-first scratch array. A ``reduce`` that
+    computes each row from that row's amplitudes alone, as every caller's
+    does, gives the same bits for any chunks. Without ``reduce`` the
     result is the amplitudes themselves, contiguous, shape batch + (2^n,).
 
     Each distinct pulse's propagators are built on its own angle shape, per
@@ -208,8 +206,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
     Per chunk, a call costs one :func:`star_propagator` call per angle shape
     (per block dimension past ``_ONE_BUILD``) and one batched ``@`` per later
-    pulse, block dimension and step of states; a batch that fits one chunk
-    skips the chunk planning.
+    pulse, block dimension and step of states.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -250,7 +247,10 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     axes = (0, vectors.ndim - 1, *range(1, vectors.ndim - 1), vectors.ndim)
     corners = [[None] * len(groups) for _ in thetas]  # per pulse and block dimension: propagators
     out = None
-    for rows in _chunks(batch[0], 16 * entries):
+    # About equal chunks of the first batch axis, each within the budget unless one row exceeds it.
+    n_chunks = max(1, -(-batch[0] // max(1, _CHUNK_BYTES // (16 * entries))))
+    edges = [batch[0] * i // n_chunks for i in range(n_chunks + 1)]
+    for rows in map(slice, edges, edges[1:]):
         for shape, pulses in builds.items():
             if rows.start and vectors.shape[1] == shape[1] == 1:
                 continue  # broadcast along the first batch axis: built with the first chunk
@@ -286,20 +286,6 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
         out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
         out[rows] = reduced
     return out[0] if scalar else out
-
-
-def _chunks(n_rows: int, row_bytes: int) -> list[slice]:
-    """About equal chunks of ``n_rows`` rows of ``row_bytes`` each, as slices.
-
-    A chunk holds at most ``_CHUNK_BYTES``, but at least 4 rows, and every
-    chunk but the last a multiple of 4 rows; no rows make one empty chunk.
-    """
-    quads = -(-n_rows // 4)
-    if 4 * quads * row_bytes <= _CHUNK_BYTES:
-        return [slice(0, n_rows)]
-    n_chunks = -(-quads // max(1, _CHUNK_BYTES // (4 * row_bytes)))
-    edges = [min(n_rows, 4 * (quads * i // n_chunks)) for i in range(n_chunks + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ Each reproduces one expression (c_k = cos th_k, s_k = sin th_k):
 one scipy Nelder-Mead run per restart on a scalar objective, the oracle the
 lockstep replay must equal bit for bit.
 
+``cell_fidelity`` is one map cell's fidelity in plain Python arithmetic, in
+the summation order that ``fidelity_from_amplitudes`` defines.
+
 ``per_row_csv_text`` is the scan CSV rendering that the vectorized speller
 replaced: one ``f"{x:.9g}"`` per value, joined per row.
 
@@ -23,7 +26,9 @@ The SOP at b = 0 with areas (pi, 2 pi, pi) is the pi-2pi-pi protocol of
 Jaksch et al., PRL 85, 2208 (2000).
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -278,6 +283,27 @@ def nelder_mead_sequential(
         best_fidelity=objective(best_x),
         evaluations=evaluations,
     )
+
+
+def cell_fidelity(amplitudes, phases, definition: str) -> float:
+    """F of one cell's amplitudes, one value at a time.
+
+    The signed amplitudes are added in basis order within each block of four
+    basis states, then the blocks in order. Moduli are numpy's complex
+    ``abs``, whose last bit can differ from libm ``hypot``; squares are x * x.
+    """
+    d = len(phases)
+    signed = [float(p) * complex(a) for p, a in zip(phases, amplitudes)]
+    blocks = [functools.reduce(operator.add, signed[lo : lo + 4]) for lo in range(0, d, 4)]
+    overlap = np.complex128(functools.reduce(operator.add, blocks))
+    if definition == "trace-sq":
+        modulus = float(np.abs(overlap / d))
+        return modulus * modulus
+    modulus = float(np.abs(overlap))
+    if definition == "trace":
+        return modulus / d
+    moduli = [float(np.abs(np.complex128(a))) for a in amplitudes]
+    return (modulus * modulus + functools.reduce(operator.add, [m * m for m in moduli])) / (d * d + d)
 
 
 def per_row_csv_text(header: str, rows) -> bytes:

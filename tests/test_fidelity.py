@@ -1,5 +1,9 @@
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 import sopgate.fidelity
 import sopgate.propagator
-from oracles import negated, per_row_csv_text
+from oracles import cell_fidelity, negated, per_row_csv_text
 from sopgate import (
     EmptyGridError,
     FidelityMap,
@@ -36,6 +40,7 @@ from sopgate import (
 )
 from sopgate.fidelity import (
     _CSV_BLOCK_LINES,
+    DEFAULT_GRID,
     FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
     alternating_amplitudes,
@@ -157,20 +162,18 @@ class TestFidelityFromRows:
         strided = np.asfortranarray(rows)
         got = fidelity_from_rows(strided, cphase_signature(3), definition)
         assert got.tobytes() == fidelity_from_rows(rows, cphase_signature(3), definition).tobytes()
-        # A kernel chunk is a basis-last view of a basis-first scratch array, which
-        # the map formula reads as it lies: the same bytes as summing the scratch
-        # array over its first axis.
+        # A kernel chunk is a basis-last view of a basis-first scratch array; the
+        # map formula gives it, a contiguous copy and a Fortran copy the bytes of
+        # its explicit order, cell by cell.
         for n_qubits, shape in ((2, (37, 13)), (3, (37, 13)), (3, (500,))):
             target, d = cphase_signature(n_qubits), 2**n_qubits
             scratch = rng.normal(size=(d,) + shape) + 1j * rng.normal(size=(d,) + shape)
-            overlap = np.tensordot(target.phases, scratch, axes=(0, 0))
-            expected = {
-                "trace-sq": np.abs(overlap / d) ** 2,
-                "trace": np.abs(overlap) / d,
-                "average": (np.abs(overlap) ** 2 + np.sum(np.abs(scratch) ** 2, axis=0)) / (d * d + d),
-            }[definition]
-            got = fidelity_from_amplitudes(np.moveaxis(scratch, 0, -1), target, definition)
-            assert got.tobytes() == expected.tobytes()
+            view = np.moveaxis(scratch, 0, -1)
+            got = fidelity_from_amplitudes(view, target, definition)
+            for copy in (np.ascontiguousarray(view), np.asfortranarray(view)):
+                assert fidelity_from_amplitudes(copy, target, definition).tobytes() == got.tobytes()
+            cells = [cell_fidelity(row, target.phases, definition) for row in view.reshape(-1, d).tolist()]
+            assert got.tobytes() == np.array(cells).reshape(shape).tobytes()
 
     def test_float_power_squares_as_math_pow(self):
         rng = np.random.default_rng(9)
@@ -182,6 +185,76 @@ class TestFidelityFromRows:
         )
         expected = np.array([math.pow(v, 2.0) for v in values.tolist()])
         assert np.float_power(values, 2.0).tobytes() == expected.tobytes()
+
+
+class TestMapFormula:
+    """``fidelity_from_amplitudes`` sums in its own order: the bits of a cell
+    depend on its amplitudes alone, on every core."""
+
+    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_chunk_copy_gives_the_view_bits(self, monkeypatch, definition, b2, c2):
+        family = sop_family(b2=b2, c2=c2, m_pulses=4)
+        target = cphase_signature(family.n_qubits)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 23)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 5 * map_row_bytes(family.n_qubits, 13))
+        chunks = []
+
+        def reduce(chunk):
+            view = fidelity_from_amplitudes(chunk, target, definition)
+            copy = fidelity_from_amplitudes(np.ascontiguousarray(chunk), target, definition)
+            chunks.append(copy.tobytes() == view.tobytes())
+            return view
+
+        family_diagonal_grid(family, odd, even, reduce)
+        assert len(chunks) == 5 and all(chunks)
+
+    def test_reduces_a_map_chunk_without_blas(self, monkeypatch):
+        family = sop_family(b2=0.1, c2=0.1, m_pulses=4)
+        target = cphase_signature(3)
+        odd = np.linspace(-5.3 * PI, 6.1 * PI, 9)
+        even = np.linspace(-2.9 * PI, 7.7 * PI, 7)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("fidelity_from_amplitudes called a BLAS product")
+
+        def reduce(chunk):
+            with monkeypatch.context() as patch:
+                for name in ("tensordot", "dot", "matmul", "vecdot", "einsum"):
+                    patch.setattr(np, name, refused)
+                return fidelity_from_amplitudes(chunk, target)
+
+        values = family_diagonal_grid(family, odd, even, reduce)
+        expected = fidelity_from_amplitudes(family_diagonal_grid(family, odd, even), target)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_map_bits_do_not_depend_on_blas_threads(self):
+        # The thread count is read when OpenBLAS loads, so each count gets its own process.
+        code = (
+            "import hashlib, sopgate; "
+            "print(hashlib.sha256(sopgate.fidelity_map(sopgate.sop_family(b2=0.05, c2=0.2)).values.tobytes()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sopgate.fidelity.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        fmap = fidelity_map(sop_family(b2=0.05, c2=0.2))
+        assert digests == [hashlib.sha256(fmap.values.tobytes()).hexdigest() + "\n"] * 2
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_row_gives_the_bits_of_a_one_point_batch(self, n_qubits):
+        # A 1-D row's overlap is a numpy scalar, which ``** 2`` would square by libm pow.
+        rng = np.random.default_rng(30 + n_qubits)
+        d = 2**n_qubits
+        rows = rng.normal(size=(5000, d)) + 1j * rng.normal(size=(5000, d))
+        target = cphase_signature(n_qubits)
+        for definition in FIDELITY_DEFINITIONS:
+            alone = [fidelity_from_amplitudes(row, target, definition) for row in rows]
+            batched = [fidelity_from_amplitudes(row[None], target, definition)[0] for row in rows]
+            assert np.array(alone).tobytes() == np.array(batched).tobytes()
 
 
 class TestFidelityMap:
@@ -324,19 +397,22 @@ class TestMapKernelRowsAndChunks:
             return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
-        for rows in (4, 8, 12):
+        for rows in (1, 2, 3, 4, 5, 7, 8, 12):
             budget = rows * map_row_bytes(family.n_qubits, len(even))
             monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
             rows_seen.clear()
             np.testing.assert_array_equal(family_diagonal_grid(family, odd, even), default)
-            assert max(rows_seen) == rows
+            # About equal chunks of 20 odd rows, none over the budget.
+            assert max(rows_seen) == -(-20 // -(-20 // rows))
+            assert max(rows_seen) - min(rows_seen) <= 1
 
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
-    def test_last_chunk_of_one_odd_row_keeps_every_bit(self, monkeypatch, m_pulses, b2, c2):
-        # 13 odd rows go in chunks of 4, 4, 4 and 1: one ground row per
-        # point, then two for the lone odd row, whose first product shares
-        # no propagator.
+    @pytest.mark.parametrize("budget_rows, expected", [(1, [(1, 2)]), (2, [(1, 2), (2, 1)])])
+    def test_chunks_of_one_odd_row_keep_every_bit(self, monkeypatch, m_pulses, b2, c2, budget_rows, expected):
+        # 13 odd rows go in chunks of one row each, or of 1, 2, 2, 2, 2, 2
+        # and 2 rows: one ground row per point of a chunk of two odd rows,
+        # two for a lone odd row, whose first product shares no propagator.
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 13)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
@@ -351,9 +427,10 @@ class TestMapKernelRowsAndChunks:
             return product
 
         monkeypatch.setattr(sopgate.propagator, "_row_product", recorded)
-        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
+        budget = budget_rows * map_row_bytes(family.n_qubits, len(even))
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
         diag = family_diagonal_grid(family, odd, even)
-        assert sorted(set(chunks)) == [(1, 2), (4, 1)]
+        assert sorted(set(chunks)) == expected
         for i, j in np.ndindex(len(odd), len(even)):
             np.testing.assert_array_equal(diag[i, j], family_amplitudes(family, odd[i], even[j]))
 
@@ -424,25 +501,46 @@ class TestMapBlocks:
         assert blocks == [grid_odd.n_points]
         row_bytes = map_row_bytes(family.n_qubits, grid_even.n_points)
         counts = set()
-        # A budget under 4 odd rows still gets chunks of 4.
-        for rows, block_rows in ((1, 4), (2, 4), (3, 4), (4, 4), (7, 4), (8, 8), (12, 12)):
-            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", rows * row_bytes)
+        # A budget under one odd row gets chunks of one row.
+        for budget in (1, *(rows * row_bytes for rows in (1, 2, 3, 4, 5, 7, 8, 12))):
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
             blocks.clear()
             values = fidelity_map(family, grid_odd, grid_even, definition).values
             np.testing.assert_array_equal(values, whole)
-            assert all(n % 4 == 0 for n in blocks[:-1])
-            assert 0 < min(blocks) and max(blocks) <= block_rows
+            assert 0 < min(blocks) and max(blocks) - min(blocks) <= 1
+            assert max(blocks) * row_bytes <= budget or max(blocks) == 1
             assert sum(blocks) == grid_odd.n_points
             counts.add(len(blocks))
         assert any(count % 2 for count in counts) and any(count % 2 == 0 for count in counts)
 
-    @pytest.mark.parametrize("b2, c2, n_blocks", [(0.1, 0.0, 4), (0.1, 0.1, 6)])
-    def test_default_grid_blocks(self, blocks, b2, c2, n_blocks):
-        fidelity_map(sop_family(b2=b2, c2=c2))
+    @pytest.mark.parametrize(
+        "b2, c2, grid, n_blocks",
+        [(0.1, 0.0, None, 4), (0.1, 0.1, None, 5), (0.1, 0.0, GridSpec(-16, 16, 0.05), 13),
+         (0.1, 0.1, GridSpec(-16, 16, 0.05), 20)],
+        ids=["default-2q", "default-3q", "wide-2q", "wide-3q"],
+    )
+    def test_default_and_wide_grid_blocks(self, blocks, b2, c2, grid, n_blocks):
+        family = sop_family(b2=b2, c2=c2)
+        fidelity_map(family, grid)
         assert len(blocks) == n_blocks
-        assert all(rows % 4 == 0 for rows in blocks[:-1])
-        # About equal chunks: none a quad of rows longer than another.
-        assert max(blocks) - min(blocks) <= 4
+        # About equal chunks, each within the budget.
+        assert max(blocks) - min(blocks) <= 1
+        row_bytes = map_row_bytes(family.n_qubits, (grid or GridSpec(*DEFAULT_GRID)).n_points)
+        assert max(blocks) * row_bytes <= sopgate.propagator._CHUNK_BYTES
+
+    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
+    @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
+    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    def test_cells_equal_their_points(self, definition, m_pulses, b2, c2):
+        # Each cell's F is that of its point's own amplitudes, a one-point batch.
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        grid_odd, grid_even = GridSpec(-5.3, 5.7, 0.5), GridSpec(-2.9, 3.1, 0.5)  # 23 x 13
+        fmap = fidelity_map(family, grid_odd, grid_even, definition)
+        target = cphase_signature(family.n_qubits)
+        for i, j in np.ndindex(fmap.values.shape):
+            point = family_amplitudes(family, fmap.axis_odd[i], fmap.axis_even[j])
+            cell = fidelity_from_amplitudes(point[None], target, definition)
+            assert cell.tobytes() == fmap.values[i, j : j + 1].tobytes()
 
     def test_wide_three_qubit_map_memory(self):
         grid = GridSpec(-16, 16, 0.05)
@@ -594,7 +692,10 @@ class TestRobustnessScan:
             assert curve.tobytes() == np.ones(5).tobytes()
 
     def test_chunked_scan_equals_whole_scan(self, monkeypatch):
-        # The kernel's chunks of 4 errors keep every byte of the one-chunk scan.
+        # The kernel's chunks keep every byte of the one-chunk scan. Per error the
+        # kernel counts 4 amplitudes, two carried rows of the 3-level block in a
+        # product and its operand, and 4 pulses' propagators: two 2×2, one 3×3.
+        row_bytes = 16 * (4 + 4 * 3 + 4 * (2 * 4 + 9))
         protocol = sop_family(b2=0.2, m_pulses=4).protocol(2.3 * PI, 1.7 * PI)
         deltas = np.linspace(-0.4 * PI, 0.4 * PI, 201)
         whole = robustness_scan(protocol, deltas)
@@ -609,11 +710,14 @@ class TestRobustnessScan:
             return kernel(vectors, thetas, order, recorded)
 
         monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", counted)
-        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
-        chunked = robustness_scan(protocol, deltas)
-        assert calls == [4] * 50 + [1]
-        for name in ("delta_area", "u11v", "u11a", "u11b"):
-            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+        for budget, rows in [(1, 1), *((rows * row_bytes, rows) for rows in (1, 2, 3, 5, 7))]:
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
+            calls.clear()
+            chunked = robustness_scan(protocol, deltas)
+            assert sum(calls) == 201 and len(calls) == -(-201 // rows)
+            assert max(calls) <= rows and max(calls) - min(calls) <= 1
+            for name in ("delta_area", "u11v", "u11a", "u11b"):
+                assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
 
     def test_long_scan_memory(self):
         # 200 001 errors: their three curves take 4.8 MB, their amplitudes 12.8 MB.

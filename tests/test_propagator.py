@@ -410,18 +410,29 @@ class TestSmallBatches:
 
 
 def _batch_shapes():
-    """Inputs (vectors, thetas, order) of the kernel's batch shapes, 30 or 20 rows long."""
+    """Inputs (vectors, thetas, order) of the kernel's batch shapes, 30 or 20 rows long, and their row bytes.
+
+    The kernel counts per row of the first batch axis 2^n amplitudes and two
+    carried rows of the largest block, in a product and its operand, per
+    point, and the propagators of each pulse that varies along the axis: one
+    d×d matrix per block of dimension d, 17 entries for 2 qubits, 55 for 3.
+    """
     rng = np.random.default_rng(24)
     angles = rng.uniform(-8 * PI, 8 * PI, size=(4, 30))
     return {
         # Optimizer candidates: vector rows with per-row angles.
-        "candidates": (rng.normal(size=(2, 30, 3)), [angles[0], angles[1]], [0, 1, 0]),
+        "candidates": (rng.normal(size=(2, 30, 3)), [angles[0], angles[1]], [0, 1, 0], 16 * (8 + 16 + 2 * 55)),
         # A b scan: vector rows, scalar angles.
-        "b-scan": (rng.normal(size=(2, 30, 2)), [1.1 * PI, 0.6 * PI], [0, 1, 0]),
+        "b-scan": (rng.normal(size=(2, 30, 2)), [1.1 * PI, 0.6 * PI], [0, 1, 0], 16 * (4 + 12 + 2 * 17)),
         # A robustness scan: shared vectors, angle rows.
-        "robustness": (rng.normal(size=(4, 2)), list(angles), None),
-        # A map: 20 odd rows, the even axis broadcast along them.
-        "map": (rng.normal(size=(2, 3)), [angles[0, :20, None], angles[1, None, :9]], [0, 1, 0, 1, 0]),
+        "robustness": (rng.normal(size=(4, 2)), list(angles), None, 16 * (4 + 12 + 4 * 17)),
+        # A map: 20 odd rows, the even axis of 9 broadcast along them.
+        "map": (
+            rng.normal(size=(2, 3)),
+            [angles[0, :20, None], angles[1, None, :9]],
+            [0, 1, 0, 1, 0],
+            16 * (9 * (8 + 16) + 55),
+        ),
     }
 
 
@@ -430,26 +441,30 @@ class TestBuildChunks:
     def test_chunked_batch_equals_whole_batch_bytewise(self, kind, monkeypatch):
         import sopgate.propagator
 
-        vectors, thetas, order = _batch_shapes()[kind]
+        vectors, thetas, order, row_bytes = _batch_shapes()[kind]
         whole = register_amplitudes(vectors, thetas, order)
-        # A budget under 4 rows still gets chunks of 4 rows.
-        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 1)
-        chunked = register_amplitudes(vectors, thetas, order)
-        assert chunked.shape == whole.shape
-        assert chunked.tobytes() == whole.tobytes()
-        # Both are contiguous, basis axis last.
-        assert chunked.flags.c_contiguous and whole.flags.c_contiguous
-        # Each chunk's amplitudes, basis axis last, reduce to its rows of the result.
+        n_rows = len(whole)
         chunks = []
 
         def ground_state(amplitudes):
             chunks.append(amplitudes.shape[0])
             return amplitudes[..., 0]
 
-        reduced = register_amplitudes(vectors, thetas, order, ground_state)
-        n_rows = len(whole)
-        assert chunks == [4] * (n_rows // 4) + [n_rows % 4] * (n_rows % 4 > 0)
-        assert reduced.tobytes() == whole[..., 0].tobytes()
+        # A budget under one row gets chunks of one row.
+        for budget, rows in [(1, 1), *((rows * row_bytes, rows) for rows in (1, 2, 3, 4, 5, 7))]:
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
+            chunked = register_amplitudes(vectors, thetas, order)
+            assert chunked.shape == whole.shape
+            assert chunked.tobytes() == whole.tobytes()
+            # Both are contiguous, basis axis last.
+            assert chunked.flags.c_contiguous and whole.flags.c_contiguous
+            # Each chunk's amplitudes, basis axis last, reduce to its rows of the result.
+            chunks.clear()
+            reduced = register_amplitudes(vectors, thetas, order, ground_state)
+            assert reduced.tobytes() == whole[..., 0].tobytes()
+            # About equal chunks, as few as the budget allows.
+            assert sum(chunks) == n_rows and len(chunks) == -(-n_rows // rows)
+            assert max(chunks) <= rows and max(chunks) - min(chunks) <= 1
 
     def test_star_propagator_never_sees_more_rows_than_the_bound(self, monkeypatch):
         import sopgate.propagator
@@ -481,7 +496,7 @@ class TestBuildChunks:
         # A 3-qubit candidate row holds 8 amplitudes, 16 carried entries and
         # two varying pulses' propagators: 3 blocks of 2×2, 3 of 3×3 and one 4×4.
         row_bytes = 16 * (8 + 16 + 2 * (3 * 4 + 3 * 9 + 16))
-        rows_per_chunk = 4 * (sopgate.propagator._CHUNK_BYTES // (4 * row_bytes))
+        rows_per_chunk = sopgate.propagator._CHUNK_BYTES // row_bytes
         built, per_chunk = [], []
         original = sopgate.propagator.star_propagator
 
