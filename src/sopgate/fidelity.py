@@ -253,6 +253,14 @@ class LatticeReport:
     nn_spacing: float
 
 
+@functools.cache
+def _phases(target: GateSignature) -> np.ndarray:
+    """The target's phases as a read-only float array."""
+    phases = np.asarray(target.phases, dtype=float)
+    phases.flags.writeable = False
+    return phases
+
+
 def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "trace-sq"):
     """Combine diagonal return amplitudes into a fidelity in [0, 1].
 
@@ -263,7 +271,7 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     So a cell's bits depend on its amplitudes alone, not on the memory
     layout, the BLAS thread count, the kernel's chunks or the batch rank.
     """
-    phases = np.asarray(target.phases, dtype=float)
+    phases = _phases(target)
     d = phases.size
     diag = np.asarray(diag)
     if diag.shape[-1] != d:
@@ -279,9 +287,11 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
             else:
                 block -= amplitudes  # the bits of adding -amplitudes, without the copy
         blocks.append(block)
-    overlap = functools.reduce(np.add, blocks)
+    overlap = functools.reduce(np.add, blocks)  # a new array, or a scalar for one cell
     if definition == "trace-sq":
-        return np.square(np.abs(overlap / d))
+        # np.square(np.abs(overlap / d)) without two of its full-size temporaries.
+        modulus = np.abs(np.divide(overlap, d, out=overlap if overlap.ndim else None))
+        return np.square(modulus, out=modulus if modulus.ndim else None)
     if definition == "trace":
         return np.abs(overlap) / d
     squares = functools.reduce(np.add, (np.square(np.abs(amplitudes)) for amplitudes in states))
@@ -298,7 +308,7 @@ def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"
     (``np.float_power``), as the optimizer's ties and files always were;
     ``x * x`` differs in the last bit for about 0.1 % of values.
     """
-    phases = np.asarray(target.phases, dtype=float)
+    phases = _phases(target)
     d = phases.size
     rows = np.ascontiguousarray(rows)
     if rows.shape[-1] != d:

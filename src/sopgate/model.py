@@ -199,15 +199,16 @@ def spectator_orthogonal_rows(b, c_odd, c_even) -> tuple[np.ndarray, np.ndarray]
     exists, each row holds its components bit for bit.
     """
     b, c_odd, c_even = (np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
-    r_odd = np.sqrt(1.0 - c_odd * c_odd)
+    rows = np.empty((2,) + np.broadcast(b, c_odd, c_even).shape + (3,))
+    odd_squared = c_odd * c_odd
+    r_odd = np.sqrt(1.0 - odd_squared)
     r_even = np.sqrt(1.0 - c_even * c_even)
-    a = np.sqrt(1.0 - b * b - c_odd * c_odd)
+    a = np.sqrt(1.0 - b * b - odd_squared, out=rows[0, ..., 0])
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)
     alpha = np.sqrt(np.maximum(0.0, 1.0 - beta * beta))
-    rows = np.empty((2,) + np.broadcast(b, c_odd, c_even).shape + (3,))
-    rows[0, ..., 0], rows[0, ..., 1], rows[0, ..., 2] = a, b, c_odd
-    rows[1, ..., 0] = r_even * (alpha * (-b_hat) + beta * a_hat)
-    rows[1, ..., 1] = r_even * (alpha * a_hat + beta * b_hat)
-    rows[1, ..., 2] = c_even
+    rows[0, ..., 1], rows[0, ..., 2], rows[1, ..., 2] = b, c_odd, c_even
+    # beta a_hat - alpha b_hat has the bits of alpha (-b_hat) + beta a_hat.
+    np.multiply(r_even, beta * a_hat - alpha * b_hat, out=rows[1, ..., 0])
+    np.multiply(r_even, alpha * a_hat + beta * b_hat, out=rows[1, ..., 1])
     return rows[0], rows[1]

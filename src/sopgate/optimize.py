@@ -14,13 +14,20 @@ and all simplices advance together, one stage per step. A step gathers the
 candidates of all simplices into one batch objective call. Each simplex makes
 exactly the moves, evaluations and ties of its own sequential run, so the
 results equal those of one scipy run per restart and problem bit for bit.
-A simplex's whole state is one array, one row per point (its coordinates,
-then its negated value): the dim + 1 vertices, the stage's candidate, the
-reflected point and the best point so far. So a sort, a replacement of the
-worst vertex, a shrink and a retirement are each one gather or one
-assignment, and the next stage is read from a table by stage and comparisons.
-A step costs one objective call and about 70 numpy operations, views included,
-on the running simplices; some 15 more when a simplex starts or shrinks.
+A simplex's state is one array, one row per point (its coordinates, then
+its negated value): the dim + 1 vertices, the stage's candidate and the
+reflected point. So a sort, a replacement of the worst vertex, a shrink and
+a retirement are each one gather or one assignment, and the next stage and
+the points that replace the worst vertex and the reflected point are read
+from one table by stage and comparisons. The best point so far is kept
+apart, as evaluated. Every evaluation of a step, of an initial vertex, a
+candidate or a shrunk vertex alike, is one (simplex, slot) pair, and one
+rule, applied batch by batch in each simplex's order of evaluation, keeps
+the first that is below the best: a NaN never replaces a number, and no
+update reads a value of an earlier step. The views of the state that a step
+reads and writes are made once per state array, not per step. A step costs
+one objective call and about 55 numpy operations, views included, on the
+running simplices; about 25 more when a simplex starts or shrinks.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
 Every optimizer evaluates candidates through
 :func:`~sopgate.fidelity.alternating_amplitudes`, the one layout of the
@@ -104,6 +111,9 @@ def _stage_table() -> tuple[np.ndarray, np.ndarray]:
 
 _AFTER, _WORST = _stage_table()
 
+#: The clip ufunc itself: ``np.clip`` and ``ndarray.clip`` reach it through a Python-level wrapper.
+_clip = np._core.umath.clip
+
 
 def __getattr__(name: str):
     # scipy's Nelder-Mead ran each restart before the lockstep replaced it;
@@ -161,8 +171,10 @@ def nelder_mead_constrained(
     samples of the box; each restart runs until its simplex collapses below
     :data:`XATOL` and :data:`FATOL` or until ``max_evals`` evaluations. The
     best value of a problem is the first evaluation, in restart order, that
-    attains its maximum. The reported fidelity is the objective re-evaluated
-    at the best parameters, so it is reproducible bit-for-bit from the result.
+    attains its maximum; a NaN value never does, and a problem whose values
+    are all NaN reports its first evaluated point. The reported fidelity is
+    the objective re-evaluated at the best parameters, so it is reproducible
+    bit-for-bit from the result.
     A box that is empty or not finite raises :class:`InfeasibleStartError`.
     """
     lower = np.asarray(lower, dtype=float)
@@ -180,100 +192,134 @@ def nelder_mead_constrained(
     project = project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
-        return project(x.clip(lower, upper))
+        return project(_clip(x, lower, upper))
 
     dim = lower.size
     starts = feasible(_latin_hypercube(np.random.default_rng(seed), restarts, lower, upper))
-    # Simplex i is restart i % restarts of problem i // restarts. Its whole
-    # state is one array of points, each its dim coordinates followed by its
-    # negated value (scipy minimizes), +inf until evaluated: the dim + 1
-    # vertices, then the stage's candidate, the reflected point and the best
-    # evaluated point so far. The working arrays hold the simplices still
-    # running, ``ids`` their numbers; the best points of finished ones go to
-    # ``final``.
-    cand, xr, top = range(dim + 1, dim + 4)
-    state = np.full((n, dim + 4, dim + 1), np.inf)
+    # Simplex i is restart i % restarts of problem i // restarts. Its state is
+    # one array of points, each its dim coordinates followed by its negated
+    # value (scipy minimizes), +inf until evaluated: the dim + 1 vertices, the
+    # stage's candidate and the reflected point. The best evaluated point so
+    # far, as evaluated (clipped and projected), is kept apart, coordinates
+    # in ``best_x`` and negated value in ``best_f``; it starts as the first
+    # point the simplex evaluates, its start, at +inf, so that a restart
+    # whose values are all NaN reports a point it evaluated. The working
+    # arrays hold the simplices still running, ``ids`` their numbers; the
+    # best points of finished ones go to ``final_x`` and ``final_f``.
+    cand, xr = dim + 1, dim + 2
+    state = np.full((n, dim + 3, dim + 1), np.inf)
     state[:, : dim + 1, :dim] = np.tile(starts, (n_problems, 1))[:, None, :]
     for k in range(dim):
         y = state[:, k + 1, k]
         state[:, k + 1, k] = np.where(y != 0, (1 + NONZDELT) * y, ZDELT)
-    state[:, top, :dim] = 0.0
-    final = state[:, top].copy()
-    final_calls = np.zeros(n, dtype=int)
-    ids = every = np.arange(n)
+    best_x, best_f = np.tile(feasible(starts), (n_problems, 1)), np.full(n, np.inf)
+    final_x, final_f, final_calls = best_x.copy(), best_f.copy(), np.zeros(n, dtype=int)
+    ids, problem = np.arange(n), np.arange(n) // restarts
     stage = np.full(n, _INIT)
     left = np.full(n, max_evals)  # evaluations left
-    # Per stage, the rank of each point among those it evaluates, or
-    # max_evals for a point it skips; a simplex evaluates the ranks below ``left``.
-    slots = np.arange(dim + 1)
-    rank = np.full((_DONE + 1, dim + 2), max_evals)
-    rank[_INIT, :-1], rank[_REFLECT:_SHRINK, cand], rank[_SHRINK, 1:-1] = slots, 0, slots[:-1]
-    # What replaces the worst vertex (_WORST): itself, the candidate or the reflected point.
-    worst_slot = np.array([dim, cand, xr])[_WORST]
-    compared, bits = np.array([0, dim - 1, dim, xr]), np.array([1, 2, 4, 8])
+    # Per stage, the slots a simplex evaluates in order, as far as ``left`` allows:
+    # every vertex, a one-point stage's candidate, the vertices a shrink moves.
+    evaluates = [range(dim + 1), [cand], [cand], [cand], [cand], range(1, dim + 1), []]
+    count = np.array([len(slots) for slots in evaluates])
+    slot_of = np.zeros((dim + 1, _DONE + 1), dtype=int)
+    for s, slots in enumerate(evaluates):
+        slot_of[: len(slots), s] = slots
+    # Per stage and comparison code (_stage_table): the next stage, then the slots
+    # whose points become the worst vertex and the reflected point.
+    moves = np.stack([_AFTER, np.array([dim, cand, xr])[_WORST], np.full(_WORST.shape, xr)], axis=-1)
+    moves[_REFLECT, :, 2] = cand
+    # The comparison code (_stage_table) as weights of one row of comparisons: the
+    # candidate's value below each slot's value, then at most the reflected point's.
+    weights = np.zeros(xr + 2, dtype=np.uint8)
+    for slot, bit in zip([0, dim - 1, dim, xr, xr + 1], [1, 2, 4, 8, 16]):
+        weights[slot] += bit
+    vertices = np.arange(dim + 1)
     tolerance = np.array([XATOL] * dim + [FATOL])
 
-    initial = True
-    while True:
-        running = stage != _DONE
-        n_running = np.count_nonzero(running)
-        if n_running <= 0.75 * running.size:
-            # Retire the finished simplices once a quarter of them is done.
-            done = ~running
-            final[ids[done]], final_calls[ids[done]] = state[done, top], max_evals - left[done]
-            if not n_running:
-                break
-            ids, state, stage, left = ids[running], state[running], stage[running], left[running]
-            every, running = np.arange(n_running), running[running]
-        # The centroid stays put from a reflection to its expansion or contraction.
-        xbar = np.add.reduce(state[:, :dim, :dim], 1) / dim
-        c = _MOVES[stage]
-        state[:, cand, :dim] = c[:, :1] * xbar + c[:, 1:] * state[:, dim, :dim]
-        shrinking = stage == _SHRINK
-        several = np.count_nonzero(shrinking) or initial  # some simplex evaluates several points
-        if several:
-            best_vertex = state[:, :1, :dim]
-            shrunk = best_vertex + SIGMA * (state[:, 1 : dim + 1, :dim] - best_vertex)
-            np.copyto(state[:, 1 : dim + 1, :dim], shrunk, where=shrinking[:, None, None])
-            take = rank[stage] < left[:, None]
-            (rows, slot), evaluated = take.nonzero(), np.add.reduce(take, 1)
-        else:  # a running simplex evaluates its candidate
-            (rows,), slot, evaluated = running.nonzero(), cand, running
-        x = feasible(state[rows, slot, :dim])
-        state[rows, slot, dim] = f = -objective(x, ids[rows] // restarts)
-        left -= evaluated
+    def views(state: np.ndarray) -> tuple:
+        """The parts of ``state`` a step reads and writes, made once per state array.
 
-        # The first of a simplex's evaluations that beats its best so far.
-        if several:
-            scored = np.full(state.shape, np.inf)
-            scored[rows, slot, :dim], scored[rows, slot, dim] = x, f
-            first = scored[every, scored[..., dim].argmin(axis=1)]
-            better = first[:, dim] < state[:, top, dim]
-            state[better, top] = first[better]
-        else:
-            better = f < state[rows, top, dim]
-            state[rows[better], top, :dim], state[rows[better], top, dim] = x[better], f[better]
+        Then the comparison buffer, its < and <= columns and its code view, and
+        the column of simplex numbers that per-simplex gathers index with.
+        """
+        values = state[..., dim]
+        compared = np.empty((len(state), xr + 2), dtype=bool)
+        return (
+            state[:, :dim, :dim], state[:, dim, :dim], state[:, cand, :dim], values[:, cand, None],
+            values[:, : xr + 1], values[:, xr : xr + 1], state[:, dim : xr + 1 : 2], state[:, : dim + 1],
+            values[:, : dim + 1], state[:, :1], state[:, 1 : dim + 1],
+            compared[:, :-1], compared[:, -1:], compared.view(np.uint8), np.arange(len(state))[:, None],
+        )
+
+    initial, shrinking, fresh = True, 0, True  # fresh: ``state`` is a new array
+    while True:
+        # A simplex that evaluates nothing, converged or out of budget, is done.
+        evaluated = np.minimum(count[stage], left)
+        rows = evaluated.nonzero()[0]
+        if rows.size <= 0.75 * stage.size:
+            # Retire the finished simplices once a quarter of them is done.
+            done = evaluated == 0
+            final_x[ids[done]], final_f[ids[done]] = best_x[done], best_f[done]
+            final_calls[ids[done]] = max_evals - left[done]
+            if not rows.size:
+                break
+            ids, problem, state, stage, left, evaluated, best_x, best_f = (
+                a[rows] for a in (ids, problem, state, stage, left, evaluated, best_x, best_f)
+            )
+            rows, fresh = np.arange(rows.size), True
+        if fresh:
+            (leading, worst, candidate, fnew, compared_values, xr_value, replaced, simplex, simplex_values,
+             best_vertex, others, below, at_most, comparisons, column) = views(state)
+            fresh = False
+        # The centroid stays put from a reflection to its expansion or contraction.
+        xbar = np.add.reduce(leading, 1) / dim
+        c = _MOVES[stage]
+        np.add(c[:, :1] * xbar, c[:, 1:] * worst, out=candidate)
+        if shrinking:
+            shrunk = best_vertex[..., :dim] + SIGMA * (others[..., :dim] - best_vertex[..., :dim])
+            np.copyto(others[..., :dim], shrunk, where=(stage == _SHRINK)[:, None, None])
+        # Batch j holds the j-th point of every simplex that evaluates more than j.
+        if initial or shrinking:
+            batches = [rows] + [(evaluated > j).nonzero()[0] for j in range(1, dim + initial)]
+            points = np.concatenate(batches)
+            slots = np.concatenate([slot_of[j][stage[r]] for j, r in enumerate(batches)])
+        else:  # every running simplex evaluates its candidate
+            batches, points, slots = [rows], rows, cand
+        x = feasible(state[points, slots, :dim])
+        state[points, slots, dim] = f = -objective(x, problem[points])
+        left -= evaluated
+        # Each evaluation in turn replaces the best point if it is below it: a
+        # simplex keeps the first of its evaluations that attains its minimum,
+        # and a NaN never replaces a number.
+        end = 0
+        for r in batches:
+            start, end = end, end + r.size
+            better = f[start:end] < best_f[r]
+            won = r[better]
+            if won.size:
+                best_x[won], best_f[won] = x[start:end][better], f[start:end][better]
 
         # A one-point stage's candidate decides what follows (_stage_table).
-        fnew = state[:, cand, dim, None]
-        code = (fnew < state[:, compared, dim]) @ bits + 16 * (fnew[:, 0] <= state[:, xr, dim])
-        after = _AFTER[stage, code]
-        np.copyto(state[:, xr], state[:, cand], where=(stage == _REFLECT)[:, None])
-        state[:, dim] = state[every, worst_slot[stage, code]]
+        np.less(fnew, compared_values, out=below)
+        np.less_equal(fnew, xr_value, out=at_most)
+        move = moves[stage, comparisons @ weights]
+        after = move[:, 0]
+        replaced[...] = state[column, move[:, 1:]]
         # Simplices about to reflect order their vertices by value with scipy's np.argsort.
         if initial:  # every simplex evaluated its initial vertices; scipy sorts them twice
-            state[:, : dim + 1] = state[every[:, None], state[:, : dim + 1, dim].argsort(axis=1)]
+            simplex[...] = state[column, simplex_values.argsort(axis=1)]
             initial = False
         sorting = after == _REFLECT
-        order = np.where(sorting[:, None], state[:, : dim + 1, dim].argsort(axis=1), slots)
-        state[:, : dim + 1] = state[every[:, None], order]
+        simplex[...] = state[column, np.where(sorting[:, None], simplex_values.argsort(axis=1), vertices)]
         # A simplex about to reflect stops once its vertices lie within the tolerances.
-        spread = np.abs(state[:, 1 : dim + 1] - state[:, :1]) <= tolerance
-        stage = np.where((left > 0) & ~(sorting & spread.all(axis=(1, 2))), after, _DONE)
+        spread = np.abs(others - best_vertex) <= tolerance
+        after[sorting & np.logical_and.reduce(spread, (1, 2))] = _DONE
+        stage = after
+        shrinking = np.count_nonzero(stage == _SHRINK)
 
     # Per problem, the first restart that attains the best value.
-    k = np.argmin(final[:, dim].reshape(n_problems, restarts), axis=1)
-    best = final[:, :dim].reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
+    k = np.argmin(final_f.reshape(n_problems, restarts), axis=1)
+    best = final_x.reshape(n_problems, restarts, dim)[np.arange(n_problems), k]
     fidelity = objective(best, np.arange(n_problems))
     evaluations = final_calls.reshape(n_problems, restarts).sum(axis=1)
     return OptimizationResult(
@@ -314,7 +360,9 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(3))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        return alternating_amplitudes(*vectors(x), *pairs[problem].T, reduce=fidelities)
+        # A single problem's areas are two scalars that broadcast over the rows.
+        odd_even = pairs[0] if len(pairs) == 1 else pairs[problem].T
+        return alternating_amplitudes(*vectors(x), *odd_even, reduce=fidelities)
 
     return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]
@@ -365,7 +413,7 @@ def optimize_third_qubit(
 
     def project(x: np.ndarray) -> np.ndarray:
         signs = np.where(x < 0, -1.0, 1.0)
-        return signs * np.abs(x).clip(c_lo, c_hi)
+        return signs * _clip(np.abs(x), c_lo, c_hi)
 
     def vectors(x: np.ndarray):
         return spectator_orthogonal_rows(b, x[:, 0], x[:, 1])

@@ -74,10 +74,11 @@ def star_propagator(coupling, theta) -> np.ndarray:
     v = np.ascontiguousarray(coupling, dtype=float)
     dim = v.shape[-1] + 1
     s = np.sqrt(np.vecdot(v, v))
-    zero = s == 0.0
+    n_zero = s.size - np.count_nonzero(s)
+    zero = s == 0.0 if n_zero else None
     phase = s * np.asarray(theta, dtype=float)
     # Entries first, (dim, dim, *batch), so that every elementwise loop runs along the batch.
-    unit = np.divide(v.transpose((v.ndim - 1, *range(v.ndim - 1))), np.where(zero, 1.0, s), order="C")
+    unit = np.divide(v.transpose((v.ndim - 1, *range(v.ndim - 1))), np.where(zero, 1.0, s) if n_zero else s, order="C")
     unit = unit.reshape(unit.shape[:1] + (1,) * (phase.ndim - s.ndim) + s.shape)
     cos_p = np.cos(phase)
     out = np.empty(phase.shape + (dim, dim), dtype=complex)
@@ -85,11 +86,17 @@ def star_propagator(coupling, theta) -> np.ndarray:
     entries[0, 0] = cos_p
     entries[0, 1:] = entries[1:, 0] = 1j * unit * np.sin(phase)
     rydberg = unit[:, None] * unit[None, :] * (cos_p - 1.0)
-    rydberg += np.eye(dim - 1).reshape((dim - 1, dim - 1) + (1,) * phase.ndim)
+    rydberg += _identity(dim - 1).reshape((dim - 1, dim - 1) + (1,) * phase.ndim)
     entries[1:, 1:] = rydberg
-    if np.count_nonzero(zero):
-        out[np.broadcast_to(zero, phase.shape)] = np.eye(dim)
+    if n_zero:
+        out[np.broadcast_to(zero, phase.shape)] = _identity(dim)
     return out
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim×dim identity."""
+    return _read_only(np.eye(dim))
 
 
 # The batched form was once a separate formula; the name stays importable
@@ -204,9 +211,17 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     propagator (the optimizer's candidates, b and robustness scans, single
     protocols) carry two rows throughout.
 
-    Per chunk, a call costs one :func:`star_propagator` call per angle shape
-    (per block dimension past ``_ONE_BUILD``) and one batched ``@`` per later
-    pulse, block dimension and step of states.
+    A call's bookkeeping (batch shape, builds, chunks and their steps of
+    states) depends on its shapes and the budget alone and is cached by
+    :func:`_call_plan`, so calls of one shape, like an optimizer's, pay for it
+    once. Per chunk, a call then costs one :func:`star_propagator` call per
+    angle shape (per block dimension past ``_ONE_BUILD``), about 25 numpy
+    operations whatever its size; one batched ``@`` per later pulse, block
+    dimension and step of states, which makes one gemm per point and block
+    state, or per propagator that rows share; and about 40 more numpy
+    operations for a 3-qubit register. A 13-row, 3-qubit optimizer batch of
+    three pulses makes one star_propagator call and 6 batched ``@`` of 182
+    gemms in all, two per (block state, row) pair.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -215,13 +230,13 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     of its block and batch row alone bit for bit.
     """
     vectors = np.asarray(vectors, dtype=float)
-    n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
     thetas = [np.asarray(theta, dtype=float) for theta in thetas]
-    if len(thetas) != n_pulses:
-        raise DimensionMismatchError(f"{n_pulses} pulse vectors but {len(thetas)} angles")
-    batch = np.broadcast_shapes(vectors.shape[1:-1], *(theta.shape for theta in thetas))
+    if len(thetas) != len(vectors):
+        raise DimensionMismatchError(f"{len(vectors)} pulse vectors but {len(thetas)} angles")
+    batch, axes, chunks = _call_plan(vectors.shape, tuple(theta.shape for theta in thetas), _CHUNK_BYTES)
+    n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
     order = range(n_pulses) if order is None else order
-    reduce = reduce or (lambda amplitudes: amplitudes)
+    reduce = reduce or np.ascontiguousarray
     if len(order) == 0:  # no pulses: the identity
         return reduce(np.ones(batch + (2**n_qubits,), dtype=complex))
     scalar, batch = not batch, batch or (1,)
@@ -230,62 +245,102 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     if vectors.ndim < len(batch) + 2:
         vectors = vectors.reshape((n_pulses,) + (1,) * (len(batch) + 2 - vectors.ndim) + vectors.shape[1:])
     thetas = [theta.reshape((1,) * (len(batch) + 1 - theta.ndim) + theta.shape) for theta in thetas]
-    gather, groups, block_entries = _blocks_by_dimension(n_qubits)
+    gather, groups, _ = _blocks_by_dimension(n_qubits)
+    corners = [[None] * n_pulses for _ in groups]  # per block dimension and pulse: propagators
+    out = None
+    sliced = len(chunks) > 1  # one chunk takes every row
+    for rows, step, builds in chunks:
+        for pulses, shape, whole in builds:
+            # The chunk's rows; an axis of length one is broadcast and stays whole.
+            v = vectors[:, rows] if sliced and vectors.shape[1] > 1 else vectors
+            v = v if len(pulses) == n_pulses else v[pulses]
+            angles = np.concatenate([thetas[k][:, rows] if sliced and shape[1] > 1 else thetas[k] for k in pulses])[:, None]
+            # A zero column after the qubits pads the couplings of smaller blocks, whose
+            # propagators are then the leading corners of the register's largest ones.
+            v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+            couplings = v.take(gather, axis=-1).transpose(axes)
+            built = star_propagator(couplings, angles) if whole else None
+            for (_, blocks, dim), props in zip(groups, corners):
+                part = built[:, blocks, ..., :dim, :dim] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
+                for k, p in zip(pulses, part):
+                    props[k] = p
+        # Scratch, basis axis first, so that each state's amplitudes are written at once.
+        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
+        amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
+        for (states, _, _), props in zip(groups, corners):
+            chain = [props[k] for k in order]
+            if step < len(states):
+                spans = [(states[lo : lo + step], [p[lo : lo + step] for p in chain]) for lo in range(0, len(states), step)]
+            else:
+                spans = [(states, chain)]
+            for span, links in spans:
+                # A first product that shares no propagator takes two rows of the first
+                # one, as numpy sends a one-row product to gemv, whose bits differ from gemm's.
+                x = links[0][..., : 1 + (len(links) > 1 and links[0].shape == links[1].shape), :]
+                for propagators in links[1:]:
+                    x = _row_product(x, propagators)
+                amplitudes[span] = x[..., 0, 0]
+        reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
+        if len(chunks) == 1:
+            out = reduced
+        else:
+            out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
+            out[rows] = reduced
+    return out[0] if scalar else out
+
+
+@functools.lru_cache(maxsize=256)
+def _call_plan(vectors_shape, theta_shapes, budget):
+    """The shape bookkeeping of a :func:`register_amplitudes` call: (batch, axes, chunks).
+
+    ``batch`` is the call's batch shape, and ``axes`` orders the couplings
+    (pulse, *batch, block, qubit) as (pulse, block, *batch, qubit). Each chunk
+    is a slice of the first batch axis, its step of block states and its
+    builds: the pulses whose angles share one shape, in index order, that
+    shape padded to (1, *batch), and whether one :func:`star_propagator` call
+    builds every block dimension. A build broadcast along the first batch axis
+    is made with the first chunk only. Cached per shapes and budget, so that
+    calls of one shape, like an optimizer's, pay for it once.
+    """
+    n_pulses, n_qubits = vectors_shape[0], vectors_shape[-1]
+    builds = {}  # angle shape -> its pulses, in index order, built in one call
+    for k, shape in enumerate(theta_shapes):
+        builds.setdefault(shape, []).append(k)
+    batch = np.broadcast_shapes(vectors_shape[1:-1], *builds)
+    padded = batch or (1,)
+    vectors_shape = (n_pulses,) + (1,) * (len(padded) + 2 - len(vectors_shape)) + vectors_shape[1:]
+    builds = [(_read_only(pulses), (1,) * (len(padded) + 1 - len(shape)) + shape) for shape, pulses in builds.items()]
+    index, _, block_entries = _blocks_by_dimension(n_qubits)
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); per point of a pulse that varies along the axis, its
     # propagators, one d×d matrix per block of dimension d, as the builds of
     # large stacks hold them (the padded builds of at most _ONE_BUILD matrices
     # stay small beside the budget).
-    varying = [theta for theta in thetas if vectors.shape[1] > 1 or theta.shape[1] > 1]
-    matrices = sum(math.prod(map(max, vectors.shape[2:-1], theta.shape[2:])) for theta in varying)
-    entries = math.prod(batch[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + matrices * block_entries
-    builds = {}  # angle shape -> its pulses, in index order, built in one call
-    for k, theta in enumerate(thetas):
-        builds.setdefault(theta.shape, []).append(k)
-    # Couplings (pulse, *batch, block, qubit) -> (pulse, block, *batch, qubit).
-    axes = (0, vectors.ndim - 1, *range(1, vectors.ndim - 1), vectors.ndim)
-    corners = [[None] * len(groups) for _ in thetas]  # per pulse and block dimension: propagators
-    out = None
-    # About equal chunks of the first batch axis, each within the budget unless one row exceeds it.
-    n_chunks = max(1, -(-batch[0] // max(1, _CHUNK_BYTES // (16 * entries))))
-    edges = [batch[0] * i // n_chunks for i in range(n_chunks + 1)]
-    for rows in map(slice, edges, edges[1:]):
-        for shape, pulses in builds.items():
-            if rows.start and vectors.shape[1] == shape[1] == 1:
+    matrices = sum(
+        len(pulses) * math.prod(map(max, vectors_shape[2:-1], shape[2:]))
+        for pulses, shape in builds
+        if vectors_shape[1] > 1 or shape[1] > 1
+    )
+    entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + matrices * block_entries
+    axes = (0, len(vectors_shape) - 1, *range(1, len(vectors_shape) - 1), len(vectors_shape))
+    # About equal chunks of the first batch axis, each within the budget unless one
+    # row exceeds it; per chunk, the steps of states whose carried rows the budget
+    # holds: one state in a full chunk.
+    n_chunks = max(1, -(-padded[0] // max(1, budget // (16 * entries))))
+    edges = [padded[0] * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = []
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = []
+        for pulses, shape in builds:
+            broadcast = vectors_shape[1] == shape[1] == 1
+            if broadcast and lo:
                 continue  # broadcast along the first batch axis: built with the first chunk
-            # The chunk's rows; an axis of length one is broadcast and stays whole.
-            v = vectors if vectors.shape[1] == 1 else vectors[:, rows]
-            angles = np.concatenate([thetas[k] if shape[1] == 1 else thetas[k][:, rows] for k in pulses])[:, None]
-            # A zero column after the qubits pads the couplings of smaller blocks, whose
-            # propagators are then the leading corners of the register's largest ones.
-            v = v if len(pulses) == n_pulses else v[pulses]
-            v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-            couplings = v[..., gather].transpose(axes)
-            whole = np.broadcast(couplings[..., 0], angles).size <= _ONE_BUILD
-            built = star_propagator(couplings, angles) if whole else None
-            for g, (_, blocks, dim) in enumerate(groups):
-                part = built[:, blocks] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
-                for k, p in zip(pulses, part[..., :dim, :dim]):
-                    corners[k][g] = p
-        # Scratch, basis axis first, so that each state's amplitudes are written at once.
-        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
-        amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
-        # Steps of states whose carried rows the budget holds: one state in a full chunk.
-        step = max(1, _CHUNK_BYTES // (16 * entries * max(1, rows.stop - rows.start)))
-        for g, (states, _, dim) in enumerate(groups):
-            for lo in range(0, len(states), step):
-                chain = [corners[k][g][lo : lo + step] for k in order]
-                # A first product that shares no propagator takes two rows of the first
-                # one, as numpy sends a one-row product to gemv, whose bits differ from gemm's.
-                x = chain[0][..., : 1 + (len(chain) > 1 and chain[0].shape == chain[1].shape), :]
-                for propagators in chain[1:]:
-                    x = _row_product(x, propagators)
-                amplitudes[states[lo : lo + step]] = x[..., 0, 0]
-        reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
-        out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
-        out[rows] = reduced
-    return out[0] if scalar else out
+            stack = len(pulses) * len(index) * (1 if broadcast else hi - lo)
+            stack *= math.prod(map(max, vectors_shape[2:-1], shape[2:]))
+            chunk.append((pulses, shape, stack <= _ONE_BUILD))
+        chunks.append((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo))), tuple(chunk)))
+    return batch, axes, tuple(chunks)
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
@@ -316,6 +371,13 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     return product.transpose(np.argsort(axes))
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as an array that cached results can share."""
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
 @functools.cache
 def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice, int], ...], int]:
     """Coupling index, shape (blocks, n_qubits); per block dimension d: states, blocks, d; entries.
@@ -328,8 +390,7 @@ def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[np.ndar
     zeros = [_zero_positions(label, n_qubits) for label in basis_labels(n_qubits)]
     index, groups = [], []
     for n_zero in sorted({len(zq) for zq in zeros} - {0}):
-        states = np.array([j for j, zq in enumerate(zeros) if len(zq) == n_zero])
-        states.flags.writeable = False
+        states = _read_only([j for j, zq in enumerate(zeros) if len(zq) == n_zero])
         blocks = slice(len(index), len(index) + len(states))
         index += [zeros[j] + (n_qubits,) * (n_qubits - n_zero) for j in states]
         groups.append((states, blocks, n_zero + 1))

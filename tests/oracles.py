@@ -239,7 +239,8 @@ def nelder_mead_sequential(
     Same problem statement as :func:`sopgate.optimize.nelder_mead_constrained`
     for one problem: proposals are clipped to the box and projected, the
     starts are the same Latin-hypercube samples, and the best value is the
-    first evaluation that attains the maximum (strict ``>``).
+    first evaluation that attains the maximum (strict ``>``); where no value
+    is a number, it is the first point evaluated.
     """
     from scipy.optimize import minimize
 
@@ -256,13 +257,15 @@ def nelder_mead_sequential(
 
     evaluations = 0
     best_val = -np.inf
-    best_x = None
+    best_x = first_x = None
 
     def negated(x: np.ndarray) -> float:
-        nonlocal evaluations, best_val, best_x
+        nonlocal evaluations, best_val, best_x, first_x
         xp = feasible(np.asarray(x, dtype=float))
         val = objective(xp)
         evaluations += 1
+        if first_x is None:
+            first_x = xp.copy()
         if val > best_val:
             best_val = val
             best_x = xp.copy()
@@ -277,7 +280,7 @@ def nelder_mead_sequential(
             method="Nelder-Mead",
             options={"xatol": XATOL, "fatol": FATOL, "maxfev": max_evals, "disp": False},
         )
-    assert best_x is not None
+    best_x = first_x if best_x is None else best_x
     return OptimizationResult(
         best_parameters=best_x,
         best_fidelity=objective(best_x),

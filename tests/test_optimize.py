@@ -22,7 +22,7 @@ from sopgate import (
 )
 from sopgate.fidelity import alternating_amplitudes, fidelity_from_rows
 from sopgate.model import spectator_orthogonal_rows
-from sopgate.optimize import MAX_SIMPLICES, gate_factor_arc, spectator_bounds
+from sopgate.optimize import DEFAULT_MAX_EVALS, MAX_SIMPLICES, gate_factor_arc, spectator_bounds
 
 PI = math.pi
 B_01 = math.sqrt(0.1)
@@ -98,10 +98,82 @@ class TestNelderMead:
             nelder_mead_constrained(refuse, [0.0], [1.0], restarts=2, shape=(MAX_SIMPLICES // 2 + 1,))
 
 
+def holed_sphere(x, problem=None):
+    """A sphere centred at (0.5, 0.5) inside a hole of NaN values, x0 + x1 / 2 > 0.55."""
+    d = x - 0.5
+    return np.where(x[..., 0] + x[..., 1] / 2 > 0.55, np.nan, 1.0 - np.vecdot(d, d))
+
+
+class TestNaNValues:
+    """Values that are NaN never become a best point, nor stale values of one."""
+
+    def test_all_nan_reports_the_first_evaluated_start(self):
+        seen = []
+
+        def nan_everywhere(x, problem):
+            seen.append(x.copy())
+            return np.full(len(x), np.nan)
+
+        got = nelder_mead_constrained(nan_everywhere, [0.5, 0.5], [1.0, 1.0], seed=0, restarts=2)
+        seen = np.concatenate(seen)
+        assert np.all((seen >= 0.5) & (seen <= 1.0)), "the objective saw an infeasible point"
+        np.testing.assert_array_equal(got.best_parameters, seen[0])
+        assert np.isnan(got.best_fidelity)
+
+    def test_a_restart_with_a_number_wins_over_all_nan_restarts(self):
+        # NaN where x0 < 0.75: restart 0 starts at x0 = 0.567 and evaluates only
+        # its initial simplex, all NaN; restart 1 starts at x0 = 0.76.
+        def left_nan(x, problem):
+            return np.where(x[:, 0] < 0.75, np.nan, -np.vecdot(x, x))
+
+        box = [0.5, 0.5], [1.0, 1.0]
+        got = nelder_mead_constrained(left_nan, *box, seed=0, restarts=2, max_evals=3)
+        want = nelder_mead_sequential(lambda x: float(left_nan(x[None], None)[0]), *box, seed=0, restarts=2, max_evals=3)
+        assert got.best_parameters[0] >= 0.75 and np.isfinite(got.best_fidelity)
+        assert_same_result(got, want)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    def test_holed_objective_equals_sequential(self, restarts):
+        for seed in range(30):
+            assert_same_holed_result(seed, restarts, DEFAULT_MAX_EVALS)
+
+    @pytest.mark.parametrize("restarts", [3, 8])
+    def test_budget_ending_inside_a_shrink(self, restarts):
+        # 30 evaluations end inside a shrink for some of these restarts.
+        got = assert_same_holed_result(0, restarts, 30)
+        assert got.evaluations == 30 * restarts
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("max_evals", [5, 13, 200])
+    def test_other_dimensions(self, dim, max_evals):
+        # The hole makes contractions fail, so simplices shrink. A shrink evaluates
+        # dim points: one in 1-D, where a shrinking step looks like a one-candidate
+        # step, three in 3-D.
+        def holed(x, problem=None):
+            d = x - 0.5
+            return np.where(x.mean(axis=-1) > 0.45, np.nan, 1.0 - np.vecdot(d, d))
+
+        for seed in range(10):
+            assert_same_holed_result(seed, 3, max_evals, holed, dim)
+
+
+def assert_same_holed_result(seed, restarts, max_evals, objective=holed_sphere, dim=2):
+    """Lockstep and sequential runs agree on ``objective`` over [-1, 1]^dim; returns the lockstep's result.
+
+    Where no value is a number both report the first evaluated start, and its
+    value, NaN.
+    """
+    box = [-1.0] * dim, [1.0] * dim
+    runs = dict(seed=seed, restarts=restarts, max_evals=max_evals)
+    got = nelder_mead_constrained(objective, *box, **runs)
+    assert_same_result(got, nelder_mead_sequential(lambda x: float(objective(x)), *box, **runs))
+    return got
+
+
 def assert_same_result(got, want):
-    """Lockstep and sequential results agree bit for bit."""
+    """Lockstep and sequential results agree bit for bit (a NaN fidelity equals a NaN)."""
     np.testing.assert_array_equal(got.best_parameters, want.best_parameters)
-    assert got.best_fidelity == want.best_fidelity
+    np.testing.assert_array_equal(got.best_fidelity, want.best_fidelity)
     assert got.evaluations == want.evaluations
 
 
