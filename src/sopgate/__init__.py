@@ -19,7 +19,6 @@ from .errors import (
     SignatureMismatchError,
     SopGateError,
     StepTooLargeError,
-    ZeroVectorError,
 )
 from .fidelity import (
     FidelityMap,
@@ -37,13 +36,11 @@ from .fidelity import (
     sop_family,
 )
 from .model import (
-    GateSignature,
     Protocol,
     Pulse,
     StructuralVector,
     basis_labels,
     cphase_signature,
-    make_structural_vector,
     spectator_orthogonal_pair,
 )
 from .optimize import (
@@ -57,9 +54,8 @@ from .tdse import (
     PulseEnvelope,
     ValidationReport,
     envelopes_for_protocol,
-    integrate_block,
     validate_protocol,
 )
-from .propagator import sequence_amplitude, star_propagator
+from .propagator import star_propagator
 
 __version__ = "0.1.0"

@@ -390,8 +390,9 @@ def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     _refuse_shared_names(zip(pairs, names))
     artifacts = []
     for pair_text, pair, name in zip(config["areas"], pairs, names):
-        f_orth = b_scan(pair, b2_grid, orthogonal=True, definition=config["fidelity"])
-        f_non = b_scan(pair, b2_grid, orthogonal=False, definition=config["fidelity"])
+        areas = [area * math.pi for area in pair]
+        f_orth = b_scan(areas, b2_grid, orthogonal=True, definition=config["fidelity"])
+        f_non = b_scan(areas, b2_grid, orthogonal=False, definition=config["fidelity"])
         text = csv_text("b2,f_orthogonal,f_non_orthogonal", [b2_grid, f_orth, f_non])
         artifacts.append(({**config, "areas": pair_text}, name, text, {}))
     return EXIT_OK, artifacts

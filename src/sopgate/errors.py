@@ -5,10 +5,6 @@ class SopGateError(ValueError):
     """Base class for all validation errors raised by sopgate."""
 
 
-class ZeroVectorError(SopGateError):
-    """All components of a would-be structural vector are numerically zero."""
-
-
 class DimensionMismatchError(SopGateError):
     """Vector or state dimensions are inconsistent with the register."""
 
@@ -18,7 +14,7 @@ class NotNormalizedError(SopGateError):
 
 
 class SignatureMismatchError(SopGateError):
-    """Gate signature length does not match the register's basis size."""
+    """An amplitude count is not the basis size 2^n of a register of n >= 2 qubits."""
 
 
 class EmptyGridError(SopGateError):

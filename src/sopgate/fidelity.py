@@ -1,11 +1,15 @@
 """Gate fidelity, pulse-area fidelity maps, lattice analysis, and factor scans.
 
-The fidelity of a protocol against a diagonal +-1 target signature T is, by
-default, F = |Tr(T^dag U) / d|^2 where U is the diagonal of return amplitudes
-over the 2^n computational states and d = 2^n. Two alternates are available
-for sensitivity studies ("trace": |Tr|/d, "average": the standard
-average-gate-fidelity combination). Maps sweep the total odd and even pulse
-areas on a rectangular grid; their maxima form (possibly rotated) lattices.
+Every fidelity is against the one target the paper measures, the C-PHASE
+gate T on the two gate qubits: its diagonal phases,
+:func:`~sopgate.model.cphase_signature`, are -1 unless both gate qubits are
+in |1>, whatever the spectators hold. By default F = |Tr(T^dag U) / d|^2,
+where U is the diagonal of return amplitudes over the 2^n computational
+states and d = 2^n; the formulas read n from the number of amplitudes. Two
+alternates are available for sensitivity studies ("trace": |Tr|/d,
+"average": the standard average-gate-fidelity combination). Maps sweep the
+total odd and even pulse areas on a rectangular grid; their maxima form
+(possibly rotated) lattices.
 
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. :func:`sop_family` turns squared
@@ -47,20 +51,17 @@ from .errors import (
     SignatureMismatchError,
 )
 from .model import (
-    GateSignature,
     Protocol,
     Pulse,
     StructuralVector,
     cphase_signature,
     spectator_orthogonal_pair,
 )
-from .propagator import (  # noqa: F401  block_decompose, star_propagator_batch: bench shims
-    _pulse_couplings,
-    block_decompose,
-    diagonal_amplitudes,
-    register_amplitudes,
-    star_propagator_batch,
-)
+from .propagator import _pulse_couplings, diagonal_amplitudes, register_amplitudes
+
+# Not called here: bench/spans.py traces these names in this module.
+from .propagator import block_decompose  # noqa: F401
+from .propagator import star_propagator as star_propagator_batch  # noqa: F401
 
 FIDELITY_DEFINITIONS = ("trace-sq", "trace", "average")
 
@@ -218,7 +219,7 @@ def sop_family(
         return ProtocolFamily(StructuralVector((a, b)), StructuralVector(even), m_pulses)
     if not orthogonal:
         return ProtocolFamily(StructuralVector((a, b, c)), StructuralVector((b, a, c)), m_pulses)
-    if 2.0 * c**2 > 1.0:
+    if 2.0 * c2 > 1.0:
         raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
     e_even = spectator_orthogonal_pair(b, c, c)[1]
     return ProtocolFamily(StructuralVector((a, b, c)), e_even, m_pulses)
@@ -253,29 +254,28 @@ class LatticeReport:
     nn_spacing: float
 
 
-@functools.cache
-def _phases(target: GateSignature) -> np.ndarray:
-    """The target's phases as a read-only float array."""
-    phases = np.asarray(target.phases, dtype=float)
-    phases.flags.writeable = False
-    return phases
+def _cphase_phases(amplitudes: np.ndarray) -> np.ndarray:
+    """C-PHASE phases of the register whose 2^n amplitudes lie on the last axis."""
+    d = amplitudes.shape[-1]
+    if d < 4 or d & (d - 1):
+        raise SignatureMismatchError(f"{d} amplitudes are not 2^n for a register of n >= 2 qubits")
+    return cphase_signature(d.bit_length() - 1)
 
 
-def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "trace-sq"):
-    """Combine diagonal return amplitudes into a fidelity in [0, 1].
+def fidelity_from_amplitudes(diag, definition: str = "trace-sq"):
+    """Combine diagonal return amplitudes into a C-PHASE fidelity in [0, 1].
 
-    ``diag`` has the basis-state axis last and may carry leading grid axes.
+    ``diag`` has the basis-state axis last, of length 2^n for an n-qubit
+    register (n >= 2), and may carry leading grid axes.
     Elementwise numpy adds fix the order: the signed amplitudes in basis
     order within each block of four basis states, then the blocks in order;
     squares by ``np.square``; ``average`` adds the |a_k|^2 in basis order.
     So a cell's bits depend on its amplitudes alone, not on the memory
     layout, the BLAS thread count, the kernel's chunks or the batch rank.
     """
-    phases = _phases(target)
-    d = phases.size
     diag = np.asarray(diag)
-    if diag.shape[-1] != d:
-        raise SignatureMismatchError(f"{diag.shape[-1]} amplitudes for a {d}-entry signature")
+    phases = _cphase_phases(diag)
+    d = phases.size
     check_definition(definition)
     states = np.moveaxis(diag, -1, 0)  # states[k]: every cell's amplitude of basis state k
     blocks = []
@@ -298,21 +298,19 @@ def fidelity_from_amplitudes(diag, target: GateSignature, definition: str = "tra
     return (np.square(np.abs(overlap)) + squares) / (d * d + d)
 
 
-def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"):
-    """Combine return amplitudes, basis-state axis last, into fidelities in [0, 1].
+def fidelity_from_rows(rows, definition: str = "trace-sq"):
+    """Combine return amplitudes, basis-state axis last, into C-PHASE fidelities in [0, 1].
 
-    ``rows`` has shape (..., 2^n), one protocol per row; the result has shape
-    ``rows.shape[:-1]``. Each row's overlap with the target is one
-    ``np.vecdot`` over a contiguous row, so it depends neither on the other
-    rows nor on their memory layout. Overlaps are squared by libm ``pow``
+    ``rows`` has shape (..., 2^n), one protocol per row of an n-qubit
+    register (n >= 2); the result has shape ``rows.shape[:-1]``. Each row's
+    overlap with the target is one ``np.vecdot`` over a contiguous row, so it
+    depends neither on the other rows nor on their memory layout. Overlaps are squared by libm ``pow``
     (``np.float_power``), as the optimizer's ties and files always were;
     ``x * x`` differs in the last bit for about 0.1 % of values.
     """
-    phases = _phases(target)
-    d = phases.size
     rows = np.ascontiguousarray(rows)
-    if rows.shape[-1] != d:
-        raise SignatureMismatchError(f"{rows.shape[-1]} amplitudes for a {d}-entry signature")
+    phases = _cphase_phases(rows)
+    d = phases.size
     check_definition(definition)
     overlap = np.vecdot(phases, rows)
     if definition == "trace-sq":
@@ -323,14 +321,9 @@ def fidelity_from_rows(rows, target: GateSignature, definition: str = "trace-sq"
     return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
 
 
-def gate_fidelity(
-    protocol: Protocol, target: GateSignature, definition: str = "trace-sq"
-) -> float:
-    """Fidelity of a protocol against a diagonal +-1 target signature.
-
-    The one-row case of :func:`fidelity_from_rows`.
-    """
-    return float(fidelity_from_rows(diagonal_amplitudes(protocol), target, definition))
+def gate_fidelity(protocol: Protocol, definition: str = "trace-sq") -> float:
+    """C-PHASE fidelity of a protocol: the one-row case of :func:`fidelity_from_rows`."""
+    return float(fidelity_from_rows(diagonal_amplitudes(protocol), definition))
 
 
 def family_diagonal_grid(
@@ -373,10 +366,9 @@ def fidelity_map(
     grid_even = grid_even or grid_odd
     check_grid_points(grid_odd.n_points * grid_even.n_points)
     check_definition(definition)
-    target = cphase_signature(family.n_qubits)
     axis_odd = grid_odd.values_radians()
     axis_even = grid_even.values_radians()
-    fidelities = functools.partial(fidelity_from_amplitudes, target=target, definition=definition)
+    fidelities = functools.partial(fidelity_from_amplitudes, definition=definition)
     return FidelityMap(axis_odd, axis_even, family_diagonal_grid(family, axis_odd, axis_even, fidelities))
 
 
@@ -490,25 +482,25 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
 
 
 def b_scan(
-    area_pair_pi: tuple[float, float],
+    area_pair: tuple[float, float],
     b2_grid,
     orthogonal: bool = True,
     definition: str = "trace-sq",
 ) -> np.ndarray:
     """Two-qubit C-PHASE fidelity of a fixed-area three-pulse protocol versus the overlap b^2.
 
-    ``area_pair_pi`` is (A_odd, A_even) in units of pi. With
+    ``area_pair`` is the total (odd, even) areas in radians. With
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light. The vectors are
     those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
     a b^2 that family refuses raises :class:`NotNormalizedError`, an area
-    pair not finite in radians :class:`EmptyGridError`, and an unknown
+    pair not finite :class:`EmptyGridError`, and an unknown
     ``definition`` :class:`ValueError`, before anything is computed.
     """
     check_definition(definition)
-    areas = [float(area) * math.pi for area in area_pair_pi]
+    areas = [float(area) for area in area_pair]
     if not all(math.isfinite(area) for area in areas):
-        raise EmptyGridError(f"area pair {tuple(area_pair_pi)} is not finite in radians")
+        raise EmptyGridError(f"area pair {tuple(area_pair)} is not finite")
     b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
     with np.errstate(invalid="ignore"):
         b = np.sqrt(b2_values)
@@ -523,7 +515,7 @@ def b_scan(
     # The odd and even pulse vectors, one row per b^2 point.
     odd = np.stack([a, b], axis=-1)
     even = np.stack([-b if orthogonal else b, a], axis=-1)
-    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(2), definition=definition)
+    fidelities = functools.partial(fidelity_from_rows, definition=definition)
     return alternating_amplitudes(odd, even, *areas, reduce=fidelities)
 
 

@@ -11,24 +11,21 @@ Areas are stored in radians throughout the library; presentation layers (CLI,
 CSV, JSON reports) convert to units of pi.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotNormalizedError,
-    SignatureMismatchError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, NotNormalizedError
 
 UNIT_NORM_TOL = 1e-12
 
-# Basis ordering is part of the interface: signatures and diagonal-amplitude
-# arrays are order-sensitive. The three-qubit order groups the states acted on
-# by the two gate qubits (a, b) first, with the spectator qubit c last.
+# Basis ordering is part of the interface: the C-PHASE phases and
+# diagonal-amplitude arrays are order-sensitive. The three-qubit order groups
+# the states acted on by the two gate qubits (a, b) first, with the spectator
+# qubit c last.
 _BASIS_2Q = ("00", "01", "10", "11")
 _BASIS_3Q = ("000", "010", "100", "001", "101", "011", "110", "111")
 
@@ -52,9 +49,8 @@ def basis_labels(n_qubits: int) -> tuple[str, ...]:
 class StructuralVector:
     """Unit vector of per-qubit field-amplitude factors of a single pulse.
 
-    The Euclidean norm must be 1 within ``UNIT_NORM_TOL``; use
-    :func:`make_structural_vector` to normalize arbitrary input. Components
-    may be negative.
+    The Euclidean norm must be 1 within ``UNIT_NORM_TOL``. Components may be
+    negative.
     """
 
     components: tuple[float, ...]
@@ -71,32 +67,6 @@ class StructuralVector:
     @property
     def dimension(self) -> int:
         return len(self.components)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
-
-
-def make_structural_vector(components) -> StructuralVector:
-    """Scale ``components`` to unit Euclidean norm, preserving signs.
-
-    Idempotent: input that is already normalized within ``UNIT_NORM_TOL`` is
-    passed through unchanged, so normalizing twice equals normalizing once
-    exactly.
-
-    Raises
-    ------
-    ZeroVectorError
-        If every component is below 1e-15 in magnitude.
-    """
-    arr = np.atleast_1d(np.asarray(components, dtype=float))
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatchError("components must be a non-empty 1-D sequence")
-    if np.all(np.abs(arr) < 1e-15):
-        raise ZeroVectorError("cannot normalize a zero vector")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        arr = arr / norm
-    return StructuralVector(tuple(float(c) for c in arr))
 
 
 @dataclass(frozen=True)
@@ -131,39 +101,20 @@ class Protocol:
     def n_pulses(self) -> int:
         return len(self.pulses)
 
-    @property
-    def areas(self) -> tuple[float, ...]:
-        return tuple(p.area for p in self.pulses)
 
+@functools.cache
+def cphase_signature(n_qubits: int) -> np.ndarray:
+    """Target phases of the C-PHASE gate on the first two qubits: -1 unless a = b = 1.
 
-@dataclass(frozen=True)
-class GateSignature:
-    """Target diagonal phases (+1/-1) of a C-PHASE-type gate.
-
-    Entries follow :func:`basis_labels` ordering and there is one entry per
-    computational basis state.
-    """
-
-    phases: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.phases)
-        if n < 2 or n & (n - 1):
-            raise SignatureMismatchError(f"signature length {n} is not a power of two >= 2")
-        if any(p not in (-1, 1) for p in self.phases):
-            raise SignatureMismatchError("signature entries must be +1 or -1")
-
-
-def cphase_signature(n_qubits: int) -> GateSignature:
-    """Controlled-phase signature on the first two qubits: -1 unless a = b = 1.
-
-    For two qubits this is diag(-1, -1, -1, 1); with spectators present the
-    pattern is independent of the spectator states.
+    A read-only float array in :func:`basis_labels` order, one entry per
+    computational basis state: diag(-1, -1, -1, 1) for two qubits; with
+    spectators present the pattern is independent of the spectator states.
     """
     if n_qubits < 2:
         raise DimensionMismatchError("a controlled-phase gate needs >= 2 qubits")
-    phases = tuple(1 if label[:2] == "11" else -1 for label in basis_labels(n_qubits))
-    return GateSignature(phases)
+    phases = np.array([1.0 if label[:2] == "11" else -1.0 for label in basis_labels(n_qubits)])
+    phases.flags.writeable = False
+    return phases
 
 
 def spectator_orthogonal_pair(

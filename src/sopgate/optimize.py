@@ -35,7 +35,6 @@ families' pulses, which reduces each chunk of the kernel to fidelities by
 :func:`~sopgate.fidelity.fidelity_from_rows`.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,17 +42,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyGridError, GridTooLargeError, InfeasibleStartError, NotNormalizedError
-from .fidelity import (  # noqa: F401  gate_fidelity: see ``__getattr__`` below
-    ProtocolFamily,
-    alternating_amplitudes,
-    fidelity_from_rows,
-    gate_fidelity,
-)
-from .model import (  # noqa: F401  spectator_orthogonal_pair: bench shims
-    cphase_signature,
-    spectator_orthogonal_pair,
-    spectator_orthogonal_rows,
-)
+from .fidelity import ProtocolFamily, alternating_amplitudes, fidelity_from_rows
+from .model import spectator_orthogonal_rows
+
+# Not called here: bench/spans.py traces these names in this module.
+from .fidelity import gate_fidelity  # noqa: F401
+from .model import spectator_orthogonal_pair  # noqa: F401
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_EVALS = 2000
@@ -338,10 +332,9 @@ def optimize_areas(
     ``bounds`` is ((odd_lo, odd_hi), (even_lo, even_hi)).
     """
     vectors = (family.vector_odd.components, family.vector_even.components)
-    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(family.n_qubits))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        return alternating_amplitudes(*vectors, x[:, 0], x[:, 1], family.m_pulses, fidelities)
+        return alternating_amplitudes(*vectors, x[:, 0], x[:, 1], family.m_pulses, fidelity_from_rows)
 
     lower, upper = zip(*bounds)
     return nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
@@ -357,12 +350,11 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     if not np.isfinite(areas).all():
         raise EmptyGridError("area pairs must be finite in radians")
     pairs = areas.reshape(-1, 2)
-    fidelities = functools.partial(fidelity_from_rows, target=cphase_signature(3))
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         # A single problem's areas are two scalars that broadcast over the rows.
         odd_even = pairs[0] if len(pairs) == 1 else pairs[problem].T
-        return alternating_amplitudes(*vectors(x), *odd_even, reduce=fidelities)
+        return alternating_amplitudes(*vectors(x), *odd_even, reduce=fidelity_from_rows)
 
     return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]
@@ -373,9 +365,13 @@ def spectator_bounds(b: float, min_c2: float) -> tuple[float, float]:
     """Range (c_lo, c_hi) of |c| that :func:`optimize_third_qubit` searches; refuses an empty one."""
     if not 0.0 <= min_c2 <= 0.5:
         raise InfeasibleStartError(f"min_c2 = {min_c2} outside [0, 0.5]")
-    if b * b + min_c2 > 1.0:
-        raise InfeasibleStartError("b^2 + min_c2 exceeds 1: no feasible spectator factor")
-    return math.sqrt(min_c2), math.sqrt(min(0.5, 1.0 - b * b - 1e-12))
+    # c^2 stays 1e-12 below 1 - b^2, so that the gate factor a of the odd vector is real.
+    max_c2 = min(0.5, 1.0 - b * b - 1e-12)
+    if max_c2 < min_c2:
+        raise InfeasibleStartError(
+            f"b^2 = {b * b!r} leaves c^2 <= {max_c2!r} < min_c2 = {min_c2!r}: no feasible spectator factor"
+        )
+    return math.sqrt(min_c2), math.sqrt(max_c2)
 
 
 def gate_factor_arc(c_fixed: float, min_sq: float) -> tuple[float, float, float]:

@@ -99,11 +99,6 @@ def _identity(dim: int) -> np.ndarray:
     return _read_only(np.eye(dim))
 
 
-# The batched form was once a separate formula; the name stays importable
-# (here and in ``sopgate.fidelity``) for the span shims of bench/spans.py.
-star_propagator_batch = star_propagator
-
-
 @dataclass(frozen=True, eq=False)
 class SubsystemBlock:
     """Blockade-restricted block reached from one computational basis state.

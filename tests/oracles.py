@@ -37,7 +37,6 @@ from sopgate.errors import (
     InfeasibleStartError,
     NotNormalizedError,
     SopGateError,
-    ZeroVectorError,
 )
 from sopgate.model import Protocol, StructuralVector
 from sopgate.optimize import (
@@ -56,7 +55,7 @@ class UnsupportedPulseCountError(SopGateError):
 
 
 class NoDarkSubspaceError(SopGateError):
-    """A dark subspace exists only for couplings of dimension >= 2."""
+    """A dark subspace exists only for nonzero couplings of dimension >= 2."""
 
 
 class LengthMismatchError(SopGateError):
@@ -66,7 +65,7 @@ class LengthMismatchError(SopGateError):
 def _coupling_array(coupling) -> np.ndarray:
     """A coupling, StructuralVector or array_like, as a 1-D float array."""
     if isinstance(coupling, StructuralVector):
-        return coupling.as_array()
+        return np.asarray(coupling.components, dtype=float)
     return np.atleast_1d(np.asarray(coupling, dtype=float))
 
 
@@ -93,7 +92,7 @@ def dark_state(coupling) -> np.ndarray:
         raise NoDarkSubspaceError("dark subspace needs a coupling of dimension >= 2")
     s = float(np.linalg.norm(v))
     if s == 0.0:
-        raise ZeroVectorError("dark subspace of a zero coupling is the whole space")
+        raise NoDarkSubspaceError("dark subspace of a zero coupling is the whole space")
     if v.size == 2:
         return np.array([[-v[1], v[0]]]) / s
     # Null space of v as a 1 x n matrix; fix the sign of each basis vector so

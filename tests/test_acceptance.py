@@ -17,22 +17,19 @@ from sopgate import (
     Pulse,
     StructuralVector,
     b_scan,
-    cphase_signature,
     fidelity_map,
     gate_fidelity,
     lattice_analysis,
     map_maxima,
     optimize_all_factors,
     optimize_areas,
-    sequence_amplitude,
     sop_family,
     validate_protocol,
 )
-from sopgate.propagator import block_decompose
+from sopgate.propagator import block_decompose, sequence_amplitude
 from sopgate.tdse import envelopes_for_protocol, integrate_block
 
 PI = math.pi
-TARGET_2Q = cphase_signature(2)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -47,7 +44,7 @@ def maps():
 
 def test_01_independent_qubit_exactness(maps):
     # the pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0
-    fid = gate_fidelity(sop_family(b2=0.0).protocol(2 * PI, 2 * PI), TARGET_2Q)
+    fid = gate_fidelity(sop_family(b2=0.0).protocol(2 * PI, 2 * PI))
     fmap = maps[0.0]
     lattice_dev = 0.0
     for odd in (-6, -2, 2, 6):
@@ -61,7 +58,7 @@ def test_01_independent_qubit_exactness(maps):
 
 def test_02_fidelity_definition_calibration():
     family = sop_family(b2=0.5)
-    fid = gate_fidelity(family.protocol(0.0, 2.42 * PI), TARGET_2Q)
+    fid = gate_fidelity(family.protocol(0.0, 2.42 * PI))
     ok = abs(fid - 0.80) <= 0.02
     report("2 calibration b2=0.5 A_T=2.42pi", ok, f"F={fid:.4f} vs 0.80 +/- 0.02")
 
@@ -250,8 +247,8 @@ def test_10_multipulse_map_structure():
 
 def test_11_orthogonality_protects_against_overlap():
     b2_grid = np.arange(0.01, 0.5001, 0.01)
-    f_orth = b_scan((2, 2), b2_grid, orthogonal=True)
-    f_non = b_scan((2, 2), b2_grid, orthogonal=False)
+    f_orth = b_scan((2 * PI, 2 * PI), b2_grid, orthogonal=True)
+    f_non = b_scan((2 * PI, 2 * PI), b2_grid, orthogonal=False)
     margin = float((f_orth - f_non).min())
     ok = bool(np.all(f_orth >= f_non))
     report("11 orthogonal vs mirrored decay", ok, f"min(F_orth - F_non)={margin:.4f} over b2 in (0, 0.5]")

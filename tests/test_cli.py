@@ -82,6 +82,15 @@ class TestMapCommand:
         assert code == 0
         assert (out / "fidelity_map.csv").exists()
 
+    def test_orthogonal_spectator_family_at_its_limit(self, tmp_path, capsys):
+        # --c2 0.5 is the documented limit of the orthogonal 3-qubit family.
+        out = tmp_path / "limit"
+        assert main(["map", "--b2", "0.1", "--c2", "0.5", "--grid=0:0.5:0.5", "--out", str(out)]) == 0
+        assert (out / "fidelity_map.csv").exists()
+        out = tmp_path / "over"
+        assert_config_error(capsys, ["map", "--b2", "0.1", "--c2", "0.5000001", "--grid=0:0.5:0.5", "--out", str(out)])
+        assert not out.exists()
+
     def test_bad_grid_is_config_error(self, tmp_path):
         assert main(["map", "--grid", "nonsense", "--out", str(tmp_path)]) == 2
 
@@ -630,6 +639,9 @@ class TestOptimizeCommand:
             ["--what", "all-factors", "--min-sq", "0.6"],
             ["--what", "all-factors", "--c2", "1"],
             ["--what", "all-factors", "--min-sq", "nan"],
+            # c^2 <= 1 - b^2 - 1e-12 is negative, or just below min_c2
+            ["--what", "third-qubit", "--b2", "1", "--min-c2", "0"],
+            ["--what", "third-qubit", "--b2", "0.5", "--min-c2", "0.5"],
         ],
     )
     def test_infeasible_bound_is_config_error(self, tmp_path, capsys, argv):

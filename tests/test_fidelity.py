@@ -24,6 +24,7 @@ from sopgate import (
     NotNormalizedError,
     Protocol,
     ProtocolFamily,
+    Pulse,
     SignatureMismatchError,
     StructuralVector,
     b_scan,
@@ -54,7 +55,6 @@ from sopgate.fidelity import (
 from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi
-TARGET_2Q = cphase_signature(2)
 
 
 def jp_protocol():
@@ -99,26 +99,28 @@ def map_b2_01():
 
 class TestGateFidelity:
     def test_jp_is_exact(self):
-        assert gate_fidelity(jp_protocol(), TARGET_2Q) == pytest.approx(1.0, abs=1e-15)
+        assert gate_fidelity(jp_protocol()) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_even_pulse_calibration(self):
         # frozen from the closed forms: F = ((cos(1.21 pi) + 2 cos(sqrt(0.5)*1.21 pi) + 1)/4)^2
         family = sop_family(b2=0.5)
-        fid = gate_fidelity(family.protocol(0.0, 2.42 * PI), TARGET_2Q)
+        fid = gate_fidelity(family.protocol(0.0, 2.42 * PI))
         assert fid == pytest.approx(0.8045476980875096, abs=1e-12)
         # odd-pulses-only variant has the same total area and fidelity
-        fid_odd = gate_fidelity(family.protocol(2.42 * PI, 0.0), TARGET_2Q)
+        fid_odd = gate_fidelity(family.protocol(2.42 * PI, 0.0))
         assert fid_odd == pytest.approx(fid, abs=1e-12)
 
     def test_rotated_lattice_point_value(self):
         a, b = math.sqrt(0.9), math.sqrt(0.1)
         family = sop_family(b2=0.1)
-        fid = gate_fidelity(family.protocol(2 * PI * (a + b), 2 * PI * (a - b)), TARGET_2Q)
+        fid = gate_fidelity(family.protocol(2 * PI * (a + b), 2 * PI * (a - b)))
         assert fid == pytest.approx(0.9519195417929724, abs=1e-12)
 
-    def test_signature_length_checked(self):
+    def test_one_qubit_protocol_refused(self):
+        # A C-PHASE gate needs two qubits; the register size comes from the amplitude count.
+        protocol = Protocol((Pulse(PI, StructuralVector((1.0,))),), n_qubits=1)
         with pytest.raises(SignatureMismatchError):
-            gate_fidelity(jp_protocol(), cphase_signature(3))
+            gate_fidelity(protocol)
 
     def test_global_sign_flip_invariance(self):
         p = sop_family(b2=0.3).protocol(2.6 * PI, 0.8 * PI)
@@ -126,16 +128,14 @@ class TestGateFidelity:
             pulses=tuple(type(q)(q.area, negated(q.vector)) for q in p.pulses),
             n_qubits=p.n_qubits,
         )
-        assert gate_fidelity(flipped, TARGET_2Q) == pytest.approx(
-            gate_fidelity(p, TARGET_2Q), abs=1e-12
-        )
+        assert gate_fidelity(flipped) == pytest.approx(gate_fidelity(p), abs=1e-12)
 
     def test_alternate_definitions_ordering(self):
         p = sop_family(b2=0.2).protocol(2.2 * PI, 0.6 * PI)
         diag = diagonal_amplitudes(p)
-        trace_sq = fidelity_from_amplitudes(diag, TARGET_2Q, "trace-sq")
-        trace = fidelity_from_amplitudes(diag, TARGET_2Q, "trace")
-        average = fidelity_from_amplitudes(diag, TARGET_2Q, "average")
+        trace_sq = fidelity_from_amplitudes(diag, "trace-sq")
+        trace = fidelity_from_amplitudes(diag, "trace")
+        average = fidelity_from_amplitudes(diag, "average")
         assert trace == pytest.approx(math.sqrt(trace_sq), abs=1e-12)
         assert 0.0 <= trace_sq <= average <= 1.0
 
@@ -144,35 +144,44 @@ class TestFidelityFromRows:
     @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
     def test_each_row_is_its_gate_fidelity(self, definition):
         family = sop_family(b2=0.1, c2=0.1)
-        target = cphase_signature(3)
         areas = np.random.default_rng(2).uniform(-8 * PI, 8 * PI, size=(20, 2))
-        rows = fidelity_from_rows(family_amplitudes(family, areas[:, 0], areas[:, 1]), target, definition)
+        rows = fidelity_from_rows(family_amplitudes(family, areas[:, 0], areas[:, 1]), definition)
         assert rows.shape == (20,)
         for (area_odd, area_even), value in zip(areas, rows):
-            assert value == gate_fidelity(family.protocol(area_odd, area_even), target, definition)
+            assert value == gate_fidelity(family.protocol(area_odd, area_even), definition)
 
-    def test_signature_length_checked(self):
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 12])
+    def test_amplitude_count_checked(self, d):
         with pytest.raises(SignatureMismatchError):
-            fidelity_from_rows(np.ones((3, 4)), cphase_signature(3))
+            fidelity_from_rows(np.ones((3, d)))
+        with pytest.raises(SignatureMismatchError):
+            fidelity_from_amplitudes(np.ones((3, d)))
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_register_size_read_from_the_amplitude_count(self, n_qubits):
+        # F = 1 exactly on the C-PHASE diagonal of the register the count names.
+        phases = cphase_signature(n_qubits).astype(complex)
+        assert fidelity_from_rows(phases[None]).tolist() == [1.0]
+        assert fidelity_from_amplitudes(phases[None]).tolist() == [1.0]
 
     @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
     def test_row_layout_leaves_bits_unchanged(self, definition):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))
         strided = np.asfortranarray(rows)
-        got = fidelity_from_rows(strided, cphase_signature(3), definition)
-        assert got.tobytes() == fidelity_from_rows(rows, cphase_signature(3), definition).tobytes()
+        got = fidelity_from_rows(strided, definition)
+        assert got.tobytes() == fidelity_from_rows(rows, definition).tobytes()
         # A kernel chunk is a basis-last view of a basis-first scratch array; the
         # map formula gives it, a contiguous copy and a Fortran copy the bytes of
         # its explicit order, cell by cell.
         for n_qubits, shape in ((2, (37, 13)), (3, (37, 13)), (3, (500,))):
-            target, d = cphase_signature(n_qubits), 2**n_qubits
+            phases, d = cphase_signature(n_qubits), 2**n_qubits
             scratch = rng.normal(size=(d,) + shape) + 1j * rng.normal(size=(d,) + shape)
             view = np.moveaxis(scratch, 0, -1)
-            got = fidelity_from_amplitudes(view, target, definition)
+            got = fidelity_from_amplitudes(view, definition)
             for copy in (np.ascontiguousarray(view), np.asfortranarray(view)):
-                assert fidelity_from_amplitudes(copy, target, definition).tobytes() == got.tobytes()
-            cells = [cell_fidelity(row, target.phases, definition) for row in view.reshape(-1, d).tolist()]
+                assert fidelity_from_amplitudes(copy, definition).tobytes() == got.tobytes()
+            cells = [cell_fidelity(row, phases, definition) for row in view.reshape(-1, d).tolist()]
             assert got.tobytes() == np.array(cells).reshape(shape).tobytes()
 
     def test_float_power_squares_as_math_pow(self):
@@ -195,15 +204,14 @@ class TestMapFormula:
     @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
     def test_chunk_copy_gives_the_view_bits(self, monkeypatch, definition, b2, c2):
         family = sop_family(b2=b2, c2=c2, m_pulses=4)
-        target = cphase_signature(family.n_qubits)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 23)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
         monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 5 * map_row_bytes(family.n_qubits, 13))
         chunks = []
 
         def reduce(chunk):
-            view = fidelity_from_amplitudes(chunk, target, definition)
-            copy = fidelity_from_amplitudes(np.ascontiguousarray(chunk), target, definition)
+            view = fidelity_from_amplitudes(chunk, definition)
+            copy = fidelity_from_amplitudes(np.ascontiguousarray(chunk), definition)
             chunks.append(copy.tobytes() == view.tobytes())
             return view
 
@@ -212,7 +220,6 @@ class TestMapFormula:
 
     def test_reduces_a_map_chunk_without_blas(self, monkeypatch):
         family = sop_family(b2=0.1, c2=0.1, m_pulses=4)
-        target = cphase_signature(3)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 9)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 7)
 
@@ -223,10 +230,10 @@ class TestMapFormula:
             with monkeypatch.context() as patch:
                 for name in ("tensordot", "dot", "matmul", "vecdot", "einsum"):
                     patch.setattr(np, name, refused)
-                return fidelity_from_amplitudes(chunk, target)
+                return fidelity_from_amplitudes(chunk)
 
         values = family_diagonal_grid(family, odd, even, reduce)
-        expected = fidelity_from_amplitudes(family_diagonal_grid(family, odd, even), target)
+        expected = fidelity_from_amplitudes(family_diagonal_grid(family, odd, even))
         assert values.tobytes() == expected.tobytes()
 
     def test_map_bits_do_not_depend_on_blas_threads(self):
@@ -250,10 +257,9 @@ class TestMapFormula:
         rng = np.random.default_rng(30 + n_qubits)
         d = 2**n_qubits
         rows = rng.normal(size=(5000, d)) + 1j * rng.normal(size=(5000, d))
-        target = cphase_signature(n_qubits)
         for definition in FIDELITY_DEFINITIONS:
-            alone = [fidelity_from_amplitudes(row, target, definition) for row in rows]
-            batched = [fidelity_from_amplitudes(row[None], target, definition)[0] for row in rows]
+            alone = [fidelity_from_amplitudes(row, definition) for row in rows]
+            batched = [fidelity_from_amplitudes(row[None], definition)[0] for row in rows]
             assert np.array(alone).tobytes() == np.array(batched).tobytes()
 
 
@@ -361,7 +367,7 @@ class TestFidelityMap:
             if scan == "map":
                 fidelity_map(sop_family(b2=0.1, c2=0.1), GridSpec(-16, 16, 0.05), definition="bogus")
             else:
-                b_scan((2, 2), np.linspace(0.0, 0.5, 500_001), definition="bogus")
+                b_scan((2 * PI, 2 * PI), np.linspace(0.0, 0.5, 500_001), definition="bogus")
         assert calls == []
 
 
@@ -460,7 +466,7 @@ class TestMapKernelRowsAndChunks:
         assert diag.shape == (n_odd, n_even, 4)
 
     def test_empty_scans_give_empty_curves(self):
-        assert b_scan((2, 1), []).shape == (0,)
+        assert b_scan((2 * PI, 1 * PI), []).shape == (0,)
         curves = robustness_scan(sop_family(b2=0.1).protocol(2 * PI, 2 * PI), [])
         for curve in (curves.delta_area, curves.u11v, curves.u11a, curves.u11b):
             assert curve.shape == (0,)
@@ -475,9 +481,9 @@ class TestMapBlocks:
         seen = []
         original = sopgate.fidelity.fidelity_from_amplitudes
 
-        def recorded(diag, target, definition="trace-sq"):
+        def recorded(diag, definition="trace-sq"):
             seen.append(diag.shape[0])
-            return original(diag, target, definition)
+            return original(diag, definition)
 
         monkeypatch.setattr(sopgate.fidelity, "fidelity_from_amplitudes", recorded)
         return seen
@@ -536,10 +542,9 @@ class TestMapBlocks:
         family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
         grid_odd, grid_even = GridSpec(-5.3, 5.7, 0.5), GridSpec(-2.9, 3.1, 0.5)  # 23 x 13
         fmap = fidelity_map(family, grid_odd, grid_even, definition)
-        target = cphase_signature(family.n_qubits)
         for i, j in np.ndindex(fmap.values.shape):
             point = family_amplitudes(family, fmap.axis_odd[i], fmap.axis_even[j])
-            cell = fidelity_from_amplitudes(point[None], target, definition)
+            cell = fidelity_from_amplitudes(point[None], definition)
             assert cell.tobytes() == fmap.values[i, j : j + 1].tobytes()
 
     def test_wide_three_qubit_map_memory(self):
@@ -599,7 +604,7 @@ class TestCarriedRows:
         assert carried == rows
 
     def test_b_scan_carries_two(self, carried):
-        b_scan((2, -1.5), np.linspace(0.0, 0.5, 11))
+        b_scan((2 * PI, -1.5 * PI), np.linspace(0.0, 0.5, 11))
         assert carried == {2}
 
     def test_robustness_scan_carries_two(self, carried):
@@ -764,19 +769,19 @@ class TestRobustnessScan:
 
 class TestBScan:
     def test_independent_qubits_are_perfect(self):
-        assert b_scan((2, 2), [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert b_scan((2 * PI, 2 * PI), [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_beats_mirrored_everywhere(self):
         b2_grid = np.arange(0.01, 0.501, 0.01)
-        f_orth = b_scan((2, 2), b2_grid, orthogonal=True)
-        f_non = b_scan((2, 2), b2_grid, orthogonal=False)
+        f_orth = b_scan((2 * PI, 2 * PI), b2_grid, orthogonal=True)
+        f_non = b_scan((2 * PI, 2 * PI), b2_grid, orthogonal=False)
         assert np.all(f_orth >= f_non)
         assert np.max(f_orth - f_non) > 0.03
 
     def test_large_area_protocol_decays_faster_then_recovers(self):
         b2_grid = np.arange(0.01, 0.501, 0.01)
-        f_22 = b_scan((2, 2), b2_grid)
-        f_26 = b_scan((2, 6), b2_grid)
+        f_22 = b_scan((2 * PI, 2 * PI), b2_grid)
+        f_26 = b_scan((2 * PI, 6 * PI), b2_grid)
         near_zero = b2_grid <= 0.05
         assert np.all(f_26[near_zero] < f_22[near_zero])
         assert f_26.max() > 0.99
@@ -786,32 +791,32 @@ class TestBScan:
         # b^2 = 1 + 2**-52 squares back to 1 and is a valid family.
         edges = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0, 1 + 2**-52]
         b2_grid = [*np.arange(0.0, 0.5001, 0.05).tolist(), *edges]
-        scan = b_scan((2.5, -1.5), b2_grid, orthogonal=orthogonal, definition="average")
+        scan = b_scan((2.5 * PI, -1.5 * PI), b2_grid, orthogonal=orthogonal, definition="average")
         for value, b2 in zip(scan, b2_grid):
             protocol = sop_family(b2=b2, orthogonal=orthogonal).protocol(2.5 * PI, -1.5 * PI)
-            assert value == gate_fidelity(protocol, TARGET_2Q, "average")
+            assert value == gate_fidelity(protocol, "average")
 
     @pytest.mark.parametrize("b2", [-0.1, -5e-324, 1.1, 1 + 2**-51, math.inf, -math.inf, math.nan])
     def test_refused_overlap(self, b2):
         with pytest.raises(NotNormalizedError):
             sop_family(b2=b2)
         with pytest.raises(NotNormalizedError):
-            b_scan((2, 2), [0.1, b2, 0.2])
+            b_scan((2 * PI, 2 * PI), [0.1, b2, 0.2])
 
-    @pytest.mark.parametrize("areas", [(1e308, 2), (2, -math.inf), (math.nan, 2)])
+    @pytest.mark.parametrize("areas", [(math.inf, 2 * PI), (2 * PI, -math.inf), (math.nan, 2 * PI)])
     def test_areas_not_finite_in_radians_refused_before_the_kernel(self, monkeypatch, areas):
         calls = []
         monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", lambda *a, **k: calls.append(a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptyGridError, match="not finite in radians"):
+            with pytest.raises(EmptyGridError, match="not finite"):
                 b_scan(areas, [0.1])
         assert calls == []
 
     def test_second_pulse_free_protocol(self):
         # (14, 0): no even pulse at all, still high fidelities at some b
         b2_grid = np.arange(0.01, 0.501, 0.01)
-        f = b_scan((14, 0), b2_grid)
+        f = b_scan((14 * PI, 0 * PI), b2_grid)
         assert f.max() > 0.95
 
     def test_long_scan_memory(self):
@@ -819,7 +824,7 @@ class TestBScan:
         b2_grid = np.linspace(0.0, 0.5, 100_001)
         tracemalloc.start()
         try:
-            b_scan((2, 2), b2_grid)
+            b_scan((2 * PI, 2 * PI), b2_grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,6 @@ from sopgate import (
     InfeasibleStartError,
     ProtocolFamily,
     StructuralVector,
-    cphase_signature,
     gate_fidelity,
     nelder_mead_constrained,
     optimize_all_factors,
@@ -27,7 +26,6 @@ from sopgate.optimize import DEFAULT_MAX_EVALS, MAX_SIMPLICES, gate_factor_arc, 
 PI = math.pi
 B_01 = math.sqrt(0.1)
 C_01 = math.sqrt(0.1)
-TARGET_3Q = cphase_signature(3)
 
 
 def sphere_problem():
@@ -215,11 +213,11 @@ def all_factors_family(c_fixed, x):
 
 def third_qubit_fidelity(b, areas):
     """The scalar objective of one point, built from protocol objects."""
-    return lambda x: gate_fidelity(third_qubit_family(b, x).protocol(*areas), TARGET_3Q)
+    return lambda x: gate_fidelity(third_qubit_family(b, x).protocol(*areas))
 
 
 def all_factors_fidelity(c_fixed, areas):
-    return lambda x: gate_fidelity(all_factors_family(c_fixed, x).protocol(*areas), TARGET_3Q)
+    return lambda x: gate_fidelity(all_factors_family(c_fixed, x).protocol(*areas))
 
 
 def grid_points(seed, n=40):
@@ -310,7 +308,7 @@ class TestLockstepEqualsSequential:
         def objective(x, problem):
             odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
             amplitudes = alternating_amplitudes(odd, even, areas[problem, 0], areas[problem, 1])
-            return fidelity_from_rows(amplitudes, TARGET_3Q)
+            return fidelity_from_rows(amplitudes)
 
         got = nelder_mead_constrained(
             objective, lower, upper, project, seed=6, restarts=3, max_evals=23, shape=(len(areas),)
@@ -340,7 +338,7 @@ class TestLockstepEqualsSequential:
             np.testing.assert_array_equal(single.best_parameters, grid.best_parameters[k])
             assert (single.best_fidelity, single.evaluations) == (grid.best_fidelity[k], grid.evaluations[k])
             protocol = family(single.best_parameters).protocol(*point)
-            assert gate_fidelity(protocol, TARGET_3Q) == single.best_fidelity
+            assert gate_fidelity(protocol) == single.best_fidelity
 
 
 class TestOptimizeAreas:
@@ -367,7 +365,7 @@ class TestOptimizeAreas:
         bounds = [(c - 0.25 * PI, c + 0.25 * PI) for c in (2.45 * PI, 1.35 * PI)]
         result = optimize_areas(family, bounds, seed=5, restarts=2)
         protocol = family.protocol(*result.best_parameters)
-        assert gate_fidelity(protocol, cphase_signature(2)) == result.best_fidelity
+        assert gate_fidelity(protocol) == result.best_fidelity
 
 
 class TestOptimizeThirdQubit:
@@ -394,15 +392,15 @@ class TestOptimizeThirdQubit:
         areas = (2.4 * PI, 1.1 * PI)
         result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=3, restarts=2)
         protocol = third_qubit_family(B_01, result.best_parameters).protocol(*areas)
-        assert protocol.areas == (0.5 * areas[0], areas[1], 0.5 * areas[0])
-        assert gate_fidelity(protocol, cphase_signature(3)) == result.best_fidelity
+        assert [pulse.area for pulse in protocol.pulses] == [0.5 * areas[0], areas[1], 0.5 * areas[0]]
+        assert gate_fidelity(protocol) == result.best_fidelity
 
     def test_clamped_spectator_reproduces_fixed_map_value(self):
         # evaluating the optimization manifold at c = sqrt(0.1) must equal the
         # plain three-qubit family fidelity at the same areas
         areas = (1.15 * PI, -2.45 * PI)
         family = sop_family(b2=0.1, c2=0.1, n_qubits=3)
-        fixed = gate_fidelity(family.protocol(*areas), cphase_signature(3))
+        fixed = gate_fidelity(family.protocol(*areas))
         result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=1, restarts=8)
         assert result.best_fidelity >= fixed - 1e-12
 
@@ -410,14 +408,14 @@ class TestOptimizeThirdQubit:
         # the spectator cannot be used to lift the best fixed-factor point
         areas = (1.15 * PI, -2.45 * PI)
         family = sop_family(b2=0.1, c2=0.1, n_qubits=3)
-        fixed = gate_fidelity(family.protocol(*areas), cphase_signature(3))
+        fixed = gate_fidelity(family.protocol(*areas))
         result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=1, restarts=8)
         assert result.best_fidelity == pytest.approx(fixed, abs=5e-3)
 
     def test_lifts_low_maxima(self):
         areas = (2.4 * PI, 1.1 * PI)
         family = sop_family(b2=0.1, c2=0.1, n_qubits=3)
-        fixed = gate_fidelity(family.protocol(*areas), cphase_signature(3))
+        fixed = gate_fidelity(family.protocol(*areas))
         result = optimize_third_qubit(areas, b=B_01, min_c2=0.1, seed=1, restarts=8)
         assert result.best_fidelity > fixed + 0.1
 
@@ -431,6 +429,19 @@ class TestOptimizeThirdQubit:
     def test_infeasible_bound(self):
         with pytest.raises(InfeasibleStartError):
             optimize_third_qubit((PI, PI), b=0.1, min_c2=0.7)
+
+    @pytest.mark.parametrize("b, min_c2", [(1.0, 0.0), (math.sqrt(0.5), 0.5)])
+    def test_empty_spectator_range_refused(self, b, min_c2):
+        # c^2 <= 1 - b^2 - 1e-12 leaves no c with c^2 >= min_c2: at b = 1 the
+        # bound is negative, at b^2 = 0.5 it lies just below min_c2 = 0.5.
+        with pytest.raises(InfeasibleStartError):
+            spectator_bounds(b, min_c2)
+        with pytest.raises(InfeasibleStartError):
+            optimize_third_qubit((2 * PI, 2 * PI), b=b, min_c2=min_c2, restarts=1)
+
+    def test_spectator_range_may_be_one_point(self):
+        c = math.sqrt(0.5)
+        assert spectator_bounds(0.0, 0.5) == (c, c)
 
 
 class TestOptimizeAllFactors:
@@ -452,7 +463,7 @@ class TestOptimizeAllFactors:
     @pytest.mark.parametrize("areas", [(1.15 * PI, -2.45 * PI), (2.4 * PI, 1.1 * PI)])
     def test_improves_on_fixed_factors(self, areas):
         family = sop_family(b2=0.1, c2=0.1, n_qubits=3)
-        fixed = gate_fidelity(family.protocol(*areas), cphase_signature(3))
+        fixed = gate_fidelity(family.protocol(*areas))
         result = optimize_all_factors(areas, c_fixed=C_01, min_sq=0.1, seed=6, restarts=8)
         assert result.best_fidelity >= fixed - 1e-9
 

@@ -26,8 +26,6 @@ from sopgate import (
     Pulse,
     StructuralVector,
     basis_labels,
-    cphase_signature,
-    make_structural_vector,
     sop_family,
 )
 from sopgate.fidelity import alternating_amplitudes, family_diagonal_grid, fidelity_from_rows, pulse_areas
@@ -392,21 +390,16 @@ class TestSmallBatches:
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
     def test_rows_equal_one_row_calls_bitwise(self, n_qubits, m_pulses):
         rng = np.random.default_rng(10 * n_qubits + m_pulses)
-        target = cphase_signature(n_qubits)
-
-        def fidelities(amplitudes):
-            return fidelity_from_rows(amplitudes, target)
-
         for n_rows in range(1, 41):
             odd, even = rng.normal(size=(2, n_rows, n_qubits))
             areas = rng.uniform(-8 * PI, 8 * PI, size=(2, n_rows))
             batch = alternating_amplitudes(odd, even, *areas, m_pulses)
-            reduced = alternating_amplitudes(odd, even, *areas, m_pulses, fidelities)
+            reduced = alternating_amplitudes(odd, even, *areas, m_pulses, fidelity_from_rows)
             assert batch.shape == (n_rows, 2**n_qubits) and reduced.shape == (n_rows,)
             for row in range(n_rows):
                 alone = (odd[row], even[row], areas[0, row], areas[1, row], m_pulses)
                 assert batch[row].tobytes() == alternating_amplitudes(*alone).tobytes()
-                assert reduced[row].tobytes() == alternating_amplitudes(*alone, fidelities).tobytes()
+                assert reduced[row].tobytes() == alternating_amplitudes(*alone, fidelity_from_rows).tobytes()
 
 
 def _batch_shapes():
@@ -593,15 +586,15 @@ class TestSequenceAmplitude:
 
 class TestClosedForms:
     def test_threepulse_orthogonal_reduces_to_sop(self):
-        e1 = make_structural_vector((A_01, B_01))
-        e2 = make_structural_vector((-B_01, A_01))
+        e1 = StructuralVector((A_01, B_01))
+        e2 = StructuralVector((-B_01, A_01))
         for th1, th2 in [(0.3, 1.1), (PI / 2, 0.77), (2.0, -1.3)]:
             value = u11v_threepulse(e1, e2, e1, th1, th2, th1)
             assert value == pytest.approx(u11v_sop(th1, th2), abs=1e-14)
 
     def test_half_pi_first_pulse_locks_inversion(self):
-        e1 = make_structural_vector((A_01, B_01))
-        e2 = make_structural_vector((-B_01, A_01))
+        e1 = StructuralVector((A_01, B_01))
+        e2 = StructuralVector((-B_01, A_01))
         for th2 in np.linspace(-PI, PI, 11):
             assert u11v_threepulse(e1, e2, e1, PI / 2, th2, PI / 2) == pytest.approx(
                 -1.0, abs=1e-12
@@ -615,11 +608,11 @@ class TestClosedForms:
             vecs = []
             for _ in range(3):
                 v = rng.normal(size=dim)
-                vecs.append(make_structural_vector(v))
+                vecs.append(v / np.linalg.norm(v))
             thetas = rng.uniform(-2 * PI, 2 * PI, size=3)
             u_tot = np.eye(dim + 1, dtype=complex)
             for vec, theta in zip(vecs, thetas):
-                u_tot = star_propagator(vec.as_array(), theta) @ u_tot
+                u_tot = star_propagator(vec, theta) @ u_tot
             closed = u11v_threepulse(*vecs, *thetas)
             assert abs(u_tot[0, 0].imag) < 1e-12
             assert closed == pytest.approx(u_tot[0, 0].real, abs=1e-12)
@@ -627,9 +620,9 @@ class TestClosedForms:
     def test_threepulse_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             u11v_threepulse(
-                make_structural_vector((1, 0)),
-                make_structural_vector((1, 0, 0)),
-                make_structural_vector((0, 1)),
+                StructuralVector((1.0, 0.0)),
+                StructuralVector((1.0, 0.0, 0.0)),
+                StructuralVector((0.0, 1.0)),
                 1.0,
                 1.0,
                 1.0,

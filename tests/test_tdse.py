@@ -12,15 +12,13 @@ from sopgate import (
     StepTooLargeError,
     StructuralVector,
     envelopes_for_protocol,
-    integrate_block,
-    sequence_amplitude,
     sop_family,
     validate_protocol,
 )
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
-from sopgate.propagator import block_decompose, diagonal_amplitudes, star_propagator
-from sopgate.tdse import _pulse_propagators, _pulse_steps, _register_patterns, _step_coefficients
+from sopgate.propagator import block_decompose, diagonal_amplitudes, sequence_amplitude, star_propagator
+from sopgate.tdse import _pulse_propagators, integrate_block, _pulse_steps, _register_patterns, _step_coefficients
 
 PI = math.pi
 
