@@ -8,7 +8,10 @@ flip of the whole pulse. All types are immutable values and safe to share
 between workers.
 
 Areas are stored in radians throughout the library; presentation layers (CLI,
-CSV, JSON reports) convert to units of pi.
+CSV, JSON reports) convert to units of pi. The one exception is
+:class:`~sopgate.fidelity.GridSpec`, a map's sweep range, which is given in
+units of pi as on the command line; its users take its points in radians,
+from ``GridSpec.values_radians``.
 """
 
 import functools

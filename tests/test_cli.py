@@ -91,6 +91,16 @@ class TestMapCommand:
         assert_config_error(capsys, ["map", "--b2", "0.1", "--c2", "0.5000001", "--grid=0:0.5:0.5", "--out", str(out)])
         assert not out.exists()
 
+    def test_squares_summing_to_one(self, tmp_path):
+        # 0.5 + 0.5 is 1, though sqrt(0.5)**2 + sqrt(0.5)**2 is just above it.
+        out = tmp_path / "sumone"
+        argv = ["map", "--b2", "0.5", "--c2", "0.5", "--non-orthogonal", "--grid=0:0.5:0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = (out / "fidelity_map.csv").read_bytes()
+        meta = json.loads(read(out / "fidelity_map.json"))
+        assert meta["content_sha256"] == hashlib.sha256(data).hexdigest()
+        assert data.count(b"\n") == 1 + 4
+
     def test_bad_grid_is_config_error(self, tmp_path):
         assert main(["map", "--grid", "nonsense", "--out", str(tmp_path)]) == 2
 

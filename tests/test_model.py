@@ -158,6 +158,7 @@ class TestProtocols:
             {"c2": -0.1, "n_qubits": 3},
             {"c2": math.nan, "n_qubits": 3},
             {"b2": 0.6, "c2": 0.5},
+            {"b2": 0.5, "c2": 0.5 + 2**-52, "orthogonal": False},
             {"b2": 0.1, "c2": 0.5000001},
         ],
     )
@@ -179,6 +180,17 @@ class TestProtocols:
         assert math.sqrt(0.5) ** 2 > 0.5
         family = sop_family(b2=0.1, c2=0.5)
         assert abs(dot(family.vector_odd, family.vector_even)) < 1e-12
+
+    @pytest.mark.parametrize("b2", [0.18, 0.5, 0.7, 0.83])
+    def test_squares_summing_to_one_are_accepted(self, b2):
+        # b2 + c2 is exactly 1, but the roots square back to just above it.
+        c2 = 1.0 - b2
+        assert b2 + c2 == 1.0
+        assert math.sqrt(b2) ** 2 + math.sqrt(c2) ** 2 > 1.0
+        family = sop_family(b2=b2, c2=c2, orthogonal=False)
+        b, c = math.sqrt(b2), math.sqrt(c2)
+        assert family.vector_odd.components == (0.0, b, c)
+        assert family.vector_even.components == (b, 0.0, c)
 
     def test_protocol_vector_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
