@@ -62,7 +62,7 @@ class StructuralVector:
         if len(self.components) < 1:
             raise DimensionMismatchError("structural vector needs >= 1 component")
         norm = math.sqrt(math.fsum(c * c for c in self.components))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise NotNormalizedError(
                 f"structural vector norm {norm!r} differs from 1 by more than {UNIT_NORM_TOL}"
             )
@@ -131,10 +131,12 @@ def spectator_orthogonal_pair(
     overlap, so the full dot product vanishes and the ground-state passage of
     the all-zeros block stays exactly dark-state protected. Reduces to the
     two-qubit construction ((a, b), (-b, a)) as the spectator factors go to 0.
-    Requires c_odd^2 + c_even^2 <= 1, up to ``UNIT_NORM_TOL`` of round-off
-    (c_odd = c_even = sqrt(0.5) squares to a sum just above 1).
+    Requires b^2 + c_odd^2 <= 1 and c_odd^2 + c_even^2 <= 1, each up to
+    ``UNIT_NORM_TOL`` of round-off: the roots of squares summing to exactly
+    1, such as b = c_odd = c_even = sqrt(0.5), square back to a sum just
+    above 1, and then a = 0.
     """
-    if b * b + c_odd * c_odd > 1.0:
+    if b * b + c_odd * c_odd > 1.0 + UNIT_NORM_TOL:
         raise NotNormalizedError(f"b^2 + c^2 = {b * b + c_odd * c_odd} exceeds 1")
     if c_odd * c_odd + c_even * c_even > 1.0 + UNIT_NORM_TOL:
         raise NotNormalizedError(
@@ -150,14 +152,16 @@ def spectator_orthogonal_rows(b, c_odd, c_even) -> tuple[np.ndarray, np.ndarray]
     """The two vectors of :func:`spectator_orthogonal_pair` as arrays of shape (..., 3).
 
     Broadcasts over its arguments and checks none of them; where the pair
-    exists, each row holds its components bit for bit.
+    exists, each row holds its components bit for bit. The radicand of a is
+    clamped at 0, so round-off at b^2 + c_odd^2 = 1 gives a = 0, not NaN.
     """
     b, c_odd, c_even = (np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
     rows = np.empty((2,) + np.broadcast(b, c_odd, c_even).shape + (3,))
     odd_squared = c_odd * c_odd
     r_odd = np.sqrt(1.0 - odd_squared)
     r_even = np.sqrt(1.0 - c_even * c_even)
-    a = np.sqrt(1.0 - b * b - odd_squared, out=rows[0, ..., 0])
+    a = np.maximum(1.0 - b * b - odd_squared, 0.0, out=rows[0, ..., 0])
+    np.sqrt(a, out=a)
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)
     alpha = np.sqrt(np.maximum(0.0, 1.0 - beta * beta))

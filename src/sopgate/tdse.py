@@ -10,10 +10,17 @@ Within one pulse the Hamiltonian is a time-dependent Rabi frequency times a
 constant real symmetric coupling pattern P, so each RK4 step is a degree-4
 polynomial in X = -i P, with coefficients from the step's three stage Rabi
 values. The steps of a pulse therefore commute, and their product is taken
-as scalars in the LAPACK ``eigh`` basis of P: one ``eigh`` per pulse, one
-product of step factors per eigenvalue. This is still the RK4 scheme, with
-its amplification factor in place of the exponential, and it shares no code
+as scalars in the LAPACK ``eigh`` basis of P. One ``eigh`` call decomposes
+the patterns of all pulses at once. Per pulse, one real matrix product
+forms every step factor at every eigenvalue, and a pairwise product in
+place multiplies them. This is still the RK4 scheme, with its
+amplification factor in place of the exponential, and it shares no code
 with :func:`~sopgate.propagator.star_propagator`.
+
+Reports repeat byte for byte on one host. Across hosts the last digits of a
+deviation (about 1e-10 at the default step) may differ: they depend on the
+LAPACK and BLAS kernels behind ``eigh`` and ``@`` and, for the Gaussian
+envelope, on the ``exp`` loop numpy dispatches for the CPU.
 
 :func:`validate_protocol` integrates the whole perfectly blockaded register
 at once, with patterns built from the pulse vectors alone, so it shares no
@@ -143,41 +150,78 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
     return coeffs
 
 
-def _pulse_propagators(patterns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """RK4 propagators of one pulse for real symmetric patterns P, shape ``(..., d, d)``.
+def _pairwise_product(steps: np.ndarray) -> np.ndarray:
+    """Product over axis 0 of ``steps``, shape ``(n, ...)``, taken pairwise in place.
+
+    Each level multiplies the first half of the rows by the last half into
+    the first half; with an odd count the middle row waits for the next
+    level. The rows are commuting scalars, so the pairing does not change
+    the product, only its rounding, which grows with log2(n), not n. No
+    second array of the size of ``steps`` is allocated; ``steps`` is
+    overwritten and the product is its first row.
+    """
+    n = len(steps)
+    while n > 1:
+        half = n // 2
+        np.multiply(steps[:half], steps[n - half : n], out=steps[:half])
+        n -= half
+    return steps[0]
+
+
+def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """RK4 propagators of one pulse from the ``eigh`` output of its patterns, ``(..., d, d)``.
 
     ``coeffs`` holds the pulse's :func:`_step_coefficients`. Every step is a
     polynomial p_i in X = -i P, so the steps commute and their product is
-    diagonal in the eigenbasis V of P: at an eigenvalue mu of P each step is
-    the scalar p_i(-i mu), whose real and imaginary parts
-    (1 - c2 mu^2) + c4 mu^4 and (c3 mu^2 - c1) mu are formed in place.
+    diagonal in the eigenbasis V of P: V diag(z) V^T. At an eigenvalue mu
+    of P step i is the scalar
+    p_i(-i mu) = (1 - c2 mu^2 + c4 mu^4) + i (c3 mu^2 - c1) mu, so all steps
+    come from one real product ``coeffs.T @ lift``: ``lift`` holds, for each
+    eigenvalue, a real column (1, 0, -mu^2, 0, mu^4) and an imaginary column
+    (0, -mu, 0, mu^3, 0) side by side, so the ``(n_steps, 2 mu.size)``
+    float result is the ``(n_steps, mu.size)`` complex step array, and z is
+    its :func:`_pairwise_product`.
     """
-    mu, basis = np.linalg.eigh(patterns)
-    mu2 = mu * mu
-    c = coeffs.reshape(coeffs.shape + (1,) * mu.ndim)
-    steps = np.empty(c.shape[1:2] + mu.shape, dtype=complex)
-    real, imag = steps.real, steps.imag
-    np.multiply(c[2], mu2, out=real)
-    np.subtract(1.0, real, out=real)
-    real += np.multiply(c[4], mu2 * mu2, out=imag)
-    np.multiply(c[3], mu2, out=imag)
-    imag -= c[1]
-    imag *= mu
-    factors = np.prod(steps, axis=0)
+    mu_flat = mu.reshape(-1)
+    mu2 = mu_flat * mu_flat
+    lift = np.zeros((5, mu_flat.size, 2))
+    lift[0, :, 0] = 1.0
+    lift[1, :, 1] = -mu_flat
+    lift[2, :, 0] = -mu2
+    lift[3, :, 1] = mu2 * mu_flat
+    lift[4, :, 0] = mu2 * mu2
+    steps = (coeffs.T @ lift.reshape(5, -1)).view(complex)
+    factors = _pairwise_product(steps).reshape(mu.shape)
     return (basis * factors[..., None, :]) @ basis.swapaxes(-1, -2)
+
+
+def _pulse_propagators(patterns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """RK4 propagators of one pulse for real symmetric patterns P, shape ``(..., d, d)``.
+
+    ``coeffs`` holds the pulse's :func:`_step_coefficients`; every pattern
+    of the stack is driven by the same pulse.
+    """
+    return _eigen_propagators(*np.linalg.eigh(patterns), coeffs)
 
 
 def _integrate(patterns: np.ndarray, envelopes, dt: float | None) -> np.ndarray:
     """RK4 propagator of pulses in sequence, one real symmetric pattern each, ``(n_pulses, d, d)``.
+
+    One ``eigh`` call decomposes the whole stack of patterns. For each
+    pulse, one real product forms the step factors at every eigenvalue, a
+    pairwise product in place multiplies them (:func:`_eigen_propagators`),
+    and the pulse propagator V diag(z) V^T multiplies the propagator so far
+    from the left.
 
     Raises
     ------
     StepTooLargeError
         If the unitarity drift of the result exceeds 1e-6.
     """
+    mus, bases = np.linalg.eigh(patterns)
     u_tot = np.eye(patterns.shape[-1], dtype=complex)
-    for pattern, env in zip(patterns, envelopes):
-        u_tot = _pulse_propagators(pattern, _step_coefficients(env, dt)) @ u_tot
+    for mu, basis, env in zip(mus, bases, envelopes):
+        u_tot = _eigen_propagators(mu, basis, _step_coefficients(env, dt)) @ u_tot
     drift = np.abs(u_tot.conj().T @ u_tot - np.eye(len(u_tot))).max()
     if drift > UNITARITY_DRIFT_LIMIT:
         raise StepTooLargeError(
@@ -221,9 +265,12 @@ def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
 
     These steps commute, so their product S_{n-1} ... S_1 S_0 is taken in
-    the LAPACK ``eigh`` basis of P, where each step is a scalar. The result is
-    still the RK4 scheme, not the closed-form propagator (it shares no code
-    with :func:`~sopgate.propagator.star_propagator`), and it is the one-block
+    the LAPACK ``eigh`` basis of P, where each step is a scalar: one
+    ``eigh`` call for the patterns of all pulses, one real matrix product
+    for a pulse's step factors and a pairwise product of them (see
+    :func:`_integrate`). The result is still the RK4 scheme, not the
+    closed-form propagator (it shares no code with
+    :func:`~sopgate.propagator.star_propagator`), and it is the one-block
     case of the register integration :func:`validate_protocol` runs.
 
     Raises
@@ -275,7 +322,9 @@ def validate_protocol(
     The all-|1> state is dark to every pulse, but ``eigh`` may mix it with
     other dark states, so its deviation is round-off (of order 1e-16), not
     0 by construction. Deviations above ``tolerance`` are flagged in the
-    report, not fatal.
+    report, not fatal. They repeat bit for bit on one host; their last
+    digits depend on the LAPACK/BLAS kernels and numpy's ``exp`` loop (see
+    the module docstring).
     """
     envelopes = envelopes_for_protocol(protocol, shape=shape)
     labels = basis_labels(protocol.n_qubits)

@@ -101,6 +101,16 @@ class TestMapCommand:
         assert meta["content_sha256"] == hashlib.sha256(data).hexdigest()
         assert data.count(b"\n") == 1 + 4
 
+    @pytest.mark.parametrize("b2, c2", [("0.5", "0.5"), ("0.7", "0.3"), ("0.53", "0.47")])
+    def test_orthogonal_squares_summing_to_one(self, tmp_path, b2, c2):
+        # The orthogonal 3-qubit family at b^2 + c^2 = 1 as given: the
+        # roots square back just above 1 or leave 1 - b^2 - c^2 just below 0
+        out = tmp_path / "sumone"
+        assert main(["map", "--b2", b2, "--c2", c2, "--grid=0:0.5:0.5", "--out", str(out)]) == 0
+        data = (out / "fidelity_map.csv").read_bytes()
+        assert data.count(b"\n") == 1 + 4
+        assert b"nan" not in data
+
     def test_bad_grid_is_config_error(self, tmp_path):
         assert main(["map", "--grid", "nonsense", "--out", str(tmp_path)]) == 2
 

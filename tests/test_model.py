@@ -20,6 +20,7 @@ from sopgate import (
     sop_family,
     spectator_orthogonal_pair,
 )
+from sopgate.model import spectator_orthogonal_rows
 
 PI = math.pi
 # The pi-2pi-pi protocol of Jaksch et al. with single-site beams: the
@@ -39,6 +40,11 @@ class TestStructuralVector:
     def test_direct_construction_requires_unit_norm(self):
         with pytest.raises(NotNormalizedError):
             StructuralVector((0.5, 0.5))
+
+    def test_nan_component_refused(self):
+        # a NaN norm is not within the tolerance of 1
+        with pytest.raises(NotNormalizedError):
+            StructuralVector((math.nan, 0.6, 0.8))
 
     @given(st.floats(min_value=0, max_value=1))
     @settings(max_examples=100, deadline=None)
@@ -215,6 +221,35 @@ class TestProtocols:
         a = math.sqrt(0.7)
         assert e_odd.components == pytest.approx((a, b, 0.0), abs=1e-15)
         assert e_even.components == pytest.approx((-b, a, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("i", range(50, 100))
+    def test_orthogonal_family_with_squares_summing_to_one(self, i):
+        # b2 = i/100, c2 = 1 - b2: the odd gate factor a is 0 up to the
+        # root of round-off. The roots of 0.5/0.5, 0.7/0.3 and 0.83/0.17
+        # square back to a sum just above 1; for others, such as 0.53/0.47,
+        # 1 - b^2 - c^2 rounds below 0.
+        b2 = i / 100
+        c2 = 1.0 - b2
+        family = sop_family(b2=b2, c2=c2)
+        e_odd, e_even = family.vector_odd, family.vector_even
+        assert 0.0 <= e_odd.components[0] < 2e-8
+        assert e_odd.components[1:] == (math.sqrt(b2), math.sqrt(c2))
+        for vector in (e_odd, e_even):
+            assert abs(math.sqrt(dot(vector, vector)) - 1.0) <= 1e-15
+        assert abs(dot(e_odd, e_even)) <= 1e-15
+
+    def test_spectator_rows_clamp_the_gate_factor_at_zero(self):
+        # 1 - b^2 - c^2 rounds to -1.1e-16 here; a is 0, not NaN, and no
+        # rows that exist change
+        b, c = math.sqrt(0.53), math.sqrt(0.47)
+        assert 1.0 - b * b - c * c < 0.0
+        with np.errstate(invalid="raise"):
+            e_odd, e_even = spectator_orthogonal_rows(b, c, c)
+        assert e_odd.tolist() == [0.0, b, c]
+        assert np.isfinite(e_even).all()
+        b = np.sqrt(np.linspace(0.0, 0.5, 11))
+        got_odd, _ = spectator_orthogonal_rows(b, 0.3, 0.2)
+        np.testing.assert_array_equal(got_odd[:, 0], np.sqrt(1.0 - b * b - 0.09))
 
     def test_spectator_pair_infeasible(self):
         with pytest.raises(NotNormalizedError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from sopgate import (
 from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, sequence_amplitude, star_propagator
-from sopgate.tdse import _pulse_propagators, integrate_block, _pulse_steps, _register_patterns, _step_coefficients
+from sopgate.tdse import (
+    _integrate,
+    _pairwise_product,
+    _pulse_propagators,
+    _pulse_steps,
+    _register_patterns,
+    _step_coefficients,
+    integrate_block,
+)
 
 PI = math.pi
 
@@ -149,6 +158,39 @@ def test_pulse_runs_multiply_to_the_whole_pulse(n_steps, run):
         np.testing.assert_allclose(product, _pulse_propagators(patterns, coeffs), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 4097])
+def test_pairwise_product_equals_sequential_product(n):
+    # Step factors are commuting scalars near the unit circle; the pairwise
+    # product in place equals the sequential one to round-off
+    rng = np.random.default_rng(n)
+    steps = np.exp(1j * rng.uniform(-0.1, 0.1, size=(n, 3))) * (1.0 + rng.uniform(-1e-3, 1e-3, size=(n, 3)))
+    want = np.prod(steps, axis=0)
+    work = steps.copy()
+    got = _pairwise_product(work)
+    assert np.shares_memory(got, work)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_integrate_holds_one_step_array():
+    # A 3-qubit 8 pi Gaussian pulse: the register has 20 states and the
+    # pulse thousands of steps. The step factors, their pairwise product and
+    # the pulse's step coefficients fit in 1.25 step arrays of
+    # (n_steps, 20) complex values, so no second step array is allocated
+    protocol = Protocol((Pulse(8 * PI, StructuralVector((0.6, 0.0, 0.8))),), 3)
+    envelopes = envelopes_for_protocol(protocol, shape="gaussian")
+    patterns = _register_patterns(protocol)
+    step_array_bytes = _pulse_steps(envelopes[0], None) * patterns.shape[-1] * 16
+    assert patterns.shape[-1] == 20
+    _integrate(patterns, envelopes, None)
+    tracemalloc.start()
+    try:
+        _integrate(patterns, envelopes, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * step_array_bytes
+
+
 class TestIntegrateBlock:
     def test_pi_pulse_matches_analytic(self):
         block = block_decompose(jp_protocol())[1]  # |01>: coupling (1, 0, 1) per pulse
@@ -267,6 +309,22 @@ class TestValidateProtocol:
         report = validate_protocol(sop_family(b2=0.09, c2=0.04).protocol(2 * PI, 2 * PI))
         assert len(report.deviations) == 8
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_one_eigendecomposition_per_protocol(self, monkeypatch, n_qubits):
+        # One eigh call decomposes the patterns of all pulses
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        protocol = random_protocol(np.random.default_rng(n_qubits), n_qubits=n_qubits, n_pulses=5)
+        assert validate_protocol(protocol, shape="gaussian").passed
+        dim = {2: 8, 3: 20}[n_qubits]
+        assert calls == [(5, dim, dim)]
 
     def test_wrong_analytic_kernel_fails(self, monkeypatch):
         # The integration shares no code with star_propagator, so a kernel
