@@ -27,9 +27,9 @@ left half written; a write that fails midway (a full disk, a denied
 permission) keeps the files written before it. Exit codes: 0 ok, 2 bad
 configuration, 3 validation failure.
 
-:func:`main` builds the parser of the invoked command only, the first
-argument; help, ``--version`` and an unknown command get the parser of every
-command, so each help text and refusal reads as with the full parser.
+One parser holds every command. :func:`build_parser` builds it once per
+process and :func:`main` parses every command line with it; parsing leaves it
+unchanged, so calls of :func:`main` in one process parse independently.
 
 Each option is declared once, as a row of :data:`OPTIONS`: its type, choices,
 single-value check, help text and the ``optimize --what`` modes that read it.
@@ -46,6 +46,7 @@ workers.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -145,12 +146,13 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _scan_axis(config: dict, name: str, symmetric: bool) -> np.ndarray:
-    """``np.arange`` from 0 (-max if ``symmetric``) to max + step / 2, checked before allocating.
+    """``np.arange`` from 0 (-max if ``symmetric``) by step, checked before allocating.
 
-    Max and step are the ``<name>_max`` and ``<name>_step`` config values.
+    Max and step are the ``<name>_max`` and ``<name>_step`` config values. The
+    axis ends at its last point not past max, up to round-off.
     """
     top, step = config[f"{name}_max"], config[f"{name}_step"]
-    start, stop = -top if symmetric else 0.0, top + step / 2
+    start, stop = -top if symmetric else 0.0, top + step * 1e-9
     check_grid_points((stop - start) / step)
     return np.arange(start, stop, step)
 
@@ -382,14 +384,14 @@ BSCAN_DEFAULTS = {
 
 def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     config = _merge_config(args, BSCAN_DEFAULTS)
-    pairs = [_parse_area_pair(pair_text) for pair_text in config["areas"]]
+    pairs = {}  # a repeated pair is scanned and written once, under its first spelling
+    for pair_text in config["areas"]:
+        pairs.setdefault(_parse_area_pair(pair_text), pair_text)
     b2_grid = _scan_axis(config, "b2", symmetric=False)
-    if b2_grid[-1] > 1.0:
-        raise SopGateError(f"--b2-step takes the scan past 1, to b2 = {b2_grid[-1]:g}")
     names = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
     _refuse_shared_names(zip(pairs, names))
     artifacts = []
-    for pair_text, pair, name in zip(config["areas"], pairs, names):
+    for (pair, pair_text), name in zip(pairs.items(), names):
         areas = [area * math.pi for area in pair]
         f_orth = b_scan(areas, b2_grid, orthogonal=True, definition=config["fidelity"])
         f_non = b_scan(areas, b2_grid, orthogonal=False, definition=config["fidelity"])
@@ -512,20 +514,16 @@ COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``sopgate`` parser, with the options of ``command`` only if it names one.
-
-    Any other ``command`` (None, an option, an unknown name) builds every
-    command, so that the top-level help and the refusal of an unknown
-    command list them all.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``sopgate`` parser of every command, built once per process; do not change it."""
     parser = _Parser(
         prog="sopgate",
         description="Design and evaluate structured-light C-PHASE gate protocols.",
     )
     parser.add_argument("--version", action="version", version=f"sopgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, defaults in [c for c in COMMANDS if c[0] == command] or COMMANDS:
+    for name, help_text, func, defaults in COMMANDS:
         cmd_parser = sub.add_parser(name, help=help_text)
         cmd_parser.set_defaults(func=func)
         for key in dict.fromkeys(["config", *defaults, "threads"]):
@@ -545,8 +543,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)  # None: sys.argv[1:]
     try:
         code, artifacts = args.func(args)
         for path in (p for config, name, _, _ in artifacts for p in _artifact_paths(config, name)):

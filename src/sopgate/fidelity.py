@@ -121,7 +121,8 @@ class GridSpec:
 
     @property
     def n_points(self) -> int:
-        return int(round((self.hi - self.lo) / self.step)) + 1
+        """Points up to the last one not past ``hi``, up to round-off."""
+        return math.floor((self.hi - self.lo) / self.step + 1e-9) + 1
 
     def values_pi(self) -> np.ndarray:
         return self.lo + self.step * np.arange(self.n_points)

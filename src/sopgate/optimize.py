@@ -105,9 +105,6 @@ def _stage_table() -> tuple[np.ndarray, np.ndarray]:
 
 _AFTER, _WORST = _stage_table()
 
-#: The clip ufunc itself: ``np.clip`` and ``ndarray.clip`` reach it through a Python-level wrapper.
-_clip = np._core.umath.clip
-
 
 def __getattr__(name: str):
     # scipy's Nelder-Mead ran each restart before the lockstep replaced it;
@@ -186,7 +183,7 @@ def nelder_mead_constrained(
     project = project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
-        return project(_clip(x, lower, upper))
+        return project(np.clip(x, lower, upper))
 
     dim = lower.size
     starts = feasible(_latin_hypercube(np.random.default_rng(seed), restarts, lower, upper))
@@ -409,7 +406,7 @@ def optimize_third_qubit(
 
     def project(x: np.ndarray) -> np.ndarray:
         signs = np.where(x < 0, -1.0, 1.0)
-        return signs * _clip(np.abs(x), c_lo, c_hi)
+        return signs * np.clip(np.abs(x), c_lo, c_hi)
 
     def vectors(x: np.ndarray):
         return spectator_orthogonal_rows(b, x[:, 0], x[:, 1])

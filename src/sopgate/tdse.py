@@ -169,7 +169,7 @@ def _pairwise_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """RK4 propagators of one pulse from the ``eigh`` output of its patterns, ``(..., d, d)``.
+    """RK4 propagator of one pulse from the ``eigh`` output of its pattern P, ``(d,)`` and ``(d, d)``.
 
     ``coeffs`` holds the pulse's :func:`_step_coefficients`. Every step is a
     polynomial p_i in X = -i P, so the steps commute and their product is
@@ -178,30 +178,19 @@ def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) ->
     p_i(-i mu) = (1 - c2 mu^2 + c4 mu^4) + i (c3 mu^2 - c1) mu, so all steps
     come from one real product ``coeffs.T @ lift``: ``lift`` holds, for each
     eigenvalue, a real column (1, 0, -mu^2, 0, mu^4) and an imaginary column
-    (0, -mu, 0, mu^3, 0) side by side, so the ``(n_steps, 2 mu.size)``
-    float result is the ``(n_steps, mu.size)`` complex step array, and z is
-    its :func:`_pairwise_product`.
+    (0, -mu, 0, mu^3, 0) side by side, so the ``(n_steps, 2 d)`` float
+    result is the ``(n_steps, d)`` complex step array, and z is its
+    :func:`_pairwise_product`.
     """
-    mu_flat = mu.reshape(-1)
-    mu2 = mu_flat * mu_flat
-    lift = np.zeros((5, mu_flat.size, 2))
+    mu2 = mu * mu
+    lift = np.zeros((5, mu.size, 2))
     lift[0, :, 0] = 1.0
-    lift[1, :, 1] = -mu_flat
+    lift[1, :, 1] = -mu
     lift[2, :, 0] = -mu2
-    lift[3, :, 1] = mu2 * mu_flat
+    lift[3, :, 1] = mu2 * mu
     lift[4, :, 0] = mu2 * mu2
     steps = (coeffs.T @ lift.reshape(5, -1)).view(complex)
-    factors = _pairwise_product(steps).reshape(mu.shape)
-    return (basis * factors[..., None, :]) @ basis.swapaxes(-1, -2)
-
-
-def _pulse_propagators(patterns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """RK4 propagators of one pulse for real symmetric patterns P, shape ``(..., d, d)``.
-
-    ``coeffs`` holds the pulse's :func:`_step_coefficients`; every pattern
-    of the stack is driven by the same pulse.
-    """
-    return _eigen_propagators(*np.linalg.eigh(patterns), coeffs)
+    return (basis * _pairwise_product(steps)) @ basis.T
 
 
 def _integrate(patterns: np.ndarray, envelopes, dt: float | None) -> np.ndarray:

@@ -266,7 +266,7 @@ class TestOneWritePath:
     def test_command_returns_the_bytes_main_writes(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         argv = argv + ["--out", str(out)]
-        args = build_parser(argv[0]).parse_args(argv)
+        args = build_parser().parse_args(argv)
         code, artifacts = args.func(args)
         assert code == 0 and artifacts
         assert not out.exists()
@@ -329,7 +329,6 @@ class TestScanAxes:
             ["bscan", "--b2-max", "nan"],
             ["bscan", "--b2-max", "-0.1"],
             ["bscan", "--b2-max", "1.5"],
-            ["bscan", "--b2-max", "1", "--b2-step", "0.6"],  # last point 1.2
             ["bscan", "--areas", "2,2", "--areas", "x"],
             ["robustness", "--delta-step", "0"],
             ["robustness", "--delta-step", "-0.01"],
@@ -372,6 +371,26 @@ class TestScanAxes:
         out = tmp_path / "bad"
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name, want",
+        [
+            (["map", "--grid=0:1:0.35"], "fidelity_map.csv", ["0", "0.35", "0.7"]),
+            (["bscan", "--b2-max", "0.5", "--b2-step", "0.3"], "bscan_2_2.csv", ["0", "0.3"]),
+            (["bscan", "--b2-max", "1", "--b2-step", "0.6"], "bscan_2_2.csv", ["0", "0.6"]),
+            (
+                ["robustness", "--delta-max", "0.1", "--delta-step", "0.03"],
+                "robustness_b2_0.csv",
+                ["-0.1", "-0.07", "-0.04", "-0.01", "0.02", "0.05", "0.08"],
+            ),
+        ],
+        ids=["map", "bscan", "bscan-to-1", "robustness"],
+    )
+    def test_axis_ends_at_its_last_point_not_past_max(self, tmp_path, argv, name, want):
+        out = tmp_path / "ok"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read(out / name).strip().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == want
 
     def test_axis_values_unchanged(self, tmp_path):
         out = tmp_path / "ok"
@@ -552,6 +571,22 @@ class TestBscanCommand:
         assert_config_error(capsys, argv)
         assert not out.exists()
 
+    def test_repeated_pair_is_scanned_and_written_once(self, tmp_path, capsys, monkeypatch):
+        original, calls = sopgate.cli.b_scan, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sopgate.cli, "b_scan", counted)
+        out = tmp_path / "bs"
+        argv = ["bscan", "--areas=2,2", "--areas=2.0,2", "--areas=2,2", "--b2-step", "0.25"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(calls) == 2  # one orthogonal and one mirrored scan
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+        assert wrote == [f"wrote {out / 'bscan_2_2.csv'}"]
+        assert json.loads(read(out / "bscan_2_2.json"))["config"]["areas"] == "2,2"
+
     def test_orthogonal_and_mirrored_columns(self, tmp_path):
         out = tmp_path / "bs"
         code = main(
@@ -586,7 +621,7 @@ class TestScanCsvColumns:
             return text
 
         monkeypatch.setattr(sopgate.cli, "csv_text", recorded)
-        args = build_parser(argv[0]).parse_args(argv + ["--out", str(tmp_path)])
+        args = build_parser().parse_args(argv + ["--out", str(tmp_path)])
         code, artifacts = args.func(args)
         assert code == 0 and [data for _, _, data, _ in artifacts] == [r[2] for r in rendered]
         for header, columns, text in rendered:
@@ -898,27 +933,42 @@ def every_option_argv(command, defaults):
     return argv
 
 
-class TestPerCommandParser:
-    """``main`` builds only the invoked command's parser; it must parse as the full one."""
+class TestOneParser:
+    """``main`` parses every command line with one parser, built once per process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("command, defaults", [(c[0], c[3]) for c in sopgate.cli.COMMANDS])
-    def test_parses_as_the_full_parser(self, command, defaults):
-        argv = every_option_argv(command, defaults)
-        args = build_parser(command).parse_args(argv)
-        assert args == build_parser().parse_args(argv)
+    def test_parses_every_option(self, command, defaults):
+        args = build_parser().parse_args(every_option_argv(command, defaults))
         assert all(value is not None for value in vars(args).values())
         assert {k for k in vars(args) if k in sopgate.cli.OPTIONS} == {"config", "threads", *defaults}
 
     @pytest.mark.parametrize("command", [c[0] for c in sopgate.cli.COMMANDS])
-    def test_help_text_unchanged(self, command, capsys):
-        texts = []
-        for parser in (build_parser(command), build_parser()):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args([command, "-h"])
-            assert exc.value.code == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1]
-        assert texts[0].startswith(f"usage: sopgate {command} ")
+    def test_help_text(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sopgate {command} ")
+
+    @pytest.mark.parametrize(
+        "first, second, written",
+        [
+            (["bscan", "--areas=1,1", "--b2-step", "0.25"], ["bscan"], "bscan_2_2.csv"),
+            (
+                ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"],
+                ["optimize", "--areas=2,2", "--restarts", "1"],
+                "optimized_map_third_qubit.csv",
+            ),
+        ],
+        ids=["bscan", "optimize"],
+    )
+    def test_calls_in_one_process_parse_independently(self, tmp_path, first, second, written):
+        assert main(first + ["--out", str(tmp_path / "first")]) == 0
+        out = tmp_path / "second"
+        assert main(second + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [written, written.replace(".csv", ".json")]
 
     @pytest.mark.parametrize("argv, want", [(["-h"], "{map,esop-map,"), (["--version"], "sopgate ")])
     def test_top_level_help_and_version(self, argv, want, capsys):
