@@ -11,11 +11,14 @@ constant real symmetric coupling pattern P, so each RK4 step is a degree-4
 polynomial in X = -i P, with coefficients from the step's three stage Rabi
 values. The steps of a pulse therefore commute, and their product is taken
 as scalars in the LAPACK ``eigh`` basis of P. One ``eigh`` call decomposes
-the patterns of all pulses at once. Per pulse, one real matrix product
-forms every step factor at every eigenvalue, and a pairwise product in
-place multiplies them. This is still the RK4 scheme, with its
-amplification factor in place of the exponential, and it shares no code
-with :func:`~sopgate.propagator.star_propagator`.
+the patterns of all pulses at once. Envelopes are mirror-symmetric about the
+pulse centre and a step's coefficients symmetric in its first and last stage
+values, so step n - 1 - i of an n-step pulse repeats step i. Per pulse, one
+real matrix product forms the first ceil(n / 2) step factors at every
+eigenvalue; the pulse's factor is the pairwise product in place of the first
+n // 2, squared, times the middle step if n is odd. This is still the RK4
+scheme, with its amplification factor in place of the exponential, and it
+shares no code with :func:`~sopgate.propagator.star_propagator`.
 
 Reports repeat byte for byte on one host. Across hosts the last digits of a
 deviation (about 1e-10 at the default step) may differ: they depend on the
@@ -130,24 +133,29 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
     return max(MIN_STEPS_PER_PULSE, by_rate)
 
 
-def _step_coefficients(env: PulseEnvelope, dt: float | None) -> np.ndarray:
-    """Coefficients of X^0 ... X^4 in every RK4 step of one pulse, shape ``(5, n_steps)``.
+def _step_coefficients(env: PulseEnvelope, dt: float | None) -> tuple[np.ndarray, int]:
+    """Coefficients of X^0 ... X^4 in the first ceil(n / 2) RK4 steps of one n-step pulse, and n.
 
-    They depend on the envelope only, not on the coupling pattern.
+    They depend on the envelope only, not on the coupling pattern; the
+    second half of the steps mirrors the first (see the module docstring).
     """
     n_steps = _pulse_steps(env, dt)
+    n_half = -(-n_steps // 2)
     h = env.duration / n_steps
-    # Rabi values at the half-step offsets 0, h/2, ..., n_steps * h;
+    # Rabi values at the half-step offsets 0, h/2, ..., n_half * h;
     # step i takes entries 2i, 2i + 1 and 2i + 2
-    stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
+    stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_half + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
-    coeffs = np.empty((5, n_steps))
+    coeffs = np.empty((5, n_half))
     coeffs[0] = 1.0
-    coeffs[1] = h / 6.0 * (a + 4.0 * b + c)
-    coeffs[2] = h**2 / 6.0 * (a * b + b * b + b * c)
-    coeffs[3] = h**3 / 12.0 * (a * b * b + b * b * c)
-    coeffs[4] = h**4 / 24.0 * a * b * b * c
-    return coeffs
+    # rows 1 and 4 hold a + c and b^2 until the rows that share them are formed
+    a_plus_c, b_squared = np.add(a, c, out=coeffs[1]), np.multiply(b, b, out=coeffs[4])
+    np.multiply(b_squared, a_plus_c, out=coeffs[3])
+    np.add(np.multiply(b, a_plus_c, out=coeffs[2]), b_squared, out=coeffs[2])
+    coeffs[1] += 4.0 * b
+    coeffs[4] *= a * c
+    coeffs[1:] *= np.array([[h / 6.0], [h**2 / 6.0], [h**3 / 12.0], [h**4 / 24.0]])
+    return coeffs, n_steps
 
 
 def _pairwise_product(steps: np.ndarray) -> np.ndarray:
@@ -168,19 +176,23 @@ def _pairwise_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """RK4 propagator of one pulse from the ``eigh`` output of its pattern P, ``(d,)`` and ``(d, d)``.
+def _eigen_propagators(
+    mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray, n_steps: int | None = None
+) -> np.ndarray:
+    """RK4 propagator of a run of steps from the ``eigh`` output of its pattern P, ``(d,)`` and ``(d, d)``.
 
-    ``coeffs`` holds the pulse's :func:`_step_coefficients`. Every step is a
-    polynomial p_i in X = -i P, so the steps commute and their product is
-    diagonal in the eigenbasis V of P: V diag(z) V^T. At an eigenvalue mu
-    of P step i is the scalar
+    ``coeffs`` holds the run's step coefficients, shape ``(5, n)``. Every
+    step is a polynomial p_i in X = -i P, so the steps commute and their
+    product is diagonal in the eigenbasis V of P: V diag(z) V^T. At an
+    eigenvalue mu of P step i is the scalar
     p_i(-i mu) = (1 - c2 mu^2 + c4 mu^4) + i (c3 mu^2 - c1) mu, so all steps
     come from one real product ``coeffs.T @ lift``: ``lift`` holds, for each
     eigenvalue, a real column (1, 0, -mu^2, 0, mu^4) and an imaginary column
-    (0, -mu, 0, mu^3, 0) side by side, so the ``(n_steps, 2 d)`` float
-    result is the ``(n_steps, d)`` complex step array, and z is its
-    :func:`_pairwise_product`.
+    (0, -mu, 0, mu^3, 0) side by side, so the ``(n, 2 d)`` float result is
+    the ``(n, d)`` complex step array, and z is its
+    :func:`_pairwise_product`. With ``n_steps``, ``coeffs`` is the first
+    half of a pulse from :func:`_step_coefficients`, and z is the whole
+    pulse's, mirrored as the module docstring describes.
     """
     mu2 = mu * mu
     lift = np.zeros((5, mu.size, 2))
@@ -190,17 +202,19 @@ def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) ->
     lift[3, :, 1] = mu2 * mu
     lift[4, :, 0] = mu2 * mu2
     steps = (coeffs.T @ lift.reshape(5, -1)).view(complex)
-    return (basis * _pairwise_product(steps)) @ basis.T
+    z = _pairwise_product(steps[: n_steps // 2 if n_steps else None])
+    if n_steps:
+        z = z * z * steps[-1] if n_steps % 2 else z * z
+    return (basis * z) @ basis.T
 
 
 def _integrate(patterns: np.ndarray, envelopes, dt: float | None) -> np.ndarray:
     """RK4 propagator of pulses in sequence, one real symmetric pattern each, ``(n_pulses, d, d)``.
 
     One ``eigh`` call decomposes the whole stack of patterns. For each
-    pulse, one real product forms the step factors at every eigenvalue, a
-    pairwise product in place multiplies them (:func:`_eigen_propagators`),
-    and the pulse propagator V diag(z) V^T multiplies the propagator so far
-    from the left.
+    pulse, :func:`_eigen_propagators` forms the whole pulse's factors from
+    its first half of steps, and the pulse propagator V diag(z) V^T
+    multiplies the propagator so far from the left.
 
     Raises
     ------
@@ -210,7 +224,7 @@ def _integrate(patterns: np.ndarray, envelopes, dt: float | None) -> np.ndarray:
     mus, bases = np.linalg.eigh(patterns)
     u_tot = np.eye(patterns.shape[-1], dtype=complex)
     for mu, basis, env in zip(mus, bases, envelopes):
-        u_tot = _eigen_propagators(mu, basis, _step_coefficients(env, dt)) @ u_tot
+        u_tot = _eigen_propagators(mu, basis, *_step_coefficients(env, dt)) @ u_tot
     drift = np.abs(u_tot.conj().T @ u_tot - np.eye(len(u_tot))).max()
     if drift > UNITARITY_DRIFT_LIMIT:
         raise StepTooLargeError(
@@ -241,10 +255,10 @@ def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -
 
     Integrates U' = -i H(t) U through the envelopes, one per pulse and in
     pulse order, with classic RK4 at fixed step (``dt`` overrides the default
-    resolution). The stage Rabi values of step ``i`` come from
+    resolution). The stage Rabi values of step ``i`` are those of
     :meth:`PulseEnvelope.rabi` at the offsets ``h * i``, ``h * (i + 0.5)``
-    and ``h * (i + 1)``, so the last stage of a pulse lands on its window
-    edge, never past it.
+    and ``h * (i + 1)``; they are read for the first ceil(n / 2) steps only,
+    since the second half mirrors the first.
 
     Within a pulse H(t) = Omega(t) P, with the block's star pattern P
     coupling the ground level to each Rydberg level by -coupling / 2. With
@@ -253,11 +267,12 @@ def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -
         S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
               + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
 
-    These steps commute, so their product S_{n-1} ... S_1 S_0 is taken in
+    These steps commute and S_{n-1-i} = S_i, so their product S_{n-1} ... S_1 S_0
+    is (S_{k-1} ... S_0)^2 with k = n // 2, times S_k when n is odd. It is taken in
     the LAPACK ``eigh`` basis of P, where each step is a scalar: one
     ``eigh`` call for the patterns of all pulses, one real matrix product
-    for a pulse's step factors and a pairwise product of them (see
-    :func:`_integrate`). The result is still the RK4 scheme, not the
+    for a pulse's first-half step factors and a pairwise product of them
+    (see :func:`_integrate`). The result is still the RK4 scheme, not the
     closed-form propagator (it shares no code with
     :func:`~sopgate.propagator.star_propagator`), and it is the one-block
     case of the register integration :func:`validate_protocol` runs.

@@ -20,6 +20,7 @@ from oracles import u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, sequence_amplitude, star_propagator
 from sopgate.tdse import (
+    ENVELOPE_SHAPES,
     _eigen_propagators,
     _integrate,
     _pairwise_product,
@@ -122,6 +123,101 @@ def register_pattern(rng):
     return _register_patterns(random_protocol(rng, n_qubits=2, n_pulses=1))
 
 
+def whole_pulse_coefficients(env, dt):
+    """Coefficients of all of a pulse's RK4 steps, ``(5, n_steps)``: its first half, mirrored."""
+    half, n_steps = _step_coefficients(env, dt)
+    return np.concatenate([half, half[:, : n_steps // 2][:, ::-1]], axis=1)
+
+
+def explicit_step_coefficients(env, n_steps):
+    """Coefficients of all ``n_steps`` RK4 steps of a pulse from its whole stage grid, ``(5, n_steps)``."""
+    h = env.duration / n_steps
+    stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
+    a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
+    return np.array([
+        np.ones(n_steps),
+        h / 6.0 * (a + 4.0 * b + c),
+        h**2 / 6.0 * (a * b + b * b + b * c),
+        h**3 / 12.0 * (a * b * b + b * b * c),
+        h**4 / 24.0 * a * b * b * c,
+    ])
+
+
+def step_matrix_product(pattern, coeffs):
+    """Left-to-right product of the explicit step matrices sum_k c_k X^k, X = -i P."""
+    x = -1j * pattern
+    product = np.eye(len(x), dtype=complex)
+    for c in coeffs.T:
+        product = sum(c[k] * np.linalg.matrix_power(x, k) for k in range(5)) @ product
+    return product
+
+
+def mirror_ulps(rabi, duration, n_steps):
+    """Largest |rabi(tau) - rabi(duration - tau)| on an n-step stage grid, in ulps of the largest |rabi|."""
+    stage_rabi = rabi(0.5 * duration / n_steps * np.arange(2 * n_steps + 1))
+    return np.abs(stage_rabi - stage_rabi[::-1]).max() / np.spacing(np.abs(stage_rabi).max())
+
+
+class TestMirroredPulse:
+    """A pulse is formed from the first half of its steps, mirrored."""
+
+    @pytest.mark.parametrize("shape", ENVELOPE_SHAPES)
+    @pytest.mark.parametrize("n_steps", [2, 3, 400, 401, 4857])
+    @pytest.mark.parametrize("area", [0.3 * PI, -7.7 * PI])
+    def test_envelopes_are_mirror_symmetric(self, shape, n_steps, area):
+        # Every shape reads the same at tau and T - tau on the stage grid,
+        # to a few ulp of the peak; the mirrored half relies on it
+        env = PulseEnvelope.from_area(shape, 1.0, area)
+        assert mirror_ulps(env.rabi, env.duration, n_steps) <= 8
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 400, 401, 4857])
+    def test_asymmetric_envelope_fails_the_mirror_check(self, n_steps):
+        env = PulseEnvelope.from_area("squared-sine", 1.0, PI)
+        assert mirror_ulps(lambda tau: env.rabi(tau) * (1.0 + 1e-6 * tau), env.duration, n_steps) > 1e3
+
+    @pytest.mark.parametrize("shape", ENVELOPE_SHAPES)
+    @pytest.mark.parametrize(
+        "n_steps, area", [(2, 0.001), (3, 0.001), (8, 0.02), (9, 0.02), (400, 3.0)]
+    )
+    def test_pulse_equals_product_of_every_step(self, shape, n_steps, area):
+        # One pulse integrated from its mirrored first half equals the
+        # left-to-right product of all n explicit step matrices, whose
+        # coefficients come from the whole stage grid, for three 3 x 3 star
+        # patterns and a register's pattern
+        rng = np.random.default_rng(n_steps)
+        env = PulseEnvelope.from_area(shape, 1.0, area)
+        dt = 1.0 / (n_steps - 0.5)
+        assert _pulse_steps(env, dt) == n_steps
+        want_coeffs = explicit_step_coefficients(env, n_steps)
+        for pattern in [*star_patterns(rng.normal(size=(3, 2))), *register_pattern(rng)]:
+            got = _integrate(pattern[None], [env], dt)
+            np.testing.assert_allclose(got, step_matrix_product(pattern, want_coeffs), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", ENVELOPE_SHAPES)
+    @pytest.mark.parametrize("dt", [None, 1.0 / 7.5, 1.0 / 8.5])
+    def test_rabi_reads_the_first_half_stage_grid(self, monkeypatch, shape, dt):
+        # One rabi call per pulse, at the 2 ceil(n/2) + 1 half-step offsets
+        # 0, h/2, ..., ceil(n/2) h of the first half; dt 1/7.5 and 1/8.5
+        # give 8 and 9 steps
+        calls = []
+        rabi = PulseEnvelope.rabi
+
+        def spy(self, tau):
+            calls.append(np.array(tau))
+            return rabi(self, tau)
+
+        protocol = random_protocol(np.random.default_rng(7), n_qubits=3, n_pulses=4, max_area=0.01)
+        envelopes = envelopes_for_protocol(protocol, shape=shape)
+        monkeypatch.setattr(PulseEnvelope, "rabi", spy)
+        _integrate(_register_patterns(protocol), envelopes, dt)
+        steps = [_pulse_steps(env, dt) for env in envelopes]
+        assert len(calls) == len(envelopes)
+        for tau, env, n_steps in zip(calls, envelopes, steps):
+            n_half = math.ceil(n_steps / 2)
+            assert len(tau) == 2 * n_half + 1
+            np.testing.assert_array_equal(tau, 0.5 * (env.duration / n_steps) * np.arange(2 * n_half + 1))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, "2q-register"])
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
 def test_ordered_product_is_left_to_right_product(n, d):
@@ -130,16 +226,11 @@ def test_ordered_product_is_left_to_right_product(n, d):
     # three star patterns of dimension d, or for a register's pattern
     rng = np.random.default_rng(n)
     patterns = register_pattern(rng) if d == "2q-register" else star_patterns(rng.normal(size=(3, d - 1)))
-    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 2 * PI), 1 / 512.5)
+    coeffs = whole_pulse_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 2 * PI), 1 / 512.5)
     coeffs = coeffs[:, :n]
     for pattern in patterns:
         got = _eigen_propagators(*np.linalg.eigh(pattern), coeffs)
-        x = -1j * pattern
-        want = np.eye(len(x), dtype=complex)
-        for c in coeffs.T:
-            step = sum(c[k] * np.linalg.matrix_power(x, k) for k in range(5))
-            want = step @ want
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, step_matrix_product(pattern, coeffs), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("run", [2, 8])
@@ -149,7 +240,7 @@ def test_pulse_runs_multiply_to_the_whole_pulse(n_steps, run):
     # multiplied in time order, give the whole pulse's propagator, for
     # each of three 3 x 3 star patterns and for a register's pattern
     rng = np.random.default_rng(n_steps)
-    coeffs = _step_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
+    coeffs = whole_pulse_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
     assert coeffs.shape[1] == n_steps
     for pattern in [*star_patterns(rng.normal(size=(3, 2))), *register_pattern(rng)]:
         mu, basis = np.linalg.eigh(pattern)
@@ -174,9 +265,10 @@ def test_pairwise_product_equals_sequential_product(n):
 
 def test_integrate_holds_one_step_array():
     # A 3-qubit 8 pi Gaussian pulse: the register has 20 states and the
-    # pulse thousands of steps. The step factors, their pairwise product and
-    # the pulse's step coefficients fit in 1.25 step arrays of
-    # (n_steps, 20) complex values, so no second step array is allocated
+    # pulse thousands of steps. Only the first half of the steps is formed:
+    # its step factors and their pairwise product (half a step array of
+    # (n_steps, 20) complex values), its step coefficients and stage values
+    # (under a tenth of one) fit in 0.625 step arrays
     protocol = Protocol((Pulse(8 * PI, StructuralVector((0.6, 0.0, 0.8))),), 3)
     envelopes = envelopes_for_protocol(protocol, shape="gaussian")
     patterns = _register_patterns(protocol)
@@ -189,7 +281,7 @@ def test_integrate_holds_one_step_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * step_array_bytes
+    assert peak <= 0.625 * step_array_bytes
 
 
 class TestIntegrateBlock:
