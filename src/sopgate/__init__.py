@@ -21,41 +21,18 @@ from .errors import (
     StepTooLargeError,
 )
 from .fidelity import (
-    FidelityMap,
     GridSpec,
-    LatticeReport,
     ProtocolFamily,
-    RobustnessCurves,
     b_scan,
-    fidelity_from_amplitudes,
     fidelity_map,
     gate_fidelity,
     lattice_analysis,
-    map_maxima,
     robustness_scan,
     sop_family,
 )
-from .model import (
-    Protocol,
-    Pulse,
-    StructuralVector,
-    basis_labels,
-    cphase_signature,
-    spectator_orthogonal_pair,
-)
-from .optimize import (
-    OptimizationResult,
-    nelder_mead_constrained,
-    optimize_all_factors,
-    optimize_areas,
-    optimize_third_qubit,
-)
-from .tdse import (
-    PulseEnvelope,
-    ValidationReport,
-    envelopes_for_protocol,
-    validate_protocol,
-)
+from .model import Protocol, Pulse, StructuralVector, basis_labels, spectator_orthogonal_pair
+from .optimize import optimize_all_factors, optimize_areas, optimize_third_qubit
+from .tdse import validate_protocol
 from .propagator import star_propagator
 
 __version__ = "0.1.0"

@@ -52,7 +52,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +91,15 @@ MAX_PULSES = 64
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    """Write to a unique temporary file next to ``path``, then rename it over ``path``."""
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    """Write to a new file under a random name next to ``path``, then rename it over ``path``.
+
+    The file is created with mode 0o666, so the kernel applies the umask, as open() would.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        # mkstemp creates the file private; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

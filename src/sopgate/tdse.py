@@ -4,7 +4,9 @@ Validates the closed-form propagators by integrating i dU/dt = H(t) U with
 explicit pulse envelopes and a fixed-step fourth-order Runge-Kutta scheme.
 For resonant driving the final propagator must depend on the pulse areas
 only, not on the envelope shapes, so any envelope with the right area has to
-land on the analytical result.
+land on the analytical result. Every pulse lasts :data:`PULSE_DURATION`, in
+arbitrary time units: an envelope is a shape and a peak Rabi frequency,
+which sets its area.
 
 Within one pulse the Hamiltonian is a time-dependent Rabi frequency times a
 constant real symmetric coupling pattern P, so each RK4 step is a degree-4
@@ -49,7 +51,7 @@ ENVELOPE_SHAPES = ("squared-sine", "gaussian")
 GAUSSIAN_CUT = 4.0
 
 #: Default time resolution: enough RK4 steps to resolve the fastest Rabi
-#: oscillation of the envelope (steps scale with peak_rabi * duration, i.e.
+#: oscillation of the envelope (steps scale with peak_rabi * PULSE_DURATION, i.e.
 #: roughly 300 steps per pi of area for a squared-sine pulse and finer for
 #: the peakier Gaussian), with a floor of 400 steps per pulse.
 STEPS_PER_RADIAN = 64
@@ -62,51 +64,44 @@ UNITARITY_DRIFT_LIMIT = 1e-6
 PULSE_DURATION = 1.0
 
 
-def _unit_peak_area(shape: str, duration: float) -> float:
+def _unit_peak_area(shape: str) -> float:
     """Time integral of a ``shape`` envelope of unit peak Rabi frequency."""
     if shape == "squared-sine":
-        return duration / 2.0
+        return PULSE_DURATION / 2.0
     if shape == "gaussian":
-        sigma = duration / (2.0 * GAUSSIAN_CUT)
+        sigma = PULSE_DURATION / (2.0 * GAUSSIAN_CUT)
         return sigma * math.sqrt(2.0 * math.pi) * math.erf(GAUSSIAN_CUT / math.sqrt(2.0))
     raise SopGateError(f"unknown envelope shape {shape!r}")
 
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Temporal profile of one pulse: a shape, a duration and a peak Rabi frequency.
+    """Temporal profile of one pulse: a shape and a peak Rabi frequency on [0, PULSE_DURATION].
 
-    ``peak_rabi`` carries the sign of the area; time units are arbitrary
-    since only the accumulated area enters the resonant dynamics. Time is
-    the offset from the pulse start, so a list of envelopes is a sequence of
-    pulses, one after the other.
+    ``peak_rabi`` carries the sign of the area. Every pulse lasts
+    :data:`PULSE_DURATION`, since only the accumulated area enters the
+    resonant dynamics. Time is the offset from the pulse start, so a list of
+    envelopes is a sequence of pulses, one after the other.
     """
 
     shape: str
-    duration: float
     peak_rabi: float
 
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
             raise SopGateError(f"unknown envelope shape {self.shape!r}")
-        if not (math.isfinite(self.duration) and math.isfinite(self.peak_rabi)):
-            raise SopGateError(
-                f"envelope duration {self.duration} and peak Rabi frequency "
-                f"{self.peak_rabi} must be finite"
-            )
-        if self.duration <= 0:
-            raise SopGateError("envelope duration must be positive")
+        if not math.isfinite(self.peak_rabi):
+            raise SopGateError(f"envelope peak Rabi frequency {self.peak_rabi} must be finite")
 
     @property
     def area(self) -> float:
         """Time integral of the Rabi frequency (analytic per shape)."""
-        return self.peak_rabi * _unit_peak_area(self.shape, self.duration)
+        return self.peak_rabi * _unit_peak_area(self.shape)
 
     @classmethod
-    def from_area(cls, shape: str, duration: float, area: float) -> "PulseEnvelope":
+    def from_area(cls, shape: str, area: float) -> "PulseEnvelope":
         """Choose the peak Rabi frequency so the time integral equals ``area``."""
-        peak = area / _unit_peak_area(shape, duration)
-        return cls(shape=shape, duration=duration, peak_rabi=peak)
+        return cls(shape=shape, peak_rabi=area / _unit_peak_area(shape))
 
     def rabi(self, tau):
         """Rabi frequency at offset ``tau`` from the pulse start, clamped into the window.
@@ -114,22 +109,22 @@ class PulseEnvelope:
         Clamping keeps the (nonzero) edge value of a truncated envelope at an
         offset that float round-off puts just past the window.
         """
-        tau = np.clip(np.asarray(tau, dtype=float), 0.0, self.duration)
+        tau = np.clip(np.asarray(tau, dtype=float), 0.0, PULSE_DURATION)
         if self.shape == "squared-sine":
-            return self.peak_rabi * np.sin(np.pi * tau / self.duration) ** 2
-        sigma = self.duration / (2.0 * GAUSSIAN_CUT)
-        return self.peak_rabi * np.exp(-((tau - 0.5 * self.duration) ** 2) / (2.0 * sigma**2))
+            return self.peak_rabi * np.sin(np.pi * tau / PULSE_DURATION) ** 2
+        sigma = PULSE_DURATION / (2.0 * GAUSSIAN_CUT)
+        return self.peak_rabi * np.exp(-((tau - 0.5 * PULSE_DURATION) ** 2) / (2.0 * sigma**2))
 
 
 def envelopes_for_protocol(protocol: Protocol, shape: str = "squared-sine") -> list[PulseEnvelope]:
     """Envelopes realizing a protocol's pulse areas, in pulse order."""
-    return [PulseEnvelope.from_area(shape, PULSE_DURATION, pulse.area) for pulse in protocol.pulses]
+    return [PulseEnvelope.from_area(shape, pulse.area) for pulse in protocol.pulses]
 
 
 def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
     if dt is not None:
-        return max(2, int(math.ceil(env.duration / dt)))
-    by_rate = int(math.ceil(STEPS_PER_RADIAN * abs(env.peak_rabi) * env.duration))
+        return max(2, int(math.ceil(PULSE_DURATION / dt)))
+    by_rate = int(math.ceil(STEPS_PER_RADIAN * abs(env.peak_rabi) * PULSE_DURATION))
     return max(MIN_STEPS_PER_PULSE, by_rate)
 
 
@@ -141,7 +136,7 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> tuple[np.ndarray
     """
     n_steps = _pulse_steps(env, dt)
     n_half = -(-n_steps // 2)
-    h = env.duration / n_steps
+    h = PULSE_DURATION / n_steps
     # Rabi values at the half-step offsets 0, h/2, ..., n_half * h;
     # step i takes entries 2i, 2i + 1 and 2i + 2
     stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_half + 1))
@@ -176,23 +171,22 @@ def _pairwise_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _eigen_propagators(
-    mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray, n_steps: int | None = None
-) -> np.ndarray:
-    """RK4 propagator of a run of steps from the ``eigh`` output of its pattern P, ``(d,)`` and ``(d, d)``.
+def _eigen_propagators(mu: np.ndarray, basis: np.ndarray, coeffs: np.ndarray, n_steps: int) -> np.ndarray:
+    """RK4 propagator of one n-step pulse from the ``eigh`` output of its pattern P, ``(d,)`` and ``(d, d)``.
 
-    ``coeffs`` holds the run's step coefficients, shape ``(5, n)``. Every
-    step is a polynomial p_i in X = -i P, so the steps commute and their
-    product is diagonal in the eigenbasis V of P: V diag(z) V^T. At an
-    eigenvalue mu of P step i is the scalar
-    p_i(-i mu) = (1 - c2 mu^2 + c4 mu^4) + i (c3 mu^2 - c1) mu, so all steps
-    come from one real product ``coeffs.T @ lift``: ``lift`` holds, for each
-    eigenvalue, a real column (1, 0, -mu^2, 0, mu^4) and an imaginary column
-    (0, -mu, 0, mu^3, 0) side by side, so the ``(n, 2 d)`` float result is
-    the ``(n, d)`` complex step array, and z is its
-    :func:`_pairwise_product`. With ``n_steps``, ``coeffs`` is the first
-    half of a pulse from :func:`_step_coefficients`, and z is the whole
-    pulse's, mirrored as the module docstring describes.
+    ``coeffs`` holds the coefficients of the pulse's first ceil(n / 2)
+    steps, shape ``(5, ceil(n / 2))``, as :func:`_step_coefficients` returns
+    them. Every step is a polynomial p_i in X = -i P, so the steps commute
+    and their product is diagonal in the eigenbasis V of P: V diag(z) V^T.
+    At an eigenvalue mu of P step i is the scalar
+    p_i(-i mu) = (1 - c2 mu^2 + c4 mu^4) + i (c3 mu^2 - c1) mu, so all these
+    steps come from one real product ``coeffs.T @ lift``: ``lift`` holds,
+    for each eigenvalue, a real column (1, 0, -mu^2, 0, mu^4) and an
+    imaginary column (0, -mu, 0, mu^3, 0) side by side, so the float result
+    is the ``(ceil(n / 2), d)`` complex step array. z is the
+    :func:`_pairwise_product` of its first n // 2 rows, squared, times the
+    middle row if n is odd: the whole pulse's, mirrored as the module
+    docstring describes.
     """
     mu2 = mu * mu
     lift = np.zeros((5, mu.size, 2))
@@ -202,9 +196,8 @@ def _eigen_propagators(
     lift[3, :, 1] = mu2 * mu
     lift[4, :, 0] = mu2 * mu2
     steps = (coeffs.T @ lift.reshape(5, -1)).view(complex)
-    z = _pairwise_product(steps[: n_steps // 2 if n_steps else None])
-    if n_steps:
-        z = z * z * steps[-1] if n_steps % 2 else z * z
+    z = _pairwise_product(steps[: n_steps // 2])
+    z = z * z * steps[-1] if n_steps % 2 else z * z
     return (basis * z) @ basis.T
 
 

@@ -20,12 +20,12 @@ from sopgate import (
     fidelity_map,
     gate_fidelity,
     lattice_analysis,
-    map_maxima,
     optimize_all_factors,
     optimize_areas,
     sop_family,
     validate_protocol,
 )
+from sopgate.fidelity import map_maxima
 from sopgate.propagator import block_decompose, sequence_amplitude
 from sopgate.tdse import envelopes_for_protocol, integrate_block
 

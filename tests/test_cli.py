@@ -53,6 +53,29 @@ def test_cli_start_leaves_numpy_random_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable every command still runs.
+    runs = [
+        ["map"],
+        ["esop-map", "--pulses", "4"],
+        ["robustness"],
+        ["bscan"],
+        ["optimize", "--areas=2,2", "--restarts", "1"],
+        ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"],
+        ["validate", "--samples", "1"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; from sopgate.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; print(json.dumps(codes))"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs), done.stderr
+
+
 class TestMapCommand:
     def test_writes_csv_and_report(self, tmp_path):
         out = tmp_path / "run"
@@ -182,6 +205,23 @@ class TestMapCommand:
         with pytest.raises(OSError):
             _write_atomic(str(target), b"data\n")
         assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+    def test_written_files_take_the_umask(self, tmp_path, monkeypatch):
+        # The kernel applies the process umask to each new file, as open()
+        # would; writing never sets the umask, not even to read it
+        umask, calls = os.umask, []
+        monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or umask(mask))
+        out = tmp_path / "run"
+        previous = umask(0o027)
+        try:
+            assert main(["map", "--grid=-1:1:0.5", "--out", str(out)]) == 0
+        finally:
+            umask(previous)
+        assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
+            "fidelity_map.csv": 0o640,
+            "fidelity_map.json": 0o640,
+        }
+        assert calls == []
 
     def test_config_file_with_flag_precedence(self, tmp_path):
         config = tmp_path / "run.json"

@@ -17,7 +17,6 @@ import sopgate.propagator
 from oracles import cell_fidelity, negated, per_row_csv_text
 from sopgate import (
     EmptyGridError,
-    FidelityMap,
     GridSpec,
     GridTooLargeError,
     NoMaximaFoundError,
@@ -29,12 +28,9 @@ from sopgate import (
     StructuralVector,
     b_scan,
     basis_labels,
-    cphase_signature,
-    fidelity_from_amplitudes,
     fidelity_map,
     gate_fidelity,
     lattice_analysis,
-    map_maxima,
     optimize_third_qubit,
     robustness_scan,
     sop_family,
@@ -44,15 +40,19 @@ from sopgate.fidelity import (
     DEFAULT_GRID,
     FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
+    FidelityMap,
     _spelled_length_bound,
     alternating_amplitudes,
     csv_text,
     family_diagonal_grid,
+    fidelity_from_amplitudes,
     fidelity_from_rows,
     lattice_report_dict,
     map_csv_text,
+    map_maxima,
     spell_cells,
 )
+from sopgate.model import cphase_signature
 from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi

@@ -16,11 +16,10 @@ from sopgate import (
     SopGateError,
     StructuralVector,
     basis_labels,
-    cphase_signature,
     sop_family,
     spectator_orthogonal_pair,
 )
-from sopgate.model import spectator_orthogonal_rows
+from sopgate.model import cphase_signature, spectator_orthogonal_rows
 
 PI = math.pi
 # The pi-2pi-pi protocol of Jaksch et al. with single-site beams: the

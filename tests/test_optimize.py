@@ -12,7 +12,6 @@ from sopgate import (
     ProtocolFamily,
     StructuralVector,
     gate_fidelity,
-    nelder_mead_constrained,
     optimize_all_factors,
     optimize_areas,
     optimize_third_qubit,
@@ -21,7 +20,13 @@ from sopgate import (
 )
 from sopgate.fidelity import alternating_amplitudes, fidelity_from_rows
 from sopgate.model import spectator_orthogonal_rows
-from sopgate.optimize import DEFAULT_MAX_EVALS, MAX_SIMPLICES, gate_factor_arc, spectator_bounds
+from sopgate.optimize import (
+    DEFAULT_MAX_EVALS,
+    MAX_SIMPLICES,
+    gate_factor_arc,
+    nelder_mead_constrained,
+    spectator_bounds,
+)
 
 PI = math.pi
 B_01 = math.sqrt(0.1)

@@ -8,11 +8,9 @@ from scipy.integrate import quad
 from sopgate import (
     Protocol,
     Pulse,
-    PulseEnvelope,
     SopGateError,
     StepTooLargeError,
     StructuralVector,
-    envelopes_for_protocol,
     sop_family,
     validate_protocol,
 )
@@ -21,12 +19,13 @@ import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, sequence_amplitude, star_propagator
 from sopgate.tdse import (
     ENVELOPE_SHAPES,
-    _eigen_propagators,
+    PULSE_DURATION,
+    PulseEnvelope,
     _integrate,
     _pairwise_product,
     _pulse_steps,
     _register_patterns,
-    _step_coefficients,
+    envelopes_for_protocol,
     integrate_block,
 )
 
@@ -64,7 +63,7 @@ def sequential_rk4(block, envelopes, dt=None):
         h_pattern[0, 1:] = -0.5 * coupling
         h_pattern[1:, 0] = -0.5 * coupling
         n_steps = _pulse_steps(env, dt)
-        h = env.duration / n_steps
+        h = PULSE_DURATION / n_steps
         stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1)).tolist()
         u_pulse = np.eye(dim, dtype=complex)
         for i in range(n_steps):
@@ -82,28 +81,22 @@ class TestEnvelopes:
     @pytest.mark.parametrize("shape", ["squared-sine", "gaussian"])
     @pytest.mark.parametrize("area", [PI, -6.1 * PI, 0.9 * PI])
     def test_area_normalization(self, shape, area):
-        env = PulseEnvelope.from_area(shape, 1.0, area)
-        integral, _ = quad(lambda t: float(env.rabi(t)), 0.0, 1.0, limit=200)
+        env = PulseEnvelope.from_area(shape, area)
+        integral, _ = quad(lambda t: float(env.rabi(t)), 0.0, PULSE_DURATION, limit=200)
         assert integral == pytest.approx(area, abs=1e-10)
         assert env.area == pytest.approx(area, abs=1e-10)
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(SopGateError):
-            PulseEnvelope.from_area("boxcar", 1.0, PI)
+            PulseEnvelope.from_area("boxcar", PI)
 
     @pytest.mark.parametrize(
-        "shape, duration, peak_rabi",
-        [
-            ("gaussian", math.nan, 1.0),
-            ("squared-sine", math.inf, 1.0),
-            ("squared-sine", 1.0, math.inf),
-            ("gaussian", 1.0, -math.inf),
-            ("squared-sine", 1.0, math.nan),
-        ],
+        "shape, peak_rabi",
+        [("squared-sine", math.inf), ("gaussian", -math.inf), ("squared-sine", math.nan)],
     )
-    def test_non_finite_refused(self, shape, duration, peak_rabi):
+    def test_non_finite_refused(self, shape, peak_rabi):
         with pytest.raises(SopGateError, match="must be finite"):
-            PulseEnvelope(shape, duration, peak_rabi)
+            PulseEnvelope(shape, peak_rabi)
 
 
 def star_patterns(couplings):
@@ -123,15 +116,9 @@ def register_pattern(rng):
     return _register_patterns(random_protocol(rng, n_qubits=2, n_pulses=1))
 
 
-def whole_pulse_coefficients(env, dt):
-    """Coefficients of all of a pulse's RK4 steps, ``(5, n_steps)``: its first half, mirrored."""
-    half, n_steps = _step_coefficients(env, dt)
-    return np.concatenate([half, half[:, : n_steps // 2][:, ::-1]], axis=1)
-
-
 def explicit_step_coefficients(env, n_steps):
     """Coefficients of all ``n_steps`` RK4 steps of a pulse from its whole stage grid, ``(5, n_steps)``."""
-    h = env.duration / n_steps
+    h = PULSE_DURATION / n_steps
     stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_steps + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
     return np.array([
@@ -152,9 +139,9 @@ def step_matrix_product(pattern, coeffs):
     return product
 
 
-def mirror_ulps(rabi, duration, n_steps):
-    """Largest |rabi(tau) - rabi(duration - tau)| on an n-step stage grid, in ulps of the largest |rabi|."""
-    stage_rabi = rabi(0.5 * duration / n_steps * np.arange(2 * n_steps + 1))
+def mirror_ulps(rabi, n_steps):
+    """Largest |rabi(tau) - rabi(PULSE_DURATION - tau)| on an n-step stage grid, in ulps of the largest |rabi|."""
+    stage_rabi = rabi(0.5 * PULSE_DURATION / n_steps * np.arange(2 * n_steps + 1))
     return np.abs(stage_rabi - stage_rabi[::-1]).max() / np.spacing(np.abs(stage_rabi).max())
 
 
@@ -167,29 +154,31 @@ class TestMirroredPulse:
     def test_envelopes_are_mirror_symmetric(self, shape, n_steps, area):
         # Every shape reads the same at tau and T - tau on the stage grid,
         # to a few ulp of the peak; the mirrored half relies on it
-        env = PulseEnvelope.from_area(shape, 1.0, area)
-        assert mirror_ulps(env.rabi, env.duration, n_steps) <= 8
+        env = PulseEnvelope.from_area(shape, area)
+        assert mirror_ulps(env.rabi, n_steps) <= 8
 
     @pytest.mark.parametrize("n_steps", [2, 3, 400, 401, 4857])
     def test_asymmetric_envelope_fails_the_mirror_check(self, n_steps):
-        env = PulseEnvelope.from_area("squared-sine", 1.0, PI)
-        assert mirror_ulps(lambda tau: env.rabi(tau) * (1.0 + 1e-6 * tau), env.duration, n_steps) > 1e3
+        env = PulseEnvelope.from_area("squared-sine", PI)
+        assert mirror_ulps(lambda tau: env.rabi(tau) * (1.0 + 1e-6 * tau), n_steps) > 1e3
 
     @pytest.mark.parametrize("shape", ENVELOPE_SHAPES)
     @pytest.mark.parametrize(
-        "n_steps, area", [(2, 0.001), (3, 0.001), (8, 0.02), (9, 0.02), (400, 3.0)]
+        "n_steps, area",
+        [(2, 0.001), (3, 0.001), (8, 0.02), (9, 0.02), (256, 3.0), (257, 3.0), (400, 3.0), (513, 2 * PI)],
     )
-    def test_pulse_equals_product_of_every_step(self, shape, n_steps, area):
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pulse_equals_product_of_every_step(self, shape, n_steps, area, d):
         # One pulse integrated from its mirrored first half equals the
         # left-to-right product of all n explicit step matrices, whose
-        # coefficients come from the whole stage grid, for three 3 x 3 star
+        # coefficients come from the whole stage grid, for three d x d star
         # patterns and a register's pattern
         rng = np.random.default_rng(n_steps)
-        env = PulseEnvelope.from_area(shape, 1.0, area)
+        env = PulseEnvelope.from_area(shape, area)
         dt = 1.0 / (n_steps - 0.5)
         assert _pulse_steps(env, dt) == n_steps
         want_coeffs = explicit_step_coefficients(env, n_steps)
-        for pattern in [*star_patterns(rng.normal(size=(3, 2))), *register_pattern(rng)]:
+        for pattern in [*star_patterns(rng.normal(size=(3, d - 1))), *register_pattern(rng)]:
             got = _integrate(pattern[None], [env], dt)
             np.testing.assert_allclose(got, step_matrix_product(pattern, want_coeffs), rtol=0, atol=1e-13)
 
@@ -215,39 +204,7 @@ class TestMirroredPulse:
         for tau, env, n_steps in zip(calls, envelopes, steps):
             n_half = math.ceil(n_steps / 2)
             assert len(tau) == 2 * n_half + 1
-            np.testing.assert_array_equal(tau, 0.5 * (env.duration / n_steps) * np.arange(2 * n_half + 1))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, "2q-register"])
-@pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 513])
-def test_ordered_product_is_left_to_right_product(n, d):
-    # The eigenbasis product of a pulse's first n RK4 steps equals the
-    # left-to-right product of the explicit step matrices, for each of
-    # three star patterns of dimension d, or for a register's pattern
-    rng = np.random.default_rng(n)
-    patterns = register_pattern(rng) if d == "2q-register" else star_patterns(rng.normal(size=(3, d - 1)))
-    coeffs = whole_pulse_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 2 * PI), 1 / 512.5)
-    coeffs = coeffs[:, :n]
-    for pattern in patterns:
-        got = _eigen_propagators(*np.linalg.eigh(pattern), coeffs)
-        np.testing.assert_allclose(got, step_matrix_product(pattern, coeffs), rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("run", [2, 8])
-@pytest.mark.parametrize("n_steps", [8, 9, 17, 31, 400])
-def test_pulse_runs_multiply_to_the_whole_pulse(n_steps, run):
-    # A pulse cut into consecutive runs of steps: the runs' propagators,
-    # multiplied in time order, give the whole pulse's propagator, for
-    # each of three 3 x 3 star patterns and for a register's pattern
-    rng = np.random.default_rng(n_steps)
-    coeffs = whole_pulse_coefficients(PulseEnvelope.from_area("gaussian", 1.0, 0.3 * PI), 1 / (n_steps - 0.5))
-    assert coeffs.shape[1] == n_steps
-    for pattern in [*star_patterns(rng.normal(size=(3, 2))), *register_pattern(rng)]:
-        mu, basis = np.linalg.eigh(pattern)
-        product = np.eye(len(pattern), dtype=complex)
-        for start in range(0, n_steps, run):
-            product = _eigen_propagators(mu, basis, coeffs[:, start : start + run]) @ product
-        np.testing.assert_allclose(product, _eigen_propagators(mu, basis, coeffs), rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(tau, 0.5 * (PULSE_DURATION / n_steps) * np.arange(2 * n_half + 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 4097])
@@ -288,7 +245,7 @@ class TestIntegrateBlock:
     def test_pi_pulse_matches_analytic(self):
         block = block_decompose(jp_protocol())[1]  # |01>: coupling (1, 0, 1) per pulse
         single = type(block)(initial_state="01", zero_qubits=(0,), couplings=np.array([[1.0]]))
-        env = [PulseEnvelope.from_area("squared-sine", 1.0, PI)]
+        env = [PulseEnvelope.from_area("squared-sine", PI)]
         u_num = integrate_block(single, env)
         np.testing.assert_allclose(u_num, star_propagator((1.0,), PI / 2), atol=1e-6)
 
@@ -298,9 +255,9 @@ class TestIntegrateBlock:
         block = block_decompose(jp_protocol())[1]
         single = type(block)(initial_state="01", zero_qubits=(0,), couplings=np.array([[1.0]]))
         area = 3.3 * PI
-        env = PulseEnvelope.from_area("gaussian", 1.0, area)
-        assert env.rabi(env.duration) != 0.0
-        assert env.rabi(np.nextafter(env.duration, 2.0)) == env.rabi(env.duration)
+        env = PulseEnvelope.from_area("gaussian", area)
+        assert env.rabi(PULSE_DURATION) != 0.0
+        assert env.rabi(np.nextafter(PULSE_DURATION, 2.0)) == env.rabi(PULSE_DURATION)
         u_num = integrate_block(single, [env])
         np.testing.assert_allclose(u_num, star_propagator((1.0,), area / 2), atol=1e-9)
 
