@@ -30,10 +30,15 @@ chunks. :func:`fidelity_map` reduces to fidelities by
 :func:`fidelity_from_amplitudes`, b scans and optimizer batches by
 :func:`fidelity_from_rows`, and robustness scans to their three real curves.
 
-One renderer spells every CSV of the package, maps and scans alike:
-:func:`spell_cells` writes float64 values as ``%.9g`` text, at once for
-1e-4 <= |x| < 1, and :func:`csv_text` writes the lines block by block into
-the one ``bytes`` buffer it returns. :func:`map_csv_text` is its map form.
+One renderer spells every CSV of the package, maps and scans alike. One
+speller, :func:`_spell`, writes float64 values as ``%.9g`` text four bytes
+at a time from a table of ASCII words, at once for 1e-100 <= |x| < 1, in
+fixed notation down to 1e-4 and in exponent notation below; other values
+take Python's formatter. :func:`csv_text` spells each block of lines
+straight into one NUL-padded line buffer, drops the padding with one
+``bytearray.translate`` and writes the text into the one ``bytes`` buffer it
+returns. :func:`spell_cells` is the speller's bytes-array form and
+:func:`map_csv_text` the renderer's map form.
 """
 
 import functools
@@ -377,25 +382,30 @@ def fidelity_map(
     return FidelityMap(axis_odd, axis_even, family_diagonal_grid(family, axis_odd, axis_even, fidelities))
 
 
-def _strict_local_maxima_mask(values: np.ndarray) -> np.ndarray:
-    """Cells strictly greater than all existing 8-neighbours."""
-    padded = np.pad(values, 1, constant_values=-np.inf)
-    center = padded[1:-1, 1:-1]
-    mask = np.ones(values.shape, dtype=bool)
-    n_rows, n_cols = padded.shape
+def map_maxima(fmap: FidelityMap, threshold: float = DEFAULT_MAXIMA_THRESHOLD) -> np.ndarray:
+    """Strict-local-maxima rows (area_odd, area_even, F), fidelity descending.
+
+    A maximum is a cell with F >= ``threshold`` greater than each of its
+    existing 8 neighbours. Only those cells, a few percent of a map, are
+    compared with their neighbours, in row-major order.
+    """
+    values = fmap.values
+    flat = values.reshape(-1)
+    cells = np.flatnonzero(values >= threshold)
+    ii, jj = np.unravel_index(cells, values.shape)
+    n_odd, n_even = values.shape
+    every = np.ones(cells.size, dtype=bool)
+    rows = {-1: ii > 0, 0: every, 1: ii < n_odd - 1}
+    columns = {-1: jj > 0, 0: every, 1: jj < n_even - 1}
+    center = flat[cells]
+    keep = every.copy()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mask &= center > padded[1 + di : n_rows - 1 + di, 1 + dj : n_cols - 1 + dj]
-    return mask
-
-
-def map_maxima(fmap: FidelityMap, threshold: float = DEFAULT_MAXIMA_THRESHOLD) -> np.ndarray:
-    """Strict-local-maxima rows (area_odd, area_even, F), fidelity descending."""
-    mask = _strict_local_maxima_mask(fmap.values) & (fmap.values >= threshold)
-    ii, jj = np.nonzero(mask)
-    rows = np.column_stack([fmap.axis_odd[ii], fmap.axis_even[jj], fmap.values[ii, jj]])
+            if di or dj:
+                neighbour = flat.take(cells + (di * n_even + dj), mode="clip")
+                keep &= (center > neighbour) | ~(rows[di] & columns[dj])
+    ii, jj = ii[keep], jj[keep]
+    rows = np.column_stack([fmap.axis_odd[ii], fmap.axis_even[jj], center[keep]])
     return rows[np.argsort(-rows[:, 2])]
 
 
@@ -524,95 +534,159 @@ def b_scan(
     return alternating_amplitudes(odd, even, *areas, reduce=fidelities)
 
 
-#: Decade edges of the magnitudes :func:`spell_cells` spells at once, and per
-#: decade the power of ten that lifts [1e-4, 1e-3), ..., [0.1, 1) to nine
-#: integer digits.
-_DECADE_EDGES = np.array([1e-3, 1e-2, 1e-1])
-_NINE_DIGIT_SCALE = np.array([1e12, 1e11, 1e10, 1e9])
+#: Per depth k = -floor(log10 |x|) of a magnitude below 1, read at index k:
+#: the double nearest 10**(8 + k), which lifts 10**-k <= |x| < 10**(1 - k)
+#: to nine integer digits (exact for k <= 14), and the power
+#: 10**max(0, 4 - k) that lifts those to the twelve digits after "0." in
+#: fixed notation.
+_NINE_DIGIT_SCALE = np.array([float(10 ** (8 + k)) for k in range(100)])
+_TWELVE_DIGIT_SHIFT = np.array([float(10 ** max(0, 4 - k)) for k in range(100)])
 
-#: Most lines one block of :func:`csv_text` holds. A block's buffers and
-#: spelling temporaries are what rendering holds beyond the text: 0.2 times
-#: the text of the wide 641 x 641 map, 0.35 times that of a 200 001-row scan.
-#: Blocks of 2**16 lines raise the traced peak of that scan from 1.43 to 2.46
-#: times its length; blocks of 2**13 lower it to 1.26 and render more slowly.
+#: The first word of a cell in fixed notation, NUL NUL "0."; a minus sign
+#: adds "-" in its first byte.
+_FIXED_WORD = int.from_bytes(b"\0\x000.", "little")
+
+#: Where the words of :func:`_digit_words` past the four-digit groups start:
+#: the 40 lead words of a cell in exponent notation, then the 100 exponent
+#: words "e-00" ... "e-99".
+_LEAD_WORD = 20_000
+_EXPONENT_WORD = _LEAD_WORD + 40
+
+#: Most lines one block of :func:`csv_text` holds when it spells one column,
+#: and most cells it spells: with c spelled columns a block holds
+#: ``_CSV_BLOCK_LINES // c`` lines, but at least one row of the first axis.
+#: A block's line buffer and spelling temporaries are what rendering holds
+#: beyond the text.
 _CSV_BLOCK_LINES = 2**14
 
 
 @functools.cache
 def _digit_words() -> np.ndarray:
-    """Four-digit ASCII groups as little-endian uint32 words.
+    """Four-byte ASCII words, little-endian uint32, from which :func:`_spell` builds cells.
 
-    Entry k < 10**4 spells k with leading zeros; entry 10**4 + k spells it
-    with its trailing zeros replaced by NUL bytes, which numpy drops from the
-    end of a bytes string. Built on first use, so importing costs nothing,
-    and from one- and two-byte integers, so that the one-row CSV of an
-    optimized point does not raise its memory peak.
+    Entry k < 10**4 spells k with its trailing zeros replaced by NUL bytes;
+    entry 10**4 + k spells it in full, with leading zeros. Entry
+    ``_LEAD_WORD`` + 20 s + 2 d + p is a sign (NUL for s = 0, "-" for
+    s = 1), the digit d, "." if p else NUL, and NUL; entry
+    ``_EXPONENT_WORD`` + k is "e-" and k in two digits. Built on first use,
+    so importing costs nothing, and from one- and two-byte integers, so that
+    the one-row CSV of an optimized point does not raise its memory peak.
     """
     k = np.arange(10_000, dtype=np.uint16)
     digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=-1).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
-    spelled = np.concatenate([digits + 48, np.where(trailing, 0, digits + 48)])
+    leads = [b"%c%c%c\0" % (sign, 48 + d, point) for sign in b"\0-" for d in range(10) for point in b"\0."]
+    exponents = [b"e-%02d" % k for k in range(100)]
+    words = np.frombuffer(b"".join(leads + exponents), np.uint8).reshape(-1, 4)
+    spelled = np.concatenate([np.where(trailing, 0, digits + 48), digits + 48, words])
     return spelled.view("<u4")[:, 0]
+
+
+def _spell(values: np.ndarray, words: np.ndarray) -> None:
+    """Write ``b"%.9g" % x`` of each float64 value into its four uint32 words.
+
+    ``words`` has shape ``values.shape + (4,)``, any strides, its last axis
+    contiguous. A cell's text is its 16 bytes with every NUL dropped: the
+    padding lies inside a cell as well as after it. 16 bytes hold the
+    longest ``%.9g`` text of a float64, "-1.23456789e-308".
+
+    Each x with 1e-100 <= |x| < 1 is spelled at once. With the depth
+    k = -floor(log10 |x|), kept in [1, 99], D = round(|x| * 10**(8 + k)) is
+    its nine significant digits. The power is the double nearest
+    10**(8 + k), exact for k <= 14, and the product is below 10**9 < 2**30,
+    so the float sum |x| * 10**(8 + k) + 0.5 is within 3e-7 of the exact
+    one, and D is its floor. Whenever that sum lies more than 1e-6 from an
+    integer, the exact product lies more than 7e-7 from a half-integer and
+    rounds to the same integer, so D is correctly rounded. The digits are
+    the groups of D * 10**max(0, 4 - k) < 10**12, split exactly in floats:
+    floor(D / 1e8), then floor(rest / 1e4). For k <= 4, ``%.9g`` writes
+    fixed notation: "-" when x < 0, "0." and those 12 digits without
+    trailing zeros, a first word and three group words of
+    :func:`_digit_words`. For k >= 5 it writes exponent notation: the first
+    digit, "." and the other eight without trailing zeros, then "e-" and the
+    two digits of k, a lead word, the last two groups and an exponent word.
+    A log10 off by one near a power of ten lifts D out of [10**8, 10**9) or
+    rounds it to exactly 10**8, which spells the same text.
+
+    Every other value goes to ``b"%.9g" % x``, the float formatter that
+    ``f"{x:.9g}"`` uses: |x| outside [1e-100, 1), including 0, nan and inf;
+    a fraction within 1e-6 of 0.5, which holds every exact decimal tie; a D
+    outside [10**8, 10**9), where rounding carried into the next decade; and
+    a three-digit exponent. No cell of the default maps takes this route.
+    """
+    shape = values.shape
+    x = values.reshape(-1)
+    # Each temporary is dropped once used, to keep a block's spelling small.
+    # NaN and |x| >= 1 become 1, and 0 becomes 1e-101. With k kept in
+    # [1, 99], they fail the checks below, as does every |x| < 1e-100 that
+    # does not round up to exactly 1e-99.
+    magnitude = np.abs(x)
+    np.fmin(magnitude, 1.0, out=magnitude)
+    np.fmax(magnitude, 1e-101, out=magnitude)
+    depth = np.floor(np.log10(magnitude))
+    np.negative(depth, out=depth)
+    np.maximum(depth, 1.0, out=depth)
+    np.minimum(depth, 99.0, out=depth)
+    power = depth.astype(np.intp)
+    nine = np.multiply(magnitude, _NINE_DIGIT_SCALE.take(power), out=magnitude)
+    nine += 0.5
+    frac = nine.copy()
+    np.floor(nine, out=nine)
+    frac -= nine
+    frac -= 0.5
+    spelled = np.abs(frac, out=frac) < 0.5 - 1e-6
+    spelled &= nine >= 1e8
+    spelled &= nine < 1e9
+    del frac
+    nine *= _TWELVE_DIGIT_SHIFT.take(power)
+    del power
+    # The indices of three groups of four digits: the last loses its
+    # trailing zeros, the others only when every later group is zero.
+    groups = np.empty((3, x.size))
+    head, middle, tail = groups
+    rest = nine
+    np.floor(np.divide(rest, 1e8, out=head), out=head)
+    rest -= head * 1e8
+    np.floor(np.divide(rest, 1e4, out=middle), out=middle)
+    np.subtract(rest, middle * 1e4, out=tail)
+    head += np.minimum(rest, 1.0, out=rest) * 1e4
+    middle += np.minimum(tail, 1.0) * 1e4
+    del nine, rest
+    table = _digit_words()
+    first = np.signbit(x).astype(np.uint32)
+    first *= ord("-")
+    first += _FIXED_WORD
+    words[..., 0] = first.reshape(shape)
+    for k, group in enumerate(groups, 1):
+        words[..., k] = table.take(group.astype(np.intp)).reshape(shape)
+    small = np.flatnonzero(spelled & (depth >= 5))
+    if small.size:
+        # D < 10**9: the head group is the lead digit, in full (10**4 + d)
+        # unless every later digit is zero, and then the "." goes too.
+        lead, middle, tail = groups[:, small]
+        lead = _LEAD_WORD + 20 * np.signbit(x[small]) + 2 * (lead % 1e4) + (lead >= 1e4)
+        index = np.stack([lead, middle, tail, _EXPONENT_WORD + depth[small]], axis=-1)
+        words[np.unravel_index(small, shape)] = table.take(index.astype(np.intp))
+    slow = np.flatnonzero(~spelled)
+    if slow.size:
+        texts = np.array([b"%.9g" % value for value in x[slow].tolist()], dtype="S16")
+        words[np.unravel_index(slow, shape)] = texts.view("<u4").reshape(-1, 4)
 
 
 def spell_cells(values) -> np.ndarray:
     """``b"%.9g" % x`` of every float64 value, as a bytes array (``S16``) of the same shape.
 
-    For 1e-4 <= |x| < 1, ``%.9g`` writes "-" when x < 0, then "0.",
-    z = -1 - floor(log10 |x|) zeros and the nine digits of
-    D = round(|x| * 10**(9 + z)), ties to even, without trailing zeros. The
-    power 10**(9 + z) is exact in float64 and the product is below
-    10**9 < 2**30, so its float value is within half an ulp, under 6e-8, of
-    the exact one; D is its floor, plus one when the fraction exceeds 0.5.
-    Whenever that fraction is more than 1e-6 from 0.5, the exact product
-    rounds to the same integer, so D is correctly rounded. The decade tests
-    compare exactly: the doubles 1e-4, ..., 0.1 each lie just above their
-    power of ten, so no double falls between the two. These cells are
-    spelled at once, as the 12 digits of D * 10**(3 - z).
-
-    Every other value goes to ``b"%.9g" % x``, the float formatter that
-    ``f"{x:.9g}"`` uses: |x| outside [1e-4, 1), including 0, nan and inf; a
-    fraction within 1e-6 of 0.5, which holds every exact decimal tie; and a
-    D outside [10**8, 10**9), where rounding carried into the next decade.
-    About 1-3 % of the cells of a map take this route.
+    The cells of :func:`_spell`, the one speller, each with its NUL bytes
+    moved behind its text: 1e-100 <= |x| < 1 spelled at once, in fixed
+    notation down to 1e-4 and in exponent notation below, every other value
+    by Python's formatter.
     """
     values = np.asarray(values, dtype=np.float64)
-    flat = values.reshape(-1)
-    # Each temporary is dropped once used, so that a block of csv_text spells
-    # in about 65 bytes per cell rather than 165.
-    scaled = np.abs(flat)
-    fast = (scaled >= 1e-4) & (scaled < 1)
-    scaled[~fast] = 0.5
-    decade = np.searchsorted(_DECADE_EDGES, scaled, side="right")  # 3 - z
-    scaled *= _NINE_DIGIT_SCALE[decade]
-    nine = np.floor(scaled)
-    frac = np.subtract(scaled, nine, out=scaled)
-    nine = nine.astype(np.int64) + (frac > 0.5)
-    fast &= (np.abs(frac - 0.5) > 1e-6) & (nine >= 10**8) & (nine < 10**9)
-    del scaled, frac
-    # Spell a placeholder in the cells formatted one by one below.
-    nine[~fast] = 10**8
-    nine *= 10**decade
-    del decade
-    head, rest = np.divmod(nine, 10**8)
-    middle, tail = np.divmod(rest, 10**4)
-    del nine
-    # A group drops its trailing zeros when every later group is zero.
-    groups = np.stack([head + 10**4 * (rest == 0), middle + 10**4 * (tail == 0), tail + 10**4], axis=-1)
-    del head, rest, middle, tail
-    # 16 bytes hold the longest %.9g text of a float64, "-1.23456789e-308".
-    text = np.zeros((flat.size, 16), np.uint8)
-    text[:, :2] = np.frombuffer(b"0.", np.uint8)
-    text[:, 2:14] = _digit_words()[groups].view(np.uint8)
-    del groups
-    negative = fast & (flat < 0)
-    if negative.any():
-        text[negative, 1:] = text[negative, :-1]
-        text[negative, 0] = ord("-")
-    cells = text.view("S16")[:, 0]
-    slow = ~fast
-    cells[slow] = [b"%.9g" % x for x in flat[slow].tolist()]
-    return cells.reshape(values.shape)
+    words = np.empty((values.size, 4), "<u4")
+    _spell(values.reshape(-1), words)
+    text = words.view(np.uint8)
+    text = np.take_along_axis(text, np.argsort(text == 0, axis=-1, kind="stable"), axis=-1)
+    return text.view("S16")[:, 0].reshape(values.shape)
 
 
 def _spelled_length_bound(values) -> int:
@@ -634,52 +708,90 @@ def csv_text(header: str, columns) -> bytes:
 
     ``columns`` broadcast to one shape of at least one axis, whose elements
     are the lines, in row-major order. A bytes column (dtype ``S<w>``) is
-    written as it is; any other is spelled by :func:`spell_cells`, so a
-    float's cell is ``f"{x:.9g}"``. Lines are rendered in blocks of rows of
-    the first axis, of at most ``_CSV_BLOCK_LINES`` lines but at least one
-    row: each column's NUL-padded text, and the "," or "\\n" after it, fill
-    one ``uint8`` buffer, from which one boolean mask drops the padding.
+    written as it is; any other is spelled by :func:`_spell`, so a float's
+    cell is ``f"{x:.9g}"``, in fixed or exponent notation. A column of the
+    full shape is spelled block by block straight into its 16-byte slot of
+    the line buffer, adjacent ones in one call; a smaller one is spelled
+    once by :func:`spell_cells`, cut to its longest text and broadcast.
+
+    Lines are rendered in blocks of rows of the first axis, of at most
+    ``_CSV_BLOCK_LINES`` spelled cells but at least one row, in one
+    ``bytearray``. One template row, built once per call, holds the
+    separators ("," or "\\n" after each column) and the bytes columns that
+    do not vary along the first axis; it fills the buffer once, and each
+    block writes only the other columns over it. One
+    ``bytearray.translate`` then drops the NUL padding of the block's lines,
+    wherever it lies in a cell.
 
     The text exists once. Before the first block, one ``bytes`` buffer of an
     upper bound of its length is allocated, zeroed by calloc: within 1 % of
     the text on a map (axis texts are measured, fidelities bounded by their
     decade), within 9 % on a scan whose short delta texts the bound
-    overestimates. Each block's lines are written straight into it, the
-    unused tail is cut off in place, and the buffer itself is returned, never
-    copied. Rendering peaks under tracemalloc at 1.23 times the text of the
-    wide 641 x 641 map (9.5 MB) and 1.43 times that of a 200 001-row scan;
-    joining per-block ``bytes`` peaked at 2.09 and 2.03 times.
+    overestimates. Each block's text is written straight into it, the unused
+    tail is cut off in place, and the buffer itself is returned, never
+    copied. Rendering peaks under tracemalloc at 1.21 times the text of the
+    wide 641 x 641 map (9.5 MB) and 1.23 times that of a 200 001-row scan,
+    whose four spelled columns make blocks of 4096 lines.
     """
     columns = [np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
-    spelled = [column.dtype.kind != "S" for column in columns]
-    widths = [16 if spell else column.itemsize for column, spell in zip(columns, spelled)]
-    rows = max(1, _CSV_BLOCK_LINES // max(1, math.prod(shape[1:])))
-    head = header.encode() + b"\n"
     n_lines = math.prod(shape)
+    head = header.encode() + b"\n"
     # An upper bound of the text's length: each cell of a column appears
     # n_lines / column.size times, followed by "," or "\n".
     bound = len(head) + n_lines * len(columns)
-    if n_lines:
-        for column, spell in zip(columns, spelled):
-            length = _spelled_length_bound(column) if spell else np.char.str_len(column).sum()
-            bound += int(length) * (n_lines // column.size)
+    runs, texts, separators = [], [], []  # runs: (offset, [column, ...]) of adjacent slots
+    at = 0
+    for column in columns:
+        if column.dtype.kind != "S" and column.shape == shape:
+            column = column.astype(np.float64, copy=False)
+            if runs and runs[-1][0] + 17 * len(runs[-1][1]) == at:
+                runs[-1][1].append(column)
+            else:
+                runs.append((at, [column]))
+            bound += int(_spelled_length_bound(column))
+            at += 16
+        else:
+            if column.dtype.kind != "S":
+                column = spell_cells(column)
+                column = column.astype(f"S{max(1, np.char.str_len(column).max(initial=0))}")
+            texts.append((at, column))
+            if n_lines:
+                bound += int(np.char.str_len(column).sum()) * (n_lines // column.size)
+            at += column.itemsize
+        separators.append(at)
+        at += 1
+    template = np.zeros(shape[1:] + (at,), np.uint8)
+    template[..., separators] = ord(",")
+    template[..., separators[-1]] = ord("\n")
+    varying = []
+    for at, text in texts:
+        if text.ndim < len(shape) or text.shape[0] == 1:  # the same in every row
+            template[..., at : at + text.itemsize].view(text.dtype)[..., 0] = text
+        else:
+            varying.append((at, text))
+
     # bytes(bound) is calloc'd, and a BytesIO holding its only reference
     # writes into it in place.
     out = io.BytesIO(bytes(bound))
     out.write(head)
-    for lo in range(0, shape[0], rows):
-        block = (min(rows, shape[0] - lo),) + shape[1:]
-        lines = np.empty(block + (sum(widths) + len(widths),), np.uint8)
-        at = 0
-        for column, spell, width in zip(columns, spelled, widths):
-            part = np.broadcast_to(column, shape)[lo : lo + rows]
-            text = spell_cells(part) if spell else part
-            lines[..., at : at + width].view(f"S{width}")[..., 0] = text
-            lines[..., at + width] = ord(",")
-            at += width + 1
-        lines[..., -1] = ord("\n")
-        out.write(lines[lines != 0])
+    if n_lines:
+        n_spelled = max(1, sum(len(run) for _, run in runs))
+        rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (n_spelled * max(1, math.prod(shape[1:])))))
+        buffer = bytearray(rows * template.size)
+        lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
+        lines[...] = template
+        for lo in range(0, shape[0], rows):
+            block = lines[: shape[0] - lo]
+            for at, text in varying:
+                part = np.broadcast_to(text, shape)[lo : lo + len(block)]
+                block[..., at : at + text.itemsize].view(text.dtype)[..., 0] = part
+            for at, run in runs:
+                values = np.stack([column[lo : lo + len(block)] for column in run], axis=-1)
+                cells = block[..., at : at + 17 * len(run)].reshape(values.shape + (17,))
+                _spell(values, cells[..., :16].view("<u4"))
+            filled = buffer if len(block) == rows else buffer[: block.size]
+            out.write(filled.translate(None, b"\0"))
     out.truncate()
     return out.getvalue()
 
@@ -689,17 +801,13 @@ def map_csv_text(fmap: FidelityMap) -> bytes:
 
     The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point,
     encoded: one :func:`csv_text` call. Each axis value is spelled once, cut
-    to its axis's longest text, and broadcast over the map; the fidelities
-    are spelled one block of odd rows at a time. The returned ``bytes`` is
-    the one buffer the text was written into: rendering the wide 641 x 641
-    map peaks under tracemalloc at 1.23 times its 9.5 MB.
+    to its axis's longest text, and broadcast over the map (the even axis
+    from the template row); the fidelities are spelled one block of odd rows
+    at a time. The returned ``bytes`` is the one buffer the text was written
+    into: rendering the wide 641 x 641 map peaks under tracemalloc at 1.21
+    times its 9.5 MB.
     """
-
-    def axis_text(axis):
-        text = spell_cells(axis / math.pi)
-        return text.astype(f"S{max(1, np.char.str_len(text).max(initial=0))}")
-
-    columns = [axis_text(fmap.axis_odd)[:, None], axis_text(fmap.axis_even), fmap.values]
+    columns = [(fmap.axis_odd / math.pi)[:, None], fmap.axis_even / math.pi, fmap.values]
     return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)
 
 

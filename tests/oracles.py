@@ -22,6 +22,10 @@ the summation order that ``fidelity_from_amplitudes`` defines.
 ``per_row_csv_text`` is the scan CSV rendering that the vectorized speller
 replaced: one ``f"{x:.9g}"`` per value, joined per row.
 
+``padded_map_maxima`` is the whole-grid maxima search that
+``map_maxima``'s comparison of the cells above threshold replaced: every
+cell against its 8 neighbours in a copy of the map padded with -inf.
+
 The SOP at b = 0 with areas (pi, 2 pi, pi) is the pi-2pi-pi protocol of
 Jaksch et al., PRL 85, 2208 (2000).
 """
@@ -312,3 +316,18 @@ def per_row_csv_text(header: str, rows) -> bytes:
     """The header line, then one line per row with 9 significant digits per value."""
     text = "".join([header + "\n"] + [",".join(f"{x:.9g}" for x in row) + "\n" for row in rows])
     return text.encode()
+
+
+def padded_map_maxima(fmap, threshold: float) -> np.ndarray:
+    """Strict-local-maxima rows (area_odd, area_even, F) of the whole grid, fidelity descending."""
+    values = fmap.values
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    n_rows, n_cols = padded.shape
+    mask = values >= threshold
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                mask &= values > padded[1 + di : n_rows - 1 + di, 1 + dj : n_cols - 1 + dj]
+    ii, jj = np.nonzero(mask)
+    rows = np.column_stack([fmap.axis_odd[ii], fmap.axis_even[jj], values[ii, jj]])
+    return rows[np.argsort(-rows[:, 2])]

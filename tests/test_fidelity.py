@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import sopgate.fidelity
 import sopgate.propagator
-from oracles import cell_fidelity, negated, per_row_csv_text
+from oracles import cell_fidelity, negated, padded_map_maxima, per_row_csv_text
 from sopgate import (
     EmptyGridError,
     GridSpec,
@@ -914,7 +914,7 @@ class TestCsvOutput:
         finally:
             tracemalloc.stop()
         # The text once, in a buffer sized within 1 % of it, and one block's
-        # temporaries: 1.23 times (2.09 when the blocks were joined).
+        # temporaries: 1.21 times (2.09 when the blocks were joined).
         assert peak <= 1.5 * size
 
 
@@ -967,11 +967,27 @@ class TestFidelityText:
         assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
 
+#: The powers of ten of the exponent cells, 1e-5 ... 1e-99, and the ties
+#: below them that round up into them.
+EXPONENT_EDGES = np.array(
+    [float(f"{mantissa}e-{k}") for k in range(5, 100) for mantissa in ("1", "9.9999999995")]
+)
+
+#: Doubles next to a ninth-digit tie whose scaled float, within 1.2e-7 of
+#: the tie, lies on its far side: the tie guard's margin, not only exact
+#: ties, sends them to the formatter.
+NEAR_TIES = [9.969312875e-36, 8.588029455e-83, 4.877171855e-61, 2.548880645e-48]
+
 #: The edges of the vectorized decades and ties, and their neighbours.
 SPELLING_EDGES = [
     *[1e-4, 0.1, 0.99999999995, 9.9999999995e-5, 0.999999999, 1.0, 5e-324, 2.2250738585072014e-308],
     *np.nextafter([1e-4, 1e-3, 1e-2, 0.1, 1.0], 0).tolist(),
     *[0.0, math.nan, math.inf, 1.7976931348623157e308, 123456789.5],
+    *[1e-100, 9.9999999995e-100, *np.nextafter([1e-100, 1e-100], [0, 1]).tolist()],
+    *EXPONENT_EDGES.tolist(),
+    *NEAR_TIES,
+    *np.nextafter(EXPONENT_EDGES, 0).tolist(),
+    *np.nextafter(EXPONENT_EDGES, 1).tolist(),
 ]
 
 
@@ -1007,6 +1023,17 @@ class TestSpellCells:
     def test_vectorized_magnitudes_of_both_signs(self, pairs):
         assert_spelled([-x if negative else x for x, negative in pairs])
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=1e-300, max_value=1e-4, exclude_max=True), st.booleans()),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_magnitudes_of_both_signs(self, pairs):
+        assert_spelled([-x if negative else x for x, negative in pairs])
+
     @pytest.mark.parametrize(
         "values",
         [SPELLING_EDGES, halfway_values(), ADVERSARIAL_FIDELITIES],
@@ -1020,6 +1047,7 @@ class TestSpellCells:
         values = np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4)
         assert_spelled(values)
         assert_spelled(values[:, :0])
+        assert_spelled(values[0, 0, 0] * 1e-9)
 
 
 class TestCsvText:
@@ -1051,6 +1079,21 @@ class TestCsvText:
             b"p,q,r\n-1,a,1\n-1,bc,0\n-1,d,0\n0.5,a,0\n0.5,bc,1\n0.5,d,0\n"
         )
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_broadcast_float_column_equals_full_shape(self, axis):
+        # A smaller float column is spelled once and broadcast, a full-shape
+        # one is spelled into its slot block by block: the two routes agree.
+        rng = np.random.default_rng(7)
+        shape = (2 * _CSV_BLOCK_LINES // 9 + 3, 9)
+        small = 10.0 ** rng.uniform(-120, 2, shape[axis]) * rng.choice([-1.0, 1.0], shape[axis])
+        small[:4] = [0.0, math.nan, 1e-4, 9.9999999995e-5]
+        small = small[:, None] if axis == 0 else small
+        full = np.broadcast_to(small, shape).copy()
+        values = rng.uniform(0, 1, shape)
+        text = csv_text("p,q,r", [small, values, small])
+        assert text == csv_text("p,q,r", [full, values, full])
+        assert text == per_row_csv_text("p,q,r", zip(full.ravel(), values.ravel(), full.ravel()))
+
     def test_no_rows(self):
         assert csv_text("a,b", [np.zeros(0), np.zeros(0)]) == b"a,b\n"
 
@@ -1067,7 +1110,7 @@ class TestCsvText:
             tracemalloc.stop()
         assert len(deltas) == 200_001
         # The text once, in a buffer sized within 9 % of it (the short delta
-        # texts), and one block's temporaries: 1.43 times (2.03 when the
+        # texts), and one block's temporaries: 1.23 times (2.03 when the
         # blocks were joined, 3.2 for the per-row rendering).
         assert peak <= 1.5 * size
 
@@ -1090,3 +1133,39 @@ class TestCsvText:
         values = fidelity_map(sop_family(b2=0.1), GridSpec(-4, 4, 0.05)).values
         spelled = sum(len(b"%.9g" % x) for x in values.ravel().tolist())
         assert _spelled_length_bound(values) <= 1.02 * spelled
+
+
+class TestMapMaxima:
+    """Maxima from the cells above threshold against the whole padded grid."""
+
+    @pytest.mark.parametrize(
+        "family, grid",
+        [
+            (sop_family(b2=0.1), None),
+            (sop_family(b2=0.0), None),
+            (sop_family(b2=0.1, c2=0.1), None),
+            (sop_family(b2=0.25, m_pulses=5), GridSpec(-4, 4, 0.05)),
+            (sop_family(b2=0.1), GridSpec(1.5, 1.5, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("threshold", [0.0, 0.7, 0.999999999999])
+    def test_equals_padded_grid(self, family, grid, threshold):
+        fmap = fidelity_map(family, grid)
+        maxima, expected = map_maxima(fmap, threshold), padded_map_maxima(fmap, threshold)
+        assert maxima.shape == expected.shape and maxima.tobytes() == expected.tobytes()
+
+    def test_edges_plateaus_and_nan(self):
+        values = np.array(
+            [
+                [0.9, 0.1, 0.8, 0.8, 0.2],
+                [0.1, 0.2, 0.1, 0.1, 0.95],
+                [0.3, math.nan, 0.1, 0.6, 0.1],
+                [0.1, 0.5, 0.4, 0.1, 0.7],
+            ]
+        )
+        fmap = FidelityMap(axis_odd=np.arange(4.0), axis_even=np.arange(5.0) * 0.5, values=values)
+        maxima = map_maxima(fmap, 0.5)
+        # corners and edges count; a plateau, a larger or a NaN neighbour does not
+        assert maxima.tolist() == [[1.0, 2.0, 0.95], [0.0, 0.0, 0.9], [3.0, 2.0, 0.7]]
+        assert maxima.tobytes() == padded_map_maxima(fmap, 0.5).tobytes()
+        assert map_maxima(fmap, math.nan).shape == (0, 3)
