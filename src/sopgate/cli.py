@@ -61,7 +61,6 @@ from .errors import SopGateError
 from .fidelity import (
     DEFAULT_GRID,
     DEFAULT_MAXIMA_THRESHOLD,
-    FIDELITY_DEFINITIONS,
     GridSpec,
     b_scan,
     check_grid_points,
@@ -234,7 +233,6 @@ OPTIONS = {
         int, "pulses in the sequence", check=_within(2, MAX_PULSES), required=True
     ),
     "grid": _Option(str, "area grid lo:hi:step in units of pi"),
-    "fidelity": _Option(str, "fidelity definition", choices=FIDELITY_DEFINITIONS),
     "threshold": _Option(float, "least fidelity of a reported maximum", check=_FINITE),
     "non_orthogonal": _Option(bool, "use the mirrored (b, a) even vector, not the orthogonal one"),
     "areas": _Option(str, "area pair 'odd,even' in units of pi", modes=(_THIRD, _ALL)),
@@ -311,7 +309,6 @@ MAP_DEFAULTS = {
     "qubits": None,
     "pulses": 3,
     "grid": ":".join(f"{x:g}" for x in DEFAULT_GRID),
-    "fidelity": "trace-sq",
     "threshold": DEFAULT_MAXIMA_THRESHOLD,
     "non_orthogonal": False,
     "out": ".",
@@ -329,7 +326,7 @@ def cmd_map(args: argparse.Namespace) -> tuple[int, list]:
     )
     config["qubits"] = family.n_qubits
     grid = _parse_grid(config["grid"])
-    fmap = fidelity_map(family, grid, definition=config["fidelity"])
+    fmap = fidelity_map(family, grid)
     try:
         report = lattice_report_dict(lattice_analysis(fmap, config["threshold"]))
     except SopGateError as exc:
@@ -374,7 +371,6 @@ BSCAN_DEFAULTS = {
     "areas": ["2,2"],
     "b2_max": 0.5,
     "b2_step": 0.005,
-    "fidelity": "trace-sq",
     "out": ".",
 }
 
@@ -390,8 +386,8 @@ def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     artifacts = []
     for (pair, pair_text), name in zip(pairs.items(), names):
         areas = [area * math.pi for area in pair]
-        f_orth = b_scan(areas, b2_grid, orthogonal=True, definition=config["fidelity"])
-        f_non = b_scan(areas, b2_grid, orthogonal=False, definition=config["fidelity"])
+        f_orth = b_scan(areas, b2_grid, orthogonal=True)
+        f_non = b_scan(areas, b2_grid, orthogonal=False)
         text = csv_text("b2,f_orthogonal,f_non_orthogonal", [b2_grid, f_orth, f_non])
         artifacts.append(({**config, "areas": pair_text}, name, text, {}))
     return EXIT_OK, artifacts

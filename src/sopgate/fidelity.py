@@ -3,13 +3,11 @@
 Every fidelity is against the one target the paper measures, the C-PHASE
 gate T on the two gate qubits: its diagonal phases,
 :func:`~sopgate.model.cphase_signature`, are -1 unless both gate qubits are
-in |1>, whatever the spectators hold. By default F = |Tr(T^dag U) / d|^2,
-where U is the diagonal of return amplitudes over the 2^n computational
-states and d = 2^n; the formulas read n from the number of amplitudes. Two
-alternates are available for sensitivity studies ("trace": |Tr|/d,
-"average": the standard average-gate-fidelity combination). Maps sweep the
-total odd and even pulse areas on a rectangular grid; their maxima form
-(possibly rotated) lattices.
+in |1>, whatever the spectators hold. The one fidelity is
+F = |Tr(T^dag U) / d|^2, where U is the diagonal of return amplitudes over
+the 2^n computational states and d = 2^n; the formulas read n from the
+number of amplitudes. Maps sweep the total odd and even pulse areas on a
+rectangular grid; their maxima form (possibly rotated) lattices.
 
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. :func:`sop_family` turns squared
@@ -69,8 +67,6 @@ from .propagator import _pulse_couplings, diagonal_amplitudes, register_amplitud
 from .propagator import block_decompose  # noqa: F401
 from .propagator import star_propagator as star_propagator_batch  # noqa: F401
 
-FIDELITY_DEFINITIONS = ("trace-sq", "trace", "average")
-
 #: Default sweep: [-8*pi, 8*pi] in steps of 0.05*pi resolves the 4*pi lattice
 #: and locates optima to a few percent of pi.
 DEFAULT_GRID = (-8.0, 8.0, 0.05)
@@ -89,12 +85,6 @@ def check_grid_points(n_points: float) -> None:
         raise GridTooLargeError(
             f"grid of {n_points:.3g} points exceeds the limit of {MAX_GRID_POINTS}"
         )
-
-
-def check_definition(definition: str) -> None:
-    """Refuse a fidelity definition not in :data:`FIDELITY_DEFINITIONS`."""
-    if definition not in FIDELITY_DEFINITIONS:
-        raise ValueError(f"unknown fidelity definition {definition!r}")
 
 
 def check_squared_factors(**factors: float) -> None:
@@ -272,21 +262,20 @@ def _cphase_phases(amplitudes: np.ndarray) -> np.ndarray:
     return cphase_signature(d.bit_length() - 1)
 
 
-def fidelity_from_amplitudes(diag, definition: str = "trace-sq"):
+def fidelity_from_amplitudes(diag):
     """Combine diagonal return amplitudes into a C-PHASE fidelity in [0, 1].
 
     ``diag`` has the basis-state axis last, of length 2^n for an n-qubit
     register (n >= 2), and may carry leading grid axes.
     Elementwise numpy adds fix the order: the signed amplitudes in basis
     order within each block of four basis states, then the blocks in order;
-    squares by ``np.square``; ``average`` adds the |a_k|^2 in basis order.
+    the modulus squared by ``np.square``.
     So a cell's bits depend on its amplitudes alone, not on the memory
     layout, the BLAS thread count, the kernel's chunks or the batch rank.
     """
     diag = np.asarray(diag)
     phases = _cphase_phases(diag)
     d = phases.size
-    check_definition(definition)
     states = np.moveaxis(diag, -1, 0)  # states[k]: every cell's amplitude of basis state k
     blocks = []
     for lo in range(0, d, 4):
@@ -298,17 +287,12 @@ def fidelity_from_amplitudes(diag, definition: str = "trace-sq"):
                 block -= amplitudes  # the bits of adding -amplitudes, without the copy
         blocks.append(block)
     overlap = functools.reduce(np.add, blocks)  # a new array, or a scalar for one cell
-    if definition == "trace-sq":
-        # np.square(np.abs(overlap / d)) without two of its full-size temporaries.
-        modulus = np.abs(np.divide(overlap, d, out=overlap if overlap.ndim else None))
-        return np.square(modulus, out=modulus if modulus.ndim else None)
-    if definition == "trace":
-        return np.abs(overlap) / d
-    squares = functools.reduce(np.add, (np.square(np.abs(amplitudes)) for amplitudes in states))
-    return (np.square(np.abs(overlap)) + squares) / (d * d + d)
+    # np.square(np.abs(overlap / d)) without two of its full-size temporaries.
+    modulus = np.abs(np.divide(overlap, d, out=overlap if overlap.ndim else None))
+    return np.square(modulus, out=modulus if modulus.ndim else None)
 
 
-def fidelity_from_rows(rows, definition: str = "trace-sq"):
+def fidelity_from_rows(rows):
     """Combine return amplitudes, basis-state axis last, into C-PHASE fidelities in [0, 1].
 
     ``rows`` has shape (..., 2^n), one protocol per row of an n-qubit
@@ -320,20 +304,13 @@ def fidelity_from_rows(rows, definition: str = "trace-sq"):
     """
     rows = np.ascontiguousarray(rows)
     phases = _cphase_phases(rows)
-    d = phases.size
-    check_definition(definition)
     overlap = np.vecdot(phases, rows)
-    if definition == "trace-sq":
-        return np.float_power(np.abs(overlap / d), 2.0)
-    if definition == "trace":
-        return np.abs(overlap) / d
-    squares = np.float_power(np.abs(overlap), 2.0)
-    return (squares + np.sum(np.abs(rows) ** 2, axis=-1)) / (d * d + d)
+    return np.float_power(np.abs(overlap / phases.size), 2.0)
 
 
-def gate_fidelity(protocol: Protocol, definition: str = "trace-sq") -> float:
+def gate_fidelity(protocol: Protocol) -> float:
     """C-PHASE fidelity of a protocol: the one-row case of :func:`fidelity_from_rows`."""
-    return float(fidelity_from_rows(diagonal_amplitudes(protocol), definition))
+    return float(fidelity_from_rows(diagonal_amplitudes(protocol)))
 
 
 def family_diagonal_grid(
@@ -359,15 +336,12 @@ def fidelity_map(
     family: ProtocolFamily,
     grid_odd: GridSpec | None = None,
     grid_even: GridSpec | None = None,
-    definition: str = "trace-sq",
 ) -> FidelityMap:
     """Fidelity of a protocol family against the C-PHASE signature over an area grid.
 
     The grids are in units of pi; ``grid_even`` defaults to ``grid_odd`` and
-    that to :data:`DEFAULT_GRID`. ``definition`` is one of
-    :data:`FIDELITY_DEFINITIONS`. A map of more than :data:`MAX_GRID_POINTS`
-    points raises :class:`GridTooLargeError`, and an unknown definition
-    :class:`ValueError`, before anything is computed.
+    that to :data:`DEFAULT_GRID`. A map of more than :data:`MAX_GRID_POINTS`
+    points raises :class:`GridTooLargeError` before anything is computed.
 
     The map is one :func:`family_diagonal_grid` call that reduces each chunk
     of the kernel to fidelities by :func:`fidelity_from_amplitudes`.
@@ -375,11 +349,10 @@ def fidelity_map(
     grid_odd = grid_odd or GridSpec(*DEFAULT_GRID)
     grid_even = grid_even or grid_odd
     check_grid_points(grid_odd.n_points * grid_even.n_points)
-    check_definition(definition)
     axis_odd = grid_odd.values_radians()
     axis_even = grid_even.values_radians()
-    fidelities = functools.partial(fidelity_from_amplitudes, definition=definition)
-    return FidelityMap(axis_odd, axis_even, family_diagonal_grid(family, axis_odd, axis_even, fidelities))
+    values = family_diagonal_grid(family, axis_odd, axis_even, fidelity_from_amplitudes)
+    return FidelityMap(axis_odd, axis_even, values)
 
 
 def map_maxima(fmap: FidelityMap, threshold: float = DEFAULT_MAXIMA_THRESHOLD) -> np.ndarray:
@@ -496,23 +469,16 @@ def robustness_scan(protocol: Protocol, delta_grid) -> RobustnessCurves:
     return RobustnessCurves(delta, curves[:, 0], curves[:, 1], curves[:, 2])
 
 
-def b_scan(
-    area_pair: tuple[float, float],
-    b2_grid,
-    orthogonal: bool = True,
-    definition: str = "trace-sq",
-) -> np.ndarray:
+def b_scan(area_pair: tuple[float, float], b2_grid, orthogonal: bool = True) -> np.ndarray:
     """Two-qubit C-PHASE fidelity of a fixed-area three-pulse protocol versus the overlap b^2.
 
     ``area_pair`` is the total (odd, even) areas in radians. With
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light. The vectors are
     those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
-    a b^2 that family refuses raises :class:`NotNormalizedError`, an area
-    pair not finite :class:`EmptyGridError`, and an unknown
-    ``definition`` :class:`ValueError`, before anything is computed.
+    a b^2 that family refuses raises :class:`NotNormalizedError` and an area
+    pair not finite :class:`EmptyGridError`, before anything is computed.
     """
-    check_definition(definition)
     areas = [float(area) for area in area_pair]
     if not all(math.isfinite(area) for area in areas):
         raise EmptyGridError(f"area pair {tuple(area_pair)} is not finite")
@@ -530,8 +496,7 @@ def b_scan(
     # The odd and even pulse vectors, one row per b^2 point.
     odd = np.stack([a, b], axis=-1)
     even = np.stack([-b if orthogonal else b, a], axis=-1)
-    fidelities = functools.partial(fidelity_from_rows, definition=definition)
-    return alternating_amplitudes(odd, even, *areas, reduce=fidelities)
+    return alternating_amplitudes(odd, even, *areas, reduce=fidelity_from_rows)
 
 
 #: Per depth k = -floor(log10 |x|) of a magnitude below 1, read at index k:

@@ -1,6 +1,6 @@
 """Constrained derivative-free optimization of pulse areas and geometrical factors.
 
-Every problem maximizes the trace-sq C-PHASE fidelity by multistart
+Every problem maximizes the C-PHASE fidelity |Tr(T^dag U) / d|^2 by multistart
 Nelder-Mead over a box of free parameters. Equality ties (symmetric third
 pulse, orthogonality, unit normalization) are built into the parameterization
 so every evaluated candidate satisfies them exactly; inequality bounds are

@@ -19,6 +19,12 @@ lockstep replay must equal bit for bit.
 ``cell_fidelity`` is one map cell's fidelity in plain Python arithmetic, in
 the summation order that ``fidelity_from_amplitudes`` defines.
 
+``mp_amplitudes`` and ``mp_fidelity`` are the truth the kernel's float64
+results are held to: every block's star propagators in the closed form of
+``star_propagator``'s docstring, composed in mpmath at 40 digits from the
+float inputs taken exactly, and |Tr(T^dag U) / d|^2 of their return
+amplitudes against the C-PHASE phases read off the basis labels.
+
 ``per_row_csv_text`` is the scan CSV rendering that the vectorized speller
 replaced: one ``f"{x:.9g}"`` per value, joined per row.
 
@@ -31,9 +37,11 @@ Jaksch et al., PRL 85, 2208 (2000).
 """
 
 import functools
+import itertools
 import math
 import operator
 
+import mpmath
 import numpy as np
 
 from sopgate.errors import (
@@ -291,8 +299,8 @@ def nelder_mead_sequential(
     )
 
 
-def cell_fidelity(amplitudes, phases, definition: str) -> float:
-    """F of one cell's amplitudes, one value at a time.
+def cell_fidelity(amplitudes, phases) -> float:
+    """|Tr(T^dag U) / d|^2 of one cell's amplitudes, one value at a time.
 
     The signed amplitudes are added in basis order within each block of four
     basis states, then the blocks in order. Moduli are numpy's complex
@@ -302,14 +310,59 @@ def cell_fidelity(amplitudes, phases, definition: str) -> float:
     signed = [float(p) * complex(a) for p, a in zip(phases, amplitudes)]
     blocks = [functools.reduce(operator.add, signed[lo : lo + 4]) for lo in range(0, d, 4)]
     overlap = np.complex128(functools.reduce(operator.add, blocks))
-    if definition == "trace-sq":
-        modulus = float(np.abs(overlap / d))
-        return modulus * modulus
-    modulus = float(np.abs(overlap))
-    if definition == "trace":
-        return modulus / d
-    moduli = [float(np.abs(np.complex128(a))) for a in amplitudes]
-    return (modulus * modulus + functools.reduce(operator.add, [m * m for m in moduli])) / (d * d + d)
+    modulus = float(np.abs(overlap / d))
+    return modulus * modulus
+
+
+#: Working precision of the mpmath truth, in decimal digits.
+MP_DIGITS = 40
+
+
+def mp_star_column(coupling, theta, column):
+    """Return U @ column for the star propagator U of one block and one pulse, in mpmath.
+
+    U[0, 0] = cos(s theta), U[0, 1 + i] = U[1 + i, 0] = i (v_i / s) sin(s theta)
+    and U[1 + i, 1 + j] = delta_ij + (v_i v_j / s^2)(cos(s theta) - 1), with
+    s = |v|; a zero coupling is the identity.
+    """
+    s = mpmath.sqrt(mpmath.fsum(v * v for v in coupling))
+    if s == 0:
+        return list(column)
+    unit = [v / s for v in coupling]
+    cos, sin = mpmath.cos(s * theta), mpmath.sin(s * theta)
+    dim = len(column)
+    matrix = [[cos] + [1j * u * sin for u in unit]]
+    for i in range(dim - 1):
+        matrix.append([1j * unit[i] * sin] + [(i == j) + unit[i] * unit[j] * (cos - 1) for j in range(dim - 1)])
+    return [mpmath.fsum(row[k] * column[k] for k in range(dim)) for row in matrix]
+
+
+def mp_amplitudes(vectors, thetas, order) -> dict:
+    """Return amplitude of every basis label, composed at :data:`MP_DIGITS` digits.
+
+    Pulse p of the sequence has the structural vector ``vectors[order[p]]``
+    and the mixing angle ``thetas[order[p]]`` (half its area), floats taken
+    exactly. The block of a label couples its ground state to the Rydberg
+    states of its |0> qubits, with the vector's components on those qubits.
+    """
+    n_qubits = len(vectors[0])
+    amplitudes = {}
+    with mpmath.workdps(MP_DIGITS):
+        for bits in itertools.product("01", repeat=n_qubits):
+            zeros = [q for q, bit in enumerate(bits) if bit == "0"]
+            column = [mpmath.mpc(1)] + [mpmath.mpc(0)] * len(zeros)
+            for k in order:
+                coupling = [mpmath.mpf(float(vectors[k][q])) for q in zeros]
+                column = mp_star_column(coupling, mpmath.mpf(float(thetas[k])), column)
+            amplitudes["".join(bits)] = column[0]
+    return amplitudes
+
+
+def mp_fidelity(amplitudes: dict):
+    """|Tr(T^dag U) / d|^2 at :data:`MP_DIGITS` digits; T is -1 unless both gate qubits are |1>."""
+    with mpmath.workdps(MP_DIGITS):
+        overlap = mpmath.fsum(a if label[:2] == "11" else -a for label, a in amplitudes.items())
+        return abs(overlap / len(amplitudes)) ** 2
 
 
 def per_row_csv_text(header: str, rows) -> bytes:

@@ -258,6 +258,37 @@ def test_sidecar_hashes_the_written_bytes(tmp_path, argv):
         assert meta["content_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
+MAP_CONFIG_KEYS = ["b2", "c2", "qubits", "pulses", "grid", "threshold", "non_orthogonal", "out"]
+OPTIMIZE_CONFIG_KEYS = [
+    "what", "b2", "c2", "min_c2", "min_sq", "grid", "areas", "restarts", "seed", "threads", "out"
+]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["map", "--grid=-1:1:0.5"], MAP_CONFIG_KEYS),
+        (["esop-map", "--pulses", "4", "--grid=-1:1:0.5"], MAP_CONFIG_KEYS),
+        (["robustness", "--delta-step", "0.25"], ["b2", "areas", "delta_max", "delta_step", "out"]),
+        (["bscan", "--b2-step", "0.25"], ["areas", "b2_max", "b2_step", "out"]),
+        (["optimize", "--areas=2,2", "--restarts", "1"], OPTIMIZE_CONFIG_KEYS),
+        (["optimize", "--what", "all-factors", "--areas=2,2", "--restarts", "1"], OPTIMIZE_CONFIG_KEYS),
+        (["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "1"], OPTIMIZE_CONFIG_KEYS),
+        (["validate", "--samples", "1"], ["samples", "seed", "tolerance", "shape", "out"]),
+    ],
+    ids=["map", "esop-map", "robustness", "bscan", "optimize-third-qubit", "optimize-all-factors",
+         "optimize-areas", "validate"],
+)
+def test_sidecar_config_keys(tmp_path, argv, keys):
+    # Dropping or adding an option changes what every sidecar records: pinned here, per command.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    sidecars = sorted(out.glob("*.json"))
+    assert sidecars
+    for sidecar in sidecars:
+        assert list(json.loads(sidecar.read_bytes())["config"]) == keys
+
+
 #: A command line and the library function in ``sopgate.cli`` that does its work.
 COMMAND_WORK = [
     (["map", "--grid=-16:16:0.05"], "fidelity_map"),
@@ -455,7 +486,6 @@ class TestConfigFile:
             ("validate", {"seed": "x"}),
             ("validate", {"samples": 2.5}),
             ("validate", {"tolerance": True}),
-            ("map", {"fidelity": "bogus"}),
             ("map", {"qubits": 4}),
             ("map", {"non_orthogonal": "yes"}),
             ("robustness", {"b2": [0.1]}),
@@ -527,6 +557,16 @@ class TestConfigFile:
         meta = json.loads(read(out / "fidelity_map.json"))
         assert meta["config"]["qubits"] == 2
         assert meta["config"]["non_orthogonal"] is True
+
+    def test_fidelity_key_ignored(self, tmp_path):
+        # Like any key a command does not read, it changes neither the data nor the sidecar.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fidelity": "bogus"}))
+        assert main(["map", "--grid=-1:1:0.5", "--out", str(tmp_path / "plain")]) == 0
+        assert main(["map", "--config", str(config), "--grid=-1:1:0.5", "--out", str(tmp_path / "cfg")]) == 0
+        for name in ("fidelity_map.csv", "fidelity_map.json"):
+            plain = read(tmp_path / "plain" / name)
+            assert read(tmp_path / "cfg" / name) == plain.replace(str(tmp_path / "plain"), str(tmp_path / "cfg"))
 
     def test_library_defaults_keep_their_sidecar_values(self):
         assert (MAP_DEFAULTS["grid"], MAP_DEFAULTS["threshold"]) == ("-8:8:0.05", 0.7)
@@ -902,6 +942,23 @@ def test_seed_refused_where_nothing_is_drawn(tmp_path, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["map", "--fidelity", "trace"], ["esop-map", "--pulses", "4", "--fidelity", "trace"],
+     ["bscan", "--fidelity", "average"]],
+    ids=["map", "esop-map", "bscan"],
+)
+def test_fidelity_option_refused(tmp_path, capsys, argv):
+    # |Tr(T^dag U) / d|^2 is the one fidelity; no command takes a definition.
+    out = tmp_path / "refused"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--fidelity" in err[0]
     assert not out.exists()
 
 

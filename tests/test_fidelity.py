@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import io
 import math
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 
 import sopgate.fidelity
 import sopgate.propagator
-from oracles import cell_fidelity, negated, padded_map_maxima, per_row_csv_text
+import mpmath
+from oracles import (
+    MP_DIGITS,
+    cell_fidelity,
+    mp_amplitudes,
+    mp_fidelity,
+    negated,
+    padded_map_maxima,
+    per_row_csv_text,
+)
 from sopgate import (
     EmptyGridError,
     GridSpec,
@@ -38,7 +48,6 @@ from sopgate import (
 from sopgate.fidelity import (
     _CSV_BLOCK_LINES,
     DEFAULT_GRID,
-    FIDELITY_DEFINITIONS,
     MAX_GRID_POINTS,
     FidelityMap,
     _spelled_length_bound,
@@ -50,6 +59,7 @@ from sopgate.fidelity import (
     lattice_report_dict,
     map_csv_text,
     map_maxima,
+    pulse_areas,
     spell_cells,
 )
 from sopgate.model import cphase_signature
@@ -131,25 +141,15 @@ class TestGateFidelity:
         )
         assert gate_fidelity(flipped) == pytest.approx(gate_fidelity(p), abs=1e-12)
 
-    def test_alternate_definitions_ordering(self):
-        p = sop_family(b2=0.2).protocol(2.2 * PI, 0.6 * PI)
-        diag = diagonal_amplitudes(p)
-        trace_sq = fidelity_from_amplitudes(diag, "trace-sq")
-        trace = fidelity_from_amplitudes(diag, "trace")
-        average = fidelity_from_amplitudes(diag, "average")
-        assert trace == pytest.approx(math.sqrt(trace_sq), abs=1e-12)
-        assert 0.0 <= trace_sq <= average <= 1.0
-
 
 class TestFidelityFromRows:
-    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
-    def test_each_row_is_its_gate_fidelity(self, definition):
+    def test_each_row_is_its_gate_fidelity(self):
         family = sop_family(b2=0.1, c2=0.1)
         areas = np.random.default_rng(2).uniform(-8 * PI, 8 * PI, size=(20, 2))
-        rows = fidelity_from_rows(family_amplitudes(family, areas[:, 0], areas[:, 1]), definition)
+        rows = fidelity_from_rows(family_amplitudes(family, areas[:, 0], areas[:, 1]))
         assert rows.shape == (20,)
         for (area_odd, area_even), value in zip(areas, rows):
-            assert value == gate_fidelity(family.protocol(area_odd, area_even), definition)
+            assert value == gate_fidelity(family.protocol(area_odd, area_even))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 12])
     def test_amplitude_count_checked(self, d):
@@ -165,13 +165,12 @@ class TestFidelityFromRows:
         assert fidelity_from_rows(phases[None]).tolist() == [1.0]
         assert fidelity_from_amplitudes(phases[None]).tolist() == [1.0]
 
-    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
-    def test_row_layout_leaves_bits_unchanged(self, definition):
+    def test_row_layout_leaves_bits_unchanged(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))
         strided = np.asfortranarray(rows)
-        got = fidelity_from_rows(strided, definition)
-        assert got.tobytes() == fidelity_from_rows(rows, definition).tobytes()
+        got = fidelity_from_rows(strided)
+        assert got.tobytes() == fidelity_from_rows(rows).tobytes()
         # A kernel chunk is a basis-last view of a basis-first scratch array; the
         # map formula gives it, a contiguous copy and a Fortran copy the bytes of
         # its explicit order, cell by cell.
@@ -179,10 +178,10 @@ class TestFidelityFromRows:
             phases, d = cphase_signature(n_qubits), 2**n_qubits
             scratch = rng.normal(size=(d,) + shape) + 1j * rng.normal(size=(d,) + shape)
             view = np.moveaxis(scratch, 0, -1)
-            got = fidelity_from_amplitudes(view, definition)
+            got = fidelity_from_amplitudes(view)
             for copy in (np.ascontiguousarray(view), np.asfortranarray(view)):
-                assert fidelity_from_amplitudes(copy, definition).tobytes() == got.tobytes()
-            cells = [cell_fidelity(row, phases, definition) for row in view.reshape(-1, d).tolist()]
+                assert fidelity_from_amplitudes(copy).tobytes() == got.tobytes()
+            cells = [cell_fidelity(row, phases) for row in view.reshape(-1, d).tolist()]
             assert got.tobytes() == np.array(cells).reshape(shape).tobytes()
 
     def test_float_power_squares_as_math_pow(self):
@@ -197,22 +196,29 @@ class TestFidelityFromRows:
         assert np.float_power(values, 2.0).tobytes() == expected.tobytes()
 
 
+#: Families the map paths are checked on: both registers, the paper's b^2 = 0.5
+#: point, and each with the orthogonal and the mirrored (non-orthogonal) even vector.
+MAP_FAMILIES = pytest.mark.parametrize(
+    "b2, c2, orthogonal",
+    [(b2, c2, orthogonal) for b2, c2 in [(0.1, 0.0), (0.1, 0.1), (0.5, 0.0)] for orthogonal in (True, False)],
+)
+
+
 class TestMapFormula:
     """``fidelity_from_amplitudes`` sums in its own order: the bits of a cell
     depend on its amplitudes alone, on every core."""
 
-    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
-    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
-    def test_chunk_copy_gives_the_view_bits(self, monkeypatch, definition, b2, c2):
-        family = sop_family(b2=b2, c2=c2, m_pulses=4)
+    @MAP_FAMILIES
+    def test_chunk_copy_gives_the_view_bits(self, monkeypatch, b2, c2, orthogonal):
+        family = sop_family(b2=b2, c2=c2, m_pulses=4, orthogonal=orthogonal)
         odd = np.linspace(-5.3 * PI, 6.1 * PI, 23)
         even = np.linspace(-2.9 * PI, 7.7 * PI, 13)
         monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", 5 * map_row_bytes(family.n_qubits, 13))
         chunks = []
 
         def reduce(chunk):
-            view = fidelity_from_amplitudes(chunk, definition)
-            copy = fidelity_from_amplitudes(np.ascontiguousarray(chunk), definition)
+            view = fidelity_from_amplitudes(chunk)
+            copy = fidelity_from_amplitudes(np.ascontiguousarray(chunk))
             chunks.append(copy.tobytes() == view.tobytes())
             return view
 
@@ -258,10 +264,9 @@ class TestMapFormula:
         rng = np.random.default_rng(30 + n_qubits)
         d = 2**n_qubits
         rows = rng.normal(size=(5000, d)) + 1j * rng.normal(size=(5000, d))
-        for definition in FIDELITY_DEFINITIONS:
-            alone = [fidelity_from_amplitudes(row, definition) for row in rows]
-            batched = [fidelity_from_amplitudes(row[None], definition)[0] for row in rows]
-            assert np.array(alone).tobytes() == np.array(batched).tobytes()
+        alone = [fidelity_from_amplitudes(row) for row in rows]
+        batched = [fidelity_from_amplitudes(row[None])[0] for row in rows]
+        assert np.array(alone).tobytes() == np.array(batched).tobytes()
 
 
 class TestFidelityMap:
@@ -358,18 +363,6 @@ class TestFidelityMap:
         assert diag.shape == (n_odd, n_even, 8)
         # One call per distinct pulse, each on its axis, covering every block dimension.
         assert sizes == [n_odd, n_even]
-
-    @pytest.mark.parametrize("scan", ["map", "bscan"])
-    def test_unknown_definition_refused_before_the_kernel(self, monkeypatch, scan):
-        # Checked after the kernel, a bogus definition would cost a whole b scan or a map's first chunk.
-        calls = []
-        monkeypatch.setattr(sopgate.fidelity, "register_amplitudes", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="unknown fidelity definition 'bogus'"):
-            if scan == "map":
-                fidelity_map(sop_family(b2=0.1, c2=0.1), GridSpec(-16, 16, 0.05), definition="bogus")
-            else:
-                b_scan((2 * PI, 2 * PI), np.linspace(0.0, 0.5, 500_001), definition="bogus")
-        assert calls == []
 
 
 class TestMapKernelRowsAndChunks:
@@ -473,6 +466,47 @@ class TestMapKernelRowsAndChunks:
             assert curve.shape == (0,)
 
 
+#: Largest |F - truth| of a map cell, about 6x the largest error measured.
+TRUTH_BOUND = 4e-15
+
+
+def nine_digit_rounding(truth):
+    """The truth rounded to 9 significant digits, as a Decimal, or None within TRUTH_BOUND of a boundary."""
+    with mpmath.workdps(MP_DIGITS):
+        if truth == 0:
+            return decimal.Decimal(0)
+        exponent = int(mpmath.floor(mpmath.log10(abs(truth)))) - 8
+        scale = mpmath.mpf(10) ** exponent
+        lower = mpmath.floor(truth / scale)
+        if abs(truth - (lower + 0.5) * scale) <= TRUTH_BOUND:
+            return None
+        digits = int(lower) + (truth - lower * scale > scale / 2)
+        return decimal.Decimal(digits).scaleb(exponent)
+
+
+class TestMpTruth:
+    """Sampled map cells against a 40-digit mpmath truth (``oracles.mp_amplitudes``)."""
+
+    @pytest.mark.parametrize("b2, c2, m_pulses", [(0.1, 0.0, 3), (0.1, 0.1, 5)], ids=["2q-M3", "3q-M5"])
+    def test_map_cells_within_bound_and_spelled_digits(self, b2, c2, m_pulses):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        fmap = fidelity_map(family)
+        lines = map_csv_text(fmap).split(b"\n")
+        n_even = fmap.axis_even.size
+        vectors = (family.vector_odd.components, family.vector_even.components)
+        order = [k % 2 for k in range(m_pulses)]
+        cells = np.random.default_rng(39).choice(fmap.values.size, 100, replace=False)
+        for i, j in zip(*np.unravel_index(cells, fmap.values.shape)):
+            # The half-areas the kernel computes, in its float64 operations.
+            thetas = [0.5 * a for a in pulse_areas(fmap.axis_odd[i], fmap.axis_even[j], m_pulses)]
+            truth = mp_fidelity(mp_amplitudes(vectors, thetas, order))
+            value = fmap.values[i, j]
+            assert abs(mpmath.mpf(float(value)) - truth) <= TRUTH_BOUND, (i, j, value, truth)
+            spelled = lines[1 + i * n_even + j].split(b",")[2]
+            rounded = nine_digit_rounding(truth)
+            assert rounded is None or decimal.Decimal(spelled.decode()) == rounded, (i, j, spelled, truth)
+
+
 class TestMapBlocks:
     """``fidelity_map`` reduces chunks of odd rows, each equal to the one-chunk map."""
 
@@ -482,16 +516,15 @@ class TestMapBlocks:
         seen = []
         original = sopgate.fidelity.fidelity_from_amplitudes
 
-        def recorded(diag, definition="trace-sq"):
+        def recorded(diag):
             seen.append(diag.shape[0])
-            return original(diag, definition)
+            return original(diag)
 
         monkeypatch.setattr(sopgate.fidelity, "fidelity_from_amplitudes", recorded)
         return seen
 
-    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
-    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
+    @MAP_FAMILIES
     @pytest.mark.parametrize(
         "grid_odd, grid_even",
         [
@@ -501,10 +534,10 @@ class TestMapBlocks:
         ],
     )
     def test_blocks_keep_every_bit(
-        self, monkeypatch, blocks, definition, m_pulses, b2, c2, grid_odd, grid_even
+        self, monkeypatch, blocks, m_pulses, b2, c2, orthogonal, grid_odd, grid_even
     ):
-        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
-        whole = fidelity_map(family, grid_odd, grid_even, definition).values
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses, orthogonal=orthogonal)
+        whole = fidelity_map(family, grid_odd, grid_even).values
         assert blocks == [grid_odd.n_points]
         row_bytes = map_row_bytes(family.n_qubits, grid_even.n_points)
         counts = set()
@@ -512,7 +545,7 @@ class TestMapBlocks:
         for budget in (1, *(rows * row_bytes for rows in (1, 2, 3, 4, 5, 7, 8, 12))):
             monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
             blocks.clear()
-            values = fidelity_map(family, grid_odd, grid_even, definition).values
+            values = fidelity_map(family, grid_odd, grid_even).values
             np.testing.assert_array_equal(values, whole)
             assert 0 < min(blocks) and max(blocks) - min(blocks) <= 1
             assert max(blocks) * row_bytes <= budget or max(blocks) == 1
@@ -535,17 +568,16 @@ class TestMapBlocks:
         row_bytes = map_row_bytes(family.n_qubits, (grid or GridSpec(*DEFAULT_GRID)).n_points)
         assert max(blocks) * row_bytes <= sopgate.propagator._CHUNK_BYTES
 
-    @pytest.mark.parametrize("definition", FIDELITY_DEFINITIONS)
     @pytest.mark.parametrize("m_pulses", [2, 3, 4, 5])
-    @pytest.mark.parametrize("b2, c2", [(0.1, 0.0), (0.1, 0.1)])
-    def test_cells_equal_their_points(self, definition, m_pulses, b2, c2):
+    @MAP_FAMILIES
+    def test_cells_equal_their_points(self, m_pulses, b2, c2, orthogonal):
         # Each cell's F is that of its point's own amplitudes, a one-point batch.
-        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses, orthogonal=orthogonal)
         grid_odd, grid_even = GridSpec(-5.3, 5.7, 0.5), GridSpec(-2.9, 3.1, 0.5)  # 23 x 13
-        fmap = fidelity_map(family, grid_odd, grid_even, definition)
+        fmap = fidelity_map(family, grid_odd, grid_even)
         for i, j in np.ndindex(fmap.values.shape):
             point = family_amplitudes(family, fmap.axis_odd[i], fmap.axis_even[j])
-            cell = fidelity_from_amplitudes(point[None], definition)
+            cell = fidelity_from_amplitudes(point[None])
             assert cell.tobytes() == fmap.values[i, j : j + 1].tobytes()
 
     def test_wide_three_qubit_map_memory(self):
@@ -792,10 +824,10 @@ class TestBScan:
         # b^2 = 1 + 2**-52 squares back to 1 and is a valid family.
         edges = [-0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0, 1 + 2**-52]
         b2_grid = [*np.arange(0.0, 0.5001, 0.05).tolist(), *edges]
-        scan = b_scan((2.5 * PI, -1.5 * PI), b2_grid, orthogonal=orthogonal, definition="average")
+        scan = b_scan((2.5 * PI, -1.5 * PI), b2_grid, orthogonal=orthogonal)
         for value, b2 in zip(scan, b2_grid):
             protocol = sop_family(b2=b2, orthogonal=orthogonal).protocol(2.5 * PI, -1.5 * PI)
-            assert value == gate_fidelity(protocol, "average")
+            assert value == gate_fidelity(protocol)
 
     @pytest.mark.parametrize("b2", [-0.1, -5e-324, 1.1, 1 + 2**-51, math.inf, -math.inf, math.nan])
     def test_refused_overlap(self, b2):
