@@ -10,9 +10,10 @@ number of amplitudes. Maps sweep the total odd and even pulse areas on a
 rectangular grid; their maxima form (possibly rotated) lattices.
 
 Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
-structural vector alternating over M pulses. :func:`sop_family` turns squared
-geometrical factors into those vectors (:func:`b_scan` builds the same 2-qubit
-vectors as arrays), and :func:`alternating_amplitudes` is the one place that
+structural vector alternating over M pulses. One builder,
+:func:`family_vectors`, turns squared geometrical factors into those vectors
+as arrays, for the one b^2 of :func:`sop_family` and the b^2 grid of
+:func:`b_scan` alike, and :func:`alternating_amplitudes` is the one place that
 lays out their pulses. Every return amplitude, for one protocol, a b scan, a
 map grid or a robustness scan, comes from one
 :func:`~sopgate.propagator.register_amplitudes` call.
@@ -35,8 +36,8 @@ fixed notation down to 1e-4 and in exponent notation below; other values
 take Python's formatter. :func:`csv_text` spells each block of lines
 straight into one NUL-padded line buffer, drops the padding with one
 ``bytearray.translate`` and writes the text into the one ``bytes`` buffer it
-returns. :func:`spell_cells` is the speller's bytes-array form and
-:func:`map_csv_text` the renderer's map form.
+returns; a map's axis labels, a few hundred values, are formatted directly.
+:func:`map_csv_text` is the renderer's map form.
 """
 
 import functools
@@ -59,13 +60,14 @@ from .model import (
     Pulse,
     StructuralVector,
     cphase_signature,
-    spectator_orthogonal_pair,
+    spectator_orthogonal_rows,
 )
 from .propagator import _pulse_couplings, diagonal_amplitudes, register_amplitudes
 
 # Not called here: bench/spans.py traces these names in this module.
 from .propagator import block_decompose  # noqa: F401
 from .propagator import star_propagator as star_propagator_batch  # noqa: F401
+from .model import spectator_orthogonal_pair  # noqa: F401
 
 #: Default sweep: [-8*pi, 8*pi] in steps of 0.05*pi resolves the 4*pi lattice
 #: and locates optima to a few percent of pi.
@@ -85,13 +87,6 @@ def check_grid_points(n_points: float) -> None:
         raise GridTooLargeError(
             f"grid of {n_points:.3g} points exceeds the limit of {MAX_GRID_POINTS}"
         )
-
-
-def check_squared_factors(**factors: float) -> None:
-    """Refuse squared geometrical factors that are negative or not finite."""
-    for name, value in factors.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise NotNormalizedError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,48 +176,60 @@ class ProtocolFamily:
         return Protocol(pulses=pulses, n_qubits=self.n_qubits)
 
 
-def sop_family(
-    b2: float = 0.0,
-    c2: float = 0.0,
-    n_qubits: int | None = None,
-    m_pulses: int = 3,
-    orthogonal: bool = True,
-) -> ProtocolFamily:
-    """Family from squared geometrical factors, as exposed on the command line.
+def family_vectors(b2, c2: float = 0.0, n_qubits: int | None = None, orthogonal: bool = True):
+    """Odd and even structural vectors from squared geometrical factors, as arrays (..., n_qubits).
 
-    ``b2`` is the squared field overlap of the gate qubits, ``c2`` the
-    squared spectator factor (3-qubit registers only). The odd vector is
-    (a, b) or (a, b, c) with a = sqrt(1 - b^2 - c^2). With
+    ``b2``, a float or an array, is the squared field overlap of the gate
+    qubits, ``c2`` the squared spectator factor (3-qubit registers only).
+    The odd vector is (a, b) or (a, b, c) with a = sqrt(1 - b^2 - c^2). With
     ``orthogonal=True`` the even vector is exactly orthogonal to it: (-b, a)
-    for 2 qubits; for 3 qubits the gate-qubit sub-vector is tilted to cancel
-    the c^2 overlap (see :func:`spectator_orthogonal_pair`), keeping the
-    all-zeros passage dark-state protected. With ``orthogonal=False`` the
-    even vector is the mirrored (b, a) or (b, a, c), i.e. plain single-site
-    beams brought close without structured light.
+    for 2 qubits; for 3 qubits, with c^2 <= 0.5, the gate-qubit sub-vector is
+    tilted to cancel the c^2 overlap (see
+    :func:`~sopgate.model.spectator_orthogonal_rows`), keeping the all-zeros
+    passage dark-state protected. With ``orthogonal=False`` the even vector
+    is the mirrored (b, a) or (b, a, c), i.e. plain single-site beams brought
+    close without structured light. Squares must be finite, >= 0 and sum to
+    at most 1; an array's refusal names its first refused b^2.
     """
-    check_squared_factors(b2=b2, c2=c2)
+    b2_values, c2_value = np.asarray(b2, dtype=float), np.asarray(c2, dtype=float)
+    # Squared by libm pow, as Python's b**2. Refused only when the squares
+    # exceed 1 both as given and as the roots square back: b2 + c2 = 1 passes
+    # though 0.5 and 0.5 square back to just above 1, and so does
+    # b2 = 1 + 2**-52, whose root squares back to 1.
+    with np.errstate(invalid="ignore", over="ignore"):
+        b, c = np.sqrt(b2_values), np.sqrt(c2_value)
+        b_sq, c_sq = np.float_power(b, 2.0), np.float_power(c, 2.0)
+        not_square = ~(np.isfinite(b2_values) & (b2_values >= 0.0))
+        refused = np.flatnonzero(not_square | ((b2_values + c2_value > 1.0) & (b_sq + c_sq > 1.0)))
+    if refused.size:
+        value = b2 if b2_values.ndim == 0 else float(b2_values.flat[refused[0]])
+        if not_square.flat[refused[0]]:
+            raise NotNormalizedError(f"b2 must be a finite number >= 0, got {value!r}")
+    if not (math.isfinite(c2_value) and c2_value >= 0.0):
+        raise NotNormalizedError(f"c2 must be a finite number >= 0, got {c2!r}")
     if n_qubits is None:
-        n_qubits = 3 if c2 > 0 else 2
+        n_qubits = 3 if c2_value > 0 else 2
     if n_qubits not in (2, 3):
         raise DimensionMismatchError("protocol families are defined for 2 or 3 qubits")
-    b, c = math.sqrt(b2), math.sqrt(c2)
     if n_qubits == 2 and c != 0.0:
         raise DimensionMismatchError("spectator factor c needs a 3-qubit register")
-    # Refused only when the squares exceed 1 both as given and as the roots
-    # square back: b2 + c2 = 1 passes though 0.5 and 0.5 square back to just
-    # above 1, and so does b2 = 1 + 2**-52, whose root squares back to 1.
-    if b2 + c2 > 1.0 and b**2 + c**2 > 1.0:
-        raise NotNormalizedError("b^2 + c^2 exceeds 1")
-    a = math.sqrt(max(1.0 - b**2 - c**2, 0.0))
-    if n_qubits == 2:
-        even = (-b, a) if orthogonal else (b, a)
-        return ProtocolFamily(StructuralVector((a, b)), StructuralVector(even), m_pulses)
-    if not orthogonal:
-        return ProtocolFamily(StructuralVector((a, b, c)), StructuralVector((b, a, c)), m_pulses)
-    if 2.0 * c2 > 1.0:
-        raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
-    e_even = spectator_orthogonal_pair(b, c, c)[1]
-    return ProtocolFamily(StructuralVector((a, b, c)), e_even, m_pulses)
+    if refused.size:  # a b^2 too large, named after the register checks
+        raise NotNormalizedError(f"b^2 = {value!r} exceeds 1" if b2_values.ndim else "b^2 + c^2 exceeds 1")
+    a = np.sqrt(np.maximum(1.0 - b_sq - c_sq, 0.0))
+    odd = np.stack(np.broadcast_arrays(a, b, c)[:n_qubits], axis=-1)
+    if n_qubits == 3 and orthogonal:
+        if 2.0 * c2_value > 1.0:
+            raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
+        return odd, spectator_orthogonal_rows(b, c, c)[1]
+    return odd, np.stack(np.broadcast_arrays(-b if orthogonal else b, a, c)[:n_qubits], axis=-1)
+
+
+def sop_family(
+    b2: float = 0.0, c2: float = 0.0, n_qubits: int | None = None, m_pulses: int = 3, orthogonal: bool = True
+) -> ProtocolFamily:
+    """Family of the vectors of :func:`family_vectors` at one b^2, as exposed on the command line."""
+    vectors = family_vectors(b2, c2, n_qubits, orthogonal)
+    return ProtocolFamily(*(StructuralVector(tuple(v.tolist())) for v in vectors), m_pulses)
 
 
 @dataclass(frozen=True)
@@ -475,27 +482,15 @@ def b_scan(area_pair: tuple[float, float], b2_grid, orthogonal: bool = True) -> 
     ``area_pair`` is the total (odd, even) areas in radians. With
     ``orthogonal=False`` the even vector is (b, a) instead of (-b, a),
     modelling approaching atoms without structured light. The vectors are
-    those of :func:`sop_family` at each b^2, bit for bit, built as arrays;
-    a b^2 that family refuses raises :class:`NotNormalizedError` and an area
-    pair not finite :class:`EmptyGridError`, before anything is computed.
+    :func:`family_vectors` of the whole grid, so each row is that of
+    :func:`sop_family` at its b^2; a b^2 the builder refuses raises
+    :class:`NotNormalizedError`, naming the first one, and an area pair not
+    finite :class:`EmptyGridError`, before anything is computed.
     """
     areas = [float(area) for area in area_pair]
     if not all(math.isfinite(area) for area in areas):
         raise EmptyGridError(f"area pair {tuple(area_pair)} is not finite")
-    b2_values = np.atleast_1d(np.asarray(b2_grid, dtype=float))
-    with np.errstate(invalid="ignore"):
-        b = np.sqrt(b2_values)
-    # Squared by libm pow, as sop_family's b**2.
-    b_sq = np.float_power(b, 2.0)
-    refused = ~(np.isfinite(b2_values) & (b2_values >= 0.0)) | (b_sq > 1.0)
-    if refused.any():
-        value = float(b2_values[refused][0])
-        check_squared_factors(b2=value)
-        raise NotNormalizedError(f"b^2 = {value!r} exceeds 1")
-    a = np.sqrt(1.0 - b_sq)
-    # The odd and even pulse vectors, one row per b^2 point.
-    odd = np.stack([a, b], axis=-1)
-    even = np.stack([-b if orthogonal else b, a], axis=-1)
+    odd, even = family_vectors(np.atleast_1d(np.asarray(b2_grid, dtype=float)), orthogonal=orthogonal)
     return alternating_amplitudes(odd, even, *areas, reduce=fidelity_from_rows)
 
 
@@ -638,24 +633,8 @@ def _spell(values: np.ndarray, words: np.ndarray) -> None:
         words[np.unravel_index(slow, shape)] = texts.view("<u4").reshape(-1, 4)
 
 
-def spell_cells(values) -> np.ndarray:
-    """``b"%.9g" % x`` of every float64 value, as a bytes array (``S16``) of the same shape.
-
-    The cells of :func:`_spell`, the one speller, each with its NUL bytes
-    moved behind its text: 1e-100 <= |x| < 1 spelled at once, in fixed
-    notation down to 1e-4 and in exponent notation below, every other value
-    by Python's formatter.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    words = np.empty((values.size, 4), "<u4")
-    _spell(values.reshape(-1), words)
-    text = words.view(np.uint8)
-    text = np.take_along_axis(text, np.argsort(text == 0, axis=-1, kind="stable"), axis=-1)
-    return text.view("S16")[:, 0].reshape(values.shape)
-
-
 def _spelled_length_bound(values) -> int:
-    """Upper bound, from counts alone, of the summed lengths of :func:`spell_cells` of ``values``.
+    """Upper bound, from counts alone, of the summed lengths of the ``%.9g`` texts of ``values``.
 
     Without its sign a ``%.9g`` text is at most 15 bytes long
     ("1.23456789e-308"). Below 1 it is "0." and at most nine digits, 11
@@ -673,11 +652,11 @@ def csv_text(header: str, columns) -> bytes:
 
     ``columns`` broadcast to one shape of at least one axis, whose elements
     are the lines, in row-major order. A bytes column (dtype ``S<w>``) is
-    written as it is; any other is spelled by :func:`_spell`, so a float's
-    cell is ``f"{x:.9g}"``, in fixed or exponent notation. A column of the
-    full shape is spelled block by block straight into its 16-byte slot of
-    the line buffer, adjacent ones in one call; a smaller one is spelled
-    once by :func:`spell_cells`, cut to its longest text and broadcast.
+    written as it is; any other has a float's cell ``f"{x:.9g}"``, in fixed
+    or exponent notation. A column of the full shape is spelled by
+    :func:`_spell` block by block straight into its 16-byte slot of the line
+    buffer, adjacent ones in one call; a smaller one, such as a map's axis
+    labels, is formatted once by ``b"%.9g"`` per value and broadcast.
 
     Lines are rendered in blocks of rows of the first axis, of at most
     ``_CSV_BLOCK_LINES`` spelled cells but at least one row, in one
@@ -717,9 +696,9 @@ def csv_text(header: str, columns) -> bytes:
             bound += int(_spelled_length_bound(column))
             at += 16
         else:
-            if column.dtype.kind != "S":
-                column = spell_cells(column)
-                column = column.astype(f"S{max(1, np.char.str_len(column).max(initial=0))}")
+            if column.dtype.kind != "S":  # a map's axis labels: each formatted once
+                cells = [b"%.9g" % x for x in column.astype(np.float64).ravel().tolist()]
+                column = np.array(cells, dtype=bytes).reshape(column.shape)
             texts.append((at, column))
             if n_lines:
                 bound += int(np.char.str_len(column).sum()) * (n_lines // column.size)
@@ -765,12 +744,11 @@ def map_csv_text(fmap: FidelityMap) -> bytes:
     """Render a map as ASCII CSV bytes: areas in units of pi, 9 significant digits, row-major.
 
     The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point,
-    encoded: one :func:`csv_text` call. Each axis value is spelled once, cut
-    to its axis's longest text, and broadcast over the map (the even axis
-    from the template row); the fidelities are spelled one block of odd rows
-    at a time. The returned ``bytes`` is the one buffer the text was written
-    into: rendering the wide 641 x 641 map peaks under tracemalloc at 1.21
-    times its 9.5 MB.
+    encoded: one :func:`csv_text` call. Each axis value is formatted once
+    and broadcast over the map (the even axis from the template row); the
+    fidelities are spelled one block of odd rows at a time. The returned
+    ``bytes`` is the one buffer the text was written into: rendering the wide
+    641 x 641 map peaks under tracemalloc at 1.21 times its 9.5 MB.
     """
     columns = [(fmap.axis_odd / math.pi)[:, None], fmap.axis_even / math.pi, fmap.values]
     return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)

@@ -28,6 +28,9 @@ amplitudes against the C-PHASE phases read off the basis labels.
 ``per_row_csv_text`` is the scan CSV rendering that the vectorized speller
 replaced: one ``f"{x:.9g}"`` per value, joined per row.
 
+``jp_protocol`` and ``random_protocol`` are the protocols the tests share:
+the pi-2pi-pi protocol, and one draw of random unit vectors and areas.
+
 ``padded_map_maxima`` is the whole-grid maxima search that
 ``map_maxima``'s comparison of the cells above threshold replaced: every
 cell against its 8 neighbours in a copy of the map padded with -inf.
@@ -50,7 +53,8 @@ from sopgate.errors import (
     NotNormalizedError,
     SopGateError,
 )
-from sopgate.model import Protocol, StructuralVector
+from sopgate.fidelity import sop_family
+from sopgate.model import Protocol, Pulse, StructuralVector
 from sopgate.optimize import (
     DEFAULT_MAX_EVALS,
     DEFAULT_RESTARTS,
@@ -89,6 +93,29 @@ def dot(u: StructuralVector, v: StructuralVector) -> float:
 
 def negated(v: StructuralVector) -> StructuralVector:
     return StructuralVector(tuple(-c for c in v.components))
+
+
+def jp_protocol() -> Protocol:
+    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
+    return sop_family(b2=0.0).protocol(2 * math.pi, 2 * math.pi)
+
+
+def random_protocol(rng, n_qubits=None, n_pulses=None, max_area=8 * math.pi) -> Protocol:
+    """Random unit vectors, each with an area uniform in [-max_area, max_area), drawn from ``rng``.
+
+    A register size not given is drawn first, 2 or 3 qubits, then a pulse
+    count not given, 2 to 5; then each pulse's vector and area in turn.
+    """
+    if n_qubits is None:
+        n_qubits = int(rng.integers(2, 4))
+    if n_pulses is None:
+        n_pulses = int(rng.integers(2, 6))
+    pulses = []
+    for _ in range(n_pulses):
+        v = rng.normal(size=n_qubits)
+        v /= np.linalg.norm(v)
+        pulses.append(Pulse(float(rng.uniform(-max_area, max_area)), StructuralVector(tuple(v))))
+    return Protocol(tuple(pulses), n_qubits)
 
 
 def dark_state(coupling) -> np.ndarray:

@@ -11,11 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import random_protocol
 from sopgate import (
     GridSpec,
-    Protocol,
-    Pulse,
-    StructuralVector,
     b_scan,
     fidelity_map,
     gate_fidelity,
@@ -188,14 +186,7 @@ def test_09_time_domain_equivalence():
     worst = 0.0
     protocols = []
     for _ in range(100):
-        n_qubits = int(rng.integers(2, 4))
-        n_pulses = int(rng.integers(2, 6))
-        pulses = []
-        for _ in range(n_pulses):
-            v = rng.normal(size=n_qubits)
-            v /= np.linalg.norm(v)
-            pulses.append(Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v))))
-        protocol = Protocol(tuple(pulses), n_qubits)
+        protocol = random_protocol(rng)
         protocols.append(protocol)
         worst = max(worst, validate_protocol(protocol).max_deviation)
     shape_dev = 0.0

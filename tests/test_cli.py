@@ -148,6 +148,7 @@ class TestMapCommand:
             ["robustness", "--b2", "0,nan"],
             ["robustness", "--b2", "0.1,x"],
         ],
+        ids=" ".join,
     )
     def test_bad_squared_factor_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -162,6 +163,7 @@ class TestMapCommand:
             ["map", "--grid=0:inf:1"],
             ["optimize", "--grid=0:2100:1"],
         ],
+        ids=" ".join,
     )
     def test_oversized_grid_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "big"
@@ -299,10 +301,11 @@ COMMAND_WORK = [
     (["optimize", "--what", "areas"], "optimize_areas"),
     (["validate"], "validate_protocol"),
 ]
+COMMAND_WORK_IDS = [" ".join(argv) for argv, _ in COMMAND_WORK]
 
 
 class TestOutputDirectoryFirst:
-    @pytest.mark.parametrize("argv, work", COMMAND_WORK)
+    @pytest.mark.parametrize("argv, work", COMMAND_WORK, ids=COMMAND_WORK_IDS)
     def test_out_path_is_file_before_any_work(self, tmp_path, capsys, monkeypatch, argv, work):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{work} ran before --out was checked")
@@ -313,7 +316,7 @@ class TestOutputDirectoryFirst:
         assert_config_error(capsys, argv + ["--out", str(out)])
         assert read(out) == "keep\n"
 
-    @pytest.mark.parametrize("argv, work", COMMAND_WORK)
+    @pytest.mark.parametrize("argv, work", COMMAND_WORK, ids=COMMAND_WORK_IDS)
     def test_refused_work_creates_no_out(self, tmp_path, capsys, monkeypatch, argv, work):
         def refuse(*args, **kwargs):
             raise SopGateError(f"{work} refused its input")
@@ -355,6 +358,7 @@ class TestOneWritePath:
             (["robustness", "--b2", "0,0.1", "--delta-step", "0.25"], "robustness_scan", 2),
             (["bscan", "--areas=2,2", "--areas=2,6", "--b2-step", "0.25"], "b_scan", 3),
         ],
+        ids=["robustness", "bscan"],
     )
     def test_refused_last_result_writes_nothing(
         self, tmp_path, capsys, monkeypatch, argv, work, refused_call
@@ -379,6 +383,7 @@ class TestOneWritePath:
             (["map", "--grid=-1:1:0.5"], "fidelity_map.json"),
             (["robustness", "--b2", "0,0.1", "--delta-step", "0.25"], "robustness_b2_0.1.csv"),
         ],
+        ids=["map", "robustness"],
     )
     def test_target_path_is_directory(self, tmp_path, capsys, argv, taken):
         out = tmp_path / "out"
@@ -419,6 +424,7 @@ class TestScanAxes:
             ["optimize", "--areas=nan,2"],
             ["optimize", "--what", "all-factors", "--areas=2,inf"],
         ],
+        ids=" ".join,
     )
     def test_bad_axis_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -436,6 +442,7 @@ class TestScanAxes:
             # finite areas and deltas whose shifted even-pulse area overflows
             ["robustness", "--areas=5e307,0", "--delta-max", "5e307", "--delta-step", "5e307"],
         ],
+        ids=" ".join,
     )
     def test_area_overflowing_in_radians_is_config_error(self, tmp_path, capsys, argv):
         # Each value is finite in units of pi, but not once multiplied by pi.
@@ -494,6 +501,12 @@ class TestConfigFile:
             ("optimize", {"restarts": None}),
             ("bscan", {"areas": []}),  # the flag form cannot give an empty list
         ],
+        ids=[
+            "validate-samples-text", "validate-seed-text", "validate-samples-float",
+            "validate-tolerance-bool", "map-qubits-4", "map-non_orthogonal-text",
+            "robustness-b2-list", "bscan-areas-text", "bscan-areas-one", "optimize-restarts-null",
+            "bscan-areas-empty",
+        ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, values):
         config = tmp_path / "run.json"
@@ -530,6 +543,11 @@ class TestConfigFile:
             (["validate", "--samples", "1"], {"seed": 0.0}),
             (["map", "--grid=-1:1:1"], {"b2": False}),
             (["map", "--grid=-1:1:1"], {"non_orthogonal": 0}),
+        ],
+        ids=[
+            "map-pulses-float", "esop-map-pulses-float", "optimize-restarts-float",
+            "optimize-seed-float", "validate-samples-float", "validate-seed-float", "map-b2-bool",
+            "map-non_orthogonal-int",
         ],
     )
     def test_value_needs_the_declared_type(self, tmp_path, capsys, argv, values):
@@ -586,7 +604,7 @@ class TestEsopMapCommand:
         assert_config_error(capsys, [command, "--pulses", str(pulses), "--out", str(out)])
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["map"], ["esop-map", "--pulses", "4"]])
+    @pytest.mark.parametrize("command", [["map"], ["esop-map", "--pulses", "4"]], ids=" ".join)
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_refused(self, tmp_path, capsys, command, threshold):
         out = tmp_path / "thr"
@@ -760,6 +778,7 @@ class TestOptimizeCommand:
             ["--what", "third-qubit", "--b2", "-0.1"],
             ["--what", "all-factors", "--c2", "-0.1"],
         ],
+        ids=" ".join,
     )
     def test_bad_squared_factor_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -778,6 +797,7 @@ class TestOptimizeCommand:
             ["--what", "third-qubit", "--b2", "1", "--min-c2", "0"],
             ["--what", "third-qubit", "--b2", "0.5", "--min-c2", "0.5"],
         ],
+        ids=" ".join,
     )
     def test_infeasible_bound_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -785,7 +805,9 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    @pytest.mark.parametrize("command", [["optimize", "--areas=2,2"], ["map", "--grid=-1:1:1"]])
+    @pytest.mark.parametrize(
+        "command", [["optimize", "--areas=2,2"], ["map", "--grid=-1:1:1"]], ids=" ".join
+    )
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
         out = tmp_path / "t"
         assert_config_error(capsys, command + ["--threads", threads, "--out", str(out)])
@@ -798,6 +820,7 @@ class TestOptimizeCommand:
             ["--grid=-8:8:0.5", "--restarts", str(MAX_SIMPLICES // (33 * 33) + 1)],
             ["--what", "areas", "--restarts", str(MAX_SIMPLICES + 1)],
         ],
+        ids=" ".join,
     )
     def test_too_many_point_restarts_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "big"
@@ -817,6 +840,7 @@ class TestOptimizeCommand:
             ["--what", "all-factors", "--min-c2", "nan"],
             ["--what", "all-factors", "--min-c2", "inf"],
         ],
+        ids=" ".join,
     )
     def test_setting_a_mode_ignores_is_refused(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -833,7 +857,9 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv", [["--what", "third-qubit", "--c2", "0.9"], ["--what", "all-factors", "--b2", "0.99"]]
+        "argv",
+        [["--what", "third-qubit", "--c2", "0.9"], ["--what", "all-factors", "--b2", "0.99"]],
+        ids=" ".join,
     )
     def test_unread_factor_flag_refused(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -842,7 +868,9 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "values", [{"c2": 0.1}, {"what": "third-qubit", "c2": 0.9}, {"what": "all-factors", "b2": 0.1}]
+        "values",
+        [{"c2": 0.1}, {"what": "third-qubit", "c2": 0.9}, {"what": "all-factors", "b2": 0.1}],
+        ids=["c2", "third-qubit-c2", "all-factors-b2"],
     )
     def test_unread_factor_in_config_file_refused(self, tmp_path, capsys, values):
         config = tmp_path / "run.json"
@@ -933,7 +961,7 @@ class TestOptimizeCommand:
 
 
 @pytest.mark.parametrize(
-    "command", [["map"], ["esop-map", "--pulses", "4"], ["robustness"], ["bscan"]]
+    "command", [["map"], ["esop-map", "--pulses", "4"], ["robustness"], ["bscan"]], ids=" ".join
 )
 def test_seed_refused_where_nothing_is_drawn(tmp_path, capsys, command):
     out = tmp_path / "seeded"
@@ -1036,7 +1064,11 @@ class TestOneParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("command, defaults", [(c[0], c[3]) for c in sopgate.cli.COMMANDS])
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [(c[0], c[3]) for c in sopgate.cli.COMMANDS],
+        ids=[c[0] for c in sopgate.cli.COMMANDS],
+    )
     def test_parses_every_option(self, command, defaults):
         args = build_parser().parse_args(every_option_argv(command, defaults))
         assert all(value is not None for value in vars(args).values())
@@ -1067,7 +1099,9 @@ class TestOneParser:
         assert main(second + ["--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [written, written.replace(".csv", ".json")]
 
-    @pytest.mark.parametrize("argv, want", [(["-h"], "{map,esop-map,"), (["--version"], "sopgate ")])
+    @pytest.mark.parametrize(
+        "argv, want", [(["-h"], "{map,esop-map,"), (["--version"], "sopgate ")], ids=["help", "version"]
+    )
     def test_top_level_help_and_version(self, argv, want, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

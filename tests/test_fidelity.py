@@ -19,6 +19,7 @@ import mpmath
 from oracles import (
     MP_DIGITS,
     cell_fidelity,
+    jp_protocol,
     mp_amplitudes,
     mp_fidelity,
     negated,
@@ -26,6 +27,7 @@ from oracles import (
     per_row_csv_text,
 )
 from sopgate import (
+    DimensionMismatchError,
     EmptyGridError,
     GridSpec,
     GridTooLargeError,
@@ -54,23 +56,18 @@ from sopgate.fidelity import (
     alternating_amplitudes,
     csv_text,
     family_diagonal_grid,
+    family_vectors,
     fidelity_from_amplitudes,
     fidelity_from_rows,
     lattice_report_dict,
     map_csv_text,
     map_maxima,
     pulse_areas,
-    spell_cells,
 )
 from sopgate.model import cphase_signature
 from sopgate.propagator import diagonal_amplitudes
 
 PI = math.pi
-
-
-def jp_protocol():
-    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
-    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
 
 
 def map_row_bytes(n_qubits, n_even):
@@ -864,6 +861,58 @@ class TestBScan:
         assert peak <= 26e6
 
 
+def b2_edges(c2):
+    """b^2 values a family at ``c2`` accepts, up to and at b^2 + c^2 = 1, and one past it."""
+    edges = [*np.linspace(0.0, 1.0 - c2, 11).tolist(), 5e-324, 1e-300, 1.0 - c2]
+    return edges + [1 + 2**-52] if c2 == 0.0 else edges
+
+
+class TestFamilyVectors:
+    """The one builder of the family's vectors, on arrays, against ``sop_family`` at each b^2."""
+
+    @pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "mirrored"])
+    @pytest.mark.parametrize(
+        "n_qubits, c2",
+        [(2, 0.0), (None, 0.0), (3, 0.0), (3, 0.1), (3, 0.5), (None, 0.47), (3, 0.25)],
+    )
+    def test_rows_equal_sop_family_bit_for_bit(self, n_qubits, c2, orthogonal):
+        b2 = b2_edges(c2)
+        odd, even = family_vectors(np.array(b2), c2, n_qubits, orthogonal)
+        assert odd.shape == even.shape == (len(b2), n_qubits or 2 + (c2 > 0))
+        for k, value in enumerate(b2):
+            family = sop_family(b2=value, c2=c2, n_qubits=n_qubits, orthogonal=orthogonal)
+            assert odd[k].tobytes() == np.array(family.vector_odd.components).tobytes()
+            assert even[k].tobytes() == np.array(family.vector_even.components).tobytes()
+
+    def test_refusal_order(self):
+        # the squares first, then the register, then the norms
+        with pytest.raises(NotNormalizedError, match="c2 must be"):
+            family_vectors(0.1, math.nan, n_qubits=2)
+        with pytest.raises(DimensionMismatchError, match="3-qubit register"):
+            family_vectors(0.6, 0.6, n_qubits=2)
+        with pytest.raises(NotNormalizedError, match=r"c\^2 <= 0.5"):
+            family_vectors(0.1, 0.6, n_qubits=3)
+        family_vectors(0.1, 0.6, n_qubits=3, orthogonal=False)  # mirrored: no c^2 bound
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ([0.1, 0.2, 1.5, 0.3, -1.0], "b^2 = 1.5 exceeds 1"),
+            ([0.1, math.nan, 2.0], "b2 must be a finite number >= 0, got nan"),
+            ([0.1, -0.25, 2.0], "b2 must be a finite number >= 0, got -0.25"),
+            ([1.0, 1 + 2**-52, 1 + 2**-51], f"b^2 = {1 + 2**-51!r} exceeds 1"),
+        ],
+        ids=["too-large", "nan", "negative", "past-round-off"],
+    )
+    def test_array_refusal_names_its_first_bad_value(self, grid, named):
+        with pytest.raises(NotNormalizedError) as info:
+            family_vectors(np.array(grid))
+        assert str(info.value) == named
+        with pytest.raises(NotNormalizedError) as info:
+            b_scan((2 * PI, 2 * PI), grid)
+        assert str(info.value) == named
+
+
 class TestCsvOutput:
     def test_header_and_formatting(self):
         fmap = fidelity_map(sop_family(b2=0.0), GridSpec(-1, 1, 1))
@@ -1024,14 +1073,13 @@ SPELLING_EDGES = [
 
 
 def assert_spelled(values):
-    values = np.asarray(values, dtype=np.float64)
-    cells = spell_cells(values)
-    assert cells.dtype == np.dtype("S16") and cells.shape == values.shape
-    assert cells.ravel().tolist() == [b"%.9g" % x for x in values.ravel().tolist()]
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    text = csv_text("x", [values])  # a column of the full shape: every cell through _spell
+    assert text == b"x\n" + b"".join(b"%.9g\n" % x for x in values.ravel().tolist())
 
 
 class TestSpellCells:
-    """The signed speller against ``b"%.9g" % x``, byte for byte."""
+    """The signed speller, through a one-column CSV, against ``b"%.9g" % x``, byte for byte."""
 
     @given(st.lists(st.floats(), max_size=64))
     @settings(max_examples=300, deadline=None)
@@ -1113,7 +1161,7 @@ class TestCsvText:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_broadcast_float_column_equals_full_shape(self, axis):
-        # A smaller float column is spelled once and broadcast, a full-shape
+        # A smaller float column is formatted once and broadcast, a full-shape
         # one is spelled into its slot block by block: the two routes agree.
         rng = np.random.default_rng(7)
         shape = (2 * _CSV_BLOCK_LINES // 9 + 3, 9)

@@ -12,6 +12,8 @@ from oracles import (
     NoDarkSubspaceError,
     UnsupportedPulseCountError,
     dark_state,
+    jp_protocol,
+    random_protocol,
     rotate_areas,
     u11alpha,
     u11v_esop,
@@ -40,11 +42,6 @@ from sopgate.propagator import (
 PI = math.pi
 A_01 = math.sqrt(0.9)
 B_01 = math.sqrt(0.1)
-
-
-def jp_protocol():
-    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
-    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
 
 
 def sop_protocol(b2, area_odd=2 * PI, area_even=2 * PI, c2=0.0):
@@ -247,14 +244,7 @@ class TestFullRegister:
         rng = np.random.default_rng(77 + n_qubits)
         labels = ["".join(bits) for bits in itertools.product("01", repeat=n_qubits)]
         for _ in range(10):
-            pulses = []
-            for _ in range(int(rng.integers(2, 6))):
-                v = rng.normal(size=n_qubits)
-                v /= np.linalg.norm(v)
-                pulses.append(
-                    Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v)))
-                )
-            protocol = Protocol(tuple(pulses), n_qubits)
+            protocol = random_protocol(rng, n_qubits)
             u_full, index = full_register_propagator(protocol)
             assert len(index) == {2: 8, 3: 20}[n_qubits]
             computational = u_full[np.ix_([index[s] for s in labels], [index[s] for s in labels])]
@@ -266,15 +256,6 @@ class TestFullRegister:
                     u_block = star_propagator(coupling, pulse.theta) @ u_block
                 full_amp = u_full[index[block.initial_state], index[block.initial_state]]
                 assert abs(u_block[0, 0] - full_amp) < 1e-9
-
-
-def random_protocol(rng, n_qubits, n_pulses):
-    pulses = []
-    for _ in range(n_pulses):
-        v = rng.normal(size=n_qubits)
-        v /= np.linalg.norm(v)
-        pulses.append(Pulse(float(rng.uniform(-8 * PI, 8 * PI)), StructuralVector(tuple(v))))
-    return Protocol(tuple(pulses), n_qubits)
 
 
 def scalar_composition(protocol, label):

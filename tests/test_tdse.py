@@ -14,7 +14,7 @@ from sopgate import (
     sop_family,
     validate_protocol,
 )
-from oracles import u11v_esop, u11v_esop_exact
+from oracles import jp_protocol, random_protocol, u11v_esop, u11v_esop_exact
 import sopgate.propagator
 from sopgate.propagator import block_decompose, diagonal_amplitudes, sequence_amplitude, star_propagator
 from sopgate.tdse import (
@@ -30,24 +30,6 @@ from sopgate.tdse import (
 )
 
 PI = math.pi
-
-
-def jp_protocol():
-    """The pi-2pi-pi protocol: the symmetric orthogonal family at b^2 = 0."""
-    return sop_family(b2=0.0).protocol(2 * PI, 2 * PI)
-
-
-def random_protocol(rng, n_qubits=None, n_pulses=None, max_area=8 * PI):
-    if n_qubits is None:
-        n_qubits = int(rng.integers(2, 4))
-    if n_pulses is None:
-        n_pulses = int(rng.integers(2, 6))
-    pulses = []
-    for _ in range(n_pulses):
-        v = rng.normal(size=n_qubits)
-        v /= np.linalg.norm(v)
-        pulses.append(Pulse(float(rng.uniform(-max_area, max_area)), StructuralVector(tuple(v))))
-    return Protocol(tuple(pulses), n_qubits)
 
 
 def sequential_rk4(block, envelopes, dt=None):
