@@ -650,10 +650,9 @@ def _spelled_length_bound(values) -> int:
 def csv_text(header: str, columns) -> bytes:
     """Render ASCII CSV bytes: the header line, then one line per element of the columns.
 
-    ``columns`` broadcast to one shape of at least one axis, whose elements
-    are the lines, in row-major order. A bytes column (dtype ``S<w>``) is
-    written as it is; any other has a float's cell ``f"{x:.9g}"``, in fixed
-    or exponent notation. A column of the full shape is spelled by
+    ``columns`` of floats broadcast to one shape of at least one axis, whose
+    elements are the lines, in row-major order; a cell is ``f"{x:.9g}"``,
+    in fixed or exponent notation. A column of the full shape is spelled by
     :func:`_spell` block by block straight into its 16-byte slot of the line
     buffer, adjacent ones in one call; a smaller one, such as a map's axis
     labels, is formatted once by ``b"%.9g"`` per value and broadcast.
@@ -661,8 +660,8 @@ def csv_text(header: str, columns) -> bytes:
     Lines are rendered in blocks of rows of the first axis, of at most
     ``_CSV_BLOCK_LINES`` spelled cells but at least one row, in one
     ``bytearray``. One template row, built once per call, holds the
-    separators ("," or "\\n" after each column) and the bytes columns that
-    do not vary along the first axis; it fills the buffer once, and each
+    separators ("," or "\\n" after each column) and the formatted columns
+    that do not vary along the first axis; it fills the buffer once, and each
     block writes only the other columns over it. One
     ``bytearray.translate`` then drops the NUL padding of the block's lines,
     wherever it lies in a cell.
@@ -677,7 +676,7 @@ def csv_text(header: str, columns) -> bytes:
     wide 641 x 641 map (9.5 MB) and 1.23 times that of a 200 001-row scan,
     whose four spelled columns make blocks of 4096 lines.
     """
-    columns = [np.asarray(column) for column in columns]
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     n_lines = math.prod(shape)
     head = header.encode() + b"\n"
@@ -687,18 +686,16 @@ def csv_text(header: str, columns) -> bytes:
     runs, texts, separators = [], [], []  # runs: (offset, [column, ...]) of adjacent slots
     at = 0
     for column in columns:
-        if column.dtype.kind != "S" and column.shape == shape:
-            column = column.astype(np.float64, copy=False)
+        if column.shape == shape:
             if runs and runs[-1][0] + 17 * len(runs[-1][1]) == at:
                 runs[-1][1].append(column)
             else:
                 runs.append((at, [column]))
             bound += int(_spelled_length_bound(column))
             at += 16
-        else:
-            if column.dtype.kind != "S":  # a map's axis labels: each formatted once
-                cells = [b"%.9g" % x for x in column.astype(np.float64).ravel().tolist()]
-                column = np.array(cells, dtype=bytes).reshape(column.shape)
+        else:  # a map's axis labels: each formatted once
+            cells = [b"%.9g" % x for x in column.ravel().tolist()]
+            column = np.array(cells, dtype=bytes).reshape(column.shape)
             texts.append((at, column))
             if n_lines:
                 bound += int(np.char.str_len(column).sum()) * (n_lines // column.size)

@@ -349,9 +349,7 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     pairs = areas.reshape(-1, 2)
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        # A single problem's areas are two scalars that broadcast over the rows.
-        odd_even = pairs[0] if len(pairs) == 1 else pairs[problem].T
-        return alternating_amplitudes(*vectors(x), *odd_even, reduce=fidelity_from_rows)
+        return alternating_amplitudes(*vectors(x), *pairs[problem].T, reduce=fidelity_from_rows)
 
     return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]

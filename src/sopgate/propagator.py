@@ -21,14 +21,14 @@ Only the ground-state return amplitude U[0, 0] is read, so the kernel
 carries ground columns rather than d×d products. Star propagators are
 exactly symmetric, so the ground column of the running product travels as
 one row x per point and each pulse steps it as x <- x U_k. All rows that
-share a propagator form one gemm: in a map, n_odd + n_even gemms per pulse
-and block state instead of n_odd·n_even. No gemm holds a single row, as
-numpy sends a one-row product to gemv, which changes bits. The kernel alone
-bounds its memory, for a batch of any size: one loop walks the first batch
-axis in chunks of one byte budget, ``_CHUNK_BYTES``, and hands each chunk's
-amplitudes to the caller's ``reduce``, so that a map, a scan or an optimizer
-batch keeps only its reduced rows; :func:`register_amplitudes` states the
-rules of the chunks and what one call costs.
+share a propagator form one gemm (:func:`_row_product`): in a map,
+n_odd + n_even gemms per pulse and block state instead of n_odd·n_even.
+The kernel alone bounds its memory, for a batch of any size: one loop walks
+the first batch axis in chunks of one byte budget, ``_CHUNK_BYTES``, and
+hands each chunk's amplitudes to the caller's ``reduce``, so that a map, a
+scan or an optimizer batch keeps only its reduced rows;
+:func:`register_amplitudes` states the rules of the chunks and what one
+call costs, and :func:`_call_plan` decides them once per call shape.
 Amplitudes have one layout, the basis axis last in :func:`basis_labels`
 order: batch + (2^n,), in every chunk a ``reduce`` sees and in every result.
 For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
@@ -182,41 +182,35 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     does, gives the same bits for any chunks. Without ``reduce`` the
     result is the amplitudes themselves, contiguous, shape batch + (2^n,).
 
-    Each distinct pulse's propagators are built on its own angle shape, per
-    chunk, or once when it is broadcast along the first batch axis (a map's
-    even pulses, a scan's shared vectors): angles on separate axes, like a
-    map's odd and even areas, cost one propagator per axis value. Pulses
-    are built in index order, and pulses with angles of one shape share one
-    :func:`star_propagator` call, which covers every block dimension: each
-    block's couplings are padded with zeros to n_qubits, and a block of
-    dimension d reads the leading d×d corner of its propagators. A stack of
-    more than ``_ONE_BUILD`` matrices takes one call per block dimension.
+    Pulses with angles of one shape share one build, made per chunk, or once
+    when neither their vectors nor their angles vary along the first batch
+    axis (a map's even pulses). Angles on separate axes, like a map's odd
+    and even areas, cost one propagator per axis value. A build is one
+    :func:`star_propagator` call for every block dimension: each block's
+    couplings are padded with zeros to n_qubits, and a block of dimension d
+    reads the leading d×d corner of its propagators. A build whose stack
+    in the call's largest chunk holds more than ``_ONE_BUILD`` matrices
+    takes one call per block dimension instead.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
     is carried. Every star propagator is exactly symmetric, so that column,
     carried as a row x per point starting from U_1[:1], steps as
-    x <- x U_k. Rows that share a propagator, along the batch axes where it
-    is broadcast, are stacked into one gemm (:func:`_row_product`): in a
+    x <- x U_k by :func:`_row_product`. Rows that share a propagator, along
+    the batch axes where it is broadcast, are stacked into one gemm: in a
     map, each odd pulse takes the rows of the n_even points of its odd row
     and each even pulse those of the chunk's points of its even column.
-    Since numpy sends a one-row product to gemv, which changes bits, a gemm
-    never holds one row: a chain whose first product shares no propagator
-    starts from U_1[:2], whose second row only fills the gemm, and a later
-    one-row product takes a copy of its row. So batches that share no
-    propagator (the optimizer's candidates, b and robustness scans, single
-    protocols) carry two rows throughout.
 
-    A call's bookkeeping (batch shape, builds, chunks and their steps of
-    states) depends on its shapes and the budget alone and is cached by
-    :func:`_call_plan`, so calls of one shape, like an optimizer's, pay for it
-    once. Per chunk, a call then costs one :func:`star_propagator` call per
-    angle shape (per block dimension past ``_ONE_BUILD``), about 25 numpy
-    operations whatever its size; one batched ``@`` per later pulse, block
-    dimension and step of states, which makes one gemm per point and block
-    state, or per propagator that rows share; and about 40 more numpy
-    operations for a 3-qubit register. A 13-row, 3-qubit optimizer batch of
-    three pulses makes one star_propagator call and 6 batched ``@`` of 182
-    gemms in all, two per (block state, row) pair.
+    :func:`_call_plan` decides a call's shapes, builds and chunks once, from
+    its shapes and settings alone, and caches them, so that calls of one
+    shape, like an optimizer's, pay for them once. Per chunk, a call then
+    costs one :func:`star_propagator` call per build (per block dimension
+    past ``_ONE_BUILD``), about 25 numpy operations whatever its size; one
+    batched ``@`` per later pulse, block dimension and step of states,
+    which makes one gemm per point and block state, or per propagator that
+    rows share; and about 40 more numpy operations for a 3-qubit register.
+    A 13-row, 3-qubit optimizer batch of three pulses makes one
+    star_propagator call and 6 batched ``@`` of 182 gemms in all, two per
+    (block state, row) pair.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -228,28 +222,27 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     thetas = [np.asarray(theta, dtype=float) for theta in thetas]
     if len(thetas) != len(vectors):
         raise DimensionMismatchError(f"{len(vectors)} pulse vectors but {len(thetas)} angles")
-    batch, axes, chunks = _call_plan(vectors.shape, tuple(theta.shape for theta in thetas), _CHUNK_BYTES)
+    theta_shapes = tuple(theta.shape for theta in thetas)
+    batch, shapes, axes, chunks, builds = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES, _ONE_BUILD)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
     order = range(n_pulses) if order is None else order
     reduce = reduce or np.ascontiguousarray
     if len(order) == 0:  # no pulses: the identity
         return reduce(np.ones(batch + (2**n_qubits,), dtype=complex))
-    scalar, batch = not batch, batch or (1,)
-    # Vectors (pulse, *batch, qubit) and angles (1, *batch), batch axes padded
-    # to the batch's length, so that the first batch axis is axis 1 of both.
-    if vectors.ndim < len(batch) + 2:
-        vectors = vectors.reshape((n_pulses,) + (1,) * (len(batch) + 2 - vectors.ndim) + vectors.shape[1:])
-    thetas = [theta.reshape((1,) * (len(batch) + 1 - theta.ndim) + theta.shape) for theta in thetas]
+    vectors = vectors.reshape(shapes[0])
+    thetas = [theta.reshape(shape) for theta, shape in zip(thetas, shapes[1:])]
+    padded = batch or (1,)
     gather, groups, _ = _blocks_by_dimension(n_qubits)
     corners = [[None] * n_pulses for _ in groups]  # per block dimension and pulse: propagators
     out = None
-    sliced = len(chunks) > 1  # one chunk takes every row
-    for rows, step, builds in chunks:
-        for pulses, shape, whole in builds:
+    for rows, step in chunks:
+        for pulses, shape, varying, whole in builds:
+            if rows.start and not varying:
+                continue  # made with the first chunk
             # The chunk's rows; an axis of length one is broadcast and stays whole.
-            v = vectors[:, rows] if sliced and vectors.shape[1] > 1 else vectors
+            v = vectors[:, rows] if vectors.shape[1] > 1 else vectors
             v = v if len(pulses) == n_pulses else v[pulses]
-            angles = np.concatenate([thetas[k][:, rows] if sliced and shape[1] > 1 else thetas[k] for k in pulses])[:, None]
+            angles = np.concatenate([thetas[k][:, rows] if shape[1] > 1 else thetas[k] for k in pulses])[:, None]
             # A zero column after the qubits pads the couplings of smaller blocks, whose
             # propagators are then the leading corners of the register's largest ones.
             v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
@@ -260,82 +253,79 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
                 for k, p in zip(pulses, part):
                     props[k] = p
         # Scratch, basis axis first, so that each state's amplitudes are written at once.
-        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + batch[1:], dtype=complex)
+        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + padded[1:], dtype=complex)
         amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
         for (states, _, _), props in zip(groups, corners):
-            chain = [props[k] for k in order]
-            if step < len(states):
-                spans = [(states[lo : lo + step], [p[lo : lo + step] for p in chain]) for lo in range(0, len(states), step)]
-            else:
-                spans = [(states, chain)]
-            for span, links in spans:
-                # A first product that shares no propagator takes two rows of the first
-                # one, as numpy sends a one-row product to gemv, whose bits differ from gemm's.
-                x = links[0][..., : 1 + (len(links) > 1 and links[0].shape == links[1].shape), :]
+            for lo in range(0, len(states), step):
+                links = [props[k][lo : lo + step] for k in order]
+                x = links[0][..., :1, :]
                 for propagators in links[1:]:
                     x = _row_product(x, propagators)
-                amplitudes[span] = x[..., 0, 0]
+                amplitudes[states[lo : lo + step]] = x[..., 0, 0]
         reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
         if len(chunks) == 1:
             out = reduced
         else:
-            out = np.empty(batch[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
+            out = np.empty(padded[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
             out[rows] = reduced
-    return out[0] if scalar else out
+    return out if batch else out[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _call_plan(vectors_shape, theta_shapes, budget):
-    """The shape bookkeeping of a :func:`register_amplitudes` call: (batch, axes, chunks).
+def _call_plan(vectors_shape, theta_shapes, budget, one_build):
+    """The shapes of a :func:`register_amplitudes` call: (batch, shapes, axes, chunks, builds).
 
-    ``batch`` is the call's batch shape, and ``axes`` orders the couplings
-    (pulse, *batch, block, qubit) as (pulse, block, *batch, qubit). Each chunk
-    is a slice of the first batch axis, its step of block states and its
-    builds: the pulses whose angles share one shape, in index order, that
-    shape padded to (1, *batch), and whether one :func:`star_propagator` call
-    builds every block dimension. A build broadcast along the first batch axis
-    is made with the first chunk only. Cached per shapes and budget, so that
-    calls of one shape, like an optimizer's, pay for it once.
+    ``batch`` is the call's batch shape. ``shapes`` are the shapes of the
+    vectors (pulse, *batch, qubit), then of each angle array (1, *batch),
+    their batch axes padded to as many as ``batch or (1,)`` has, so that the
+    first batch axis is axis 1 of each. ``axes`` orders the couplings
+    (pulse, *batch, block, qubit) as (pulse, block, *batch, qubit).
+    ``chunks`` holds per chunk its slice of the first batch axis and its
+    step of block states. ``builds`` holds per distinct angle shape its
+    pulses, in index order, that shape padded, whether the build varies
+    along the first batch axis, and whether one padded
+    :func:`star_propagator` call builds every block dimension: whether the
+    largest chunk's stack holds at most ``one_build`` matrices. ``budget``
+    is the bytes of one chunk. The plan reads no setting but its arguments,
+    so that its cache, per shapes and settings, cannot go stale.
     """
     n_pulses, n_qubits = vectors_shape[0], vectors_shape[-1]
-    builds = {}  # angle shape -> its pulses, in index order, built in one call
+    same = {}  # angle shape -> its pulses, in index order, built in one call
     for k, shape in enumerate(theta_shapes):
-        builds.setdefault(shape, []).append(k)
-    batch = np.broadcast_shapes(vectors_shape[1:-1], *builds)
+        same.setdefault(shape, []).append(k)
+    batch = np.broadcast_shapes(vectors_shape[1:-1], *same)
     padded = batch or (1,)
-    vectors_shape = (n_pulses,) + (1,) * (len(padded) + 2 - len(vectors_shape)) + vectors_shape[1:]
-    builds = [(_read_only(pulses), (1,) * (len(padded) + 1 - len(shape)) + shape) for shape, pulses in builds.items()]
+
+    def pad(shape):
+        return (1,) * (len(padded) - len(shape)) + shape
+
+    shapes = ((n_pulses, *pad(vectors_shape[1:-1]), n_qubits), *((1, *pad(shape)) for shape in theta_shapes))
     index, _, block_entries = _blocks_by_dimension(n_qubits)
+    builds = []  # (pulses, shape, varying, sets of block propagators per row of the first batch axis)
+    for pulses in same.values():
+        shape = shapes[1 + pulses[0]]
+        sets = len(pulses) * math.prod(map(max, shapes[0][2:-1], shape[2:]))
+        builds.append((_read_only(pulses), shape, shapes[0][1] > 1 or shape[1] > 1, sets))
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
-    # operand); per point of a pulse that varies along the axis, its
-    # propagators, one d×d matrix per block of dimension d, as the builds of
-    # large stacks hold them (the padded builds of at most _ONE_BUILD matrices
-    # stay small beside the budget).
-    matrices = sum(
-        len(pulses) * math.prod(map(max, vectors_shape[2:-1], shape[2:]))
-        for pulses, shape in builds
-        if vectors_shape[1] > 1 or shape[1] > 1
-    )
-    entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + matrices * block_entries
-    axes = (0, len(vectors_shape) - 1, *range(1, len(vectors_shape) - 1), len(vectors_shape))
+    # operand); the propagators of every build that varies along the axis, one
+    # d×d matrix per block of dimension d, as the builds of large stacks hold
+    # them (padded builds of at most one_build matrices stay small beside the budget).
+    entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1))
+    entries += block_entries * sum(sets for _, _, varying, sets in builds if varying)
+    axes = (0, len(padded) + 1, *range(1, len(padded) + 1), len(padded) + 2)
     # About equal chunks of the first batch axis, each within the budget unless one
     # row exceeds it; per chunk, the steps of states whose carried rows the budget
     # holds: one state in a full chunk.
     n_chunks = max(1, -(-padded[0] // max(1, budget // (16 * entries))))
     edges = [padded[0] * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = []
-    for lo, hi in zip(edges, edges[1:]):
-        chunk = []
-        for pulses, shape in builds:
-            broadcast = vectors_shape[1] == shape[1] == 1
-            if broadcast and lo:
-                continue  # broadcast along the first batch axis: built with the first chunk
-            stack = len(pulses) * len(index) * (1 if broadcast else hi - lo)
-            stack *= math.prod(map(max, vectors_shape[2:-1], shape[2:]))
-            chunk.append((pulses, shape, stack <= _ONE_BUILD))
-        chunks.append((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo))), tuple(chunk)))
-    return batch, axes, tuple(chunks)
+    chunks = tuple((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo)))) for lo, hi in zip(edges, edges[1:]))
+    largest = -(-padded[0] // n_chunks)
+    builds = tuple(
+        (pulses, shape, varying, sets * len(index) * (largest if varying else 1) <= one_build)
+        for pulses, shape, varying, sets in builds
+    )
+    return batch, shapes, axes, chunks, builds
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
@@ -344,15 +334,16 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     The rows along the batch axes where ``propagators`` is broadcast and
     ``rows`` is not share one propagator; they are stacked into the rows of
     one m×d by d×d gemm per propagator. Where nothing is shared, as in the
-    optimizer's batches, each point takes a plain r×d by d×d gemm, and a
-    lone row goes in twice, so that the product returns two.
+    optimizer's batches, scans and single protocols, each point takes a
+    plain r×d by d×d gemm. No gemm holds one row: numpy sends a one-row
+    matmul to gemv, whose bits differ from gemm's, so a lone unshared row
+    goes in twice and the product returns two, which later products carry.
     """
     shared = rows.shape[:-2] != propagators.shape[:-2] and [
         ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]
     ]
     if not shared:
         if rows.shape[-2] == 1:
-            # A one-row matmul goes to gemv, whose bits differ from gemm's.
             rows = rows.repeat(2, axis=-2)
         return rows @ propagators
     # The shared axes move next to the row axis and merge into it.

@@ -45,8 +45,6 @@ from .propagator import SubsystemBlock, diagonal_amplitudes
 # Not called here: bench/spans.py traces these names in this module.
 from .propagator import block_decompose, sequence_amplitude  # noqa: F401
 
-ENVELOPE_SHAPES = ("squared-sine", "gaussian")
-
 #: Truncation half-width of the Gaussian envelope, in units of sigma.
 GAUSSIAN_CUT = 4.0
 
@@ -63,15 +61,20 @@ UNITARITY_DRIFT_LIMIT = 1e-6
 #: on the pulse areas only).
 PULSE_DURATION = 1.0
 
+#: Standard deviation of the Gaussian envelope.
+_SIGMA = PULSE_DURATION / (2.0 * GAUSSIAN_CUT)
 
-def _unit_peak_area(shape: str) -> float:
-    """Time integral of a ``shape`` envelope of unit peak Rabi frequency."""
-    if shape == "squared-sine":
-        return PULSE_DURATION / 2.0
-    if shape == "gaussian":
-        sigma = PULSE_DURATION / (2.0 * GAUSSIAN_CUT)
-        return sigma * math.sqrt(2.0 * math.pi) * math.erf(GAUSSIAN_CUT / math.sqrt(2.0))
-    raise SopGateError(f"unknown envelope shape {shape!r}")
+#: Per envelope shape: the time integral of its envelope of unit peak Rabi
+#: frequency, and its profile at offsets ``tau`` in [0, PULSE_DURATION].
+_ENVELOPES = {
+    "squared-sine": (PULSE_DURATION / 2.0, lambda tau: np.sin(np.pi * tau / PULSE_DURATION) ** 2),
+    "gaussian": (
+        _SIGMA * math.sqrt(2.0 * math.pi) * math.erf(GAUSSIAN_CUT / math.sqrt(2.0)),
+        lambda tau: np.exp(-((tau - 0.5 * PULSE_DURATION) ** 2) / (2.0 * _SIGMA**2)),
+    ),
+}
+
+ENVELOPE_SHAPES = tuple(_ENVELOPES)
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,12 @@ class PulseEnvelope:
     @property
     def area(self) -> float:
         """Time integral of the Rabi frequency (analytic per shape)."""
-        return self.peak_rabi * _unit_peak_area(self.shape)
+        return self.peak_rabi * _ENVELOPES[self.shape][0]
 
     @classmethod
     def from_area(cls, shape: str, area: float) -> "PulseEnvelope":
         """Choose the peak Rabi frequency so the time integral equals ``area``."""
-        return cls(shape=shape, peak_rabi=area / _unit_peak_area(shape))
+        return cls(shape=shape, peak_rabi=area / cls(shape, 1.0).area)
 
     def rabi(self, tau):
         """Rabi frequency at offset ``tau`` from the pulse start, clamped into the window.
@@ -110,10 +113,7 @@ class PulseEnvelope:
         offset that float round-off puts just past the window.
         """
         tau = np.clip(np.asarray(tau, dtype=float), 0.0, PULSE_DURATION)
-        if self.shape == "squared-sine":
-            return self.peak_rabi * np.sin(np.pi * tau / PULSE_DURATION) ** 2
-        sigma = PULSE_DURATION / (2.0 * GAUSSIAN_CUT)
-        return self.peak_rabi * np.exp(-((tau - 0.5 * PULSE_DURATION) ** 2) / (2.0 * sigma**2))
+        return self.peak_rabi * _ENVELOPES[self.shape][1](tau)
 
 
 def envelopes_for_protocol(protocol: Protocol, shape: str = "squared-sine") -> list[PulseEnvelope]:

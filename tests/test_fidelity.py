@@ -1153,10 +1153,10 @@ class TestCsvText:
         text = csv_text("x,y,z", columns)
         assert text == per_row_csv_text("x,y,z", zip(*columns))
 
-    def test_bytes_columns_broadcast(self):
-        columns = [np.array([b"-1", b"0.5"])[:, None], np.array([b"a", b"bc", b"d"]), np.eye(2, 3)]
+    def test_columns_broadcast(self):
+        columns = [np.array([-1.0, 0.5])[:, None], np.array([0.25, 3e-5, 1e10]), np.eye(2, 3)]
         assert csv_text("p,q,r", columns) == (
-            b"p,q,r\n-1,a,1\n-1,bc,0\n-1,d,0\n0.5,a,0\n0.5,bc,1\n0.5,d,0\n"
+            b"p,q,r\n-1,0.25,1\n-1,3e-05,0\n-1,1e+10,0\n0.5,0.25,0\n0.5,3e-05,1\n0.5,1e+10,0\n"
         )
 
     @pytest.mark.parametrize("axis", [0, 1])
@@ -1197,7 +1197,7 @@ class TestCsvText:
     @pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_LINES, 2 * _CSV_BLOCK_LINES + 5])
     def test_returns_bytes(self, n_rows):
         # bench/spans.py counts len() of map_csv_text's result, a bytes object.
-        columns = [np.linspace(-1, 1, n_rows), np.array([b"x"])]
+        columns = [np.linspace(-1, 1, n_rows), np.array([0.5])]
         text = csv_text("a,b", columns)
         assert type(text) is bytes
         assert text.count(b"\n") == 1 + n_rows

@@ -30,7 +30,17 @@ from sopgate import (
     basis_labels,
     sop_family,
 )
-from sopgate.fidelity import alternating_amplitudes, family_diagonal_grid, fidelity_from_rows, pulse_areas
+from sopgate.fidelity import (
+    GridSpec,
+    alternating_amplitudes,
+    b_scan,
+    family_diagonal_grid,
+    fidelity_from_rows,
+    fidelity_map,
+    pulse_areas,
+    robustness_scan,
+)
+from sopgate.model import spectator_orthogonal_rows
 from sopgate.propagator import (
     block_decompose,
     diagonal_amplitudes,
@@ -491,6 +501,63 @@ class TestBuildChunks:
         alternating_amplitudes(odd, even, *areas, reduce=recorded)
         assert len(per_chunk) == 2
         assert min(per_chunk) >= 0.75 * sopgate.propagator._CHUNK_BYTES
+
+
+def _build_cases():
+    """Kernel outputs of every consumer's shape, by name: (register size, output)."""
+    rng = np.random.default_rng(41)
+    grid = GridSpec(-4, 4, 0.05)
+    c_odd, c_even = rng.choice([-1.0, 1.0], (2, 40)) * rng.uniform(math.sqrt(0.1), math.sqrt(0.5), (2, 40))
+    areas = rng.uniform(-8 * PI, 8 * PI, (2, 40))
+    protocol = random_protocol(rng, 3, 4)
+
+    def robustness():
+        curves = robustness_scan(sop_protocol(0.1), np.linspace(-0.5, 0.5, 4001) * PI)
+        return np.stack([curves.u11v, curves.u11a, curves.u11b])
+
+    def optimizer_batch():
+        vectors = spectator_orthogonal_rows(math.sqrt(0.1), c_odd, c_even)
+        return alternating_amplitudes(*vectors, *areas, reduce=fidelity_from_rows)
+
+    return {
+        "map-3q-M5": (3, lambda: fidelity_map(sop_family(b2=0.1, c2=0.1, m_pulses=5), grid).values),
+        "map-2q": (2, lambda: fidelity_map(sop_family(b2=0.1), grid).values),
+        "b-scan": (2, lambda: b_scan((2 * PI, 1.5 * PI), np.linspace(0.0, 0.5, 3001))),
+        "robustness": (2, robustness),
+        "optimizer": (3, optimizer_batch),
+        "protocol": (3, lambda: diagonal_amplitudes(protocol)),
+    }
+
+
+class TestBuildPaths:
+    """Padded and per-dimension builds give the same bits, whichever ``_ONE_BUILD`` picks.
+
+    Not pinned to one gemm kernel: it rests on the padded corners of
+    :func:`star_propagator`, and CI runs it under the default, Haswell and
+    Prescott OpenBLAS cores.
+    """
+
+    @pytest.mark.parametrize("one_build", [0, 2**62], ids=["per-dimension", "padded"])
+    @pytest.mark.parametrize("case", list(_build_cases()))
+    def test_either_build_path_keeps_every_bit(self, case, one_build, monkeypatch):
+        import sopgate.propagator
+
+        n_qubits, output = _build_cases()[case]
+        default = output()
+        widths = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            widths.append(np.shape(coupling)[-1])
+            return original(coupling, theta)
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        monkeypatch.setattr(sopgate.propagator, "_ONE_BUILD", one_build)
+        patched = output()
+        # The patched setting is taken, also for shapes planned before: padded
+        # builds alone, or one call per block dimension alone.
+        assert set(widths) == ({n_qubits} if one_build else set(range(1, n_qubits + 1)))
+        assert patched.dtype == default.dtype and patched.tobytes() == default.tobytes()
 
 
 class TestGroundRows:
