@@ -13,10 +13,11 @@ Protocols come from one model, :class:`ProtocolFamily`: an odd and an even
 structural vector alternating over M pulses. One builder,
 :func:`family_vectors`, turns squared geometrical factors into those vectors
 as arrays, for the one b^2 of :func:`sop_family` and the b^2 grid of
-:func:`b_scan` alike, and :func:`alternating_amplitudes` is the one place that
-lays out their pulses. Every return amplitude, for one protocol, a b scan, a
-map grid or a robustness scan, comes from one
-:func:`~sopgate.propagator.register_amplitudes` call.
+:func:`b_scan` alike; :func:`alternating_amplitudes` and, for optimizer
+candidates, :func:`row_fidelities` lay out their pulses. Every return
+amplitude of one protocol, a b scan, a map grid or a robustness scan comes
+from one :func:`~sopgate.propagator.register_amplitudes` call, the gemm
+kernel; those of optimizer candidates from the BLAS-free row kernel.
 Amplitudes have one layout everywhere, the basis axis last. Fidelities of
 rows of protocols (single protocols, b scans, optimizer candidates) come
 from :func:`fidelity_from_rows`, those of map grids from the BLAS-free
@@ -62,7 +63,7 @@ from .model import (
     cphase_signature,
     spectator_orthogonal_rows,
 )
-from .propagator import _pulse_couplings, diagonal_amplitudes, register_amplitudes
+from .propagator import _pulse_couplings, alternating_row_amplitudes, diagonal_amplitudes, register_amplitudes
 
 # Not called here: bench/spans.py traces these names in this module.
 from .propagator import block_decompose  # noqa: F401
@@ -140,6 +141,12 @@ def alternating_amplitudes(vector_odd, vector_even, area_odd, area_even, m_pulse
     """
     thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, m_pulses)]
     return register_amplitudes([vector_odd, vector_even], thetas, [k % 2 for k in range(m_pulses)], reduce)
+
+
+def row_fidelities(vector_odd, vector_even, area_odd, area_even, m_pulses: int = 3) -> np.ndarray:
+    """The optimizers' objective: fidelities (R,) of rows of alternating pulses at total areas, on the row kernel."""
+    thetas = [0.5 * area for area in pulse_areas(area_odd, area_even, m_pulses)]
+    return alternating_row_amplitudes(vector_odd, vector_even, *thetas, m_pulses, fidelity_from_rows)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,9 @@ reads and writes are made once per state array, not per step. A step costs
 one objective call and about 55 numpy operations, views included, on the
 running simplices; about 25 more when a simplex starts or shrinks.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
-Every optimizer evaluates candidates through
-:func:`~sopgate.fidelity.alternating_amplitudes`, the one layout of the
-families' pulses, which reduces each chunk of the kernel to fidelities by
-:func:`~sopgate.fidelity.fidelity_from_rows`.
+Every optimizer evaluates its candidates by
+:func:`~sopgate.fidelity.row_fidelities`, on the BLAS-free row kernel, so a
+candidate's value depends on its own parameters alone, bit for bit.
 """
 
 import math
@@ -42,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyGridError, GridTooLargeError, InfeasibleStartError, NotNormalizedError
-from .fidelity import ProtocolFamily, alternating_amplitudes, fidelity_from_rows
+from .fidelity import ProtocolFamily, row_fidelities
 from .model import spectator_orthogonal_rows
 
 # Not called here: bench/spans.py traces these names in this module.
@@ -331,7 +330,7 @@ def optimize_areas(
     vectors = (family.vector_odd.components, family.vector_even.components)
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        return alternating_amplitudes(*vectors, x[:, 0], x[:, 1], family.m_pulses, fidelity_from_rows)
+        return row_fidelities(*vectors, x[:, 0], x[:, 1], family.m_pulses)
 
     lower, upper = zip(*bounds)
     return nelder_mead_constrained(objective, lower, upper, seed=seed, restarts=restarts)
@@ -349,7 +348,7 @@ def _optimize_pulse_vectors(areas, vectors, lower, upper, project, seed, restart
     pairs = areas.reshape(-1, 2)
 
     def objective(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        return alternating_amplitudes(*vectors(x), *pairs[problem].T, reduce=fidelity_from_rows)
+        return row_fidelities(*vectors(x), *pairs[problem].T)
 
     return nelder_mead_constrained(
         objective, lower, upper, project, seed=seed, restarts=restarts, shape=areas.shape[:-1]

@@ -9,12 +9,14 @@ frozen. Propagators are returned as plain complex ndarrays over the block
 basis {ground, r_1, ..., r_n}.
 
 One formula, :func:`star_propagator`, gives a pulse's propagator and
-broadcasts over arrays of couplings and mixing angles. One kernel,
+broadcasts over arrays of couplings and mixing angles. The gemm kernel,
 :func:`register_amplitudes`, multiplies them in pulse order and reads off
 each block's ground-state return amplitude, for every block of a register
-at once. Fidelity maps, robustness scans, b scans, optimizer candidates and
-single protocols (:func:`diagonal_amplitudes`, :func:`sequence_amplitude`)
-all take their amplitudes from it; :func:`block_decompose` lists the blocks
+at once. Maps, scans and single protocols (:func:`diagonal_amplitudes`)
+take their amplitudes from it: maps' rows share propagators, and the scans'
+published hashes and the tests holding a protocol to its map cell are its
+bits. Optimizer candidates take theirs from the BLAS-free row kernel,
+:func:`alternating_row_amplitudes`. :func:`block_decompose` lists the blocks
 that :func:`~sopgate.tdse.integrate_block` takes.
 
 Only the ground-state return amplitude U[0, 0] is read, so the kernel
@@ -25,8 +27,8 @@ share a propagator form one gemm (:func:`_row_product`): in a map,
 n_odd + n_even gemms per pulse and block state instead of n_odd·n_even.
 The kernel alone bounds its memory, for a batch of any size: one loop walks
 the first batch axis in chunks of one byte budget, ``_CHUNK_BYTES``, and
-hands each chunk's amplitudes to the caller's ``reduce``, so that a map, a
-scan or an optimizer batch keeps only its reduced rows;
+hands each chunk's amplitudes to the caller's ``reduce``, so that a map or
+a scan keeps only its reduced rows;
 :func:`register_amplitudes` states the rules of the chunks and what one
 call costs, and :func:`_call_plan` decides them once per call shape.
 Amplitudes have one layout, the basis axis last in :func:`basis_labels`
@@ -146,8 +148,8 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
     return blocks
 
 
-#: Bytes of one chunk of :func:`register_amplitudes`: its amplitudes, its
-#: carried ground rows and the propagators it builds.
+#: Bytes of one chunk: in :func:`register_amplitudes` its amplitudes, carried ground
+#: rows and built propagators; in :func:`alternating_row_amplitudes` its working arrays.
 _CHUNK_BYTES = 2**23
 
 #: Most matrices :func:`register_amplitudes` builds for every block dimension in one
@@ -202,15 +204,12 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
     :func:`_call_plan` decides a call's shapes, builds and chunks once, from
     its shapes and settings alone, and caches them, so that calls of one
-    shape, like an optimizer's, pay for them once. Per chunk, a call then
-    costs one :func:`star_propagator` call per build (per block dimension
-    past ``_ONE_BUILD``), about 25 numpy operations whatever its size; one
+    shape pay for them once. Per chunk, a call then costs one
+    :func:`star_propagator` call per build (per block dimension past
+    ``_ONE_BUILD``), about 25 numpy operations whatever its size; one
     batched ``@`` per later pulse, block dimension and step of states,
     which makes one gemm per point and block state, or per propagator that
     rows share; and about 40 more numpy operations for a 3-qubit register.
-    A 13-row, 3-qubit optimizer batch of three pulses makes one
-    star_propagator call and 6 batched ``@`` of 182 gemms in all, two per
-    (block state, row) pair.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -333,9 +332,9 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
 
     The rows along the batch axes where ``propagators`` is broadcast and
     ``rows`` is not share one propagator; they are stacked into the rows of
-    one m×d by d×d gemm per propagator. Where nothing is shared, as in the
-    optimizer's batches, scans and single protocols, each point takes a
-    plain r×d by d×d gemm. No gemm holds one row: numpy sends a one-row
+    one m×d by d×d gemm per propagator. Where nothing is shared, as in scans
+    and single protocols, each point takes a plain r×d by d×d gemm. No gemm
+    holds one row: numpy sends a one-row
     matmul to gemv, whose bits differ from gemm's, so a lone unshared row
     goes in twice and the product returns two, which later products carry.
     """
@@ -383,6 +382,81 @@ def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[np.ndar
     index = np.array(index, dtype=np.intp).reshape(len(index), n_qubits)
     index.flags.writeable = False
     return index, tuple(groups), sum(len(states) * dim**2 for states, _, dim in groups)
+
+
+def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m_pulses, reduce=None):
+    """Real amplitudes, (R, 2^n), of rows of M pulses alternating odd, even, ..., or their reduction.
+
+    Row r's odd pulses have the vector ``vector_odd[r]`` and mixing angle
+    ``theta_odd[r]``, its even ones ``vector_even[r]`` and ``theta_even[r]``;
+    vectors (R, n) or (n,) and angles (R,) or scalars broadcast to R rows, 1
+    without a row axis. Chunks of rows hold at most ``_CHUNK_BYTES`` of
+    working arrays; ``reduce`` acts on each as in :func:`register_amplitudes`.
+    All 2^n blocks run at once, folded by :func:`_fold`, with elementwise
+    numpy alone (no BLAS), so a row's bits depend on that row alone.
+    """
+    n = np.shape(vector_odd)[-1]
+    inputs = [np.reshape(x, (-1, w)) for x, w in zip((vector_odd, vector_even, theta_odd, theta_even), (n, n, 1, 1))]
+    n_rows = np.broadcast_shapes(*((len(x),) for x in inputs))[0]
+    # Floats per row, pulse kind and state: couplings, unit vectors, carried columns and products (4 n),
+    # norm, angle, cosine, sine and temporaries (8); tracemalloc measures 0.8 to 1.0 of it (3 qubits).
+    n_chunks = max(1, -(-n_rows // max(1, _CHUNK_BYTES // (8 * 2 * 2**n * (4 * n + 8)))))
+    edges = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
+    out = None
+    for lo, hi in zip(edges, edges[1:]):
+        rows = [x[lo:hi] if len(x) > 1 else x for x in inputs]  # (rows, width) each; one row broadcasts
+        v, theta = np.empty((n, 2, hi - lo)), np.empty((2, hi - lo, 1))  # (qubit, kind, row), (kind, row, 1)
+        v[:, 0].T[...], v[:, 1].T[...], theta[0], theta[1] = rows
+        coupling = v[..., None] * _zero_masks(n)  # (qubit, kind, row, state)
+        s = np.sqrt(_qubit_sum(coupling * coupling))
+        phase = s * theta
+        amplitudes = _fold(np.cos(phase), np.sin(phase), coupling / np.where(s == 0.0, 1.0, s), m_pulses)
+        reduced = amplitudes if reduce is None else reduce(amplitudes)
+        if n_chunks == 1:
+            return reduced
+        out = np.empty((n_rows,) + reduced.shape[1:], reduced.dtype) if out is None else out
+        out[lo:hi] = reduced
+    return out
+
+
+def _fold(cos, sin, unit, m_pulses: int) -> np.ndarray:
+    """U[0, 0] per row and state of M alternating pulses from their terms, (kind, row, state).
+
+    A star propagator, a rank-2 update of the identity (u = v/s masked to the
+    state's |0> qubits, c = cos(s theta), s' = sin(s theta)), steps a column to
+    x_0' = c x_0 + i s' (u.x_r), x_r' = x_r + u ((c - 1)(u.x_r) + i s' x_0);
+    a zero coupling (c = 1, s' = 0, u = 0) is the identity exactly. x_r = i w
+    stays imaginary: w is carried, (qubit, column, row, state). Propagators
+    are symmetric, so U[0, 0] = y^T P_mid y for odd M, y the ground column
+    after the first floor(M/2) pulses (the palindrome fold), and z^T y for
+    even M, z that of the last M/2 pulses in reverse.
+    """
+    half, columns = m_pulses // 2, 2 - m_pulses % 2
+    if not half:
+        return cos[0]
+    x0, w = cos[:columns], sin[:columns] * unit[:, :columns]  # one pulse from the ground state
+    for j in range(1, half):  # pulse j + 1 of column 0 is of kind j % 2, column 1's of the other
+        flip = -1 if j % 2 else 1
+        c, s, u = cos[::flip][:columns], sin[::flip][:columns], unit[:, ::flip][:, :columns]
+        t = _qubit_sum(u * w)
+        x0, w = c * x0 - s * t, w + u * ((c - 1.0) * t + s * x0)
+    if columns == 2:
+        return x0[0] * x0[1] - _qubit_sum(w[:, 0] * w[:, 1])
+    # y^T P y = y.y + (c - 1)(y_0^2 + (u.y_r)^2) + 2 i s' y_0 (u.y_r), y_r = i w.
+    c, s, u, y0, w = cos[half % 2], sin[half % 2], unit[:, half % 2], x0[0], w[:, 0]
+    t = _qubit_sum(u * w)
+    square = y0 * y0
+    return square - _qubit_sum(w * w) + (c - 1.0) * (square - t * t) - 2.0 * s * y0 * t
+
+
+#: Sum over the first (qubit) axis, added in qubit order by elementwise adds.
+_qubit_sum = functools.partial(functools.reduce, np.add)
+
+
+@functools.cache
+def _zero_masks(n_qubits: int) -> np.ndarray:
+    """(qubit, 1, 1, state): 1.0 where the state holds |0> on the qubit, else 0.0; read-only."""
+    return _read_only([[[[float(label[q] == "0") for label in basis_labels(n_qubits)]]] for q in range(n_qubits)])
 
 
 def diagonal_amplitudes(protocol: Protocol) -> np.ndarray:

@@ -291,7 +291,8 @@ def nelder_mead_sequential(
     project = project or (lambda x: x)
 
     def feasible(x: np.ndarray) -> np.ndarray:
-        return project(np.clip(x, lower, upper))
+        # The method reaches np.clip's ufunc without np.clip's dispatch, at about half its cost.
+        return project(x.clip(lower, upper))
 
     evaluations = 0
     best_val = -np.inf

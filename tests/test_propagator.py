@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from oracles import (
     UnsupportedPulseCountError,
     dark_state,
     jp_protocol,
+    mp_amplitudes,
+    mp_fidelity,
     random_protocol,
     rotate_areas,
     u11alpha,
@@ -35,13 +39,17 @@ from sopgate.fidelity import (
     alternating_amplitudes,
     b_scan,
     family_diagonal_grid,
+    family_vectors,
     fidelity_from_rows,
     fidelity_map,
     pulse_areas,
     robustness_scan,
+    row_fidelities,
 )
 from sopgate.model import spectator_orthogonal_rows
+from sopgate.optimize import optimize_all_factors, optimize_areas, optimize_third_qubit
 from sopgate.propagator import (
+    alternating_row_amplitudes,
     block_decompose,
     diagonal_amplitudes,
     register_amplitudes,
@@ -558,6 +566,138 @@ class TestBuildPaths:
         # builds alone, or one call per block dimension alone.
         assert set(widths) == ({n_qubits} if one_build else set(range(1, n_qubits + 1)))
         assert patched.dtype == default.dtype and patched.tobytes() == default.tobytes()
+
+
+#: Largest |value - truth| of a row-kernel amplitude or fidelity, as for map cells.
+ROW_TRUTH_BOUND = 4e-15
+
+
+def _objective_rows(n_rows=12):
+    """Seeded candidate rows of the three optimizer objectives, by name: (odd, even, area_odd, area_even, M).
+
+    Vectors are (R, n) rows, areas (R,) totals in radians. The point
+    optimizers' rows sit on the default optimize grid and take both edges of
+    the third-qubit manifold, c^2 = 0.5 and b^2 + c^2 = 1 (a = 0); the area
+    optimizer's take single-site vectors, whose blocks have zero couplings.
+    """
+    rng = np.random.default_rng(42)
+    grid = rng.choice(PI * (-8.0 + 0.5 * np.arange(33)), (2, n_rows))
+    signs = rng.choice([-1.0, 1.0], (2, n_rows))
+    c = signs * rng.uniform(B_01, math.sqrt(0.5), (2, n_rows))
+    c[:, :3] = signs[:, :3] * math.sqrt(0.5)
+    phi = rng.uniform(0.0, 2 * PI, (2, n_rows))
+    phi[:, :2] = [[0.0, 0.5 * PI], [PI, 1.5 * PI]]  # factors of zero
+    factors = np.stack([A_01 * np.cos(phi), A_01 * np.sin(phi), np.full(phi.shape, B_01)], axis=-1)
+    rows = {
+        "third-qubit": (*spectator_orthogonal_rows(B_01, *c), *grid, 3),
+        "third-qubit-edge": (*spectator_orthogonal_rows(math.sqrt(0.5), signs[0] * math.sqrt(0.5), c[1]), *grid, 3),
+        "all-factors": (*factors, *grid, 3),
+    }
+    for m_pulses in range(1, 6):
+        for b2, c2, n_qubits in [(0.0, 0.0, 2), (0.1, 0.0, 2), (0.0, 0.0, 3), (0.1, 0.1, 3)]:
+            vectors = [np.broadcast_to(v, (n_rows, n_qubits)) for v in family_vectors(b2, c2, n_qubits)]
+            areas = rng.uniform(-8 * PI, 8 * PI, (2, n_rows))
+            rows[f"areas-{n_qubits}q-b2={b2}-M{m_pulses}"] = (*vectors, *areas, m_pulses)
+    return rows
+
+
+def _row_amplitudes(odd, even, area_odd, area_even, m_pulses, reduce=None):
+    """The row kernel on total areas, split as the optimizers split them."""
+    thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, m_pulses)]
+    return alternating_row_amplitudes(odd, even, *thetas, m_pulses, reduce)
+
+
+class TestRowKernel:
+    """The optimizers' BLAS-free row kernel: truth, batch and chunk bits, calls and memory."""
+
+    @pytest.mark.parametrize("case", list(_objective_rows()))
+    def test_rows_within_truth_bound(self, case):
+        odd, even, area_odd, area_even, m_pulses = _objective_rows()[case]
+        amplitudes = _row_amplitudes(odd, even, area_odd, area_even, m_pulses)
+        fidelities = row_fidelities(odd, even, area_odd, area_even, m_pulses)
+        assert amplitudes.dtype == float and amplitudes.shape == (len(odd), 2 ** odd.shape[-1])
+        order = [k % 2 for k in range(m_pulses)]
+        for row in range(len(odd)):
+            thetas = [0.5 * a for a in pulse_areas(area_odd[row], area_even[row], m_pulses)]
+            truth = mp_amplitudes([odd[row], even[row]], thetas, order)
+            for value, label in zip(amplitudes[row], basis_labels(odd.shape[-1])):
+                assert abs(mpmath.mpf(float(value)) - truth[label]) <= ROW_TRUTH_BOUND, (row, label)
+            assert abs(mpmath.mpf(float(fidelities[row])) - mp_fidelity(truth)) <= ROW_TRUTH_BOUND, row
+
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5])
+    def test_zero_block_couplings_are_the_identity_exactly(self, m_pulses):
+        # Single-site vectors leave the spectator's block, |110>, and |111> uncoupled.
+        odd, even = family_vectors(0.0, 0.0, 3)
+        areas = np.random.default_rng(m_pulses).uniform(-8 * PI, 8 * PI, (2, 20))
+        amplitudes = _row_amplitudes(odd, even, *areas, m_pulses)
+        assert np.all(amplitudes[:, [basis_labels(3).index("110"), -1]] == 1.0)
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
+    def test_rows_equal_one_row_calls_bitwise(self, n_qubits, m_pulses):
+        rng = np.random.default_rng(10 * n_qubits + m_pulses)
+        for n_rows in range(1, 41):
+            odd, even = rng.normal(size=(2, n_rows, n_qubits))
+            odd[0, 0] = 0.0  # a zero coupling in some blocks
+            areas = rng.uniform(-8 * PI, 8 * PI, size=(2, n_rows))
+            batch = _row_amplitudes(odd, even, *areas, m_pulses)
+            reduced = row_fidelities(odd, even, *areas, m_pulses)
+            assert batch.shape == (n_rows, 2**n_qubits) and reduced.shape == (n_rows,)
+            for row in range(n_rows):
+                alone = (odd[row], even[row], areas[0, row], areas[1, row], m_pulses)
+                assert batch[row].tobytes() == _row_amplitudes(*alone).tobytes()
+                assert reduced[row].tobytes() == row_fidelities(*alone).tobytes()
+
+    @pytest.mark.parametrize("m_pulses", [3, 4])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 7])
+    def test_chunks_keep_every_bit(self, monkeypatch, m_pulses, rows_per_chunk):
+        import sopgate.propagator
+
+        rng = np.random.default_rng(rows_per_chunk)
+        odd, even = rng.normal(size=(2, 40, 3))
+        areas = rng.uniform(-8 * PI, 8 * PI, size=(2, 40))
+        whole = _row_amplitudes(odd, even, *areas, m_pulses)
+        # A budget of about rows_per_chunk rows of the kernel's working arrays.
+        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", rows_per_chunk * 8 * 2 * 8 * (4 * 3 + 8))
+        chunks = []
+
+        def recorded(amplitudes):
+            chunks.append(len(amplitudes))
+            return fidelity_from_rows(amplitudes)
+
+        assert _row_amplitudes(odd, even, *areas, m_pulses).tobytes() == whole.tobytes()
+        reduced = _row_amplitudes(odd, even, *areas, m_pulses, recorded)
+        assert reduced.tobytes() == fidelity_from_rows(whole).tobytes()
+        assert sum(chunks) == 40 and max(chunks) <= rows_per_chunk and len(chunks) == -(-40 // rows_per_chunk)
+
+    def test_optimizers_call_no_gemm_kernel(self, monkeypatch):
+        import sopgate.propagator
+
+        def refuse(*args):
+            raise AssertionError("an optimizer objective reached the gemm kernel")
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", refuse)
+        monkeypatch.setattr(sopgate.propagator, "_row_product", refuse)
+        areas = [(2.4 * PI, 1.1 * PI), (-3.5 * PI, 2.0 * PI)]
+        assert optimize_third_qubit(areas, b=B_01, restarts=2).best_fidelity.shape == (2,)
+        assert optimize_all_factors(areas, c_fixed=B_01, restarts=2).best_fidelity.shape == (2,)
+        bounds = ((1.5 * PI, 2.5 * PI), (1.5 * PI, 2.5 * PI))
+        assert 0.0 <= optimize_areas(sop_family(b2=0.1, m_pulses=5), bounds, restarts=2).best_fidelity <= 1.0
+
+    def test_memory_is_the_result_and_two_chunks(self):
+        import sopgate.propagator
+
+        rng = np.random.default_rng(6)
+        odd, even = rng.normal(size=(2, 10**6, 3))
+        theta_odd, theta_even = rng.uniform(-4 * PI, 4 * PI, size=(2, 10**6))
+        tracemalloc.start()
+        try:
+            amplitudes = alternating_row_amplitudes(odd, even, theta_odd, theta_even, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert amplitudes.shape == (10**6, 8)
+        assert peak <= amplitudes.nbytes + 2 * sopgate.propagator._CHUNK_BYTES
 
 
 class TestGroundRows:
