@@ -4,9 +4,11 @@ Library + CLI for designing and evaluating two- and three-qubit C-PHASE gate
 protocols driven by spatio-temporally structured pulses: exact blockade-block
 propagators, pulse-area fidelity maps and their lattice geometry, constrained
 optimization of the geometrical factors, and an independent time-domain
-integration check. Every return amplitude comes from one propagator
-formula, :func:`star_propagator`, and one product kernel; the closed-form
-amplitudes of the paper are test oracles and live with the tests.
+integration check. Return amplitudes come from two kernels: a gemm kernel
+that multiplies :func:`star_propagator` matrices for maps, scans and single
+protocols, and a BLAS-free row kernel, the same propagators in closed form,
+for optimizer candidates. The closed-form amplitudes of the paper are test
+oracles and live with the tests.
 """
 
 from .errors import (

@@ -141,18 +141,6 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(lo, hi, step)
 
 
-def _scan_axis(config: dict, name: str, symmetric: bool) -> np.ndarray:
-    """``np.arange`` from 0 (-max if ``symmetric``) by step, checked before allocating.
-
-    Max and step are the ``<name>_max`` and ``<name>_step`` config values. The
-    axis ends at its last point not past max, up to round-off.
-    """
-    top, step = config[f"{name}_max"], config[f"{name}_step"]
-    start, stop = -top if symmetric else 0.0, top + step * 1e-9
-    check_grid_points((stop - start) / step)
-    return np.arange(start, stop, step)
-
-
 def _refuse_shared_names(outputs) -> None:
     """Refuse different inputs that would write one file; ``outputs`` holds (input, name) pairs."""
     owners = {}
@@ -353,7 +341,12 @@ def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
     except ValueError as exc:
         raise SopGateError(f"b2 must be comma-separated numbers, got {config['b2']!r}") from exc
     area_odd, area_even = _parse_area_pair(config["areas"])
-    deltas = _scan_axis(config, "delta", symmetric=True) * math.pi
+    # From -max to max by step, checked before allocating; the axis ends at its
+    # last point not past max, up to round-off.
+    top, step = config["delta_max"], config["delta_step"]
+    start, stop = -top, top + step * 1e-9
+    check_grid_points((stop - start) / step)
+    deltas = np.arange(start, stop, step) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work
     protocols = [family.protocol(area_odd * math.pi, area_even * math.pi) for family in families]
     names = [f"robustness_b2_{b2:g}.csv" for b2 in b2_list]
@@ -380,7 +373,7 @@ def cmd_bscan(args: argparse.Namespace) -> tuple[int, list]:
     pairs = {}  # a repeated pair is scanned and written once, under its first spelling
     for pair_text in config["areas"]:
         pairs.setdefault(_parse_area_pair(pair_text), pair_text)
-    b2_grid = _scan_axis(config, "b2", symmetric=False)
+    b2_grid = GridSpec(0.0, config["b2_max"], config["b2_step"]).values_pi()
     names = [f"bscan_{odd:g}_{even:g}.csv".replace("-", "m") for odd, even in pairs]
     _refuse_shared_names(zip(pairs, names))
     artifacts = []

@@ -92,7 +92,7 @@ def check_grid_points(n_points: float) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive 1-D sweep range in units of pi, at most :data:`MAX_GRID_POINTS` long."""
+    """Inclusive 1-D sweep range of at most :data:`MAX_GRID_POINTS` points: map areas in units of pi, or b^2."""
 
     lo: float
     hi: float
@@ -313,8 +313,8 @@ def fidelity_from_rows(rows):
     register (n >= 2); the result has shape ``rows.shape[:-1]``. Each row's
     overlap with the target is one ``np.vecdot`` over a contiguous row, so it
     depends neither on the other rows nor on their memory layout. Overlaps are squared by libm ``pow``
-    (``np.float_power``), as the optimizer's ties and files always were;
-    ``x * x`` differs in the last bit for about 0.1 % of values.
+    (``np.float_power``), on whose bits the published b scans and optimizer
+    results rest; ``x * x`` differs in the last bit for about 0.1 % of values.
     """
     rows = np.ascontiguousarray(rows)
     phases = _cphase_phases(rows)

@@ -4,8 +4,7 @@ A protocol is an ordered sequence of resonant pulses. Each pulse carries a
 signed area (radians) and a unit *structural vector* whose components are the
 local field-amplitude factors at the individual qubits. Negative components
 encode a pi phase flip of the field at a site; a negative area encodes a phase
-flip of the whole pulse. All types are immutable values and safe to share
-between workers.
+flip of the whole pulse. All types are immutable values.
 
 Areas are stored in radians throughout the library; presentation layers (CLI,
 CSV, JSON reports) convert to units of pi. The one exception is

@@ -149,12 +149,9 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 
 
 #: Bytes of one chunk: in :func:`register_amplitudes` its amplitudes, carried ground
-#: rows and built propagators; in :func:`alternating_row_amplitudes` its working arrays.
+#: rows and propagators built per chunk, and the most that one padded build made once
+#: may take; in :func:`alternating_row_amplitudes` its working arrays.
 _CHUNK_BYTES = 2**23
-
-#: Most matrices :func:`register_amplitudes` builds for every block dimension in one
-#: call; past about 900, padding a 3-qubit build costs more than the calls it saves.
-_ONE_BUILD = 1024
 
 
 def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
@@ -186,13 +183,15 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
     Pulses with angles of one shape share one build, made per chunk, or once
     when neither their vectors nor their angles vary along the first batch
-    axis (a map's even pulses). Angles on separate axes, like a map's odd
-    and even areas, cost one propagator per axis value. A build is one
-    :func:`star_propagator` call for every block dimension: each block's
-    couplings are padded with zeros to n_qubits, and a block of dimension d
-    reads the leading d×d corner of its propagators. A build whose stack
-    in the call's largest chunk holds more than ``_ONE_BUILD`` matrices
-    takes one call per block dimension instead.
+    axis (a single protocol's pulses, a map's even pulses). Angles on
+    separate axes, like a map's odd and even areas, cost one propagator per
+    axis value. A build made per chunk takes one :func:`star_propagator`
+    call per block dimension, the d×d matrices the chunk budget counts. A
+    build made once takes one padded call for every block dimension when
+    its padded stack, sets × blocks × (n_qubits + 1)² complex entries, fits
+    ``_CHUNK_BYTES``, and one call per block dimension otherwise: padded,
+    each block's couplings take zeros up to n_qubits, and a block of
+    dimension d reads the leading d×d corner of its propagators.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
     is carried. Every star propagator is exactly symmetric, so that column,
@@ -205,11 +204,12 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     :func:`_call_plan` decides a call's shapes, builds and chunks once, from
     its shapes and settings alone, and caches them, so that calls of one
     shape pay for them once. Per chunk, a call then costs one
-    :func:`star_propagator` call per build (per block dimension past
-    ``_ONE_BUILD``), about 25 numpy operations whatever its size; one
-    batched ``@`` per later pulse, block dimension and step of states,
-    which makes one gemm per point and block state, or per propagator that
-    rows share; and about 40 more numpy operations for a 3-qubit register.
+    :func:`star_propagator` call per block dimension of each build made per
+    chunk, and with the first chunk the calls of the builds made once,
+    about 25 numpy operations each whatever its size; one batched ``@`` per
+    later pulse, block dimension and step of states, which makes one gemm
+    per point and block state, or per propagator that rows share; and about
+    40 more numpy operations for a 3-qubit register.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -222,7 +222,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     if len(thetas) != len(vectors):
         raise DimensionMismatchError(f"{len(vectors)} pulse vectors but {len(thetas)} angles")
     theta_shapes = tuple(theta.shape for theta in thetas)
-    batch, shapes, axes, chunks, builds = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES, _ONE_BUILD)
+    batch, shapes, axes, chunks, builds = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
     order = range(n_pulses) if order is None else order
     reduce = reduce or np.ascontiguousarray
@@ -271,7 +271,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _call_plan(vectors_shape, theta_shapes, budget, one_build):
+def _call_plan(vectors_shape, theta_shapes, budget):
     """The shapes of a :func:`register_amplitudes` call: (batch, shapes, axes, chunks, builds).
 
     ``batch`` is the call's batch shape. ``shapes`` are the shapes of the
@@ -283,10 +283,9 @@ def _call_plan(vectors_shape, theta_shapes, budget, one_build):
     step of block states. ``builds`` holds per distinct angle shape its
     pulses, in index order, that shape padded, whether the build varies
     along the first batch axis, and whether one padded
-    :func:`star_propagator` call builds every block dimension: whether the
-    largest chunk's stack holds at most ``one_build`` matrices. ``budget``
-    is the bytes of one chunk. The plan reads no setting but its arguments,
-    so that its cache, per shapes and settings, cannot go stale.
+    :func:`star_propagator` call builds every block dimension.
+    ``budget`` is the bytes of one chunk. The plan reads no setting but
+    its arguments, so that its cache, per shapes and settings, cannot go stale.
     """
     n_pulses, n_qubits = vectors_shape[0], vectors_shape[-1]
     same = {}  # angle shape -> its pulses, in index order, built in one call
@@ -300,18 +299,22 @@ def _call_plan(vectors_shape, theta_shapes, budget, one_build):
 
     shapes = ((n_pulses, *pad(vectors_shape[1:-1]), n_qubits), *((1, *pad(shape)) for shape in theta_shapes))
     index, _, block_entries = _blocks_by_dimension(n_qubits)
-    builds = []  # (pulses, shape, varying, sets of block propagators per row of the first batch axis)
+    builds, varying_sets = [], 0
     for pulses in same.values():
         shape = shapes[1 + pulses[0]]
+        # Sets of block propagators per row of the first batch axis.
         sets = len(pulses) * math.prod(map(max, shapes[0][2:-1], shape[2:]))
-        builds.append((_read_only(pulses), shape, shapes[0][1] > 1 or shape[1] > 1, sets))
+        varying = shapes[0][1] > 1 or shape[1] > 1
+        varying_sets += sets if varying else 0
+        # A build made once is padded when its padded stack fits the budget;
+        # one remade per chunk goes per block dimension, as counted below.
+        whole = not varying and 16 * sets * len(index) * (n_qubits + 1) ** 2 <= budget
+        builds.append((_read_only(pulses), shape, varying, whole))
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); the propagators of every build that varies along the axis, one
-    # d×d matrix per block of dimension d, as the builds of large stacks hold
-    # them (padded builds of at most one_build matrices stay small beside the budget).
-    entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1))
-    entries += block_entries * sum(sets for _, _, varying, sets in builds if varying)
+    # d×d matrix per block of dimension d.
+    entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + block_entries * varying_sets
     axes = (0, len(padded) + 1, *range(1, len(padded) + 1), len(padded) + 2)
     # About equal chunks of the first batch axis, each within the budget unless one
     # row exceeds it; per chunk, the steps of states whose carried rows the budget
@@ -319,12 +322,7 @@ def _call_plan(vectors_shape, theta_shapes, budget, one_build):
     n_chunks = max(1, -(-padded[0] // max(1, budget // (16 * entries))))
     edges = [padded[0] * i // n_chunks for i in range(n_chunks + 1)]
     chunks = tuple((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo)))) for lo, hi in zip(edges, edges[1:]))
-    largest = -(-padded[0] // n_chunks)
-    builds = tuple(
-        (pulses, shape, varying, sets * len(index) * (largest if varying else 1) <= one_build)
-        for pulses, shape, varying, sets in builds
-    )
-    return batch, shapes, axes, chunks, builds
+    return batch, shapes, axes, chunks, tuple(builds)
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:

@@ -402,6 +402,7 @@ class TestScanAxes:
             ["bscan", "--b2-step", "-0.1"],
             ["bscan", "--b2-step", "inf"],
             ["bscan", "--b2-step", "1e-10"],  # 5e9 points, over the grid cap
+            ["bscan", "--b2-step", "5e-324"],  # an infinite point count: an invalid grid
             ["bscan", "--b2-max", "nan"],
             ["bscan", "--b2-max", "-0.1"],
             ["bscan", "--b2-max", "1.5"],

@@ -358,8 +358,9 @@ class TestFidelityMap:
         even = np.linspace(-2 * PI, PI, n_even)
         diag = family_diagonal_grid(family, odd, even)
         assert diag.shape == (n_odd, n_even, 8)
-        # One call per distinct pulse, each on its axis, covering every block dimension.
-        assert sizes == [n_odd, n_even]
+        # One build per distinct pulse, each on its axis: the odd pulse, remade per
+        # chunk, one call per block dimension; the even pulse, made once, one padded call.
+        assert sizes == [n_odd] * 3 + [n_even]
 
 
 class TestMapKernelRowsAndChunks:
@@ -502,6 +503,37 @@ class TestMpTruth:
             spelled = lines[1 + i * n_even + j].split(b",")[2]
             rounded = nine_digit_rounding(truth)
             assert rounded is None or decimal.Decimal(spelled.decode()) == rounded, (i, j, spelled, truth)
+
+
+class TestScanTruth:
+    """Seeded robustness and b-scan rows against the mpmath truth, within ``TRUTH_BOUND``.
+
+    Robustness curves cross zero, so near δ = ±0.5π a value may carry only a
+    few correct digits; the bound is absolute.
+    """
+
+    @pytest.mark.parametrize("b2, areas", [(0.0, (2.0, 2.0)), (0.1, (2.5, -1.5))], ids=["default", "b2=0.1"])
+    def test_robustness_rows_within_bound(self, b2, areas):
+        protocol = sop_family(b2=b2).protocol(areas[0] * PI, areas[1] * PI)
+        deltas = np.concatenate([[-0.5, 0.5], np.random.default_rng(43).uniform(-0.5, 0.5, 23)]) * PI
+        curves = robustness_scan(protocol, deltas)
+        vectors = [pulse.vector.components for pulse in protocol.pulses]
+        for row, delta in enumerate(deltas):
+            # The half-areas the kernel computes, in its float64 operations.
+            thetas = [0.5 * (p.area + (delta if k % 2 == 0 else 2.0 * delta)) for k, p in enumerate(protocol.pulses)]
+            truth = mp_amplitudes(vectors, thetas, range(len(vectors)))
+            for label, curve in zip(["00", "01", "10"], (curves.u11v, curves.u11a, curves.u11b)):
+                assert abs(mpmath.mpf(float(curve[row])) - truth[label].real) <= TRUTH_BOUND, (row, label)
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    @pytest.mark.parametrize("areas", [(2.0, 2.0), (-3.5, 1.0)])
+    def test_b_scan_rows_within_bound(self, areas, orthogonal):
+        b2_grid = np.concatenate([[0.0, 1.0], np.random.default_rng(44).uniform(0.0, 1.0, 10)])
+        scan = b_scan((areas[0] * PI, areas[1] * PI), b2_grid, orthogonal=orthogonal)
+        thetas = [0.5 * a for a in pulse_areas(areas[0] * PI, areas[1] * PI)]
+        for row, vectors in enumerate(zip(*family_vectors(b2_grid, orthogonal=orthogonal))):
+            truth = mp_fidelity(mp_amplitudes(vectors, thetas, [0, 1, 0]))
+            assert abs(mpmath.mpf(float(scan[row])) - truth) <= TRUTH_BOUND, (row, b2_grid[row])
 
 
 class TestMapBlocks:

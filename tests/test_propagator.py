@@ -349,7 +349,8 @@ class TestBlockAmplitudes:
         thetas = [rng.uniform(-8 * PI, 8 * PI, size=80) for _ in range(2)]
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         amps = register_amplitudes(vectors, thetas, [0, 1, 0])
-        # 2 pulses x 7 blocks x 80 rows is over _ONE_BUILD: one call per block dimension.
+        # Rows of vectors make a build that varies along the chunked axis: one call per
+        # block dimension. A single row's build is made once, in one padded call.
         assert widths == [1, 2, 3]
         for row in (0, 41, 79):
             widths.clear()
@@ -383,7 +384,7 @@ class TestBlockAmplitudes:
 
 
 class TestSmallBatches:
-    """Batches of 1 to 40 rows, the optimizer's sizes, equal their rows called one at a time."""
+    """Batches of 1 to 40 vector rows on the gemm kernel equal their rows called one at a time."""
 
     @pytest.mark.parametrize("n_qubits", [2, 3])
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
@@ -412,8 +413,8 @@ def _batch_shapes():
     rng = np.random.default_rng(24)
     angles = rng.uniform(-8 * PI, 8 * PI, size=(4, 30))
     return {
-        # Optimizer candidates: vector rows with per-row angles.
-        "candidates": (rng.normal(size=(2, 30, 3)), [angles[0], angles[1]], [0, 1, 0], 16 * (8 + 16 + 2 * 55)),
+        # Vector rows with per-row angles.
+        "vector-rows": (rng.normal(size=(2, 30, 3)), [angles[0], angles[1]], [0, 1, 0], 16 * (8 + 16 + 2 * 55)),
         # A b scan: vector rows, scalar angles.
         "b-scan": (rng.normal(size=(2, 30, 2)), [1.1 * PI, 0.6 * PI], [0, 1, 0], 16 * (4 + 12 + 2 * 17)),
         # A robustness scan: shared vectors, angle rows.
@@ -429,7 +430,7 @@ def _batch_shapes():
 
 
 class TestBuildChunks:
-    @pytest.mark.parametrize("kind", ["candidates", "b-scan", "robustness", "map"])
+    @pytest.mark.parametrize("kind", ["vector-rows", "b-scan", "robustness", "map"])
     def test_chunked_batch_equals_whole_batch_bytewise(self, kind, monkeypatch):
         import sopgate.propagator
 
@@ -482,10 +483,10 @@ class TestBuildChunks:
         assert len(chunks) > 1 and sum(chunks) == 1000
         assert rows and max(rows) <= max(chunks)
 
-    def test_optimizer_batch_fills_the_budget_with_built_propagators(self, monkeypatch):
+    def test_vector_rows_fill_the_budget_with_built_propagators(self, monkeypatch):
         import sopgate.propagator
 
-        # A 3-qubit candidate row holds 8 amplitudes, 16 carried entries and
+        # A 3-qubit vector row holds 8 amplitudes, 16 carried entries and
         # two varying pulses' propagators: 3 blocks of 2×2, 3 of 3×3 and one 4×4.
         row_bytes = 16 * (8 + 16 + 2 * (3 * 4 + 3 * 9 + 16))
         rows_per_chunk = sopgate.propagator._CHUNK_BYTES // row_bytes
@@ -523,7 +524,7 @@ def _build_cases():
         curves = robustness_scan(sop_protocol(0.1), np.linspace(-0.5, 0.5, 4001) * PI)
         return np.stack([curves.u11v, curves.u11a, curves.u11b])
 
-    def optimizer_batch():
+    def vector_rows():
         vectors = spectator_orthogonal_rows(math.sqrt(0.1), c_odd, c_even)
         return alternating_amplitudes(*vectors, *areas, reduce=fidelity_from_rows)
 
@@ -532,40 +533,71 @@ def _build_cases():
         "map-2q": (2, lambda: fidelity_map(sop_family(b2=0.1), grid).values),
         "b-scan": (2, lambda: b_scan((2 * PI, 1.5 * PI), np.linspace(0.0, 0.5, 3001))),
         "robustness": (2, robustness),
-        "optimizer": (3, optimizer_batch),
+        "vector-rows": (3, vector_rows),
         "protocol": (3, lambda: diagonal_amplitudes(protocol)),
     }
 
 
 class TestBuildPaths:
-    """Padded and per-dimension builds give the same bits, whichever ``_ONE_BUILD`` picks.
+    """Padded and per-dimension builds give the same bits, whichever the plan picks.
 
     Not pinned to one gemm kernel: it rests on the padded corners of
     :func:`star_propagator`, and CI runs it under the default, Haswell and
     Prescott OpenBLAS cores.
     """
 
-    @pytest.mark.parametrize("one_build", [0, 2**62], ids=["per-dimension", "padded"])
+    @pytest.mark.parametrize("whole", [False, True], ids=["per-dimension", "padded"])
     @pytest.mark.parametrize("case", list(_build_cases()))
-    def test_either_build_path_keeps_every_bit(self, case, one_build, monkeypatch):
+    def test_either_build_path_keeps_every_bit(self, case, whole, monkeypatch):
         import sopgate.propagator
 
         n_qubits, output = _build_cases()[case]
         default = output()
         widths = []
-        original = sopgate.propagator.star_propagator
+        original, plan = sopgate.propagator.star_propagator, sopgate.propagator._call_plan
 
         def counted(coupling, theta):
             widths.append(np.shape(coupling)[-1])
             return original(coupling, theta)
 
+        def forced(*args):
+            # The plan's chunks as they are, every build on the one path.
+            batch, shapes, axes, chunks, builds = plan(*args)
+            return batch, shapes, axes, chunks, tuple((*build[:3], whole) for build in builds)
+
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        monkeypatch.setattr(sopgate.propagator, "_ONE_BUILD", one_build)
+        monkeypatch.setattr(sopgate.propagator, "_call_plan", forced)
         patched = output()
-        # The patched setting is taken, also for shapes planned before: padded
-        # builds alone, or one call per block dimension alone.
-        assert set(widths) == ({n_qubits} if one_build else set(range(1, n_qubits + 1)))
+        # Padded builds alone, or one call per block dimension alone.
+        assert set(widths) == ({n_qubits} if whole else set(range(1, n_qubits + 1)))
         assert patched.dtype == default.dtype and patched.tobytes() == default.tobytes()
+
+    def test_build_made_once_is_padded_only_within_the_budget(self, monkeypatch):
+        import sopgate.propagator
+
+        # A 1 x N 3-qubit map: its single odd row is one chunk whatever the budget, and
+        # its even build, made once, stacks N sets of 7 padded 4x4 propagators.
+        family = sop_family(b2=0.1, c2=0.1)
+        odd, even = np.array([2.3 * PI]), np.linspace(-7.9 * PI, 7.7 * PI, 50)
+        default = family_diagonal_grid(family, odd, even)
+        stack = 16 * even.size * 7 * 4**2
+        builds = []
+        original = sopgate.propagator.star_propagator
+
+        def counted(coupling, theta):
+            propagators = original(coupling, theta)
+            if np.size(theta) == even.size:
+                builds.append((np.shape(coupling)[-1], propagators.nbytes))
+            return propagators
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
+        for budget, widths in [(stack, [3]), (stack - 1, [1, 2, 3])]:
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
+            builds.clear()
+            amplitudes = family_diagonal_grid(family, odd, even)
+            assert [width for width, _ in builds] == widths
+            assert max(nbytes for _, nbytes in builds) <= budget
+            assert amplitudes.tobytes() == default.tobytes()
 
 
 #: Largest |value - truth| of a row-kernel amplitude or fidelity, as for map cells.
