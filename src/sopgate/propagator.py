@@ -149,8 +149,8 @@ def block_decompose(protocol: Protocol) -> list[SubsystemBlock]:
 
 
 #: Bytes of one chunk: in :func:`register_amplitudes` its amplitudes, carried ground
-#: rows and propagators built per chunk, and the most that one padded build made once
-#: may take; in :func:`alternating_row_amplitudes` its working arrays.
+#: rows and propagators built per chunk; in :func:`alternating_row_amplitudes` its
+#: working arrays.
 _CHUNK_BYTES = 2**23
 
 
@@ -185,13 +185,12 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     when neither their vectors nor their angles vary along the first batch
     axis (a single protocol's pulses, a map's even pulses). Angles on
     separate axes, like a map's odd and even areas, cost one propagator per
-    axis value. A build made per chunk takes one :func:`star_propagator`
-    call per block dimension, the d×d matrices the chunk budget counts. A
-    build made once takes one padded call for every block dimension when
-    its padded stack, sets × blocks × (n_qubits + 1)² complex entries, fits
-    ``_CHUNK_BYTES``, and one call per block dimension otherwise: padded,
-    each block's couplings take zeros up to n_qubits, and a block of
-    dimension d reads the leading d×d corner of its propagators.
+    axis value. A call with batch axes takes one :func:`star_propagator`
+    call per block dimension and build, the d×d matrices the chunk budget
+    counts. A call without them, a single protocol, takes one padded call
+    for every block dimension: each block's couplings take zeros up to
+    n_qubits, and a block of dimension d reads the leading d×d corner of
+    its propagators.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
     is carried. Every star propagator is exactly symmetric, so that column,
@@ -205,11 +204,12 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     its shapes and settings alone, and caches them, so that calls of one
     shape pay for them once. Per chunk, a call then costs one
     :func:`star_propagator` call per block dimension of each build made per
-    chunk, and with the first chunk the calls of the builds made once,
-    about 25 numpy operations each whatever its size; one batched ``@`` per
-    later pulse, block dimension and step of states, which makes one gemm
-    per point and block state, or per propagator that rows share; and about
-    40 more numpy operations for a 3-qubit register.
+    chunk, and with the first chunk those of the builds made once (a single
+    protocol: one padded call), about 25 numpy operations each whatever its
+    size; one batched ``@`` per later pulse, block dimension and step of
+    states, which makes one gemm per point and block state, or per
+    propagator that rows share; and about 40 more numpy operations for a
+    3-qubit register.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -283,7 +283,8 @@ def _call_plan(vectors_shape, theta_shapes, budget):
     step of block states. ``builds`` holds per distinct angle shape its
     pulses, in index order, that shape padded, whether the build varies
     along the first batch axis, and whether one padded
-    :func:`star_propagator` call builds every block dimension.
+    :func:`star_propagator` call builds every block dimension: only in a
+    call without batch axes.
     ``budget`` is the bytes of one chunk. The plan reads no setting but
     its arguments, so that its cache, per shapes and settings, cannot go stale.
     """
@@ -298,18 +299,15 @@ def _call_plan(vectors_shape, theta_shapes, budget):
         return (1,) * (len(padded) - len(shape)) + shape
 
     shapes = ((n_pulses, *pad(vectors_shape[1:-1]), n_qubits), *((1, *pad(shape)) for shape in theta_shapes))
-    index, _, block_entries = _blocks_by_dimension(n_qubits)
+    _, _, block_entries = _blocks_by_dimension(n_qubits)
     builds, varying_sets = [], 0
     for pulses in same.values():
         shape = shapes[1 + pulses[0]]
-        # Sets of block propagators per row of the first batch axis.
-        sets = len(pulses) * math.prod(map(max, shapes[0][2:-1], shape[2:]))
         varying = shapes[0][1] > 1 or shape[1] > 1
-        varying_sets += sets if varying else 0
-        # A build made once is padded when its padded stack fits the budget;
-        # one remade per chunk goes per block dimension, as counted below.
-        whole = not varying and 16 * sets * len(index) * (n_qubits + 1) ** 2 <= budget
-        builds.append((_read_only(pulses), shape, varying, whole))
+        if varying:  # sets of block propagators per row of the first batch axis
+            varying_sets += len(pulses) * math.prod(map(max, shapes[0][2:-1], shape[2:]))
+        # Only a call without batch axes pads: a batched build goes per block dimension.
+        builds.append((_read_only(pulses), shape, varying, not batch))
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); the propagators of every build that varies along the axis, one

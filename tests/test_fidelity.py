@@ -359,8 +359,8 @@ class TestFidelityMap:
         diag = family_diagonal_grid(family, odd, even)
         assert diag.shape == (n_odd, n_even, 8)
         # One build per distinct pulse, each on its axis: the odd pulse, remade per
-        # chunk, one call per block dimension; the even pulse, made once, one padded call.
-        assert sizes == [n_odd] * 3 + [n_even]
+        # chunk, and the even pulse, made once, take one call per block dimension each.
+        assert sizes == [n_odd] * 3 + [n_even] * 3
 
 
 class TestMapKernelRowsAndChunks:
@@ -485,15 +485,27 @@ def nine_digit_rounding(truth):
 class TestMpTruth:
     """Sampled map cells against a 40-digit mpmath truth (``oracles.mp_amplitudes``)."""
 
-    @pytest.mark.parametrize("b2, c2, m_pulses", [(0.1, 0.0, 3), (0.1, 0.1, 5)], ids=["2q-M3", "3q-M5"])
-    def test_map_cells_within_bound_and_spelled_digits(self, b2, c2, m_pulses):
-        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+    @pytest.mark.parametrize(
+        "b2, c2, m_pulses, orthogonal, n_cells",
+        [
+            (0.1, 0.0, 3, True, 100),
+            (0.1, 0.1, 5, True, 100),
+            (0.1, 0.1, 2, True, 40),
+            (0.1, 0.0, 4, True, 40),
+            (0.1, 0.1, 6, True, 40),
+            (0.0, 0.0, 3, True, 40),  # zero couplings
+            (0.5, 0.5, 3, False, 40),  # the mirrored 3-qubit family
+        ],
+        ids=["2q-M3", "3q-M5", "3q-M2", "2q-M4", "3q-M6", "b2=0", "mirrored-3q"],
+    )
+    def test_map_cells_within_bound_and_spelled_digits(self, b2, c2, m_pulses, orthogonal, n_cells):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses, orthogonal=orthogonal)
         fmap = fidelity_map(family)
         lines = map_csv_text(fmap).split(b"\n")
         n_even = fmap.axis_even.size
         vectors = (family.vector_odd.components, family.vector_even.components)
         order = [k % 2 for k in range(m_pulses)]
-        cells = np.random.default_rng(39).choice(fmap.values.size, 100, replace=False)
+        cells = np.random.default_rng(39).choice(fmap.values.size, n_cells, replace=False)
         for i, j in zip(*np.unravel_index(cells, fmap.values.shape)):
             # The half-areas the kernel computes, in its float64 operations.
             thetas = [0.5 * a for a in pulse_areas(fmap.axis_odd[i], fmap.axis_even[j], m_pulses)]
@@ -620,7 +632,7 @@ class TestMapBlocks:
             tracemalloc.stop()
         # The whole map's amplitudes alone would take 8 * 641**2 * 16 B = 52.6 MB;
         # its fidelities take 3.3 MB.
-        assert peak < 12e6
+        assert peak < 11.0e6
 
 
 class TestCarriedRows:

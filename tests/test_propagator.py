@@ -349,8 +349,8 @@ class TestBlockAmplitudes:
         thetas = [rng.uniform(-8 * PI, 8 * PI, size=80) for _ in range(2)]
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         amps = register_amplitudes(vectors, thetas, [0, 1, 0])
-        # Rows of vectors make a build that varies along the chunked axis: one call per
-        # block dimension. A single row's build is made once, in one padded call.
+        # A batched call takes one call per block dimension; a single row, a call
+        # without batch axes, one padded call.
         assert widths == [1, 2, 3]
         for row in (0, 41, 79):
             widths.clear()
@@ -539,7 +539,7 @@ def _build_cases():
 
 
 class TestBuildPaths:
-    """Padded and per-dimension builds give the same bits, whichever the plan picks.
+    """Padded and per-dimension builds give the same bits; only a call without batch axes pads.
 
     Not pinned to one gemm kernel: it rests on the padded corners of
     :func:`star_propagator`, and CI runs it under the default, Haswell and
@@ -572,32 +572,37 @@ class TestBuildPaths:
         assert set(widths) == ({n_qubits} if whole else set(range(1, n_qubits + 1)))
         assert patched.dtype == default.dtype and patched.tobytes() == default.tobytes()
 
-    def test_build_made_once_is_padded_only_within_the_budget(self, monkeypatch):
+    def test_only_a_call_without_batch_axes_is_padded(self, monkeypatch):
         import sopgate.propagator
 
-        # A 1 x N 3-qubit map: its single odd row is one chunk whatever the budget, and
-        # its even build, made once, stacks N sets of 7 padded 4x4 propagators.
+        # A 1 x N 3-qubit map: its even build, made once, would stack N sets of 7 padded
+        # 4x4 propagators. A single protocol of the family has no batch axes.
         family = sop_family(b2=0.1, c2=0.1)
         odd, even = np.array([2.3 * PI]), np.linspace(-7.9 * PI, 7.7 * PI, 50)
-        default = family_diagonal_grid(family, odd, even)
-        stack = 16 * even.size * 7 * 4**2
-        builds = []
+        protocol = family.protocol(odd[0], even[0])
+        map_bytes = family_diagonal_grid(family, odd, even).tobytes()
+        protocol_bytes = diagonal_amplitudes(protocol).tobytes()
+        default, stack = sopgate.propagator._CHUNK_BYTES, 16 * even.size * 7 * 4**2
+        calls = []
         original = sopgate.propagator.star_propagator
 
         def counted(coupling, theta):
-            propagators = original(coupling, theta)
-            if np.size(theta) == even.size:
-                builds.append((np.shape(coupling)[-1], propagators.nbytes))
-            return propagators
+            calls.append((np.shape(coupling)[-1], np.size(theta)))
+            return original(coupling, theta)
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        for budget, widths in [(stack, [3]), (stack - 1, [1, 2, 3])]:
+        # The map's even build goes per block dimension, also where its padded stack fits.
+        for budget in (default, stack):
             monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
-            builds.clear()
-            amplitudes = family_diagonal_grid(family, odd, even)
-            assert [width for width, _ in builds] == widths
-            assert max(nbytes for _, nbytes in builds) <= budget
-            assert amplitudes.tobytes() == default.tobytes()
+            calls.clear()
+            assert family_diagonal_grid(family, odd, even).tobytes() == map_bytes
+            assert [width for width, size in calls if size == even.size] == [1, 2, 3]
+        # The protocol takes one padded call, whatever the budget.
+        for budget in (1, default):
+            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
+            calls.clear()
+            assert diagonal_amplitudes(protocol).tobytes() == protocol_bytes
+            assert [width for width, _ in calls] == [3]
 
 
 #: Largest |value - truth| of a row-kernel amplitude or fidelity, as for map cells.
