@@ -380,6 +380,97 @@ class TestLockstepEqualsSequential:
             assert_row_fidelity(family(single.best_parameters).protocol(*point), single.best_fidelity)
 
 
+def lockstep_objective(monkeypatch, optimize, *args, **kwargs):
+    """The objective ``objective(x, problem)`` that ``optimize(*args, **kwargs)`` hands the lockstep."""
+    handed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sopgate.optimize, "nelder_mead_constrained", lambda objective, *rest, **options: handed.append(objective))
+        optimize(*args, **kwargs)
+    return handed[0]
+
+
+def composed_fidelities(odd, even, area_odd, area_even, m_pulses):
+    """The plain composition: per-row vectors and angles, the row kernel, then the fidelity of each row."""
+    thetas = [0.5 * a for a in pulse_areas(area_odd, area_even, m_pulses)]
+    return fidelity_from_rows(alternating_row_amplitudes(odd, even, *thetas, m_pulses))
+
+
+def candidate_rows(rng, n_rows, lower, upper):
+    """Seeded parameter rows in the box, the second of them NaN."""
+    x = rng.uniform(lower, upper, size=(n_rows, 2))
+    x[1:2] = math.nan
+    return x
+
+
+class TestObjectiveEqualsRowKernel:
+    """The optimizers' objectives, as the lockstep calls them, hold the plain row-kernel bits.
+
+    Like :class:`TestLockstepEqualsSequential` they use no BLAS, so CI runs
+    them under the Prescott OpenBLAS core too.
+    """
+
+    @pytest.mark.parametrize("n_rows", [1, 13])
+    @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("b2, c2", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.1)], ids=["zero-couplings", "2q", "3q"])
+    def test_area_objective(self, monkeypatch, b2, c2, m_pulses, n_rows):
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses)
+        bounds = ((-8 * PI, 8 * PI), (-8 * PI, 8 * PI))
+        objective = lockstep_objective(monkeypatch, optimize_areas, family, bounds)
+        x = candidate_rows(np.random.default_rng(m_pulses), n_rows, -8 * PI, 8 * PI)
+        got = objective(x, np.zeros(n_rows, dtype=int))
+        vectors = [np.broadcast_to(v.components, (n_rows, family.n_qubits)) for v in (family.vector_odd, family.vector_even)]
+        want = composed_fidelities(*vectors, x[:, 0], x[:, 1], m_pulses)
+        assert got.shape == (n_rows,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 13])
+    @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
+    def test_point_objectives(self, monkeypatch, what, n_rows):
+        pairs = PI * np.array([[2.5, -1.5], [-7.0, 6.5], [0.5, 8.0]])
+        if what == "third-qubit":
+            optimize, factors, (lower, upper, _) = optimize_third_qubit, dict(b=B_01), third_qubit_problem(B_01, 0.1)
+        else:
+            optimize, factors, (lower, upper, _) = optimize_all_factors, dict(c_fixed=C_01), all_factors_problem(C_01, 0.1)
+        x = candidate_rows(np.random.default_rng(n_rows), n_rows, lower, upper)
+        if what == "all-factors" and n_rows > 2:
+            x[2] = 0.0  # gate factors b = 0: a block of zero coupling
+        # One problem's areas broadcast as scalars; in a run of three they are gathered per row.
+        single = lockstep_objective(monkeypatch, optimize, tuple(pairs[1]), **factors)
+        gathered = lockstep_objective(monkeypatch, optimize, pairs, **factors)
+        got = single(x, np.zeros(n_rows, dtype=int))
+        assert gathered(x, np.ones(n_rows, dtype=int)).tobytes() == got.tobytes()
+        if what == "third-qubit":
+            odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+        else:
+            radius = gate_factor_arc(C_01, 0.1)[0]
+            odd, even = (np.stack([radius * np.cos(phi), radius * np.sin(phi), np.full(n_rows, C_01)], axis=-1) for phi in x.T)
+        want = composed_fidelities(odd, even, np.full(n_rows, pairs[1, 0]), np.full(n_rows, pairs[1, 1]), 3)
+        assert got.shape == (n_rows,) and got.tobytes() == want.tobytes()
+        assert np.isnan(got[1:2]).all() and not np.isnan(got[[0, *range(2, n_rows)]]).any()
+
+    def test_batch_of_two_chunks(self, monkeypatch):
+        import sopgate.fidelity
+        import sopgate.propagator
+
+        # More candidate rows than one chunk of the row kernel holds for three qubits.
+        n_rows = sopgate.propagator._CHUNK_BYTES // (8 * 2 * 8 * (4 * 3 + 8)) + 100
+        lower, upper, _ = third_qubit_problem(B_01, 0.1)
+        objective = lockstep_objective(monkeypatch, optimize_third_qubit, (2.5 * PI, -1.5 * PI), b=B_01)
+        x = candidate_rows(np.random.default_rng(9), n_rows, lower, upper)
+        chunks = []
+
+        def recorded(amplitudes):
+            chunks.append(len(amplitudes))
+            return fidelity_from_rows(amplitudes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sopgate.fidelity, "fidelity_from_rows", recorded)
+            got = objective(x, np.zeros(n_rows, dtype=int))
+        assert len(chunks) == 2 and sum(chunks) == n_rows
+        odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+        want = composed_fidelities(odd, even, np.full(n_rows, 2.5 * PI), np.full(n_rows, -1.5 * PI), 3)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestOptimizeAreas:
     def test_finds_independent_qubit_optimum(self):
         family = sop_family(b2=0.0)

@@ -561,9 +561,8 @@ class TestBuildPaths:
             return original(coupling, theta)
 
         def forced(*args):
-            # The plan's chunks as they are, every build on the one path.
-            batch, shapes, axes, chunks, builds = plan(*args)
-            return batch, shapes, axes, chunks, tuple((*build[:3], whole) for build in builds)
+            # The plan's chunks and builds as they are, every build on the one path.
+            return (*plan(*args)[:-1], whole)
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         monkeypatch.setattr(sopgate.propagator, "_call_plan", forced)
