@@ -230,7 +230,7 @@ def family_vectors(b2, c2: float = 0.0, n_qubits: int | None = None, orthogonal:
     if n_qubits == 3 and orthogonal:
         if 2.0 * c2_value > 1.0:
             raise NotNormalizedError("orthogonal spectator family needs c^2 <= 0.5")
-        return odd, spectator_orthogonal_rows(b, c, c)[1]
+        return odd, spectator_orthogonal_rows(b, np.stack((c, c), axis=-1))[1]
     return odd, np.stack(np.broadcast_arrays(-b if orthogonal else b, a, c)[:n_qubits], axis=-1)
 
 

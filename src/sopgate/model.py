@@ -143,23 +143,25 @@ def spectator_orthogonal_pair(
         )
     if min(math.sqrt(1.0 - c_odd * c_odd), math.sqrt(1.0 - c_even * c_even)) < 1e-12:
         raise NotNormalizedError("spectator factor of magnitude 1 leaves no gate-qubit coupling")
-    e_odd, e_even = spectator_orthogonal_rows(b, c_odd, c_even)
+    e_odd, e_even = spectator_orthogonal_rows(b, (c_odd, c_even))
     return StructuralVector(tuple(e_odd.tolist())), StructuralVector(tuple(e_even.tolist()))
 
 
-def spectator_orthogonal_rows(b, c_odd, c_even) -> tuple[np.ndarray, np.ndarray]:
+def spectator_orthogonal_rows(b, c) -> tuple[np.ndarray, np.ndarray]:
     """The two vectors of :func:`spectator_orthogonal_pair` as arrays of shape (..., 3).
 
-    Broadcasts over its arguments and checks none of them; where the pair
-    exists, each row holds its components bit for bit. The radicand of a is
-    clamped at 0, so round-off at b^2 + c_odd^2 = 1 gives a = 0, not NaN.
+    ``c`` holds (c_odd, c_even) on its last axis, shape (..., 2), and ``b``, a
+    float or an array, broadcasts against the rest. Nothing is checked; where
+    the pair exists, each row holds its components bit for bit. The radicand
+    of a is clamped at 0, so round-off at b^2 + c_odd^2 = 1 gives a = 0, not NaN.
     """
-    b, c_odd, c_even = (np.asarray(x, dtype=float) for x in (b, c_odd, c_even))
-    rows = np.empty((2,) + np.broadcast(b, c_odd, c_even).shape + (3,))
-    odd_squared = c_odd * c_odd
-    r_odd = np.sqrt(1.0 - odd_squared)
-    r_even = np.sqrt(1.0 - c_even * c_even)
-    a = np.maximum(1.0 - b * b - odd_squared, 0.0, out=rows[0, ..., 0])
+    c = np.asarray(c, dtype=float)
+    squared = c * c
+    r = np.sqrt(1.0 - squared)  # r_odd and r_even, each of its own factor
+    c_odd, c_even, r_odd, r_even = c[..., 0], c[..., 1], r[..., 0], r[..., 1]
+    radicand = 1.0 - b * b - squared[..., 0]
+    rows = np.empty((2,) + radicand.shape + (3,))
+    a = np.maximum(radicand, 0.0, out=rows[0, ..., 0])
     np.sqrt(a, out=a)
     a_hat, b_hat = a / r_odd, b / r_odd
     beta = -c_odd * c_even / (r_odd * r_even)

@@ -243,11 +243,11 @@ class TestProtocols:
         b, c = math.sqrt(0.53), math.sqrt(0.47)
         assert 1.0 - b * b - c * c < 0.0
         with np.errstate(invalid="raise"):
-            e_odd, e_even = spectator_orthogonal_rows(b, c, c)
+            e_odd, e_even = spectator_orthogonal_rows(b, (c, c))
         assert e_odd.tolist() == [0.0, b, c]
         assert np.isfinite(e_even).all()
         b = np.sqrt(np.linspace(0.0, 0.5, 11))
-        got_odd, _ = spectator_orthogonal_rows(b, 0.3, 0.2)
+        got_odd, _ = spectator_orthogonal_rows(b, (0.3, 0.2))
         np.testing.assert_array_equal(got_odd[:, 0], np.sqrt(1.0 - b * b - 0.09))
 
     def test_spectator_pair_infeasible(self):

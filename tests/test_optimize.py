@@ -24,6 +24,7 @@ from sopgate.propagator import alternating_row_amplitudes
 from sopgate.optimize import (
     DEFAULT_MAX_EVALS,
     MAX_SIMPLICES,
+    _latin_hypercube,
     gate_factor_arc,
     nelder_mead_constrained,
     spectator_bounds,
@@ -346,7 +347,7 @@ class TestLockstepEqualsSequential:
         lower, upper, project = third_qubit_problem(B_01, 0.1)
 
         def objective(x, problem):
-            odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+            odd, even = spectator_orthogonal_rows(B_01, x)
             thetas = (0.5 * a for a in pulse_areas(areas[problem, 0], areas[problem, 1]))
             return fidelity_from_rows(alternating_row_amplitudes(odd, even, *thetas, 3))
 
@@ -378,6 +379,143 @@ class TestLockstepEqualsSequential:
             np.testing.assert_array_equal(single.best_parameters, grid.best_parameters[k])
             assert (single.best_fidelity, single.evaluations) == (grid.best_fidelity[k], grid.evaluations[k])
             assert_row_fidelity(family(single.best_parameters).protocol(*point), single.best_fidelity)
+
+
+#: The one-dimensional box of :class:`TestInsideContractionInStep` and its first start, s,
+#: at seed 2. The initial simplex is {s, 1.05 s}; its reflection is 0.95 s and the
+#: inside contraction 1.025 s, all in the box.
+LINE_BOX = [0.5], [2.0]
+LINE_START = float(_latin_hypercube(np.random.default_rng(2), 1, *np.array(LINE_BOX))[0, 0])
+
+
+def line_objectives():
+    """Values on the line, by name, whose first reflection leads to an inside contraction.
+
+    Each maps a point's coordinate x to its value: a parabola peaked at 1.02 s, whose
+    inside contraction is accepted; one with a NaN around the inside contraction,
+    which then shrinks; one NaN below s, so that the reflection is NaN and the inside
+    contraction accepted; and a constant, whose inside contraction equals the worst
+    vertex's value and so shrinks (scipy's strict <).
+    """
+    s = LINE_START
+
+    def peak(x):
+        return -((x - 1.02 * s) ** 2)
+
+    return {
+        "accepted": peak,
+        "nan-inside": lambda x: np.where(abs(x - 1.025 * s) < 0.002 * s, np.nan, peak(x)),
+        "nan-reflection": lambda x: np.where(x < s, np.nan, peak(x)),
+        "equal-to-worst": lambda x: 0.0 * x,
+    }
+
+
+class TestInsideContractionInStep:
+    """A reflection and its inside contraction share one step, with the bits of scipy's runs.
+
+    The step evaluates the inside contraction with the reflection, so these cases
+    hold the lockstep to :func:`oracles.nelder_mead_sequential` where that saves a
+    step or where it must not count: a budget that ends right after the reflection,
+    NaN values and ties. Like :class:`TestLockstepEqualsSequential` they compare
+    runs of one objective, so CI runs them under the Prescott OpenBLAS core too.
+    """
+
+    @pytest.mark.parametrize("case", list(line_objectives()))
+    def test_first_follow_up_is_the_inside_contraction(self, case):
+        value = line_objectives()[case]
+        seen = []
+
+        def recorded(x):
+            seen.append(float(x[0]))
+            return float(value(x[0]))
+
+        nelder_mead_sequential(recorded, *LINE_BOX, seed=2, restarts=1, max_evals=4)
+        s = LINE_START
+        vertex = (1 + 0.05) * s
+        # The four evaluations, then the best point's re-evaluation.
+        assert seen[:4] == [s, vertex, 2 * s - vertex, 0.5 * s + 0.5 * vertex] and len(seen) == 5
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("max_evals", [3, 4, 5, 2000])
+    @pytest.mark.parametrize("case", list(line_objectives()))
+    def test_line_cases_equal_sequential(self, case, max_evals, restarts):
+        # 3 evaluations end right after the first reflection, whose inside
+        # contraction the sequential run never evaluates; with 4 it is the last.
+        value = line_objectives()[case]
+        runs = dict(seed=2, restarts=restarts, max_evals=max_evals)
+        got = nelder_mead_constrained(lambda x, problem: value(x[:, 0]), *LINE_BOX, **runs)
+        assert_same_result(got, nelder_mead_sequential(lambda x: float(value(x[0])), *LINE_BOX, **runs))
+
+    @pytest.mark.parametrize("max_evals", [3, 4, 5, 2000])
+    def test_void_inside_contraction_is_never_a_best_point(self, max_evals):
+        # The first reflection climbs, so the run expands and never evaluates the
+        # inside contraction, whose value would top every other.
+        s = LINE_START
+        inside = 0.5 * s + 0.5 * (1 + 0.05) * s
+
+        def value(x):
+            return np.where(x == inside, 1.0, -x)
+
+        runs = dict(seed=2, restarts=1, max_evals=max_evals)
+        got = nelder_mead_constrained(lambda x, problem: value(x[:, 0]), *LINE_BOX, **runs)
+        assert_same_result(got, nelder_mead_sequential(lambda x: float(value(x[0])), *LINE_BOX, **runs))
+        assert got.best_fidelity < 0.0
+
+    @pytest.mark.parametrize("max_evals", [3, 4, 5, 6, 7, 9, 12, 17, 30])
+    def test_holed_sphere_budgets(self, max_evals):
+        for seed in range(8):
+            assert_same_holed_result(seed, 4, max_evals)
+
+    @pytest.mark.parametrize("max_evals", [4, 5, 6, 7, 9, 12, 17])
+    @pytest.mark.parametrize("what", ["third-qubit", "all-factors"])
+    def test_point_objectives_budgets(self, monkeypatch, what, max_evals):
+        (point,) = grid_points(seed=15, n=1)
+        if what == "third-qubit":
+            (lower, upper, project), fidelity = third_qubit_problem(B_01, 0.1), third_qubit_fidelity(B_01, point)
+            objective = lockstep_objective(monkeypatch, optimize_third_qubit, tuple(point), b=B_01)
+        else:
+            (lower, upper, project), fidelity = all_factors_problem(C_01, 0.1), all_factors_fidelity(C_01, point)
+            objective = lockstep_objective(monkeypatch, optimize_all_factors, tuple(point), c_fixed=C_01)
+        runs = dict(seed=3, restarts=4, max_evals=max_evals)
+        got = nelder_mead_constrained(objective, lower, upper, project, **runs)
+        assert_same_result(got, nelder_mead_sequential(fidelity, lower, upper, project, **runs))
+
+
+#: Objective calls of the benchmark's point job at areas (-3.5, 2) pi with 16 restarts.
+#: A step calls the objective once, and one last call re-evaluates the best points, so
+#: these are the steps plus one; they were 133 and 142 with a step for each inside
+#: contraction. They hold with the BLAS ddot that np.vecdot in fidelity_from_rows calls
+#: on OpenBLAS' Nehalem to SkylakeX and Zen kernels; Core2's and Prescott's move last
+#: bits and make 96 and 106.
+POINT_JOB_CALLS = {"third-qubit": 94, "all-factors": 103}
+
+
+class TestObjectiveRowsAndCalls:
+    """What a benchmark point job hands its objective: feasible rows only, in a pinned number of calls."""
+
+    @pytest.mark.parametrize("what", list(POINT_JOB_CALLS))
+    def test_point_job(self, monkeypatch, what):
+        calls = []
+
+        def spy(objective, lower, upper, project, **options):
+            def recorded(x, problem):
+                # Inside contractions evaluated along with their reflection, even the
+                # void ones, are clipped and projected like every other point.
+                assert project(np.clip(x, lower, upper)).tobytes() == x.tobytes()
+                calls.append(len(x))
+                return objective(x, problem)
+
+            return nelder_mead_constrained(recorded, lower, upper, project, **options)
+
+        monkeypatch.setattr(sopgate.optimize, "nelder_mead_constrained", spy)
+        areas = (-3.5 * PI, 2.0 * PI)
+        if what == "third-qubit":
+            got = optimize_third_qubit(areas, b=B_01, min_c2=0.1, restarts=16)
+        else:
+            got = optimize_all_factors(areas, c_fixed=C_01, min_sq=0.1, restarts=16)
+        assert len(calls) == POINT_JOB_CALLS[what]
+        # More rows than evaluations: the void inside contractions, and the last call.
+        assert sum(calls) > got.evaluations + 1
 
 
 def lockstep_objective(monkeypatch, optimize, *args, **kwargs):
@@ -439,7 +577,7 @@ class TestObjectiveEqualsRowKernel:
         got = single(x, np.zeros(n_rows, dtype=int))
         assert gathered(x, np.ones(n_rows, dtype=int)).tobytes() == got.tobytes()
         if what == "third-qubit":
-            odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+            odd, even = spectator_orthogonal_rows(B_01, x)
         else:
             radius = gate_factor_arc(C_01, 0.1)[0]
             odd, even = (np.stack([radius * np.cos(phi), radius * np.sin(phi), np.full(n_rows, C_01)], axis=-1) for phi in x.T)
@@ -452,7 +590,7 @@ class TestObjectiveEqualsRowKernel:
         import sopgate.propagator
 
         # More candidate rows than one chunk of the row kernel holds for three qubits.
-        n_rows = sopgate.propagator._CHUNK_BYTES // (8 * 2 * 8 * (4 * 3 + 8)) + 100
+        n_rows = sopgate.propagator._ROW_CHUNK_BYTES // (8 * 2 * 8 * (4 * 3 + 8)) + 100
         lower, upper, _ = third_qubit_problem(B_01, 0.1)
         objective = lockstep_objective(monkeypatch, optimize_third_qubit, (2.5 * PI, -1.5 * PI), b=B_01)
         x = candidate_rows(np.random.default_rng(9), n_rows, lower, upper)
@@ -466,7 +604,7 @@ class TestObjectiveEqualsRowKernel:
             patch.setattr(sopgate.fidelity, "fidelity_from_rows", recorded)
             got = objective(x, np.zeros(n_rows, dtype=int))
         assert len(chunks) == 2 and sum(chunks) == n_rows
-        odd, even = spectator_orthogonal_rows(B_01, x[:, 0], x[:, 1])
+        odd, even = spectator_orthogonal_rows(B_01, x)
         want = composed_fidelities(odd, even, np.full(n_rows, 2.5 * PI), np.full(n_rows, -1.5 * PI), 3)
         assert got.tobytes() == want.tobytes()
 

@@ -525,7 +525,7 @@ def _build_cases():
         return np.stack([curves.u11v, curves.u11a, curves.u11b])
 
     def vector_rows():
-        vectors = spectator_orthogonal_rows(math.sqrt(0.1), c_odd, c_even)
+        vectors = spectator_orthogonal_rows(math.sqrt(0.1), np.stack((c_odd, c_even), axis=-1))
         return alternating_amplitudes(*vectors, *areas, reduce=fidelity_from_rows)
 
     return {
@@ -625,8 +625,8 @@ def _objective_rows(n_rows=12):
     phi[:, :2] = [[0.0, 0.5 * PI], [PI, 1.5 * PI]]  # factors of zero
     factors = np.stack([A_01 * np.cos(phi), A_01 * np.sin(phi), np.full(phi.shape, B_01)], axis=-1)
     rows = {
-        "third-qubit": (*spectator_orthogonal_rows(B_01, *c), *grid, 3),
-        "third-qubit-edge": (*spectator_orthogonal_rows(math.sqrt(0.5), signs[0] * math.sqrt(0.5), c[1]), *grid, 3),
+        "third-qubit": (*spectator_orthogonal_rows(B_01, c.T), *grid, 3),
+        "third-qubit-edge": (*spectator_orthogonal_rows(math.sqrt(0.5), np.stack((signs[0] * math.sqrt(0.5), c[1]), axis=-1)), *grid, 3),
         "all-factors": (*factors, *grid, 3),
     }
     for m_pulses in range(1, 6):
@@ -694,7 +694,7 @@ class TestRowKernel:
         areas = rng.uniform(-8 * PI, 8 * PI, size=(2, 40))
         whole = _row_amplitudes(odd, even, *areas, m_pulses)
         # A budget of about rows_per_chunk rows of the kernel's working arrays.
-        monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", rows_per_chunk * 8 * 2 * 8 * (4 * 3 + 8))
+        monkeypatch.setattr(sopgate.propagator, "_ROW_CHUNK_BYTES", rows_per_chunk * 8 * 2 * 8 * (4 * 3 + 8))
         chunks = []
 
         def recorded(amplitudes):
@@ -733,7 +733,7 @@ class TestRowKernel:
         finally:
             tracemalloc.stop()
         assert amplitudes.shape == (10**6, 8)
-        assert peak <= amplitudes.nbytes + 2 * sopgate.propagator._CHUNK_BYTES
+        assert peak <= amplitudes.nbytes + 2 * sopgate.propagator._ROW_CHUNK_BYTES
 
 
 class TestGroundRows:
