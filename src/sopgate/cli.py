@@ -396,7 +396,6 @@ OPTIMIZE_DEFAULTS = {
     "areas": None,
     "restarts": DEFAULT_RESTARTS,
     "seed": 0,
-    "threads": 1,
     "out": ".",
 }
 

@@ -13,11 +13,13 @@ broadcasts over arrays of couplings and mixing angles. The gemm kernel,
 :func:`register_amplitudes`, multiplies them in pulse order and reads off
 each block's ground-state return amplitude, for every block of a register
 at once. Maps, scans and single protocols (:func:`diagonal_amplitudes`)
-take their amplitudes from it: maps' rows share propagators, and the scans'
-published hashes and the tests holding a protocol to its map cell are its
-bits. Optimizer candidates take theirs from the BLAS-free row kernel,
-:func:`alternating_row_amplitudes`. :func:`block_decompose` lists the blocks
-that :func:`~sopgate.tdse.integrate_block` takes.
+take their amplitudes from it, on one path: every build takes one
+:func:`star_propagator` call per block dimension. Maps' rows share
+propagators, and the scans' published hashes and the tests holding a
+protocol to its map cell are its bits. Optimizer candidates take theirs
+from the BLAS-free row kernel, :func:`alternating_row_amplitudes`.
+:func:`block_decompose` lists the blocks that
+:func:`~sopgate.tdse.integrate_block` takes.
 
 Only the ground-state return amplitude U[0, 0] is read, so the kernel
 carries ground columns rather than d×d products. Star propagators are
@@ -28,9 +30,9 @@ n_odd + n_even gemms per pulse and block state instead of n_odd·n_even.
 The kernel alone bounds its memory, for a batch of any size: one loop walks
 the first batch axis in chunks of one byte budget, ``_CHUNK_BYTES``, and
 hands each chunk's amplitudes to the caller's ``reduce``, so that a map or
-a scan keeps only its reduced rows;
-:func:`register_amplitudes` states the rules of the chunks and what one
-call costs, and :func:`_call_plan` decides them once per call shape.
+a scan keeps only its reduced rows; :func:`register_amplitudes` states the
+rules of the chunks and what one call costs, and :func:`_call_plan`
+decides them once per call shape.
 Amplitudes have one layout, the basis axis last in :func:`basis_labels`
 order: batch + (2^n,), in every chunk a ``reduce`` sees and in every result.
 For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
@@ -67,8 +69,6 @@ def star_propagator(coupling, theta) -> np.ndarray:
     each matrix equals the one of its row and angle alone bit for bit.
     Every matrix is exactly symmetric, U == U.T bit for bit;
     :func:`register_amplitudes` relies on this to carry columns as rows.
-    Zero couplings appended to a row of up to 15 keep its (1 + n)×(1 + n)
-    corner bit for bit, so :func:`register_amplitudes` can build all block dimensions at once.
     """
     # Per row, np.vecdot computes what ``v @ v`` does for a 1-D vector when
     # the rows are contiguous; over strided rows of 4 or more entries it sums
@@ -185,12 +185,10 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     when neither their vectors nor their angles vary along the first batch
     axis (a single protocol's pulses, a map's even pulses). Angles on
     separate axes, like a map's odd and even areas, cost one propagator per
-    axis value. A call with batch axes takes one :func:`star_propagator`
-    call per block dimension and build, the d×d matrices the chunk budget
-    counts. A call without them, a single protocol, takes one padded call
-    for every block dimension: each block's couplings take zeros up to
-    n_qubits, and a block of dimension d reads the leading d×d corner of
-    its propagators.
+    axis value. Every build, batched or a single protocol's, takes one
+    :func:`star_propagator` call per block dimension d, of the couplings
+    of that dimension's blocks alone: the d×d matrices the chunk budget
+    counts.
 
     Of U = U_M ... U_2 U_1 only U[0, 0] is read, so only U's ground column
     is carried. Every star propagator is exactly symmetric, so that column,
@@ -204,12 +202,11 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     its shapes and settings alone, and caches them, so that calls of one
     shape pay for them once. Per chunk, a call then costs one
     :func:`star_propagator` call per block dimension of each build made per
-    chunk, and with the first chunk those of the builds made once (a single
-    protocol: one padded call), about 25 numpy operations each whatever its
-    size; one batched ``@`` per later pulse, block dimension and step of
-    states, which makes one gemm per point and block state, or per
-    propagator that rows share; and about 40 more numpy operations for a
-    3-qubit register.
+    chunk, and with the first chunk those of the builds made once, about
+    25 numpy operations each whatever its size; one batched ``@`` per later
+    pulse, block dimension and step of states, which makes one gemm per
+    point and block state, or per propagator that rows share; and about 40
+    more numpy operations for a 3-qubit register.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -222,7 +219,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     if len(thetas) != len(vectors):
         raise DimensionMismatchError(f"{len(vectors)} pulse vectors but {len(thetas)} angles")
     theta_shapes = tuple(theta.shape for theta in thetas)
-    batch, shapes, axes, chunks, builds, whole = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES)
+    batch, shapes, axes, chunks, builds = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
     order = range(n_pulses) if order is None else order
     reduce = reduce or np.ascontiguousarray
@@ -231,8 +228,8 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     vectors = vectors.reshape(shapes[0])
     thetas = [theta.reshape(shape) for theta, shape in zip(thetas, shapes[1:])]
     padded = batch or (1,)
-    gather, groups, _ = _blocks_by_dimension(n_qubits)
-    corners = [[None] * n_pulses for _ in groups]  # per block dimension and pulse: propagators
+    groups, _ = _blocks_by_dimension(n_qubits)
+    built = [{} for _ in groups]  # per block dimension, pulse -> its propagators
     out = None
     for rows, step in chunks:
         for pulses, shape, varying in builds:
@@ -242,19 +239,12 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
             v = vectors[:, rows] if vectors.shape[1] > 1 else vectors
             v = v if len(pulses) == n_pulses else v[pulses]
             angles = np.concatenate([thetas[k][:, rows] if shape[1] > 1 else thetas[k] for k in pulses])[:, None]
-            # A zero column after the qubits pads the couplings of smaller blocks, whose
-            # propagators are then the leading corners of the register's largest ones.
-            v = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-            couplings = v.take(gather, axis=-1).transpose(axes)
-            built = star_propagator(couplings, angles) if whole else None
-            for (_, blocks, dim), props in zip(groups, corners):
-                part = built[:, blocks, ..., :dim, :dim] if whole else star_propagator(couplings[:, blocks, ..., : dim - 1], angles)
-                for k, p in zip(pulses, part):
-                    props[k] = p
+            for (_, index), props in zip(groups, built):
+                props.update(zip(pulses, star_propagator(v.take(index, axis=-1).transpose(axes), angles)))
         # Scratch, basis axis first, so that each state's amplitudes are written at once.
         amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + padded[1:], dtype=complex)
         amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
-        for (states, _, _), props in zip(groups, corners):
+        for (states, _), props in zip(groups, built):
             for lo in range(0, len(states), step):
                 links = [props[k][lo : lo + step] for k in order]
                 x = links[0][..., :1, :]
@@ -272,7 +262,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _call_plan(vectors_shape, theta_shapes, budget):
-    """The shapes of a :func:`register_amplitudes` call: (batch, shapes, axes, chunks, builds, whole).
+    """The shapes of a :func:`register_amplitudes` call: (batch, shapes, axes, chunks, builds).
 
     ``batch`` is the call's batch shape. ``shapes`` are the shapes of the
     vectors (pulse, *batch, qubit), then of each angle array (1, *batch),
@@ -282,9 +272,7 @@ def _call_plan(vectors_shape, theta_shapes, budget):
     ``chunks`` holds per chunk its slice of the first batch axis and its
     step of block states. ``builds`` holds per distinct angle shape its
     pulses, in index order, that shape padded, and whether the build varies
-    along the first batch axis. ``whole`` tells whether one padded
-    :func:`star_propagator` call builds every block dimension of each
-    build: only in a call without batch axes.
+    along the first batch axis; each is built per block dimension.
     ``budget`` is the bytes of one chunk. The plan reads no setting but
     its arguments, so that its cache, per shapes and settings, cannot go stale.
     """
@@ -299,7 +287,7 @@ def _call_plan(vectors_shape, theta_shapes, budget):
         return (1,) * (len(padded) - len(shape)) + shape
 
     shapes = ((n_pulses, *pad(vectors_shape[1:-1]), n_qubits), *((1, *pad(shape)) for shape in theta_shapes))
-    _, _, block_entries = _blocks_by_dimension(n_qubits)
+    _, block_entries = _blocks_by_dimension(n_qubits)
     builds, varying_sets = [], 0
     for pulses in same.values():
         shape = shapes[1 + pulses[0]]
@@ -313,14 +301,21 @@ def _call_plan(vectors_shape, theta_shapes, budget):
     # d×d matrix per block of dimension d.
     entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + block_entries * varying_sets
     axes = (0, len(padded) + 1, *range(1, len(padded) + 1), len(padded) + 2)
-    # About equal chunks of the first batch axis, each within the budget unless one
-    # row exceeds it; per chunk, the steps of states whose carried rows the budget
-    # holds: one state in a full chunk.
-    n_chunks = max(1, -(-padded[0] // max(1, budget // (16 * entries))))
-    edges = [padded[0] * i // n_chunks for i in range(n_chunks + 1)]
+    # Chunks of the first batch axis; per chunk, the steps of states whose carried
+    # rows the budget holds: one state in a full chunk.
+    edges = _chunk_edges(padded[0], 16 * entries, budget)
     chunks = tuple((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo)))) for lo, hi in zip(edges, edges[1:]))
-    # Only a call without batch axes pads: a batched build goes per block dimension.
-    return batch, shapes, axes, chunks, tuple(builds), not batch
+    return batch, shapes, axes, chunks, tuple(builds)
+
+
+def _chunk_edges(n_rows: int, row_bytes: int, budget: int) -> list[int]:
+    """Edges of about equal chunks of ``n_rows`` rows, their row counts at most one apart.
+
+    As few chunks as hold ``row_bytes`` per row within ``budget``, each of
+    one row at least; no rows make one empty chunk.
+    """
+    n_chunks = max(1, -(-n_rows // max(1, budget // row_bytes)))
+    return [n_rows * i // n_chunks for i in range(n_chunks + 1)]
 
 
 def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
@@ -360,24 +355,19 @@ def _read_only(values) -> np.ndarray:
 
 
 @functools.cache
-def _blocks_by_dimension(n_qubits: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, slice, int], ...], int]:
-    """Coupling index, shape (blocks, n_qubits); per block dimension d: states, blocks, d; entries.
+def _blocks_by_dimension(n_qubits: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], int]:
+    """Per block dimension d: its states and their coupling index, shape (states, d - 1); entries.
 
-    An index row holds a block's |0> qubits, then ``n_qubits`` (the appended zero column).
-    A block without |0> qubits is dark to every pulse, its amplitude 1; it is
-    left out. ``entries`` counts one d×d matrix per block, Σ_d states(d)·d².
-    The cached arrays are read-only.
+    An index row holds a block's |0> qubits. A block without |0> qubits is
+    dark to every pulse, its amplitude 1; it is left out. ``entries`` counts
+    one d×d matrix per block, Σ_d states(d)·d². The cached arrays are read-only.
     """
     zeros = [_zero_positions(label, n_qubits) for label in basis_labels(n_qubits)]
-    index, groups = [], []
+    groups = []
     for n_zero in sorted({len(zq) for zq in zeros} - {0}):
-        states = _read_only([j for j, zq in enumerate(zeros) if len(zq) == n_zero])
-        blocks = slice(len(index), len(index) + len(states))
-        index += [zeros[j] + (n_qubits,) * (n_qubits - n_zero) for j in states]
-        groups.append((states, blocks, n_zero + 1))
-    index = np.array(index, dtype=np.intp).reshape(len(index), n_qubits)
-    index.flags.writeable = False
-    return index, tuple(groups), sum(len(states) * dim**2 for states, _, dim in groups)
+        states = [j for j, zq in enumerate(zeros) if len(zq) == n_zero]
+        groups.append((_read_only(states), _read_only([zeros[j] for j in states])))
+    return tuple(groups), sum(len(states) * (index.shape[1] + 1) ** 2 for states, index in groups)
 
 
 def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m_pulses, reduce=None):
@@ -398,12 +388,11 @@ def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m
     n_rows = max(inputs[0].shape[:-1] + inputs[1].shape[:-1] + inputs[2].shape + inputs[3].shape, default=1)
     # Floats per row, pulse kind and state: couplings, unit vectors, carried columns and products (4 n),
     # norm, angle, cosine, sine and temporaries (8); tracemalloc measures 0.8 to 1.0 of it (3 qubits).
-    n_chunks = max(1, -(-n_rows // max(1, _ROW_CHUNK_BYTES // (8 * 2 * 2**n * (4 * n + 8)))))
-    edges = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
+    edges = _chunk_edges(n_rows, 8 * 2 * 2**n * (4 * n + 8), _ROW_CHUNK_BYTES)
     out = None
     for lo, hi in zip(edges, edges[1:]):
         # The chunk's rows of each input that has rows; one row broadcasts.
-        rows = inputs if n_chunks == 1 else [x[lo:hi] if x.ndim == d and len(x) > 1 else x for x, d in zip(inputs, (2, 2, 1, 1))]
+        rows = inputs if len(edges) == 2 else [x[lo:hi] if x.ndim == d and len(x) > 1 else x for x, d in zip(inputs, (2, 2, 1, 1))]
         v, theta = np.empty((n, 2, hi - lo)), np.empty((2, hi - lo, 1))  # (qubit, kind, row), (kind, row, 1)
         v.T[:, 0], v.T[:, 1], theta[0, :, 0], theta[1, :, 0] = rows  # written through (row, kind, qubit) views
         coupling = v[..., None] * _zero_masks(n)  # (qubit, kind, row, state)
@@ -411,7 +400,7 @@ def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m
         phase = s * theta
         amplitudes = _fold(np.cos(phase), np.sin(phase), coupling / np.where(s == 0.0, 1.0, s), m_pulses)
         reduced = amplitudes if reduce is None else reduce(amplitudes)
-        if n_chunks == 1:
+        if len(edges) == 2:
             return reduced
         out = np.empty((n_rows,) + reduced.shape[1:], reduced.dtype) if out is None else out
         out[lo:hi] = reduced

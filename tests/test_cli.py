@@ -261,9 +261,7 @@ def test_sidecar_hashes_the_written_bytes(tmp_path, argv):
 
 
 MAP_CONFIG_KEYS = ["b2", "c2", "qubits", "pulses", "grid", "threshold", "non_orthogonal", "out"]
-OPTIMIZE_CONFIG_KEYS = [
-    "what", "b2", "c2", "min_c2", "min_sq", "grid", "areas", "restarts", "seed", "threads", "out"
-]
+OPTIMIZE_CONFIG_KEYS = ["what", "b2", "c2", "min_c2", "min_sq", "grid", "areas", "restarts", "seed", "out"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -515,6 +516,30 @@ class TestMpTruth:
             spelled = lines[1 + i * n_even + j].split(b",")[2]
             rounded = nine_digit_rounding(truth)
             assert rounded is None or decimal.Decimal(spelled.decode()) == rounded, (i, j, spelled, truth)
+
+    @pytest.mark.parametrize(
+        "b2, c2, m_pulses, orthogonal",
+        [(0.1, 0.0, 3, True), (0.3, 0.0, 4, True), (0.1, 0.1, 5, True), (0.5, 0.5, 3, False)],
+        ids=["2q-M3", "2q-M4", "3q-M5", "mirrored-3q"],
+    )
+    def test_cells_where_a_block_returns_within_bound(self, b2, c2, m_pulses, orthogonal):
+        # A block of coupling norm s_b returns to its ground state after each pulse of
+        # area 2πk/s_b: such odd and even areas on both axes, and two sampled areas each.
+        family = sop_family(b2=b2, c2=c2, m_pulses=m_pulses, orthogonal=orthogonal)
+        vectors = (family.vector_odd.components, family.vector_even.components)
+        rng = np.random.default_rng(48)
+        axes = []
+        for vector, n_pulses in zip(vectors, ((m_pulses + 1) // 2, m_pulses // 2)):
+            zeros = [z for r in range(1, len(vector) + 1) for z in itertools.combinations(vector, r)]
+            norms = {math.sqrt(sum(x * x for x in z)) for z in zeros} - {0.0}
+            returns = [n_pulses * 2 * PI * k / s for s in sorted(norms) for k in (-1, 1, 2)]
+            axes.append(np.concatenate([returns, rng.uniform(-8 * PI, 8 * PI, 2)]))
+        values = family_diagonal_grid(family, *axes, fidelity_from_amplitudes)
+        order = [k % 2 for k in range(m_pulses)]
+        for i, j in np.ndindex(values.shape):
+            thetas = [0.5 * a for a in pulse_areas(axes[0][i], axes[1][j], m_pulses)]
+            truth = mp_fidelity(mp_amplitudes(vectors, thetas, order))
+            assert abs(mpmath.mpf(float(values[i, j])) - truth) <= TRUTH_BOUND, (i, j, values[i, j], truth)
 
 
 class TestScanTruth:

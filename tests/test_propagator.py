@@ -331,8 +331,9 @@ class TestBlockAmplitudes:
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         register_amplitudes([(0.6, 0.8), (-0.8, 0.6), (0.6, 0.8)], [0.1, 0.2, 0.3])
-        # Pulses with angles of one shape share one call, which covers blocks 00, 01 and 10.
-        assert calls == [[0.1, 0.2, 0.3]]
+        # Pulses with angles of one shape share one call per block dimension: one
+        # for blocks 01 and 10, one for block 00.
+        assert calls == [[0.1, 0.2, 0.3]] * 2
 
     def test_large_stack_built_per_block_dimension(self, monkeypatch):
         import sopgate.propagator
@@ -349,13 +350,13 @@ class TestBlockAmplitudes:
         thetas = [rng.uniform(-8 * PI, 8 * PI, size=80) for _ in range(2)]
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
         amps = register_amplitudes(vectors, thetas, [0, 1, 0])
-        # A batched call takes one call per block dimension; a single row, a call
-        # without batch axes, one padded call.
+        # A batched call takes one call per block dimension, and so does a single
+        # row, a call without batch axes.
         assert widths == [1, 2, 3]
         for row in (0, 41, 79):
             widths.clear()
             alone = register_amplitudes(vectors[:, row], [t[row] for t in thetas], [0, 1, 0])
-            assert widths == [3]
+            assert widths == [1, 2, 3]
             np.testing.assert_array_equal(amps[row], alone)
 
     def test_register_amplitudes_equal_blocks_row_by_row(self):
@@ -459,6 +460,18 @@ class TestBuildChunks:
             assert sum(chunks) == n_rows and len(chunks) == -(-n_rows // rows)
             assert max(chunks) <= rows and max(chunks) - min(chunks) <= 1
 
+    def test_chunk_edges_are_about_equal_and_as_few_as_the_budget_allows(self):
+        from sopgate.propagator import _chunk_edges
+
+        for n_rows, row_bytes, budget in itertools.product(range(60), (16, 48, 100), (1, 100, 1000, 4096)):
+            edges = _chunk_edges(n_rows, row_bytes, budget)
+            sizes = np.diff(edges)
+            rows = max(1, budget // row_bytes)  # rows a chunk may hold: one at least
+            assert edges[0] == 0 and edges[-1] == n_rows and sizes.max() <= rows
+            assert sizes.max() - sizes.min() <= 1
+            # One chunk fewer would not hold the rows; no rows make one empty chunk.
+            assert (len(sizes) - 1) * rows < n_rows or len(sizes) == 1
+
     def test_star_propagator_never_sees_more_rows_than_the_bound(self, monkeypatch):
         import sopgate.propagator
 
@@ -538,70 +551,51 @@ def _build_cases():
     }
 
 
-class TestBuildPaths:
-    """Padded and per-dimension builds give the same bits; only a call without batch axes pads.
+class TestBuildPerDimension:
+    """Every call builds per block dimension, a single protocol as a batched call does.
 
-    Not pinned to one gemm kernel: it rests on the padded corners of
-    :func:`star_propagator`, and CI runs it under the default, Haswell and
-    Prescott OpenBLAS cores.
+    Not pinned to one gemm kernel: CI runs it under the Prescott core too.
     """
 
-    @pytest.mark.parametrize("whole", [False, True], ids=["per-dimension", "padded"])
     @pytest.mark.parametrize("case", list(_build_cases()))
-    def test_either_build_path_keeps_every_bit(self, case, whole, monkeypatch):
+    def test_each_build_takes_one_block_dimension(self, case, monkeypatch):
         import sopgate.propagator
 
         n_qubits, output = _build_cases()[case]
-        default = output()
-        widths = []
-        original, plan = sopgate.propagator.star_propagator, sopgate.propagator._call_plan
-
-        def counted(coupling, theta):
-            widths.append(np.shape(coupling)[-1])
-            return original(coupling, theta)
-
-        def forced(*args):
-            # The plan's chunks and builds as they are, every build on the one path.
-            return (*plan(*args)[:-1], whole)
-
-        monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        monkeypatch.setattr(sopgate.propagator, "_call_plan", forced)
-        patched = output()
-        # Padded builds alone, or one call per block dimension alone.
-        assert set(widths) == ({n_qubits} if whole else set(range(1, n_qubits + 1)))
-        assert patched.dtype == default.dtype and patched.tobytes() == default.tobytes()
-
-    def test_only_a_call_without_batch_axes_is_padded(self, monkeypatch):
-        import sopgate.propagator
-
-        # A 1 x N 3-qubit map: its even build, made once, would stack N sets of 7 padded
-        # 4x4 propagators. A single protocol of the family has no batch axes.
-        family = sop_family(b2=0.1, c2=0.1)
-        odd, even = np.array([2.3 * PI]), np.linspace(-7.9 * PI, 7.7 * PI, 50)
-        protocol = family.protocol(odd[0], even[0])
-        map_bytes = family_diagonal_grid(family, odd, even).tobytes()
-        protocol_bytes = diagonal_amplitudes(protocol).tobytes()
-        default, stack = sopgate.propagator._CHUNK_BYTES, 16 * even.size * 7 * 4**2
         calls = []
         original = sopgate.propagator.star_propagator
 
         def counted(coupling, theta):
-            calls.append((np.shape(coupling)[-1], np.size(theta)))
+            calls.append(np.shape(coupling)[1:2] + np.shape(coupling)[-1:])
             return original(coupling, theta)
 
         monkeypatch.setattr(sopgate.propagator, "star_propagator", counted)
-        # The map's even build goes per block dimension, also where its padded stack fits.
-        for budget in (default, stack):
-            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
-            calls.clear()
-            assert family_diagonal_grid(family, odd, even).tobytes() == map_bytes
-            assert [width for width, size in calls if size == even.size] == [1, 2, 3]
-        # The protocol takes one padded call, whatever the budget.
-        for budget in (1, default):
-            monkeypatch.setattr(sopgate.propagator, "_CHUNK_BYTES", budget)
-            calls.clear()
-            assert diagonal_amplitudes(protocol).tobytes() == protocol_bytes
-            assert [width for width, _ in calls] == [3]
+        output()
+        # Per call, (blocks, width): the C(n, w) blocks of w |0> qubits alone, and every width.
+        assert all(blocks == math.comb(n_qubits, width) for blocks, width in calls)
+        assert {width for _, width in calls} == set(range(1, n_qubits + 1))
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_a_protocol_builds_its_blocks_couplings(self, n_qubits, monkeypatch):
+        import sopgate.propagator
+
+        protocol = random_protocol(np.random.default_rng(47 + n_qubits), n_qubits, 4)
+        blocks = block_decompose(protocol)
+        seen = []
+        original = sopgate.propagator.star_propagator
+
+        def recorded(coupling, theta):
+            seen.append(np.array(coupling))
+            return original(coupling, theta)
+
+        monkeypatch.setattr(sopgate.propagator, "star_propagator", recorded)
+        diagonal_amplitudes(protocol)
+        assert len(seen) == n_qubits
+        for coupling in seen:
+            # (pulse, block, 1, width): the couplings of one dimension's blocks, in basis order.
+            expected = [block.couplings for block in blocks if len(block.zero_qubits) == coupling.shape[-1]]
+            assert coupling.shape == (4, len(expected), 1, coupling.shape[-1])
+            np.testing.assert_array_equal(coupling[:, :, 0], np.stack(expected, axis=1))
 
 
 #: Largest |value - truth| of a row-kernel amplitude or fidelity, as for map cells.
