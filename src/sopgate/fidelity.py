@@ -31,11 +31,12 @@ chunks. :func:`fidelity_map` reduces to fidelities by
 :func:`fidelity_from_rows`, and robustness scans to their three real curves.
 
 One renderer spells every CSV of the package, maps and scans alike. One
-speller, :func:`_spell`, writes float64 values as ``%.9g`` text four bytes
-at a time from a table of ASCII words, at once for 1e-100 <= |x| < 1, in
-fixed notation down to 1e-4 and in exponent notation below; other values
-take Python's formatter. :func:`csv_text` spells each block of lines
-straight into one NUL-padded line buffer, drops the padding with one
+speller, :func:`_spell`, writes float64 values as ``%.9g`` text in 14-byte
+cells, words at a time from tables of ASCII words, at once for
+1e-99 <= |x| < 1, in fixed notation down to 1e-4 and in exponent notation
+below; other values take Python's formatter. :func:`csv_text` spells each
+block of lines straight into one NUL-padded line buffer whose slots are as
+wide as the block's cells need, drops the padding with one
 ``bytearray.translate`` and writes the text into the one ``bytes`` buffer it
 returns; a map's axis labels, a few hundred values, are formatted directly.
 :func:`map_csv_text` is the renderer's map form.
@@ -504,23 +505,26 @@ def b_scan(area_pair: tuple[float, float], b2_grid, orthogonal: bool = True) -> 
     return alternating_amplitudes(odd, even, *areas, reduce=fidelity_from_rows)
 
 
-#: Per depth k = -floor(log10 |x|) of a magnitude below 1, read at index k:
-#: the double nearest 10**(8 + k), which lifts 10**-k <= |x| < 10**(1 - k)
-#: to nine integer digits (exact for k <= 14), and the power
-#: 10**max(0, 4 - k) that lifts those to the twelve digits after "0." in
-#: fixed notation.
-_NINE_DIGIT_SCALE = np.array([float(10 ** (8 + k)) for k in range(100)])
-_TWELVE_DIGIT_SHIFT = np.array([float(10 ** max(0, 4 - k)) for k in range(100)])
+#: Per depth k = -floor(log10 |x|) of a magnitude clamped to [1e-101, 1],
+#: read at index k in [0, 101]: the double nearest 10**(8 + k), which lifts
+#: 10**-k <= |x| < 10**(1 - k) to nine integer digits, exact for k <= 14.
+#: Depth 0 (|x| >= 1 and nan) and depths 100 and 101 (|x| < 1e-99, and 0)
+#: scale by 0, so that their digits fail the checks of :func:`_spell`.
+_NINE_DIGIT_SCALE = np.array([float(10 ** (8 + k)) if 0 < k < 100 else 0.0 for k in range(102)])
 
-#: The first word of a cell in fixed notation, NUL NUL "0."; a minus sign
-#: adds "-" in its first byte.
-_FIXED_WORD = int.from_bytes(b"\0\x000.", "little")
+#: The two-byte head of a cell in exponent notation, little-endian: the
+#: first digit's ASCII code in the low byte, and "." in the high byte when
+#: other digits follow.
+_POINT = ord(".") << 8
 
-#: Where the words of :func:`_digit_words` past the four-digit groups start:
-#: the 40 lead words of a cell in exponent notation, then the 100 exponent
-#: words "e-00" ... "e-99".
-_LEAD_WORD = 20_000
-_EXPONENT_WORD = _LEAD_WORD + 40
+#: Where the exponent words "e-00" ... "e-99" of :func:`_digit_words` start,
+#: past the four-digit groups.
+_EXPONENT_WORD = 20_000
+
+#: The slot of a spelled cell: every nonnegative ``%.9g`` text with at most
+#: a two-digit exponent fits in 14 bytes, "0.000123456789" and
+#: "1.23456789e-05"; a sign takes one more.
+_SLOT = 14
 
 #: Most lines one block of :func:`csv_text` holds when it spells one column,
 #: and most cells it spells: with c spelled columns a block holds
@@ -535,9 +539,7 @@ def _digit_words() -> np.ndarray:
     """Four-byte ASCII words, little-endian uint32, from which :func:`_spell` builds cells.
 
     Entry k < 10**4 spells k with its trailing zeros replaced by NUL bytes;
-    entry 10**4 + k spells it in full, with leading zeros. Entry
-    ``_LEAD_WORD`` + 20 s + 2 d + p is a sign (NUL for s = 0, "-" for
-    s = 1), the digit d, "." if p else NUL, and NUL; entry
+    entry 10**4 + k spells it in full, with leading zeros; entry
     ``_EXPONENT_WORD`` + k is "e-" and k in two digits. Built on first use,
     so importing costs nothing, and from one- and two-byte integers, so that
     the one-row CSV of an optimized point does not raise its memory peak.
@@ -545,102 +547,149 @@ def _digit_words() -> np.ndarray:
     k = np.arange(10_000, dtype=np.uint16)
     digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=-1).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
-    leads = [b"%c%c%c\0" % (sign, 48 + d, point) for sign in b"\0-" for d in range(10) for point in b"\0."]
-    exponents = [b"e-%02d" % k for k in range(100)]
-    words = np.frombuffer(b"".join(leads + exponents), np.uint8).reshape(-1, 4)
-    spelled = np.concatenate([np.where(trailing, 0, digits + 48), digits + 48, words])
+    exponents = np.frombuffer(b"".join(b"e-%02d" % k for k in range(100)), np.uint8).reshape(-1, 4)
+    spelled = np.concatenate([np.where(trailing, 0, digits + 48), digits + 48, exponents])
     return spelled.view("<u4")[:, 0]
 
 
-def _spell(values: np.ndarray, words: np.ndarray) -> None:
-    """Write ``b"%.9g" % x`` of each float64 value into its four uint32 words.
+@functools.cache
+def _fixed_heads() -> np.ndarray:
+    """Eight-byte words, little-endian uint64, that start a cell in fixed notation.
 
-    ``words`` has shape ``values.shape + (4,)``, any strides, its last axis
-    contiguous. A cell's text is its 16 bytes with every NUL dropped: the
-    padding lies inside a cell as well as after it. 16 bytes hold the
-    longest ``%.9g`` text of a float64, "-1.23456789e-308".
+    Entry 10 k + d is "0.", min(max(k - 1, 0), 3) zeros and the digit d,
+    NUL-padded: for k <= 4, the text of 10**-k <= |x| < 10**(1 - k) through
+    its first significant digit d. Entries run to k = 102, so that every
+    depth up to 101 with a first digit up to 10 (D rounded up to 10**9) has
+    one. Built on first use.
+    """
+    zeros = [b"0." + b"0" * min(max(k - 1, 0), 3) for k in range(103)]
+    heads = [(head + b"%d" % d).ljust(8, b"\0") for head in zeros for d in range(10)]
+    return np.frombuffer(b"".join(heads), "<u8")
 
-    Each x with 1e-100 <= |x| < 1 is spelled at once. With the depth
-    k = -floor(log10 |x|), kept in [1, 99], D = round(|x| * 10**(8 + k)) is
-    its nine significant digits. The power is the double nearest
-    10**(8 + k), exact for k <= 14, and the product is below 10**9 < 2**30,
-    so the float sum |x| * 10**(8 + k) + 0.5 is within 3e-7 of the exact
-    one, and D is its floor. Whenever that sum lies more than 1e-6 from an
-    integer, the exact product lies more than 7e-7 from a half-integer and
-    rounds to the same integer, so D is correctly rounded. The digits are
-    the groups of D * 10**max(0, 4 - k) < 10**12, split exactly in floats:
-    floor(D / 1e8), then floor(rest / 1e4). For k <= 4, ``%.9g`` writes
-    fixed notation: "-" when x < 0, "0." and those 12 digits without
-    trailing zeros, a first word and three group words of
-    :func:`_digit_words`. For k >= 5 it writes exponent notation: the first
-    digit, "." and the other eight without trailing zeros, then "e-" and the
-    two digits of k, a lead word, the last two groups and an exponent word.
-    A log10 off by one near a power of ten lifts D out of [10**8, 10**9) or
-    rounds it to exactly 10**8, which spells the same text.
+
+@dataclass
+class _Cells:
+    """One block of values spelled by :func:`_spell`, to be written into slots of ``width`` bytes.
+
+    A cell is a sign byte ("-" or NUL) when ``signs`` is not None, then an
+    eight-byte head word whose last two bytes the next word overwrites, and
+    two four-byte words: 14 bytes of text and NUL. ``slow`` cells are
+    ``texts``, padded with NUL bytes to the slot. What the slot holds past
+    these is NUL.
+    """
+
+    shape: tuple
+    width: int
+    signs: np.ndarray | None
+    heads: np.ndarray
+    words: list
+    slow: np.ndarray
+    texts: list
+
+    def write(self, slots: np.ndarray) -> None:
+        """Write the cells into ``slots``: uint8, ``shape + (width,)``, the last axis contiguous."""
+        signed = self.signs is not None
+        if signed:
+            slots[..., 0] = self.signs.reshape(self.shape)
+        slots[..., signed : signed + 8].view("<u8")[..., 0] = self.heads.reshape(self.shape)
+        words = slots[..., signed + 6 : signed + _SLOT].view("<u4")
+        for k, word in enumerate(self.words):
+            words[..., k] = word.reshape(self.shape)
+        if self.width > _SLOT + signed:
+            slots[..., signed + _SLOT :] = 0
+        if self.slow.size:
+            texts = np.array(self.texts, dtype=f"S{self.width}").view(np.uint8)
+            slots[np.unravel_index(self.slow, self.shape)] = texts.reshape(-1, self.width)
+
+
+def _spell(values: np.ndarray) -> _Cells:
+    """Spell ``b"%.9g" % x`` of each float64 value as a cell of one slot width.
+
+    A cell's text is its bytes with every NUL dropped. A spelled cell is 14
+    bytes: the fixed-notation head "0.", k - 1 zeros and the first digit,
+    then two groups of four digits, or the exponent-notation head, two
+    groups and the exponent. Values with a negative among them give every
+    cell a sign byte in front, and a formatted text longer than that (a
+    three-digit exponent) widens the slot to it: 16 bytes hold the longest
+    ``%.9g`` text of a float64, "-1.23456789e-308".
+
+    Each x with 1e-99 <= |x| < 1 is spelled at once. With the depth
+    k = -floor(log10 |x|), D = round(|x| * 10**(8 + k)) is its nine
+    significant digits. The power is the double nearest 10**(8 + k), exact
+    for k <= 14, and the product is below 10**9 < 2**30, so it is within
+    2.4e-7 of the exact one, and D is its nearest integer. Whenever the
+    product lies more than 1e-6 from a half-integer, the exact one lies on
+    the same side of it, and D is correctly rounded. D is split exactly in
+    integers: its first digit D // 10**8, then two groups of four, the first
+    of them without trailing zeros only when the second is zero, the second
+    always without. For k <= 4, ``%.9g`` writes fixed notation: "-" when x < 0, the head
+    "0.", a word of k - 1 zeros and the first digit, and the two groups. For
+    k >= 5 it writes exponent notation: the head (the first digit, and "."
+    unless every other digit is zero), the two groups, and "e-" with the two
+    digits of k. A log10 off by one near a power of ten lifts D out of
+    [10**8, 10**9) or rounds it to exactly 10**8, which spells the same text.
 
     Every other value goes to ``b"%.9g" % x``, the float formatter that
-    ``f"{x:.9g}"`` uses: |x| outside [1e-100, 1), including 0, nan and inf;
-    a fraction within 1e-6 of 0.5, which holds every exact decimal tie; a D
-    outside [10**8, 10**9), where rounding carried into the next decade; and
-    a three-digit exponent. No cell of the default maps takes this route.
+    ``f"{x:.9g}"`` uses: |x| outside [1e-99, 1), including 0, nan and inf; a
+    product within 1e-6 of a half-integer, which holds every exact decimal
+    tie; and a D outside [10**8, 10**9), where rounding carried into the next
+    decade. No cell of the default maps takes this route.
     """
-    shape = values.shape
     x = values.reshape(-1)
     # Each temporary is dropped once used, to keep a block's spelling small.
-    # NaN and |x| >= 1 become 1, and 0 becomes 1e-101. With k kept in
-    # [1, 99], they fail the checks below, as does every |x| < 1e-100 that
-    # does not round up to exactly 1e-99.
+    # NaN and |x| >= 1 become 1 (depth 0), and 0 becomes 1e-101 (depth 101).
     magnitude = np.abs(x)
     np.fmin(magnitude, 1.0, out=magnitude)
     np.fmax(magnitude, 1e-101, out=magnitude)
-    depth = np.floor(np.log10(magnitude))
+    depth = np.log10(magnitude)
+    np.floor(depth, out=depth)
     np.negative(depth, out=depth)
-    np.maximum(depth, 1.0, out=depth)
-    np.minimum(depth, 99.0, out=depth)
     power = depth.astype(np.intp)
-    nine = np.multiply(magnitude, _NINE_DIGIT_SCALE.take(power), out=magnitude)
-    nine += 0.5
-    frac = nine.copy()
-    np.floor(nine, out=nine)
-    frac -= nine
-    frac -= 0.5
-    spelled = np.abs(frac, out=frac) < 0.5 - 1e-6
+    del depth
+    scaled = np.multiply(magnitude, _NINE_DIGIT_SCALE.take(power), out=magnitude)
+    nine = np.rint(scaled)
+    scaled -= nine
+    spelled = np.abs(scaled, out=scaled) < 0.5 - 1e-6
+    del scaled, magnitude
     spelled &= nine >= 1e8
     spelled &= nine < 1e9
-    del frac
-    nine *= _TWELVE_DIGIT_SHIFT.take(power)
-    del power
-    # The indices of three groups of four digits: the last loses its
-    # trailing zeros, the others only when every later group is zero.
-    groups = np.empty((3, x.size))
-    head, middle, tail = groups
-    rest = nine
-    np.floor(np.divide(rest, 1e8, out=head), out=head)
-    rest -= head * 1e8
-    np.floor(np.divide(rest, 1e4, out=middle), out=middle)
-    np.subtract(rest, middle * 1e4, out=tail)
-    head += np.minimum(rest, 1.0, out=rest) * 1e4
-    middle += np.minimum(tail, 1.0) * 1e4
-    del nine, rest
+    rest = nine.astype(np.intp)
+    del nine
+    first = rest // 10**8
+    rest -= first * 10**8
+    middle = rest // 10**4
+    tail = rest - middle * 10**4
+    full = np.minimum(tail, 1)
+    full *= 10**4
+    middle += full
+    del full
     table = _digit_words()
-    first = np.signbit(x).astype(np.uint32)
-    first *= ord("-")
-    first += _FIXED_WORD
-    words[..., 0] = first.reshape(shape)
-    for k, group in enumerate(groups, 1):
-        words[..., k] = table.take(group.astype(np.intp)).reshape(shape)
-    small = np.flatnonzero(spelled & (depth >= 5))
-    if small.size:
-        # D < 10**9: the head group is the lead digit, in full (10**4 + d)
-        # unless every later digit is zero, and then the "." goes too.
-        lead, middle, tail = groups[:, small]
-        lead = _LEAD_WORD + 20 * np.signbit(x[small]) + 2 * (lead % 1e4) + (lead >= 1e4)
-        index = np.stack([lead, middle, tail, _EXPONENT_WORD + depth[small]], axis=-1)
-        words[np.unravel_index(small, shape)] = table.take(index.astype(np.intp))
-    slow = np.flatnonzero(~spelled)
-    if slow.size:
-        texts = np.array([b"%.9g" % value for value in x[slow].tolist()], dtype="S16")
-        words[np.unravel_index(slow, shape)] = texts.view("<u4").reshape(-1, 4)
+    words = [table.take(middle), table.take(tail)]
+    del middle, tail
+    # Cells in exponent notation and cells for the formatter are rare, and
+    # found in one pass.
+    special = ~spelled
+    special |= power >= 5
+    special = np.flatnonzero(special)
+    deep, slow = special[spelled[special]], special[~spelled[special]]
+    # Exponent notation: the head is the first digit, with "." unless the
+    # other eight are zero, and the groups move up a word for the exponent.
+    leads = (ord("0") + first[deep] + _POINT * (rest[deep] > 0)).astype(np.uint64)
+    exponents = table.take(_EXPONENT_WORD + power[deep])
+    power *= 10
+    power += first
+    heads = _fixed_heads().take(power)
+    del power, first, rest
+    heads[deep] = leads + (words[0][deep].astype(np.uint64) << 16)
+    words[0][deep] = words[1][deep]
+    words[1][deep] = exponents
+    texts = [b"%.9g" % value for value in x[slow].tolist()]
+    if np.fmin.reduce(x, initial=0.0) < 0:
+        signs = np.less(x, 0).view(np.uint8) * np.uint8(ord("-"))
+    else:
+        signs = None
+    width = max([_SLOT + (signs is not None), *map(len, texts)])
+    return _Cells(values.shape, width, signs, heads, words, slow, texts)
 
 
 def _spelled_length_bound(values) -> int:
@@ -649,12 +698,45 @@ def _spelled_length_bound(values) -> int:
     Without its sign a ``%.9g`` text is at most 15 bytes long
     ("1.23456789e-308"). Below 1 it is "0." and at most nine digits, 11
     bytes, plus one leading zero for each of 0.1, 0.01 and 0.001 that |x|
-    lies below; below 1e-4 it is back to at most 15.
+    lies below; below 1e-4 it is back to at most 15. Counted in chunks of
+    about 2**16 values along the first axis, whose temporaries stay in cache.
     """
-    magnitude = np.abs(values)
-    below = [np.count_nonzero(magnitude < edge) for edge in (1.0, 0.1, 0.01, 0.001, 1e-4)]
-    signs = np.count_nonzero(values < 0)
-    return 15 * magnitude.size - 4 * below[0] + sum(below[1:]) + signs
+    bound = 0
+    step = max(1, 2**16 // max(1, math.prod(values.shape[1:])))
+    for lo in range(0, len(values), step):
+        chunk = values[lo : lo + step]
+        magnitude = np.abs(chunk)
+        below = [np.count_nonzero(magnitude < edge) for edge in (1.0, 0.1, 0.01, 0.001, 1e-4)]
+        bound += 15 * magnitude.size - 4 * below[0] + sum(below[1:]) + np.count_nonzero(chunk < 0)
+    return bound
+
+
+def _line_template(parts, widths, row_shape):
+    """Where each part of :func:`csv_text` starts in a line, and one row of lines to start from.
+
+    A run of spelled columns takes a slot of its width and a separator per
+    column, a formatted column its longest text and a separator. The template
+    holds the separators ("," or "\\n" after each column) and the texts that
+    do not vary along the first axis, over ``row_shape``.
+    """
+    offsets, separators, at = [], [], 0
+    widths = iter(widths)
+    for part in parts:
+        offsets.append(at)
+        if isinstance(part, list):
+            width = next(widths)
+            separators += [at + (width + 1) * k + width for k in range(len(part))]
+            at += (width + 1) * len(part)
+        else:
+            at += part.itemsize + 1
+            separators.append(at - 1)
+    template = np.zeros(row_shape + (at,), np.uint8)
+    template[..., separators] = ord(",")
+    template[..., separators[-1]] = ord("\n")
+    for at, part in zip(offsets, parts):
+        if not isinstance(part, list) and (part.ndim <= len(row_shape) or part.shape[0] == 1):
+            template[..., at : at + part.itemsize].view(part.dtype)[..., 0] = part
+    return offsets, template
 
 
 def csv_text(header: str, columns) -> bytes:
@@ -662,89 +744,111 @@ def csv_text(header: str, columns) -> bytes:
 
     ``columns`` of floats broadcast to one shape of at least one axis, whose
     elements are the lines, in row-major order; a cell is ``f"{x:.9g}"``,
-    in fixed or exponent notation. A column of the full shape is spelled by
-    :func:`_spell` block by block straight into its 16-byte slot of the line
-    buffer, adjacent ones in one call; a smaller one, such as a map's axis
+    in fixed or exponent notation. Adjacent columns of the full shape form a
+    run, spelled by :func:`_spell` block by block, in one call, straight into
+    the slots of the line buffer; a smaller column, such as a map's axis
     labels, is formatted once by ``b"%.9g"`` per value and broadcast.
 
     Lines are rendered in blocks of rows of the first axis, of at most
     ``_CSV_BLOCK_LINES`` spelled cells but at least one row, in one
-    ``bytearray``. One template row, built once per call, holds the
-    separators ("," or "\\n" after each column) and the formatted columns
-    that do not vary along the first axis; it fills the buffer once, and each
-    block writes only the other columns over it. One
-    ``bytearray.translate`` then drops the NUL padding of the block's lines,
-    wherever it lies in a cell.
+    ``bytearray``. A block's lines are as wide as its cells need: a run's
+    slot is 14 bytes, 15 when one of its values in the block is negative,
+    and 16 at most for a longer formatted text (:func:`_spell`). One template
+    row per set of slot widths, built when a block first needs it, holds the
+    separators and the formatted columns that do not vary along the first
+    axis; it fills that width's line buffer once, and each block writes only
+    the other columns over it. One ``bytearray.translate`` then drops the
+    NUL padding of the block's lines, wherever it lies in a cell.
 
-    The text exists once. Before the first block, one ``bytes`` buffer of an
-    upper bound of its length is allocated, zeroed by calloc: within 1 % of
-    the text on a map (axis texts are measured, fidelities bounded by their
-    decade), within 9 % on a scan whose short delta texts the bound
-    overestimates. Each block's text is written straight into it, the unused
-    tail is cut off in place, and the buffer itself is returned, never
-    copied. Rendering peaks under tracemalloc at 1.21 times the text of the
-    wide 641 x 641 map (9.5 MB) and 1.23 times that of a 200 001-row scan,
-    whose four spelled columns make blocks of 4096 lines.
+    The text exists once. After the first block, one ``bytes`` buffer is
+    allocated, zeroed by calloc: the first block's text and an upper bound
+    of the rest, within 1 % of the text on a map (axis texts are measured,
+    fidelities bounded by their decade), within 9 % on a scan whose short
+    delta texts the bound overestimates. A CSV of one block, such as an
+    optimized point's line, counts nothing. Each block's text is written
+    straight into it, the unused tail is cut off in place, and the buffer
+    itself is returned, never copied. Rendering peaks under tracemalloc at
+    1.18 times the text of the wide 641 x 641 map (9.5 MB) and 1.21 times
+    that of a 200 001-row scan, whose four spelled columns make blocks of
+    4096 lines.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     n_lines = math.prod(shape)
     head = header.encode() + b"\n"
-    # An upper bound of the text's length: each cell of a column appears
-    # n_lines / column.size times, followed by "," or "\n".
-    bound = len(head) + n_lines * len(columns)
-    runs, texts, separators = [], [], []  # runs: (offset, [column, ...]) of adjacent slots
-    at = 0
+    if not n_lines:
+        return head
+    # parts: a run of adjacent full-shape columns (a list), or a smaller
+    # column's formatted texts, such as a map's axis labels
+    parts = []
     for column in columns:
-        if column.shape == shape:
-            if runs and runs[-1][0] + 17 * len(runs[-1][1]) == at:
-                runs[-1][1].append(column)
-            else:
-                runs.append((at, [column]))
-            bound += int(_spelled_length_bound(column))
-            at += 16
-        else:  # a map's axis labels: each formatted once
-            cells = [b"%.9g" % x for x in column.ravel().tolist()]
-            column = np.array(cells, dtype=bytes).reshape(column.shape)
-            texts.append((at, column))
-            if n_lines:
-                bound += int(np.char.str_len(column).sum()) * (n_lines // column.size)
-            at += column.itemsize
-        separators.append(at)
-        at += 1
-    template = np.zeros(shape[1:] + (at,), np.uint8)
-    template[..., separators] = ord(",")
-    template[..., separators[-1]] = ord("\n")
-    varying = []
-    for at, text in texts:
-        if text.ndim < len(shape) or text.shape[0] == 1:  # the same in every row
-            template[..., at : at + text.itemsize].view(text.dtype)[..., 0] = text
+        if column.shape != shape:
+            values = column.ravel().tolist()
+            cells = (b"%.9g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
+            parts.append(np.array(cells, dtype=bytes).reshape(column.shape))
+        elif parts and isinstance(parts[-1], list):
+            parts[-1].append(column)
         else:
-            varying.append((at, text))
-
-    # bytes(bound) is calloc'd, and a BytesIO holding its only reference
-    # writes into it in place.
-    out = io.BytesIO(bytes(bound))
-    out.write(head)
-    if n_lines:
-        n_spelled = max(1, sum(len(run) for _, run in runs))
-        rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (n_spelled * max(1, math.prod(shape[1:])))))
-        buffer = bytearray(rows * template.size)
-        lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
-        lines[...] = template
-        for lo in range(0, shape[0], rows):
-            block = lines[: shape[0] - lo]
-            for at, text in varying:
-                part = np.broadcast_to(text, shape)[lo : lo + len(block)]
-                block[..., at : at + text.itemsize].view(text.dtype)[..., 0] = part
-            for at, run in runs:
-                values = np.stack([column[lo : lo + len(block)] for column in run], axis=-1)
-                cells = block[..., at : at + 17 * len(run)].reshape(values.shape + (17,))
-                _spell(values, cells[..., :16].view("<u4"))
-            filled = buffer if len(block) == rows else buffer[: block.size]
-            out.write(filled.translate(None, b"\0"))
+            parts.append([column])
+    runs = [part for part in parts if isinstance(part, list)]
+    row_cells = math.prod(shape[1:])
+    rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (max(1, sum(map(len, runs))) * row_cells)))
+    buffers = {}  # per tuple of the runs' slot widths: offsets, line buffer, its lines
+    out = None
+    for lo in range(0, shape[0], rows):
+        hi = min(lo + rows, shape[0])
+        # a run's values, (rows, ..., columns): one column is a view
+        stacks = [
+            np.stack([column[lo:hi] for column in run], -1) if len(run) > 1 else run[0][lo:hi, ..., None]
+            for run in runs
+        ]
+        spelled = [_spell(values) for values in stacks]
+        del stacks
+        widths = tuple(cells.width for cells in spelled)
+        if widths not in buffers:
+            offsets, template = _line_template(parts, widths, shape[1:])
+            buffer = bytearray(rows * template.size)
+            lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
+            lines[...] = template
+            buffers[widths] = offsets, buffer, lines
+        offsets, buffer, lines = buffers[widths]
+        block = lines[: hi - lo]
+        for at, part in zip(offsets, parts):
+            if isinstance(part, list):
+                cells = spelled.pop(0)
+                slots = block[..., at : at + (cells.width + 1) * len(part)]
+                cells.write(slots.reshape(cells.shape + (cells.width + 1,))[..., : cells.width])
+                del cells
+            elif part.ndim == len(shape) and part.shape[0] != 1:  # varies along the first axis
+                block[..., at : at + part.itemsize].view(part.dtype)[..., 0] = part[lo:hi]
+        text = (buffer if hi - lo == rows else buffer[: block.size]).translate(None, b"\0")
+        if out is None:
+            # bytes(bound) is calloc'd, and a BytesIO holding its only
+            # reference writes into it in place.
+            out = io.BytesIO(bytes(len(head) + len(text) + _rest_length_bound(parts, shape, hi)))
+            out.write(head)
+        out.write(text)
+        del text
     out.truncate()
     return out.getvalue()
+
+
+def _rest_length_bound(parts, shape, start) -> int:
+    """Upper bound of the text of :func:`csv_text`'s lines from row ``start`` of the first axis on."""
+    rest = shape[0] - start
+    if not rest:
+        return 0
+    row_cells = math.prod(shape[1:])
+    bound = rest * row_cells * sum(len(part) if isinstance(part, list) else 1 for part in parts)
+    for part in parts:
+        if isinstance(part, list):
+            bound += sum(int(_spelled_length_bound(column[start:])) for column in part)
+        else:
+            # each text appears n_lines / part.size times; those of the first rows are not counted
+            lengths = np.char.str_len(part)
+            whole = int(lengths.sum()) * (math.prod(shape) // part.size)
+            bound += whole - int(np.broadcast_to(lengths, shape)[:start].sum())
+    return bound
 
 
 def map_csv_text(fmap: FidelityMap) -> bytes:
@@ -753,9 +857,10 @@ def map_csv_text(fmap: FidelityMap) -> bytes:
     The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point,
     encoded: one :func:`csv_text` call. Each axis value is formatted once
     and broadcast over the map (the even axis from the template row); the
-    fidelities are spelled one block of odd rows at a time. The returned
-    ``bytes`` is the one buffer the text was written into: rendering the wide
-    641 x 641 map peaks under tracemalloc at 1.21 times its 9.5 MB.
+    fidelities are spelled one block of odd rows at a time, each in a 14-byte
+    slot, so that a default map's line is 27 bytes for about 22 of text. The
+    returned ``bytes`` is the one buffer the text was written into: rendering
+    the wide 641 x 641 map peaks under tracemalloc at 1.18 times its 9.5 MB.
     """
     columns = [(fmap.axis_odd / math.pi)[:, None], fmap.axis_even / math.pi, fmap.values]
     return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)

@@ -983,6 +983,12 @@ class TestFamilyVectors:
         assert str(info.value) == named
 
 
+#: Cells wider than the 14-byte slot: a sign byte, a three-digit exponent
+#: (15 bytes) and both (16), and formatter text of 15 bytes.
+WIDE_CELLS = [-0.25, 1.23456789e-100, -1.23456789e-308, 1.23456789e300]
+WIDE_CELL_IDS = ["negative", "exponent-100", "negative-exponent-308", "exponent+300"]
+
+
 class TestCsvOutput:
     def test_header_and_formatting(self):
         fmap = fidelity_map(sop_family(b2=0.0), GridSpec(-1, 1, 1))
@@ -1056,6 +1062,32 @@ class TestCsvOutput:
         )
         assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
+    @pytest.mark.parametrize("value", WIDE_CELLS, ids=WIDE_CELL_IDS)
+    @pytest.mark.parametrize("edge", ["first", "last", "past"])
+    def test_one_wide_cell_at_block_edges_of_a_map(self, value, edge):
+        # A block's fidelity slot widens for its own cells only: the one cell
+        # that needs a sign byte or a longer text, on the first or last line of
+        # the first block, or on the first line of the next.
+        n_even = 7
+        block = _CSV_BLOCK_LINES // n_even
+        values = np.random.default_rng(13).uniform(0, 1, (2 * block + 5, n_even))
+        row, column = {"first": (0, 0), "last": (block - 1, n_even - 1), "past": (block, 0)}[edge]
+        values[row, column] = value
+        axis_odd, axis_even = np.arange(len(values)) * 0.01, np.arange(n_even) * 0.3
+        fmap = FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2 * _CSV_BLOCK_LINES + 3), (2 * _CSV_BLOCK_LINES + 3, 1)], ids=["1xN", "Nx1"]
+    )
+    def test_one_row_and_one_column_maps(self, shape):
+        rng = np.random.default_rng(17)
+        values = 10.0 ** rng.uniform(-8, 0, shape)
+        values.flat[[5, 7, -1]] = [-0.5, 1.23456789e-100, -0.0]
+        axis_odd = np.linspace(-PI, PI, shape[0])
+        fmap = FidelityMap(axis_odd=axis_odd, axis_even=np.linspace(-2 * PI, 2 * PI, shape[1]), values=values)
+        assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
+
     def test_wide_map_memory(self):
         fmap = fidelity_map(sop_family(b2=0.1), GridSpec(-16, 16, 0.05))
         tracemalloc.start()
@@ -1065,7 +1097,7 @@ class TestCsvOutput:
         finally:
             tracemalloc.stop()
         # The text once, in a buffer sized within 1 % of it, and one block's
-        # temporaries: 1.21 times (2.09 when the blocks were joined).
+        # temporaries: 1.18 times (2.09 when the blocks were joined).
         assert peak <= 1.5 * size
 
 
@@ -1244,6 +1276,42 @@ class TestCsvText:
         assert text == csv_text("p,q,r", [full, values, full])
         assert text == per_row_csv_text("p,q,r", zip(full.ravel(), values.ravel(), full.ravel()))
 
+    @pytest.mark.parametrize("value", WIDE_CELLS, ids=WIDE_CELL_IDS)
+    @pytest.mark.parametrize("at", [0, _CSV_BLOCK_LINES - 1, _CSV_BLOCK_LINES], ids=["first", "last", "past"])
+    def test_one_wide_cell_at_block_edges(self, value, at):
+        values = np.random.default_rng(11).uniform(0, 1, 2 * _CSV_BLOCK_LINES + 5)
+        values[at] = value
+        assert csv_text("x", [values]) == per_row_csv_text("x", zip(values))
+
+    def test_negatives_in_one_block_only(self):
+        values = np.random.default_rng(19).uniform(0, 1, 3 * _CSV_BLOCK_LINES)
+        values[_CSV_BLOCK_LINES : 2 * _CSV_BLOCK_LINES] *= -1
+        columns = [values, values[::-1].copy()]
+        assert csv_text("x,y", columns) == per_row_csv_text("x,y", zip(*columns))
+
+    def test_robustness_scan_with_negative_deltas(self):
+        # four spelled columns make blocks of _CSV_BLOCK_LINES // 4 lines; the
+        # deltas are negative in the first half, the amplitudes change sign
+        deltas = np.arange(-0.5, 0.5 + 5e-5, 1e-4) * PI
+        curves = robustness_scan(jp_protocol(), deltas)
+        columns = [deltas / PI, curves.u11v, curves.u11a, curves.u11b]
+        assert len(deltas) > 2 * (_CSV_BLOCK_LINES // 4)
+        text = csv_text("delta_a_over_pi,u11v,u11a,u11b", columns)
+        assert text == per_row_csv_text("delta_a_over_pi,u11v,u11a,u11b", zip(*columns))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-3.5, 2.0, 0.987654321234, 0.31622, -1.2345678],
+            [8.0, -8.0, 1.0, 0.0, 0.1],
+            [0.5, -0.5, 9.99999999e-05, -2.5e-7, 3.0e-120],
+        ],
+    )
+    def test_one_line_of_an_optimized_point(self, row):
+        header = "a_odd_over_pi,a_even_over_pi,fidelity,c_odd,c_even"
+        columns = [np.array([x]) for x in row]
+        assert csv_text(header, columns) == per_row_csv_text(header, [row])
+
     def test_no_rows(self):
         assert csv_text("a,b", [np.zeros(0), np.zeros(0)]) == b"a,b\n"
 
@@ -1260,7 +1328,7 @@ class TestCsvText:
             tracemalloc.stop()
         assert len(deltas) == 200_001
         # The text once, in a buffer sized within 9 % of it (the short delta
-        # texts), and one block's temporaries: 1.23 times (2.03 when the
+        # texts), and one block's temporaries: 1.21 times (2.03 when the
         # blocks were joined, 3.2 for the per-row rendering).
         assert peak <= 1.5 * size
 
