@@ -34,11 +34,12 @@ One renderer spells every CSV of the package, maps and scans alike. One
 speller, :func:`_spell`, writes float64 values as ``%.9g`` text in 14-byte
 cells, words at a time from tables of ASCII words, at once for
 1e-99 <= |x| < 1, in fixed notation down to 1e-4 and in exponent notation
-below; other values take Python's formatter. :func:`csv_text` spells each
-block of lines straight into one NUL-padded line buffer whose slots are as
-wide as the block's cells need, drops the padding with one
-``bytearray.translate`` and writes the text into the one ``bytes`` buffer it
-returns; a map's axis labels, a few hundred values, are formatted directly.
+below; other values take Python's formatter. :func:`csv_text` formats
+leading columns smaller than the CSV, such as a map's axis labels, a few
+hundred values, once each; it spells every later column, one block of lines
+at a time, as one run of slots in a NUL-padded line buffer as wide as the
+block's cells need, drops the padding with one ``bytearray.translate`` and
+appends the text to one growing ``io.BytesIO``, whose buffer it returns.
 :func:`map_csv_text` is the renderer's map form.
 """
 
@@ -692,51 +693,23 @@ def _spell(values: np.ndarray) -> _Cells:
     return _Cells(values.shape, width, signs, heads, words, slow, texts)
 
 
-def _spelled_length_bound(values) -> int:
-    """Upper bound, from counts alone, of the summed lengths of the ``%.9g`` texts of ``values``.
+def _line_template(labels, width, n_spelled, row_shape):
+    """One row of :func:`csv_text`'s lines to start from, for spelled slots of ``width`` bytes.
 
-    Without its sign a ``%.9g`` text is at most 15 bytes long
-    ("1.23456789e-308"). Below 1 it is "0." and at most nine digits, 11
-    bytes, plus one leading zero for each of 0.1, 0.01 and 0.001 that |x|
-    lies below; below 1e-4 it is back to at most 15. Counted in chunks of
-    about 2**16 values along the first axis, whose temporaries stay in cache.
+    Each label takes its longest text and a separator, then each spelled
+    column a slot and a separator. The template holds the separators (","
+    or "\\n" after the last column) and the labels that do not vary along
+    the first axis, over ``row_shape``.
     """
-    bound = 0
-    step = max(1, 2**16 // max(1, math.prod(values.shape[1:])))
-    for lo in range(0, len(values), step):
-        chunk = values[lo : lo + step]
-        magnitude = np.abs(chunk)
-        below = [np.count_nonzero(magnitude < edge) for edge in (1.0, 0.1, 0.01, 0.001, 1e-4)]
-        bound += 15 * magnitude.size - 4 * below[0] + sum(below[1:]) + np.count_nonzero(chunk < 0)
-    return bound
-
-
-def _line_template(parts, widths, row_shape):
-    """Where each part of :func:`csv_text` starts in a line, and one row of lines to start from.
-
-    A run of spelled columns takes a slot of its width and a separator per
-    column, a formatted column its longest text and a separator. The template
-    holds the separators ("," or "\\n" after each column) and the texts that
-    do not vary along the first axis, over ``row_shape``.
-    """
-    offsets, separators, at = [], [], 0
-    widths = iter(widths)
-    for part in parts:
-        offsets.append(at)
-        if isinstance(part, list):
-            width = next(widths)
-            separators += [at + (width + 1) * k + width for k in range(len(part))]
-            at += (width + 1) * len(part)
-        else:
-            at += part.itemsize + 1
-            separators.append(at - 1)
-    template = np.zeros(row_shape + (at,), np.uint8)
-    template[..., separators] = ord(",")
-    template[..., separators[-1]] = ord("\n")
-    for at, part in zip(offsets, parts):
-        if not isinstance(part, list) and (part.ndim <= len(row_shape) or part.shape[0] == 1):
-            template[..., at : at + part.itemsize].view(part.dtype)[..., 0] = part
-    return offsets, template
+    widths = [label.itemsize for label in labels] + [width] * n_spelled
+    ends = np.cumsum(np.add(widths, 1))
+    template = np.zeros(row_shape + (ends[-1],), np.uint8)
+    template[..., ends - 1] = ord(",")
+    template[..., -1] = ord("\n")
+    for at, label in zip(ends - widths - 1, labels):
+        if label.ndim <= len(row_shape) or label.shape[0] == 1:
+            template[..., at : at + label.itemsize].view(label.dtype)[..., 0] = label
+    return template
 
 
 def csv_text(header: str, columns) -> bytes:
@@ -744,111 +717,64 @@ def csv_text(header: str, columns) -> bytes:
 
     ``columns`` of floats broadcast to one shape of at least one axis, whose
     elements are the lines, in row-major order; a cell is ``f"{x:.9g}"``,
-    in fixed or exponent notation. Adjacent columns of the full shape form a
-    run, spelled by :func:`_spell` block by block, in one call, straight into
-    the slots of the line buffer; a smaller column, such as a map's axis
-    labels, is formatted once by ``b"%.9g"`` per value and broadcast.
+    in fixed or exponent notation. Leading columns smaller than that shape,
+    such as a map's two axis columns, are labels: ``b"%.9g"`` formats each of
+    their values once, and the texts are broadcast. Every later column, and
+    always the last one, is spelled by :func:`_spell` into one run of slots.
 
     Lines are rendered in blocks of rows of the first axis, of at most
-    ``_CSV_BLOCK_LINES`` spelled cells but at least one row, in one
-    ``bytearray``. A block's lines are as wide as its cells need: a run's
-    slot is 14 bytes, 15 when one of its values in the block is negative,
-    and 16 at most for a longer formatted text (:func:`_spell`). One template
-    row per set of slot widths, built when a block first needs it, holds the
-    separators and the formatted columns that do not vary along the first
-    axis; it fills that width's line buffer once, and each block writes only
-    the other columns over it. One ``bytearray.translate`` then drops the
-    NUL padding of the block's lines, wherever it lies in a cell.
-
-    The text exists once. After the first block, one ``bytes`` buffer is
-    allocated, zeroed by calloc: the first block's text and an upper bound
-    of the rest, within 1 % of the text on a map (axis texts are measured,
-    fidelities bounded by their decade), within 9 % on a scan whose short
-    delta texts the bound overestimates. A CSV of one block, such as an
-    optimized point's line, counts nothing. Each block's text is written
-    straight into it, the unused tail is cut off in place, and the buffer
-    itself is returned, never copied. Rendering peaks under tracemalloc at
-    1.18 times the text of the wide 641 x 641 map (9.5 MB) and 1.21 times
-    that of a 200 001-row scan, whose four spelled columns make blocks of
-    4096 lines.
+    ``_CSV_BLOCK_LINES`` spelled cells but at least one row, with one
+    :func:`_spell` call per block, in one ``bytearray``. A block's slots are
+    as wide as its cells need: 14 bytes, 15 when one of its values is
+    negative, and 16 at most for a longer formatted text. One template row
+    per slot width, built when a block first needs it, holds the separators
+    and the labels that do not vary along the first axis; it fills that
+    width's line buffer once, and each block writes only the other columns
+    over it. One ``bytearray.translate`` then drops the NUL padding of the
+    block's lines, wherever it lies in a cell, and the text is appended to
+    one ``io.BytesIO``, whose buffer ``getvalue`` returns without a copy.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
-    n_lines = math.prod(shape)
-    head = header.encode() + b"\n"
-    if not n_lines:
-        return head
-    # parts: a run of adjacent full-shape columns (a list), or a smaller
-    # column's formatted texts, such as a map's axis labels
-    parts = []
-    for column in columns:
-        if column.shape != shape:
-            values = column.ravel().tolist()
-            cells = (b"%.9g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
-            parts.append(np.array(cells, dtype=bytes).reshape(column.shape))
-        elif parts and isinstance(parts[-1], list):
-            parts[-1].append(column)
-        else:
-            parts.append([column])
-    runs = [part for part in parts if isinstance(part, list)]
-    row_cells = math.prod(shape[1:])
-    rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (max(1, sum(map(len, runs))) * row_cells)))
-    buffers = {}  # per tuple of the runs' slot widths: offsets, line buffer, its lines
-    out = None
+    out = io.BytesIO()
+    out.write(header.encode() + b"\n")
+    if not math.prod(shape):
+        return out.getvalue()
+    n_labels = 0
+    while n_labels < len(columns) - 1 and columns[n_labels].shape != shape:
+        n_labels += 1
+    labels = []
+    for column in columns[:n_labels]:
+        values = column.ravel().tolist()
+        cells = (b"%.9g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
+        labels.append(np.array(cells, dtype=bytes).reshape(column.shape))
+    # labels that vary along the first axis, written block by block, and where they start
+    run_at, varying = 0, []
+    for label in labels:
+        if label.ndim == len(shape) and label.shape[0] != 1:
+            varying.append((run_at, label))
+        run_at += label.itemsize + 1
+    spelled = [np.broadcast_to(column, shape) for column in columns[n_labels:]]
+    rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (len(spelled) * math.prod(shape[1:]))))
+    buffers = {}  # per slot width: the line buffer and its lines
     for lo in range(0, shape[0], rows):
         hi = min(lo + rows, shape[0])
-        # a run's values, (rows, ..., columns): one column is a view
-        stacks = [
-            np.stack([column[lo:hi] for column in run], -1) if len(run) > 1 else run[0][lo:hi, ..., None]
-            for run in runs
-        ]
-        spelled = [_spell(values) for values in stacks]
-        del stacks
-        widths = tuple(cells.width for cells in spelled)
-        if widths not in buffers:
-            offsets, template = _line_template(parts, widths, shape[1:])
+        cells = _spell(np.stack([column[lo:hi] for column in spelled], -1))
+        if cells.width not in buffers:
+            template = _line_template(labels, cells.width, len(spelled), shape[1:])
             buffer = bytearray(rows * template.size)
             lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
             lines[...] = template
-            buffers[widths] = offsets, buffer, lines
-        offsets, buffer, lines = buffers[widths]
+            buffers[cells.width] = buffer, lines
+        buffer, lines = buffers[cells.width]
         block = lines[: hi - lo]
-        for at, part in zip(offsets, parts):
-            if isinstance(part, list):
-                cells = spelled.pop(0)
-                slots = block[..., at : at + (cells.width + 1) * len(part)]
-                cells.write(slots.reshape(cells.shape + (cells.width + 1,))[..., : cells.width])
-                del cells
-            elif part.ndim == len(shape) and part.shape[0] != 1:  # varies along the first axis
-                block[..., at : at + part.itemsize].view(part.dtype)[..., 0] = part[lo:hi]
-        text = (buffer if hi - lo == rows else buffer[: block.size]).translate(None, b"\0")
-        if out is None:
-            # bytes(bound) is calloc'd, and a BytesIO holding its only
-            # reference writes into it in place.
-            out = io.BytesIO(bytes(len(head) + len(text) + _rest_length_bound(parts, shape, hi)))
-            out.write(head)
-        out.write(text)
-        del text
-    out.truncate()
+        slots = block[..., run_at:].reshape(cells.shape + (cells.width + 1,))
+        cells.write(slots[..., : cells.width])
+        del cells
+        for at, label in varying:
+            block[..., at : at + label.itemsize].view(label.dtype)[..., 0] = label[lo:hi]
+        out.write((buffer if hi - lo == rows else buffer[: block.size]).translate(None, b"\0"))
     return out.getvalue()
-
-
-def _rest_length_bound(parts, shape, start) -> int:
-    """Upper bound of the text of :func:`csv_text`'s lines from row ``start`` of the first axis on."""
-    rest = shape[0] - start
-    if not rest:
-        return 0
-    row_cells = math.prod(shape[1:])
-    bound = rest * row_cells * sum(len(part) if isinstance(part, list) else 1 for part in parts)
-    for part in parts:
-        if isinstance(part, list):
-            bound += sum(int(_spelled_length_bound(column[start:])) for column in part)
-        else:
-            # each text appears n_lines / part.size times; those of the first rows are not counted
-            lengths = np.char.str_len(part)
-            whole = int(lengths.sum()) * (math.prod(shape) // part.size)
-            bound += whole - int(np.broadcast_to(lengths, shape)[:start].sum())
-    return bound
 
 
 def map_csv_text(fmap: FidelityMap) -> bytes:
@@ -859,8 +785,7 @@ def map_csv_text(fmap: FidelityMap) -> bytes:
     and broadcast over the map (the even axis from the template row); the
     fidelities are spelled one block of odd rows at a time, each in a 14-byte
     slot, so that a default map's line is 27 bytes for about 22 of text. The
-    returned ``bytes`` is the one buffer the text was written into: rendering
-    the wide 641 x 641 map peaks under tracemalloc at 1.18 times its 9.5 MB.
+    returned ``bytes`` is the buffer the blocks' texts were appended to.
     """
     columns = [(fmap.axis_odd / math.pi)[:, None], fmap.axis_even / math.pi, fmap.values]
     return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)
