@@ -342,9 +342,10 @@ def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
         raise SopGateError(f"b2 must be comma-separated numbers, got {config['b2']!r}") from exc
     area_odd, area_even = _parse_area_pair(config["areas"])
     # From -max to max by step, checked before allocating; the axis ends at its
-    # last point not past max, up to round-off.
+    # last point not past max, up to round-off, and takes max itself also where
+    # step * 1e-9 underflows (a subnormal step), so that it is never empty.
     top, step = config["delta_max"], config["delta_step"]
-    start, stop = -top, top + step * 1e-9
+    start, stop = -top, max(top + step * 1e-9, math.nextafter(top, math.inf))
     check_grid_points((stop - start) / step)
     deltas = np.arange(start, stop, step) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work

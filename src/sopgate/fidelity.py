@@ -146,10 +146,7 @@ def alternating_amplitudes(vector_odd, vector_even, area_odd, area_even, m_pulse
 
 
 def row_fidelities(vector_odd, vector_even, area_odd, area_even, m_pulses: int = 3) -> np.ndarray:
-    """The optimizers' objective: fidelities (R,) of rows of alternating pulses at total areas, on the row kernel.
-
-    About 39 µs a call at 12 rows of 3 qubits and M = 3 on one Xeon core, 42 µs with areas per row.
-    """
+    """The optimizers' objective: fidelities (R,) of rows of alternating pulses at total areas, on the row kernel."""
     thetas = [0.5 * area for area in pulse_areas(area_odd, area_even, m_pulses)]
     return alternating_row_amplitudes(vector_odd, vector_even, *thetas, m_pulses, fidelity_from_rows)
 
@@ -444,7 +441,8 @@ def lattice_analysis(
     nn_vec = points[nn_index] - points
     # Clockwise rotation of the lattice maps a primitive axis vector to
     # direction -beta, so the displacement angles cluster at -beta mod 90 deg.
-    phi = np.arctan2(nn_vec[:, 1], nn_vec[:, 0])
+    # One math.atan2 per maximum: numpy's arctan2 loop is picked per CPU and can differ in the last bit.
+    phi = np.array([math.atan2(dy, dx) for dx, dy in nn_vec.tolist()])
     rotation = _sector_median(-phi, math.pi / 2.0)
     return LatticeReport(
         maxima=maxima,

@@ -28,9 +28,9 @@ is kept apart, as evaluated. Every evaluation of a step is one (simplex,
 slot) pair, and one rule, applied batch by batch in each simplex's order of
 evaluation, keeps the first that is below the best: a NaN never replaces a
 number, and no update reads a value of an earlier step. A step of a
-benchmark point job (16 restarts, about 19 rows) takes about 140 µs on one
-loaded Xeon core: one objective call and about 55 numpy operations. Such a
-job takes 28 % fewer steps than with a step for each inside contraction.
+benchmark point job (16 restarts, about 19 rows) is one objective call and
+about 55 numpy operations. Such a job takes 28 % fewer steps than with a
+step for each inside contraction.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
 Every optimizer evaluates its candidates by
 :func:`~sopgate.fidelity.row_fidelities`, on the BLAS-free row kernel, so a
@@ -177,7 +177,7 @@ def nelder_mead_constrained(
     the objective re-evaluated at the best parameters, so it is reproducible
     bit-for-bit from the result. All restarts advance in lockstep (module
     docstring): a benchmark point job takes about 105 steps, each one objective
-    call of about 19 rows and about 140 µs on one loaded Xeon core.
+    call of about 19 rows.
     A box that is empty or not finite raises :class:`InfeasibleStartError`.
     """
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)

@@ -63,7 +63,10 @@ def star_propagator(coupling, theta) -> np.ndarray:
 
     ``coupling`` (array_like of shape (..., n)) holds the real, not
     necessarily normalized, factors of the block's |0> qubits, one coupling
-    per row; a zero or empty coupling gives the identity. The result
+    per row. A zero or empty coupling takes the same formula with v / s read
+    as 0 (s divides as 1): at any finite angle its matrix == the identity,
+    whose off-diagonal zeros may be signed, -0.0 from a negative angle or a
+    -0.0 component, as the zero real parts of other rows can be. The result
     broadcasts over the coupling rows and ``theta``: its shape is
     ``broadcast(coupling.shape[:-1], theta.shape) + (1 + n, 1 + n)``, and
     each matrix equals the one of its row and angle alone bit for bit.
@@ -76,11 +79,9 @@ def star_propagator(coupling, theta) -> np.ndarray:
     v = np.ascontiguousarray(coupling, dtype=float)
     dim = v.shape[-1] + 1
     s = np.sqrt(np.vecdot(v, v))
-    n_zero = s.size - np.count_nonzero(s)
-    zero = s == 0.0 if n_zero else None
     phase = s * np.asarray(theta, dtype=float)
     # Entries first, (dim, dim, *batch), so that every elementwise loop runs along the batch.
-    unit = np.divide(v.transpose((v.ndim - 1, *range(v.ndim - 1))), np.where(zero, 1.0, s) if n_zero else s, order="C")
+    unit = np.divide(v.transpose((v.ndim - 1, *range(v.ndim - 1))), np.where(s == 0.0, 1.0, s), order="C")
     unit = unit.reshape(unit.shape[:1] + (1,) * (phase.ndim - s.ndim) + s.shape)
     cos_p = np.cos(phase)
     out = np.empty(phase.shape + (dim, dim), dtype=complex)
@@ -88,17 +89,9 @@ def star_propagator(coupling, theta) -> np.ndarray:
     entries[0, 0] = cos_p
     entries[0, 1:] = entries[1:, 0] = 1j * unit * np.sin(phase)
     rydberg = unit[:, None] * unit[None, :] * (cos_p - 1.0)
-    rydberg += _identity(dim - 1).reshape((dim - 1, dim - 1) + (1,) * phase.ndim)
+    rydberg += np.eye(dim - 1).reshape((dim - 1, dim - 1) + (1,) * phase.ndim)
     entries[1:, 1:] = rydberg
-    if n_zero:
-        out[np.broadcast_to(zero, phase.shape)] = _identity(dim)
     return out
-
-
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """The read-only dim×dim identity."""
-    return _read_only(np.eye(dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,13 +193,16 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
 
     :func:`_call_plan` decides a call's shapes, builds and chunks once, from
     its shapes and settings alone, and caches them, so that calls of one
-    shape pay for them once. Per chunk, a call then costs one
-    :func:`star_propagator` call per block dimension of each build made per
-    chunk, and with the first chunk those of the builds made once, about
-    25 numpy operations each whatever its size; one batched ``@`` per later
-    pulse, block dimension and step of states, which makes one gemm per
-    point and block state, or per propagator that rows share; and about 40
-    more numpy operations for a 3-qubit register.
+    shape pay for them once. Per chunk, a call then costs, for each build
+    made per chunk and with the first chunk each build made once, one
+    gather of the build's pulses and one :func:`star_propagator` call per
+    block dimension, about 25 numpy operations each whatever its size; one
+    batched ``@`` per later pulse, block dimension and step of states, which
+    makes one gemm per point and block state, or per propagator that rows
+    share; and about 40 more numpy operations for a 3-qubit register. Every
+    call, of one chunk as of several, copies each chunk's reduced rows into
+    one result. These fixed costs weigh most on a single protocol, the
+    smallest call.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -236,8 +232,7 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
             if rows.start and not varying:
                 continue  # made with the first chunk
             # The chunk's rows; an axis of length one is broadcast and stays whole.
-            v = vectors[:, rows] if vectors.shape[1] > 1 else vectors
-            v = v if len(pulses) == n_pulses else v[pulses]
+            v = (vectors[:, rows] if vectors.shape[1] > 1 else vectors)[pulses]
             angles = np.concatenate([thetas[k][:, rows] if shape[1] > 1 else thetas[k] for k in pulses])[:, None]
             for (_, index), props in zip(groups, built):
                 props.update(zip(pulses, star_propagator(v.take(index, axis=-1).transpose(axes), angles)))
@@ -252,11 +247,8 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
                     x = _row_product(x, propagators)
                 amplitudes[states[lo : lo + step]] = x[..., 0, 0]
         reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
-        if len(chunks) == 1:
-            out = reduced
-        else:
-            out = np.empty(padded[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
-            out[rows] = reduced
+        out = np.empty(padded[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
+        out[rows] = reduced
     return out if batch else out[0]
 
 
@@ -329,9 +321,7 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     matmul to gemv, whose bits differ from gemm's, so a lone unshared row
     goes in twice and the product returns two, which later products carry.
     """
-    shared = rows.shape[:-2] != propagators.shape[:-2] and [
-        ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]
-    ]
+    shared = [ax for ax in range(1, rows.ndim - 2) if propagators.shape[ax] == 1 < rows.shape[ax]]
     if not shared:
         if rows.shape[-2] == 1:
             rows = rows.repeat(2, axis=-2)
@@ -380,8 +370,7 @@ def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m
     working arrays; ``reduce`` acts on each as in :func:`register_amplitudes`.
     All 2^n blocks run at once, folded by :func:`_fold`, with elementwise
     numpy alone (no BLAS), so a row's bits depend on that row alone. A call
-    is about 30 numpy calls whatever its rows: about 34 µs at 12 rows of 3
-    qubits and M = 3 on one Xeon core.
+    is about 30 numpy calls whatever its rows.
     """
     inputs = [np.asarray(x, dtype=float) for x in (vector_odd, vector_even, theta_odd, theta_even)]
     n = inputs[0].shape[-1]

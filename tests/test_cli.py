@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sopgate.cli
 from oracles import per_row_csv_text
@@ -460,8 +466,15 @@ class TestScanAxes:
                 "robustness_b2_0.csv",
                 ["-0.1", "-0.07", "-0.04", "-0.01", "0.02", "0.05", "0.08"],
             ),
+            # a step whose 1e-9 underflows still takes max: no empty scan
+            (["robustness", "--delta-max", "0", "--delta-step", "5e-324"], "robustness_b2_0.csv", ["-0"]),
+            (
+                ["robustness", "--delta-max", "5e-324", "--delta-step", "5e-324"],
+                "robustness_b2_0.csv",
+                ["-4.94065646e-324", "0", "4.94065646e-324"],
+            ),
         ],
-        ids=["map", "bscan", "bscan-to-1", "robustness"],
+        ids=["map", "bscan", "bscan-to-1", "robustness", "robustness-subnormal-step", "robustness-subnormal-max"],
     )
     def test_axis_ends_at_its_last_point_not_past_max(self, tmp_path, argv, name, want):
         out = tmp_path / "ok"
@@ -1113,3 +1126,176 @@ class TestOneParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'validate'" in err[0]
+
+
+#: Numeric text at the edges: not finite, the largest and least doubles, one ulp either side
+#: of 1, negatives, empty and non-numeric text.
+EDGE_NUMBERS = [
+    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324",
+    repr(1.0 + 2.0**-52), repr(1.0 - 2.0**-53), "-1", "-0.5", "-0", "", "x", "1,2",
+]
+#: Integer text at the edges: zero, negatives, a fraction, an exponent, one past 2**64, no number.
+EDGE_INTEGERS = ["0", "-1", "-0", "1.5", "1e3", str(2**64 + 1), "", "x", "nan"]
+
+
+def joined(separator, parts, counts):
+    """Text of ``parts`` joined by ``separator``, as many as one of ``counts``."""
+    return st.sampled_from(counts).flatmap(lambda n: st.lists(parts, min_size=n, max_size=n)).map(separator.join)
+
+
+def numbers(*usual):
+    return [repr(float(x)) for x in usual], st.sampled_from(EDGE_NUMBERS)
+
+
+def integers(*usual):
+    return [str(x) for x in usual], st.sampled_from(EDGE_INTEGERS)
+
+
+def number_lists(separator, usual, counts):
+    return usual, joined(separator, st.sampled_from(["-1", "0", "0.5", "1", "2", *EDGE_NUMBERS]), counts)
+
+
+#: Per option row: usual flag texts, and a strategy of edge texts. The usual values that size a
+#: command's work keep it at a few points, restarts and samples at most 2; edges that would
+#: size it larger must be refused.
+OPTION_TEXT = {
+    "b2": numbers(0, 0.1, 0.3),
+    "robustness b2": number_lists(",", ["0.0", "0.1", "0.0,0.1"], [1, 2]),
+    "c2": numbers(0, 0.1, 0.5),
+    "qubits": integers(2, 3),
+    "pulses": integers(1, 3, 4, 64, 65),
+    "esop-map pulses": integers(2, 3, 5),
+    "grid": number_lists(":", ["0:0:1", "0:0.5:0.5", "-1:1:1", "-1:1:0.5", "0.5:1:0.25"], [3, 3, 0, 1, 2, 4]),
+    "threshold": numbers(0.5, 0.99, 2),
+    "areas": number_lists(",", ["2,2", "-3.5,2", "1,0"], [2, 2, 1, 3]),
+    "bscan areas": number_lists(",", ["2,2", "-3.5,1", "0,0"], [2, 2, 1]),
+    "delta_max": numbers(0, 0.05, 0.1),
+    "delta_step": numbers(0.05, 0.1),
+    "b2_max": numbers(0, 0.1, 1),
+    "b2_step": numbers(0.25, 0.5),
+    "min_c2": numbers(0, 0.1, 0.5),
+    "min_sq": numbers(0, 0.1, 0.5),
+    "restarts": integers(1, 2),
+    "seed": integers(0, 7),
+    "threads": integers(1, 2),
+    "samples": integers(1, 2),
+    "tolerance": numbers(1e-6, 1e-15),
+}
+
+#: The options that size each command's work: always given by flag, so that no default or
+#: config-file value makes an example slow.
+SIZE_OPTIONS = {
+    "map": ["grid"],
+    "esop-map": ["grid", "pulses"],
+    "robustness": ["delta_max", "delta_step"],
+    "bscan": ["b2_max", "b2_step"],
+    "optimize": ["grid", "restarts"],
+    "validate": ["samples"],
+}
+
+#: Config-file values of wrong JSON types for an option, and some of a right type.
+CONFIG_VALUES = [0.5, -math.inf, math.nan, 1.5, "0.5", "2,2", [0.5], ["2,2"], {"v": 0.5}, True, 0, None]
+
+
+@st.composite
+def contract_argv(draw, command):
+    """An argv of ``command`` from the rows of ``cli.OPTIONS``, and a config file's text or None.
+
+    Half the examples are clean: usual values of the options the ``optimize`` mode reads, no
+    config file. The others draw edge values a quarter of the time, and options any mode reads.
+    """
+    defaults = next(c[3] for c in sopgate.cli.COMMANDS if c[0] == command)
+    clean = draw(st.booleans())
+    argv, mode = [command], defaults.get("what")
+    for key in dict.fromkeys([*SIZE_OPTIONS[command], *defaults, "threads"]):
+        option, flag = sopgate.cli._option(command, key), sopgate.cli._flag(key)
+        if key in ("out", "config") or (key not in SIZE_OPTIONS[command] and draw(st.integers(0, 2))):
+            continue
+        if clean and option.modes and mode not in option.modes:
+            continue
+        if option.type is bool:
+            argv.append(flag)
+            continue
+        if option.choices:
+            usual, edge = [str(c) for c in option.choices], st.sampled_from(["", "x", "-1"])
+        else:
+            usual, edge = OPTION_TEXT.get(f"{command} {key}") or OPTION_TEXT[key]
+        texts = st.sampled_from(usual) if clean else st.one_of(*[st.sampled_from(usual)] * 3, edge)
+        for _ in range(draw(st.integers(1, 2)) if option.repeat else 1):
+            text = draw(texts)
+            argv.append(f"{flag}={text}")  # so that text starting with "-" is a value
+        mode = text if key == "what" else mode
+    config = None
+    if not clean and draw(st.booleans()):  # a config file: values of any type, or no JSON object
+        pairs = st.dictionaries(st.sampled_from([*defaults, "unread"]), st.sampled_from(CONFIG_VALUES), max_size=2)
+        config = draw(st.one_of(pairs.map(json.dumps), st.sampled_from(["[]", "1", '"x"', "{", ""])))
+    return argv, config
+
+
+def _finite_json(text):
+    """Parse sidecar JSON, refusing NaN and infinities."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"sidecar holds {name}"))
+
+
+class TestInputContract:
+    """Every command line exits 0 with finite, hashed artifacts, or 2 with one ``error:`` line and
+    nothing written; ``validate`` may also exit 3, its report written. Nothing raises, no numpy
+    floating-point error goes unhandled and no warning is issued."""
+
+    @pytest.mark.parametrize("command", [c[0] for c in sopgate.cli.COMMANDS])
+    def test_exit_zero_or_two(self, command):
+        @given(contract_argv(command))
+        @settings(max_examples=40)
+        def check(drawn):
+            argv, config = drawn
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "out")
+                if config is not None:
+                    with open(os.path.join(tmp, "config.json"), "w") as handle:
+                        handle.write(config)
+                    argv = [*argv, "--config", os.path.join(tmp, "config.json")]
+                code, stderr = self._run([*argv, "--out", out])
+                if code == 2:
+                    lines = stderr.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, config, stderr)
+                    assert not os.path.exists(out), (argv, config)
+                    return
+                assert code == 0 or (command == "validate" and code == 3), (argv, config, code, stderr)
+                self._check_artifacts(out)
+
+        check()
+
+    @staticmethod
+    def _run(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+            warnings.catch_warnings(),
+            np.errstate(all="raise", under="ignore"),
+        ):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the parser's refusals
+                code = exc.code
+        return code, stderr.getvalue()
+
+    @staticmethod
+    def _check_artifacts(out):
+        names = sorted(os.listdir(out))
+        data = [name for name in names if not name.endswith(".json")]
+        assert data and len(names) == 2 * len(data), names
+        for name in data:
+            with open(os.path.join(out, name), "rb") as handle:
+                body = handle.read()
+            with open(os.path.join(out, os.path.splitext(name)[0] + ".json")) as handle:
+                meta = _finite_json(handle.read())
+            assert meta["content_sha256"] == hashlib.sha256(body).hexdigest(), name
+            if name.endswith(".csv"):
+                header, *rows = body.decode().splitlines()
+                assert rows, f"{name} holds no rows"
+                values = [float(x) for row in rows for x in row.split(",")]
+                assert all(map(math.isfinite, values)) and all(len(r.split(",")) == header.count(",") + 1 for r in rows)
+            else:
+                _finite_json(body)

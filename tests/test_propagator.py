@@ -92,8 +92,14 @@ class TestStarPropagator:
         assert u.shape == (1, 1)
         assert u[0, 0] == 1.0
 
-    def test_zero_coupling_is_identity(self):
-        np.testing.assert_array_equal(star_propagator((0.0, 0.0), 2.0), np.eye(3))
+    @pytest.mark.parametrize("theta", [-2.0, -0.0, 0.0, 2.0])
+    def test_zero_coupling_is_identity(self, theta):
+        # The general formula, s dividing as 1: off-diagonal zeros may be -0.0, which == 0.
+        signs = np.array(list(itertools.product((0.0, -0.0), repeat=3)))
+        for coupling in signs:
+            assert np.all(star_propagator(coupling, theta) == np.eye(4))
+        assert np.all(star_propagator(signs, theta) == np.eye(4))
+        assert np.all(star_propagator(signs[:, None, :2], [theta, -theta]) == np.eye(3))
 
     def test_broadcast_over_couplings_equals_rows(self):
         rng = np.random.default_rng(3)
@@ -659,8 +665,12 @@ class TestRowKernel:
         # Single-site vectors leave the spectator's block, |110>, and |111> uncoupled.
         odd, even = family_vectors(0.0, 0.0, 3)
         areas = np.random.default_rng(m_pulses).uniform(-8 * PI, 8 * PI, (2, 20))
+        uncoupled = [basis_labels(3).index("110"), -1]
         amplitudes = _row_amplitudes(odd, even, *areas, m_pulses)
-        assert np.all(amplitudes[:, [basis_labels(3).index("110"), -1]] == 1.0)
+        assert np.all(amplitudes[:, uncoupled] == 1.0)
+        # The gemm kernel too, over the 20 x 20 grid of these areas.
+        grid = alternating_amplitudes(odd, even, areas[0][:, None], areas[1], m_pulses)
+        assert grid.shape == (20, 20, 8) and np.all(grid[..., uncoupled] == 1.0)
 
     @pytest.mark.parametrize("n_qubits", [2, 3])
     @pytest.mark.parametrize("m_pulses", [1, 2, 3, 4, 5, 6])
