@@ -30,9 +30,10 @@ n_odd + n_even gemms per pulse and block state instead of n_odd·n_even.
 The kernel alone bounds its memory, for a batch of any size: one loop walks
 the first batch axis in chunks of one byte budget, ``_CHUNK_BYTES``, and
 hands each chunk's amplitudes to the caller's ``reduce``, so that a map or
-a scan keeps only its reduced rows; :func:`register_amplitudes` states the
-rules of the chunks and what one call costs, and :func:`_call_plan`
-decides them once per call shape.
+a scan keeps only its reduced rows. Each call plans its own chunks and
+builds from its arguments and that budget, and carries every block state
+alone, one chain of gemms per state; :func:`register_amplitudes` states
+the rules of the chunks and what one call costs.
 Amplitudes have one layout, the basis axis last in :func:`basis_labels`
 order: batch + (2^n,), in every chunk a ``reduce`` sees and in every result.
 For blocks of up to 4 levels (registers of up to 3 qubits) every amplitude
@@ -161,9 +162,9 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     counts at most one apart, each of at most ``_CHUNK_BYTES`` of
     amplitudes, carried ground rows and built propagators, unless a single
     row takes more; no rows make one empty chunk. A register without batch
-    axes is one chunk of one row. Within a chunk, the block states of one
-    dimension are carried together as far as the budget holds their rows:
-    one at a time in a full chunk, all at once in a small batch.
+    axes is one chunk of one row. Within a chunk every block state is
+    carried alone, in one chain of products, so the budget counts the
+    carried rows of one state.
 
     ``reduce`` maps a chunk's amplitudes, shape (rows, *batch[1:], 2^n)
     with the basis axis last in :func:`basis_labels` order, to an array of
@@ -191,18 +192,17 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     map, each odd pulse takes the rows of the n_even points of its odd row
     and each even pulse those of the chunk's points of its even column.
 
-    :func:`_call_plan` decides a call's shapes, builds and chunks once, from
-    its shapes and settings alone, and caches them, so that calls of one
-    shape pay for them once. Per chunk, a call then costs, for each build
-    made per chunk and with the first chunk each build made once, one
-    gather of the build's pulses and one :func:`star_propagator` call per
-    block dimension, about 25 numpy operations each whatever its size; one
-    batched ``@`` per later pulse, block dimension and step of states, which
-    makes one gemm per point and block state, or per propagator that rows
-    share; and about 40 more numpy operations for a 3-qubit register. Every
-    call, of one chunk as of several, copies each chunk's reduced rows into
-    one result. These fixed costs weigh most on a single protocol, the
-    smallest call.
+    Every call works out its padded shapes, builds and chunk edges from its
+    own arguments and ``_CHUNK_BYTES``; nothing is kept between calls. Per
+    chunk, a call then costs, for each build made per chunk and with the
+    first chunk each build made once, one gather of the build's pulses and
+    one :func:`star_propagator` call per block dimension, about 25 numpy
+    operations each whatever its size; per block state, one batched ``@``
+    per later pulse, which makes one gemm per point or per propagator that
+    rows share, and one write of its amplitudes. Every call, of one chunk
+    as of several, copies each chunk's reduced rows into one result. These
+    fixed costs weigh most on a single protocol, the smallest call: a
+    3-qubit protocol of M pulses takes 7 (M - 1) products.
 
     For blocks of dimension d ≤ 4 (registers of up to 3 qubits), each
     amplitude equals the [0, 0] entry of its own d×d product U_M ⋯ U_1 bit
@@ -214,90 +214,62 @@ def register_amplitudes(vectors, thetas, order=None, reduce=None) -> np.ndarray:
     thetas = [np.asarray(theta, dtype=float) for theta in thetas]
     if len(thetas) != len(vectors):
         raise DimensionMismatchError(f"{len(vectors)} pulse vectors but {len(thetas)} angles")
-    theta_shapes = tuple(theta.shape for theta in thetas)
-    batch, shapes, axes, chunks, builds = _call_plan(vectors.shape, theta_shapes, _CHUNK_BYTES)
     n_pulses, n_qubits = vectors.shape[0], vectors.shape[-1]
+    same = {}  # angle shape -> its pulses, in index order, built in one call
+    for k, theta in enumerate(thetas):
+        same.setdefault(theta.shape, []).append(k)
+    batch = np.broadcast_shapes(vectors.shape[1:-1], *same)
     order = range(n_pulses) if order is None else order
     reduce = reduce or np.ascontiguousarray
     if len(order) == 0:  # no pulses: the identity
         return reduce(np.ones(batch + (2**n_qubits,), dtype=complex))
-    vectors = vectors.reshape(shapes[0])
-    thetas = [theta.reshape(shape) for theta, shape in zip(thetas, shapes[1:])]
     padded = batch or (1,)
-    groups, _ = _blocks_by_dimension(n_qubits)
-    built = [{} for _ in groups]  # per block dimension, pulse -> its propagators
-    out = None
-    for rows, step in chunks:
-        for pulses, shape, varying in builds:
-            if rows.start and not varying:
-                continue  # made with the first chunk
-            # The chunk's rows; an axis of length one is broadcast and stays whole.
-            v = (vectors[:, rows] if vectors.shape[1] > 1 else vectors)[pulses]
-            angles = np.concatenate([thetas[k][:, rows] if shape[1] > 1 else thetas[k] for k in pulses])[:, None]
-            for (_, index), props in zip(groups, built):
-                props.update(zip(pulses, star_propagator(v.take(index, axis=-1).transpose(axes), angles)))
-        # Scratch, basis axis first, so that each state's amplitudes are written at once.
-        amplitudes = np.empty((2**n_qubits, rows.stop - rows.start) + padded[1:], dtype=complex)
-        amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
-        for (states, _), props in zip(groups, built):
-            for lo in range(0, len(states), step):
-                links = [props[k][lo : lo + step] for k in order]
-                x = links[0][..., :1, :]
-                for propagators in links[1:]:
-                    x = _row_product(x, propagators)
-                amplitudes[states[lo : lo + step]] = x[..., 0, 0]
-        reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
-        out = np.empty(padded[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
-        out[rows] = reduced
-    return out if batch else out[0]
-
-
-@functools.lru_cache(maxsize=256)
-def _call_plan(vectors_shape, theta_shapes, budget):
-    """The shapes of a :func:`register_amplitudes` call: (batch, shapes, axes, chunks, builds).
-
-    ``batch`` is the call's batch shape. ``shapes`` are the shapes of the
-    vectors (pulse, *batch, qubit), then of each angle array (1, *batch),
-    their batch axes padded to as many as ``batch or (1,)`` has, so that the
-    first batch axis is axis 1 of each. ``axes`` orders the couplings
-    (pulse, *batch, block, qubit) as (pulse, block, *batch, qubit).
-    ``chunks`` holds per chunk its slice of the first batch axis and its
-    step of block states. ``builds`` holds per distinct angle shape its
-    pulses, in index order, that shape padded, and whether the build varies
-    along the first batch axis; each is built per block dimension.
-    ``budget`` is the bytes of one chunk. The plan reads no setting but
-    its arguments, so that its cache, per shapes and settings, cannot go stale.
-    """
-    n_pulses, n_qubits = vectors_shape[0], vectors_shape[-1]
-    same = {}  # angle shape -> its pulses, in index order, built in one call
-    for k, shape in enumerate(theta_shapes):
-        same.setdefault(shape, []).append(k)
-    batch = np.broadcast_shapes(vectors_shape[1:-1], *same)
-    padded = batch or (1,)
-
-    def pad(shape):
-        return (1,) * (len(padded) - len(shape)) + shape
-
-    shapes = ((n_pulses, *pad(vectors_shape[1:-1]), n_qubits), *((1, *pad(shape)) for shape in theta_shapes))
-    _, block_entries = _blocks_by_dimension(n_qubits)
+    # Batch axes padded to as many as ``padded`` has, so that the first batch axis is axis 1
+    # of the vectors (pulse, *batch, qubit) and of each angle array (1, *batch).
+    vectors = vectors.reshape(vectors.shape[:1] + (1,) * (len(padded) + 2 - vectors.ndim) + vectors.shape[1:])
+    thetas = [theta.reshape((1,) * (len(padded) + 1 - theta.ndim) + theta.shape) for theta in thetas]
+    groups, block_entries = _blocks_by_dimension(n_qubits)
+    # Per distinct angle shape: its pulses, that shape padded, and whether the build
+    # varies along the first batch axis.
     builds, varying_sets = [], 0
     for pulses in same.values():
-        shape = shapes[1 + pulses[0]]
-        varying = shapes[0][1] > 1 or shape[1] > 1
+        shape = thetas[pulses[0]].shape
+        varying = vectors.shape[1] > 1 or shape[1] > 1
         if varying:  # sets of block propagators per row of the first batch axis
-            varying_sets += len(pulses) * math.prod(map(max, shapes[0][2:-1], shape[2:]))
-        builds.append((_read_only(pulses), shape, varying))
+            varying_sets += len(pulses) * math.prod(map(max, vectors.shape[2:-1], shape[2:]))
+        builds.append((pulses, shape, varying))
     # Complex entries per row of the first batch axis: per point, its amplitudes
     # and one state's carried ground rows (at most two, in a product and its
     # operand); the propagators of every build that varies along the axis, one
     # d×d matrix per block of dimension d.
     entries = math.prod(padded[1:]) * (2**n_qubits + 4 * (n_qubits + 1)) + block_entries * varying_sets
+    edges = _chunk_edges(padded[0], 16 * entries, _CHUNK_BYTES)
+    # Couplings (pulse, *batch, block, qubit) in the order (pulse, block, *batch, qubit).
     axes = (0, len(padded) + 1, *range(1, len(padded) + 1), len(padded) + 2)
-    # Chunks of the first batch axis; per chunk, the steps of states whose carried
-    # rows the budget holds: one state in a full chunk.
-    edges = _chunk_edges(padded[0], 16 * entries, budget)
-    chunks = tuple((slice(lo, hi), max(1, budget // (16 * entries * max(1, hi - lo)))) for lo, hi in zip(edges, edges[1:]))
-    return batch, shapes, axes, chunks, tuple(builds)
+    built = [{} for _ in groups]  # per block dimension, pulse -> its propagators
+    out = None
+    for lo, hi in zip(edges, edges[1:]):
+        for pulses, shape, varying in builds:
+            if lo and not varying:
+                continue  # made with the first chunk
+            # The chunk's rows; an axis of length one is broadcast and stays whole.
+            v = (vectors[:, lo:hi] if vectors.shape[1] > 1 else vectors)[pulses]
+            angles = np.concatenate([thetas[k][:, lo:hi] if shape[1] > 1 else thetas[k] for k in pulses])[:, None]
+            for (_, index), props in zip(groups, built):
+                props.update(zip(pulses, star_propagator(v.take(index, axis=-1).transpose(axes), angles)))
+        # Scratch, basis axis first, so that each state's amplitudes are written at once.
+        amplitudes = np.empty((2**n_qubits, hi - lo) + padded[1:], dtype=complex)
+        amplitudes[-1] = 1.0  # the all-|1> state, last in basis order, is dark to every pulse
+        for (states, _), props in zip(groups, built):
+            for at, state in enumerate(states):  # one chain of products per block state
+                x = props[order[0]][at : at + 1, ..., :1, :]
+                for k in order[1:]:
+                    x = _row_product(x, props[k][at : at + 1])
+                amplitudes[state] = x[0, ..., 0, 0]
+        reduced = reduce(amplitudes.transpose(axes[2:-1] + (0,)))  # the one layout: basis axis last
+        out = np.empty(padded[:1] + reduced.shape[1:], reduced.dtype) if out is None else out
+        out[lo:hi] = reduced
+    return out if batch else out[0]
 
 
 def _chunk_edges(n_rows: int, row_bytes: int, budget: int) -> list[int]:
@@ -334,7 +306,10 @@ def _row_product(rows: np.ndarray, propagators: np.ndarray) -> np.ndarray:
     merged = stacked.reshape(stacked.shape[: len(own)] + (m, rows.shape[-1]))
     product = merged @ propagators.squeeze(tuple(shared))
     product = product.reshape(product.shape[:-2] + stacked.shape[len(own) :])
-    return product.transpose(np.argsort(axes))
+    inverse = [0] * len(axes)  # the permutation that undoes ``axes``
+    for i, ax in enumerate(axes):
+        inverse[ax] = i
+    return product.transpose(inverse)
 
 
 def _read_only(values) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -335,6 +336,38 @@ class TestOutputDirectoryFirst:
         parent.write_text("keep\n")
         assert_config_error(capsys, ["map", "--grid=-1:1:0.5", "--out", str(parent / "out")])
         assert read(parent) == "keep\n"
+
+
+#: Requests refused for their size: grid points, (point, restart) pairs and samples.
+OVERSIZED = [
+    ["map", "--grid=-1000:1000:0.0001"],
+    ["map", "--grid=-8:8:0.0025"],
+    ["esop-map", "--pulses", "5", "--grid=-8:8:0.002"],
+    ["robustness", "--delta-max", "1", "--delta-step", "1e-12"],
+    ["bscan", "--b2-step", "1e-9"],
+    ["optimize", "--grid=-8:8:0.001", "--restarts", "16"],
+    ["optimize", "--grid=-8:8:0.5", "--restarts", "1000"],
+    ["optimize", "--what", "third-qubit", "--areas=2,2", "--restarts", "2000000"],
+    ["optimize", "--what", "all-factors", "--areas=2,2", "--restarts", "2000000"],
+    ["optimize", "--what", "areas", "--grid=1:3:1", "--restarts", "2000000"],
+    ["validate", "--samples", "10001"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+def test_oversized_request_refused_before_it_allocates(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    assert main(argv) == 2  # unmeasured: a first call imports modules and builds the parser
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert_config_error(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not out.exists()
+    assert peak < 0.1e6, f"{peak} bytes"
 
 
 class TestOneWritePath:
