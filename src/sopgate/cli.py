@@ -344,8 +344,9 @@ def cmd_robustness(args: argparse.Namespace) -> tuple[int, list]:
     # From -max to max by step, checked before allocating; the axis ends at its
     # last point not past max, up to round-off, and takes max itself also where
     # step * 1e-9 underflows (a subnormal step), so that it is never empty.
+    # 0.0 - max is -max, but +0 for a max of 0, whose one delta reads "0".
     top, step = config["delta_max"], config["delta_step"]
-    start, stop = -top, max(top + step * 1e-9, math.nextafter(top, math.inf))
+    start, stop = 0.0 - top, max(top + step * 1e-9, math.nextafter(top, math.inf))
     check_grid_points((stop - start) / step)
     deltas = np.arange(start, stop, step) * math.pi
     families = [sop_family(b2=b2) for b2 in b2_list]  # checks every b2 before any work

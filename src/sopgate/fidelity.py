@@ -31,16 +31,19 @@ chunks. :func:`fidelity_map` reduces to fidelities by
 :func:`fidelity_from_rows`, and robustness scans to their three real curves.
 
 One renderer spells every CSV of the package, maps and scans alike. One
-speller, :func:`_spell`, writes float64 values as ``%.9g`` text in 14-byte
-cells, words at a time from tables of ASCII words, at once for
-1e-99 <= |x| < 1, in fixed notation down to 1e-4 and in exponent notation
-below; other values take Python's formatter. :func:`csv_text` formats
-leading columns smaller than the CSV, such as a map's axis labels, a few
-hundred values, once each; it spells every later column, one block of lines
-at a time, as one run of slots in a NUL-padded line buffer as wide as the
-block's cells need, drops the padding with one ``bytearray.translate`` and
-appends the text to one growing ``io.BytesIO``, whose buffer it returns.
-:func:`map_csv_text` is the renderer's map form.
+speller, :func:`_spell`, writes float64 values as ``%.9g`` text straight
+into their slots of a line buffer, words at a time from tables of ASCII
+words, at once for 1e-99 <= |x| < 1, in fixed notation down to 1e-4 and in
+exponent notation below; other values take Python's formatter.
+:func:`csv_text` formats leading columns smaller than the CSV, such as a
+map's axis labels, a few hundred values, once each; it spells every later
+column, one block of lines at a time, as one run of slots in one NUL-padded
+line buffer, drops the padding with one ``bytearray.translate`` and appends
+the text to one growing ``io.BytesIO``, whose buffer it returns. A CSV has
+one slot width, decided before its first block: 14 bytes, 15 when a spelled
+value is negative, and 16 in the rare CSV whose formatted text does not fit
+(a three-digit exponent), which is rendered again. :func:`map_csv_text` is
+the renderer's map form.
 """
 
 import functools
@@ -522,14 +525,16 @@ _EXPONENT_WORD = 20_000
 
 #: The slot of a spelled cell: every nonnegative ``%.9g`` text with at most
 #: a two-digit exponent fits in 14 bytes, "0.000123456789" and
-#: "1.23456789e-05"; a sign takes one more.
+#: "1.23456789e-05". A CSV's slots are all this wide, one more when one of
+#: its spelled values is negative, for a sign byte in every cell, or 16
+#: bytes when a text with a three-digit exponent does not fit.
 _SLOT = 14
 
 #: Most lines one block of :func:`csv_text` holds when it spells one column,
 #: and most cells it spells: with c spelled columns a block holds
 #: ``_CSV_BLOCK_LINES // c`` lines, but at least one row of the first axis.
-#: A block's line buffer and spelling temporaries are what rendering holds
-#: beyond the text.
+#: The CSV's one line buffer and a block's spelling temporaries are what
+#: rendering holds beyond the text.
 _CSV_BLOCK_LINES = 2**14
 
 
@@ -566,50 +571,18 @@ def _fixed_heads() -> np.ndarray:
     return np.frombuffer(b"".join(heads), "<u8")
 
 
-@dataclass
-class _Cells:
-    """One block of values spelled by :func:`_spell`, to be written into slots of ``width`` bytes.
+def _spell(values: np.ndarray, slots: np.ndarray) -> bool:
+    """Spell ``b"%.9g" % x`` of each float64 value into its slot; False, writing nothing, if one does not fit.
 
-    A cell is a sign byte ("-" or NUL) when ``signs`` is not None, then an
-    eight-byte head word whose last two bytes the next word overwrites, and
-    two four-byte words: 14 bytes of text and NUL. ``slow`` cells are
-    ``texts``, padded with NUL bytes to the slot. What the slot holds past
-    these is NUL.
-    """
-
-    shape: tuple
-    width: int
-    signs: np.ndarray | None
-    heads: np.ndarray
-    words: list
-    slow: np.ndarray
-    texts: list
-
-    def write(self, slots: np.ndarray) -> None:
-        """Write the cells into ``slots``: uint8, ``shape + (width,)``, the last axis contiguous."""
-        signed = self.signs is not None
-        if signed:
-            slots[..., 0] = self.signs.reshape(self.shape)
-        slots[..., signed : signed + 8].view("<u8")[..., 0] = self.heads.reshape(self.shape)
-        words = slots[..., signed + 6 : signed + _SLOT].view("<u4")
-        for k, word in enumerate(self.words):
-            words[..., k] = word.reshape(self.shape)
-        if self.width > _SLOT + signed:
-            slots[..., signed + _SLOT :] = 0
-        if self.slow.size:
-            texts = np.array(self.texts, dtype=f"S{self.width}").view(np.uint8)
-            slots[np.unravel_index(self.slow, self.shape)] = texts.reshape(-1, self.width)
-
-
-def _spell(values: np.ndarray) -> _Cells:
-    """Spell ``b"%.9g" % x`` of each float64 value as a cell of one slot width.
-
-    A cell's text is its bytes with every NUL dropped. A spelled cell is 14
-    bytes: the fixed-notation head "0.", k - 1 zeros and the first digit,
-    then two groups of four digits, or the exponent-notation head, two
-    groups and the exponent. Values with a negative among them give every
-    cell a sign byte in front, and a formatted text longer than that (a
-    three-digit exponent) widens the slot to it: 16 bytes hold the longest
+    ``slots`` is uint8, ``values.shape + (width,)``, its last axis
+    contiguous, and a cell's text is its slot's bytes with every NUL
+    dropped. A spelled cell is 14 bytes: the fixed-notation head "0.", k - 1
+    zeros and the first digit, then two groups of four digits, or the
+    exponent-notation head, two groups and the exponent. A slot wider than
+    14 bytes, which the caller gives every value when one of them is
+    negative, starts each cell with a sign byte, "-" or NUL, and ends it
+    with NUL. A formatted text longer than the slot (a three-digit exponent)
+    is written nowhere, and False returned: 16 bytes hold the longest
     ``%.9g`` text of a float64, "-1.23456789e-308".
 
     Each x with 1e-99 <= |x| < 1 is spelled at once. With the depth
@@ -683,12 +656,22 @@ def _spell(values: np.ndarray) -> _Cells:
     words[0][deep] = words[1][deep]
     words[1][deep] = exponents
     texts = [b"%.9g" % value for value in x[slow].tolist()]
-    if np.fmin.reduce(x, initial=0.0) < 0:
-        signs = np.less(x, 0).view(np.uint8) * np.uint8(ord("-"))
-    else:
-        signs = None
-    width = max([_SLOT + (signs is not None), *map(len, texts)])
-    return _Cells(values.shape, width, signs, heads, words, slow, texts)
+    width = slots.shape[-1]
+    if max(map(len, texts), default=0) > width:
+        return False
+    signed = width > _SLOT
+    if signed:
+        slots[..., 0] = np.less(values, 0).view(np.uint8) * np.uint8(ord("-"))
+    slots[..., signed : signed + 8].view("<u8")[..., 0] = heads.reshape(values.shape)
+    cells = slots[..., signed + 6 : signed + _SLOT].view("<u4")
+    for k, word in enumerate(words):
+        cells[..., k] = word.reshape(values.shape)
+    if width > _SLOT + signed:
+        slots[..., signed + _SLOT :] = 0
+    if texts:
+        texts = np.array(texts, f"S{width}").view(np.uint8)
+        slots[np.unravel_index(slow, values.shape)] = texts.reshape(-1, width)
+    return True
 
 
 def _line_template(labels, width, n_spelled, row_shape):
@@ -722,57 +705,57 @@ def csv_text(header: str, columns) -> bytes:
 
     Lines are rendered in blocks of rows of the first axis, of at most
     ``_CSV_BLOCK_LINES`` spelled cells but at least one row, with one
-    :func:`_spell` call per block, in one ``bytearray``. A block's slots are
-    as wide as its cells need: 14 bytes, 15 when one of its values is
-    negative, and 16 at most for a longer formatted text. One template row
-    per slot width, built when a block first needs it, holds the separators
-    and the labels that do not vary along the first axis; it fills that
-    width's line buffer once, and each block writes only the other columns
-    over it. One ``bytearray.translate`` then drops the NUL padding of the
-    block's lines, wherever it lies in a cell, and the text is appended to
-    one ``io.BytesIO``, whose buffer ``getvalue`` returns without a copy.
+    :func:`_spell` call per block, in one ``bytearray``. Every slot of the
+    CSV has one width, decided before its first block: 14 bytes, or 15 when
+    one of the spelled values is negative. One template row holds the
+    separators and the labels that do not vary along the first axis; it
+    fills the line buffer once, and each block writes only the other
+    columns over it. One ``bytearray.translate`` then drops the NUL padding
+    of the block's lines, wherever it lies in a cell, and the text is
+    appended to one ``io.BytesIO``, whose buffer ``getvalue`` returns
+    without a copy. If a formatted text does not fit its slot (a
+    three-digit exponent), the CSV is rendered again in 16-byte slots,
+    which hold every ``%.9g`` text of a float64.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
-    out = io.BytesIO()
-    out.write(header.encode() + b"\n")
+    head = header.encode() + b"\n"
     if not math.prod(shape):
-        return out.getvalue()
+        return head
     n_labels = 0
     while n_labels < len(columns) - 1 and columns[n_labels].shape != shape:
         n_labels += 1
     labels = []
     for column in columns[:n_labels]:
-        values = column.ravel().tolist()
-        cells = (b"%.9g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
-        labels.append(np.array(cells, dtype=bytes).reshape(column.shape))
+        texts = b"%.9g\0" * column.size % tuple(column.ravel().tolist())
+        labels.append(np.array(texts.split(b"\0")[:-1], dtype=bytes).reshape(column.shape))
     # labels that vary along the first axis, written block by block, and where they start
     run_at, varying = 0, []
     for label in labels:
         if label.ndim == len(shape) and label.shape[0] != 1:
             varying.append((run_at, label))
         run_at += label.itemsize + 1
+    negative = any(np.fmin.reduce(column, axis=None, initial=0.0) < 0 for column in columns[n_labels:])
     spelled = [np.broadcast_to(column, shape) for column in columns[n_labels:]]
     rows = min(shape[0], max(1, _CSV_BLOCK_LINES // (len(spelled) * math.prod(shape[1:]))))
-    buffers = {}  # per slot width: the line buffer and its lines
-    for lo in range(0, shape[0], rows):
-        hi = min(lo + rows, shape[0])
-        cells = _spell(np.stack([column[lo:hi] for column in spelled], -1))
-        if cells.width not in buffers:
-            template = _line_template(labels, cells.width, len(spelled), shape[1:])
-            buffer = bytearray(rows * template.size)
-            lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
-            lines[...] = template
-            buffers[cells.width] = buffer, lines
-        buffer, lines = buffers[cells.width]
-        block = lines[: hi - lo]
-        slots = block[..., run_at:].reshape(cells.shape + (cells.width + 1,))
-        cells.write(slots[..., : cells.width])
-        del cells
-        for at, label in varying:
-            block[..., at : at + label.itemsize].view(label.dtype)[..., 0] = label[lo:hi]
-        out.write((buffer if hi - lo == rows else buffer[: block.size]).translate(None, b"\0"))
-    return out.getvalue()
+    for width in (_SLOT + negative, _SLOT + 2):
+        template = _line_template(labels, width, len(spelled), shape[1:])
+        buffer = bytearray(rows * template.size)
+        lines = np.frombuffer(buffer, np.uint8).reshape((rows,) + template.shape)
+        lines[...] = template
+        out = io.BytesIO()
+        out.write(head)
+        for lo in range(0, shape[0], rows):
+            hi = min(lo + rows, shape[0])
+            block = lines[: hi - lo]
+            slots = block[..., run_at:].reshape(block.shape[:-1] + (len(spelled), width + 1))
+            if not _spell(np.stack([column[lo:hi] for column in spelled], -1), slots[..., :width]):
+                break
+            for at, label in varying:
+                block[..., at : at + label.itemsize].view(label.dtype)[..., 0] = label[lo:hi]
+            out.write((buffer if hi - lo == rows else buffer[: block.size]).translate(None, b"\0"))
+        else:
+            return out.getvalue()
 
 
 def map_csv_text(fmap: FidelityMap) -> bytes:
@@ -781,9 +764,10 @@ def map_csv_text(fmap: FidelityMap) -> bytes:
     The bytes equal one ``f"{ao:.9g},{ae:.9g},{F:.9g}\\n"`` per grid point,
     encoded: one :func:`csv_text` call. Each axis value is formatted once
     and broadcast over the map (the even axis from the template row); the
-    fidelities are spelled one block of odd rows at a time, each in a 14-byte
-    slot, so that a default map's line is 27 bytes for about 22 of text. The
-    returned ``bytes`` is the buffer the blocks' texts were appended to.
+    fidelities are spelled one block of odd rows at a time into the map's
+    one slot width, 14 bytes unless a fidelity's text has a three-digit
+    exponent, so that a default map's line is 27 bytes for about 22 of text.
+    The returned ``bytes`` is the buffer the blocks' texts were appended to.
     """
     columns = [(fmap.axis_odd / math.pi)[:, None], fmap.axis_even / math.pi, fmap.values]
     return csv_text("a_odd_over_pi,a_even_over_pi,fidelity", columns)

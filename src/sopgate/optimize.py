@@ -29,8 +29,7 @@ slot) pair, and one rule, applied batch by batch in each simplex's order of
 evaluation, keeps the first that is below the best: a NaN never replaces a
 number, and no update reads a value of an earlier step. A step of a
 benchmark point job (16 restarts, about 19 rows) is one objective call and
-about 55 numpy operations. Such a job takes 28 % fewer steps than with a
-step for each inside contraction.
+about 55 numpy operations.
 Every result holds arrays of the batch shape of its problems, 0-d for one.
 Every optimizer evaluates its candidates by
 :func:`~sopgate.fidelity.row_fidelities`, on the BLAS-free row kernel, so a

@@ -500,7 +500,7 @@ class TestScanAxes:
                 ["-0.1", "-0.07", "-0.04", "-0.01", "0.02", "0.05", "0.08"],
             ),
             # a step whose 1e-9 underflows still takes max: no empty scan
-            (["robustness", "--delta-max", "0", "--delta-step", "5e-324"], "robustness_b2_0.csv", ["-0"]),
+            (["robustness", "--delta-max", "0", "--delta-step", "5e-324"], "robustness_b2_0.csv", ["0"]),
             (
                 ["robustness", "--delta-max", "5e-324", "--delta-step", "5e-324"],
                 "robustness_b2_0.csv",

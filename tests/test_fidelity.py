@@ -1062,15 +1062,22 @@ class TestCsvOutput:
         assert map_csv_text(fmap) == per_cell_map_csv_text(fmap).encode()
 
     @pytest.mark.parametrize("value", WIDE_CELLS, ids=WIDE_CELL_IDS)
-    @pytest.mark.parametrize("edge", ["first", "last", "past"])
+    @pytest.mark.parametrize("edge", ["first", "last", "past", "end"])
     def test_one_wide_cell_at_block_edges_of_a_map(self, value, edge):
-        # A block's fidelity slot widens for its own cells only: the one cell
-        # that needs a sign byte or a longer text, on the first or last line of
-        # the first block, or on the first line of the next.
+        # One slot width serves the whole map: the one cell that needs a sign
+        # byte or a longer text, on the first or last line of the first block,
+        # on the first line of the next, or on the last line of the last,
+        # partial block, where a longer text is found after every earlier
+        # block was spelled and the map is rendered again.
         n_even = 7
         block = _CSV_BLOCK_LINES // n_even
         values = np.random.default_rng(13).uniform(0, 1, (2 * block + 5, n_even))
-        row, column = {"first": (0, 0), "last": (block - 1, n_even - 1), "past": (block, 0)}[edge]
+        row, column = {
+            "first": (0, 0),
+            "last": (block - 1, n_even - 1),
+            "past": (block, 0),
+            "end": (2 * block + 4, n_even - 1),
+        }[edge]
         values[row, column] = value
         axis_odd, axis_even = np.arange(len(values)) * 0.01, np.arange(n_even) * 0.3
         fmap = FidelityMap(axis_odd=axis_odd, axis_even=axis_even, values=values)
@@ -1099,6 +1106,20 @@ class TestCsvOutput:
         # block's temporaries: 1.16 times (1.14-1.18 in a buffer pre-sized by a
         # length bound, 2.09 when the blocks were joined).
         assert peak <= 1.5 * size
+
+    def test_wide_map_peak_above_text(self):
+        # the CI smoke test's wide map, `map --b2 0.3 --grid=-16:16:0.05`
+        fmap = fidelity_map(sop_family(b2=0.3), GridSpec(-16, 16, 0.05))
+        tracemalloc.start()
+        try:
+            size = len(map_csv_text(fmap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond its text, rendering holds the one line buffer, its template
+        # row, the labels and one block's spelling temporaries: 1.51 MB
+        # (1.52 with a line buffer per slot width).
+        assert peak - size <= 2.5e6
 
 
 def one_row_map(values):
@@ -1312,7 +1333,11 @@ class TestCsvText:
         assert text == per_row_csv_text("p,q,r", zip(full.ravel(), values.ravel(), full.ravel()))
 
     @pytest.mark.parametrize("value", WIDE_CELLS, ids=WIDE_CELL_IDS)
-    @pytest.mark.parametrize("at", [0, _CSV_BLOCK_LINES - 1, _CSV_BLOCK_LINES], ids=["first", "last", "past"])
+    @pytest.mark.parametrize(
+        "at",
+        [0, _CSV_BLOCK_LINES - 1, _CSV_BLOCK_LINES, 2 * _CSV_BLOCK_LINES + 4],
+        ids=["first", "last", "past", "end"],
+    )
     def test_one_wide_cell_at_block_edges(self, value, at):
         values = np.random.default_rng(11).uniform(0, 1, 2 * _CSV_BLOCK_LINES + 5)
         values[at] = value
@@ -1367,6 +1392,9 @@ class TestCsvText:
         # length bound, 2.03 when the blocks were joined, 3.2 for the per-row
         # rendering).
         assert peak <= 1.5 * size
+        # Beyond its text, the one line buffer and one block's spelling
+        # temporaries: 1.42 MB, as with a line buffer per slot width.
+        assert peak - size <= 2.5e6
 
     @pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_LINES, 2 * _CSV_BLOCK_LINES + 5])
     def test_returns_bytes(self, n_rows):
