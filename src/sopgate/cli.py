@@ -469,10 +469,8 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, list]:
             )
         protocol = Protocol(tuple(pulses), n_qubits)
         report = validate_protocol(protocol, tolerance=config["tolerance"], shape=config["shape"])
-        worst = max(worst, report.max_deviation)
-        reports.append(
-            {"index": index, "n_qubits": n_qubits, "n_pulses": n_pulses, **report.to_json_dict()}
-        )
+        worst = max(worst, report["max_deviation"])
+        reports.append({"index": index, "n_qubits": n_qubits, "n_pulses": n_pulses, **report})
     passed = worst < config["tolerance"]
     payload = _json_bytes({"passed": passed, "max_deviation": worst, "runs": reports})
     print(f"validation {'passed' if passed else 'FAILED'}: max deviation {worst:.3e}")

@@ -356,7 +356,7 @@ def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m
     out = None
     for lo, hi in zip(edges, edges[1:]):
         # The chunk's rows of each input that has rows; one row broadcasts.
-        rows = inputs if len(edges) == 2 else [x[lo:hi] if x.ndim == d and len(x) > 1 else x for x, d in zip(inputs, (2, 2, 1, 1))]
+        rows = [x[lo:hi] if x.ndim == d and len(x) > 1 else x for x, d in zip(inputs, (2, 2, 1, 1))]
         v, theta = np.empty((n, 2, hi - lo)), np.empty((2, hi - lo, 1))  # (qubit, kind, row), (kind, row, 1)
         v.T[:, 0], v.T[:, 1], theta[0, :, 0], theta[1, :, 0] = rows  # written through (row, kind, qubit) views
         coupling = v[..., None] * _zero_masks(n)  # (qubit, kind, row, state)
@@ -364,8 +364,6 @@ def alternating_row_amplitudes(vector_odd, vector_even, theta_odd, theta_even, m
         phase = s * theta
         amplitudes = _fold(np.cos(phase), np.sin(phase), coupling / np.where(s == 0.0, 1.0, s), m_pulses)
         reduced = amplitudes if reduce is None else reduce(amplitudes)
-        if len(edges) == 2:
-            return reduced
         out = np.empty((n_rows,) + reduced.shape[1:], reduced.dtype) if out is None else out
         out[lo:hi] = reduced
     return out

@@ -34,7 +34,7 @@ same integration of one block's star pattern.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,8 +131,14 @@ def _pulse_steps(env: PulseEnvelope, dt: float | None) -> int:
 def _step_coefficients(env: PulseEnvelope, dt: float | None) -> tuple[np.ndarray, int]:
     """Coefficients of X^0 ... X^4 in the first ceil(n / 2) RK4 steps of one n-step pulse, and n.
 
-    They depend on the envelope only, not on the coupling pattern; the
-    second half of the steps mirrors the first (see the module docstring).
+    With stage Rabi values a, b, c and X = -i P, step i is exactly
+
+        S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
+              + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
+
+    The coefficients depend on the envelope only, not on the coupling
+    pattern; the second half of the steps mirrors the first (see the module
+    docstring).
     """
     n_steps = _pulse_steps(env, dt)
     n_half = -(-n_steps // 2)
@@ -141,14 +147,10 @@ def _step_coefficients(env: PulseEnvelope, dt: float | None) -> tuple[np.ndarray
     # step i takes entries 2i, 2i + 1 and 2i + 2
     stage_rabi = env.rabi(0.5 * h * np.arange(2 * n_half + 1))
     a, b, c = stage_rabi[0:-1:2], stage_rabi[1::2], stage_rabi[2::2]
-    coeffs = np.empty((5, n_half))
-    coeffs[0] = 1.0
-    # rows 1 and 4 hold a + c and b^2 until the rows that share them are formed
-    a_plus_c, b_squared = np.add(a, c, out=coeffs[1]), np.multiply(b, b, out=coeffs[4])
-    np.multiply(b_squared, a_plus_c, out=coeffs[3])
-    np.add(np.multiply(b, a_plus_c, out=coeffs[2]), b_squared, out=coeffs[2])
-    coeffs[1] += 4.0 * b
-    coeffs[4] *= a * c
+    a_plus_c, b_squared = a + c, b * b
+    coeffs = np.array(
+        [np.ones(n_half), a_plus_c + 4.0 * b, b * a_plus_c + b_squared, b_squared * a_plus_c, b_squared * (a * c)]
+    )
     coeffs[1:] *= np.array([[h / 6.0], [h**2 / 6.0], [h**3 / 12.0], [h**4 / 24.0]])
     return coeffs, n_steps
 
@@ -246,32 +248,19 @@ def _register_patterns(protocol: Protocol) -> np.ndarray:
 def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -> np.ndarray:
     """Propagator of one blockade block under explicit pulse envelopes.
 
-    Integrates U' = -i H(t) U through the envelopes, one per pulse and in
-    pulse order, with classic RK4 at fixed step (``dt`` overrides the default
-    resolution). The stage Rabi values of step ``i`` are those of
-    :meth:`PulseEnvelope.rabi` at the offsets ``h * i``, ``h * (i + 0.5)``
-    and ``h * (i + 1)``; they are read for the first ceil(n / 2) steps only,
-    since the second half mirrors the first.
-
-    Within a pulse H(t) = Omega(t) P, with the block's star pattern P
-    coupling the ground level to each Rydberg level by -coupling / 2. With
-    X = -i P and stage values a, b, c one RK4 step is exactly the matrix polynomial
-
-        S_i = I + h/6 (a + 4b + c) X + h^2/6 (ab + b^2 + bc) X^2
-              + h^3/12 (ab^2 + b^2 c) X^3 + h^4/24 ab^2c X^4.
-
-    These steps commute and S_{n-1-i} = S_i, so their product S_{n-1} ... S_1 S_0
-    is (S_{k-1} ... S_0)^2 with k = n // 2, times S_k when n is odd. It is taken in
-    the LAPACK ``eigh`` basis of P, where each step is a scalar: one
-    ``eigh`` call for the patterns of all pulses, one real matrix product
-    for a pulse's first-half step factors and a pairwise product of them
-    (see :func:`_integrate`). The result is still the RK4 scheme, not the
-    closed-form propagator (it shares no code with
-    :func:`~sopgate.propagator.star_propagator`), and it is the one-block
-    case of the register integration :func:`validate_protocol` runs.
+    Integrates U' = -i H(t) U with H(t) = Omega(t) P through ``envelopes``,
+    one per pulse and in pulse order, where the block's star pattern P
+    couples the ground level to each Rydberg level by -coupling / 2. The
+    scheme is :func:`_integrate`'s fixed-step RK4, at ceil(PULSE_DURATION
+    / ``dt``) steps per pulse (at least 2) when ``dt`` is given and at the
+    default resolution otherwise; it shares no code with
+    :func:`~sopgate.propagator.star_propagator`, and :func:`validate_protocol`
+    runs the same integration on the whole register.
 
     Raises
     ------
+    SopGateError
+        If the envelope count differs from the block's pulse count.
     StepTooLargeError
         If the accumulated unitarity drift of the result exceeds 1e-6.
     """
@@ -284,29 +273,9 @@ def integrate_block(block: SubsystemBlock, envelopes, dt: float | None = None) -
     return _integrate(patterns, envelopes, dt)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-state deviation of the numerical propagation from the closed forms."""
-
-    deviations: dict[str, float]
-    max_deviation: float
-    tolerance: float
-    passed: bool
-    settings: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "per_state_deviation": dict(self.deviations),
-            "settings": dict(self.settings),
-        }
-
-
 def validate_protocol(
     protocol: Protocol, tolerance: float = 1e-6, shape: str = "squared-sine"
-) -> ValidationReport:
+) -> dict:
     """Compare analytical and integrated return amplitudes for every basis state.
 
     The analytical amplitudes come from one :func:`diagonal_amplitudes`
@@ -322,22 +291,24 @@ def validate_protocol(
     report, not fatal. They repeat bit for bit on one host; their last
     digits depend on the LAPACK/BLAS kernels and numpy's ``exp`` loop (see
     the module docstring).
+
+    Returns the record ``sopgate validate`` writes per protocol, a dict
+    with keys in this order: ``max_deviation``, ``tolerance``, ``passed``
+    (``max_deviation < tolerance``), ``per_state_deviation`` (|analytic -
+    numeric| per basis label, in :func:`basis_labels` order) and
+    ``settings`` (``shape``, ``pulse_duration``, ``dt``, always None for
+    the default step, and ``states``, the labels).
     """
     envelopes = envelopes_for_protocol(protocol, shape=shape)
     labels = basis_labels(protocol.n_qubits)
     analytic = diagonal_amplitudes(protocol)
     numeric = np.diagonal(_integrate(_register_patterns(protocol), envelopes, None))
-    deviations = {label: float(abs(a - u)) for label, a, u in zip(labels, analytic, numeric)}
-    max_dev = max(deviations.values())
-    return ValidationReport(
-        deviations=deviations,
-        max_deviation=max_dev,
-        tolerance=tolerance,
-        passed=max_dev < tolerance,
-        settings={
-            "shape": shape,
-            "pulse_duration": PULSE_DURATION,
-            "dt": None,
-            "states": list(labels),
-        },
-    )
+    per_state = {label: float(abs(a - u)) for label, a, u in zip(labels, analytic, numeric)}
+    max_dev = max(per_state.values())
+    return {
+        "max_deviation": max_dev,
+        "tolerance": tolerance,
+        "passed": max_dev < tolerance,
+        "per_state_deviation": per_state,
+        "settings": {"shape": shape, "pulse_duration": PULSE_DURATION, "dt": None, "states": list(labels)},
+    }

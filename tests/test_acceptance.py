@@ -188,7 +188,7 @@ def test_09_time_domain_equivalence():
     for _ in range(100):
         protocol = random_protocol(rng)
         protocols.append(protocol)
-        worst = max(worst, validate_protocol(protocol).max_deviation)
+        worst = max(worst, validate_protocol(protocol)["max_deviation"])
     shape_dev = 0.0
     for protocol in protocols[:15]:
         env_sin = envelopes_for_protocol(protocol, shape="squared-sine")

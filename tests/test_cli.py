@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sopgate.cli
-from oracles import per_row_csv_text
+from oracles import per_row_csv_text, random_protocol
 from sopgate.cli import (
     MAP_DEFAULTS,
     MAX_PULSES,
@@ -29,6 +29,7 @@ from sopgate.cli import (
 from sopgate.errors import SopGateError
 from sopgate.fidelity import csv_text
 from sopgate.optimize import MAX_SIMPLICES
+from sopgate.tdse import validate_protocol
 
 
 def read(path):
@@ -1044,6 +1045,21 @@ class TestValidateCommand:
         assert report["passed"] is True
         assert len(report["runs"]) == 3
         assert report["max_deviation"] < 1e-6
+
+    def test_runs_are_the_library_records(self, tmp_path):
+        # Each run is its index, register size and pulse count, then the
+        # record validate_protocol returns for the same protocol, key order
+        # included; random_protocol draws in the command's order
+        out = tmp_path / "val"
+        assert main(["validate", "--samples", "3", "--seed", "7", "--out", str(out)]) == 0
+        runs = json.loads(read(out / "validation_report.txt"))["runs"]
+        rng = np.random.default_rng(7)
+        want = []
+        for index in range(3):
+            protocol = random_protocol(rng)
+            head = {"index": index, "n_qubits": protocol.n_qubits, "n_pulses": protocol.n_pulses}
+            want.append({**head, **validate_protocol(protocol)})
+        assert [json.dumps(run) for run in runs] == [json.dumps(record) for record in want]
 
     def test_gaussian_window_edge(self, tmp_path):
         # seed 429 draws Gaussian pulses whose last RK4 stage sits on the

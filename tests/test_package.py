@@ -46,7 +46,6 @@ MODULE_ONLY = {
     "OptimizationResult": "optimize",
     "nelder_mead_constrained": "optimize",
     "PulseEnvelope": "tdse",
-    "ValidationReport": "tdse",
     "envelopes_for_protocol": "tdse",
 }
 
